@@ -13,7 +13,7 @@ RACE_RUN  = 'Concurrent|Parallel|Stress|Scheduler|InFlight|BackgroundError|Faili
 # Decode-hardening fuzz targets and their per-target CI time budget.
 FUZZTIME ?= 20s
 
-.PHONY: all build test race faults fuzz-smoke observe lint lint-strict vet acheronlint bench bench-policy overload bench-overload bench-scan serve bench-serve clean
+.PHONY: all build test bench-check race faults fuzz-smoke observe lint lint-strict vet acheronlint bench bench-policy overload bench-overload bench-scan serve bench-serve clean
 
 all: build lint test
 
@@ -22,6 +22,15 @@ build:
 
 test:
 	$(GO) test ./...
+
+# bench-check builds, vets and smoke-tests the benchmark/ module, which root
+# `go test ./...` never reaches (it is its own module, replacing repro with
+# the parent directory). It pins every engine identifier the benchmark
+# imports: an engine change that renames or re-signs one fails here, before
+# the benchmark pipeline does.
+bench-check:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 # race runs the concurrency-focused tests under the race detector. This is
 # the CI gate for data races in the commit pipeline, table cache, memtable,

@@ -36,11 +36,9 @@
 //
 // Range scans use a per-version cached sorted view (REMIX-style) so
 // steady-state iteration advances a single cursor instead of a k-way heap;
-// disable with Options.DisableReadViews, tune with
-// Options.ReadViewAnchorInterval and Options.ReadViewMaxEntries. With
-// Options.PrefixBloomLength set, sstables also carry prefix Bloom filters
-// and prefix scans (IterOptions.Prefix) skip non-matching tables without
-// opening them.
+// disable with Options.DisableReadViews. With Options.PrefixBloomLength
+// set, sstables also carry prefix Bloom filters and prefix scans
+// (IterOptions.Prefix) skip non-matching tables without opening them.
 package acheron
 
 import (
@@ -105,9 +103,7 @@ type PolicyKind = compaction.PolicyKind
 
 // Built-in compaction policies.
 const (
-	// PolicyDefault resolves from the deprecated Shape knob (Leveling →
-	// PolicyLeveled, Tiering → PolicySizeTiered), keeping existing
-	// configurations working unchanged.
+	// PolicyDefault, the zero value, selects PolicyLeveled.
 	PolicyDefault = compaction.PolicyDefault
 	// PolicyLeveled keeps one sorted run per level below L0.
 	PolicyLeveled = compaction.PolicyLeveled
@@ -169,20 +165,6 @@ const (
 // returns the store's instance, which renders Prometheus text (WriteTo) or
 // a JSON document (WriteJSON).
 type MetricsRegistry = metrics.Registry
-
-// Compaction shapes.
-//
-// Deprecated: Shape is the legacy layout knob; set
-// CompactionOptions.Policy (PolicyLeveled, PolicySizeTiered,
-// PolicyLazyLeveling) instead. Leveling and Tiering map onto PolicyLeveled
-// and PolicySizeTiered when Policy is left at PolicyDefault, so existing
-// code keeps its exact behaviour.
-const (
-	// Leveling keeps one sorted run per level.
-	Leveling = compaction.Leveling
-	// Tiering allows SizeRatio runs per level.
-	Tiering = compaction.Tiering
-)
 
 // Compaction pickers.
 const (

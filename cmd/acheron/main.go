@@ -37,16 +37,26 @@ func main() {
 	connect := flag.String("connect", "", "acherond address; speak the wire protocol instead of embedding a store")
 	dir := flag.String("dir", "acheron-data", "store directory")
 	dpt := flag.Duration("dpt", 0, "delete persistence threshold (0 disables FADE)")
-	policyName := flag.String("policy", "", "compaction policy: leveled, size-tiered, or lazy-leveling (overrides -shape)")
-	shape := flag.String("shape", "leveling", "deprecated compaction shape: leveling or tiering (use -policy)")
+	policyName := flag.String("policy", "", "compaction policy: leveled (default), size-tiered, or lazy-leveling")
 	kiwi := flag.Bool("kiwi", false, "use the KiWi key-weaving layout (4 pages/tile)")
 	eager := flag.Bool("eager", false, "apply secondary range deletes eagerly")
-	flag.DurationVar(&opTimeout, "timeout", 0, "per-operation deadline; stalled or queued ops fail instead of blocking (0 disables)")
+	opTimeout := flag.Duration("timeout", 0, "per-operation deadline; stalled or queued ops fail instead of blocking (0 disables)")
 	writeRate := flag.Float64("write-rate", 0, "admitted write rate in ops/s via token-bucket admission control (0 disables)")
 	flag.Parse()
 
 	if *connect != "" {
-		remoteShell(*connect)
+		c, err := client.Dial(*connect)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "connect: %v\n", err)
+			os.Exit(1)
+		}
+		defer c.Close()
+		if err := c.Ping(); err != nil {
+			fmt.Fprintf(os.Stderr, "ping: %v\n", err)
+			os.Exit(1)
+		}
+		fmt.Printf("acheron shell — connected to acherond at %s\n", *connect)
+		shell(remoteStore{c})
 		return
 	}
 
@@ -66,17 +76,12 @@ func main() {
 	if *dpt > 0 {
 		opts.Compaction.Picker = compaction.PickFADE
 	}
-	if *shape == "tiering" {
-		opts.Compaction.Shape = compaction.Tiering
+	kind, ok := compaction.ParsePolicyKind(*policyName)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "-policy: unknown policy %q (want leveled, size-tiered, or lazy-leveling)\n", *policyName)
+		os.Exit(1)
 	}
-	if *policyName != "" {
-		kind, ok := compaction.ParsePolicyKind(*policyName)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "-policy: unknown policy %q (want leveled, size-tiered, or lazy-leveling)\n", *policyName)
-			os.Exit(1)
-		}
-		opts.Compaction.Policy = kind
-	}
+	opts.Compaction.Policy = kind
 	if *kiwi {
 		opts.PagesPerTile = 4
 	}
@@ -92,43 +97,28 @@ func main() {
 	defer db.Close()
 
 	fmt.Printf("acheron shell — store %q, dpt=%v, policy=%s, kiwi=%v\n", *dir, *dpt, db.PolicyName(), *kiwi)
-	fmt.Println(`type "help" for commands`)
-	sc := bufio.NewScanner(os.Stdin)
-	for {
-		fmt.Print("> ")
-		if !sc.Scan() {
-			return
-		}
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		if err := execute(db, fields); err != nil {
-			if err == errQuit {
-				return
-			}
-			fmt.Printf("error: %v\n", err)
-		}
-	}
+	shell(localStore{db: db, timeout: *opTimeout})
 }
 
 var errQuit = fmt.Errorf("quit")
 
-// remoteShell runs the command loop against a live acherond over the wire
-// protocol. The remote command set is the served surface: point ops, range
-// deletes, scans, and server stats.
-func remoteShell(addr string) {
-	c, err := client.Dial(addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "connect: %v\n", err)
-		os.Exit(1)
-	}
-	defer c.Close()
-	if err := c.Ping(); err != nil {
-		fmt.Fprintf(os.Stderr, "ping: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("acheron shell — connected to acherond at %s\n", addr)
+// store is what the shell's shared commands run against: the embedded
+// engine or a live acherond over the wire protocol.
+type store interface {
+	put(key, value []byte) error
+	get(key []byte) ([]byte, error)
+	del(key []byte) error
+	rangeDel(lo, hi uint64) error
+	// scan returns up to limit live entries with keys >= start.
+	scan(start []byte, limit int) ([]client.KV, error)
+	// other runs a command that is not shared by both kinds of store.
+	other(fields []string) error
+	// help lists the commands other answers.
+	help() string
+}
+
+// shell is the prompt loop.
+func shell(s store) {
 	fmt.Println(`type "help" for commands`)
 	sc := bufio.NewScanner(os.Stdin)
 	for {
@@ -140,7 +130,7 @@ func remoteShell(addr string) {
 		if len(fields) == 0 {
 			continue
 		}
-		if err := executeRemote(c, fields); err != nil {
+		if err := execute(s, fields); err != nil {
 			if err == errQuit {
 				return
 			}
@@ -149,32 +139,31 @@ func remoteShell(addr string) {
 	}
 }
 
-func executeRemote(c *client.Client, fields []string) error {
+func execute(s store, fields []string) error {
 	switch fields[0] {
 	case "help":
-		fmt.Print(`commands (remote):
+		fmt.Print(`commands:
   put <key> <value>          insert/update (value's delete key = now)
   get <key>                  point lookup
   del <key>                  point delete
   rangedel <loUnix> <hiUnix> secondary range delete on [lo, hi) timestamps
   scan [prefix] [limit]      iterate live keys
-  stats                      server stats (JSON)
-  ping                       round-trip check
-  quit
+` + s.help() + `  quit
 `)
 	case "put":
 		if len(fields) != 3 {
 			return fmt.Errorf("usage: put <key> <value>")
 		}
+		// Prefix the value with its delete key: the current time.
 		v := make([]byte, 8+len(fields[2]))
 		binary.BigEndian.PutUint64(v, uint64(time.Now().UnixNano()))
 		copy(v[8:], fields[2])
-		return c.Put([]byte(fields[1]), v)
+		return s.put([]byte(fields[1]), v)
 	case "get":
 		if len(fields) != 2 {
 			return fmt.Errorf("usage: get <key>")
 		}
-		v, err := c.Get([]byte(fields[1]))
+		v, err := s.get([]byte(fields[1]))
 		if err != nil {
 			return err
 		}
@@ -188,7 +177,7 @@ func executeRemote(c *client.Client, fields []string) error {
 		if len(fields) != 2 {
 			return fmt.Errorf("usage: del <key>")
 		}
-		return c.Delete([]byte(fields[1]))
+		return s.del([]byte(fields[1]))
 	case "rangedel":
 		if len(fields) != 3 {
 			return fmt.Errorf("usage: rangedel <loUnixNano> <hiUnixNano>")
@@ -201,7 +190,7 @@ func executeRemote(c *client.Client, fields []string) error {
 		if err != nil {
 			return err
 		}
-		return c.DeleteSecondaryRange(lo, hi)
+		return s.rangeDel(lo, hi)
 	case "scan":
 		prefix := ""
 		limit := 20
@@ -215,7 +204,7 @@ func executeRemote(c *client.Client, fields []string) error {
 			}
 			limit = n
 		}
-		kvs, err := c.Scan([]byte(prefix), nil, limit)
+		kvs, err := s.scan([]byte(prefix), limit)
 		if err != nil {
 			return err
 		}
@@ -232,68 +221,114 @@ func executeRemote(c *client.Client, fields []string) error {
 			n++
 		}
 		fmt.Printf("(%d keys)\n", n)
+	case "quit", "exit":
+		return errQuit
+	default:
+		return s.other(fields)
+	}
+	return nil
+}
+
+// remoteStore drives a live acherond. Beyond the shared commands it answers
+// the served surface's own: server stats and ping.
+type remoteStore struct{ c *client.Client }
+
+func (r remoteStore) put(key, value []byte) error    { return r.c.Put(key, value) }
+func (r remoteStore) get(key []byte) ([]byte, error) { return r.c.Get(key) }
+func (r remoteStore) del(key []byte) error           { return r.c.Delete(key) }
+func (r remoteStore) rangeDel(lo, hi uint64) error   { return r.c.DeleteSecondaryRange(lo, hi) }
+func (r remoteStore) scan(start []byte, limit int) ([]client.KV, error) {
+	return r.c.Scan(start, nil, limit)
+}
+
+func (r remoteStore) help() string {
+	return `  stats                      server stats (JSON)
+  ping                       round-trip check
+`
+}
+
+func (r remoteStore) other(fields []string) error {
+	switch fields[0] {
 	case "stats":
-		body, err := c.Stats()
+		body, err := r.c.Stats()
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%s\n", body)
 	case "ping":
 		start := time.Now()
-		if err := c.Ping(); err != nil {
+		if err := r.c.Ping(); err != nil {
 			return err
 		}
 		fmt.Printf("pong (%v)\n", time.Since(start).Round(time.Microsecond))
-	case "quit", "exit":
-		return errQuit
 	default:
+		if _, ok := localCommands[fields[0]]; ok {
+			return fmt.Errorf("%s is not available over -connect", fields[0])
+		}
 		return fmt.Errorf("unknown command %q (try help)", fields[0])
 	}
 	return nil
 }
 
-// opTimeout is the -timeout flag: the deadline attached to every shell
-// operation. Under a saturated stall or a drained admission bucket the
-// command returns a wrapped context.DeadlineExceeded or ErrOverloaded
-// instead of hanging the prompt.
-var opTimeout time.Duration
+// localStore drives the embedded engine. timeout is the -timeout flag: the
+// deadline attached to every operation, so under a saturated stall or a
+// drained admission bucket the command returns a wrapped
+// context.DeadlineExceeded or ErrOverloaded instead of hanging the prompt.
+type localStore struct {
+	db      *core.DB
+	timeout time.Duration
+}
 
 // opCtx returns the context for one shell operation and its cancel func.
-func opCtx() (context.Context, context.CancelFunc) {
-	if opTimeout <= 0 {
+func (l localStore) opCtx() (context.Context, context.CancelFunc) {
+	if l.timeout <= 0 {
 		return context.Background(), func() {}
 	}
-	return context.WithTimeout(context.Background(), opTimeout)
+	return context.WithTimeout(context.Background(), l.timeout)
 }
 
-// watchEvents tails the trace ring for d, polling EventsSince with the last
-// seen sequence number so nothing is printed twice and nothing buffered is
-// missed (short of ring eviction under extreme rates).
-func watchEvents(db *core.DB, d time.Duration) error {
-	deadline := time.Now().Add(d)
-	next := db.TraceEventsTotal() // start at "now": only new events
-	fmt.Printf("watching events for %v...\n", d)
-	for time.Now().Before(deadline) {
-		evs := db.EventsSince(next, event.DefaultRingSize)
-		for _, e := range evs {
-			fmt.Println(e)
-			next = e.Seq + 1
-		}
-		time.Sleep(200 * time.Millisecond)
+func (l localStore) put(key, value []byte) error {
+	ctx, cancel := l.opCtx()
+	defer cancel()
+	return l.db.PutCtx(ctx, key, value)
+}
+
+func (l localStore) get(key []byte) ([]byte, error) {
+	ctx, cancel := l.opCtx()
+	defer cancel()
+	return l.db.GetCtx(ctx, key)
+}
+
+func (l localStore) del(key []byte) error {
+	ctx, cancel := l.opCtx()
+	defer cancel()
+	return l.db.DeleteCtx(ctx, key)
+}
+
+func (l localStore) rangeDel(lo, hi uint64) error {
+	ctx, cancel := l.opCtx()
+	defer cancel()
+	return l.db.DeleteSecondaryRangeCtx(ctx, lo, hi)
+}
+
+func (l localStore) scan(start []byte, limit int) ([]client.KV, error) {
+	it, err := l.db.NewIter(core.IterOptions{})
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	defer it.Close()
+	var out []client.KV
+	for ok := it.SeekGE(start); ok && len(out) < limit; ok = it.Next() {
+		out = append(out, client.KV{
+			Key:   append([]byte(nil), it.Key()...),
+			Value: append([]byte(nil), it.Value()...),
+		})
+	}
+	return out, it.Error()
 }
 
-func execute(db *core.DB, fields []string) error {
-	switch fields[0] {
-	case "help":
-		fmt.Print(`commands:
-  put <key> <value>          insert/update (value's delete key = now)
-  get <key>                  point lookup
-  del <key>                  point delete
-  rangedel <loUnix> <hiUnix> secondary range delete on [lo, hi) timestamps
-  scan [prefix] [limit]      iterate live keys
-  stats                      engine statistics
+func (l localStore) help() string {
+	return `  stats                      engine statistics
   levels                     per-level tree shape
   metrics                    Prometheus text exposition of every metric
   vars                       all metrics as one JSON document
@@ -304,121 +339,63 @@ func execute(db *core.DB, fields []string) error {
   serve [addr]               expose /metrics /vars /events /jobs over HTTP
   flush                      flush memtables
   compact                    compact everything
-  quit
-`)
-	case "put":
-		if len(fields) != 3 {
-			return fmt.Errorf("usage: put <key> <value>")
-		}
-		// Prefix the value with its delete key: the current time.
-		v := make([]byte, 8+len(fields[2]))
-		binary.BigEndian.PutUint64(v, uint64(time.Now().UnixNano()))
-		copy(v[8:], fields[2])
-		ctx, cancel := opCtx()
-		defer cancel()
-		return db.PutCtx(ctx, []byte(fields[1]), v)
-	case "get":
-		if len(fields) != 2 {
-			return fmt.Errorf("usage: get <key>")
-		}
-		ctx, cancel := opCtx()
-		defer cancel()
-		v, err := db.GetCtx(ctx, []byte(fields[1]))
-		if err != nil {
-			return err
-		}
-		if len(v) >= 8 {
-			ts := time.Unix(0, int64(binary.BigEndian.Uint64(v)))
-			fmt.Printf("%s (written %s)\n", v[8:], ts.Format(time.RFC3339))
-		} else {
-			fmt.Printf("%s\n", v)
-		}
-	case "del":
-		if len(fields) != 2 {
-			return fmt.Errorf("usage: del <key>")
-		}
-		ctx, cancel := opCtx()
-		defer cancel()
-		return db.DeleteCtx(ctx, []byte(fields[1]))
-	case "rangedel":
-		if len(fields) != 3 {
-			return fmt.Errorf("usage: rangedel <loUnixNano> <hiUnixNano>")
-		}
-		lo, err := strconv.ParseUint(fields[1], 10, 64)
-		if err != nil {
-			return err
-		}
-		hi, err := strconv.ParseUint(fields[2], 10, 64)
-		if err != nil {
-			return err
-		}
-		ctx, cancel := opCtx()
-		defer cancel()
-		return db.DeleteSecondaryRangeCtx(ctx, lo, hi)
-	case "scan":
-		prefix := ""
-		limit := 20
-		if len(fields) > 1 {
-			prefix = fields[1]
-		}
-		if len(fields) > 2 {
-			n, err := strconv.Atoi(fields[2])
-			if err != nil {
-				return err
-			}
-			limit = n
-		}
-		it, err := db.NewIter(core.IterOptions{})
-		if err != nil {
-			return err
-		}
-		defer it.Close()
-		n := 0
-		for ok := it.SeekGE([]byte(prefix)); ok && n < limit; ok = it.Next() {
-			if !strings.HasPrefix(string(it.Key()), prefix) {
-				break
-			}
-			val := it.Value()
-			if len(val) >= 8 {
-				val = val[8:]
-			}
-			fmt.Printf("%s = %s\n", it.Key(), val)
-			n++
-		}
-		fmt.Printf("(%d keys)\n", n)
-		return it.Error()
-	case "stats":
-		fmt.Println(db.Stats())
-	case "levels":
-		levels := db.Levels()
+`
+}
+
+func (l localStore) other(fields []string) error {
+	cmd, ok := localCommands[fields[0]]
+	if !ok {
+		return fmt.Errorf("unknown command %q (try help)", fields[0])
+	}
+	return cmd(l, fields[1:])
+}
+
+// intArg parses the optional first argument, returning def when absent.
+func intArg(args []string, def int) (int, error) {
+	if len(args) == 0 {
+		return def, nil
+	}
+	return strconv.Atoi(args[0])
+}
+
+// localCommands are the commands only an embedded store answers; over
+// -connect they are refused by name instead of reading as typos.
+var localCommands = map[string]func(l localStore, args []string) error{
+	"stats": func(l localStore, _ []string) error {
+		fmt.Println(l.db.Stats())
+		return nil
+	},
+	"levels": func(l localStore, _ []string) error {
 		fmt.Println("level  runs  files  bytes      tombstones")
-		for l, info := range levels {
+		for lvl, info := range l.db.Levels() {
 			if info.Files == 0 {
 				continue
 			}
-			fmt.Printf("L%-5d %-5d %-6d %-10d %d\n", l, info.Runs, info.Files, info.Bytes, info.Tombstones)
+			fmt.Printf("L%-5d %-5d %-6d %-10d %d\n", lvl, info.Runs, info.Files, info.Bytes, info.Tombstones)
 		}
-	case "metrics":
-		_, err := db.Registry().WriteTo(os.Stdout)
+		return nil
+	},
+	"metrics": func(l localStore, _ []string) error {
+		_, err := l.db.Registry().WriteTo(os.Stdout)
 		return err
-	case "vars":
-		return db.Registry().WriteJSON(os.Stdout)
-	case "events":
-		n := 20
-		if len(fields) > 1 {
-			v, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return err
-			}
-			n = v
+	},
+	"vars": func(l localStore, _ []string) error {
+		return l.db.Registry().WriteJSON(os.Stdout)
+	},
+	"events": func(l localStore, args []string) error {
+		n, err := intArg(args, 20)
+		if err != nil {
+			return err
 		}
-		evs := db.RecentEvents(n)
+		evs := l.db.RecentEvents(n)
 		for _, e := range evs {
 			fmt.Println(e)
 		}
-		fmt.Printf("(%d events, %d emitted total)\n", len(evs), db.TraceEventsTotal())
-	case "jobs":
-		jobs := db.RecentMaintJobs()
+		fmt.Printf("(%d events, %d emitted total)\n", len(evs), l.db.TraceEventsTotal())
+		return nil
+	},
+	"jobs": func(l localStore, _ []string) error {
+		jobs := l.db.RecentMaintJobs()
 		for _, j := range jobs {
 			kind := j.Kind.String()
 			if j.Kind == core.JobCompact {
@@ -436,28 +413,29 @@ func execute(db *core.DB, fields []string) error {
 				j.Finished.Sub(j.Started).Round(time.Microsecond), status)
 		}
 		fmt.Printf("(%d jobs)\n", len(jobs))
-	case "watch":
-		secs := 5
-		if len(fields) > 1 {
-			v, err := strconv.Atoi(fields[1])
-			if err != nil {
-				return err
-			}
-			secs = v
+		return nil
+	},
+	"watch": func(l localStore, args []string) error {
+		secs, err := intArg(args, 5)
+		if err != nil {
+			return err
 		}
-		return watchEvents(db, time.Duration(secs)*time.Second)
-	case "serve":
+		return watchEvents(l.db, time.Duration(secs)*time.Second)
+	},
+	"serve": func(l localStore, args []string) error {
 		addr := "127.0.0.1:0"
-		if len(fields) > 1 {
-			addr = fields[1]
+		if len(args) > 0 {
+			addr = args[0]
 		}
-		bound, _, err := db.ServeMetrics(addr)
+		bound, _, err := l.db.ServeMetrics(addr)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("serving http://%s/{metrics,vars,events,jobs} until the shell exits\n", bound)
-	case "admission":
-		ac := db.Admission()
+		return nil
+	},
+	"admission": func(l localStore, _ []string) error {
+		ac := l.db.Admission()
 		if ac == nil {
 			fmt.Println("admission control disabled (start with -write-rate)")
 			return nil
@@ -469,16 +447,32 @@ func execute(db *core.DB, fields []string) error {
 				cm.Admitted.Get(), cm.Rejected.Get(), cm.Shed.Get(),
 				time.Duration(cm.Wait.Quantile(0.5)), time.Duration(cm.Wait.Quantile(0.99)))
 		}
-	case "flush":
-		return db.Flush()
-	case "compact":
-		ctx, cancel := opCtx()
+		return nil
+	},
+	"flush": func(l localStore, _ []string) error {
+		return l.db.Flush()
+	},
+	"compact": func(l localStore, _ []string) error {
+		ctx, cancel := l.opCtx()
 		defer cancel()
-		return db.CompactAllCtx(ctx)
-	case "quit", "exit":
-		return errQuit
-	default:
-		return fmt.Errorf("unknown command %q (try help)", fields[0])
+		return l.db.CompactAllCtx(ctx)
+	},
+}
+
+// watchEvents tails the trace ring for d, polling EventsSince with the last
+// seen sequence number so nothing is printed twice and nothing buffered is
+// missed (short of ring eviction under extreme rates).
+func watchEvents(db *core.DB, d time.Duration) error {
+	deadline := time.Now().Add(d)
+	next := db.TraceEventsTotal() // start at "now": only new events
+	fmt.Printf("watching events for %v...\n", d)
+	for time.Now().Before(deadline) {
+		evs := db.EventsSince(next, event.DefaultRingSize)
+		for _, e := range evs {
+			fmt.Println(e)
+			next = e.Seq + 1
+		}
+		time.Sleep(200 * time.Millisecond)
 	}
 	return nil
 }

@@ -191,31 +191,6 @@ func (c *Controller) Close() {
 // valid for the controller's lifetime.
 func (c *Controller) ClassMetrics(cl Class) *ClassMetrics { return &c.stats[cl] }
 
-// TryAdmit is a non-blocking Admit: it takes a token if one is available
-// right now and reports whether it did. The pressure gate still applies to
-// writes.
-func (c *Controller) TryAdmit(cl Class) bool {
-	if c == nil {
-		return true
-	}
-	if c.buckets[cl].rate <= 0 && !c.pressureGated(cl) {
-		c.stats[cl].Admitted.Add(1)
-		return true
-	}
-	if cl == ClassWrite && c.cfg.Pressure != nil && c.cfg.Pressure() >= 1 {
-		c.stats[cl].Shed.Add(1)
-		return false
-	}
-	if c.buckets[cl].rate > 0 {
-		if ok, _ := c.take(cl); !ok {
-			c.stats[cl].Rejected.Add(1)
-			return false
-		}
-	}
-	c.stats[cl].Admitted.Add(1)
-	return true
-}
-
 // pressureGated reports whether cl is subject to the pressure soft gate.
 func (c *Controller) pressureGated(cl Class) bool {
 	return cl == ClassWrite && c.cfg.Pressure != nil

@@ -9,29 +9,12 @@
 // roughly 0.6185^b (≈0.8% at b=10).
 package bloom
 
-import (
-	"encoding/binary"
-	"math"
-)
+import "encoding/binary"
 
 // Filter is an immutable, queryable Bloom filter.
 type Filter struct {
 	bits   []byte
 	probes uint32
-}
-
-// BitsPerKeyForFPR returns the bits-per-key setting that achieves
-// approximately the requested false-positive rate.
-func BitsPerKeyForFPR(fpr float64) int {
-	if fpr <= 0 || fpr >= 1 {
-		return 10
-	}
-	// fpr ≈ 0.6185^bitsPerKey  =>  bitsPerKey = ln(fpr)/ln(0.6185)
-	b := math.Log(fpr) / math.Log(0.6185)
-	if b < 1 {
-		b = 1
-	}
-	return int(math.Ceil(b))
 }
 
 // Build constructs a filter over the given key hashes. Callers hash keys

@@ -127,26 +127,6 @@ func TestBuildEmptyAndTiny(t *testing.T) {
 	}
 }
 
-func TestBitsPerKeyForFPR(t *testing.T) {
-	cases := []struct {
-		fpr     float64
-		wantMin int
-		wantMax int
-	}{
-		{0.01, 9, 10},
-		{0.001, 14, 15},
-		{0.1, 4, 5},
-		{0, 10, 10},   // invalid -> default
-		{1.5, 10, 10}, // invalid -> default
-	}
-	for _, c := range cases {
-		got := BitsPerKeyForFPR(c.fpr)
-		if got < c.wantMin || got > c.wantMax {
-			t.Errorf("BitsPerKeyForFPR(%g) = %d, want in [%d,%d]", c.fpr, got, c.wantMin, c.wantMax)
-		}
-	}
-}
-
 // TestHashAvalanche: flipping any single input byte should change the hash.
 func TestHashAvalanche(t *testing.T) {
 	f := func(key []byte) bool {

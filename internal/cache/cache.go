@@ -67,8 +67,12 @@ func (c *Cache) Get(id, off uint64) ([]byte, bool) {
 	s := c.shard(k)
 	s.mu.Lock()
 	el, ok := s.table[k]
+	var data []byte
 	if ok {
 		s.lru.MoveToFront(el)
+		// Read under the lock: a concurrent Put of the same block replaces
+		// the entry's data in place.
+		data = el.Value.(*entry).data
 	}
 	s.mu.Unlock()
 	if !ok {
@@ -76,7 +80,7 @@ func (c *Cache) Get(id, off uint64) ([]byte, bool) {
 		return nil, false
 	}
 	c.hits.Add(1)
-	return el.Value.(*entry).data, true
+	return data, true
 }
 
 // Put inserts a block. The cache takes ownership of data; callers must not

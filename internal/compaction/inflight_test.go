@@ -68,7 +68,7 @@ func TestPickSaturatedSkipsClaimedFiles(t *testing.T) {
 	v = addFiles(t, v, 2, 2, file(3, "g", "j", 500))
 	o := Options{BaseLevelBytes: 1000, SizeRatio: 4, Picker: PickMinOverlap}.WithDefaults()
 
-	c := Pick(v, o, 0, false, nil)
+	c := pick(v, o, 0, false, nil)
 	if c == nil || c.InputFiles()[0].FileNum != 1 {
 		t.Fatalf("baseline pick should choose file 1, got %+v", c)
 	}
@@ -77,14 +77,14 @@ func TestPickSaturatedSkipsClaimedFiles(t *testing.T) {
 	// fall back to file 2.
 	s := NewInFlightSet()
 	s.Claim(7, []*manifest.FileMetadata{file(1, "a", "f", 600)}, 1, 2, []byte("a"), []byte("f"))
-	c = Pick(v, o, 0, false, s)
+	c = pick(v, o, 0, false, s)
 	if c == nil || c.InputFiles()[0].FileNum != 2 {
 		t.Fatalf("pick with claim should choose file 2, got %+v", c)
 	}
 
 	// Claim both files: nothing pickable.
 	s.Claim(8, []*manifest.FileMetadata{file(2, "g", "m", 600)}, 1, 2, []byte("g"), []byte("m"))
-	if c = Pick(v, o, 0, false, s); c != nil {
+	if c = pick(v, o, 0, false, s); c != nil {
 		t.Fatalf("pick with all files claimed returned %+v", c)
 	}
 }
@@ -99,7 +99,7 @@ func TestPickTTLSkipsClaimedFiles(t *testing.T) {
 
 	s := NewInFlightSet()
 	s.Claim(3, []*manifest.FileMetadata{tombFile(1, "a", "c", 100, 0, 1)}, 1, 2, []byte("a"), []byte("c"))
-	c := Pick(v, o, 5000, false, s)
+	c := pick(v, o, 5000, false, s)
 	if c == nil || c.Trigger != TriggerTTL {
 		t.Fatalf("expected TTL candidate for unclaimed file, got %+v", c)
 	}

@@ -19,15 +19,27 @@ func TestPolicyKindDispatch(t *testing.T) {
 		{Options{Policy: PolicyLeveled}, "leveled"},
 		{Options{Policy: PolicySizeTiered}, "size-tiered"},
 		{Options{Policy: PolicyLazyLeveling}, "lazy-leveling"},
-		// PolicyDefault falls back to the deprecated Shape knob.
-		{Options{}, "leveled"},
-		{Options{Shape: Tiering}, "size-tiered"},
-		// An explicit Policy wins over a contradictory Shape.
-		{Options{Policy: PolicyLazyLeveling, Shape: Tiering}, "lazy-leveling"},
 	}
 	for _, c := range cases {
 		if got := c.o.NewPolicy().Name(); got != c.name {
 			t.Errorf("NewPolicy(%+v).Name() = %q, want %q", c.o, got, c.name)
+		}
+	}
+}
+
+// TestPolicyDefaultIsLeveled: the zero Policy — what a zero Options, an
+// empty -policy flag and "default" all produce — is the leveled layout.
+func TestPolicyDefaultIsLeveled(t *testing.T) {
+	if _, ok := (Options{}).NewPolicy().(*Leveled); !ok {
+		t.Fatalf("Options{}.NewPolicy() = %T, want *Leveled", Options{}.NewPolicy())
+	}
+	for _, name := range []string{"", "default"} {
+		kind, ok := ParsePolicyKind(name)
+		if !ok || kind != PolicyDefault {
+			t.Fatalf("ParsePolicyKind(%q) = %v,%v", name, kind, ok)
+		}
+		if got := (Options{Policy: kind}).NewPolicy().Name(); got != "leveled" {
+			t.Fatalf("policy %q builds %q, want leveled", name, got)
 		}
 	}
 }

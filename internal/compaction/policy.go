@@ -14,30 +14,6 @@ import (
 	"repro/internal/manifest"
 )
 
-// Shape selects how runs are organized below level 0.
-//
-// Deprecated: Shape is the legacy layout knob. It is kept as a
-// backward-compatible alias that maps onto the Policy interface when
-// Options.Policy is PolicyDefault (Leveling → PolicyLeveled, Tiering →
-// PolicySizeTiered); set Options.Policy directly for new code.
-type Shape int
-
-const (
-	// Leveling keeps one sorted run per level (RocksDB-style).
-	Leveling Shape = iota
-	// Tiering allows up to SizeRatio runs per level, merging them all
-	// into one run at the next level when the level fills up.
-	Tiering
-)
-
-// String implements fmt.Stringer.
-func (s Shape) String() string {
-	if s == Tiering {
-		return "tiering"
-	}
-	return "leveling"
-}
-
 // Picker selects which file a saturated level compacts first.
 type Picker int
 
@@ -102,14 +78,11 @@ func (t Trigger) String() string {
 	return "l0"
 }
 
-// PolicyKind names a built-in layout policy. The zero value derives the
-// policy from the deprecated Shape knob, so existing configurations keep
-// working unchanged.
+// PolicyKind names a built-in layout policy.
 type PolicyKind int
 
 const (
-	// PolicyDefault derives the policy from the deprecated Shape field:
-	// Leveling selects PolicyLeveled, Tiering selects PolicySizeTiered.
+	// PolicyDefault, the zero value, selects PolicyLeveled.
 	PolicyDefault PolicyKind = iota
 	// PolicyLeveled keeps one sorted run per level below L0.
 	PolicyLeveled
@@ -188,14 +161,8 @@ type Policy interface {
 
 // Options configure the compaction policy.
 type Options struct {
-	// Policy selects the layout policy. PolicyDefault derives it from the
-	// deprecated Shape field, keeping old configurations working.
+	// Policy selects the layout policy; PolicyDefault means PolicyLeveled.
 	Policy PolicyKind
-	// Shape selects leveling or tiering.
-	//
-	// Deprecated: use Policy. Shape is consulted only when Policy is
-	// PolicyDefault.
-	Shape Shape
 	// Picker selects the saturated-level file picker.
 	Picker Picker
 	// SizeRatio is T, the capacity ratio between adjacent levels (and the
@@ -232,24 +199,11 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
-// KindResolved returns the effective policy kind: Policy when set, else the
-// mapping of the deprecated Shape knob (Leveling → PolicyLeveled, Tiering →
-// PolicySizeTiered).
-func (o Options) KindResolved() PolicyKind {
-	if o.Policy != PolicyDefault {
-		return o.Policy
-	}
-	if o.Shape == Tiering {
-		return PolicySizeTiered
-	}
-	return PolicyLeveled
-}
-
 // NewPolicy constructs the configured layout policy, bound to o with
 // defaults applied. The engine builds one at Open and uses it for every
 // pick and commit decision thereafter.
 func (o Options) NewPolicy() Policy {
-	switch o.KindResolved() {
+	switch o.Policy {
 	case PolicySizeTiered:
 		return NewSizeTiered(o)
 	case PolicyLazyLeveling:
@@ -301,12 +255,6 @@ func (o Options) LevelTTLAt(l, depth int) base.Duration {
 	}
 }
 
-// LevelTTL returns d_l for a maximally deep tree. Prefer LevelTTLAt with
-// the actual populated depth.
-func (o Options) LevelTTL(l int) base.Duration {
-	return o.LevelTTLAt(l, manifest.NumLevels-1)
-}
-
 // CumulativeTTLAt returns the total TTL budget for a tombstone residing at
 // level l of a depth-deep tree: the sum of the TTLs of levels 0..l. A file
 // at level l whose oldest tombstone was created at ts has expired when
@@ -317,11 +265,6 @@ func (o Options) CumulativeTTLAt(l, depth int) base.Duration {
 		sum += o.LevelTTLAt(i, depth)
 	}
 	return sum
-}
-
-// CumulativeTTL is CumulativeTTLAt for a maximally deep tree.
-func (o Options) CumulativeTTL(l int) base.Duration {
-	return o.CumulativeTTLAt(l, manifest.NumLevels-1)
 }
 
 // Candidate describes a compaction the picker selected.
@@ -404,14 +347,4 @@ func expired(o Options, f *manifest.FileMetadata, l, depth int, now base.Timesta
 		return base.Duration(now - deadline), true
 	}
 	return 0, false
-}
-
-// Pick inspects the version and returns the most urgent compaction under
-// the options' configured policy, or nil when nothing needs compacting. See
-// Policy.Pick for the parameter contract.
-//
-// Deprecated: build a Policy once with Options.NewPolicy and call its Pick;
-// this wrapper constructs a fresh policy on every call.
-func Pick(v *manifest.Version, o Options, now base.Timestamp, haveSnapshots bool, inflight *InFlightSet) *Candidate {
-	return o.WithDefaults().NewPolicy().Pick(v, now, haveSnapshots, inflight)
 }

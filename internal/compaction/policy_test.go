@@ -46,6 +46,11 @@ func addFiles(t *testing.T, v *manifest.Version, level int, runID uint64, files 
 
 // TestTTLSplitSumsToDPT: the per-level TTLs must partition the DPT exactly
 // (within float slack) for every depth, ratio and split strategy.
+// pick asks o's configured policy for the most urgent compaction.
+func pick(v *manifest.Version, o Options, now base.Timestamp, haveSnapshots bool, inflight *InFlightSet) *Candidate {
+	return o.WithDefaults().NewPolicy().Pick(v, now, haveSnapshots, inflight)
+}
+
 func TestTTLSplitSumsToDPT(t *testing.T) {
 	f := func(dptRaw uint32, ratioRaw, depthRaw uint8, uniform bool) bool {
 		dpt := base.Duration(dptRaw%1_000_000 + 1000)
@@ -103,7 +108,7 @@ func TestPickNothingWhenHealthy(t *testing.T) {
 	v := &manifest.Version{}
 	v = addFiles(t, v, 1, 1, file(1, "a", "m", 1000))
 	o := Options{BaseLevelBytes: 1 << 20, SizeRatio: 4}
-	if c := Pick(v, o, 0, false, nil); c != nil {
+	if c := pick(v, o, 0, false, nil); c != nil {
 		t.Fatalf("healthy tree picked %+v", c)
 	}
 }
@@ -114,7 +119,7 @@ func TestPickL0Threshold(t *testing.T) {
 		v = addFiles(t, v, 0, uint64(i+1), file(i+1, "a", "z", 100))
 	}
 	o := Options{L0Threshold: 4, BaseLevelBytes: 1 << 20}
-	c := Pick(v, o.WithDefaults(), 0, false, nil)
+	c := pick(v, o.WithDefaults(), 0, false, nil)
 	if c == nil || c.Trigger != TriggerL0 {
 		t.Fatalf("expected L0 trigger, got %+v", c)
 	}
@@ -131,7 +136,7 @@ func TestPickSaturationLeveling(t *testing.T) {
 		file(2, "g", "m", 600))
 	v = addFiles(t, v, 2, 2, file(3, "a", "c", 500))
 	o := Options{BaseLevelBytes: 1000, SizeRatio: 4, Picker: PickMinOverlap}.WithDefaults()
-	c := Pick(v, o, 0, false, nil)
+	c := pick(v, o, 0, false, nil)
 	if c == nil || c.Trigger != TriggerSaturation {
 		t.Fatalf("expected saturation trigger, got %+v", c)
 	}
@@ -150,7 +155,7 @@ func TestPickFADEPrefersTombstoneDensity(t *testing.T) {
 		file(1, "a", "f", 600),
 		tombFile(2, "g", "m", 600, 0, 3)) // tombstone-dense
 	o := Options{BaseLevelBytes: 1000, SizeRatio: 4, Picker: PickFADE}.WithDefaults()
-	c := Pick(v, o, 0, false, nil)
+	c := pick(v, o, 0, false, nil)
 	if c == nil {
 		t.Fatal("no candidate")
 	}
@@ -167,11 +172,11 @@ func TestPickTTLTakesPriority(t *testing.T) {
 	o := Options{BaseLevelBytes: 1 << 20, SizeRatio: 4, DPT: 1000, Picker: PickFADE}.WithDefaults()
 
 	// Before the deadline: nothing to do.
-	if c := Pick(v, o, 10, false, nil); c != nil {
+	if c := pick(v, o, 10, false, nil); c != nil {
 		t.Fatalf("premature TTL pick: %+v", c)
 	}
 	// After the whole DPT has certainly elapsed: must fire.
-	c := Pick(v, o, 2000, false, nil)
+	c := pick(v, o, 2000, false, nil)
 	if c == nil || c.Trigger != TriggerTTL {
 		t.Fatalf("expected TTL trigger, got %+v", c)
 	}
@@ -191,7 +196,7 @@ func TestPickTTLBatchesExpiredFiles(t *testing.T) {
 		file(3, "m", "p", 100),             // no tombstones: not included
 	)
 	o := Options{BaseLevelBytes: 1 << 20, SizeRatio: 4, DPT: 100, Picker: PickFADE}.WithDefaults()
-	c := Pick(v, o, 5000, false, nil)
+	c := pick(v, o, 5000, false, nil)
 	if c == nil || c.Trigger != TriggerTTL {
 		t.Fatalf("no TTL candidate: %+v", c)
 	}
@@ -217,7 +222,7 @@ func TestPickTTLOnlyExpiredAtDeadline(t *testing.T) {
 		tombFile(2, "e", "g", 100, 4950, 1), // not yet expired
 	)
 	o := Options{BaseLevelBytes: 1 << 20, SizeRatio: 4, DPT: 100, Picker: PickFADE}.WithDefaults()
-	c := Pick(v, o, 5000, false, nil)
+	c := pick(v, o, 5000, false, nil)
 	if c == nil {
 		t.Fatal("no candidate")
 	}
@@ -232,8 +237,8 @@ func TestPickTieringMergesWholeLevelOnRunCount(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		v = addFiles(t, v, 1, uint64(i+1), file(i+1, "a", "z", 100))
 	}
-	o := Options{Shape: Tiering, SizeRatio: 4, BaseLevelBytes: 1 << 30}.WithDefaults()
-	c := Pick(v, o, 0, false, nil)
+	o := Options{Policy: PolicySizeTiered, SizeRatio: 4, BaseLevelBytes: 1 << 30}.WithDefaults()
+	c := pick(v, o, 0, false, nil)
 	if c == nil || c.Trigger != TriggerSaturation {
 		t.Fatalf("expected tiering saturation, got %+v", c)
 	}
@@ -250,8 +255,8 @@ func TestTieringBelowRunThresholdIdle(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		v = addFiles(t, v, 1, uint64(i+1), file(i+1, "a", "z", 1<<30))
 	}
-	o := Options{Shape: Tiering, SizeRatio: 4, BaseLevelBytes: 1}.WithDefaults()
-	if c := Pick(v, o, 0, false, nil); c != nil {
+	o := Options{Policy: PolicySizeTiered, SizeRatio: 4, BaseLevelBytes: 1}.WithDefaults()
+	if c := pick(v, o, 0, false, nil); c != nil {
 		t.Fatalf("tiering should ignore byte saturation, got %+v", c)
 	}
 }
@@ -308,7 +313,7 @@ func TestCandidateScorePicksWorstLevel(t *testing.T) {
 	v = addFiles(t, v, 1, 1, file(1, "a", "m", 1500))   // 1.5x over
 	v = addFiles(t, v, 2, 2, file(2, "a", "m", 12_000)) // 3x over
 	o := Options{BaseLevelBytes: 1000, SizeRatio: 4, Picker: PickMinOverlap}.WithDefaults()
-	c := Pick(v, o, 0, false, nil)
+	c := pick(v, o, 0, false, nil)
 	if c == nil || c.StartLevel != 2 {
 		t.Fatalf("worst level not chosen: %+v", c)
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/base"
 	"repro/internal/memtable"
@@ -134,19 +133,7 @@ func applyWALBatch(m *memtable.MemTable, payload []byte) (base.SeqNum, error) {
 // Apply atomically commits the batch. The batch may be Reset and reused
 // afterwards.
 func (d *DB) Apply(b *Batch) error {
-	return d.applyBatchCtx(nil, b)
-}
-
-func (d *DB) applyBatchCtx(ctx context.Context, b *Batch) error {
-	if b.Len() == 0 {
-		return nil
-	}
-	start := time.Now()
-	err := d.commitBatch(ctx, b)
-	dur := time.Since(start)
-	d.stats.BatchLatency.Record(dur.Nanoseconds())
-	d.traceOp(opBatch, start, dur, err)
-	return err
+	return d.ApplyCtx(context.Background(), b)
 }
 
 func (d *DB) commitBatch(ctx context.Context, b *Batch) error {

@@ -46,8 +46,11 @@ func TestBackoffDelaySchedule(t *testing.T) {
 // TestStalledWriterReleasedByBackgroundError is the acceptance scenario: a
 // permanently failing flush must release a stalled writer with a wrapped
 // ErrBackgroundError in bounded time, reads keep serving committed data in
-// read-only mode, and Close returns cleanly. Exercised in both serialized
-// (worker) and concurrent (executor) scheduling modes.
+// read-only mode, and Close returns cleanly. Like the other fault tests
+// below it runs against a maintenance pool of one (whose executor steps
+// flush → eager → compaction) and of two (a flush executor beside a
+// compaction executor): both run the same loop, so retry, backoff, and
+// escalation to the sticky error must not differ.
 func TestStalledWriterReleasedByBackgroundError(t *testing.T) {
 	for _, conc := range []int{1, 2} {
 		t.Run(fmt.Sprintf("concurrency=%d", conc), func(t *testing.T) {
@@ -132,39 +135,43 @@ func TestStalledWriterReleasedByBackgroundError(t *testing.T) {
 // TestTransientFlushErrorRetriesAndRecovers: a one-shot transient fault is
 // absorbed by backoff-retry; the engine stays healthy and the data lands.
 func TestTransientFlushErrorRetriesAndRecovers(t *testing.T) {
-	mem := vfs.NewMemFS()
-	efs := errorfs.Wrap(mem, 1)
-	opts := faultOptions(efs, 2)
-	d, err := Open("db", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-	efs.Add(&errorfs.Rule{
-		Ops:      []errorfs.Op{errorfs.OpSync},
-		PathGlob: "*.sst",
-		Kind:     errorfs.FaultTransient, // one-shot: first sst sync fails
-	})
-	for i := 0; i < 3000; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), testValue(uint64(i), i)); err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for d.Stats().Flushes.Get() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("flush never succeeded after transient fault")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if err := d.BackgroundError(); err != nil {
-		t.Fatalf("transient fault escalated to background error: %v", err)
-	}
-	if d.Stats().JobRetries.Get() == 0 {
-		t.Fatal("JobRetries counter not bumped")
-	}
-	if d.Stats().ReadOnly.Get() != 0 {
-		t.Fatal("ReadOnly gauge set after a recovered transient fault")
+	for _, conc := range []int{1, 2} {
+		t.Run(fmt.Sprintf("concurrency=%d", conc), func(t *testing.T) {
+			mem := vfs.NewMemFS()
+			efs := errorfs.Wrap(mem, 1)
+			opts := faultOptions(efs, conc)
+			d, err := Open("db", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			efs.Add(&errorfs.Rule{
+				Ops:      []errorfs.Op{errorfs.OpSync},
+				PathGlob: "*.sst",
+				Kind:     errorfs.FaultTransient, // one-shot: first sst sync fails
+			})
+			for i := 0; i < 3000; i++ {
+				if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), testValue(uint64(i), i)); err != nil {
+					t.Fatalf("put %d: %v", i, err)
+				}
+			}
+			deadline := time.Now().Add(30 * time.Second)
+			for d.Stats().Flushes.Get() == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("flush never succeeded after transient fault")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if err := d.BackgroundError(); err != nil {
+				t.Fatalf("transient fault escalated to background error: %v", err)
+			}
+			if d.Stats().JobRetries.Get() == 0 {
+				t.Fatal("JobRetries counter not bumped")
+			}
+			if d.Stats().ReadOnly.Get() != 0 {
+				t.Fatal("ReadOnly gauge set after a recovered transient fault")
+			}
+		})
 	}
 }
 
@@ -172,95 +179,103 @@ func TestTransientFlushErrorRetriesAndRecovers(t *testing.T) {
 // transient still escalates once MaxBackgroundRetries consecutive attempts
 // fail.
 func TestTransientRetriesExhaustedGoReadOnly(t *testing.T) {
-	mem := vfs.NewMemFS()
-	efs := errorfs.Wrap(mem, 1)
-	opts := faultOptions(efs, 2)
-	opts.MaxBackgroundRetries = 2
-	d, err := Open("db", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	efs.Add(&errorfs.Rule{
-		Ops:      []errorfs.Op{errorfs.OpSync},
-		PathGlob: "*.sst",
-		Sticky:   true,
-		Kind:     errorfs.FaultTransient,
-	})
-	for i := 0; i < 3000; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), testValue(uint64(i), i)); err != nil {
-			if errors.Is(err, ErrBackgroundError) {
-				break // stalled writer released by the escalation — fine
+	for _, conc := range []int{1, 2} {
+		t.Run(fmt.Sprintf("concurrency=%d", conc), func(t *testing.T) {
+			mem := vfs.NewMemFS()
+			efs := errorfs.Wrap(mem, 1)
+			opts := faultOptions(efs, conc)
+			opts.MaxBackgroundRetries = 2
+			d, err := Open("db", opts)
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Fatalf("put %d: %v", i, err)
-		}
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for d.BackgroundError() == nil {
-		if time.Now().After(deadline) {
-			t.Fatal("retry exhaustion never escalated to a background error")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	werr := d.BackgroundError()
-	if !errors.Is(werr, ErrBackgroundError) || !errors.Is(werr, errorfs.ErrInjected) {
-		t.Fatalf("background error = %v", werr)
-	}
-	if got := d.Stats().JobRetries.Get(); got != int64(opts.MaxBackgroundRetries) {
-		t.Fatalf("JobRetries = %d, want %d", got, opts.MaxBackgroundRetries)
-	}
-	if _, err := d.Get([]byte("k00000")); err != nil {
-		t.Fatalf("read in read-only mode: %v", err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+			efs.Add(&errorfs.Rule{
+				Ops:      []errorfs.Op{errorfs.OpSync},
+				PathGlob: "*.sst",
+				Sticky:   true,
+				Kind:     errorfs.FaultTransient,
+			})
+			for i := 0; i < 3000; i++ {
+				if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), testValue(uint64(i), i)); err != nil {
+					if errors.Is(err, ErrBackgroundError) {
+						break // stalled writer released by the escalation — fine
+					}
+					t.Fatalf("put %d: %v", i, err)
+				}
+			}
+			deadline := time.Now().Add(30 * time.Second)
+			for d.BackgroundError() == nil {
+				if time.Now().After(deadline) {
+					t.Fatal("retry exhaustion never escalated to a background error")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			werr := d.BackgroundError()
+			if !errors.Is(werr, ErrBackgroundError) || !errors.Is(werr, errorfs.ErrInjected) {
+				t.Fatalf("background error = %v", werr)
+			}
+			if got := d.Stats().JobRetries.Get(); got != int64(opts.MaxBackgroundRetries) {
+				t.Fatalf("JobRetries = %d, want %d", got, opts.MaxBackgroundRetries)
+			}
+			if _, err := d.Get([]byte("k00000")); err != nil {
+				t.Fatalf("read in read-only mode: %v", err)
+			}
+			if err := d.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+		})
 	}
 }
 
 // TestCloseDuringRepeatedlyFailingFlush: Close must neither hang nor leak
 // while a flush is failing and retrying (before any escalation).
 func TestCloseDuringRepeatedlyFailingFlush(t *testing.T) {
-	mem := vfs.NewMemFS()
-	efs := errorfs.Wrap(mem, 1)
-	opts := faultOptions(efs, 2)
-	opts.MaxBackgroundRetries = -1 // retry forever: escalation never rescues Close
-	opts.BackgroundRetryMaxDelay = 50 * time.Millisecond
-	// Plenty of immutable-queue headroom: the fill below must not stall,
-	// since retry-forever means no background error ever releases it.
-	opts.MaxImmutableMemTables = 100
-	d, err := Open("db", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rule := efs.Add(&errorfs.Rule{
-		Ops:      []errorfs.Op{errorfs.OpCreate},
-		PathGlob: "*.sst",
-		Sticky:   true,
-		Kind:     errorfs.FaultTransient,
-	})
-	// Fill past one rotation so a flush is pending and failing.
-	for i := 0; i < 2500; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), testValue(uint64(i), i)); err != nil {
-			t.Fatalf("put %d: %v", i, err)
-		}
-	}
-	deadline := time.Now().Add(30 * time.Second)
-	for rule.Fired() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("flush never attempted")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	done := make(chan error, 1)
-	go func() { done <- d.Close() }()
-	select {
-	case err := <-done:
-		// Close's own final flush hits the fault; the error is surfaced
-		// but the shutdown still completed.
-		if err != nil && !errors.Is(err, errorfs.ErrInjected) {
-			t.Fatalf("Close: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("Close deadlocked against a repeatedly failing flush")
+	for _, conc := range []int{1, 2} {
+		t.Run(fmt.Sprintf("concurrency=%d", conc), func(t *testing.T) {
+			mem := vfs.NewMemFS()
+			efs := errorfs.Wrap(mem, 1)
+			opts := faultOptions(efs, conc)
+			opts.MaxBackgroundRetries = -1 // retry forever: escalation never rescues Close
+			opts.BackgroundRetryMaxDelay = 50 * time.Millisecond
+			// Plenty of immutable-queue headroom: the fill below must not stall,
+			// since retry-forever means no background error ever releases it.
+			opts.MaxImmutableMemTables = 100
+			d, err := Open("db", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rule := efs.Add(&errorfs.Rule{
+				Ops:      []errorfs.Op{errorfs.OpCreate},
+				PathGlob: "*.sst",
+				Sticky:   true,
+				Kind:     errorfs.FaultTransient,
+			})
+			// Fill past one rotation so a flush is pending and failing.
+			for i := 0; i < 2500; i++ {
+				if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), testValue(uint64(i), i)); err != nil {
+					t.Fatalf("put %d: %v", i, err)
+				}
+			}
+			deadline := time.Now().Add(30 * time.Second)
+			for rule.Fired() == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("flush never attempted")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			done := make(chan error, 1)
+			go func() { done <- d.Close() }()
+			select {
+			case err := <-done:
+				// Close's own final flush hits the fault; the error is surfaced
+				// but the shutdown still completed.
+				if err != nil && !errors.Is(err, errorfs.ErrInjected) {
+					t.Fatalf("Close: %v", err)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("Close deadlocked against a repeatedly failing flush")
+			}
+		})
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // The checkpoint captures the state as of the implicit flush it performs;
 // writes racing with the checkpoint may or may not be included.
 func (d *DB) Checkpoint(destDir string) error {
-	return d.CheckpointCtx(nil, destDir)
+	return d.CheckpointCtx(context.Background(), destDir)
 }
 
 // CheckpointCtx is Checkpoint honoring ctx: the deadline/cancel applies to
@@ -48,7 +48,7 @@ func (d *DB) checkpoint(ctx context.Context, destDir string) error {
 		return err
 	}
 	// Freeze maintenance (and therefore file deletions) while copying:
-	// quiesce the executors, then take maintMu against synchronous callers.
+	// pause the executor pool, then take maintMu against synchronous callers.
 	// The quiesce is the unbounded wait here (a saturation merge can run
 	// for a long time), so it honors the caller's deadline.
 	if err := d.sched.pauseCtx(ctx); err != nil {
@@ -93,7 +93,7 @@ func (d *DB) checkpoint(ctx context.Context, destDir string) error {
 	for _, p := range files {
 		// The copy loop is the other long-running phase; bail out between
 		// files once the caller's context fires.
-		if err := ctxErr(ctx); err != nil {
+		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("acheron: checkpoint interrupted: %w", err)
 		}
 		src := manifest.MakeFilename(d.dirname, manifest.FileTypeTable, p.meta.FileNum)

@@ -87,11 +87,10 @@ type pendingCommit struct {
 	asBatch bool
 	rt      *base.RangeTombstone
 
-	// ctx is the writer's context; nil for the no-deadline entry points.
-	// Honored while parked in the arrival queue (the writer withdraws on
-	// cancellation, best-effort: once a leader claims the commit it runs to
-	// completion) and inside the stall gate (the leader fails and releases
-	// expired members).
+	// ctx is the writer's context. Honored while parked in the arrival
+	// queue (the writer withdraws on cancellation, best-effort: once a
+	// leader claims the commit it runs to completion) and inside the stall
+	// gate (the leader fails and releases expired members).
 	ctx context.Context
 
 	// opsBuf backs ops for single-record commits, so Put/Delete allocate
@@ -172,7 +171,9 @@ func (p *commitPipeline) commit(pc *pendingCommit) error {
 		p.leadRound(pc)
 		return p.finishCommit(pc)
 	}
-	if done := ctxDoneCh(pc.ctx); done != nil {
+	// A context that can never fire has a nil Done channel, which keeps the
+	// non-cancellable path select-free.
+	if done := pc.ctx.Done(); done != nil {
 		select {
 		case sig := <-pc.notify:
 			if sig == sigLead {
@@ -194,15 +195,6 @@ func (p *commitPipeline) commit(pc *pendingCommit) error {
 		p.leadRound(pc)
 	}
 	return p.finishCommit(pc)
-}
-
-// ctxDoneCh returns ctx's done channel, or nil when ctx can never fire, so
-// the non-cancellable fast path stays select-free.
-func ctxDoneCh(ctx context.Context) <-chan struct{} {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Done()
 }
 
 // withdraw removes a cancelled follower from the arrival queue. It returns

@@ -28,14 +28,14 @@ import (
 // MaintenanceStep performs at most one unit of background work — a flush,
 // an eager range-delete pass, or a compaction — returning whether anything
 // was done. Deterministic benchmarks drive this directly with auto
-// maintenance disabled; with MaintenanceConcurrency=1 the background worker
-// drives exactly this sequence, reproducing the seed engine's serialized
-// behaviour.
+// maintenance disabled; with MaintenanceConcurrency=1 it is the step of the
+// pool's only executor, so background maintenance runs exactly this
+// sequence.
 func (d *DB) MaintenanceStep() (bool, error) {
 	start := time.Now()
 	did, err := d.maintenanceStep()
-	// Idle steps (nothing to do) are not traced: the background worker
-	// polls this method every tick and would wash the ring with no-ops.
+	// Idle steps (nothing to do) are not traced: a pool of one polls this
+	// method every tick and would wash the ring with no-ops.
 	if did || err != nil {
 		d.traceOp(opMaintStep, start, time.Since(start), err)
 	}
@@ -45,28 +45,16 @@ func (d *DB) MaintenanceStep() (bool, error) {
 func (d *DB) maintenanceStep() (bool, error) {
 	d.maintMu.Lock()
 	defer d.maintMu.Unlock()
-	d.flushMu.Lock()
-	did, err := d.flushOne()
-	d.flushMu.Unlock()
-	if did || err != nil {
+	if did, err := d.runFlushStep(); did || err != nil {
 		return did, err
 	}
-	if d.opts.EagerRangeDeletes {
-		if job, ok := d.pickEagerJob(); ok {
-			return true, d.runEagerJob(job)
-		}
-	}
-	job, ok := d.pickCompactionJob()
-	if !ok {
-		return false, nil
-	}
-	return true, d.runCompactionJob(job)
+	return d.runCompactionStep()
 }
 
 // WaitIdle runs maintenance until no work remains — including work claimed
 // by concurrent executors, which it waits out before concluding idleness.
 func (d *DB) WaitIdle() error {
-	return d.WaitIdleCtx(nil)
+	return d.WaitIdleCtx(context.Background())
 }
 
 // WaitIdleCtx is WaitIdle honoring ctx: the quiesce wait and the step loop
@@ -74,7 +62,7 @@ func (d *DB) WaitIdle() error {
 // long merge it no longer wants to wait for.
 func (d *DB) WaitIdleCtx(ctx context.Context) error {
 	for {
-		if err := ctxErr(ctx); err != nil {
+		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("acheron: wait-idle interrupted: %w", err)
 		}
 		did, err := d.MaintenanceStep()
@@ -100,7 +88,7 @@ func (d *DB) WaitIdleCtx(ctx context.Context) error {
 // next one, leaving the tree fully compacted. Intended for tests and
 // benchmarks that want a settled tree.
 func (d *DB) CompactAll() error {
-	return d.CompactAllCtx(nil)
+	return d.CompactAllCtx(context.Background())
 }
 
 // CompactAllCtx is CompactAll honoring ctx: the executor quiesce and the
@@ -114,8 +102,9 @@ func (d *DB) CompactAllCtx(ctx context.Context) error {
 }
 
 func (d *DB) compactAll(ctx context.Context) error {
-	// Freeze the executors: the manually built whole-level candidates
-	// below are not claimed, so they must not race claimed jobs.
+	// Freeze the executor pool: the manually built whole-level candidates
+	// below are not claimed, so they must not race claimed jobs. maintMu,
+	// taken per level, keeps other synchronous callers out.
 	if err := d.sched.pauseCtx(ctx); err != nil {
 		return fmt.Errorf("acheron: compact-all interrupted waiting for maintenance to quiesce: %w", err)
 	}
@@ -127,7 +116,7 @@ func (d *DB) compactAll(ctx context.Context) error {
 		return err
 	}
 	for l := 0; l < manifest.NumLevels-1; l++ {
-		if err := ctxErr(ctx); err != nil {
+		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("acheron: compact-all interrupted: %w", err)
 		}
 		d.maintMu.Lock()
@@ -159,17 +148,7 @@ func (d *DB) compactAll(ctx context.Context) error {
 // fillOutputOverlap mirrors the picker's helper for manually constructed
 // candidates.
 func (d *DB) fillOutputOverlap(v *manifest.Version, c *compaction.Candidate) {
-	var lo, hi []byte
-	for _, r := range c.Inputs {
-		for _, f := range r.Files {
-			if lo == nil || base.Compare(f.Smallest.UserKey, lo) < 0 {
-				lo = f.Smallest.UserKey
-			}
-			if hi == nil || base.Compare(f.Largest.UserKey, hi) > 0 {
-				hi = f.Largest.UserKey
-			}
-		}
-	}
+	lo, hi := inputSpan(c)
 	if lo == nil {
 		return
 	}
@@ -350,6 +329,17 @@ func (d *DB) runCandidate(id uint64, v *manifest.Version, c *compaction.Candidat
 		return err
 	}
 
+	// Cache the outputs' range tombstones before their version installs:
+	// the install retires the inputs, and from then on this cache is the
+	// only place readers find the tombstones they carried.
+	for _, of := range res.Outputs {
+		if of.Meta.Props.NumRangeDeletes > 0 {
+			if err := d.loadFileRTs(of.FileNum); err != nil {
+				return err
+			}
+		}
+	}
+
 	// Build the deletions up front; the additions' run id is resolved at
 	// the commit point, against the version current then — two concurrent
 	// compactions into the same (previously empty) leveling output must
@@ -390,18 +380,13 @@ func (d *DB) runCandidate(id uint64, v *manifest.Version, c *compaction.Candidat
 	// L0 may have shrunk; wake stalled writers.
 	d.wakeStalledWriters()
 
-	// Cache new range tombstones, then GC replaced files.
+	// Account the new files, then GC the replaced ones.
 	for _, of := range res.Outputs {
 		d.stats.FilesCreated.Add(1)
 		d.trace.Emit(event.Event{
 			Type: event.FileCreate, File: uint64(of.FileNum),
 			Level: c.OutputLevel, Bytes: int64(of.Meta.Size),
 		})
-		if of.Meta.Props.NumRangeDeletes > 0 {
-			if err := d.loadFileRTs(of.FileNum); err != nil {
-				return err
-			}
-		}
 	}
 	dead := make([]base.FileNum, 0, len(edit.Deleted))
 	d.eagerMu.Lock()
@@ -531,7 +516,7 @@ func (d *DB) pickEagerJob() (*eagerJob, bool) {
 				}
 				id := d.sched.newID()
 				d.inflight.Claim(id, []*manifest.FileMetadata{f}, l, l, lo, hi)
-				d.traceJobClaim(id, "eager-range-delete", l)
+				d.traceJobClaim(id, "eager-range-delete", l, "")
 				return &eagerJob{
 					id: id, level: l, runID: run.ID, f: f,
 					action: action, applicable: applicable, rts: rts, snaps: snaps,

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/admission"
 	"repro/internal/base"
@@ -44,13 +45,24 @@ func (d *DB) PutCtx(ctx context.Context, key, value []byte) error {
 // DeleteCtx is Delete honoring ctx; see PutCtx for the cancellation
 // contract.
 func (d *DB) DeleteCtx(ctx context.Context, key []byte) error {
-	return d.deleteCtx(ctx, key)
+	value := base.EncodeTombstoneValue(d.opts.Clock.Now())
+	if err := d.apply(ctx, opDelete, base.KindDelete, key, value); err != nil {
+		return err
+	}
+	d.stats.DeletesIssued.Add(1)
+	d.stats.LiveTombstones.Add(1)
+	return nil
 }
 
 // DeleteSecondaryRangeCtx is DeleteSecondaryRange honoring ctx; see PutCtx
 // for the cancellation contract.
 func (d *DB) DeleteSecondaryRangeCtx(ctx context.Context, lo, hi base.DeleteKey) error {
-	return d.deleteSecondaryRangeCtx(ctx, lo, hi)
+	start := time.Now()
+	err := d.commitRangeDelete(ctx, lo, hi)
+	dur := time.Since(start)
+	d.stats.PutLatency.Record(dur.Nanoseconds())
+	d.traceOp(opRangeDelete, start, dur, err)
+	return err
 }
 
 // ApplyCtx is Apply honoring ctx. The batch stays atomic under
@@ -58,19 +70,46 @@ func (d *DB) DeleteSecondaryRangeCtx(ctx context.Context, lo, hi base.DeleteKey)
 // a batch cancelled in the commit queue or failed in the stall gate never
 // allocates sequence numbers.
 func (d *DB) ApplyCtx(ctx context.Context, b *Batch) error {
-	return d.applyBatchCtx(ctx, b)
+	if b.Len() == 0 {
+		return nil
+	}
+	start := time.Now()
+	err := d.commitBatch(ctx, b)
+	dur := time.Since(start)
+	d.stats.BatchLatency.Record(dur.Nanoseconds())
+	d.traceOp(opBatch, start, dur, err)
+	return err
 }
 
 // GetCtx is Get honoring ctx in the read-class admission gate. Reads are
 // never pressure-shed; with no ReadRate configured GetCtx only pays a
 // cancellation check.
 func (d *DB) GetCtx(ctx context.Context, key []byte) ([]byte, error) {
-	return d.getAtCtx(ctx, key, nil)
+	return d.GetAtCtx(ctx, key, nil)
 }
 
-// GetAtCtx is GetAt honoring ctx; see GetCtx.
+// GetAtCtx is GetAt honoring ctx; see GetCtx. It is the shared lookup
+// entry: the read-class admission gate (reads are rate-limited but never
+// pressure-shed: serving them does not deepen a maintenance backlog, and
+// they must keep working while writes fail fast), then the
+// sampled-instrumentation wrapper around getAt.
 func (d *DB) GetAtCtx(ctx context.Context, key []byte, snap *Snapshot) ([]byte, error) {
-	return d.getAtCtx(ctx, key, snap)
+	if err := d.admitRead(ctx); err != nil {
+		return nil, err
+	}
+	if !d.opSampled() {
+		return d.getAt(key, snap)
+	}
+	start := time.Now()
+	v, err := d.getAt(key, snap)
+	dur := time.Since(start)
+	d.stats.GetLatency.Record(dur.Nanoseconds())
+	evErr := err
+	if errors.Is(evErr, ErrNotFound) {
+		evErr = nil // a miss is a normal outcome, not an op failure
+	}
+	d.traceOp(opGet, start, dur, evErr)
+	return v, err
 }
 
 // Admission returns the live admission controller, or nil when
@@ -78,25 +117,22 @@ func (d *DB) GetAtCtx(ctx context.Context, key []byte, snap *Snapshot) ([]byte, 
 // closing it is the engine's job.
 func (d *DB) Admission() *admission.Controller { return d.admit }
 
-// admitWrite gates a write-path operation; ctx may be nil.
+// admitWrite gates a write-path operation.
 func (d *DB) admitWrite(ctx context.Context) error {
 	return d.admitClass(ctx, admission.ClassWrite)
 }
 
-// admitRead gates a read-path operation; ctx may be nil.
+// admitRead gates a read-path operation.
 func (d *DB) admitRead(ctx context.Context) error {
 	return d.admitClass(ctx, admission.ClassRead)
 }
 
 func (d *DB) admitClass(ctx context.Context, cl admission.Class) error {
-	if err := ctxErr(ctx); err != nil {
+	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("acheron: %s not admitted: %w", cl, err)
 	}
 	if d.admit == nil {
 		return nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	err := d.admit.Admit(ctx, cl)
 	switch {
@@ -132,15 +168,6 @@ func (d *DB) writePressure() float64 {
 	return p
 }
 
-// ctxErr returns ctx's error, treating a nil context (the no-deadline entry
-// points) as never-firing.
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
-}
-
 // armCtxWake schedules wake to run (in its own goroutine) when ctx fires
 // and returns the stop function, or nil when ctx can never fire. wake must
 // re-assert the condition the caller waits on while holding the condition's
@@ -148,7 +175,7 @@ func ctxErr(ctx context.Context) error {
 // predicate check and the Wait is never lost: the wake goroutine blocks on
 // the mutex until the waiter parks, then its broadcast lands.
 func armCtxWake(ctx context.Context, wake func()) func() bool {
-	if ctx == nil || ctx.Done() == nil {
+	if ctx.Done() == nil {
 		return nil
 	}
 	return context.AfterFunc(ctx, wake)
@@ -156,9 +183,9 @@ func armCtxWake(ctx context.Context, wake func()) func() bool {
 
 // condWaitCtx waits on cond until pred holds or ctx fires, re-checking pred
 // after every wakeup. Cond's mutex must be held on entry and is held on
-// return; ctx may be nil for an uninterruptible wait. wake must broadcast
-// cond under its mutex (see armCtxWake). Returns nil when pred holds, the
-// bare ctx error on expiry — callers wrap it with operation context.
+// return. wake must broadcast cond under its mutex (see armCtxWake).
+// Returns nil when pred holds, the bare ctx error on expiry — callers wrap
+// it with operation context.
 func condWaitCtx(ctx context.Context, cond *sync.Cond, wake func(), pred func() bool) error {
 	if pred() {
 		return nil
@@ -168,7 +195,7 @@ func condWaitCtx(ctx context.Context, cond *sync.Cond, wake func(), pred func() 
 		defer stop()
 	}
 	for {
-		if err := ctxErr(ctx); err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
 		cond.Wait()

@@ -63,7 +63,7 @@ type DB struct {
 	// Options.EventListener.
 	trace *event.Tracer
 	// opSampleN drives hot-path instrumentation sampling: one in
-	// opts.OpSampleInterval operations records latency and trace events.
+	// opSampleInterval operations records latency and trace events.
 	opSampleN atomic.Uint64
 	// registry names every metric for Prometheus/JSON exposition; built
 	// lazily by DB.Registry.
@@ -107,9 +107,10 @@ type DB struct {
 	stallCond *sync.Cond
 
 	// maintMu serializes the synchronous maintenance entry points
-	// (MaintenanceStep, Checkpoint, CompactAll). Executor goroutines do
-	// not take it — their mutual exclusion is per-resource: flushMu for
-	// the flush queue, pickMu+inflight claims for compactions.
+	// (MaintenanceStep, Checkpoint, CompactAll) among themselves. It does
+	// not freeze the executor pool — sched.pause does that. Concurrent
+	// executors do not take it: their mutual exclusion is per-resource,
+	// flushMu for the flush queue, pickMu+inflight claims for compactions.
 	maintMu sync.Mutex
 	// flushMu serializes flushOne callers (manual Flush, the flush
 	// executor, MaintenanceStep) so two cannot pop the same immutable.
@@ -137,13 +138,13 @@ type DB struct {
 	eagerDone map[base.FileNum]base.SeqNum
 
 	// rtMu guards fileRTs, the cache of each live file's range
-	// tombstones, aggregated into the read path.
+	// tombstones, aggregated into the read path. A file's entry is loaded
+	// before the version that adds the file installs.
 	rtMu    sync.RWMutex
 	fileRTs map[base.FileNum][]base.RangeTombstone
 
-	workCh  chan struct{} // legacy single-worker wakeup
-	flushCh chan struct{} // flush-executor wakeup
-	compCh  chan struct{} // compaction-executor wakeup
+	flushCh chan struct{} // wakeup of the pool's first executor (the one that flushes)
+	compCh  chan struct{} // wakeup of the compaction executors
 	closeCh chan struct{}
 	closing atomic.Bool
 	wg      sync.WaitGroup
@@ -177,7 +178,7 @@ func Open(dirname string, opts Options) (*DB, error) {
 		opts:      opts,
 		dirname:   dirname,
 		cache:     newTableCache(fs, dirname, opts.BlockCacheBytes),
-		trace:     event.NewTracer(opts.EventRingSize, opts.EventListener),
+		trace:     event.NewTracer(event.DefaultRingSize, opts.EventListener),
 		vs:        vs,
 		mem:       memtable.New(),
 		fileRTs:   make(map[base.FileNum][]base.RangeTombstone),
@@ -185,7 +186,6 @@ func Open(dirname string, opts Options) (*DB, error) {
 		inflight:  compaction.NewInFlightSet(),
 		policy:    opts.Compaction.NewPolicy(),
 		sched:     newScheduler(),
-		workCh:    make(chan struct{}, 1),
 		flushCh:   make(chan struct{}, 1),
 		compCh:    make(chan struct{}, 1),
 		closeCh:   make(chan struct{}),
@@ -230,22 +230,7 @@ func Open(dirname string, opts Options) (*DB, error) {
 	}
 
 	if !opts.DisableAutoMaintenance {
-		if opts.MaintenanceConcurrency <= 1 {
-			// Serialized mode: the classic single worker, which drives
-			// flush → eager → compaction strictly in order and
-			// reproduces the seed engine's behaviour exactly.
-			d.wg.Add(1)
-			go d.worker()
-		} else {
-			// Concurrent mode: one dedicated flush executor plus a pool
-			// of compaction executors picking disjoint jobs.
-			d.wg.Add(1)
-			go d.flushExecutor()
-			for i := 1; i < opts.MaintenanceConcurrency; i++ {
-				d.wg.Add(1)
-				go d.compactionExecutor()
-			}
-		}
+		d.startExecutors(opts.MaintenanceConcurrency)
 	}
 	return d, nil
 }
@@ -489,28 +474,17 @@ func applyWALRecord(m *memtable.MemTable, payload []byte) (base.SeqNum, error) {
 
 // Put inserts or updates a key.
 func (d *DB) Put(key, value []byte) error {
-	return d.apply(nil, opPut, base.KindSet, key, value)
+	return d.PutCtx(context.Background(), key, value)
 }
 
 // Delete removes a key by inserting a point tombstone stamped with the
 // current clock reading; FADE guarantees it persists within the DPT.
 func (d *DB) Delete(key []byte) error {
-	return d.deleteCtx(nil, key)
-}
-
-func (d *DB) deleteCtx(ctx context.Context, key []byte) error {
-	value := base.EncodeTombstoneValue(d.opts.Clock.Now())
-	if err := d.apply(ctx, opDelete, base.KindDelete, key, value); err != nil {
-		return err
-	}
-	d.stats.DeletesIssued.Add(1)
-	d.stats.LiveTombstones.Add(1)
-	return nil
+	return d.DeleteCtx(context.Background(), key)
 }
 
 // apply commits one record, recording its latency and begin/end trace
-// events around the raw commit protocol for sampled operations. ctx may be
-// nil (the no-deadline entry points).
+// events around the raw commit protocol for sampled operations.
 func (d *DB) apply(ctx context.Context, op string, kind base.Kind, key, value []byte) error {
 	if !d.opSampled() {
 		return d.commitRecord(ctx, kind, key, value)
@@ -545,16 +519,7 @@ func (d *DB) visibleSeqNum() base.SeqNum { return d.commit.visibleSeqNum() }
 // delete key lies in [lo, hi). Requires Options.DeleteKeyFunc. The physical
 // erase path depends on Options.EagerRangeDeletes.
 func (d *DB) DeleteSecondaryRange(lo, hi base.DeleteKey) error {
-	return d.deleteSecondaryRangeCtx(nil, lo, hi)
-}
-
-func (d *DB) deleteSecondaryRangeCtx(ctx context.Context, lo, hi base.DeleteKey) error {
-	start := time.Now()
-	err := d.commitRangeDelete(ctx, lo, hi)
-	dur := time.Since(start)
-	d.stats.PutLatency.Record(dur.Nanoseconds())
-	d.traceOp(opRangeDelete, start, dur, err)
-	return err
+	return d.DeleteSecondaryRangeCtx(context.Background(), lo, hi)
 }
 
 func (d *DB) commitRangeDelete(ctx context.Context, lo, hi base.DeleteKey) error {
@@ -677,7 +642,7 @@ func (d *DB) stallWritesLocked(group []*pendingCommit, own *pendingCommit) error
 			if pc.err != nil {
 				continue
 			}
-			cerr := ctxErr(pc.ctx)
+			cerr := pc.ctx.Err()
 			if cerr == nil {
 				live++
 				continue
@@ -776,51 +741,10 @@ func (d *DB) notifyWork() {
 	if d.opts.DisableAutoMaintenance {
 		return
 	}
-	for _, ch := range [...]chan struct{}{d.workCh, d.flushCh, d.compCh} {
+	for _, ch := range [...]chan struct{}{d.flushCh, d.compCh} {
 		select {
 		case ch <- struct{}{}:
 		default:
-		}
-	}
-}
-
-// worker is the background maintenance goroutine of serialized mode
-// (MaintenanceConcurrency = 1). Transient job errors retry with capped
-// exponential backoff; permanent or retry-exhausted errors set the sticky
-// background error and stop the worker.
-func (d *DB) worker() {
-	defer d.wg.Done()
-	ticker := time.NewTicker(d.opts.MaintenanceTickInterval)
-	defer ticker.Stop()
-	failures := 0
-	for {
-		select {
-		case <-d.closeCh:
-			return
-		case <-d.workCh:
-		case <-ticker.C:
-		}
-		for {
-			select {
-			case <-d.closeCh:
-				return
-			default:
-			}
-			did, err := d.MaintenanceStep()
-			if err != nil {
-				failures++
-				if !d.noteJobError("maintenance", failures, err) {
-					return
-				}
-				if !d.backoffWait(d.backoffDelay(failures)) {
-					return
-				}
-				continue
-			}
-			failures = 0
-			if !did {
-				break
-			}
 		}
 	}
 }
@@ -998,30 +922,7 @@ func (d *DB) Get(key []byte) ([]byte, error) { return d.GetAt(key, nil) }
 
 // GetAt returns the value of key as of the snapshot (nil = latest).
 func (d *DB) GetAt(key []byte, snap *Snapshot) ([]byte, error) {
-	return d.getAtCtx(nil, key, snap)
-}
-
-// getAtCtx is the shared lookup entry: the read-class admission gate (reads
-// are rate-limited but never pressure-shed: serving them does not deepen a
-// maintenance backlog, and they must keep working while writes fail fast),
-// then the sampled-instrumentation wrapper around getAt.
-func (d *DB) getAtCtx(ctx context.Context, key []byte, snap *Snapshot) ([]byte, error) {
-	if err := d.admitRead(ctx); err != nil {
-		return nil, err
-	}
-	if !d.opSampled() {
-		return d.getAt(key, snap)
-	}
-	start := time.Now()
-	v, err := d.getAt(key, snap)
-	dur := time.Since(start)
-	d.stats.GetLatency.Record(dur.Nanoseconds())
-	evErr := err
-	if errors.Is(evErr, ErrNotFound) {
-		evErr = nil // a miss is a normal outcome, not an op failure
-	}
-	d.traceOp(opGet, start, dur, evErr)
-	return v, err
+	return d.GetAtCtx(context.Background(), key, snap)
 }
 
 func (d *DB) getAt(key []byte, snap *Snapshot) ([]byte, error) {

@@ -474,7 +474,7 @@ func TestEmptyDB(t *testing.T) {
 func TestTieringAccumulatesRuns(t *testing.T) {
 	clk := &base.LogicalClock{}
 	opts := testOptions(vfs.NewMemFS(), clk)
-	opts.Compaction.Shape = compaction.Tiering
+	opts.Compaction.Policy = compaction.PolicySizeTiered
 	d := mustOpen(t, opts)
 	for i := 0; i < 20_000; i++ {
 		if err := d.Put([]byte(fmt.Sprintf("k%07d", i%6000)), testValue(uint64(i), i)); err != nil {

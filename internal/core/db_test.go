@@ -131,9 +131,9 @@ func TestModelEquivalence(t *testing.T) {
 			o.Compaction.Picker = compaction.PickFADE
 			o.Compaction.DPT = 2000
 		}},
-		{"tiering", func(o *Options) { o.Compaction.Shape = compaction.Tiering }},
+		{"tiering", func(o *Options) { o.Compaction.Policy = compaction.PolicySizeTiered }},
 		{"tiering-fade", func(o *Options) {
-			o.Compaction.Shape = compaction.Tiering
+			o.Compaction.Policy = compaction.PolicySizeTiered
 			o.Compaction.Picker = compaction.PickFADE
 			o.Compaction.DPT = 2000
 		}},

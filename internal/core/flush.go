@@ -15,7 +15,7 @@ import (
 // options.
 func (d *DB) writerOptions() sstable.WriterOptions {
 	return sstable.WriterOptions{
-		BlockSize:         d.opts.BlockBytes,
+		BlockSize:         blockBytes,
 		BloomBitsPerKey:   d.opts.BloomBitsPerKey,
 		PrefixBloomLength: d.opts.PrefixBloomLength,
 		PagesPerTile:      d.opts.PagesPerTile,
@@ -95,9 +95,7 @@ func (d *DB) flushAll() error {
 	d.mu.Unlock()
 	d.commit.commitMu.Unlock()
 	for {
-		d.flushMu.Lock()
-		did, err := d.flushOne()
-		d.flushMu.Unlock()
+		did, err := d.runFlushStep()
 		if err != nil {
 			return err
 		}
@@ -124,7 +122,7 @@ func (d *DB) flushOne() (bool, error) {
 	e.mem.WaitWriters()
 
 	id := d.sched.newID()
-	d.traceJobClaim(id, "flush", 0)
+	d.traceJobClaim(id, "flush", 0, "")
 	start := time.Now()
 	var (
 		added []manifest.NewFileEntry
@@ -164,18 +162,27 @@ func (d *DB) flushOne() (bool, error) {
 	// flush. The install callback then makes the version installation
 	// atomic with the imm pop under d.mu: readers never see the flushed
 	// table and its still-queued memtable at once, nor neither.
-	err := d.vs.LogAndApplyInstall(edit, func(commit func()) {
-		d.mu.Lock()
-		commit()
-		d.imm = d.imm[1:]
-		d.stats.FlushQueueDepth.Set(int64(len(d.imm)))
-		d.mu.Unlock()
-	})
+	var err error
+	if nRT > 0 {
+		// Cache the table's range tombstones before its version installs:
+		// the install pops the memtable, and from then on this cache is the
+		// only place readers find them.
+		err = d.loadFileRTs(newFn)
+	}
+	if err == nil {
+		err = d.vs.LogAndApplyInstall(edit, func(commit func()) {
+			d.mu.Lock()
+			commit()
+			d.imm = d.imm[1:]
+			d.stats.FlushQueueDepth.Set(int64(len(d.imm)))
+			d.mu.Unlock()
+		})
+	}
 	if err != nil {
 		// The new table file is orphaned (its edit never committed);
 		// remove it so a retry does not leak one file per attempt.
 		if len(added) > 0 {
-			_ = d.opts.FS.Remove(manifest.MakeFilename(d.dirname, manifest.FileTypeTable, newFn))
+			d.removeTable(newFn)
 		}
 		d.recordFailedJob(JobFlush, start, err)
 		return false, err
@@ -186,11 +193,6 @@ func (d *DB) flushOne() (bool, error) {
 	d.wakeStalledWriters()
 	d.notifyWork()
 
-	if nRT > 0 {
-		if err := d.loadFileRTs(newFn); err != nil {
-			return false, err
-		}
-	}
 	if !d.opts.DisableWAL && e.logNum != 0 {
 		_ = d.opts.FS.Remove(manifest.MakeFilename(d.dirname, manifest.FileTypeLog, e.logNum))
 	}

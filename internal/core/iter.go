@@ -112,9 +112,9 @@ func (d *DB) newIter(opts IterOptions) (*Iter, error) {
 	// set would not match the view's selector sequence.
 	usedView := false
 	if d.readViews != nil && opts.Prefix == nil && len(runIters) >= 2 &&
-		versionWithinViewCap(rs.version, d.opts.ReadViewMaxEntries) {
+		versionWithinViewCap(rs.version) {
 		view, err := d.readViews.Get(rs.version, func() (*readview.View, error) {
-			return readview.Build(runIters, d.opts.ReadViewAnchorInterval)
+			return readview.Build(runIters, readview.DefaultAnchorInterval)
 		})
 		if err == nil && view != nil {
 			// The same Concats serve as the view's cursors: Build may have
@@ -196,14 +196,11 @@ func prefixSuccessor(prefix []byte) []byte {
 }
 
 // versionWithinViewCap reports whether the version's total entry count (from
-// file metadata) is within the configured view-size cap.
-func versionWithinViewCap(v *manifest.Version, maxEntries int) bool {
-	if maxEntries < 0 {
-		return true
-	}
+// file metadata) is within readViewMaxEntries.
+func versionWithinViewCap(v *manifest.Version) bool {
 	var total uint64
 	v.AllFiles(func(_ int, f *manifest.FileMetadata) { total += f.NumEntries })
-	return total <= uint64(maxEntries)
+	return total <= readViewMaxEntries
 }
 
 // Close releases the iterator's pinned resources. Closing twice is safe.
@@ -286,7 +283,7 @@ func (i *Iter) recordSeek(start time.Time, sampled bool) {
 	i.d.traceOp(opIterSeek, start, dur, i.err)
 }
 
-// Next advances to the next live key. One in OpSampleInterval steps records
+// Next advances to the next live key. One in opSampleInterval steps records
 // its wall-clock cost (including any tombstones and shadowed versions
 // skipped while settling) in IterScanLatency.
 func (i *Iter) Next() bool {

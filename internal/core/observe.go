@@ -34,16 +34,12 @@ const (
 )
 
 // opSampled reports whether this hot-path operation should record timing
-// and trace events: one in every opts.OpSampleInterval calls. The unsampled
+// and trace events: one in every opSampleInterval calls. The unsampled
 // fast path costs a single atomic increment — no clock readings, no tracer
 // lock. Latency histograms built from the sampled ops remain unbiased;
 // operation COUNTS come from dedicated counters that see every op.
 func (d *DB) opSampled() bool {
-	every := uint64(d.opts.OpSampleInterval)
-	if every <= 1 {
-		return true
-	}
-	return d.opSampleN.Add(1)%every == 0
+	return d.opSampleN.Add(1)%opSampleInterval == 0
 }
 
 // traceOp emits the begin/end event pair for one completed operation. The

@@ -17,8 +17,22 @@ import (
 	"repro/internal/base"
 	"repro/internal/compaction"
 	"repro/internal/event"
-	"repro/internal/readview"
 	"repro/internal/vfs"
+)
+
+// Tuning values no test, experiment, or workload has needed to change.
+const (
+	// blockBytes is the sstable page size.
+	blockBytes = 4096
+	// readViewMaxEntries skips cached-view construction for versions with
+	// more entries than this, bounding a view's resident size (2 bytes per
+	// entry plus anchors).
+	readViewMaxEntries = 4 << 20
+	// opSampleInterval: one in this many hot-path operations (Put, Delete,
+	// Get, iterator seeks and steps) records latency and emits begin/end
+	// trace events. Rare operations (flush, compaction, checkpoint, range
+	// deletes, batches) are always instrumented.
+	opSampleInterval = 16
 )
 
 // osClock is the default wall-clock time source.
@@ -38,8 +52,6 @@ type Options struct {
 
 	// MemTableBytes rotates the memtable at this size. Default 4 MiB.
 	MemTableBytes int64
-	// BlockBytes is the sstable page size. Default 4096.
-	BlockBytes int
 	// BloomBitsPerKey sizes table Bloom filters; 0 disables. Default 10.
 	BloomBitsPerKey int
 	// BlockCacheBytes bounds the shared block cache. Default 8 MiB;
@@ -56,15 +68,6 @@ type Options struct {
 	// range scan's steady-state Next advances a single run cursor instead
 	// of re-running the k-way heap merge per entry.
 	DisableReadViews bool
-	// ReadViewAnchorInterval spaces the anchor keys of a cached sorted
-	// view: smaller intervals make SeekGE cheaper (shorter selector walk)
-	// at one cloned key per interval of memory. 0 selects the default (32).
-	ReadViewAnchorInterval int
-	// ReadViewMaxEntries skips view construction for versions with more
-	// entries than this, bounding a view's resident size (2 bytes per entry
-	// plus anchors). 0 selects the default (4M entries); negative removes
-	// the cap.
-	ReadViewMaxEntries int
 	// PagesPerTile enables the KiWi layout when > 1: that many delete-
 	// key-ordered pages per delete tile. Requires DeleteKeyFunc.
 	PagesPerTile int
@@ -72,8 +75,8 @@ type Options struct {
 	// Required for KiWi layouts and secondary range deletes.
 	DeleteKeyFunc base.DeleteKeyExtractor
 
-	// Compaction selects the policy: shape (leveling/tiering), picker
-	// (min-overlap baseline vs FADE), size ratio, and the DPT.
+	// Compaction selects the layout policy, the picker (min-overlap
+	// baseline vs FADE), the size ratio, and the DPT.
 	Compaction compaction.Options
 
 	// Shards partitions the keyspace across that many independent engine
@@ -99,18 +102,18 @@ type Options struct {
 	// writers that arrive while a sync is in flight share the next one, so
 	// the fsync cost amortizes across the group (see Stats.CommitsPerSync).
 	SyncWrites bool
-	// DisableAutoMaintenance turns off the background flush/compaction
-	// worker; callers drive MaintenanceStep themselves (deterministic
+	// DisableAutoMaintenance turns off the background maintenance
+	// executors; callers drive MaintenanceStep themselves (deterministic
 	// benchmarks do this).
 	DisableAutoMaintenance bool
-	// MaintenanceConcurrency sets how many maintenance executors run when
-	// auto maintenance is enabled. 1 reproduces the classic single-worker
-	// engine exactly (flush, eager range deletes, and compactions strictly
-	// serialized — deterministic benches rely on this). Values >= 2 run a
-	// dedicated flush executor plus MaintenanceConcurrency-1 compaction
-	// executors picking level/key-disjoint jobs concurrently, with
-	// TTL-triggered (DPT-critical) jobs taking priority over saturation
-	// work. Default: 2 when GOMAXPROCS > 1, else 1.
+	// MaintenanceConcurrency is the size of the maintenance executor pool
+	// when auto maintenance is enabled. A pool of 1 steps flush, eager
+	// range deletes, and compactions strictly in that order — the sequence
+	// deterministic benches drive by hand through MaintenanceStep. A pool
+	// of n >= 2 is one flush executor plus n-1 compaction executors
+	// picking level/key-disjoint jobs concurrently, with TTL-triggered
+	// (DPT-critical) jobs taking priority over saturation work. Default: 2
+	// when GOMAXPROCS > 1, else 1.
 	MaintenanceConcurrency int
 	// MaintenanceTickInterval is how often idle executors re-examine the
 	// tree (TTL expiry detection is tick-driven). Default 25ms.
@@ -143,21 +146,9 @@ type Options struct {
 	BackgroundRetryMaxDelay  time.Duration
 	// EventListener, when set, receives every trace event synchronously at
 	// the emit site. It must be fast and must not call back into the DB.
-	// Events are buffered in a ring regardless (see EventRingSize) and
+	// Events are buffered in a ring of event.DefaultRingSize regardless,
 	// readable via DB.RecentEvents / DB.EventsSince.
 	EventListener event.Listener
-	// EventRingSize bounds the trace-event ring buffer. 0 selects
-	// event.DefaultRingSize (1024); negative disables the ring (events
-	// still reach EventListener).
-	EventRingSize int
-	// OpSampleInterval records latency and emits begin/end trace events
-	// for one in every OpSampleInterval hot-path operations (Put, Delete,
-	// Get, iterator seeks). Sampling keeps the per-op cost to a single
-	// atomic increment; the latency histograms remain unbiased samples.
-	// 1 instruments every operation; 0 selects the default (16). Rare
-	// operations (flush, compaction, checkpoint, range deletes, batches)
-	// are always instrumented.
-	OpSampleInterval int
 	// Logger, when set, receives diagnostic messages.
 	Logger func(format string, args ...any)
 }
@@ -172,23 +163,11 @@ func (o Options) withDefaults() Options {
 	if o.MemTableBytes <= 0 {
 		o.MemTableBytes = 4 << 20
 	}
-	if o.BlockBytes <= 0 {
-		o.BlockBytes = 4096
-	}
 	if o.BloomBitsPerKey == 0 {
 		o.BloomBitsPerKey = 10
 	}
 	if o.BlockCacheBytes == 0 {
 		o.BlockCacheBytes = 8 << 20
-	}
-	if o.OpSampleInterval <= 0 {
-		o.OpSampleInterval = 16
-	}
-	if o.ReadViewAnchorInterval <= 0 {
-		o.ReadViewAnchorInterval = readview.DefaultAnchorInterval
-	}
-	if o.ReadViewMaxEntries == 0 {
-		o.ReadViewMaxEntries = 4 << 20
 	}
 	if o.PagesPerTile <= 0 {
 		o.PagesPerTile = 1

@@ -418,7 +418,7 @@ func TestCancelledCommitAtomicity(t *testing.T) {
 				)
 				switch rng.Intn(4) {
 				case 0:
-					// no deadline
+					ctx = context.Background() // no deadline
 				case 1:
 					ctx, cancel = context.WithTimeout(context.Background(), 200*time.Microsecond)
 				case 2:

@@ -106,18 +106,12 @@ func (s *scheduler) end() {
 	s.mu.Unlock()
 }
 
-// pause blocks new executor jobs and waits for running ones to finish.
-// Pauses nest.
-func (s *scheduler) pause() {
-	// A nil context never fires, so the error is impossible.
-	_ = s.pauseCtx(nil)
-}
-
-// pauseCtx is pause honoring ctx: if the context fires while executor jobs
-// are still draining, the pause is rolled back and the (bare) context error
-// returned — the scheduler is left exactly as before the call. The context
-// wake-up goes through wake, a broadcast under s.mu, so the same
-// lost-wakeup discipline as end() applies.
+// pauseCtx blocks new executor jobs and waits for running ones to finish.
+// Pauses nest. If ctx fires while executor jobs are still draining, the
+// pause is rolled back and the (bare) context error returned — the
+// scheduler is left exactly as before the call. The context wake-up goes
+// through wake, a broadcast under s.mu, so the same lost-wakeup discipline
+// as end() applies.
 func (s *scheduler) pauseCtx(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -147,13 +141,8 @@ func (s *scheduler) resume() bool {
 	return resumed
 }
 
-// waitQuiet blocks until no executor job is running.
-func (s *scheduler) waitQuiet() {
-	_ = s.waitQuietCtx(nil)
-}
-
-// waitQuietCtx is waitQuiet honoring ctx; returns the bare context error if
-// it fires first.
+// waitQuietCtx blocks until no executor job is running; returns the bare
+// context error if ctx fires first.
 func (s *scheduler) waitQuietCtx(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -205,14 +194,10 @@ func (d *DB) recordJob(ji JobInfo) {
 	d.trace.Emit(e)
 }
 
-// traceJobClaim emits the JobClaim event for a freshly picked job.
-func (d *DB) traceJobClaim(id uint64, op string, level int) {
-	d.trace.Emit(event.Event{Type: event.JobClaim, Op: op, Job: id, Level: level})
-}
-
-// traceJobClaimPolicy is traceJobClaim carrying the picking policy's name
-// (compaction claims only; flushes and eager work are policy-independent).
-func (d *DB) traceJobClaimPolicy(id uint64, op string, level int, policy string) {
+// traceJobClaim emits the JobClaim event for a freshly picked job. policy is
+// the picking policy's name for compaction claims and empty otherwise
+// (flushes and eager work are policy-independent).
+func (d *DB) traceJobClaim(id uint64, op string, level int, policy string) {
 	d.trace.Emit(event.Event{Type: event.JobClaim, Op: op, Policy: policy, Job: id, Level: level})
 }
 
@@ -261,14 +246,35 @@ func (d *DB) resumeMaintenance() {
 func (d *DB) RecentMaintJobs() []JobInfo { return d.sched.recentJobs() }
 
 // ---------------------------------------------------------------------------
-// Executors (MaintenanceConcurrency >= 2)
+// Executors
 
-// flushExecutor drains immutable memtables independently of compactions, so
-// a long merge never backs up the write path. Transient errors retry with
-// capped exponential backoff (the failed immutable stays queued, so the
-// retry re-runs the same work); permanent or retry-exhausted errors set the
-// sticky background error and stop the executor.
-func (d *DB) flushExecutor() {
+// startExecutors launches the maintenance pool: n goroutines running the one
+// executor loop. The first executor flushes; the other n-1 run compactions
+// and eager range-delete work level/key-disjoint from every in-flight job.
+// A pool of one has nobody else to compact, so its step is the whole
+// MaintenanceStep — flush, then eager work, then a compaction, strictly in
+// that order — which is what deterministic drivers call by hand.
+func (d *DB) startExecutors(n int) {
+	kind, step := "flush", d.runFlushStep
+	if n == 1 {
+		kind, step = "maintenance", d.MaintenanceStep
+	}
+	d.wg.Add(n)
+	go d.executor(kind, d.flushCh, step)
+	for i := 1; i < n; i++ {
+		go d.executor("compaction", d.compCh, d.runCompactionStep)
+	}
+}
+
+// executor is the maintenance loop every pool member runs: sleep until woken
+// (or the tick, which is what detects TTL expiry), then run step until it
+// reports no work. Each step is bracketed by sched.begin/end, so a pause
+// (Checkpoint, CompactAll) freezes the whole pool, whatever its size.
+// Transient step errors retry with capped exponential backoff (a failed
+// flush leaves its immutable queued, so the retry re-runs the same work);
+// permanent or retry-exhausted errors set the sticky background error and
+// stop the executor. kind labels the retry log lines and trace events.
+func (d *DB) executor(kind string, wake <-chan struct{}, step func() (bool, error)) {
 	defer d.wg.Done()
 	ticker := time.NewTicker(d.opts.MaintenanceTickInterval)
 	defer ticker.Stop()
@@ -277,7 +283,7 @@ func (d *DB) flushExecutor() {
 		select {
 		case <-d.closeCh:
 			return
-		case <-d.flushCh:
+		case <-wake:
 		case <-ticker.C:
 		}
 		for {
@@ -289,11 +295,11 @@ func (d *DB) flushExecutor() {
 			if !d.sched.begin() {
 				break // paused; the pauser drives any needed work
 			}
-			did, err := d.runFlushStep()
+			did, err := step()
 			d.sched.end()
 			if err != nil {
 				failures++
-				if !d.noteJobError("flush", failures, err) {
+				if !d.noteJobError(kind, failures, err) {
 					return
 				}
 				if !d.backoffWait(d.backoffDelay(failures)) {
@@ -314,51 +320,6 @@ func (d *DB) runFlushStep() (bool, error) {
 	d.flushMu.Lock()
 	defer d.flushMu.Unlock()
 	return d.flushOne()
-}
-
-// compactionExecutor runs compactions (and eager range-delete work) that are
-// level/key-disjoint from every other in-flight job. Error handling matches
-// flushExecutor: transient errors back off and retry, permanent ones stop
-// the executor with a sticky background error.
-func (d *DB) compactionExecutor() {
-	defer d.wg.Done()
-	ticker := time.NewTicker(d.opts.MaintenanceTickInterval)
-	defer ticker.Stop()
-	failures := 0
-	for {
-		select {
-		case <-d.closeCh:
-			return
-		case <-d.compCh:
-		case <-ticker.C:
-		}
-		for {
-			select {
-			case <-d.closeCh:
-				return
-			default:
-			}
-			if !d.sched.begin() {
-				break
-			}
-			did, err := d.runCompactionStep()
-			d.sched.end()
-			if err != nil {
-				failures++
-				if !d.noteJobError("compaction", failures, err) {
-					return
-				}
-				if !d.backoffWait(d.backoffDelay(failures)) {
-					return
-				}
-				continue
-			}
-			failures = 0
-			if !did {
-				break
-			}
-		}
-	}
 }
 
 // runCompactionStep claims and runs one unit of non-flush maintenance:
@@ -407,7 +368,7 @@ func (d *DB) pickCompactionJob() (*compactJob, bool) {
 	}
 	id := d.sched.newID()
 	d.inflight.ClaimCandidate(id, cand)
-	d.traceJobClaimPolicy(id, "compact/"+cand.Trigger.String(), cand.StartLevel, d.policy.Name())
+	d.traceJobClaim(id, "compact/"+cand.Trigger.String(), cand.StartLevel, d.policy.Name())
 	return &compactJob{id: id, v: v, cand: cand}, true
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -424,14 +425,25 @@ func TestSchedulerCloseReleasesStalledWriter(t *testing.T) {
 
 // TestSchedulerResumeNotifiesExecutors: work that became pending while the
 // scheduler was paused must start promptly once the pause is released,
-// instead of waiting for the next maintenance tick (set here to an hour so
-// a missed resume wakeup cannot be papered over).
+// instead of waiting for the next maintenance tick (set to an hour so a
+// missed resume wakeup cannot be papered over).
 func TestSchedulerResumeNotifiesExecutors(t *testing.T) {
+	testPausedFlushWaitsForResume(t, 2)
+}
+
+// TestSerializedExecutorHonoursPause: a pool of one runs the same gated loop
+// as a larger pool, so a pause freezes it too — a queued immutable memtable
+// is not flushed until resumeMaintenance.
+func TestSerializedExecutorHonoursPause(t *testing.T) {
+	testPausedFlushWaitsForResume(t, 1)
+}
+
+func testPausedFlushWaitsForResume(t *testing.T, concurrency int) {
 	opts := Options{
 		FS:                      vfs.NewMemFS(),
 		MemTableBytes:           4 << 10,
 		DeleteKeyFunc:           testDK,
-		MaintenanceConcurrency:  2,
+		MaintenanceConcurrency:  concurrency,
 		MaintenanceTickInterval: time.Hour,
 		MaxImmutableMemTables:   -1, // writers must not stall while paused
 		L0StallRuns:             -1,
@@ -441,17 +453,18 @@ func TestSchedulerResumeNotifiesExecutors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
+	queued := func() int {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return len(d.imm)
+	}
 
-	d.sched.pause()
-	for i := 0; ; i++ {
+	if err := d.sched.pauseCtx(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; queued() == 0; i++ {
 		if err := d.Put([]byte(fmt.Sprintf("k%06d", i)), testValue(uint64(i), i)); err != nil {
 			t.Fatal(err)
-		}
-		d.mu.Lock()
-		queued := len(d.imm)
-		d.mu.Unlock()
-		if queued > 0 {
-			break
 		}
 		if i > 100000 {
 			t.Fatal("memtable never rotated")
@@ -460,18 +473,15 @@ func TestSchedulerResumeNotifiesExecutors(t *testing.T) {
 	// Let the executors consume the write-path wakeups and back off
 	// against the paused scheduler, so only the resume can revive them.
 	time.Sleep(100 * time.Millisecond)
+	if queued() == 0 {
+		t.Fatal("immutable memtable flushed while maintenance was paused")
+	}
 	d.resumeMaintenance()
 
 	deadline := time.Now().Add(10 * time.Second)
-	for {
-		d.mu.Lock()
-		queued := len(d.imm)
-		d.mu.Unlock()
-		if queued == 0 {
-			return
-		}
+	for queued() > 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d immutable memtables still queued 10s after resume", queued)
+			t.Fatalf("%d immutable memtables still queued 10s after resume", queued())
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -490,7 +500,10 @@ func TestSchedulerPauseQuiesces(t *testing.T) {
 		s.end()
 		close(done)
 	}()
-	s.pause() // must block until end()
+	bg := context.Background()
+	if err := s.pauseCtx(bg); err != nil { // must block until end()
+		t.Fatal(err)
+	}
 	select {
 	case <-done:
 	default:
@@ -499,7 +512,9 @@ func TestSchedulerPauseQuiesces(t *testing.T) {
 	if s.begin() {
 		t.Fatal("begin succeeded while paused")
 	}
-	s.pause() // nested
+	if err := s.pauseCtx(bg); err != nil { // nested
+		t.Fatal(err)
+	}
 	s.resume()
 	if s.begin() {
 		t.Fatal("begin succeeded with one pause still held")

@@ -109,7 +109,7 @@ func A3FADETieBreak(sc Scale) (*Table, error) {
 	} {
 		cfg := EngineConfig{
 			Name:   picker.String(),
-			Shape:  compaction.Leveling,
+			Policy: compaction.PolicyLeveled,
 			Picker: picker,
 			DPT:    dpt,
 		}

@@ -14,8 +14,9 @@ import (
 )
 
 // C1MaintenanceConcurrency measures the concurrent maintenance scheduler:
-// the same delete-heavy FADE workload is run with one serialized maintenance
-// worker and with a split flush executor + compaction executor pool. Unlike
+// the same delete-heavy FADE workload is run with an executor pool of 1
+// (flush, eager work and compactions serialized) and of 4 (a flush executor
+// beside three compaction executors). Unlike
 // E1..E8 (logical clock, manually driven maintenance), this experiment runs
 // the real background executors against the wall clock, so the numbers vary
 // run to run; the point is the shape — with concurrency, TTL-triggered
@@ -24,7 +25,7 @@ import (
 func C1MaintenanceConcurrency(sc Scale) (*Table, error) {
 	t := &Table{
 		ID:     "C1",
-		Title:  "maintenance concurrency: serialized worker vs executor pool (wall clock)",
+		Title:  "maintenance concurrency: pool of 1 vs executor pool (wall clock)",
 		Header: []string{"conc", "flushes", "compact[l0/sat/ttl]", "ttl_overlapped", "p99_ttl_ms", "p99_flush_ms", "stalls", "peak_flush_q"},
 		Notes: []string{
 			"ttl_overlapped counts TTL compactions whose run window intersected another in-flight compaction",
@@ -40,7 +41,7 @@ func C1MaintenanceConcurrency(sc Scale) (*Table, error) {
 			MaintenanceConcurrency:  conc,
 			MaintenanceTickInterval: 2 * time.Millisecond,
 			Compaction: compaction.Options{
-				Shape:           compaction.Leveling,
+				Policy:          compaction.PolicyLeveled,
 				Picker:          compaction.PickFADE,
 				SizeRatio:       sc.SizeRatio,
 				BaseLevelBytes:  sc.BaseLevelBytes,
@@ -168,7 +169,7 @@ func C2CommitPipeline(sc Scale) (*Table, error) {
 			SyncWrites:              true,
 			MaintenanceTickInterval: 2 * time.Millisecond,
 			Compaction: compaction.Options{
-				Shape:           compaction.Leveling,
+				Policy:          compaction.PolicyLeveled,
 				Picker:          compaction.PickMinOverlap,
 				SizeRatio:       sc.SizeRatio,
 				BaseLevelBytes:  sc.BaseLevelBytes,

@@ -191,7 +191,7 @@ func E3WriteAmp(sc Scale) (*Table, error) {
 	// fadeTTLOnly isolates the delete-persistence trigger from the
 	// aggressive picker.
 	fadeTTLOnly := func(dpt base.Duration) EngineConfig {
-		return EngineConfig{Name: "ttl-only", Shape: compaction.Leveling,
+		return EngineConfig{Name: "ttl-only", Policy: compaction.PolicyLeveled,
 			Picker: compaction.PickMinOverlap, DPT: dpt}
 	}
 	row := func(df float64, dpt base.Duration, clustered bool) error {
@@ -343,13 +343,13 @@ func E5KiWiRangeDelete(sc Scale) (*Table, error) {
 	}
 	dpt := base.Duration(sc.KeySpace)
 	configs := []EngineConfig{
-		{Name: "kiwi-eager", Shape: compaction.Leveling, Picker: compaction.PickFADE,
+		{Name: "kiwi-eager", Policy: compaction.PolicyLeveled, Picker: compaction.PickFADE,
 			DPT: dpt, PagesPerTile: 4, EagerRangeDeletes: true},
-		{Name: "kiwi-deferred", Shape: compaction.Leveling, Picker: compaction.PickFADE,
+		{Name: "kiwi-deferred", Policy: compaction.PolicyLeveled, Picker: compaction.PickFADE,
 			DPT: dpt, PagesPerTile: 4},
-		{Name: "standard-eager", Shape: compaction.Leveling, Picker: compaction.PickFADE,
+		{Name: "standard-eager", Policy: compaction.PolicyLeveled, Picker: compaction.PickFADE,
 			DPT: dpt, PagesPerTile: 1, EagerRangeDeletes: true},
-		{Name: "point-deletes", Shape: compaction.Leveling, Picker: compaction.PickFADE,
+		{Name: "point-deletes", Policy: compaction.PolicyLeveled, Picker: compaction.PickFADE,
 			DPT: dpt, PagesPerTile: 1},
 	}
 	for _, cfg := range configs {

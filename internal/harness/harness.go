@@ -64,13 +64,9 @@ func SmallScale() Scale {
 type EngineConfig struct {
 	Name string
 	// Policy selects the layout policy (leveled, size-tiered,
-	// lazy-leveling). Zero (PolicyDefault) falls back to the deprecated
-	// Shape knob.
+	// lazy-leveling); zero means leveled.
 	Policy compaction.PolicyKind
-	// Shape and Picker select the compaction policy.
-	//
-	// Deprecated: Shape is consulted only when Policy is PolicyDefault.
-	Shape  compaction.Shape
+	// Picker selects the saturated-level file picker.
 	Picker compaction.Picker
 	// DPT enables FADE when non-zero (in logical ticks; the harness
 	// advances the clock one tick per operation).
@@ -93,12 +89,12 @@ type EngineConfig struct {
 
 // Baseline is the delete-oblivious leveled engine.
 func Baseline() EngineConfig {
-	return EngineConfig{Name: "baseline", Shape: compaction.Leveling, Picker: compaction.PickMinOverlap}
+	return EngineConfig{Name: "baseline", Policy: compaction.PolicyLeveled, Picker: compaction.PickMinOverlap}
 }
 
 // FADE is the delete-aware engine with the given DPT.
 func FADE(dpt base.Duration) EngineConfig {
-	return EngineConfig{Name: "fade", Shape: compaction.Leveling, Picker: compaction.PickFADE, DPT: dpt}
+	return EngineConfig{Name: "fade", Policy: compaction.PolicyLeveled, Picker: compaction.PickFADE, DPT: dpt}
 }
 
 // Runtime is an open engine plus its instrumented environment.
@@ -137,7 +133,6 @@ func OpenRuntime(cfg EngineConfig, sc Scale) (*Runtime, error) {
 		DisableAutoMaintenance: true,
 		Compaction: compaction.Options{
 			Policy:          cfg.Policy,
-			Shape:           cfg.Shape,
 			Picker:          cfg.Picker,
 			SizeRatio:       sc.SizeRatio,
 			BaseLevelBytes:  sc.BaseLevelBytes,

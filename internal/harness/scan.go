@@ -64,7 +64,7 @@ func c4Open(sc Scale, disableViews bool, prefixBloomLen int) (*core.DB, error) {
 		DeleteKeyFunc:          workload.ExtractDeleteKey,
 		DisableAutoMaintenance: true,
 		Compaction: compaction.Options{
-			Shape:           compaction.Leveling,
+			Policy:          compaction.PolicyLeveled,
 			Picker:          compaction.PickMinOverlap,
 			SizeRatio:       sc.SizeRatio,
 			BaseLevelBytes:  sc.BaseLevelBytes,

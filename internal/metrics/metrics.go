@@ -3,11 +3,9 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -179,53 +177,6 @@ func (g *PeakGauge) Get() int64 { return g.v.Load() }
 
 // Peak returns the largest value the gauge has held.
 func (g *PeakGauge) Peak() int64 { return g.peak.Load() }
-
-// Series is a time-ordered sequence of (x, y) points used by the harness to
-// reproduce the paper's figures. It is safe for concurrent appends.
-type Series struct {
-	mu  sync.Mutex
-	xs  []float64
-	ys  []float64
-	lbl string
-}
-
-// NewSeries creates a named series.
-func NewSeries(label string) *Series { return &Series{lbl: label} }
-
-// Label returns the series name.
-func (s *Series) Label() string { return s.lbl }
-
-// Append adds a point.
-func (s *Series) Append(x, y float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.xs = append(s.xs, x)
-	s.ys = append(s.ys, y)
-}
-
-// Points returns copies of the x and y vectors.
-func (s *Series) Points() (xs, ys []float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]float64(nil), s.xs...), append([]float64(nil), s.ys...)
-}
-
-// Len returns the number of points.
-func (s *Series) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.xs)
-}
-
-// String renders the series as "label: (x,y) (x,y) ...".
-func (s *Series) String() string {
-	xs, ys := s.Points()
-	out := s.lbl + ":"
-	for i := range xs {
-		out += fmt.Sprintf(" (%g,%g)", xs[i], ys[i])
-	}
-	return out
-}
 
 // Percentile computes the p-th percentile (0-100) of a float slice.
 func Percentile(vals []float64, p float64) float64 {

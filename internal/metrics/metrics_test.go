@@ -119,28 +119,6 @@ func TestCounterAndGauge(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	s := NewSeries("tombstones")
-	if s.Label() != "tombstones" || s.Len() != 0 {
-		t.Fatal("fresh series wrong")
-	}
-	s.Append(1, 10)
-	s.Append(2, 20)
-	xs, ys := s.Points()
-	if len(xs) != 2 || xs[1] != 2 || ys[1] != 20 {
-		t.Fatalf("points = %v %v", xs, ys)
-	}
-	// Points returns copies.
-	xs[0] = 99
-	nxs, _ := s.Points()
-	if nxs[0] != 1 {
-		t.Fatal("Points aliased internal storage")
-	}
-	if s.String() == "" {
-		t.Fatal("String empty")
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
 	if p := Percentile(vals, 50); math.Abs(p-5.5) > 0.01 {

@@ -286,7 +286,7 @@ func (r *Router) DeleteSecondaryRangeCtx(ctx context.Context, lo, hi base.Delete
 // one visibility step) on its shard, and the sub-batches commit
 // concurrently. Atomicity is per shard only — a reader racing the fan-out
 // can observe one shard's portion before another's.
-func (r *Router) Apply(b *core.Batch) error { return r.ApplyCtx(nil, b) }
+func (r *Router) Apply(b *core.Batch) error { return r.ApplyCtx(context.Background(), b) }
 
 // ApplyCtx is Apply honoring ctx on every shard's commit path.
 func (r *Router) ApplyCtx(ctx context.Context, b *core.Batch) error {

@@ -97,8 +97,10 @@ func noSnapshotIn(snaps []base.SeqNum, lo, hi base.SeqNum) bool {
 
 // Run executes the candidate: merges its inputs, applies shadowing,
 // tombstone-disposal and KiWi page/entry drops, and writes the output
-// tables. It does not touch the manifest; the engine applies the edit.
-func Run(c *Candidate, env Env) (*Result, error) {
+// tables. It does not touch the manifest; the engine applies the edit. On
+// any error it closes the table being written and unlinks everything it
+// wrote, so a failed (and retried) merge leaves no orphan behind.
+func Run(c *Candidate, env Env) (_ *Result, err error) {
 	res := &Result{}
 
 	// Collect readers and range tombstones from every input file.
@@ -207,6 +209,11 @@ func Run(c *Candidate, env Env) (*Result, error) {
 
 	merged := iterator.NewMerge(sources...)
 	out := newOutputWriter(env, res, surviving)
+	defer func() {
+		if err != nil {
+			out.abort()
+		}
+	}()
 
 	var (
 		lastUserKey  []byte
@@ -327,6 +334,7 @@ type outputWriter struct {
 	rtPlaced  bool
 
 	cur     *sstable.Writer
+	curFile vfs.File
 	curNum  base.FileNum
 	curSize uint64
 	outputs []OutputFile
@@ -337,23 +345,30 @@ func newOutputWriter(env Env, res *Result, surviving []base.RangeTombstone) *out
 	return &outputWriter{env: env, res: res, surviving: surviving}
 }
 
+// open starts the next output table; the first one carries the surviving
+// range tombstones.
+func (o *outputWriter) open() error {
+	num := o.env.AllocFileNum()
+	f, err := o.env.FS.Create(manifest.MakeFilename(o.env.Dirname, manifest.FileTypeTable, num))
+	if err != nil {
+		return err
+	}
+	o.cur, o.curFile, o.curNum, o.curSize = sstable.NewWriter(f, o.env.WriterOpts), f, num, 0
+	if !o.rtPlaced {
+		for _, rt := range o.surviving {
+			if err := o.cur.AddRangeTombstone(rt); err != nil {
+				return err
+			}
+		}
+		o.rtPlaced = true
+	}
+	return nil
+}
+
 func (o *outputWriter) add(ik base.InternalKey, value []byte) error {
 	if o.cur == nil {
-		num := o.env.AllocFileNum()
-		f, err := o.env.FS.Create(manifest.MakeFilename(o.env.Dirname, manifest.FileTypeTable, num))
-		if err != nil {
+		if err := o.open(); err != nil {
 			return err
-		}
-		o.cur = sstable.NewWriter(f, o.env.WriterOpts)
-		o.curNum = num
-		o.curSize = 0
-		if !o.rtPlaced {
-			for _, rt := range o.surviving {
-				if err := o.cur.AddRangeTombstone(rt); err != nil {
-					return err
-				}
-			}
-			o.rtPlaced = true
 		}
 	}
 	if err := o.cur.Add(ik, value); err != nil {
@@ -378,7 +393,7 @@ func (o *outputWriter) roll() error {
 	if meta.HasEntries() {
 		o.outputs = append(o.outputs, OutputFile{FileNum: o.curNum, Meta: meta})
 	} else {
-		_ = o.env.FS.Remove(manifest.MakeFilename(o.env.Dirname, manifest.FileTypeTable, o.curNum))
+		o.remove(o.curNum)
 	}
 	return nil
 }
@@ -387,19 +402,25 @@ func (o *outputWriter) finish() error {
 	// Surviving range tombstones must persist even when no entries were
 	// written (e.g. everything was dropped).
 	if o.cur == nil && !o.rtPlaced && len(o.surviving) > 0 {
-		num := o.env.AllocFileNum()
-		f, err := o.env.FS.Create(manifest.MakeFilename(o.env.Dirname, manifest.FileTypeTable, num))
-		if err != nil {
+		if err := o.open(); err != nil {
 			return err
 		}
-		o.cur = sstable.NewWriter(f, o.env.WriterOpts)
-		o.curNum = num
-		for _, rt := range o.surviving {
-			if err := o.cur.AddRangeTombstone(rt); err != nil {
-				return err
-			}
-		}
-		o.rtPlaced = true
 	}
 	return o.roll()
+}
+
+// abort closes the table being written and unlinks every file this writer
+// created.
+func (o *outputWriter) abort() {
+	if o.cur != nil {
+		vfs.BestEffortClose(o.curFile)
+		o.remove(o.curNum)
+	}
+	for _, of := range o.outputs {
+		o.remove(of.FileNum)
+	}
+}
+
+func (o *outputWriter) remove(num base.FileNum) {
+	_ = o.env.FS.Remove(manifest.MakeFilename(o.env.Dirname, manifest.FileTypeTable, num))
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -8,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/base"
+	"repro/internal/manifest"
 	"repro/internal/vfs"
 	"repro/internal/vfs/errorfs"
 	"repro/internal/wal"
@@ -171,6 +174,10 @@ func TestTransientFlushErrorRetriesAndRecovers(t *testing.T) {
 			if d.Stats().ReadOnly.Get() != 0 {
 				t.Fatal("ReadOnly gauge set after a recovered transient fault")
 			}
+			if err := d.WaitIdle(); err != nil {
+				t.Fatal(err)
+			}
+			assertNoOrphanTables(t, efs, d)
 		})
 	}
 }
@@ -400,5 +407,135 @@ func corruptByteAt(t *testing.T, fs *vfs.MemFS, name string, off int64) {
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// assertNoOrphanTables fails if the store directory holds a table file the
+// current version does not reference. Callers quiesce maintenance (and have no
+// read in flight) first, so nothing is legitimately between written and
+// installed, or between replaced and unlinked.
+func assertNoOrphanTables(t *testing.T, fs vfs.FS, d *DB) {
+	t.Helper()
+	live := make(map[base.FileNum]bool)
+	d.vs.Current().AllFiles(func(_ int, f *manifest.FileMetadata) { live[f.FileNum] = true })
+	names, err := fs.List(d.dirname)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if typ, fn, ok := manifest.ParseFilename(name); ok && typ == manifest.FileTypeTable && !live[fn] {
+			t.Errorf("orphan table %s: on disk but in no version", name)
+		}
+	}
+}
+
+// TestTransientCompactionCommitLeavesNoOrphans: a maintenance job that fails
+// after producing table files — at its manifest commit, or mid-merge with
+// outputs already finished — must unlink everything it wrote, so the retry
+// does not leak one set of files per attempt, and the manifest must forget
+// the failed edit, so a reopen (after the retry, or with no retry at all)
+// finds every file its log names. The pool is paused while the tree is
+// staged, so the first job after resume is the one that meets the one-shot
+// fault; the executor's backoff-retry then completes it. Pool size 0 is no
+// pool: one synchronous MaintenanceStep fails and nothing retries.
+func TestTransientCompactionCommitLeavesNoOrphans(t *testing.T) {
+	const keys = 2000
+	manifestSync := func() *errorfs.Rule {
+		return &errorfs.Rule{Ops: []errorfs.Op{errorfs.OpSync}, PathGlob: "MANIFEST-*", Kind: errorfs.FaultTransient}
+	}
+	cases := []struct {
+		name  string
+		eager bool
+		rule  func() *errorfs.Rule
+	}{
+		{"compaction/manifest-sync", false, manifestSync},
+		// The 40th table write lands in the merge's third output file.
+		{"compaction/sst-write-mid-merge", false, func() *errorfs.Rule {
+			return &errorfs.Rule{Ops: []errorfs.Op{errorfs.OpWrite}, PathGlob: "*.sst", Countdown: 40, Kind: errorfs.FaultTransient}
+		}},
+		{"eager-rewrite/manifest-sync", true, manifestSync},
+	}
+	for _, tc := range cases {
+		for _, conc := range []int{0, 1, 2} {
+			t.Run(fmt.Sprintf("%s/concurrency=%d", tc.name, conc), func(t *testing.T) {
+				efs := errorfs.Wrap(vfs.NewMemFS(), 1)
+				opts := faultOptions(efs, conc)
+				opts.DisableAutoMaintenance = conc == 0
+				opts.MemTableBytes = 1 << 20 // the test flushes by hand
+				opts.PagesPerTile = 4
+				opts.EagerRangeDeletes = tc.eager
+				d := mustOpen(t, opts)
+				if err := d.sched.pauseCtx(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				m := newModel()
+				put := func(round int) {
+					for i := 0; i < keys; i++ {
+						k, v := fmt.Sprintf("k%05d", i), testValue(uint64(i), round)
+						if err := d.Put([]byte(k), v); err != nil {
+							t.Fatal(err)
+						}
+						m.put(k, v)
+					}
+					if err := d.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				put(0)
+				if tc.eager {
+					// One L0 file, half covered: an eager rewrite, no compaction.
+					if err := d.DeleteSecondaryRange(0, keys/2); err != nil {
+						t.Fatal(err)
+					}
+					m.rangeDelete(0, keys/2)
+				} else {
+					// Three overlapping L0 files: a real merge, not a trivial move.
+					put(1)
+					put(2)
+				}
+				fault := efs.Add(tc.rule())
+				d.resumeMaintenance()
+
+				if conc == 0 {
+					if _, err := d.MaintenanceStep(); err == nil || fault.Fired() == 0 {
+						t.Fatalf("step met no fault: err=%v fired=%d", err, fault.Fired())
+					}
+				} else {
+					deadline := time.Now().Add(30 * time.Second)
+					for fault.Fired() == 0 || d.Stats().JobRetries.Get() == 0 {
+						if time.Now().After(deadline) {
+							t.Fatalf("fault never met a maintenance job (fired=%d retries=%d)", fault.Fired(), d.Stats().JobRetries.Get())
+						}
+						time.Sleep(time.Millisecond)
+					}
+					if err := d.WaitIdle(); err != nil {
+						t.Fatalf("retry did not recover: %v", err)
+					}
+					if err := d.BackgroundError(); err != nil {
+						t.Fatalf("transient fault escalated: %v", err)
+					}
+				}
+				assertNoOrphanTables(t, efs, d)
+				if s := d.Stats(); s.FilesDeleted.Get() > s.FilesCreated.Get() {
+					t.Fatalf("%d files reported deleted, only %d created", s.FilesDeleted.Get(), s.FilesCreated.Get())
+				}
+				check := func(d *DB) {
+					t.Helper()
+					for _, k := range m.sortedKeys() {
+						if v, err := d.Get([]byte(k)); err != nil || !bytes.Equal(v, m.data[k]) {
+							t.Fatalf("get %s = %x, %v; want %x", k, v, err, m.data[k])
+						}
+					}
+					if _, err := d.Get([]byte("k00000")); tc.eager && err != ErrNotFound {
+						t.Fatalf("range-deleted key reads back: %v", err)
+					}
+				}
+				check(d)
+				if err := d.Close(); err != nil {
+					t.Fatal(err)
+				}
+				check(mustOpen(t, opts))
+			})
+		}
 	}
 }

@@ -7,10 +7,8 @@ import (
 
 	"repro/internal/base"
 	"repro/internal/compaction"
-	"repro/internal/event"
 	"repro/internal/manifest"
 	"repro/internal/sstable"
-	"repro/internal/vfs"
 )
 
 // Maintenance-side lock order, machine-checked by the lockorder analyzer:
@@ -22,7 +20,6 @@ import (
 //
 // acheron:locks order core.DB.maintMu < core.DB.flushMu < core.DB.mu
 // acheron:locks order core.DB.maintMu < core.DB.pickMu < core.DB.mu
-// acheron:locks order core.DB.pickMu < core.DB.rtMu
 // acheron:locks order core.DB.pickMu < core.DB.eagerMu
 
 // MaintenanceStep performs at most one unit of background work — a flush,
@@ -184,26 +181,18 @@ func inputSpan(c *compaction.Candidate) (lo, hi []byte) {
 // the output level) the compaction could hold older versions of its keys,
 // which licenses tombstone disposal.
 //
-// v is the version the candidate was picked against. The evaluation stays
+// v is the version the candidate was picked against and inCompaction the
+// files the job replaces. The evaluation stays
 // valid while the job's claim is held even if other jobs commit in the
 // meantime: a concurrent job could only introduce entries below this
 // compaction's output level by compacting overlapping keys from this or a
 // deeper level, and the claim rectangle (level range x key span) makes any
 // such job conflict with this one. Flushes add strictly newer data at L0,
 // which never threatens "no older versions below".
-func (d *DB) isBottommost(v *manifest.Version, c *compaction.Candidate) bool {
+func (d *DB) isBottommost(v *manifest.Version, c *compaction.Candidate, inCompaction map[base.FileNum]bool) bool {
 	lo, hi := inputSpan(c)
 	if lo == nil {
 		return true
-	}
-	inCompaction := make(map[base.FileNum]bool)
-	for _, r := range c.Inputs {
-		for _, f := range r.Files {
-			inCompaction[f.FileNum] = true
-		}
-	}
-	for _, f := range c.OutputRunFiles {
-		inCompaction[f.FileNum] = true
 	}
 	// Files at the output level that are not part of the compaction may
 	// hold older versions (other tiered runs, or key ranges the leveling
@@ -240,7 +229,11 @@ func (d *DB) runCandidate(id uint64, v *manifest.Version, c *compaction.Candidat
 	}
 
 	start := time.Now()
-	bottom := d.isBottommost(v, c)
+	inCompaction := make(map[base.FileNum]bool) // every file this job replaces
+	for _, f := range append(files, c.OutputRunFiles...) {
+		inCompaction[f.FileNum] = true
+	}
+	bottom := d.isBottommost(v, c, inCompaction)
 	d.mu.Lock()
 	snaps := append([]base.SeqNum(nil), d.snapshots...)
 	now := d.opts.Clock.Now()
@@ -252,15 +245,6 @@ func (d *DB) runCandidate(id uint64, v *manifest.Version, c *compaction.Candidat
 	// evaluation safe against concurrent commits: flushes only add files
 	// whose entries postdate the tombstone (skipped by the SmallestSeqNum
 	// check), and overlapping compactions conflict with this job's claim.
-	inCompaction := make(map[base.FileNum]bool)
-	for _, r := range c.Inputs {
-		for _, f := range r.Files {
-			inCompaction[f.FileNum] = true
-		}
-	}
-	for _, f := range c.OutputRunFiles {
-		inCompaction[f.FileNum] = true
-	}
 	rtDisposable := func(rt base.RangeTombstone) bool {
 		disposable := true
 		v.AllFiles(func(_ int, f *manifest.FileMetadata) {
@@ -329,21 +313,6 @@ func (d *DB) runCandidate(id uint64, v *manifest.Version, c *compaction.Candidat
 		return err
 	}
 
-	// Cache the outputs' range tombstones before their version installs:
-	// the install retires the inputs, and from then on this cache is the
-	// only place readers find the tombstones they carried.
-	for _, of := range res.Outputs {
-		if of.Meta.Props.NumRangeDeletes > 0 {
-			if err := d.loadFileRTs(of.FileNum); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Build the deletions up front; the additions' run id is resolved at
-	// the commit point, against the version current then — two concurrent
-	// compactions into the same (previously empty) leveling output must
-	// both land in the single run the first one creates.
 	edit := &manifest.VersionEdit{}
 	for i, r := range c.Inputs {
 		level := c.InputLevel(i)
@@ -354,48 +323,12 @@ func (d *DB) runCandidate(id uint64, v *manifest.Version, c *compaction.Candidat
 	for _, f := range c.OutputRunFiles {
 		edit.Deleted = append(edit.Deleted, manifest.DeletedFileEntry{Level: c.OutputLevel, FileNum: f.FileNum})
 	}
-	err = d.vs.LogAndApplyFunc(func(cur *manifest.Version) (*manifest.VersionEdit, error) {
-		runID := c.OutputRunID
-		if c.OutputToNewRun {
-			runID = d.vs.AllocRunID()
-		} else if runID == 0 {
-			if outRuns := cur.Levels[c.OutputLevel]; len(outRuns) > 0 {
-				runID = outRuns[0].ID
-			} else {
-				runID = d.vs.AllocRunID()
-			}
-		}
-		edit.Added = edit.Added[:0]
-		for _, of := range res.Outputs {
-			edit.Added = append(edit.Added, manifest.NewFileEntry{
-				Level: c.OutputLevel, RunID: runID, Meta: fileMetaFrom(of.FileNum, of.Meta),
-			})
-		}
-		return edit, nil
-	})
-	if err != nil {
+	for _, of := range res.Outputs {
+		edit.Added = append(edit.Added, manifest.NewFileEntry{Level: c.OutputLevel, Meta: fileMetaFrom(of.FileNum, of.Meta)})
+	}
+	if err := d.installCompaction(c, edit); err != nil {
 		return err
 	}
-	d.invalidateReadViews()
-	// L0 may have shrunk; wake stalled writers.
-	d.wakeStalledWriters()
-
-	// Account the new files, then GC the replaced ones.
-	for _, of := range res.Outputs {
-		d.stats.FilesCreated.Add(1)
-		d.trace.Emit(event.Event{
-			Type: event.FileCreate, File: uint64(of.FileNum),
-			Level: c.OutputLevel, Bytes: int64(of.Meta.Size),
-		})
-	}
-	dead := make([]base.FileNum, 0, len(edit.Deleted))
-	d.eagerMu.Lock()
-	for _, del := range edit.Deleted {
-		delete(d.eagerDone, del.FileNum)
-		dead = append(dead, del.FileNum)
-	}
-	d.eagerMu.Unlock()
-	d.deleteTables(dead)
 
 	d.stats.CompactionsByTrigger[int(c.Trigger)].Add(1)
 	d.stats.CompactBytesRead.Add(int64(res.BytesRead))
@@ -421,28 +354,38 @@ func (d *DB) runCandidate(id uint64, v *manifest.Version, c *compaction.Candidat
 	return nil
 }
 
-// trivialMove relocates a file by manifest edit alone.
-func (d *DB) trivialMove(id uint64, c *compaction.Candidate, f *manifest.FileMetadata) error {
-	start := time.Now()
-	err := d.vs.LogAndApplyFunc(func(cur *manifest.Version) (*manifest.VersionEdit, error) {
+// installCompaction commits a compaction's edit, resolving the run its Added
+// files join at the commit point, against the version current then — two
+// concurrent compactions into the same (previously empty) leveling output
+// must both land in the single run the first one creates.
+func (d *DB) installCompaction(c *compaction.Candidate, edit *manifest.VersionEdit) error {
+	return d.installEdit(edit, func(cur *manifest.Version) {
 		runID := c.OutputRunID
-		if runID == 0 {
-			if runs := cur.Levels[c.OutputLevel]; len(runs) > 0 {
-				runID = runs[0].ID
+		if c.OutputToNewRun {
+			runID = d.vs.AllocRunID()
+		} else if runID == 0 {
+			if outRuns := cur.Levels[c.OutputLevel]; len(outRuns) > 0 {
+				runID = outRuns[0].ID
 			} else {
 				runID = d.vs.AllocRunID()
 			}
 		}
-		return &manifest.VersionEdit{
-			Deleted: []manifest.DeletedFileEntry{{Level: c.StartLevel, FileNum: f.FileNum}},
-			Added:   []manifest.NewFileEntry{{Level: c.OutputLevel, RunID: runID, Meta: f}},
-		}, nil
+		for i := range edit.Added {
+			edit.Added[i].RunID = runID
+		}
+	}, nil)
+}
+
+// trivialMove relocates a file by manifest edit alone.
+func (d *DB) trivialMove(id uint64, c *compaction.Candidate, f *manifest.FileMetadata) error {
+	start := time.Now()
+	err := d.installCompaction(c, &manifest.VersionEdit{
+		Deleted: []manifest.DeletedFileEntry{{Level: c.StartLevel, FileNum: f.FileNum}},
+		Added:   []manifest.NewFileEntry{{Level: c.OutputLevel, Meta: f}},
 	})
 	if err != nil {
 		return err
 	}
-	d.invalidateReadViews()
-	d.wakeStalledWriters()
 	d.stats.TrivialMoves.Add(1)
 	d.stats.CompactionsByTrigger[int(c.Trigger)].Add(1)
 	d.stats.JobLatencyByTrigger[int(c.Trigger)].Record(time.Since(start).Nanoseconds())
@@ -495,7 +438,7 @@ func (d *DB) pickEagerJob() (*eagerJob, bool) {
 	// durability for them is ensured at issue time.
 	rs := readState{mem: d.mem, imms: append([]immEntry(nil), d.imm...), version: v, seq: d.visibleSeqNum()}
 	d.mu.Unlock()
-	rts := d.collectRangeTombstones(rs)
+	rts := collectRangeTombstones(rs)
 	if len(rts) == 0 {
 		return nil, false
 	}
@@ -534,15 +477,11 @@ func (d *DB) runEagerJob(j *eagerJob) error {
 	var err error
 	switch j.action {
 	case eagerDrop:
-		d.eagerMu.Lock()
-		delete(d.eagerDone, j.f.FileNum)
-		d.eagerMu.Unlock()
 		err = d.eagerDropFile(j.level, j.f)
 	case eagerRewrite:
 		err = d.eagerRewriteFile(j.level, j.runID, j.f, j.rts, j.snaps, j.applicable)
 	}
 	d.inflight.Release(j.id)
-	d.wakeStalledWriters()
 	d.recordJob(JobInfo{
 		ID:          j.id,
 		Kind:        JobEagerRangeDelete,
@@ -641,11 +580,9 @@ func (d *DB) olderDataBelow(v *manifest.Version, l int, run *manifest.Run, f *ma
 // eagerDropFile removes a fully covered file with a metadata-only edit.
 func (d *DB) eagerDropFile(l int, f *manifest.FileMetadata) error {
 	edit := &manifest.VersionEdit{Deleted: []manifest.DeletedFileEntry{{Level: l, FileNum: f.FileNum}}}
-	if err := d.vs.LogAndApply(edit); err != nil {
+	if err := d.installEdit(edit, nil, nil); err != nil {
 		return err
 	}
-	d.invalidateReadViews()
-	d.deleteTables([]base.FileNum{f.FileNum})
 	d.stats.RangeCoveredDropped.Add(int64(f.NumEntries))
 	return nil
 }
@@ -653,9 +590,7 @@ func (d *DB) eagerDropFile(l int, f *manifest.FileMetadata) error {
 // eagerRewriteFile rewrites a partially covered file without its covered
 // pages and entries, keeping it at the same level and run. applicable is
 // the tombstone watermark memoized so a no-op rewrite is never repeated.
-// On any error after the output file is created, the partial table is
-// closed and unlinked.
-func (d *DB) eagerRewriteFile(l int, runID uint64, f *manifest.FileMetadata, rts []base.RangeTombstone, snaps []base.SeqNum, applicable base.SeqNum) (err error) {
+func (d *DB) eagerRewriteFile(l int, runID uint64, f *manifest.FileMetadata, rts []base.RangeTombstone, snaps []base.SeqNum, applicable base.SeqNum) error {
 	r, release, err := d.cache.get(f.FileNum)
 	if err != nil {
 		return err
@@ -683,41 +618,26 @@ func (d *DB) eagerRewriteFile(l int, runID uint64, f *manifest.FileMetadata, rts
 		return false
 	}
 
-	newFn := d.vs.AllocFileNum()
-	newPath := manifest.MakeFilename(d.dirname, manifest.FileTypeTable, newFn)
-	out, err := d.opts.FS.Create(newPath)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			vfs.BestEffortClose(out)
-			_ = d.opts.FS.Remove(newPath)
-		}
-	}()
-	w := sstable.NewWriter(out, d.writerOptions())
 	it := r.NewCompactionIter(droppablePage)
-	var kept, covered uint64
-	for valid := it.First(); valid; valid = it.Next() {
-		ik := it.Key()
-		if ik.Kind() == base.KindSet && coveredEntry(it.Value(), ik.SeqNum()) {
-			covered++
-			continue
+	var covered uint64
+	newFn, meta, err := d.writeTable(func(w *sstable.Writer) error {
+		for valid := it.First(); valid; valid = it.Next() {
+			ik := it.Key()
+			if ik.Kind() == base.KindSet && coveredEntry(it.Value(), ik.SeqNum()) {
+				covered++
+				continue
+			}
+			if err := w.Add(ik, it.Value()); err != nil {
+				return err
+			}
 		}
-		if err = w.Add(ik, it.Value()); err != nil {
-			return err
-		}
-		kept++
-	}
-	if err = it.Error(); err != nil {
-		return err
-	}
-	w.NoteDroppedPages(it.Dropped())
-	bytesRead := it.BytesLoaded()
-	meta, err := w.Finish()
+		w.NoteDroppedPages(it.Dropped())
+		return it.Error()
+	})
 	if err != nil {
 		return err
 	}
+	newPath := manifest.MakeFilename(d.dirname, manifest.FileTypeTable, newFn)
 
 	if covered == 0 && it.Dropped() == 0 {
 		// The file's delete-key span intersects a tombstone but no
@@ -735,29 +655,20 @@ func (d *DB) eagerRewriteFile(l int, runID uint64, f *manifest.FileMetadata, rts
 	}
 	if meta.HasEntries() {
 		edit.Added = []manifest.NewFileEntry{{Level: l, RunID: runID, Meta: fileMetaFrom(newFn, meta)}}
+		// Before the install: should it fail, removeTable forgets the
+		// watermark together with the file.
+		d.eagerMu.Lock()
+		d.eagerDone[newFn] = applicable
+		d.eagerMu.Unlock()
 	} else {
 		_ = d.opts.FS.Remove(newPath)
 	}
-	if err = d.vs.LogAndApply(edit); err != nil {
+	if err := d.installEdit(edit, nil, nil); err != nil {
 		return err
 	}
-	d.invalidateReadViews()
-	if meta.HasEntries() {
-		d.stats.FilesCreated.Add(1)
-		d.trace.Emit(event.Event{
-			Type: event.FileCreate, File: uint64(newFn), Level: l, Bytes: int64(meta.Size),
-		})
-	}
-	d.deleteTables([]base.FileNum{f.FileNum})
-	d.eagerMu.Lock()
-	delete(d.eagerDone, f.FileNum)
-	if meta.HasEntries() {
-		d.eagerDone[newFn] = applicable
-	}
-	d.eagerMu.Unlock()
 	d.stats.PagesDropped.Add(int64(it.Dropped()))
 	d.stats.RangeCoveredDropped.Add(int64(covered))
-	d.stats.CompactBytesRead.Add(int64(bytesRead))
+	d.stats.CompactBytesRead.Add(int64(it.BytesLoaded()))
 	d.stats.CompactBytesWritten.Add(int64(meta.Size))
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -55,8 +56,8 @@ type DB struct {
 	cache   *tableCache
 	// readViews caches one REMIX-style sorted view per immutable version,
 	// keyed by *manifest.Version identity. Built lazily on first scan,
-	// invalidated (lock-free, after the install completes) whenever a
-	// flush/compaction/eager edit commits a new version.
+	// invalidated (lock-free, after the install completes) whenever
+	// installEdit commits a new version.
 	readViews *readview.Cache
 	// trace buffers structured engine events (op begin/end, stalls, job
 	// lifecycle, file lifecycle, checkpoints) and forwards them to
@@ -133,15 +134,10 @@ type DB struct {
 	// eagerMu guards eagerDone: per file, the highest range-tombstone
 	// sequence number already applied eagerly, so a file whose delete-key
 	// span merely intersects a tombstone (with no entry actually covered)
-	// is not rewritten again and again.
+	// is not rewritten again and again. Entries die with their file, in
+	// removeTable.
 	eagerMu   sync.Mutex
 	eagerDone map[base.FileNum]base.SeqNum
-
-	// rtMu guards fileRTs, the cache of each live file's range
-	// tombstones, aggregated into the read path. A file's entry is loaded
-	// before the version that adds the file installs.
-	rtMu    sync.RWMutex
-	fileRTs map[base.FileNum][]base.RangeTombstone
 
 	flushCh chan struct{} // wakeup of the pool's first executor (the one that flushes)
 	compCh  chan struct{} // wakeup of the compaction executors
@@ -181,7 +177,6 @@ func Open(dirname string, opts Options) (*DB, error) {
 		trace:     event.NewTracer(event.DefaultRingSize, opts.EventListener),
 		vs:        vs,
 		mem:       memtable.New(),
-		fileRTs:   make(map[base.FileNum][]base.RangeTombstone),
 		eagerDone: make(map[base.FileNum]base.SeqNum),
 		inflight:  compaction.NewInFlightSet(),
 		policy:    opts.Compaction.NewPolicy(),
@@ -209,25 +204,25 @@ func Open(dirname string, opts Options) (*DB, error) {
 		d.admit = admission.NewController(cfg)
 	}
 
-	if err := d.recoverAndClean(); err != nil {
+	// The manifest records only how many range tombstones a file carries;
+	// read them back so the recovered version serves them like any other.
+	err = vs.LoadRangeTombstones(func(fn base.FileNum) ([]base.RangeTombstone, error) {
+		r, release, err := d.cache.get(fn)
+		if err != nil {
+			return nil, err
+		}
+		defer release()
+		return r.RangeTombstones(), nil
+	})
+	if err == nil {
+		err = d.recoverAndClean()
+	}
+	if err != nil {
 		vfs.BestEffortClose(vs)
 		return nil, err
 	}
 	// Everything recovered is fully applied; published == allocated.
 	d.commit.visible.Store(uint64(d.vs.LastSeqNum()))
-
-	// Populate the range-tombstone cache from recovered files.
-	v := vs.Current()
-	var rtErr error
-	v.AllFiles(func(_ int, f *manifest.FileMetadata) {
-		if rtErr == nil && f.NumRangeDeletes > 0 {
-			rtErr = d.loadFileRTs(f.FileNum)
-		}
-	})
-	if rtErr != nil {
-		vfs.BestEffortClose(vs)
-		return nil, rtErr
-	}
 
 	if !opts.DisableAutoMaintenance {
 		d.startExecutors(opts.MaintenanceConcurrency)
@@ -322,21 +317,20 @@ func (d *DB) recoverAndClean() error {
 
 	// Flush recovered data immediately so the old logs can go, then
 	// persist the new LogNum either way.
+	edit := &manifest.VersionEdit{}
 	if !rec.Empty() {
 		fn, meta, err := d.writeMemTable(rec)
 		if err != nil {
 			return err
 		}
-		edit := &manifest.VersionEdit{
-			Added: []manifest.NewFileEntry{{Level: 0, RunID: d.vs.AllocRunID(), Meta: fileMetaFrom(fn, meta)}},
-		}
-		if err := d.vs.LogAndApply(edit); err != nil {
-			return err
-		}
-		d.stats.Flushes.Add(1)
-		d.stats.BytesFlushed.Add(int64(meta.Size))
-	} else if err := d.vs.LogAndApply(&manifest.VersionEdit{}); err != nil {
+		edit.Added = []manifest.NewFileEntry{{Level: 0, RunID: d.vs.AllocRunID(), Meta: fileMetaFrom(fn, meta)}}
+	}
+	if err := d.installEdit(edit, nil, nil); err != nil {
 		return err
+	}
+	for _, a := range edit.Added {
+		d.stats.Flushes.Add(1)
+		d.stats.BytesFlushed.Add(int64(a.Meta.Size))
 	}
 	for _, fn := range logNums {
 		_ = fs.Remove(manifest.MakeFilename(d.dirname, manifest.FileTypeLog, fn))
@@ -750,6 +744,72 @@ func (d *DB) notifyWork() {
 }
 
 // ---------------------------------------------------------------------------
+// Version install
+
+// installEdit is the one way the tree changes: every maintenance job (and
+// recovery's flush) produces its files, describes the change as an edit, and
+// commits it here. atCommit, if non-nil, finishes the edit at the commit
+// point against the version current then (compactions resolve their output
+// run id there); underMu, if non-nil, runs under d.mu in the critical section
+// that publishes the new version (a flush pops its memtable there, so readers
+// never see the flushed table and its memtable at once, nor neither). No
+// engine lock is held across the manifest append+fsync.
+//
+// Everything after the commit is derived from the edit (DESIGN.md § Version
+// install). On failure the new files never joined a version and are unlinked,
+// unannounced — unless the manifest may still replay the edit
+// (manifest.ErrEditInDoubt): then they stay for the next Open to adopt or
+// sweep. On success, in order: publish + wake stalled writers; drop cached
+// read views; notify executors; account and announce each new file
+// (FileCreate, only now that it is durable); hand replaced files to
+// deleteTables. A file both Deleted and Added (a trivial move) is neither new
+// nor dead.
+func (d *DB) installEdit(edit *manifest.VersionEdit, atCommit func(cur *manifest.Version), underMu func()) error {
+	err := d.vs.Commit(edit, atCommit, func(publish func()) {
+		d.mu.Lock()
+		publish()
+		if underMu != nil {
+			underMu()
+		}
+		d.stallCond.Broadcast()
+		d.mu.Unlock()
+	})
+	deleted := func(fn base.FileNum) bool {
+		return slices.ContainsFunc(edit.Deleted, func(e manifest.DeletedFileEntry) bool { return e.FileNum == fn })
+	}
+	added := func(fn base.FileNum) bool {
+		return slices.ContainsFunc(edit.Added, func(e manifest.NewFileEntry) bool { return e.Meta.FileNum == fn })
+	}
+	if err != nil {
+		for _, a := range edit.Added {
+			if !deleted(a.Meta.FileNum) && !errors.Is(err, manifest.ErrEditInDoubt) {
+				d.removeTable(a.Meta.FileNum, false)
+			}
+		}
+		return err
+	}
+	d.invalidateReadViews()
+	d.notifyWork()
+	for _, a := range edit.Added {
+		if !deleted(a.Meta.FileNum) {
+			d.stats.FilesCreated.Add(1)
+			d.trace.Emit(event.Event{
+				Type: event.FileCreate, File: uint64(a.Meta.FileNum),
+				Level: a.Level, Bytes: int64(a.Meta.Size),
+			})
+		}
+	}
+	var dead []base.FileNum
+	for _, del := range edit.Deleted {
+		if !added(del.FileNum) {
+			dead = append(dead, del.FileNum)
+		}
+	}
+	d.deleteTables(dead)
+	return nil
+}
+
+// ---------------------------------------------------------------------------
 // Snapshots
 
 // Snapshot pins a point-in-time view of the store. Compactions retain data
@@ -790,11 +850,10 @@ func (s *Snapshot) Release() {
 // Read path
 
 // invalidateReadViews drops every cached sorted view. Called lock-free after
-// a version edit has installed (flush, compaction, trivial move, eager range
-// delete): the timing is purely a memory-management concern, because views
-// are keyed by version identity — a stale entry can only be looked up by a
-// scan still pinning that same (immutable) version, for which it remains
-// correct.
+// a version edit has installed: the timing is purely a memory-management
+// concern, because views are keyed by version identity — a stale entry can
+// only be looked up by a scan still pinning that same (immutable) version,
+// for which it remains correct.
 func (d *DB) invalidateReadViews() {
 	if d.readViews != nil {
 		d.readViews.Invalidate()
@@ -842,7 +901,7 @@ func (d *DB) releaseReadState() {
 	}
 	d.mu.Unlock()
 	for _, fn := range todo {
-		d.removeTable(fn)
+		d.removeTable(fn, true)
 	}
 }
 
@@ -857,24 +916,30 @@ func (d *DB) deleteTables(fns []base.FileNum) {
 	}
 	d.mu.Unlock()
 	for _, fn := range fns {
-		d.removeTable(fn)
+		d.removeTable(fn, true)
 	}
 }
 
-// removeTable evicts a dead file's cached state and unlinks it.
-func (d *DB) removeTable(fn base.FileNum) {
+// removeTable is the one place a table file dies: it evicts the file's
+// cached readers and blocks, forgets its eager watermark, and unlinks it.
+// Only an announced file — one a FileCreate was emitted for, because a
+// version held it — is accounted and reported deleted.
+func (d *DB) removeTable(fn base.FileNum, announced bool) {
 	d.cache.evict(fn)
-	d.rtMu.Lock()
-	delete(d.fileRTs, fn)
-	d.rtMu.Unlock()
+	d.eagerMu.Lock()
+	delete(d.eagerDone, fn)
+	d.eagerMu.Unlock()
 	_ = d.opts.FS.Remove(manifest.MakeFilename(d.dirname, manifest.FileTypeTable, fn))
-	d.stats.FilesDeleted.Add(1)
-	d.trace.Emit(event.Event{Type: event.FileDelete, File: uint64(fn)})
+	if announced {
+		d.stats.FilesDeleted.Add(1)
+		d.trace.Emit(event.Event{Type: event.FileDelete, File: uint64(fn)})
+	}
 }
 
-// collectRangeTombstones gathers every live range tombstone visible at
-// rs.seq: from the memtables and from every live file that carries any.
-func (d *DB) collectRangeTombstones(rs readState) []base.RangeTombstone {
+// collectRangeTombstones gathers every range tombstone visible at rs.seq:
+// the memtables' and the version's own list, which arrived in the same
+// atomic install as the files carrying them.
+func collectRangeTombstones(rs readState) []base.RangeTombstone {
 	var out []base.RangeTombstone
 	add := func(rts []base.RangeTombstone) {
 		for _, rt := range rts {
@@ -887,34 +952,8 @@ func (d *DB) collectRangeTombstones(rs readState) []base.RangeTombstone {
 	for _, e := range rs.imms {
 		add(e.mem.RangeTombstones())
 	}
-	d.rtMu.RLock()
-	live := make(map[base.FileNum]bool)
-	rs.version.AllFiles(func(_ int, f *manifest.FileMetadata) {
-		if f.NumRangeDeletes > 0 {
-			live[f.FileNum] = true
-		}
-	})
-	for fn, rts := range d.fileRTs {
-		if live[fn] {
-			add(rts)
-		}
-	}
-	d.rtMu.RUnlock()
+	add(rs.version.RangeTombstones())
 	return out
-}
-
-// loadFileRTs caches a file's range tombstones.
-func (d *DB) loadFileRTs(fn base.FileNum) error {
-	r, release, err := d.cache.get(fn)
-	if err != nil {
-		return err
-	}
-	rts := append([]base.RangeTombstone(nil), r.RangeTombstones()...)
-	release()
-	d.rtMu.Lock()
-	d.fileRTs[fn] = rts
-	d.rtMu.Unlock()
-	return nil
 }
 
 // Get returns the value of key, or ErrNotFound.
@@ -943,7 +982,7 @@ func (d *DB) getAt(key []byte, snap *Snapshot) ([]byte, error) {
 	// Secondary range tombstones may invalidate the found version.
 	if d.opts.DeleteKeyFunc != nil {
 		dk := d.opts.DeleteKeyFunc(value)
-		for _, rt := range d.collectRangeTombstones(rs) {
+		for _, rt := range collectRangeTombstones(rs) {
 			if rt.Covers(dk, entrySeq) {
 				return nil, ErrNotFound
 			}
@@ -1057,6 +1096,7 @@ func fileMetaFrom(fn base.FileNum, meta sstable.WriterMeta) *manifest.FileMetada
 		NumEntries:      meta.Props.NumEntries,
 		NumDeletes:      meta.Props.NumDeletes,
 		NumRangeDeletes: meta.Props.NumRangeDeletes,
+		RangeTombstones: meta.RangeTombstones,
 		HasTombstones:   meta.Props.NumDeletes > 0 || meta.Props.NumRangeDeletes > 0,
 		OldestTombstone: meta.Props.OldestTombstone,
 		DeleteKeyMin:    meta.Props.DeleteKeyMin,

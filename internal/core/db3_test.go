@@ -126,6 +126,7 @@ func TestFlushSyncErrorSurfaces(t *testing.T) {
 	if rule.Fired() != 1 {
 		t.Fatalf("rule fired %d times, want 1", rule.Fired())
 	}
+	assertNoOrphanTables(t, efs, d)
 	// The rule was one-shot; the retry succeeds and the data lands.
 	if err := d.Flush(); err != nil {
 		t.Fatalf("flush after fault cleared: %v", err)

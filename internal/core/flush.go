@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/base"
-	"repro/internal/event"
 	"repro/internal/manifest"
 	"repro/internal/memtable"
 	"repro/internal/sstable"
@@ -23,10 +22,11 @@ func (d *DB) writerOptions() sstable.WriterOptions {
 	}
 }
 
-// writeMemTable materializes a memtable as a new level-0 table file. On any
-// error after the file is created, the partial table is closed and unlinked
-// so a failed flush leaves no orphan behind.
-func (d *DB) writeMemTable(m *memtable.MemTable) (_ base.FileNum, _ sstable.WriterMeta, err error) {
+// writeTable creates a new table file, lets fill add its contents, and
+// finishes it. On any error after the file is created, the partial table is
+// closed and unlinked, so a failed job leaves no orphan behind; a finished
+// table is the caller's to install (installEdit) or discard.
+func (d *DB) writeTable(fill func(w *sstable.Writer) error) (_ base.FileNum, _ sstable.WriterMeta, err error) {
 	fn := d.vs.AllocFileNum()
 	path := manifest.MakeFilename(d.dirname, manifest.FileTypeTable, fn)
 	f, err := d.opts.FS.Create(path)
@@ -40,24 +40,32 @@ func (d *DB) writeMemTable(m *memtable.MemTable) (_ base.FileNum, _ sstable.Writ
 		}
 	}()
 	w := sstable.NewWriter(f, d.writerOptions())
-	it := m.NewIter()
-	for valid := it.First(); valid; valid = it.Next() {
-		if err = w.Add(it.Key(), it.Value()); err != nil {
-			return 0, sstable.WriterMeta{}, err
-		}
-	}
-	for _, rt := range m.RangeTombstones() {
-		if err = w.AddRangeTombstone(rt); err != nil {
-			return 0, sstable.WriterMeta{}, err
-		}
+	if err = fill(w); err != nil {
+		return 0, sstable.WriterMeta{}, err
 	}
 	meta, err := w.Finish()
 	if err != nil {
 		return 0, sstable.WriterMeta{}, err
 	}
-	d.stats.FilesCreated.Add(1)
-	d.trace.Emit(event.Event{Type: event.FileCreate, File: uint64(fn), Bytes: int64(meta.Size)})
 	return fn, meta, nil
+}
+
+// writeMemTable materializes a memtable as a new level-0 table file.
+func (d *DB) writeMemTable(m *memtable.MemTable) (base.FileNum, sstable.WriterMeta, error) {
+	return d.writeTable(func(w *sstable.Writer) error {
+		it := m.NewIter()
+		for valid := it.First(); valid; valid = it.Next() {
+			if err := w.Add(it.Key(), it.Value()); err != nil {
+				return err
+			}
+		}
+		for _, rt := range m.RangeTombstones() {
+			if err := w.AddRangeTombstone(rt); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // Flush synchronously persists the mutable memtable and drains every sealed
@@ -124,79 +132,34 @@ func (d *DB) flushOne() (bool, error) {
 	id := d.sched.newID()
 	d.traceJobClaim(id, "flush", 0, "")
 	start := time.Now()
-	var (
-		added []manifest.NewFileEntry
-		size  uint64
-		newFn base.FileNum
-		nRT   uint64
-	)
+	edit := &manifest.VersionEdit{}
+	var size uint64
 	if !e.mem.Empty() {
 		fn, meta, err := d.writeMemTable(e.mem)
 		if err != nil {
 			d.recordFailedJob(JobFlush, start, err)
 			return false, err
 		}
-		newFn = fn
 		size = meta.Size
-		nRT = meta.Props.NumRangeDeletes
-		added = append(added, manifest.NewFileEntry{Level: 0, RunID: d.vs.AllocRunID(), Meta: fileMetaFrom(fn, meta)})
+		edit.Added = []manifest.NewFileEntry{{Level: 0, RunID: d.vs.AllocRunID(), Meta: fileMetaFrom(fn, meta)}}
 	}
 
-	d.mu.Lock()
-	// The WAL segments of everything still buffered must survive; the
-	// oldest survivor is the next sealed memtable's (or the mutable
-	// one's) log. A rotation racing the commit below only appends newer
-	// segments, so the value read here stays a valid lower bound.
-	logNum := d.memLog
-	if len(d.imm) > 1 {
-		logNum = d.imm[1].logNum
-	}
-	d.mu.Unlock()
-	edit := &manifest.VersionEdit{Added: added}
-	if !d.opts.DisableWAL {
-		edit.LogNum = logNum
-	}
-	// The manifest append+fsync runs outside d.mu — a concurrent
-	// compaction commit holding the version set's commit mutex across its
-	// own fsync must not park the whole read/write path behind this
-	// flush. The install callback then makes the version installation
-	// atomic with the imm pop under d.mu: readers never see the flushed
-	// table and its still-queued memtable at once, nor neither.
-	var err error
-	if nRT > 0 {
-		// Cache the table's range tombstones before its version installs:
-		// the install pops the memtable, and from then on this cache is the
-		// only place readers find them.
-		err = d.loadFileRTs(newFn)
-	}
-	if err == nil {
-		err = d.vs.LogAndApplyInstall(edit, func(commit func()) {
-			d.mu.Lock()
-			commit()
-			d.imm = d.imm[1:]
-			d.stats.FlushQueueDepth.Set(int64(len(d.imm)))
-			d.mu.Unlock()
-		})
-	}
+	// The version install is atomic with the imm pop; the table's range
+	// tombstones ride on its metadata, so readers find them in the new
+	// version the moment the memtable is gone.
+	err := d.installEdit(edit, nil, func() {
+		d.imm = d.imm[1:]
+		d.stats.FlushQueueDepth.Set(int64(len(d.imm)))
+	})
 	if err != nil {
-		// The new table file is orphaned (its edit never committed);
-		// remove it so a retry does not leak one file per attempt.
-		if len(added) > 0 {
-			d.removeTable(newFn)
-		}
 		d.recordFailedJob(JobFlush, start, err)
 		return false, err
 	}
-	d.invalidateReadViews()
-	// The flush queue shrank (and L0 is examined afresh by stalled
-	// writers); wake them.
-	d.wakeStalledWriters()
-	d.notifyWork()
 
 	if !d.opts.DisableWAL && e.logNum != 0 {
 		_ = d.opts.FS.Remove(manifest.MakeFilename(d.dirname, manifest.FileTypeLog, e.logNum))
 	}
-	if len(added) > 0 {
+	if len(edit.Added) > 0 {
 		d.stats.Flushes.Add(1)
 		d.stats.BytesFlushed.Add(int64(size))
 		d.stats.FlushLatency.Record(time.Since(start).Nanoseconds())

@@ -79,7 +79,7 @@ func (d *DB) newIter(opts IterOptions) (*Iter, error) {
 		}
 	}
 	it := &Iter{d: d, opts: opts, seq: rs.seq}
-	it.rts = d.collectRangeTombstones(rs)
+	it.rts = collectRangeTombstones(rs)
 
 	// One Concat per sorted run, in version order (L0 newest-run-first down
 	// to the last level) — the fixed run order a cached view's selectors

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/base"
 	"repro/internal/compaction"
+	"repro/internal/manifest"
 	"repro/internal/vfs"
 )
 
@@ -246,4 +250,110 @@ func TestRangeTombstoneRetirementRequiresGlobalInertness(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestVersionCarriesLiveRangeTombstones: at every stage of a file's life —
+// flushed, merged, recovered from the manifest, copied into a checkpoint —
+// the version's range-tombstone list is exactly what its live tables hold,
+// and reads through it agree with the model.
+func TestVersionCarriesLiveRangeTombstones(t *testing.T) {
+	fs := vfs.NewMemFS()
+	opts := kiwiOptions(fs, &base.LogicalClock{}, false)
+	d, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { d.Close() }()
+	m := newModel()
+	put := func(lo, hi, tag int) {
+		for i := lo; i < hi; i++ {
+			k, v := fmt.Sprintf("k%05d", i), testValue(uint64(i), tag)
+			if err := d.Put([]byte(k), v); err != nil {
+				t.Fatal(err)
+			}
+			m.put(k, v)
+		}
+	}
+	rangeDelete := func(lo, hi base.DeleteKey) {
+		if err := d.DeleteSecondaryRange(lo, hi); err != nil {
+			t.Fatal(err)
+		}
+		m.rangeDelete(lo, hi)
+	}
+	put(0, 3000, 0)
+	rangeDelete(100, 400)
+	put(300, 500, 1) // re-inserted after the tombstone: visible
+	rangeDelete(1000, 1200)
+
+	check := func(stage string, d *DB) {
+		t.Helper()
+		v := d.vs.Current()
+		var want []base.RangeTombstone
+		v.AllFiles(func(_ int, f *manifest.FileMetadata) {
+			r, release, err := d.cache.get(f.FileNum)
+			if err != nil {
+				t.Fatalf("%s: %v", stage, err)
+			}
+			want = append(want, r.RangeTombstones()...)
+			release()
+		})
+		got := append([]base.RangeTombstone(nil), v.RangeTombstones()...)
+		for _, rts := range [][]base.RangeTombstone{got, want} {
+			sort.Slice(rts, func(i, j int) bool { return rts[i].Seq < rts[j].Seq })
+		}
+		if len(got) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: version lists %v, live tables hold %v", stage, got, want)
+		}
+		it, err := d.NewIter(IterOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer it.Close()
+		keys := m.sortedKeys()
+		n := 0
+		for ok := it.First(); ok; ok = it.Next() {
+			if n >= len(keys) || string(it.Key()) != keys[n] || !bytes.Equal(it.Value(), m.data[keys[n]]) {
+				t.Fatalf("%s: scan position %d is %s, model disagrees", stage, n, it.Key())
+			}
+			n++
+		}
+		if n != len(keys) {
+			t.Fatalf("%s: scan saw %d keys, model has %d", stage, n, len(keys))
+		}
+		for i := 0; i < 3000; i += 7 {
+			k := fmt.Sprintf("k%05d", i)
+			v, err := d.Get([]byte(k))
+			if want, ok := m.data[k]; ok != (err == nil) || !bytes.Equal(v, want) {
+				t.Fatalf("%s: get %s = %x, %v; model has %x", stage, k, v, err, want)
+			}
+		}
+	}
+
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	check("flushed", d)
+	// An open snapshot keeps the merge from retiring the tombstones.
+	snap := d.NewSnapshot()
+	if err := d.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	snap.Release()
+	check("compacted", d)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if d, err = Open("db", opts); err != nil {
+		t.Fatal(err)
+	}
+	check("reopened", d)
+	if err := d.Checkpoint("ckpt"); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := Open("ckpt", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Close()
+	check("checkpoint reopened", cp)
 }

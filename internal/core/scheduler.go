@@ -379,8 +379,6 @@ func (d *DB) runCompactionJob(j *compactJob) error {
 	err := d.runCandidate(j.id, j.v, j.cand)
 	d.stats.CompactionsInFlight.Add(-1)
 	d.inflight.Release(j.id)
-	// A committed compaction may have shrunk L0; unblock stalled writers.
-	d.wakeStalledWriters()
 	if err != nil {
 		// Successful jobs record themselves in runCandidate; failed ones
 		// surface here so the ring carries the error.

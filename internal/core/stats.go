@@ -140,8 +140,8 @@ type Stats struct {
 	// counter never saw.
 	IterTablesOpened metrics.Counter
 
-	// FilesCreated / FilesDeleted count table files materialized and
-	// unlinked by flushes, compactions, and eager rewrites.
+	// FilesCreated counts table files installed into a version; FilesDeleted
+	// counts table files unlinked (replaced, or left by a failed install).
 	FilesCreated metrics.Counter
 	FilesDeleted metrics.Counter
 	// Checkpoints counts completed checkpoints.

@@ -51,6 +51,13 @@ type FileMetadata struct {
 	// HasDuplicates reports whether the file holds multiple versions of
 	// some user key; partial erasure of such files is unsafe.
 	HasDuplicates bool
+
+	// RangeTombstones are the file's range tombstones (NumRangeDeletes of
+	// them), held in memory only: the manifest encoding carries the count,
+	// the table file carries the tombstones. Set by whoever creates the
+	// metadata — the table's writer, or VersionSet.LoadRangeTombstones for
+	// files recovered from the manifest — before any version holds the file.
+	RangeTombstones []base.RangeTombstone
 }
 
 // TombstoneDensity returns the fraction of the file's entries that are
@@ -106,7 +113,15 @@ func (r *Run) Find(lo, hi []byte) []*FileMetadata {
 type Version struct {
 	// Levels[l] holds the level's runs, newest first.
 	Levels [NumLevels][]*Run
+
+	// rangeTombstones concatenates the files' range tombstones; computed
+	// once, when the version is built.
+	rangeTombstones []base.RangeTombstone
 }
+
+// RangeTombstones returns every range tombstone carried by the version's
+// files. The slice is shared and immutable, like the version itself.
+func (v *Version) RangeTombstones() []base.RangeTombstone { return v.rangeTombstones }
 
 // LevelSize returns the total bytes at level l.
 func (v *Version) LevelSize(l int) uint64 {
@@ -265,6 +280,9 @@ func (v *Version) Apply(e *VersionEdit) (*Version, error) {
 		}
 		nv.Levels[l] = kept
 	}
+	nv.AllFiles(func(_ int, f *FileMetadata) {
+		nv.rangeTombstones = append(nv.rangeTombstones, f.RangeTombstones...)
+	})
 	return nv, nil
 }
 

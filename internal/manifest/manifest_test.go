@@ -1,6 +1,7 @@
 package manifest
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -8,6 +9,7 @@ import (
 
 	"repro/internal/base"
 	"repro/internal/vfs"
+	"repro/internal/vfs/errorfs"
 )
 
 func ik(s string, seq base.SeqNum) base.InternalKey {
@@ -118,6 +120,47 @@ func TestVersionApplyAddDelete(t *testing.T) {
 	}
 	if len(v3.Levels[1]) != 0 {
 		t.Fatal("empty run not dropped")
+	}
+}
+
+// TestVersionApplyCarriesRangeTombstones: a file's range tombstones join the
+// version's list in the same Apply that adds the file, survive a trivial move
+// (the same *FileMetadata re-added at another level), and leave with it.
+func TestVersionApplyCarriesRangeTombstones(t *testing.T) {
+	rts := []base.RangeTombstone{{Lo: 10, Hi: 20, Seq: 7}, {Lo: 30, Hi: 40, Seq: 9}}
+	carrier := fileMeta(1, "a", "c")
+	carrier.NumRangeDeletes = uint64(len(rts))
+	carrier.RangeTombstones = rts
+	plain := fileMeta(2, "d", "f")
+
+	v, err := (&Version{}).Apply(&VersionEdit{Added: []NewFileEntry{
+		{Level: 0, RunID: 2, Meta: carrier}, {Level: 0, RunID: 1, Meta: plain},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := v.RangeTombstones(); !reflect.DeepEqual(got, rts) {
+		t.Fatalf("after add: %v, want %v", got, rts)
+	}
+	moved, err := v.Apply(&VersionEdit{
+		Deleted: []DeletedFileEntry{{Level: 0, FileNum: 1}},
+		Added:   []NewFileEntry{{Level: 3, RunID: 5, Meta: carrier}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := moved.RangeTombstones(); !reflect.DeepEqual(got, rts) {
+		t.Fatalf("after trivial move: %v, want %v", got, rts)
+	}
+	if got := v.RangeTombstones(); !reflect.DeepEqual(got, rts) {
+		t.Fatalf("older version's list changed: %v", got)
+	}
+	dropped, err := moved.Apply(&VersionEdit{Deleted: []DeletedFileEntry{{Level: 3, FileNum: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dropped.RangeTombstones(); len(got) != 0 {
+		t.Fatalf("after delete: %v, want none", got)
 	}
 }
 
@@ -382,9 +425,9 @@ func TestSnapshotEditReconstructsState(t *testing.T) {
 	vs.Close()
 }
 
-// TestConcurrentLogAndApply drives many goroutines through LogAndApplyFunc at
-// once. The commit point serializes them, so every edit must land exactly once
-// and the counters must be monotone.
+// TestConcurrentLogAndApply drives many goroutines through Commit at once.
+// The commit point serializes them, so every edit must land exactly once and
+// the counters must be monotone.
 func TestConcurrentLogAndApply(t *testing.T) {
 	fs := vfs.NewMemFS()
 	vs, err := Create(fs, "db")
@@ -401,11 +444,8 @@ func TestConcurrentLogAndApply(t *testing.T) {
 			for i := 0; i < perWorker; i++ {
 				fn := vs.AllocFileNum()
 				lo := fmt.Sprintf("w%02d-%03d", w, i)
-				err := vs.LogAndApplyFunc(func(cur *Version) (*VersionEdit, error) {
-					return &VersionEdit{Added: []NewFileEntry{
-						{Level: 6, RunID: vs.AllocRunID(), Meta: fileMeta(int(fn), lo, lo+"z")},
-					}}, nil
-				})
+				e := &VersionEdit{Added: []NewFileEntry{{Level: 6, Meta: fileMeta(int(fn), lo, lo+"z")}}}
+				err := vs.Commit(e, func(*Version) { e.Added[0].RunID = vs.AllocRunID() }, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -427,4 +467,57 @@ func TestConcurrentLogAndApply(t *testing.T) {
 		t.Fatalf("reloaded NumFiles = %d, want %d", got, workers*perWorker)
 	}
 	re.Close()
+}
+
+// TestFailedCommitIsForgotten: an edit whose append or fsync failed was never
+// installed, so no later Load may replay it. The version set rolls to a fresh
+// manifest to forget the record; when the roll fails too, the error says the
+// edit is in doubt and the next commit rolls before it appends.
+func TestFailedCommitIsForgotten(t *testing.T) {
+	add := func(num int) *VersionEdit {
+		return &VersionEdit{Added: []NewFileEntry{{Level: 1, RunID: 1, Meta: fileMeta(num, "a", "b")}}}
+	}
+	for _, sticky := range []bool{false, true} {
+		t.Run(fmt.Sprintf("roll-fails=%v", sticky), func(t *testing.T) {
+			efs := errorfs.Wrap(vfs.NewMemFS(), 1)
+			vs, err := Create(efs, "db")
+			if err != nil {
+				t.Fatal(err)
+			}
+			efs.Add(&errorfs.Rule{Ops: []errorfs.Op{errorfs.OpSync}, PathGlob: "MANIFEST-*", Sticky: sticky, Kind: errorfs.FaultTransient})
+			err = vs.LogAndApply(add(100))
+			if err == nil || errors.Is(err, ErrEditInDoubt) != sticky {
+				t.Fatalf("failed commit: %v; in doubt want %v", err, sticky)
+			}
+			if n := vs.Current().NumFiles(); n != 0 {
+				t.Fatalf("failed edit installed: %d files", n)
+			}
+			efs.Clear()
+			if err := vs.LogAndApply(add(101)); err != nil {
+				t.Fatal(err)
+			}
+			vs.Close()
+
+			re, err := Load(efs, "db")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			var got []base.FileNum
+			re.Current().AllFiles(func(_ int, f *FileMetadata) { got = append(got, f.FileNum) })
+			if !reflect.DeepEqual(got, []base.FileNum{101}) {
+				t.Fatalf("reloaded files %v, want [101]", got)
+			}
+			names, _ := efs.List("db")
+			manifests := 0
+			for _, name := range names {
+				if typ, _, ok := ParseFilename(name); ok && typ == FileTypeManifest {
+					manifests++
+				}
+			}
+			if manifests != 1 {
+				t.Fatalf("%d manifest files in %v, want 1", manifests, names)
+			}
+		})
+	}
 }

@@ -91,6 +91,9 @@ type VersionSet struct {
 	commitMu    sync.Mutex
 	writer      *wal.Writer
 	manifestNum base.FileNum
+	// tailInDoubt: a failed commit's record may sit at the manifest's tail;
+	// the next commit rolls before appending.
+	tailInDoubt bool
 
 	// The engine counters are atomics so allocation and stamping need no
 	// external lock. They only ever move forward.
@@ -280,51 +283,64 @@ func (vs *VersionSet) noteEditCounters(e *VersionEdit) {
 
 // LogAndApply durably records the edit, then installs the resulting
 // Version. Concurrent callers are serialized at the commit point.
-func (vs *VersionSet) LogAndApply(e *VersionEdit) error {
-	return vs.LogAndApplyFunc(func(*Version) (*VersionEdit, error) { return e, nil })
-}
+func (vs *VersionSet) LogAndApply(e *VersionEdit) error { return vs.Commit(e, nil, nil) }
 
-// LogAndApplyFunc builds an edit against the version current at the commit
-// point, then durably records and installs it — all atomically with respect
-// to other committers. Concurrent maintenance jobs use it to resolve
-// commit-time state (such as the output level's run id) without holding any
-// engine-wide lock across the manifest fsync. The build callback must not
-// block on locks ordered after the version set's commit mutex.
-func (vs *VersionSet) LogAndApplyFunc(build func(cur *Version) (*VersionEdit, error)) error {
+// Commit is the version set's one commit point. Under the commit mutex —
+// atomically with respect to other committers — it lets a non-nil finish
+// complete the edit against the version current then (so a maintenance job
+// can resolve commit-time state, such as the output level's run id, without
+// holding any engine-wide lock across the manifest fsync), durably records
+// the edit, and installs the version it produces. A non-nil install takes
+// over the installation: it is invoked once, after the append+fsync, with
+// the function that publishes the new version, and calls it under the
+// caller's own lock to make the install atomic with a caller-side state
+// change (a flush pops its immutable memtable this way). Neither callback may
+// block on a lock ordered before the commit mutex.
+//
+// On an error the edit is not installed, and unless the error wraps
+// ErrEditInDoubt no later Load will replay it either, so the caller may
+// unlink the files it added.
+func (vs *VersionSet) Commit(e *VersionEdit, finish func(cur *Version), install func(publish func())) error {
 	vs.commitMu.Lock()
 	defer vs.commitMu.Unlock()
-	e, err := build(vs.Current())
-	if err != nil {
-		return err
+	if finish != nil {
+		finish(vs.Current())
 	}
 	nv, err := vs.commitLocked(e)
 	if err != nil {
 		return err
 	}
-	vs.installVersion(nv)
+	if install != nil {
+		install(func() { vs.installVersion(nv) })
+	} else {
+		vs.installVersion(nv)
+	}
 	vs.noteEditCounters(e)
 	return nil
 }
 
-// LogAndApplyInstall durably records the edit like LogAndApply but hands the
-// installation point to the caller: after the manifest append+fsync, install
-// is invoked once with a commit function that publishes the resulting
-// version. The caller runs commit under its own lock, making the version
-// install atomic with a caller-side state change (a flush pops its immutable
-// memtable this way) without holding that lock across the manifest fsync.
-// install must call commit exactly once before returning, and must not block
-// on locks ordered before the version set's commit mutex.
-func (vs *VersionSet) LogAndApplyInstall(e *VersionEdit, install func(commit func())) error {
-	vs.commitMu.Lock()
-	defer vs.commitMu.Unlock()
-	nv, err := vs.commitLocked(e)
+// LoadRangeTombstones fills FileMetadata.RangeTombstones for the recovered
+// files that carry any — the manifest records only their count — and
+// rebuilds the current version over them. Open calls it once, before the
+// version set is reachable by any reader or committer.
+func (vs *VersionSet) LoadRangeTombstones(load func(base.FileNum) ([]base.RangeTombstone, error)) error {
+	var err error
+	vs.current.AllFiles(func(_ int, f *FileMetadata) {
+		if err == nil && f.NumRangeDeletes > 0 {
+			f.RangeTombstones, err = load(f.FileNum)
+		}
+	})
 	if err != nil {
 		return err
 	}
-	install(func() { vs.installVersion(nv) })
-	vs.noteEditCounters(e)
-	return nil
+	return vs.applyLocked(&VersionEdit{})
 }
+
+// ErrEditInDoubt marks a failed commit whose record may still sit in the
+// manifest log (the roll that forgets it failed too): the edit is not
+// installed, but a Load after a crash may replay it, so the files it adds
+// must stay on disk.
+var ErrEditInDoubt = errors.New("manifest: failed edit may still be in the log")
 
 // commitLocked stamps the engine counters into the edit, durably logs it,
 // and materializes (without installing) the version it produces. Caller
@@ -338,6 +354,17 @@ func (vs *VersionSet) commitLocked(e *VersionEdit) (*Version, error) {
 	e.NextFileNum = vs.NextFileNum()
 	e.LogNum = vs.LogNum()
 	e.NextRunID = vs.NextRunID()
+	// Apply first: an edit the version rejects never reaches the log.
+	nv, err := vs.current.Apply(e)
+	if err != nil {
+		return nil, err
+	}
+	if vs.tailInDoubt {
+		// Nothing may be appended behind a failed commit's record.
+		if err := vs.rollManifest(); err != nil {
+			return nil, err
+		}
+	}
 	// The record append and fsync deliberately stay under commitMu: the
 	// commit point IS durable-log order, so releasing the mutex before the
 	// sync would let a later version install ahead of an earlier edit's
@@ -346,14 +373,22 @@ func (vs *VersionSet) commitLocked(e *VersionEdit) (*Version, error) {
 	// engine mutex under commitMu), never held while waiting for it — so
 	// the hot paths never wait on this I/O.
 	//lint:ignore lockheld version-set commit point: log order must equal install order, so append+fsync stay under commitMu
-	if err := vs.writer.AddRecord(e.Encode()); err != nil {
-		return nil, err
+	err = vs.writer.AddRecord(e.Encode())
+	if err == nil {
+		//lint:ignore lockheld version-set commit point: the edit must be durable before the version it produces is installed
+		err = vs.writer.Sync()
 	}
-	//lint:ignore lockheld version-set commit point: the edit must be durable before the version it produces is installed
-	if err := vs.writer.Sync(); err != nil {
-		return nil, err
+	if err == nil {
+		return nv, nil
 	}
-	return vs.current.Apply(e)
+	// The record, or a torn piece of it, may be in the log, and a later Close
+	// or crash could make it durable. Forget it: roll to a fresh manifest
+	// that snapshots the installed version.
+	vs.tailInDoubt = true
+	if rerr := vs.rollManifest(); rerr != nil {
+		return nil, fmt.Errorf("%w: %w (manifest roll: %v)", ErrEditInDoubt, err, rerr)
+	}
+	return nil, err
 }
 
 // snapshotEdit captures the full current state as one edit.
@@ -375,14 +410,9 @@ func (vs *VersionSet) snapshotEdit() *VersionEdit {
 }
 
 // rollManifest starts a new manifest file seeded with a snapshot edit and
-// atomically repoints CURRENT at it.
+// atomically repoints CURRENT at it. On failure the old manifest, if any,
+// stays the one in use.
 func (vs *VersionSet) rollManifest() error {
-	if vs.writer != nil {
-		if err := vs.writer.Close(); err != nil {
-			return err
-		}
-		vs.writer = nil
-	}
 	num := vs.AllocFileNum()
 	path := MakeFilename(vs.dirname, FileTypeManifest, num)
 	f, err := vs.fs.Create(path)
@@ -392,49 +422,52 @@ func (vs *VersionSet) rollManifest() error {
 	w := wal.NewWriter(f)
 	snap := vs.snapshotEdit()
 	snap.NextFileNum = vs.NextFileNum() // includes the manifest's own number
-	if err := w.AddRecord(snap.Encode()); err != nil {
-		vfs.BestEffortClose(f)
-		return err
+	err = w.AddRecord(snap.Encode())
+	if err == nil {
+		err = w.Sync()
 	}
-	if err := w.Sync(); err != nil {
-		vfs.BestEffortClose(f)
-		return err
+	if err == nil {
+		err = vs.writeCurrent(path)
 	}
-
-	// Write CURRENT via a temp file + rename for atomicity.
-	tmp := filepath.Join(vs.dirname, "CURRENT.tmp")
-	cf, err := vs.fs.Create(tmp)
 	if err != nil {
 		vfs.BestEffortClose(f)
-		return err
-	}
-	if _, err := cf.Write([]byte(filepath.Base(path) + "\n")); err != nil {
-		vfs.BestEffortClose(cf)
-		vfs.BestEffortClose(f)
-		return err
-	}
-	if err := cf.Sync(); err != nil {
-		vfs.BestEffortClose(cf)
-		vfs.BestEffortClose(f)
-		return err
-	}
-	if err := cf.Close(); err != nil {
-		vfs.BestEffortClose(f)
-		return err
-	}
-	if err := vs.fs.Rename(tmp, MakeFilename(vs.dirname, FileTypeCurrent, 0)); err != nil {
-		vfs.BestEffortClose(f)
+		_ = vs.fs.Remove(path)
 		return err
 	}
 
+	if vs.writer != nil {
+		// Superseded: CURRENT no longer names it, so a close error loses nothing.
+		vfs.BestEffortClose(vs.writer)
+	}
 	oldNum := vs.manifestNum
-	vs.writer = w
-	vs.manifestNum = num
+	vs.writer, vs.manifestNum, vs.tailInDoubt = w, num, false
 	if oldNum != 0 {
 		// Best-effort removal of the superseded manifest.
 		_ = vs.fs.Remove(MakeFilename(vs.dirname, FileTypeManifest, oldNum))
 	}
 	return nil
+}
+
+// writeCurrent points CURRENT at the manifest, via a temp file + rename for
+// atomicity.
+func (vs *VersionSet) writeCurrent(manifestPath string) error {
+	tmp := filepath.Join(vs.dirname, "CURRENT.tmp")
+	cf, err := vs.fs.Create(tmp)
+	if err != nil {
+		return err
+	}
+	_, err = cf.Write([]byte(filepath.Base(manifestPath) + "\n"))
+	if err == nil {
+		err = cf.Sync()
+	}
+	if err != nil {
+		vfs.BestEffortClose(cf)
+		return err
+	}
+	if err := cf.Close(); err != nil {
+		return err
+	}
+	return vs.fs.Rename(tmp, MakeFilename(vs.dirname, FileTypeCurrent, 0))
 }
 
 // Close releases the manifest writer, waiting out any in-flight commit.

@@ -228,7 +228,7 @@ func (r *Router) fanOut(fn func(i int, db *core.DB) error) error {
 }
 
 // Put inserts or updates key on its owning shard.
-func (r *Router) Put(key, value []byte) error { return r.route(key).Put(key, value) }
+func (r *Router) Put(key, value []byte) error { return r.PutCtx(context.Background(), key, value) }
 
 // PutCtx is Put honoring ctx inside admission, stalls, and group commit.
 func (r *Router) PutCtx(ctx context.Context, key, value []byte) error {
@@ -236,7 +236,7 @@ func (r *Router) PutCtx(ctx context.Context, key, value []byte) error {
 }
 
 // Get returns the value for key from its owning shard.
-func (r *Router) Get(key []byte) ([]byte, error) { return r.route(key).Get(key) }
+func (r *Router) Get(key []byte) ([]byte, error) { return r.GetCtx(context.Background(), key) }
 
 // GetCtx is Get honoring ctx.
 func (r *Router) GetCtx(ctx context.Context, key []byte) ([]byte, error) {
@@ -245,8 +245,7 @@ func (r *Router) GetCtx(ctx context.Context, key []byte) ([]byte, error) {
 
 // GetAt reads key as of snap (nil reads the latest state).
 func (r *Router) GetAt(key []byte, snap *Snapshot) ([]byte, error) {
-	i := r.ShardFor(key)
-	return r.shards[i].GetAt(key, snap.sub(i))
+	return r.GetAtCtx(context.Background(), key, snap)
 }
 
 // GetAtCtx is GetAt honoring ctx.
@@ -257,7 +256,7 @@ func (r *Router) GetAtCtx(ctx context.Context, key []byte, snap *Snapshot) ([]by
 
 // Delete writes a point tombstone on key's owning shard; FADE on that shard
 // persists it within the DPT.
-func (r *Router) Delete(key []byte) error { return r.route(key).Delete(key) }
+func (r *Router) Delete(key []byte) error { return r.DeleteCtx(context.Background(), key) }
 
 // DeleteCtx is Delete honoring ctx.
 func (r *Router) DeleteCtx(ctx context.Context, key []byte) error {
@@ -272,7 +271,7 @@ func (r *Router) DeleteCtx(ctx context.Context, key []byte) error {
 // leave the tombstone on a subset (each shard's WAL makes its own commit
 // durable), in which case reissuing the delete is idempotent.
 func (r *Router) DeleteSecondaryRange(lo, hi base.DeleteKey) error {
-	return r.fanOut(func(_ int, db *core.DB) error { return db.DeleteSecondaryRange(lo, hi) })
+	return r.DeleteSecondaryRangeCtx(context.Background(), lo, hi)
 }
 
 // DeleteSecondaryRangeCtx is DeleteSecondaryRange honoring ctx on every

@@ -61,6 +61,8 @@ type WriterMeta struct {
 	Size uint64
 	// Props are the table's properties, also persisted in the file.
 	Props Properties
+	// RangeTombstones are the table's range tombstones, in file order.
+	RangeTombstones []base.RangeTombstone
 }
 
 // HasEntries reports whether any entry or range tombstone was added.
@@ -402,6 +404,7 @@ func (w *Writer) finish() error {
 			return err
 		}
 		ftr.rangeDel = h
+		w.meta.RangeTombstones = w.rangeDels
 	}
 
 	// Properties block.

@@ -51,7 +51,7 @@ var ioMethods = map[string]map[string]bool{
 		"Add": true, "AddRangeTombstone": true, "Finish": true, "Close": true,
 	},
 	"internal/manifest": {
-		"LogAndApply": true, "LogAndApplyFunc": true, "LogAndApplyInstall": true,
+		"LogAndApply": true, "Commit": true,
 		"Create": true, "Load": true, "Close": true,
 	},
 }

@@ -26,7 +26,7 @@
 // Cross-package call sites are covered by facts: every package exports the
 // may-acquire summary of its functions and its declared order edges, and
 // importing packages fold them into their own graphs — so core calling
-// manifest.LogAndApply is checked against manifest's locks without
+// manifest's VersionSet.Commit is checked against manifest's locks without
 // re-reading manifest's source.
 package lockorder
 

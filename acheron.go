@@ -35,8 +35,11 @@
 // per-tombstone persistence latency distribution.
 //
 // Range scans use a per-version cached sorted view (REMIX-style) so
-// steady-state iteration advances a single cursor instead of a k-way heap;
-// disable with Options.DisableReadViews. With Options.PrefixBloomLength
+// steady-state iteration advances a single cursor instead of a k-way heap.
+// A view is built once scans of its version have earned it — stepped over
+// as many entries as the version holds — so a tree that changes between
+// short scans never pays for views it would not reuse; disable with
+// Options.DisableReadViews. With Options.PrefixBloomLength
 // set, sstables also carry prefix Bloom filters and prefix scans
 // (IterOptions.Prefix) skip non-matching tables without opening them.
 package acheron

@@ -138,6 +138,7 @@ func main() {
 				"iter_reseeks":       float64(st.IterReseeks.Get()),
 				"view_builds":        float64(st.IterViewBuilds.Get()),
 				"view_hits":          float64(st.IterViewHits.Get()),
+				"view_deferred":      float64(st.IterViewDeferred.Get()),
 				"view_invalidations": float64(st.IterViewInvalidations.Get()),
 				"prefix_bloom_skips": float64(st.PrefixBloomSkips.Get()),
 				"scan_tables_opened": float64(st.IterTablesOpened.Get()),

@@ -85,7 +85,11 @@ func (c *Cache) Get(id, off uint64) ([]byte, bool) {
 
 // Put inserts a block. The cache takes ownership of data; callers must not
 // mutate it afterwards. Oversized blocks (bigger than a shard) are not
-// cached.
+// cached. A block is immutable for as long as anything references it: the
+// cache never writes into or recycles a buffer, eviction only drops its
+// reference, so a slice into a block a Get returned stays valid after the
+// block is evicted (the engine's point lookups rely on this to return a
+// value without copying it out of the block first).
 func (c *Cache) Put(id, off uint64, data []byte) {
 	k := blockKey{id, off}
 	s := c.shard(k)

@@ -144,18 +144,84 @@ func BenchmarkScan100(b *testing.B) {
 	d := benchPopulated(b, n, nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		it, err := d.NewIter(IterOptions{})
-		if err != nil {
+		benchScan(b, d, (i*7919)%n, 100)
+	}
+}
+
+// benchScan opens an iterator, seeks to key index from, steps over up to
+// limit live entries and closes it.
+func benchScan(b *testing.B, d *DB, from, limit int) {
+	it, err := d.NewIter(IterOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cnt := 0
+	for ok := it.SeekGE([]byte(fmt.Sprintf("k%014d", from))); ok && cnt < limit; ok = it.Next() {
+		cnt++
+	}
+	if err := it.Close(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkScan50AfterInstall times a 50-entry scan that is the first on a
+// freshly installed version (a flush lands between every two scans, outside
+// the timer): the mixed-traffic case, where a version is replaced before its
+// scans could amortise a sorted view over it.
+func BenchmarkScan50AfterInstall(b *testing.B) {
+	const n = 100_000
+	d := benchPopulated(b, n, nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if err := d.Put([]byte(fmt.Sprintf("k%014d", (i*31)%n)), testValue(uint64(i), i)); err != nil {
 			b.Fatal(err)
 		}
-		k := []byte(fmt.Sprintf("k%014d", (i*7919)%n))
-		cnt := 0
-		for ok := it.SeekGE(k); ok && cnt < 100; ok = it.Next() {
-			cnt++
-		}
-		if err := it.Close(); err != nil {
+		if err := d.Flush(); err != nil {
 			b.Fatal(err)
 		}
+		if i%8 == 7 { // keep the run count, and so the merge width, bounded
+			if err := d.CompactAll(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		benchScan(b, d, (i*7919)%n, 50)
+	}
+}
+
+// BenchmarkGetHitRangeTombstones is BenchmarkGetHit under KiWi with 0 and
+// with 100 live range tombstones (covering nothing): B/op and allocs/op must
+// not depend on the tombstone population.
+func BenchmarkGetHitRangeTombstones(b *testing.B) {
+	for _, live := range []int{0, 100} {
+		b.Run(fmt.Sprint(live), func(b *testing.B) {
+			const n = 100_000
+			d := benchPopulated(b, n, func(o *Options) {
+				o.PagesPerTile = 4
+				o.Compaction.Picker = compaction.PickFADE
+				o.Compaction.DPT = 1 << 40
+			})
+			for i := 0; i < live; i++ {
+				lo := base.DeleteKey(10*n + 10*i)
+				if err := d.DeleteSecondaryRange(lo, lo+5); err != nil {
+					b.Fatal(err)
+				}
+			}
+			// Left in the memtable: flushed, they would add a table to probe
+			// and the two cases would differ by more than the tombstones.
+			if got := d.mem.NumRangeDeletes(); got != live {
+				b.Fatalf("%d live range tombstones, want %d", got, live)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := []byte(fmt.Sprintf("k%014d", (i*2654435761)%n))
+				if _, err := d.Get(k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -55,9 +55,10 @@ type DB struct {
 	stats   Stats
 	cache   *tableCache
 	// readViews caches one REMIX-style sorted view per immutable version,
-	// keyed by *manifest.Version identity. Built lazily on first scan,
-	// invalidated (lock-free, after the install completes) whenever
-	// installEdit commits a new version.
+	// keyed by *manifest.Version identity. A view is built once scans of
+	// its version have earned it (newIter), and the cache is invalidated
+	// (lock-free, after the install completes) whenever installEdit commits
+	// a new version.
 	readViews *readview.Cache
 	// trace buffers structured engine events (op begin/end, stalls, job
 	// lifecycle, file lifecycle, checkpoints) and forwards them to
@@ -190,6 +191,7 @@ func Open(dirname string, opts Options) (*DB, error) {
 		d.readViews = readview.NewCache(4, readview.CacheStats{
 			Builds:        &d.stats.IterViewBuilds,
 			Hits:          &d.stats.IterViewHits,
+			Deferred:      &d.stats.IterViewDeferred,
 			Invalidations: &d.stats.IterViewInvalidations,
 		})
 	}
@@ -938,7 +940,8 @@ func (d *DB) removeTable(fn base.FileNum, announced bool) {
 
 // collectRangeTombstones gathers every range tombstone visible at rs.seq:
 // the memtables' and the version's own list, which arrived in the same
-// atomic install as the files carrying them.
+// atomic install as the files carrying them. Only the eager-job picker pays
+// for this copy (its job outlives the read state); reads ask covered.
 func collectRangeTombstones(rs readState) []base.RangeTombstone {
 	var out []base.RangeTombstone
 	add := func(rts []base.RangeTombstone) {
@@ -954,6 +957,47 @@ func collectRangeTombstones(rs readState) []base.RangeTombstone {
 	}
 	add(rs.version.RangeTombstones())
 	return out
+}
+
+// covered is the KiWi read-path filter: it reports whether a range tombstone
+// visible at rs.seq deletes an entry with delete key dk written at entrySeq.
+// The memtables' and the version's lists are immutable once loaded, so it
+// walks them in place; a memtable's list may have grown past rs.seq since
+// the read state was taken, hence the visibility filter on every tombstone.
+func (rs readState) covered(dk base.DeleteKey, entrySeq base.SeqNum) bool {
+	in := func(rts []base.RangeTombstone) bool {
+		for _, rt := range rts {
+			if rt.Seq <= rs.seq && rt.Covers(dk, entrySeq) {
+				return true
+			}
+		}
+		return false
+	}
+	if in(rs.mem.RangeTombstones()) {
+		return true
+	}
+	for _, e := range rs.imms {
+		if in(e.mem.RangeTombstones()) {
+			return true
+		}
+	}
+	return in(rs.version.RangeTombstones())
+}
+
+// hasRangeTombstones reports whether any of the read state's lists holds a
+// tombstone. Every tombstone visible at rs.seq reached its memtable before
+// that sequence number was published, so a false answer holds for the read
+// state's whole life: what a memtable's list gains later is newer than rs.seq.
+func (rs readState) hasRangeTombstones() bool {
+	if rs.mem.NumRangeDeletes() > 0 || len(rs.version.RangeTombstones()) > 0 {
+		return true
+	}
+	for _, e := range rs.imms {
+		if e.mem.NumRangeDeletes() > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Get returns the value of key, or ErrNotFound.
@@ -980,15 +1024,12 @@ func (d *DB) getAt(key []byte, snap *Snapshot) ([]byte, error) {
 		return nil, ErrNotFound
 	}
 	// Secondary range tombstones may invalidate the found version.
-	if d.opts.DeleteKeyFunc != nil {
-		dk := d.opts.DeleteKeyFunc(value)
-		for _, rt := range collectRangeTombstones(rs) {
-			if rt.Covers(dk, entrySeq) {
-				return nil, ErrNotFound
-			}
-		}
+	if d.opts.DeleteKeyFunc != nil && rs.covered(d.opts.DeleteKeyFunc(value), entrySeq) {
+		return nil, ErrNotFound
 	}
 	d.stats.GetHits.Add(1)
+	// value aliases a memtable node or an immutable table block (see
+	// getFromTable); this is the one copy a Get hit makes.
 	return append([]byte(nil), value...), nil
 }
 
@@ -1045,8 +1086,9 @@ func (d *DB) getFromTable(f *manifest.FileMetadata, key []byte, seq base.SeqNum)
 	if !ok || err != nil {
 		return 0, nil, 0, false, err
 	}
-	// The value aliases reader-internal buffers; copy before release.
-	return k, append([]byte(nil), v...), s, true, nil
+	// v aliases the table's block, which outlives the release: blocks are
+	// immutable and never recycled, cached or not. getAt makes the copy.
+	return k, v, s, true, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -32,9 +32,14 @@ type Iter struct {
 	d        *DB
 	merge    *iterator.Merge
 	opts     IterOptions
-	seq      base.SeqNum
-	rts      []base.RangeTombstone
+	rs       readState
 	releases []func()
+	// viewDeferred marks a scan that ran the plain merge because its
+	// version's sorted view was not yet earned; Close credits its steps.
+	viewDeferred bool
+	// rangeDels is false when no range tombstone can ever be visible to
+	// this scan, so settle skips the delete-key extraction per entry.
+	rangeDels bool
 
 	key     []byte
 	value   []byte
@@ -78,8 +83,8 @@ func (d *DB) newIter(opts IterOptions) (*Iter, error) {
 			}
 		}
 	}
-	it := &Iter{d: d, opts: opts, seq: rs.seq}
-	it.rts = collectRangeTombstones(rs)
+	it := &Iter{d: d, opts: opts, rs: rs}
+	it.rangeDels = d.opts.DeleteKeyFunc != nil && rs.hasRangeTombstones()
 
 	// One Concat per sorted run, in version order (L0 newest-run-first down
 	// to the last level) — the fixed run order a cached view's selectors
@@ -109,24 +114,24 @@ func (d *DB) newIter(opts IterOptions) (*Iter, error) {
 	// keyed by version identity, so snapshots and mid-scan compactions are
 	// naturally correct: this read state pins rs.version, and the view never
 	// describes anything else. Prefix scans bypass it — their filtered file
-	// set would not match the view's selector sequence.
-	usedView := false
-	if d.readViews != nil && opts.Prefix == nil && len(runIters) >= 2 &&
-		versionWithinViewCap(rs.version) {
-		view, err := d.readViews.Get(rs.version, func() (*readview.View, error) {
+	// set would not match the view's selector sequence. A build merges the
+	// whole version, so the cache runs it only once view-less scans of this
+	// version have stepped over that many entries themselves (Close credits
+	// them); until then, and after a failed build, the plain merge serves.
+	var view *readview.View
+	if n := rs.version.NumEntries(); d.readViews != nil && opts.Prefix == nil &&
+		len(runIters) >= 2 && n <= readViewMaxEntries {
+		view, err = d.readViews.Get(rs.version, n, func() (*readview.View, error) {
 			return readview.Build(runIters, readview.DefaultAnchorInterval)
 		})
-		if err == nil && view != nil {
-			// The same Concats serve as the view's cursors: Build may have
-			// walked them, but readview.Iter repositions every run on
-			// First/SeekGE.
-			sources = append(sources, readview.NewIter(view, runIters))
-			usedView = true
-		}
-		// On build failure fall back to the plain merge below; the failed
-		// entry was dropped, so a later scan retries.
+		it.viewDeferred = view == nil && err == nil
 	}
-	if !usedView {
+	if view != nil {
+		// The same Concats serve as the view's cursors: Build may have
+		// walked them, but readview.Iter repositions every run on
+		// First/SeekGE.
+		sources = append(sources, readview.NewIter(view, runIters))
+	} else {
 		sources = append(sources, runIters...)
 	}
 	it.merge = iterator.NewMerge(sources...)
@@ -195,14 +200,6 @@ func prefixSuccessor(prefix []byte) []byte {
 	return nil
 }
 
-// versionWithinViewCap reports whether the version's total entry count (from
-// file metadata) is within readViewMaxEntries.
-func versionWithinViewCap(v *manifest.Version) bool {
-	var total uint64
-	v.AllFiles(func(_ int, f *manifest.FileMetadata) { total += f.NumEntries })
-	return total <= readViewMaxEntries
-}
-
 // Close releases the iterator's pinned resources. Closing twice is safe.
 func (i *Iter) Close() error {
 	if !i.closed {
@@ -211,6 +208,9 @@ func (i *Iter) Close() error {
 			r()
 		}
 		i.releases = nil
+		if i.viewDeferred {
+			i.d.readViews.Credit(i.rs.version, uint64(i.stepped))
+		}
 		i.d.releaseReadState()
 	}
 	i.valid = false
@@ -309,7 +309,7 @@ func (i *Iter) settle(ok bool) bool {
 		i.stepped++
 
 		// Visibility: skip versions newer than the read sequence.
-		if ik.SeqNum() > i.seq {
+		if ik.SeqNum() > i.rs.seq {
 			ok = i.merge.Next()
 			continue
 		}
@@ -342,14 +342,5 @@ func (i *Iter) settle(ok bool) bool {
 
 // coveredByRangeTombstone applies the KiWi read-path filter.
 func (i *Iter) coveredByRangeTombstone(value []byte, seq base.SeqNum) bool {
-	if i.d.opts.DeleteKeyFunc == nil || len(i.rts) == 0 {
-		return false
-	}
-	dk := i.d.opts.DeleteKeyFunc(value)
-	for _, rt := range i.rts {
-		if rt.Covers(dk, seq) {
-			return true
-		}
-	}
-	return false
+	return i.rangeDels && i.rs.covered(i.d.opts.DeleteKeyFunc(value), seq)
 }

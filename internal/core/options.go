@@ -63,10 +63,11 @@ type Options struct {
 	// tables without opening them. 0 disables prefix filters (default);
 	// tables written either way remain readable by both configurations.
 	PrefixBloomLength int
-	// DisableReadViews turns off the cached sorted views built lazily over
-	// each version's runs (REMIX-style): with views on — the default — a
-	// range scan's steady-state Next advances a single run cursor instead
-	// of re-running the k-way heap merge per entry.
+	// DisableReadViews turns off the cached sorted views over each
+	// version's runs (REMIX-style): with views on — the default — a range
+	// scan's steady-state Next advances a single run cursor instead of
+	// re-running the k-way heap merge per entry. A view is built once scans
+	// of its version have stepped over as many entries as it holds.
 	DisableReadViews bool
 	// PagesPerTile enables the KiWi layout when > 1: that many delete-
 	// key-ordered pages per delete tile. Requires DeleteKeyFunc.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/base"
@@ -56,51 +57,62 @@ func collectScan(t *testing.T, it *Iter) ([]string, [][]byte) {
 	return ks, vs
 }
 
-// TestReadViewScanMatchesDisabled runs the same workload through two engines
-// — views on (default) and off — and requires byte-identical scans, full and
-// bounded, plus working view counters on the enabled engine.
-func TestReadViewScanMatchesDisabled(t *testing.T) {
+// openViewPair runs the same workload through two engines — views on
+// (default) and off — and returns them with the model both must match.
+func openViewPair(t *testing.T) (dOn, dOff *DB, m *model) {
+	t.Helper()
 	open := func(disable bool) (*DB, *model) {
 		opts := testOptions(vfs.NewMemFS(), &base.LogicalClock{})
 		opts.DisableReadViews = disable
-		d, err := Open("db", opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { d.Close() })
+		d := mustOpen(t, opts)
 		m := newModel()
 		fillMultiRun(t, d, m, 6, 300, 7)
 		return d, m
 	}
-	dOn, mOn := open(false)
-	dOff, _ := open(true)
+	dOn, m = open(false)
+	dOff, _ = open(true)
+	return dOn, dOff, m
+}
 
-	scan := func(d *DB, opts IterOptions) ([]string, [][]byte) {
+// scanIdentical runs one scan on both engines, requires byte-identical
+// results, and returns the internal entries the views-on scan stepped over.
+func scanIdentical(t *testing.T, dOn, dOff *DB, opts IterOptions) int64 {
+	t.Helper()
+	scan := func(d *DB) ([]string, [][]byte, int64) {
 		it, err := d.NewIter(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer it.Close()
-		return collectScan(t, it)
+		ks, vs := collectScan(t, it)
+		return ks, vs, it.Stepped()
 	}
+	kOn, vOn, stepped := scan(dOn)
+	kOff, vOff, _ := scan(dOff)
+	if len(kOn) != len(kOff) {
+		t.Fatalf("scan [%s, %s): %d keys with views vs %d without", opts.LowerBound, opts.UpperBound, len(kOn), len(kOff))
+	}
+	for i := range kOn {
+		if kOn[i] != kOff[i] || !bytes.Equal(vOn[i], vOff[i]) {
+			t.Fatalf("scan [%s, %s) entry %d: views=(%s) plain=(%s)", opts.LowerBound, opts.UpperBound, i, kOn[i], kOff[i])
+		}
+	}
+	return stepped
+}
 
+// TestReadViewScanMatchesDisabled requires byte-identical scans, full and
+// bounded, from the two engines, plus working view counters on the enabled
+// one.
+func TestReadViewScanMatchesDisabled(t *testing.T) {
+	dOn, dOff, mOn := openViewPair(t)
 	probes := []IterOptions{
 		{},
 		{LowerBound: []byte("key00100"), UpperBound: []byte("key00700")},
 		{LowerBound: []byte("key00500")},
 		{UpperBound: []byte("key00042")},
 	}
-	for pi, opts := range probes {
-		kOn, vOn := scan(dOn, opts)
-		kOff, vOff := scan(dOff, opts)
-		if len(kOn) != len(kOff) {
-			t.Fatalf("probe %d: %d keys with views vs %d without", pi, len(kOn), len(kOff))
-		}
-		for i := range kOn {
-			if kOn[i] != kOff[i] || !bytes.Equal(vOn[i], vOff[i]) {
-				t.Fatalf("probe %d entry %d: views=(%s) plain=(%s)", pi, i, kOn[i], kOff[i])
-			}
-		}
+	for _, opts := range probes {
+		scanIdentical(t, dOn, dOff, opts)
 	}
 	// The model agrees too.
 	checkEquivalence(t, dOn, mOn, 200)
@@ -113,6 +125,101 @@ func TestReadViewScanMatchesDisabled(t *testing.T) {
 	}
 	if dOff.stats.IterViewBuilds.Get() != 0 {
 		t.Fatalf("views disabled but %d were built", dOff.stats.IterViewBuilds.Get())
+	}
+}
+
+// TestReadViewEarnedOnStaticTree: on an unchanging multi-run tree, bounded
+// scans run the plain merge until together they have stepped over as many
+// entries as the version holds; the first scan opened after that builds the
+// view, exactly once, and every later one hits it — with results identical
+// to the views-off engine before, at and after the build.
+func TestReadViewEarnedOnStaticTree(t *testing.T) {
+	dOn, dOff, _ := openViewPair(t)
+	cost := int64(dOn.vs.Current().NumEntries())
+	if cost == 0 {
+		t.Fatal("fixture left nothing on disk")
+	}
+	// want counts what each scan must have been: deferred, the build, a hit.
+	var credit int64
+	var want struct{ deferred, builds, hits int64 }
+	for i := 0; want.hits < 5; i++ {
+		if i > 200 {
+			t.Fatalf("view still unearned after %d scans (credit %d of %d)", i, credit, cost)
+		}
+		lo := (i * 37) % 700
+		stepped := scanIdentical(t, dOn, dOff, IterOptions{
+			LowerBound: []byte(fmt.Sprintf("key%05d", lo)),
+			UpperBound: []byte(fmt.Sprintf("key%05d", lo+150)),
+		})
+		switch {
+		case credit < cost:
+			want.deferred++
+			credit += stepped
+		case want.builds == 0:
+			want.builds = 1
+		default:
+			want.hits++
+		}
+		got := want
+		got.deferred = dOn.stats.IterViewDeferred.Get()
+		got.builds = dOn.stats.IterViewBuilds.Get()
+		got.hits = dOn.stats.IterViewHits.Get()
+		if got != want {
+			t.Fatalf("scan %d (credit %d of %d): deferred/builds/hits = %+v, want %+v", i, credit, cost, got, want)
+		}
+	}
+	if want.deferred < 2 {
+		t.Fatalf("view earned after %d scans: the fixture no longer exercises deferral", want.deferred)
+	}
+}
+
+// TestReadViewNotBuiltUnderChurn: when every scan meets a freshly installed
+// version, no version's scans ever earn its view — each runs the plain merge,
+// correctly, and nothing is built.
+func TestReadViewNotBuiltUnderChurn(t *testing.T) {
+	d := mustOpen(t, testOptions(vfs.NewMemFS(), &base.LogicalClock{}))
+	m := newModel()
+	fillMultiRun(t, d, m, 4, 300, 13)
+	rng := rand.New(rand.NewSource(5))
+	const rounds = 50
+	for r := 0; r < rounds; r++ {
+		for i := 0; i < 20; i++ {
+			k := fmt.Sprintf("key%05d", rng.Intn(600))
+			v := testValue(uint64(100000+r*20+i), i)
+			if err := d.Put([]byte(k), v); err != nil {
+				t.Fatal(err)
+			}
+			m.put(k, v)
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		from := fmt.Sprintf("key%05d", rng.Intn(500))
+		keys := m.sortedKeys()
+		keys = keys[sort.SearchStrings(keys, from):]
+		it, err := d.NewIter(IterOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for ok := it.SeekGE([]byte(from)); ok && n < 50; ok = it.Next() {
+			if n >= len(keys) || string(it.Key()) != keys[n] || !bytes.Equal(it.Value(), m.data[keys[n]]) {
+				t.Fatalf("round %d entry %d: engine has %q, model disagrees", r, n, it.Key())
+			}
+			n++
+		}
+		if err := it.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n != min(50, len(keys)) {
+			t.Fatalf("round %d: scan returned %d entries, model has %d", r, n, min(50, len(keys)))
+		}
+	}
+	if got := d.stats.IterViewBuilds.Get(); got != 0 {
+		t.Fatalf("%d views built for versions that each served one short scan", got)
+	}
+	if got := d.stats.IterViewDeferred.Get(); got != rounds {
+		t.Fatalf("IterViewDeferred = %d, want %d", got, rounds)
 	}
 }
 

@@ -124,10 +124,13 @@ type Stats struct {
 	// reuse pattern the Concat same-child fast path and the view cache are
 	// built for.
 	IterReseeks metrics.Counter
-	// IterViewBuilds / IterViewHits / IterViewInvalidations trace the
-	// cached-sorted-view lifecycle: one build per (version, first scan),
-	// hits for every later scan of that version, invalidations when a
-	// version install drops the cache.
+	// IterViewDeferred / IterViewBuilds / IterViewHits /
+	// IterViewInvalidations trace the cached-sorted-view lifecycle. Every
+	// view-eligible scan counts as exactly one of the first three: deferred
+	// while its version's view is not yet earned (it ran the plain merge),
+	// the build once it is, a hit for every later scan of that version.
+	// Invalidations count cache entries a version install dropped.
+	IterViewDeferred      metrics.Counter
 	IterViewBuilds        metrics.Counter
 	IterViewHits          metrics.Counter
 	IterViewInvalidations metrics.Counter
@@ -237,8 +240,8 @@ func (s *Stats) String() string {
 	fmt.Fprintf(&b, "wal_appends=%d wal_syncs=%d iters=%d seeks=%d files_created=%d files_deleted=%d checkpoints=%d\n",
 		s.WALAppends.Get(), s.WALSyncs.Get(), s.ItersOpened.Get(), s.IterSeeks.Get(),
 		s.FilesCreated.Get(), s.FilesDeleted.Get(), s.Checkpoints.Get())
-	fmt.Fprintf(&b, "reseeks=%d view_builds=%d view_hits=%d view_invalidations=%d prefix_bloom_skips=%d scan_tables_opened=%d p99_scan_step_ns=%d\n",
-		s.IterReseeks.Get(), s.IterViewBuilds.Get(), s.IterViewHits.Get(), s.IterViewInvalidations.Get(),
+	fmt.Fprintf(&b, "reseeks=%d view_builds=%d view_hits=%d view_deferred=%d view_invalidations=%d prefix_bloom_skips=%d scan_tables_opened=%d p99_scan_step_ns=%d\n",
+		s.IterReseeks.Get(), s.IterViewBuilds.Get(), s.IterViewHits.Get(), s.IterViewDeferred.Get(), s.IterViewInvalidations.Get(),
 		s.PrefixBloomSkips.Get(), s.IterTablesOpened.Get(), s.IterScanLatency.Quantile(0.99))
 	fmt.Fprintf(&b, "p99_put_ns=%d p99_batch_ns=%d p99_get_ns=%d p99_seek_ns=%d\n",
 		s.PutLatency.Quantile(0.99), s.BatchLatency.Quantile(0.99),

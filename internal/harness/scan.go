@@ -100,6 +100,7 @@ func c4ScanRow(sc Scale, w string, runs int, disableViews bool) ([]string, error
 			return nil, err
 		}
 	}
+	live := int64(sc.KeySpace)
 	if w == "delete-heavy" {
 		// A newest run of tombstones over a third of the keys: Next() must
 		// step over interleaved deletions while settling.
@@ -107,14 +108,16 @@ func c4ScanRow(sc Scale, w string, runs int, disableViews bool) ([]string, error
 			if err := db.Delete([]byte(c4Key(i))); err != nil {
 				return nil, err
 			}
+			live--
 		}
 		if err := db.Flush(); err != nil {
 			return nil, err
 		}
 	}
 
-	// One warm-up scan builds the view and warms the table cache, so the
-	// timed scans measure the steady state.
+	// Two warm-up scans: the first earns the view (a full scan steps over
+	// the whole version) and warms the table cache, the second builds it, so
+	// the timed scans measure the steady state.
 	scan := func() (int64, error) {
 		it, err := db.NewIter(core.IterOptions{})
 		if err != nil {
@@ -125,10 +128,20 @@ func c4ScanRow(sc Scale, w string, runs int, disableViews bool) ([]string, error
 		for ok := it.First(); ok; ok = it.Next() {
 			n++
 		}
-		return n, it.Error()
+		if err := it.Error(); err != nil {
+			return 0, err
+		}
+		// Deferred, building or served by the view, with views on or off:
+		// every scan returns exactly the live keys.
+		if n != live {
+			return 0, fmt.Errorf("c4 %s views=%s: scanned %d keys, want %d", w, onOff(!disableViews), n, live)
+		}
+		return n, nil
 	}
-	if _, err := scan(); err != nil {
-		return nil, err
+	for warm := 0; warm < 2; warm++ {
+		if _, err := scan(); err != nil {
+			return nil, err
+		}
 	}
 	var steps int64
 	start := time.Now()

@@ -114,14 +114,20 @@ type Version struct {
 	// Levels[l] holds the level's runs, newest first.
 	Levels [NumLevels][]*Run
 
-	// rangeTombstones concatenates the files' range tombstones; computed
-	// once, when the version is built.
+	// rangeTombstones concatenates the files' range tombstones and
+	// numEntries sums their entry counts; both are computed once, when the
+	// version is built.
 	rangeTombstones []base.RangeTombstone
+	numEntries      uint64
 }
 
 // RangeTombstones returns every range tombstone carried by the version's
 // files. The slice is shared and immutable, like the version itself.
 func (v *Version) RangeTombstones() []base.RangeTombstone { return v.rangeTombstones }
+
+// NumEntries returns the total entry count of the version's files (from
+// file metadata): what one full merge over the version steps through.
+func (v *Version) NumEntries() uint64 { return v.numEntries }
 
 // LevelSize returns the total bytes at level l.
 func (v *Version) LevelSize(l int) uint64 {
@@ -282,6 +288,7 @@ func (v *Version) Apply(e *VersionEdit) (*Version, error) {
 	}
 	nv.AllFiles(func(_ int, f *FileMetadata) {
 		nv.rangeTombstones = append(nv.rangeTombstones, f.RangeTombstones...)
+		nv.numEntries += f.NumEntries
 	})
 	return nv, nil
 }

@@ -19,8 +19,13 @@ import (
 type MemTable struct {
 	list *skiplist.List
 
-	mu        sync.RWMutex // guards rangeDels only
-	rangeDels []base.RangeTombstone
+	// rangeDels is published copy-on-write: AddRangeTombstone stores a new
+	// slice, never appending in place, so a loaded slice is immutable and
+	// readers walk it with no lock and no copy. An add copies the list; a
+	// memtable holds few tombstones and is read far more often than that.
+	rangeDels atomic.Pointer[[]base.RangeTombstone]
+
+	mu sync.RWMutex // serializes rangeDels writers; guards the tombstone age
 
 	// writers tracks commit-pipeline appliers still inserting into this
 	// memtable. The pipeline acquires refs under the engine mutex while
@@ -68,7 +73,11 @@ func (m *MemTable) WaitWriters() { m.writers.Wait() }
 // AddRangeTombstone records a secondary-key range tombstone.
 func (m *MemTable) AddRangeTombstone(rt base.RangeTombstone) {
 	m.mu.Lock()
-	m.rangeDels = append(m.rangeDels, rt)
+	old := m.RangeTombstones()
+	next := make([]base.RangeTombstone, len(old)+1)
+	copy(next, old)
+	next[len(old)] = rt
+	m.rangeDels.Store(&next)
 	m.mu.Unlock()
 	m.noteTombstone(rt.CreatedAt)
 }
@@ -82,11 +91,14 @@ func (m *MemTable) noteTombstone(ts base.Timestamp) {
 	m.hasTombstone = true
 }
 
-// RangeTombstones returns a snapshot of the sidecar tombstones.
+// RangeTombstones returns the sidecar tombstones recorded so far. The slice
+// is shared and immutable: a later AddRangeTombstone publishes a new slice
+// and leaves this one unchanged. Callers must not modify it.
 func (m *MemTable) RangeTombstones() []base.RangeTombstone {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return append([]base.RangeTombstone(nil), m.rangeDels...)
+	if p := m.rangeDels.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // Get returns the newest entry for userKey visible at seq, along with the
@@ -114,11 +126,7 @@ func (m *MemTable) Len() int { return m.list.Len() }
 func (m *MemTable) NumDeletes() int64 { return m.numDeletes.Load() }
 
 // NumRangeDeletes returns the number of range tombstones.
-func (m *MemTable) NumRangeDeletes() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.rangeDels)
-}
+func (m *MemTable) NumRangeDeletes() int { return len(m.RangeTombstones()) }
 
 // Empty reports whether the memtable holds no entries of any kind.
 func (m *MemTable) Empty() bool { return m.Len() == 0 && m.NumRangeDeletes() == 0 }

@@ -82,10 +82,60 @@ func TestRangeTombstoneSidecar(t *testing.T) {
 	if len(rts) != 2 || rts[0].Lo != 1 || rts[1].Lo != 7 {
 		t.Fatalf("RangeTombstones = %v", rts)
 	}
-	// The returned slice is a snapshot.
-	rts[0].Lo = 99
-	if m.RangeTombstones()[0].Lo != 1 {
-		t.Fatal("RangeTombstones aliased internal state")
+	// A slice obtained before an add is unchanged by it, spare capacity
+	// included: the list is published copy-on-write.
+	m.AddRangeTombstone(base.RangeTombstone{Lo: 11, Hi: 13, Seq: 3, CreatedAt: 3})
+	if len(rts) != 2 || rts[0].Lo != 1 || rts[1].Lo != 7 {
+		t.Fatalf("earlier slice changed by a later add: %v", rts)
+	}
+	if grown := rts[:cap(rts)]; len(grown) > 2 && grown[2].Lo == 11 {
+		t.Fatal("a later add wrote into an earlier slice's backing array")
+	}
+	if now := m.RangeTombstones(); len(now) != 3 || now[2].Lo != 11 {
+		t.Fatalf("RangeTombstones after third add = %v", now)
+	}
+}
+
+// TestMemTableRangeTombstonesConcurrent: readers walk RangeTombstones() with
+// no lock while a writer keeps adding; every slice a reader loads is a
+// complete, ordered prefix of what was added.
+func TestMemTableRangeTombstonesConcurrent(t *testing.T) {
+	const adds = 2000
+	m := New()
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for last := 0; ; {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				rts := m.RangeTombstones()
+				if len(rts) < last {
+					t.Errorf("list shrank: %d after %d", len(rts), last)
+					return
+				}
+				last = len(rts)
+				for i, rt := range rts {
+					if rt.Seq != base.SeqNum(i+1) {
+						t.Errorf("entry %d of %d has seq %d", i, len(rts), rt.Seq)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 0; i < adds; i++ {
+		m.AddRangeTombstone(base.RangeTombstone{Lo: 0, Hi: base.DeleteKey(i + 1), Seq: base.SeqNum(i + 1), CreatedAt: 1})
+	}
+	close(done)
+	wg.Wait()
+	if m.NumRangeDeletes() != adds {
+		t.Fatalf("NumRangeDeletes = %d, want %d", m.NumRangeDeletes(), adds)
 	}
 }
 

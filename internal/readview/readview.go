@@ -11,8 +11,8 @@
 // forward.
 //
 // A View covers exactly the runs of one immutable manifest version, so it
-// is built once per version (lazily, on first scan) and shared by every
-// iterator over that version — including snapshot reads, because the view
+// is built at most once per version (once scans of the version have earned
+// it, see Cache) and shared by every iterator over that version — including snapshot reads, because the view
 // records the raw physical merge (all versions and tombstones); visibility
 // filtering stays in the engine's iterator. When a flush or compaction
 // installs a new version the cache entry is invalidated; scans already

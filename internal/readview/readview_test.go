@@ -246,6 +246,42 @@ func TestViewSeekErrorPropagates(t *testing.T) {
 	}
 }
 
+// TestCacheAdmission: a view is built only once the steps credited to its
+// key reach the build's cost; until then Get defers, and credit dies with
+// Invalidate.
+func TestCacheAdmission(t *testing.T) {
+	var builds, hits, deferred metrics.Counter
+	c := NewCache(2, CacheStats{Builds: &builds, Hits: &hits, Deferred: &deferred})
+	key := &struct{ int }{}
+	build := func() (*View, error) { return Build(nil, 0) }
+	counts := func() [3]int64 { return [3]int64{deferred.Get(), builds.Get(), hits.Get()} }
+
+	c.Credit(key, 1000) // untracked key: dropped, not banked
+	for i := 0; i < 3; i++ {
+		if v, err := c.Get(key, 100, build); v != nil || err != nil {
+			t.Fatalf("unearned Get %d = (%v, %v), want (nil, nil)", i, v, err)
+		}
+		c.Credit(key, 33)
+	}
+	if got := counts(); got != [3]int64{3, 0, 0} {
+		t.Fatalf("deferred/builds/hits = %v after 99 of 100 steps", got)
+	}
+	c.Credit(key, 1)
+	for i := 0; i < 3; i++ {
+		if v, err := c.Get(key, 100, build); v == nil || err != nil {
+			t.Fatalf("earned Get %d = (%v, %v)", i, v, err)
+		}
+	}
+	if got := counts(); got != [3]int64{3, 1, 2} {
+		t.Fatalf("deferred/builds/hits = %v, want one build then hits", got)
+	}
+
+	c.Invalidate()
+	if v, _ := c.Get(key, 100, build); v != nil {
+		t.Fatal("credit survived Invalidate")
+	}
+}
+
 func TestCacheSingleFlightConcurrent(t *testing.T) {
 	var builds, hits, invals metrics.Counter
 	c := NewCache(2, CacheStats{Builds: &builds, Hits: &hits, Invalidations: &invals})
@@ -265,7 +301,7 @@ func TestCacheSingleFlightConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := c.Get(key, build); err != nil {
+			if _, err := c.Get(key, 0, build); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -289,7 +325,7 @@ func TestCacheSingleFlightConcurrent(t *testing.T) {
 		t.Fatalf("cache still holds %d entries", c.Len())
 	}
 	// Rebuild after invalidation.
-	if _, err := c.Get(key, build); err != nil {
+	if _, err := c.Get(key, 0, build); err != nil {
 		t.Fatal(err)
 	}
 	if built != 2 {
@@ -301,13 +337,13 @@ func TestCacheEvictsOldestAndRetriesFailedBuilds(t *testing.T) {
 	c := NewCache(2, CacheStats{})
 	ok := func() (*View, error) { return Build(nil, 0) }
 	k1, k2, k3 := &struct{ int }{}, &struct{ int }{}, &struct{ int }{}
-	if _, err := c.Get(k1, ok); err != nil {
+	if _, err := c.Get(k1, 0, ok); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(k2, ok); err != nil {
+	if _, err := c.Get(k2, 0, ok); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(k3, ok); err != nil {
+	if _, err := c.Get(k3, 0, ok); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 2 {
@@ -316,11 +352,16 @@ func TestCacheEvictsOldestAndRetriesFailedBuilds(t *testing.T) {
 
 	fail := errors.New("build failed")
 	kf := &struct{ int }{}
-	if _, err := c.Get(kf, func() (*View, error) { return nil, fail }); !errors.Is(err, fail) {
+	if v, err := c.Get(kf, 10, ok); v != nil || err != nil {
+		t.Fatalf("unearned Get = (%v, %v)", v, err)
+	}
+	c.Credit(kf, 10)
+	if _, err := c.Get(kf, 10, func() (*View, error) { return nil, fail }); !errors.Is(err, fail) {
 		t.Fatalf("err = %v", err)
 	}
-	// The failed entry must not be pinned: a retry builds fresh.
-	if v, err := c.Get(kf, ok); err != nil || v == nil {
+	// The failure must not be pinned, nor cost the entry its credit: the
+	// very next Get builds afresh.
+	if v, err := c.Get(kf, 10, ok); err != nil || v == nil {
 		t.Fatalf("retry after failed build: %v %v", v, err)
 	}
 }

@@ -217,7 +217,10 @@ func (r *Reader) MayContainPrefix(prefix []byte) bool {
 }
 
 // readBlock fetches a block — from the block cache when attached — and
-// verifies its CRC trailer on a cache miss.
+// verifies its CRC trailer on a cache miss. The returned buffer is immutable
+// and never recycled, whether it came from the cache or was freshly read:
+// slices into it (iterator keys and values) outlive the iterator, the table
+// cache's release of this reader, and the block's eviction.
 func (r *Reader) readBlock(h BlockHandle) ([]byte, error) {
 	if r.blockCache != nil {
 		if data, ok := r.blockCache.Get(r.cacheID, h.Offset); ok {

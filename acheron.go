@@ -19,6 +19,12 @@
 //     tiles, so DeleteSecondaryRange can drop whole pages — or whole files
 //     — without a full tree merge.
 //
+// The tree's layout is one setting, Options.Compaction.Policy: leveled,
+// size-tiered or lazy-leveling differ only in where the region kept as a
+// single sorted run per level starts, and share one picker and the FADE
+// trigger, so the DPT holds under each. A store may be reopened under
+// another policy; compaction converges it to the new shape.
+//
 // # Quick start
 //
 //	db, err := acheron.Open(dir, acheron.Options{
@@ -95,12 +101,6 @@ type JobKind = core.JobKind
 // DPT.
 type CompactionOptions = compaction.Options
 
-// CompactionPolicy is the layout-policy abstraction: it decides how many
-// sorted runs each level may hold, when a level is saturated, and which
-// files compact next. All built-in policies share the FADE machinery, so
-// the delete-persistence guarantee (DPT) holds under any of them.
-type CompactionPolicy = compaction.Policy
-
 // PolicyKind selects a built-in compaction policy in CompactionOptions.
 type PolicyKind = compaction.PolicyKind
 
@@ -119,20 +119,9 @@ const (
 )
 
 // ParsePolicyKind parses a policy name ("leveled", "size-tiered",
-// "lazy-leveling", plus common aliases) into a PolicyKind, reporting
-// whether the name was recognized.
+// "lazy-leveling"; "" and "default" select PolicyDefault) into a
+// PolicyKind, reporting whether the name was recognized.
 func ParsePolicyKind(s string) (PolicyKind, bool) { return compaction.ParsePolicyKind(s) }
-
-// NewLeveledPolicy returns the classic leveling policy for o.
-func NewLeveledPolicy(o CompactionOptions) CompactionPolicy { return compaction.NewLeveled(o) }
-
-// NewSizeTieredPolicy returns the size-tiering policy for o.
-func NewSizeTieredPolicy(o CompactionOptions) CompactionPolicy { return compaction.NewSizeTiered(o) }
-
-// NewLazyLevelingPolicy returns the lazy-leveling policy for o.
-func NewLazyLevelingPolicy(o CompactionOptions) CompactionPolicy {
-	return compaction.NewLazyLeveling(o)
-}
 
 // Event is one structured trace event: an operation begin/end, a write
 // stall, a maintenance-job lifecycle step, a file create/delete, or a

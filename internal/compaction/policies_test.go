@@ -1,15 +1,39 @@
 package compaction
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/base"
 	"repro/internal/manifest"
 )
 
-// Tests for the Policy implementations as such: kind dispatch, the
-// per-level shape queries (MaxRunsAt / Saturated / LeveledOutputAt), and
-// each policy's Pick logic including in-flight disjointness. The legacy
-// picker behaviour shared by all policies is covered in policy_test.go.
+// Tests for the three settings of the Layout as such: kind dispatch, each
+// policy's shape as Pick shows it (how many runs a level holds before it is
+// due, what saturates it, where outputs join a run), and in-flight
+// disjointness. The picker behaviour common to all three is covered in
+// policy_test.go.
+
+func sizeTiered(o Options) *Layout {
+	o.Policy = PolicySizeTiered
+	return o.NewLayout()
+}
+
+func lazyLeveling(o Options) *Layout {
+	o.Policy = PolicyLazyLeveling
+	return o.NewLayout()
+}
+
+// runsAt returns a version holding n one-file runs of the given file size
+// at level l.
+func runsAt(t *testing.T, l, n int, size uint64) *manifest.Version {
+	t.Helper()
+	v := &manifest.Version{}
+	for i := 0; i < n; i++ {
+		v = addFiles(t, v, l, uint64(i+1), file(i+1, "a", "z", size))
+	}
+	return v
+}
 
 func TestPolicyKindDispatch(t *testing.T) {
 	cases := []struct {
@@ -21,25 +45,47 @@ func TestPolicyKindDispatch(t *testing.T) {
 		{Options{Policy: PolicyLazyLeveling}, "lazy-leveling"},
 	}
 	for _, c := range cases {
-		if got := c.o.NewPolicy().Name(); got != c.name {
-			t.Errorf("NewPolicy(%+v).Name() = %q, want %q", c.o, got, c.name)
+		if got := c.o.NewLayout().Name(); got != c.name {
+			t.Errorf("NewLayout(%+v).Name() = %q, want %q", c.o, got, c.name)
 		}
 	}
 }
 
 // TestPolicyDefaultIsLeveled: the zero Policy — what a zero Options, an
-// empty -policy flag and "default" all produce — is the leveled layout.
+// empty -policy flag and "default" all produce — is the leveled layout: it
+// carries that name and picks what PolicyLeveled picks.
 func TestPolicyDefaultIsLeveled(t *testing.T) {
-	if _, ok := (Options{}).NewPolicy().(*Leveled); !ok {
-		t.Fatalf("Options{}.NewPolicy() = %T, want *Leveled", Options{}.NewPolicy())
-	}
 	for _, name := range []string{"", "default"} {
 		kind, ok := ParsePolicyKind(name)
 		if !ok || kind != PolicyDefault {
 			t.Fatalf("ParsePolicyKind(%q) = %v,%v", name, kind, ok)
 		}
-		if got := (Options{Policy: kind}).NewPolicy().Name(); got != "leveled" {
-			t.Fatalf("policy %q builds %q, want leveled", name, got)
+	}
+	if got := (Options{}).WithDefaults().Policy; got != PolicyLeveled {
+		t.Fatalf("WithDefaults leaves Policy = %v, want leveled", got)
+	}
+	o := Options{SizeRatio: 4, BaseLevelBytes: 1000, DPT: 100, Picker: PickFADE}
+	def := o.NewLayout()
+	o.Policy = PolicyLeveled
+	lvl := o.NewLayout()
+	if def.Name() != "leveled" || lvl.Name() != "leveled" {
+		t.Fatalf("names %q / %q, want leveled", def.Name(), lvl.Name())
+	}
+	l1 := addFiles(t, &manifest.Version{}, 1, 1, file(1, "a", "f", 600), tombFile(2, "g", "m", 600, 0, 3))
+	l1 = addFiles(t, l1, 2, 2, file(3, "a", "c", 500))
+	for name, v := range map[string]*manifest.Version{
+		"l0":         runsAt(t, 0, 4, 100),
+		"saturation": l1,
+		"two-runs":   runsAt(t, 1, 2, 100),
+	} {
+		for _, now := range []base.Timestamp{0, 5000} { // before and after the tombstone's deadline
+			want := lvl.Pick(v, now, false, nil)
+			if want == nil {
+				t.Fatalf("%s now=%d: leveled picked nothing", name, now)
+			}
+			if got := def.Pick(v, now, false, nil); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s now=%d: default picked %+v, leveled %+v", name, now, got, want)
+			}
 		}
 	}
 }
@@ -51,14 +97,16 @@ func TestParsePolicyKind(t *testing.T) {
 		ok   bool
 	}{
 		{"leveled", PolicyLeveled, true},
-		{"leveling", PolicyLeveled, true},
 		{"size-tiered", PolicySizeTiered, true},
-		{"tiering", PolicySizeTiered, true},
 		{"lazy-leveling", PolicyLazyLeveling, true},
-		{"lazy", PolicyLazyLeveling, true},
 		{"", PolicyDefault, true},
 		{"default", PolicyDefault, true},
 		{"bogus", PolicyDefault, false},
+		// The pre-PR-13 -shape names are gone with the flag.
+		{"leveling", PolicyDefault, false},
+		{"tiered", PolicyDefault, false},
+		{"tiering", PolicyDefault, false},
+		{"lazy", PolicyDefault, false},
 	}
 	for _, c := range cases {
 		kind, ok := ParsePolicyKind(c.in)
@@ -75,37 +123,36 @@ func TestParsePolicyKind(t *testing.T) {
 }
 
 func TestSizeTieredShapeQueries(t *testing.T) {
-	p := NewSizeTiered(Options{SizeRatio: 4, L0Threshold: 3, BaseLevelBytes: 1000})
-	v := &manifest.Version{}
-	for i := 0; i < 4; i++ {
-		v = addFiles(t, v, 1, uint64(i+1), file(i+1, "a", "z", 100))
+	p := sizeTiered(Options{SizeRatio: 4, L0Threshold: 3, BaseLevelBytes: 1000})
+	// A level is due at its run limit and not one run earlier: L0Threshold
+	// at L0, SizeRatio below; every output starts a fresh run.
+	for _, l := range []int{0, 1, 5} {
+		limit := 4
+		if l == 0 {
+			limit = 3
+		}
+		if c := p.Pick(runsAt(t, l, limit-1, 100), 0, false, nil); c != nil {
+			t.Fatalf("L%d with %d runs picked %+v", l, limit-1, c)
+		}
+		c := p.Pick(runsAt(t, l, limit, 100), 0, false, nil)
+		if c == nil || c.StartLevel != l || len(c.Inputs) != limit {
+			t.Fatalf("L%d at its %d-run limit: got %+v", l, limit, c)
+		}
+		if !c.OutputToNewRun || len(c.OutputRunFiles) != 0 {
+			t.Fatalf("size-tiered output at L%d should start a fresh run: %+v", l+1, c)
+		}
 	}
-	if p.MaxRunsAt(v, 0) != 3 || p.MaxRunsAt(v, 1) != 4 || p.MaxRunsAt(v, 5) != 4 {
-		t.Fatal("MaxRunsAt: want L0Threshold at L0, SizeRatio below")
-	}
-	if !p.Saturated(v, 1) {
-		t.Fatal("level at SizeRatio runs must be saturated")
-	}
-	if p.Saturated(v, 2) {
-		t.Fatal("empty level saturated")
+	// With an empty L2 beside a saturated L1, L1 is the level picked.
+	if c := p.Pick(runsAt(t, 1, 4, 100), 0, false, nil); c.Trigger != TriggerSaturation || c.StartLevel != 1 {
+		t.Fatalf("saturated L1: %+v", c)
 	}
 	// Byte size never saturates a tiered level, however huge.
-	v2 := addFiles(t, &manifest.Version{}, 1, 1, file(1, "a", "z", 1<<40))
-	if p.Saturated(v2, 1) {
-		t.Fatal("tiering must ignore byte saturation")
+	if c := p.Pick(runsAt(t, 1, 1, 1<<40), 0, false, nil); c != nil {
+		t.Fatalf("tiering must ignore byte saturation, got %+v", c)
 	}
 	// The bottom level can never be saturated (nowhere to go).
-	vb := &manifest.Version{}
-	for i := 0; i < 6; i++ {
-		vb = addFiles(t, vb, manifest.NumLevels-1, uint64(i+1), file(i+1, "a", "z", 100))
-	}
-	if p.Saturated(vb, manifest.NumLevels-1) {
-		t.Fatal("bottom level reported saturated")
-	}
-	for l := 0; l < manifest.NumLevels; l++ {
-		if p.LeveledOutputAt(v, l) {
-			t.Fatalf("size-tiered output at L%d should start a fresh run", l)
-		}
+	if c := p.Pick(runsAt(t, manifest.NumLevels-1, 6, 100), 0, false, nil); c != nil {
+		t.Fatalf("bottom level picked: %+v", c)
 	}
 }
 
@@ -116,7 +163,7 @@ func TestSizeTieredPickOutputsNewRun(t *testing.T) {
 	}
 	// The output level already holds a run; tiering must not merge into it.
 	v = addFiles(t, v, 3, 9, file(9, "a", "z", 100))
-	p := NewSizeTiered(Options{SizeRatio: 4, BaseLevelBytes: 1 << 30})
+	p := sizeTiered(Options{SizeRatio: 4, BaseLevelBytes: 1 << 30})
 	c := p.Pick(v, 0, false, nil)
 	if c == nil || c.Trigger != TriggerSaturation {
 		t.Fatalf("expected saturation pick, got %+v", c)
@@ -134,7 +181,7 @@ func TestSizeTieredTTLPullsNextLevel(t *testing.T) {
 	v = addFiles(t, v, 1, 1, tombFile(1, "a", "m", 100, 0, 2))
 	v = addFiles(t, v, 2, 2, file(2, "a", "h", 100))
 	v = addFiles(t, v, 2, 3, file(3, "h", "z", 100))
-	p := NewSizeTiered(Options{SizeRatio: 4, BaseLevelBytes: 1 << 30, DPT: 100, Picker: PickFADE})
+	p := sizeTiered(Options{SizeRatio: 4, BaseLevelBytes: 1 << 30, DPT: 100, Picker: PickFADE})
 	c := p.Pick(v, 5000, false, nil)
 	if c == nil || c.Trigger != TriggerTTL {
 		t.Fatalf("expected TTL pick, got %+v", c)
@@ -160,7 +207,7 @@ func TestSizeTieredPickSkipsClaimedLevel(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		v = addFiles(t, v, 1, uint64(i+1), file(i+1, "a", "z", 100))
 	}
-	p := NewSizeTiered(Options{SizeRatio: 4, BaseLevelBytes: 1 << 30})
+	p := sizeTiered(Options{SizeRatio: 4, BaseLevelBytes: 1 << 30})
 	if c := p.Pick(v, 0, false, NewInFlightSet()); c == nil {
 		t.Fatal("no pick with an empty in-flight set")
 	}
@@ -178,61 +225,64 @@ func TestSizeTieredPickSkipsClaimedLevel(t *testing.T) {
 }
 
 func TestLazyLastLevelTracksDepth(t *testing.T) {
+	p := lazyLeveling(Options{})
 	v := &manifest.Version{}
-	if lazyLastLevel(v) != 1 {
+	if p.firstLeveled(v) != 1 {
 		t.Fatal("empty tree should level into L1")
 	}
 	v = addFiles(t, v, 0, 1, file(1, "a", "z", 100))
-	if lazyLastLevel(v) != 1 {
+	if p.firstLeveled(v) != 1 {
 		t.Fatal("L0-only tree should level into L1")
 	}
 	v = addFiles(t, v, 3, 2, file(2, "a", "z", 100))
-	if lazyLastLevel(v) != 3 {
-		t.Fatalf("lazyLastLevel = %d, want deepest populated level 3", lazyLastLevel(v))
+	if got := p.firstLeveled(v); got != 3 {
+		t.Fatalf("firstLeveled = %d, want deepest populated level 3", got)
 	}
 }
 
 func TestLazyLevelingShapeQueries(t *testing.T) {
-	p := NewLazyLeveling(Options{SizeRatio: 4, L0Threshold: 3, BaseLevelBytes: 1000})
-	v := &manifest.Version{}
-	v = addFiles(t, v, 1, 1, file(1, "a", "m", 100))
-	v = addFiles(t, v, 3, 2, file(2, "a", "z", 100)) // last level
+	p := lazyLeveling(Options{SizeRatio: 4, L0Threshold: 3, BaseLevelBytes: 1000})
+	last := func(v *manifest.Version) *manifest.Version { // L3 is the last level
+		return addFiles(t, v, 3, 9, file(9, "a", "z", 100))
+	}
 
-	if p.MaxRunsAt(v, 0) != 3 {
-		t.Fatal("L0 governed by L0Threshold")
-	}
-	if p.MaxRunsAt(v, 1) != 4 || p.MaxRunsAt(v, 2) != 4 {
-		t.Fatal("tiered upper levels hold up to SizeRatio runs")
-	}
-	if p.MaxRunsAt(v, 3) != 1 || p.MaxRunsAt(v, 4) != 1 {
-		t.Fatal("the last level (and deeper) holds a single run")
-	}
-	for l := 0; l < 3; l++ {
-		if p.LeveledOutputAt(v, l) {
-			t.Fatalf("output into tiered L%d should start a fresh run", l)
+	// L0 is governed by L0Threshold, the tiered upper levels hold up to
+	// SizeRatio runs, and outputs into them start a fresh run.
+	for _, l := range []int{0, 1} {
+		limit := 4
+		if l == 0 {
+			limit = 3
+		}
+		if c := p.Pick(last(runsAt(t, l, limit-1, 1)), 0, false, nil); c != nil {
+			t.Fatalf("L%d with %d runs picked %+v", l, limit-1, c)
+		}
+		c := p.Pick(last(runsAt(t, l, limit, 1)), 0, false, nil)
+		if c == nil || c.StartLevel != l || len(c.Inputs) != limit || !c.OutputToNewRun {
+			t.Fatalf("tiered L%d at its %d-run limit, output into tiered L%d: got %+v", l, limit, l+1, c)
 		}
 	}
-	if !p.LeveledOutputAt(v, 3) || !p.LeveledOutputAt(v, 4) {
-		t.Fatal("output into (or past) the last level must merge into its run")
+	// An output into the last level merges into its run.
+	c := p.Pick(last(runsAt(t, 2, 4, 1)), 0, false, nil)
+	if c == nil || c.StartLevel != 2 || c.OutputToNewRun || len(c.OutputRunFiles) != 1 {
+		t.Fatalf("output into the last level must merge into its run: %+v", c)
+	}
+	// The last level holds a single run: a second one makes it due at
+	// once, whole, and the merge extends the leveled region past it.
+	two := addFiles(t, last(&manifest.Version{}), 3, 10, file(10, "a", "z", 100))
+	c = p.Pick(two, 0, false, nil)
+	if c == nil || c.StartLevel != 3 || len(c.Inputs) != 2 || c.OutputToNewRun {
+		t.Fatalf("two runs on the last level: %+v", c)
 	}
 
-	// Saturation: run count on tiered levels, bytes on the last level.
-	vt := &manifest.Version{}
-	for i := 0; i < 4; i++ {
-		vt = addFiles(t, vt, 1, uint64(i+1), file(i+1, "a", "z", 1))
-	}
-	vt = addFiles(t, vt, 3, 9, file(9, "a", "z", 100))
-	if !p.Saturated(vt, 1) {
-		t.Fatal("tiered level at SizeRatio runs must be saturated")
-	}
-	// LevelCapacity(3) = 1000 * 4^2 = 16000.
+	// Saturation on the last level is by bytes: LevelCapacity(3) =
+	// 1000 * 4^2 = 16000.
 	vb := addFiles(t, &manifest.Version{}, 3, 1, file(1, "a", "z", 20_000))
-	if !p.Saturated(vb, 3) {
-		t.Fatal("last level over byte capacity must be saturated")
+	if c := p.Pick(vb, 0, false, nil); c == nil || c.Trigger != TriggerSaturation || c.StartLevel != 3 {
+		t.Fatalf("last level over byte capacity must be saturated, got %+v", c)
 	}
 	vs := addFiles(t, &manifest.Version{}, 3, 1, file(1, "a", "z", 15_000))
-	if p.Saturated(vs, 3) {
-		t.Fatal("last level under capacity reported saturated")
+	if c := p.Pick(vs, 0, false, nil); c != nil {
+		t.Fatalf("last level under capacity picked %+v", c)
 	}
 }
 
@@ -244,7 +294,7 @@ func TestLazyLevelingTieredMergeShape(t *testing.T) {
 		v = addFiles(t, v, 1, uint64(i+1), file(i+1, "a", "z", 10))
 	}
 	v = addFiles(t, v, 3, 9, file(9, "a", "z", 100))
-	p := NewLazyLeveling(Options{SizeRatio: 4, BaseLevelBytes: 1 << 30})
+	p := lazyLeveling(Options{SizeRatio: 4, BaseLevelBytes: 1 << 30})
 	c := p.Pick(v, 0, false, nil)
 	if c == nil || c.Trigger != TriggerSaturation || c.StartLevel != 1 {
 		t.Fatalf("expected L1 saturation pick, got %+v", c)
@@ -277,7 +327,7 @@ func TestLazyLevelingSaturatedLastEvictsOneFile(t *testing.T) {
 	v = addFiles(t, v, 2, 1,
 		file(1, "a", "f", 3000),
 		file(2, "g", "m", 3000))
-	p := NewLazyLeveling(Options{SizeRatio: 4, BaseLevelBytes: 1000, Picker: PickMinOverlap})
+	p := lazyLeveling(Options{SizeRatio: 4, BaseLevelBytes: 1000, Picker: PickMinOverlap})
 	c := p.Pick(v, 0, false, nil)
 	if c == nil || c.Trigger != TriggerSaturation {
 		t.Fatalf("expected last-level saturation, got %+v", c)
@@ -301,7 +351,7 @@ func TestLazyLevelingTTLOnLastLevelBatches(t *testing.T) {
 		tombFile(1, "a", "c", 100, 0, 1),
 		tombFile(2, "e", "g", 100, 100, 1),
 		file(3, "m", "p", 100))
-	p := NewLazyLeveling(Options{SizeRatio: 4, BaseLevelBytes: 1 << 30, DPT: 100, Picker: PickFADE})
+	p := lazyLeveling(Options{SizeRatio: 4, BaseLevelBytes: 1 << 30, DPT: 100, Picker: PickFADE})
 	c := p.Pick(v, 5000, false, nil)
 	if c == nil || c.Trigger != TriggerTTL {
 		t.Fatalf("expected TTL pick, got %+v", c)
@@ -331,7 +381,7 @@ func TestLazyLevelingTTLOnTieredLevel(t *testing.T) {
 	v = addFiles(t, v, 1, 1, tombFile(1, "a", "m", 100, 0, 2))
 	v = addFiles(t, v, 2, 2, file(2, "a", "z", 100))
 	v = addFiles(t, v, 3, 3, file(3, "a", "z", 100))
-	p := NewLazyLeveling(Options{SizeRatio: 4, BaseLevelBytes: 1 << 30, DPT: 100, Picker: PickFADE})
+	p := lazyLeveling(Options{SizeRatio: 4, BaseLevelBytes: 1 << 30, DPT: 100, Picker: PickFADE})
 	c := p.Pick(v, 5000, false, nil)
 	if c == nil || c.Trigger != TriggerTTL {
 		t.Fatalf("expected TTL pick, got %+v", c)
@@ -367,7 +417,7 @@ func TestLazyLevelingPickSkipsClaimedFiles(t *testing.T) {
 	v = addFiles(t, v, 2, 1,
 		file(1, "a", "f", 3000),
 		file(2, "g", "m", 3000))
-	p := NewLazyLeveling(Options{SizeRatio: 4, BaseLevelBytes: 1000, Picker: PickMinOverlap})
+	p := lazyLeveling(Options{SizeRatio: 4, BaseLevelBytes: 1000, Picker: PickMinOverlap})
 
 	s := NewInFlightSet()
 	s.Claim(7, []*manifest.FileMetadata{file(1, "a", "f", 3000)}, 2, 3, []byte("a"), []byte("f"))

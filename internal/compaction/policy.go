@@ -1,7 +1,7 @@
-// Package compaction implements Acheron's compaction layer: a Policy
-// interface with leveled, size-tiered, and lazy-leveling implementations,
-// all composing with FADE — the delete-aware machinery that partitions the
-// delete persistence threshold (DPT) into per-level TTLs and triggers
+// Package compaction implements Acheron's compaction layer: one Layout —
+// leveled, size-tiered or lazy-leveling, by where its single-run region
+// starts — composed with FADE, the delete-aware machinery that partitions
+// the delete persistence threshold (DPT) into per-level TTLs and triggers
 // compactions when a file's oldest tombstone overstays its level budget,
 // guaranteeing that every tombstone reaches the last level (and physically
 // erases what it shadows) within the DPT, regardless of layout.
@@ -109,54 +109,20 @@ func (k PolicyKind) String() string {
 	return "default"
 }
 
-// ParsePolicyKind maps a policy name (as printed by PolicyKind.String, plus
-// the legacy shape names) to its kind.
+// ParsePolicyKind maps a policy name, as printed by PolicyKind.String, to
+// its kind; the empty string also selects PolicyDefault.
 func ParsePolicyKind(s string) (PolicyKind, bool) {
 	switch s {
-	case "leveled", "leveling":
+	case "leveled":
 		return PolicyLeveled, true
-	case "size-tiered", "tiered", "tiering":
+	case "size-tiered":
 		return PolicySizeTiered, true
-	case "lazy-leveling", "lazy":
+	case "lazy-leveling":
 		return PolicyLazyLeveling, true
 	case "", "default":
 		return PolicyDefault, true
 	}
 	return PolicyDefault, false
-}
-
-// Policy is a compaction layout strategy: it decides when levels need
-// compacting, what a compaction's inputs and output shape are, and how many
-// sorted runs a level may hold. Implementations are immutable after
-// construction (safe for concurrent pickers) and delegate the delete-aware
-// decisions — per-level TTL expiry, tombstone-density scoring, min-overlap
-// tie-breaking — to the shared FADE machinery in this package, so the
-// delete-persistence guarantee is policy-independent.
-type Policy interface {
-	// Name returns the policy's stable, kebab-case name, used in metric
-	// labels, job records, and trace events.
-	Name() string
-	// MaxRunsAt returns how many sorted runs level l may accumulate in v
-	// before the level is saturated. Level 0 is governed by L0Threshold
-	// under every policy.
-	MaxRunsAt(v *manifest.Version, l int) int
-	// Saturated reports whether level l of v is at or past its trigger
-	// point (run count for tiered levels, byte capacity for leveled ones).
-	Saturated(v *manifest.Version, l int) bool
-	// LeveledOutputAt reports whether compaction outputs into level l of v
-	// join the level's single sorted run (merging with its overlap) rather
-	// than starting a fresh run beside the existing ones.
-	LeveledOutputAt(v *manifest.Version, l int) bool
-	// Pick inspects v and returns the most urgent compaction, or nil when
-	// nothing needs compacting. now is the engine clock reading used for
-	// TTL expiry; haveSnapshots suppresses disposal-only compactions that
-	// an open snapshot would block anyway. inflight, when non-nil,
-	// excludes files and level/key-span rectangles claimed by running
-	// jobs so concurrent executors pick disjoint work; a candidate that
-	// would conflict is simply not returned (the picker does not search
-	// for a second-best disjoint candidate at the same priority — the
-	// next tick retries).
-	Pick(v *manifest.Version, now base.Timestamp, haveSnapshots bool, inflight *InFlightSet) *Candidate
 }
 
 // Options configure the compaction policy.
@@ -184,6 +150,9 @@ type Options struct {
 
 // WithDefaults fills unset fields.
 func (o Options) WithDefaults() Options {
+	if o.Policy == PolicyDefault {
+		o.Policy = PolicyLeveled
+	}
 	if o.SizeRatio <= 1 {
 		o.SizeRatio = 10
 	}
@@ -197,20 +166,6 @@ func (o Options) WithDefaults() Options {
 		o.TargetFileBytes = 2 << 20
 	}
 	return o
-}
-
-// NewPolicy constructs the configured layout policy, bound to o with
-// defaults applied. The engine builds one at Open and uses it for every
-// pick and commit decision thereafter.
-func (o Options) NewPolicy() Policy {
-	switch o.Policy {
-	case PolicySizeTiered:
-		return NewSizeTiered(o)
-	case PolicyLazyLeveling:
-		return NewLazyLeveling(o)
-	default:
-		return NewLeveled(o)
-	}
 }
 
 // LevelCapacity returns level l's byte capacity. Level 0 is governed by run
@@ -315,36 +270,4 @@ func (c *Candidate) InputLevel(i int) int {
 		return c.InputLevels[i]
 	}
 	return c.StartLevel
-}
-
-// expired reports whether f's oldest tombstone has overstayed level l's
-// cumulative budget in a depth-deep tree, and by how much. Files already
-// at the deepest populated level are excluded: their tombstones are
-// disposed of when a compaction reaches that level, and forcing them
-// deeper into empty levels would be wasted I/O — except that a file
-// *resting* at the deepest level with live tombstones still holds
-// shadowed garbage below it was supposed to erase, so depth-level files
-// expire too once over budget (the compaction into the next level will
-// elide everything).
-func expired(o Options, f *manifest.FileMetadata, l, depth int, now base.Timestamp, haveSnapshots bool) (base.Duration, bool) {
-	if o.DPT == 0 || !f.HasTombstones || l >= manifest.NumLevels-1 {
-		return 0, false
-	}
-	cum := o.CumulativeTTLAt(l, depth)
-	if l >= depth {
-		// At (or below) the deepest populated level the whole DPT has
-		// been spent. Expiring here compacts one level deeper purely to
-		// dispose of the tombstone, so only do it when disposal can
-		// actually happen — an open snapshot would block it and the
-		// file would cascade downward for nothing.
-		if haveSnapshots {
-			return 0, false
-		}
-		cum = o.DPT
-	}
-	deadline := f.OldestTombstone + base.Timestamp(cum)
-	if now > deadline {
-		return base.Duration(now - deadline), true
-	}
-	return 0, false
 }

@@ -1,6 +1,7 @@
 package compaction
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -44,13 +45,13 @@ func addFiles(t *testing.T, v *manifest.Version, level int, runID uint64, files 
 	return nv
 }
 
-// TestTTLSplitSumsToDPT: the per-level TTLs must partition the DPT exactly
-// (within float slack) for every depth, ratio and split strategy.
-// pick asks o's configured policy for the most urgent compaction.
+// pick asks o's configured layout for the most urgent compaction.
 func pick(v *manifest.Version, o Options, now base.Timestamp, haveSnapshots bool, inflight *InFlightSet) *Candidate {
-	return o.WithDefaults().NewPolicy().Pick(v, now, haveSnapshots, inflight)
+	return o.NewLayout().Pick(v, now, haveSnapshots, inflight)
 }
 
+// TestTTLSplitSumsToDPT: the per-level TTLs must partition the DPT exactly
+// (within float slack) for every depth, ratio and split strategy.
 func TestTTLSplitSumsToDPT(t *testing.T) {
 	f := func(dptRaw uint32, ratioRaw, depthRaw uint8, uniform bool) bool {
 		dpt := base.Duration(dptRaw%1_000_000 + 1000)
@@ -262,25 +263,33 @@ func TestTieringBelowRunThresholdIdle(t *testing.T) {
 }
 
 func TestExpiredUsesDepthBudget(t *testing.T) {
-	o := Options{SizeRatio: 4, DPT: 1000}.WithDefaults()
+	p := Options{SizeRatio: 4, DPT: 1000}.NewLayout()
 	f := tombFile(1, "a", "b", 100, 0, 1)
+	// expiredAt asks whether f, at level l of a tree depth levels deep,
+	// has expired by now.
+	expiredAt := func(l, depth int, now base.Timestamp) bool {
+		v := addFiles(t, &manifest.Version{}, depth, 1, file(2, "a", "b", 100))
+		pc := p.newPickCtx(v, now, false, nil)
+		_, exp := pc.expired(f, l)
+		return exp
+	}
 	// Depth 1: a level-0 file gets the whole DPT.
-	if _, exp := expired(o, f, 0, 1, base.Timestamp(999), false); exp {
+	if expiredAt(0, 1, 999) {
 		t.Fatal("expired before the DPT elapsed at depth 1")
 	}
-	if _, exp := expired(o, f, 0, 1, base.Timestamp(1001), false); !exp {
+	if !expiredAt(0, 1, 1001) {
 		t.Fatal("not expired after the DPT at depth 1")
 	}
 	// Depth 3: level 0's budget is a small slice of the DPT.
-	d0 := o.LevelTTLAt(0, 3)
-	if _, exp := expired(o, f, 0, 3, base.Timestamp(d0)+2, false); !exp {
+	d0 := p.o.LevelTTLAt(0, 3)
+	if !expiredAt(0, 3, base.Timestamp(d0)+2) {
 		t.Fatalf("file at L0 should expire after its slice d0=%d", d0)
 	}
 	// A file resting at the deepest level uses the full DPT.
-	if _, exp := expired(o, f, 3, 3, base.Timestamp(999), false); exp {
+	if expiredAt(3, 3, 999) {
 		t.Fatal("deepest-level file expired early")
 	}
-	if _, exp := expired(o, f, 3, 3, base.Timestamp(1001), false); !exp {
+	if !expiredAt(3, 3, 1001) {
 		t.Fatal("deepest-level file never expires")
 	}
 }
@@ -316,5 +325,74 @@ func TestCandidateScorePicksWorstLevel(t *testing.T) {
 	c := pick(v, o, 0, false, nil)
 	if c == nil || c.StartLevel != 2 {
 		t.Fatalf("worst level not chosen: %+v", c)
+	}
+}
+
+// TestPickMergesMultiRunLevelWhole: a level the layout keeps as one run but
+// that in fact holds several (the store was last written under a tiering
+// policy) is merged whole, both runs together, on every path that would
+// otherwise move a single file of the newest run below the older run's
+// versions of the same keys.
+func TestPickMergesMultiRunLevelWhole(t *testing.T) {
+	cases := []struct {
+		name    string
+		newest  *manifest.FileMetadata // run 2 of L1, overlapping run 1
+		o       Options
+		now     base.Timestamp
+		trigger Trigger
+	}{
+		{"under-capacity", file(2, "c", "k", 100),
+			Options{Policy: PolicyLeveled, BaseLevelBytes: 1 << 20, SizeRatio: 4}, 0, TriggerSaturation},
+		{"byte-saturated", file(2, "c", "k", 900),
+			Options{Policy: PolicyLeveled, BaseLevelBytes: 1000, SizeRatio: 4, Picker: PickMinOverlap}, 0, TriggerSaturation},
+		{"ttl-expired", tombFile(2, "c", "k", 100, 0, 1),
+			Options{Policy: PolicyLeveled, BaseLevelBytes: 1 << 20, SizeRatio: 4, DPT: 100, Picker: PickFADE}, 5000, TriggerTTL},
+	}
+	for _, tc := range cases {
+		v := addFiles(t, &manifest.Version{}, 1, 1, file(1, "a", "m", 600))
+		v = addFiles(t, v, 1, 2, tc.newest)
+		v = addFiles(t, v, 2, 3, file(3, "a", "z", 100))
+		c := pick(v, tc.o, tc.now, false, nil)
+		if c == nil || c.Trigger != tc.trigger || c.StartLevel != 1 || c.OutputLevel != 2 {
+			t.Fatalf("%s: got %+v", tc.name, c)
+		}
+		if len(c.Inputs) != 2 || len(c.InputFiles()) != 2 {
+			t.Fatalf("%s: want both runs of L1 whole, got %d runs / %d files", tc.name, len(c.Inputs), len(c.InputFiles()))
+		}
+		if c.OutputToNewRun || len(c.OutputRunFiles) != 1 {
+			t.Fatalf("%s: the merge must join L2's run: %+v", tc.name, c)
+		}
+	}
+}
+
+// BenchmarkPick measures one Pick over an idle tree: about 440 files in
+// three single-run levels, every file carrying tombstones, FADE on with the
+// DPT far away, so the TTL scan visits every file and nothing is picked.
+func BenchmarkPick(b *testing.B) {
+	v := &manifest.Version{}
+	e := &manifest.VersionEdit{}
+	num := 0
+	for l, n := range []int{0, 4, 40, 396} {
+		for i := 0; i < n; i++ {
+			num++
+			lo, hi := fmt.Sprintf("k%06d", 2*i), fmt.Sprintf("k%06d", 2*i+1)
+			f := tombFile(num, lo, hi, 1000, base.Timestamp(num), 1)
+			e.Added = append(e.Added, manifest.NewFileEntry{Level: l, RunID: uint64(l), Meta: f})
+		}
+	}
+	v, err := v.Apply(e)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, kind := range []PolicyKind{PolicyLeveled, PolicySizeTiered, PolicyLazyLeveling} {
+		p := Options{Policy: kind, Picker: PickFADE, DPT: 1 << 40, BaseLevelBytes: 1 << 20}.NewLayout()
+		b.Run(kind.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if c := p.Pick(v, 1000, false, nil); c != nil {
+					b.Fatalf("idle tree picked %+v", c)
+				}
+			}
+		})
 	}
 }

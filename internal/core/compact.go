@@ -122,17 +122,8 @@ func (d *DB) compactAll(ctx context.Context) error {
 			d.maintMu.Unlock()
 			continue
 		}
-		cand := &compaction.Candidate{
-			Trigger:     compaction.TriggerSaturation,
-			StartLevel:  l,
-			OutputLevel: l + 1,
-			Inputs:      append([]*manifest.Run(nil), v.Levels[l]...),
-		}
-		if d.policy.LeveledOutputAt(v, l+1) {
-			d.fillOutputOverlap(v, cand)
-		} else {
-			cand.OutputToNewRun = true
-		}
+		cand := d.policy.WholeLevel(v, l)
+		cand.Trigger = compaction.TriggerSaturation
 		err := d.runCandidate(d.sched.newID(), v, cand)
 		d.maintMu.Unlock()
 		if err != nil {
@@ -140,41 +131,6 @@ func (d *DB) compactAll(ctx context.Context) error {
 		}
 	}
 	return nil
-}
-
-// fillOutputOverlap mirrors the picker's helper for manually constructed
-// candidates.
-func (d *DB) fillOutputOverlap(v *manifest.Version, c *compaction.Candidate) {
-	lo, hi := inputSpan(c)
-	if lo == nil {
-		return
-	}
-	if outRuns := v.Levels[c.OutputLevel]; len(outRuns) > 0 {
-		c.OutputRunID = outRuns[0].ID
-		c.OutputRunFiles = outRuns[0].Find(lo, hi)
-	}
-}
-
-// inputSpan returns the user-key bounds across the candidate's inputs and
-// output-run files.
-func inputSpan(c *compaction.Candidate) (lo, hi []byte) {
-	span := func(f *manifest.FileMetadata) {
-		if lo == nil || base.Compare(f.Smallest.UserKey, lo) < 0 {
-			lo = f.Smallest.UserKey
-		}
-		if hi == nil || base.Compare(f.Largest.UserKey, hi) > 0 {
-			hi = f.Largest.UserKey
-		}
-	}
-	for _, r := range c.Inputs {
-		for _, f := range r.Files {
-			span(f)
-		}
-	}
-	for _, f := range c.OutputRunFiles {
-		span(f)
-	}
-	return lo, hi
 }
 
 // isBottommost reports whether no data below (or beside, for older runs of
@@ -190,7 +146,7 @@ func inputSpan(c *compaction.Candidate) (lo, hi []byte) {
 // such job conflict with this one. Flushes add strictly newer data at L0,
 // which never threatens "no older versions below".
 func (d *DB) isBottommost(v *manifest.Version, c *compaction.Candidate, inCompaction map[base.FileNum]bool) bool {
-	lo, hi := inputSpan(c)
+	_, _, lo, hi := c.Rectangle()
 	if lo == nil {
 		return true
 	}

@@ -119,12 +119,11 @@ type DB struct {
 	flushMu sync.Mutex
 	// pickMu makes pick+claim atomic across compaction executors.
 	pickMu sync.Mutex
-	// policy is the compaction layout policy (leveled, size-tiered, or
-	// lazy-leveling), resolved once at Open from Options.Compaction.
-	// Policies are immutable after construction — Pick reads only its own
-	// Options copy and the version/claims passed in — so no lock guards
-	// this field.
-	policy compaction.Policy
+	// policy is the compaction layout (leveled, size-tiered, or
+	// lazy-leveling), built once at Open from Options.Compaction. It is
+	// immutable after construction — Pick reads only its own Options copy
+	// and the version/claims passed in — so no lock guards this field.
+	policy *compaction.Layout
 	// inflight tracks the file and level/key-span claims of running
 	// maintenance jobs; pickers exclude them.
 	inflight *compaction.InFlightSet
@@ -180,7 +179,7 @@ func Open(dirname string, opts Options) (*DB, error) {
 		mem:       memtable.New(),
 		eagerDone: make(map[base.FileNum]base.SeqNum),
 		inflight:  compaction.NewInFlightSet(),
-		policy:    opts.Compaction.NewPolicy(),
+		policy:    opts.Compaction.NewLayout(),
 		sched:     newScheduler(),
 		flushCh:   make(chan struct{}, 1),
 		compCh:    make(chan struct{}, 1),

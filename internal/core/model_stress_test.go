@@ -119,7 +119,10 @@ func checkScanAcrossMaintenance(t *testing.T, d *DB, m *model, rng *rand.Rand, o
 // TestModelDifferentialStress drives the engine with a long randomized op
 // sequence — puts, deletes, batches, secondary range deletes, flushes,
 // maintenance steps, snapshots, and full reopens — and continuously diffs it
-// against the in-memory reference model, under every compaction policy.
+// against the in-memory reference model, under every compaction policy. Each
+// reopen switches policy, and over the starting policies and seeds every
+// ordered pair is crossed: a tree built under one layout must read the same
+// and converge under another.
 // Seeds are fixed so every failure reproduces; the "Stress" name places it
 // under the race-detector gate.
 func TestModelDifferentialStress(t *testing.T) {
@@ -145,6 +148,10 @@ func runModelDifferentialStress(t *testing.T, kind compaction.PolicyKind, seed i
 	clk := &base.LogicalClock{}
 	opts := testOptions(fs, clk)
 	opts.Compaction.Policy = kind
+	// The tree this run builds is a few tens of KB: a small L1 makes it
+	// several levels deep and lets levels saturate on bytes, which is
+	// where a level left in another policy's shape is first acted on.
+	opts.Compaction.BaseLevelBytes = 4 << 10
 	d, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -154,6 +161,9 @@ func runModelDifferentialStress(t *testing.T, kind compaction.PolicyKind, seed i
 
 	const ops = 4000
 	keySpace := 600
+	// Each reopen moves on by one or two policies, by seed, so the seeds
+	// between them cross every ordered pair of policies.
+	step := compaction.PolicyKind(1 + seed%2)
 	key := func() string { return fmt.Sprintf("key%05d", rng.Intn(keySpace)) }
 
 	type pinned struct {
@@ -269,9 +279,11 @@ func runModelDifferentialStress(t *testing.T, kind compaction.PolicyKind, seed i
 			if err := d.Close(); err != nil {
 				t.Fatalf("op %d Close: %v", i, err)
 			}
+			kind = (kind-1+step)%3 + 1
+			opts.Compaction.Policy = kind
 			d, err = Open("db", opts)
 			if err != nil {
-				t.Fatalf("op %d reopen: %v", i, err)
+				t.Fatalf("op %d reopen under %s: %v", i, kind, err)
 			}
 			checkEquivalence(t, d, m, int(seed)*1000+i)
 		}

@@ -486,7 +486,7 @@ func E7StrategyMatrix(sc Scale) (*Table, error) {
 		Header: []string{"shape", "picker", "wa", "sa", "within_dpt", "p99_persist", "live_tombs", "ttl_compactions"},
 	}
 	dpt := base.Duration(sc.Ops / 4)
-	// Each case drives the compaction.Policy interface; the first two
+	// Each case is one setting of the compaction.Layout; the first two
 	// labels keep the historical "leveling"/"tiering" names so the grid
 	// stays comparable across versions, and the lazy-leveling rows extend
 	// it.

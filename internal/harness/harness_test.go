@@ -1,6 +1,11 @@
 package harness
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -124,18 +129,54 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-// TestE7TinyRunsEndToEnd exercises one full experiment (the strategy
-// matrix, which covers every policy x picker pairing) at a tiny scale.
+var updateGolden = flag.Bool("update", false, "rewrite golden files")
+
+// TestE7TinyRunsEndToEnd pins the engine's compaction behaviour under every
+// layout: the strategy matrix (every policy x picker pairing) and the policy
+// x workload sweep run at a tiny scale on the logical clock, and every
+// column but C5's wall-clock reads_s must match the golden tables byte for
+// byte. A change that is meant to move them regenerates the file with
+// `go test ./internal/harness/ -run TestE7TinyRunsEndToEnd -update` and
+// shows the diff.
 func TestE7TinyRunsEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment run in -short mode")
 	}
-	tbl, err := E7StrategyMatrix(tinyScale())
+	e7, err := E7StrategyMatrix(tinyScale())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tbl.Rows) != 6 {
-		t.Fatalf("E7 produced %d rows, want 6", len(tbl.Rows))
+	if len(e7.Rows) != 6 {
+		t.Fatalf("E7 produced %d rows, want 6", len(e7.Rows))
+	}
+	c5, err := C5PolicyWorkloadSweep(tinyScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wall := slices.Index(c5.Header, "reads_s")
+	for _, row := range c5.Rows {
+		row[wall] = "-"
+	}
+	var got bytes.Buffer
+	e7.Fprint(&got)
+	c5.Fprint(&got)
+
+	path := filepath.Join("testdata", "policy_grid.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run `go test ./internal/harness/ -run TestE7TinyRunsEndToEnd -update` to create it)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("policy grid drifted from %s.\n--- got ---\n%s\n--- want ---\n%s", path, got.Bytes(), want)
 	}
 }
 

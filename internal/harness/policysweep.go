@@ -10,8 +10,8 @@ import (
 	"repro/internal/workload"
 )
 
-// C5PolicyWorkloadSweep sweeps the compaction.Policy implementations
-// (leveled, size-tiered, lazy-leveling) across three workload shapes,
+// C5PolicyWorkloadSweep sweeps the compaction.Layout settings (leveled,
+// size-tiered, lazy-leveling) across three workload shapes,
 // reporting the classic LSM trade-off triangle — write amplification,
 // space amplification, read throughput — plus the delete-persistence
 // columns that show FADE holding the DPT under every layout. The

@@ -1,30 +1,29 @@
 // Command acheron-bench regenerates the paper's evaluation tables and
-// figures (E1..E8, see DESIGN.md) against the in-memory filesystem with a
-// deterministic logical clock.
+// figures (E1..E8, ablations A1..A3 and the policy sweep C5, see
+// EXPERIMENTS.md) against the in-memory filesystem with a deterministic
+// logical clock. C6, the wall-clock overload experiment, runs only when
+// named. Speed is not measured here: see BENCHMARK.json and benchmark/.
 //
 // Usage:
 //
-//	acheron-bench [-exp E1,E3] [-scale small|default|large]
+//	acheron-bench [-exp all|E1,...,E8,A1,A2,A3,C5,C6] [-scale small|default|large] [-metrics DIR]
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 
-	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/harness"
 )
 
 func main() {
-	expFlag := flag.String("exp", "all", "comma-separated experiment ids (E1..E8) or 'all'")
+	expFlag := flag.String("exp", "all", "comma-separated experiment ids (E1..E8, A1..A3, C5, C6), or 'all' for every deterministic one (all but C6)")
 	scaleFlag := flag.String("scale", "default", "experiment scale: small, default, large")
 	metricsDir := flag.String("metrics", "", "directory for per-experiment Prometheus metric snapshots (empty disables)")
-	jsonPath := flag.String("json", "", "file for a JSON run summary: result tables plus per-config commit/WAL metric snapshots (empty disables)")
 	flag.Parse()
 
 	var sc harness.Scale
@@ -54,18 +53,16 @@ func main() {
 		"A1": harness.A1TTLSplit,
 		"A2": harness.A2BloomBits,
 		"A3": harness.A3FADETieBreak,
-		"C1": harness.C1MaintenanceConcurrency,
-		"C2": harness.C2CommitPipeline,
-		"C4": harness.C4IteratorThroughput,
 		"C5": harness.C5PolicyWorkloadSweep,
 		"C6": harness.C6Overload,
-		"C7": harness.C7ServeSaturation,
 	}
-	order := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "A1", "A2", "A3", "C1", "C2", "C4", "C5", "C6", "C7"}
+	// all is the deterministic set: logical clock, fixed seeds. C6 is wall
+	// clock and asserts its own acceptance, so it runs only by id.
+	all := []string{"E1", "E2", "E3", "E4", "E5", "E6", "E7", "E8", "A1", "A2", "A3", "C5"}
 
 	var ids []string
 	if *expFlag == "all" {
-		ids = order
+		ids = all
 	} else {
 		for _, id := range strings.Split(*expFlag, ",") {
 			id = strings.ToUpper(strings.TrimSpace(id))
@@ -77,21 +74,19 @@ func main() {
 		}
 	}
 
-	// Metric sinks: every engine an experiment opens hands its final state
-	// to each installed sink as it closes, so per-variant counters survive
-	// the run. -metrics dumps Prometheus text into
-	// <dir>/<exp>-<config>[-n].prom; -json collects the write-path metrics
-	// that track the commit pipeline's perf trajectory across PRs.
+	// -metrics: every engine an experiment opens hands its final state to
+	// the sink as it closes, so per-variant counters survive the run as
+	// Prometheus text in <dir>/<exp>-<config>[-n].prom.
 	var currentExp string
-	var sinks []func(string, *core.DB)
 	if *metricsDir != "" {
 		if err := os.MkdirAll(*metricsDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "metrics dir: %v\n", err)
 			os.Exit(1)
 		}
 		seen := make(map[string]int)
-		sinks = append(sinks, func(name string, db *core.DB) {
-			stem := fmt.Sprintf("%s-%s", strings.ToLower(currentExp), name)
+		harness.SetMetricsSink(func(name string, db *core.DB) {
+			// Config names such as "lvl/fade" hold a path separator.
+			stem := fmt.Sprintf("%s-%s", strings.ToLower(currentExp), strings.ReplaceAll(name, "/", "_"))
 			seen[stem]++
 			if n := seen[stem]; n > 1 {
 				stem = fmt.Sprintf("%s-%d", stem, n)
@@ -107,62 +102,7 @@ func main() {
 			}
 		})
 	}
-	jsonMetrics := map[string]map[string]float64{}
-	if *jsonPath != "" {
-		seen := make(map[string]int)
-		sinks = append(sinks, func(name string, db *core.DB) {
-			key := fmt.Sprintf("%s-%s", strings.ToLower(currentExp), name)
-			seen[key]++
-			if n := seen[key]; n > 1 {
-				key = fmt.Sprintf("%s-%d", key, n)
-			}
-			st := db.Stats()
-			m := map[string]float64{
-				"wal_appends":        float64(st.WALAppends.Get()),
-				"wal_syncs":          float64(st.WALSyncs.Get()),
-				"wal_bytes":          float64(st.WALBytes.Get()),
-				"commits_per_sync":   st.CommitsPerSync(),
-				"p99_group_size":     float64(st.WALGroupSize.Quantile(0.99)),
-				"p99_wal_sync_ns":    float64(st.WALSyncLatency.Quantile(0.99)),
-				"p99_put_ns":         float64(st.PutLatency.Quantile(0.99)),
-				"p99_batch_ns":       float64(st.BatchLatency.Quantile(0.99)),
-				"write_stalls":       float64(st.WriteStalls.Get()),
-				"write_stall_ns":     float64(st.WriteStallNanos.Get()),
-				"bytes_ingested":     float64(st.BytesIngested.Get()),
-				"write_amp":          st.WriteAmplification(),
-				"flushes":            float64(st.Flushes.Get()),
-				"peak_flush_queue":   float64(st.FlushQueueDepth.Peak()),
-				"background_errors":  float64(st.BackgroundErrors.Get()),
-				"stall_timeouts":     float64(st.StallTimeouts.Get()),
-				"commit_cancels":     float64(st.CommitCancels.Get()),
-				"iter_reseeks":       float64(st.IterReseeks.Get()),
-				"view_builds":        float64(st.IterViewBuilds.Get()),
-				"view_hits":          float64(st.IterViewHits.Get()),
-				"view_deferred":      float64(st.IterViewDeferred.Get()),
-				"view_invalidations": float64(st.IterViewInvalidations.Get()),
-				"prefix_bloom_skips": float64(st.PrefixBloomSkips.Get()),
-				"scan_tables_opened": float64(st.IterTablesOpened.Get()),
-				"p99_scan_step_ns":   float64(st.IterScanLatency.Quantile(0.99)),
-			}
-			if ac := db.Admission(); ac != nil {
-				wm := ac.ClassMetrics(admission.ClassWrite)
-				m["admitted_writes"] = float64(wm.Admitted.Get())
-				m["rejected_writes"] = float64(wm.Rejected.Get())
-				m["shed_writes"] = float64(wm.Shed.Get())
-				m["p99_admission_wait_ns"] = float64(wm.Wait.Quantile(0.99))
-			}
-			jsonMetrics[key] = m
-		})
-	}
-	if len(sinks) > 0 {
-		harness.SetMetricsSink(func(name string, db *core.DB) {
-			for _, sink := range sinks {
-				sink(name, db)
-			}
-		})
-	}
 
-	var tables []*harness.Table
 	for _, id := range ids {
 		currentExp = id
 		tbl, err := experiments[id](sc)
@@ -171,31 +111,5 @@ func main() {
 			os.Exit(1)
 		}
 		tbl.Fprint(os.Stdout)
-		tables = append(tables, tbl)
-	}
-
-	if *jsonPath != "" {
-		doc := struct {
-			Scale       string                        `json:"scale"`
-			Experiments []string                      `json:"experiments"`
-			Tables      []*harness.Table              `json:"tables"`
-			Metrics     map[string]map[string]float64 `json:"metrics"`
-			Note        string                        `json:"note"`
-		}{
-			Scale:       *scaleFlag,
-			Experiments: ids,
-			Tables:      tables,
-			Metrics:     jsonMetrics,
-			Note:        "wall-clock experiments (C1, C2) vary run to run; deterministic experiments (E1..E8) are exactly reproducible at a given scale",
-		}
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "json summary: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*jsonPath, append(buf, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "json summary %s: %v\n", *jsonPath, err)
-			os.Exit(1)
-		}
 	}
 }

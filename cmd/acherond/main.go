@@ -1,8 +1,8 @@
 // Command acherond serves an Acheron store over TCP: a sharded engine
 // behind the length-prefixed binary protocol of internal/wire, one
 // goroutine per connection, every request bounded by an op deadline. The
-// interactive shell (cmd/acheron -connect) and the C7 benchmark speak to
-// it through internal/client.
+// interactive shell (cmd/acheron -connect) and the benchmark's served_mixed
+// workload speak to it through internal/client.
 //
 // Usage:
 //

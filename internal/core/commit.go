@@ -58,9 +58,13 @@ type commitPipeline struct {
 	// commitMu serializes leader rounds: gate, seqnum allocation, WAL
 	// append+sync, and publish-queue insertion. Acquired before d.mu.
 	// scratch is the WAL-stage payload slice, reused across rounds under
-	// commitMu.
+	// commitMu. groups counts rounds reaching the WAL stage; one in
+	// opSampleInterval is traced. It is the pipeline's own counter, not
+	// DB.opSampleN: a lone writer's Put and its group would otherwise draw
+	// alternately from one counter and the group would take every sample.
 	commitMu sync.Mutex
 	scratch  [][]byte
+	groups   uint64
 
 	// pmu guards publishQ, the FIFO of groups awaiting publication in
 	// sequence order. visible is the published sequence number readers use.
@@ -405,7 +409,8 @@ func (p *commitPipeline) processGroup(group []*pendingCommit, own *pendingCommit
 // commitMu alone, not d.mu.
 func (p *commitPipeline) walStage(group []*pendingCommit, walW *wal.Writer) error {
 	d := p.d
-	sampled := d.opSampled()
+	p.groups++
+	sampled := p.groups%opSampleInterval == 0
 	start := time.Time{}
 	if sampled {
 		start = time.Now()

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/base"
 	"repro/internal/compaction"
+	"repro/internal/event"
 	"repro/internal/vfs"
 	"repro/internal/vfs/errorfs"
 )
@@ -401,5 +402,49 @@ func groupCrashRound(t *testing.T, seed int64) {
 	}
 	if err := d2.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSequentialPutsSampleOwnLatency is the regression test for a lone
+// writer's Put latency: group-commit sampling used to draw from the per-op
+// counter, so with one writer the two draws alternated odd/even and the WAL
+// stage took every sample — PutLatency stayed empty and no put was traced.
+// Both must sample one in opSampleInterval of their own stream.
+func TestSequentialPutsSampleOwnLatency(t *testing.T) {
+	const puts = 4096
+	var putEnds, groupBegins int
+	opts := testOptions(vfs.NewMemFS(), &base.LogicalClock{})
+	opts.MemTableBytes = 4 << 20 // no rotation: the put stream is all there is
+	opts.EventListener = func(e event.Event) {
+		switch {
+		case e.Type == event.OpEnd && e.Op == opPut:
+			putEnds++
+		case e.Type == event.GroupCommitBegin:
+			groupBegins++
+		}
+	}
+	d := mustOpen(t, opts)
+	for i := 0; i < puts; i++ {
+		if err := d.Put([]byte(fmt.Sprintf("key%06d", i)), testValue(uint64(i), i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const want = puts / opSampleInterval
+	near := func(n int) bool { return n >= want-1 && n <= want+1 }
+	st := d.Stats()
+	if n := int(st.PutLatency.Count()); !near(n) {
+		t.Errorf("PutLatency has %d samples after %d sequential Puts, want %d±1", n, puts, want)
+	}
+	if st.PutLatency.Quantile(0.99) <= 0 {
+		t.Errorf("PutLatency p99 = %d, want > 0", st.PutLatency.Quantile(0.99))
+	}
+	if !near(putEnds) {
+		t.Errorf("%d put trace events, want %d±1", putEnds, want)
+	}
+	if n := st.WALGroupSize.Count(); n != puts {
+		t.Fatalf("%d commit groups, want %d (one per sequential Put)", n, puts)
+	}
+	if !near(groupBegins) {
+		t.Errorf("%d group-commit trace events for %d groups, want %d±1", groupBegins, puts, want)
 	}
 }

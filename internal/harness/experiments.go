@@ -563,20 +563,3 @@ func E8Ingestion(sc Scale) (*Table, error) {
 	}
 	return t, nil
 }
-
-// All runs every experiment at the given scale.
-func All(sc Scale) ([]*Table, error) {
-	runs := []func(Scale) (*Table, error){
-		E1DeletePersistence, E2SpaceAmp, E3WriteAmp, E4ReadThroughput,
-		E5KiWiRangeDelete, E6TombstoneCount, E7StrategyMatrix, E8Ingestion,
-	}
-	var out []*Table
-	for _, run := range runs {
-		tbl, err := run(sc)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, tbl)
-	}
-	return out, nil
-}

@@ -3,7 +3,9 @@
 // standard vs KiWi layout), drives deterministic workloads against them on
 // an in-memory filesystem with a logical clock, and prints each
 // table/figure of the evaluation as a text table. See DESIGN.md for the
-// experiment index (E1..E8).
+// experiment index (E1..E8); EXPERIMENTS.md records the ablations (A1..A3),
+// the policy sweep (C5) and the one wall-clock experiment kept here, C6.
+// Speed is not measured here: that is benchmark/ and BENCHMARK.json.
 package harness
 
 import (
@@ -80,11 +82,6 @@ type EngineConfig struct {
 	// BloomBitsPerKey overrides the default (10) when non-zero; -1
 	// disables filters.
 	BloomBitsPerKey int
-	// PrefixBloomLength > 0 adds prefix Bloom filters covering prefixes up
-	// to that many bytes (see core.Options.PrefixBloomLength).
-	PrefixBloomLength int
-	// DisableReadViews turns off the cached sorted-view scan path.
-	DisableReadViews bool
 }
 
 // Baseline is the delete-oblivious leveled engine.
@@ -125,8 +122,6 @@ func OpenRuntime(cfg EngineConfig, sc Scale) (*Runtime, error) {
 		Clock:                  clk,
 		MemTableBytes:          sc.MemTableBytes,
 		BloomBitsPerKey:        bloom,
-		PrefixBloomLength:      cfg.PrefixBloomLength,
-		DisableReadViews:       cfg.DisableReadViews,
 		PagesPerTile:           cfg.PagesPerTile,
 		DeleteKeyFunc:          workload.ExtractDeleteKey,
 		EagerRangeDeletes:      cfg.EagerRangeDeletes,

@@ -131,35 +131,51 @@ func TestTableRendering(t *testing.T) {
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
-// TestE7TinyRunsEndToEnd pins the engine's compaction behaviour under every
-// layout: the strategy matrix (every policy x picker pairing) and the policy
-// x workload sweep run at a tiny scale on the logical clock, and every
-// column but C5's wall-clock reads_s must match the golden tables byte for
-// byte. A change that is meant to move them regenerates the file with
+// TestE7TinyRunsEndToEnd pins the paper's evaluation: every deterministic
+// experiment (E1..E8, A1..A3, C5) runs at a tiny scale on the logical clock
+// and every column but the wall-clock ones blanked below must match the
+// golden tables byte for byte. A change that is meant to move them
+// regenerates the file with
 // `go test ./internal/harness/ -run TestE7TinyRunsEndToEnd -update` and
 // shows the diff.
 func TestE7TinyRunsEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment run in -short mode")
 	}
-	e7, err := E7StrategyMatrix(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(e7.Rows) != 6 {
-		t.Fatalf("E7 produced %d rows, want 6", len(e7.Rows))
-	}
-	c5, err := C5PolicyWorkloadSweep(tinyScale())
-	if err != nil {
-		t.Fatal(err)
-	}
-	wall := slices.Index(c5.Header, "reads_s")
-	for _, row := range c5.Rows {
-		row[wall] = "-"
+	experiments := []struct {
+		run  func(Scale) (*Table, error)
+		wall []string // wall-clock columns, by header name
+	}{
+		{E1DeletePersistence, nil},
+		{E2SpaceAmp, nil},
+		{E3WriteAmp, nil},
+		{E4ReadThroughput, []string{"lookups/s", "scans/s", "lookup_speedup", "scan_speedup"}},
+		{E5KiWiRangeDelete, []string{"wall_ms"}},
+		{E6TombstoneCount, nil},
+		{E7StrategyMatrix, nil},
+		{E8Ingestion, []string{"ops/s", "overhead_pct"}},
+		{A1TTLSplit, nil},
+		{A2BloomBits, []string{"lookups/s"}},
+		{A3FADETieBreak, nil},
+		{C5PolicyWorkloadSweep, []string{"reads_s"}},
 	}
 	var got bytes.Buffer
-	e7.Fprint(&got)
-	c5.Fprint(&got)
+	for _, e := range experiments {
+		tbl, err := e.run(tinyScale())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range e.wall {
+			col := slices.Index(tbl.Header, name)
+			if col < 0 {
+				t.Fatalf("%s has no column %q", tbl.ID, name)
+			}
+			for _, row := range tbl.Rows {
+				row[col] = "-"
+			}
+		}
+		tbl.Fprint(&got)
+	}
 
 	path := filepath.Join("testdata", "policy_grid.golden")
 	if *updateGolden {
@@ -176,7 +192,7 @@ func TestE7TinyRunsEndToEnd(t *testing.T) {
 		t.Fatalf("%v (run `go test ./internal/harness/ -run TestE7TinyRunsEndToEnd -update` to create it)", err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
-		t.Errorf("policy grid drifted from %s.\n--- got ---\n%s\n--- want ---\n%s", path, got.Bytes(), want)
+		t.Errorf("evaluation tables drifted from %s.\n--- got ---\n%s\n--- want ---\n%s", path, got.Bytes(), want)
 	}
 }
 

@@ -26,7 +26,10 @@ import (
 // goodput holds near the admitted rate at 2x and 4x offered load. A
 // concurrent reader runs throughout: reads are never pressure-shed, so they
 // keep serving while writes are rejected. Wall-clock experiment: absolute
-// numbers vary run to run.
+// numbers vary run to run, so the acceptance it enforces is wide — it fails
+// when goodput at 4x falls below three quarters of the 1x row (the token
+// bucket caps both at the admitted rate) or when the reader is starved at
+// any multiple.
 func C6Overload(sc Scale) (*Table, error) {
 	t := &Table{
 		ID:     "C6",
@@ -35,7 +38,8 @@ func C6Overload(sc Scale) (*Table, error) {
 		Notes: []string{
 			"offered load is a multiple of the admitted write rate; ops carry a 5ms deadline",
 			"rej_p50_us prices the admission fail-fast; the rejection tail is bounded by the op deadline",
-			"acceptance: goodput at 4x within ~10% of the 1x baseline (excess load costs almost nothing)",
+			"expected: goodput at 4x within ~10% of the 1x baseline (excess load costs almost nothing)",
+			"enforced: goodput at 4x >= 0.75 x the 1x row, and reads_ok > 0 in every row",
 			"wall-clock experiment: absolute numbers vary run to run",
 		},
 	}
@@ -50,6 +54,7 @@ func C6Overload(sc Scale) (*Table, error) {
 		rowOps = 30_000
 	}
 
+	var baseline float64 // goodput of the 1x row, ops/s
 	for _, mult := range []int{1, 2, 4} {
 		mem := vfs.NewMemFS()
 		opts := core.Options{
@@ -177,8 +182,9 @@ func C6Overload(sc Scale) (*Table, error) {
 		wm := db.Admission().ClassMetrics(admission.ClassWrite)
 		st := db.Stats()
 		us := func(ns int64) string { return Fx(float64(ns)/1e3, 1) }
+		goodputPerSec := float64(goodput.Load()) / elapsed.Seconds()
 		t.AddRow(fmt.Sprintf("%dx", mult),
-			Fx(float64(goodput.Load())/elapsed.Seconds()/1e3, 1),
+			Fx(goodputPerSec/1e3, 1),
 			us(okHist.Quantile(0.99)),
 			us(rejHist.Quantile(0.5)),
 			us(rejHist.Quantile(0.99)),
@@ -190,6 +196,19 @@ func C6Overload(sc Scale) (*Table, error) {
 		rt := &Runtime{Config: EngineConfig{Name: fmt.Sprintf("overload-%dx", mult)}, Scale: sc, DB: db, FS: mem}
 		if err := rt.Close(); err != nil {
 			return nil, err
+		}
+
+		if readsOK.Load() == 0 {
+			return nil, fmt.Errorf("c6 %dx: the reader served nothing beside the write storm", mult)
+		}
+		switch mult {
+		case 1:
+			baseline = goodputPerSec
+		case 4:
+			if goodputPerSec < 0.75*baseline {
+				return nil, fmt.Errorf("c6: goodput collapsed under overload: %.0f ops/s at 4x offered load, %.0f at 1x (floor 0.75x)",
+					goodputPerSec, baseline)
+			}
 		}
 	}
 	return t, nil

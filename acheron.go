@@ -93,8 +93,8 @@ type Stats = core.Stats
 // levels, run window, bytes — as returned by DB.RecentMaintJobs.
 type JobInfo = core.JobInfo
 
-// JobKind classifies maintenance jobs (flush, compaction, eager range
-// delete).
+// JobKind classifies maintenance jobs (flush, compaction); a compaction's
+// Trigger says why it ran, the KiWi eager erase included.
 type JobKind = core.JobKind
 
 // CompactionOptions select the layout policy, picker, size ratio and the

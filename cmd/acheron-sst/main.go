@@ -71,7 +71,6 @@ func props(r *sstable.Reader) {
 	fmt.Printf("raw key bytes:      %d\n", p.RawKeyBytes)
 	fmt.Printf("raw value bytes:    %d\n", p.RawValueBytes)
 	fmt.Printf("tiles / pages:      %d / %d\n", p.NumTiles, p.NumPages)
-	fmt.Printf("pages dropped:      %d (by the compaction that wrote this file)\n", p.DroppedPages)
 	fmt.Printf("seqnum span:        [%d, %d]\n", p.MinSeqNum, p.MaxSeqNum)
 	fmt.Printf("multi-version keys: %v\n", p.HasDuplicates)
 	if p.NumDeletes+p.NumRangeDeletes > 0 {

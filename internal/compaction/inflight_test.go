@@ -131,6 +131,57 @@ func TestCandidateRectangleCoversOutputs(t *testing.T) {
 	}
 }
 
+// TestInPlaceCandidateClaim: a candidate with StartLevel == OutputLevel (the
+// eager range-delete shape) claims one level row over its file's key span. It
+// conflicts with a claim on the file or on overlapping keys at that level —
+// not with a job a level away, nor with one beside it in key space.
+func TestInPlaceCandidateClaim(t *testing.T) {
+	inPlace := func(num int, lo, hi string) *Candidate {
+		return &Candidate{Trigger: TriggerRangeDelete, StartLevel: 2, OutputLevel: 2, OutputRunID: 5,
+			Inputs: []*manifest.Run{{ID: 5, Files: []*manifest.FileMetadata{file(num, lo, hi, 100)}}}}
+	}
+	c := inPlace(7, "d", "k")
+	if minL, maxL, lo, hi := c.Rectangle(); minL != 2 || maxL != 2 || string(lo) != "d" || string(hi) != "k" {
+		t.Fatalf("rectangle = L%d..L%d [%s,%s], want L2..L2 [d,k]", minL, maxL, lo, hi)
+	}
+	if files := c.ClaimFiles(); len(files) != 1 || files[0].FileNum != 7 {
+		t.Fatalf("ClaimFiles = %v, want the one input", files)
+	}
+	cases := []struct {
+		name       string
+		files      []*manifest.FileMetadata
+		minL, maxL int
+		lo, hi     string
+		want       bool
+	}{
+		{"a level above", nil, 0, 1, "a", "z", false},
+		{"a level below", nil, 3, 4, "a", "z", false},
+		{"same level, beside", nil, 2, 2, "l", "z", false},
+		{"same level, overlapping", nil, 2, 2, "a", "e", true},
+		{"a merge into its level", nil, 1, 2, "j", "m", true},
+		{"a merge out of its level", nil, 2, 3, "a", "d", true},
+		{"the file itself, elsewhere", []*manifest.FileMetadata{file(7, "d", "k", 100)}, 5, 5, "x", "z", true},
+	}
+	for _, tc := range cases {
+		s := NewInFlightSet()
+		s.Claim(1, tc.files, tc.minL, tc.maxL, []byte(tc.lo), []byte(tc.hi))
+		if got := s.Conflicts(c); got != tc.want {
+			t.Errorf("%s: Conflicts = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+	s := NewInFlightSet()
+	s.ClaimCandidate(1, c)
+	if !s.FileClaimed(7) || !s.Overlaps(2, 2, []byte("k"), []byte("k")) || s.Overlaps(1, 1, []byte("d"), []byte("k")) || s.Overlaps(3, 3, []byte("d"), []byte("k")) {
+		t.Fatal("ClaimCandidate must publish the file and exactly its level row")
+	}
+	if s.Conflicts(inPlace(8, "l", "p")) {
+		t.Error("a neighbour file of the same run must be rewritable concurrently")
+	}
+	if !s.Conflicts(candidate(1, []*manifest.FileMetadata{file(9, "a", "e", 100)}, nil)) {
+		t.Error("an L1->L2 merge over the claimed keys must wait")
+	}
+}
+
 func TestInFlightSnapshotIsStable(t *testing.T) {
 	s := NewInFlightSet()
 	s.Claim(1, nil, 0, 1, []byte("a"), []byte("m"))

@@ -65,6 +65,11 @@ const (
 	// TriggerTTL fires when a file's oldest tombstone exceeds its
 	// cumulative level TTL — the FADE delete-persistence trigger.
 	TriggerTTL
+	// TriggerRangeDelete fires when a live secondary range tombstone can
+	// erase (part of) a tombstone-free file: the KiWi eager erase. Its
+	// candidates are in place — StartLevel == OutputLevel, one input file,
+	// the outputs rejoin the file's own run.
+	TriggerRangeDelete
 )
 
 // String implements fmt.Stringer.
@@ -74,6 +79,8 @@ func (t Trigger) String() string {
 		return "saturation"
 	case TriggerTTL:
 		return "ttl"
+	case TriggerRangeDelete:
+		return "range-delete"
 	}
 	return "l0"
 }
@@ -226,7 +233,8 @@ func (o Options) CumulativeTTLAt(l, depth int) base.Duration {
 type Candidate struct {
 	// Trigger records why this compaction was chosen.
 	Trigger Trigger
-	// StartLevel and OutputLevel bound the compaction.
+	// StartLevel and OutputLevel bound the compaction. Equal levels mark an
+	// in-place rewrite: the outputs replace the inputs in run OutputRunID.
 	StartLevel  int
 	OutputLevel int
 	// Inputs are the start-level input runs. Under leveling this is a

@@ -2,6 +2,7 @@ package compaction
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/base"
@@ -41,6 +42,11 @@ type Env struct {
 	// space), so key-range bottommost-ness alone is not sufficient to
 	// retire it. Nil means never dispose.
 	RangeTombstoneDisposable func(base.RangeTombstone) bool
+	// LiveRangeTombstones are range tombstones held outside the inputs
+	// (memtables, other files). The compaction applies them under the rules
+	// of the inputs' own, but they stay where they live: never written to
+	// an output, never reported as disposed.
+	LiveRangeTombstones []base.RangeTombstone
 
 	// OnTombstoneDropped fires when a point tombstone is physically
 	// disposed of (delete persisted). The key slice is only valid during
@@ -193,9 +199,13 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 	// snapshot at all: one below rt.Seq still reads covered entries, and
 	// one at/above rt.Seq can pin a covered old version through the
 	// stripe rule — the version survives the merge, so the tombstone
-	// hiding it must survive too.
+	// hiding it must survive too. Only the inputs' own tombstones are
+	// partitioned; the live ones from outside join the set the filters
+	// apply and nothing else.
 	var surviving []base.RangeTombstone
-	for _, rt := range rangeDels {
+	own := rangeDels
+	rangeDels = slices.Concat(own, env.LiveRangeTombstones)
+	for _, rt := range own {
 		if env.Bottommost && len(env.Snapshots) == 0 &&
 			env.RangeTombstoneDisposable != nil && env.RangeTombstoneDisposable(rt) {
 			res.RangeTombstonesDropped++
@@ -338,7 +348,6 @@ type outputWriter struct {
 	curNum  base.FileNum
 	curSize uint64
 	outputs []OutputFile
-	dropped uint64
 }
 
 func newOutputWriter(env Env, res *Result, surviving []base.RangeTombstone) *outputWriter {

@@ -57,9 +57,9 @@ type kv struct {
 	val  []byte
 }
 
-// writeTable materializes kvs (sorted by caller) plus range tombstones into
+// newTable materializes kvs (sorted by caller) plus range tombstones into
 // a new table, returning its metadata.
-func (e *testEnv) writeTable(t *testing.T, kvs []kv, rts []base.RangeTombstone) *manifest.FileMetadata {
+func (e *testEnv) newTable(t *testing.T, kvs []kv, rts []base.RangeTombstone) *manifest.FileMetadata {
 	t.Helper()
 	fn := e.nextFN
 	e.nextFN++
@@ -165,11 +165,11 @@ func candidate(level int, inputs []*manifest.FileMetadata, outputs []*manifest.F
 
 func TestRunDedupsShadowedVersions(t *testing.T) {
 	e := newTestEnv(1)
-	newer := e.writeTable(t, []kv{
+	newer := e.newTable(t, []kv{
 		{"a", 10, base.KindSet, dkVal(1)},
 		{"b", 11, base.KindSet, dkVal(2)},
 	}, nil)
-	older := e.writeTable(t, []kv{
+	older := e.newTable(t, []kv{
 		{"a", 3, base.KindSet, dkVal(9)},
 		{"c", 4, base.KindSet, dkVal(3)},
 	}, nil)
@@ -192,7 +192,7 @@ func TestRunDedupsShadowedVersions(t *testing.T) {
 
 func TestRunTombstoneSurvivesAboveBottom(t *testing.T) {
 	e := newTestEnv(1)
-	in := e.writeTable(t, []kv{
+	in := e.newTable(t, []kv{
 		{"a", 10, base.KindDelete, base.EncodeTombstoneValue(5)},
 		{"b", 11, base.KindSet, dkVal(1)},
 	}, nil)
@@ -213,10 +213,10 @@ func TestRunTombstoneSurvivesAboveBottom(t *testing.T) {
 
 func TestRunTombstoneDisposedAtBottom(t *testing.T) {
 	e := newTestEnv(1)
-	top := e.writeTable(t, []kv{
+	top := e.newTable(t, []kv{
 		{"a", 10, base.KindDelete, base.EncodeTombstoneValue(5)},
 	}, nil)
-	bottom := e.writeTable(t, []kv{
+	bottom := e.newTable(t, []kv{
 		{"a", 2, base.KindSet, dkVal(7)},
 		{"b", 3, base.KindSet, dkVal(8)},
 	}, nil)
@@ -245,7 +245,7 @@ func TestRunTombstoneDisposedAtBottom(t *testing.T) {
 
 func TestRunTombstoneSupersededByNewerWrite(t *testing.T) {
 	e := newTestEnv(1)
-	in := e.writeTable(t, []kv{
+	in := e.newTable(t, []kv{
 		{"a", 10, base.KindSet, dkVal(1)},
 		{"a", 5, base.KindDelete, base.EncodeTombstoneValue(2)},
 	}, nil)
@@ -268,7 +268,7 @@ func TestRunTombstoneSupersededByNewerWrite(t *testing.T) {
 
 func TestRunSnapshotKeepsStraddledVersions(t *testing.T) {
 	e := newTestEnv(1)
-	in := e.writeTable(t, []kv{
+	in := e.newTable(t, []kv{
 		{"a", 10, base.KindSet, dkVal(1)},
 		{"a", 4, base.KindSet, dkVal(2)},
 	}, nil)
@@ -295,7 +295,7 @@ func TestRunSnapshotKeepsStraddledVersions(t *testing.T) {
 
 func TestRunSnapshotBlocksTombstoneDisposal(t *testing.T) {
 	e := newTestEnv(1)
-	in := e.writeTable(t, []kv{
+	in := e.newTable(t, []kv{
 		{"a", 10, base.KindDelete, base.EncodeTombstoneValue(1)},
 		{"a", 4, base.KindSet, dkVal(2)},
 	}, nil)
@@ -318,7 +318,7 @@ func TestRunSnapshotBlocksTombstoneDisposal(t *testing.T) {
 func TestRunRangeTombstoneCarriedWhenNotDisposable(t *testing.T) {
 	e := newTestEnv(1)
 	rt := base.RangeTombstone{Lo: 0, Hi: 100, Seq: 50, CreatedAt: 9}
-	in := e.writeTable(t, []kv{{"a", 10, base.KindSet, dkVal(500)}}, []base.RangeTombstone{rt})
+	in := e.newTable(t, []kv{{"a", 10, base.KindSet, dkVal(500)}}, []base.RangeTombstone{rt})
 	env := e.env(t)
 	env.Bottommost = true
 	env.RangeTombstoneDisposable = func(base.RangeTombstone) bool { return false }
@@ -334,7 +334,7 @@ func TestRunRangeTombstoneCarriedWhenNotDisposable(t *testing.T) {
 func TestRunRangeTombstoneDisposedWhenAllowed(t *testing.T) {
 	e := newTestEnv(1)
 	rt := base.RangeTombstone{Lo: 0, Hi: 100, Seq: 50, CreatedAt: 9}
-	in := e.writeTable(t, []kv{{"a", 10, base.KindSet, dkVal(500)}}, []base.RangeTombstone{rt})
+	in := e.newTable(t, []kv{{"a", 10, base.KindSet, dkVal(500)}}, []base.RangeTombstone{rt})
 	env := e.env(t)
 	env.Bottommost = true
 	env.RangeTombstoneDisposable = func(base.RangeTombstone) bool { return true }
@@ -355,7 +355,7 @@ func TestRunRangeTombstoneDisposedWhenAllowed(t *testing.T) {
 func TestRunEntryLevelRangeDropAtBottom(t *testing.T) {
 	e := newTestEnv(1)
 	rt := base.RangeTombstone{Lo: 0, Hi: 100, Seq: 50, CreatedAt: 9}
-	in := e.writeTable(t, []kv{
+	in := e.newTable(t, []kv{
 		{"a", 10, base.KindSet, dkVal(5)},   // covered (dk 5 < 100, seq 10 < 50)
 		{"a", 3, base.KindSet, dkVal(500)},  // older version: must die with it
 		{"b", 60, base.KindSet, dkVal(5)},   // NOT covered: seq 60 > rt.Seq
@@ -377,39 +377,69 @@ func TestRunEntryLevelRangeDropAtBottom(t *testing.T) {
 	}
 }
 
+// TestRunKiWiPageDropsCounted: pages and entries a range tombstone covers are
+// dropped at the bottom — whether the tombstone is the input's own (a merge
+// that may then retire it) or a live one from outside the inputs applied to a
+// tombstone-free file in place (the eager erase), which the outputs must not
+// carry and the run must not report as disposed.
 func TestRunKiWiPageDropsCounted(t *testing.T) {
-	e := newTestEnv(4)
-	var kvs []kv
-	n := 600
-	for i := 0; i < n; i++ {
-		kvs = append(kvs, kv{fmt.Sprintf("k%06d", i), base.SeqNum(i + 1), base.KindSet, dkVal(uint64(i * 7919 % n))})
-	}
-	rt := base.RangeTombstone{Lo: 0, Hi: uint64(n / 2), Seq: base.SeqNum(n + 1), CreatedAt: 1}
-	in := e.writeTable(t, kvs, []base.RangeTombstone{rt})
-	env := e.env(t)
-	env.Bottommost = true
-	env.RangeTombstoneDisposable = func(base.RangeTombstone) bool { return true }
-	res, err := Run(candidate(1, []*manifest.FileMetadata{in}, nil), env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.PagesDropped == 0 {
-		t.Fatal("no pages dropped in KiWi layout")
-	}
-	got := e.readAll(t, res)
-	for _, g := range got {
-		if dkx(g.val) < uint64(n/2) {
-			t.Fatalf("covered entry %q (dk %d) survived", g.key, dkx(g.val))
+	for _, live := range []bool{false, true} {
+		e := newTestEnv(4)
+		var kvs []kv
+		n := 600
+		for i := 0; i < n; i++ {
+			kvs = append(kvs, kv{fmt.Sprintf("k%06d", i), base.SeqNum(i + 1), base.KindSet, dkVal(uint64(i * 7919 % n))})
 		}
-	}
-	want := 0
-	for _, kv := range kvs {
-		if dkx(kv.val) >= uint64(n/2) {
-			want++
+		rt := base.RangeTombstone{Lo: 0, Hi: uint64(n / 2), Seq: base.SeqNum(n + 1), CreatedAt: 1}
+		env := e.env(t)
+		env.Bottommost = true
+		env.RangeTombstoneDisposable = func(base.RangeTombstone) bool { return true }
+		disposed := 0
+		env.OnRangeTombstoneDropped = func(base.RangeTombstone) { disposed++ }
+		var c *Candidate
+		if live {
+			in := e.newTable(t, kvs, nil)
+			env.LiveRangeTombstones = []base.RangeTombstone{rt}
+			c = &Candidate{Trigger: TriggerRangeDelete, StartLevel: 1, OutputLevel: 1, OutputRunID: 1,
+				Inputs: []*manifest.Run{{ID: 1, Files: []*manifest.FileMetadata{in}}}}
+		} else {
+			c = candidate(1, []*manifest.FileMetadata{e.newTable(t, kvs, []base.RangeTombstone{rt})}, nil)
 		}
-	}
-	if len(got) != want {
-		t.Fatalf("survivors = %d, want %d", len(got), want)
+		res, err := Run(c, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.PagesDropped == 0 {
+			t.Fatalf("live=%v: no pages dropped in KiWi layout", live)
+		}
+		wantDisposed := 1
+		if live {
+			wantDisposed = 0
+		}
+		if disposed != wantDisposed || res.RangeTombstonesDropped != uint64(wantDisposed) {
+			t.Fatalf("live=%v: %d range tombstones disposed (callback fired %d times), want %d",
+				live, res.RangeTombstonesDropped, disposed, wantDisposed)
+		}
+		for _, of := range res.Outputs {
+			if of.Meta.Props.NumRangeDeletes != 0 {
+				t.Fatalf("live=%v: output %s carries a range tombstone", live, of.FileNum)
+			}
+		}
+		got := e.readAll(t, res)
+		for _, g := range got {
+			if dkx(g.val) < uint64(n/2) {
+				t.Fatalf("live=%v: covered entry %q (dk %d) survived", live, g.key, dkx(g.val))
+			}
+		}
+		want := 0
+		for _, kv := range kvs {
+			if dkx(kv.val) >= uint64(n/2) {
+				want++
+			}
+		}
+		if len(got) != want {
+			t.Fatalf("live=%v: survivors = %d, want %d", live, len(got), want)
+		}
 	}
 }
 
@@ -419,7 +449,7 @@ func TestRunRollsOutputFiles(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		kvs = append(kvs, kv{fmt.Sprintf("k%06d", i), base.SeqNum(i + 1), base.KindSet, dkVal(uint64(i))})
 	}
-	in := e.writeTable(t, kvs, nil)
+	in := e.newTable(t, kvs, nil)
 	env := e.env(t)
 	env.TargetFileBytes = 2048
 	res, err := Run(candidate(1, []*manifest.FileMetadata{in}, nil), env)
@@ -459,7 +489,7 @@ func TestRunTombstoneOnlyOutputWhenRangeDelsSurvive(t *testing.T) {
 	// Single covered entry + the tombstone: at bottom the entry dies, but
 	// the tombstone must survive (not disposable) in a tombstone-only
 	// output.
-	in := e.writeTable(t, []kv{{"a", 10, base.KindSet, dkVal(5)}}, []base.RangeTombstone{rt})
+	in := e.newTable(t, []kv{{"a", 10, base.KindSet, dkVal(5)}}, []base.RangeTombstone{rt})
 	env := e.env(t)
 	env.Bottommost = true
 	env.RangeTombstoneDisposable = func(base.RangeTombstone) bool { return false }

@@ -368,3 +368,53 @@ func BenchmarkDeleteAndPersist(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEagerRangeDelete times the KiWi eager erase, the one maintenance
+// path no end-to-end workload exercises: a tombstone-free L1 file and a
+// tombstone-free L0 file (disjoint keys, h = 4 pages a tile, delete keys
+// scattered over the key order), both half covered by one secondary range
+// delete, from issuing the delete until maintenance is idle again.
+func BenchmarkEagerRangeDelete(b *testing.B) {
+	const perFile = 5000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		d := benchDB(b, func(o *Options) {
+			o.PagesPerTile = 4
+			o.EagerRangeDeletes = true
+		})
+		// Four disjoint flushes reach the L0 threshold and merge into one
+		// L1 file; the fifth stays in L0.
+		const n = 5 * perFile
+		for k := 0; k < n; k++ {
+			if err := d.Put([]byte(fmt.Sprintf("k%014d", k)), testValue(uint64(k*7919%n), k)); err != nil {
+				b.Fatal(err)
+			}
+			if k%perFile == perFile-1 {
+				if err := d.Flush(); err != nil {
+					b.Fatal(err)
+				}
+				if err := d.WaitIdle(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		if lv := d.Levels(); lv[0].Files != 1 || lv[1].Files != 1 {
+			b.Fatalf("fixture: want one file in L0 and one in L1, got %+v", lv[:2])
+		}
+		b.StartTimer()
+		if err := d.DeleteSecondaryRange(0, n/2); err != nil {
+			b.Fatal(err)
+		}
+		if err := d.WaitIdle(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if st := d.Stats(); st.PagesDropped.Get() == 0 || st.RangeCoveredDropped.Get() == 0 {
+			b.Fatalf("nothing erased: pages_dropped=%d range_covered_dropped=%d", st.PagesDropped.Get(), st.RangeCoveredDropped.Get())
+		}
+		if err := d.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

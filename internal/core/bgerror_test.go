@@ -10,6 +10,8 @@ import (
 	"time"
 
 	"repro/internal/base"
+	"repro/internal/compaction"
+	"repro/internal/event"
 	"repro/internal/manifest"
 	"repro/internal/vfs"
 	"repro/internal/vfs/errorfs"
@@ -537,5 +539,80 @@ func TestTransientCompactionCommitLeavesNoOrphans(t *testing.T) {
 				check(mustOpen(t, opts))
 			})
 		}
+	}
+}
+
+// TestFailedJobKeepsItsClaim: a job that fails is recorded under the id, op
+// and levels its JobClaim announced, so the two events pair up — a failed TTL
+// compaction is not a fresh "compact/l0" at level 0, a failed flush not a job
+// nobody claimed.
+func TestFailedJobKeepsItsClaim(t *testing.T) {
+	efs := errorfs.Wrap(vfs.NewMemFS(), 1)
+	clk := &base.LogicalClock{}
+	opts := kiwiOptions(efs, clk, false)
+	opts.MemTableBytes = 1 << 20
+	var events []event.Event
+	opts.EventListener = func(e event.Event) {
+		if e.Type == event.JobClaim || e.Type == event.JobError {
+			events = append(events, e)
+		}
+	}
+	d := mustOpen(t, opts)
+	// One L0 file carrying tombstones over the data they delete, settled
+	// deeper down: a single L0 run is under the L0 threshold, so past the DPT
+	// only the TTL trigger wants it, and tombstones rule out a trivial move.
+	putFlush(t, d, "k", 0, 200, 0, identityDK)
+	if err := d.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 200; i += 2 {
+		if err := d.Delete([]byte(fmt.Sprintf("k%05d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(10 * opts.Compaction.DPT)
+	events = nil
+
+	failNextTable := func() {
+		efs.Add(&errorfs.Rule{Ops: []errorfs.Op{errorfs.OpCreate}, PathGlob: "*.sst", Kind: errorfs.FaultTransient})
+	}
+	failNextTable()
+	if did, err := d.MaintenanceStep(); !did || err == nil {
+		t.Fatalf("the TTL compaction should have met the fault: did=%v err=%v", did, err)
+	}
+	if err := d.Put([]byte("late"), testValue(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	failNextTable()
+	if err := d.Flush(); err == nil {
+		t.Fatal("the flush should have met the fault")
+	}
+
+	if len(events) != 4 {
+		t.Fatalf("want claim, error, claim, error; got %v", events)
+	}
+	for i, op := range []string{"compact/ttl", "flush"} {
+		claim, fail := events[2*i], events[2*i+1]
+		if claim.Type != event.JobClaim || fail.Type != event.JobError || claim.Op != op {
+			t.Fatalf("job %d: want a %s claim then its error, got %v then %v", i, op, claim, fail)
+		}
+		if fail.Job != claim.Job || fail.Op != claim.Op || fail.Level != claim.Level || fail.Policy != claim.Policy {
+			t.Errorf("%s: error event %v does not pair with claim %v", op, fail, claim)
+		}
+	}
+	// The ring carries the same identity.
+	jobs := d.RecentMaintJobs()
+	ttl, flush := jobs[len(jobs)-2], jobs[len(jobs)-1]
+	if ttl.Err == nil || ttl.ID != events[0].Job || ttl.Kind != JobCompact || ttl.Trigger != compaction.TriggerTTL || ttl.OutputLevel != ttl.StartLevel+1 || ttl.Policy != "leveled" {
+		t.Errorf("failed TTL compaction in the ring: %+v", ttl)
+	}
+	if flush.Err == nil || flush.ID != events[2].Job || flush.Kind != JobFlush {
+		t.Errorf("failed flush in the ring: %+v", flush)
 	}
 }

@@ -22,9 +22,9 @@ import (
 // acheron:locks order core.DB.maintMu < core.DB.pickMu < core.DB.mu
 // acheron:locks order core.DB.pickMu < core.DB.eagerMu
 
-// MaintenanceStep performs at most one unit of background work — a flush,
-// an eager range-delete pass, or a compaction — returning whether anything
-// was done. Deterministic benchmarks drive this directly with auto
+// MaintenanceStep performs at most one unit of background work — a flush or
+// a compaction (eager range-delete candidates first) — returning whether
+// anything was done. Deterministic benchmarks drive this directly with auto
 // maintenance disabled; with MaintenanceConcurrency=1 it is the step of the
 // pool's only executor, so background maintenance runs exactly this
 // sequence.
@@ -124,7 +124,7 @@ func (d *DB) compactAll(ctx context.Context) error {
 		}
 		cand := d.policy.WholeLevel(v, l)
 		cand.Trigger = compaction.TriggerSaturation
-		err := d.runCandidate(d.sched.newID(), v, cand)
+		err := d.runCandidate(&compactJob{id: d.sched.newID(), v: v, cand: cand})
 		d.maintMu.Unlock()
 		if err != nil {
 			return err
@@ -135,7 +135,7 @@ func (d *DB) compactAll(ctx context.Context) error {
 
 // isBottommost reports whether no data below (or beside, for older runs of
 // the output level) the compaction could hold older versions of its keys,
-// which licenses tombstone disposal.
+// which licenses tombstone disposal and KiWi page/entry drops.
 //
 // v is the version the candidate was picked against and inCompaction the
 // files the job replaces. The evaluation stays
@@ -155,6 +155,11 @@ func (d *DB) isBottommost(v *manifest.Version, c *compaction.Candidate, inCompac
 	// overlap computation missed for widened tombstone-only files).
 	for l := c.OutputLevel; l < manifest.NumLevels; l++ {
 		for _, r := range v.Levels[l] {
+			// An in-place rewrite stays in its own run: the runs of its
+			// level that are newer than that run hold only newer versions.
+			if c.StartLevel == c.OutputLevel && l == c.OutputLevel && r.ID > c.OutputRunID {
+				continue
+			}
 			for _, f := range r.Find(lo, hi) {
 				if !inCompaction[f.FileNum] {
 					return false
@@ -165,31 +170,117 @@ func (d *DB) isBottommost(v *manifest.Version, c *compaction.Candidate, inCompac
 	return true
 }
 
-// runCandidate executes a compaction candidate end to end: trivial-move
-// fast path, merge execution, manifest edit, file GC, statistics. The
-// candidate's input and output files must be claimed in d.inflight (or all
-// executors quiesced) so no concurrent job touches them; v is the version
-// the candidate was built against.
-func (d *DB) runCandidate(id uint64, v *manifest.Version, c *compaction.Candidate) error {
-	// Trivial move: a single input file with nothing to merge against
-	// moves by metadata edit alone. Files carrying tombstones are
-	// excluded so disposal opportunities (and TTL accounting) are never
-	// skipped.
+// runCandidate executes a claimed job end to end — trivial move, merge,
+// in-place rewrite or covered-file drop — through one manifest edit, one
+// install and one accounting tail. The candidate's input and output files
+// must be claimed in d.inflight (or all executors quiesced) so no concurrent
+// job touches them.
+func (d *DB) runCandidate(j *compactJob) (err error) {
+	c := j.cand
 	files := c.InputFiles()
 	if len(files) == 0 {
 		return nil
 	}
-	if !c.OutputToNewRun &&
-		len(files) == 1 && len(c.OutputRunFiles) == 0 && !files[0].HasTombstones {
-		return d.trivialMove(id, c, files[0])
+	ji := JobInfo{
+		ID: j.id, Kind: JobCompact, Trigger: c.Trigger, Policy: d.policy.Name(),
+		StartLevel: c.StartLevel, OutputLevel: c.OutputLevel, Started: time.Now(),
+	}
+	defer func() { d.recordJob(ji, err) }()
+
+	inPlace := c.StartLevel == c.OutputLevel
+	// Trivial move: a single input file with nothing to merge against
+	// moves by metadata edit alone. Files carrying tombstones are
+	// excluded so disposal opportunities (and TTL accounting) are never
+	// skipped; an in-place candidate would "move" to where it already is.
+	trivial := !inPlace && !c.OutputToNewRun &&
+		len(files) == 1 && len(c.OutputRunFiles) == 0 && !files[0].HasTombstones
+
+	res := &compaction.Result{}
+	edit := &manifest.VersionEdit{}
+	var memo []base.FileNum // files whose eager watermark becomes j.applicable
+	switch {
+	case trivial:
+		edit.Added = []manifest.NewFileEntry{{Level: c.OutputLevel, Meta: files[0]}}
+		ji.BytesIn = files[0].Size
+	case j.covered:
+		// The file's whole delete-key span is covered: nothing to merge
+		// (and, for a file with duplicates, nothing Run may page-filter).
+		res.RangeCoveredDropped = files[0].NumEntries
+	default:
+		if res, err = d.merge(j); err != nil {
+			return err
+		}
+		ji.BytesIn, ji.BytesOut = res.BytesRead, res.BytesWritten
+		if inPlace && res.PagesDropped == 0 && res.RangeCoveredDropped == 0 {
+			// The file's delete-key span intersects a tombstone but no
+			// entry is covered: discard the identical rewrite, install
+			// nothing, and remember the watermark so the file is not
+			// scanned again. The bytes it cost are accounted below.
+			for _, of := range res.Outputs {
+				d.removeTable(of.FileNum, false)
+			}
+			edit, memo = nil, []base.FileNum{files[0].FileNum}
+		} else {
+			for _, of := range res.Outputs {
+				edit.Added = append(edit.Added, manifest.NewFileEntry{Level: c.OutputLevel, Meta: fileMetaFrom(of.FileNum, of.Meta)})
+				if inPlace {
+					memo = append(memo, of.FileNum)
+				}
+			}
+		}
+	}
+	if len(memo) > 0 {
+		// Before the install: should it fail, removeTable forgets the
+		// watermark together with the output.
+		d.eagerMu.Lock()
+		for _, fn := range memo {
+			d.eagerDone[fn] = j.applicable
+		}
+		d.eagerMu.Unlock()
+	}
+	if edit != nil {
+		for i, r := range c.Inputs {
+			for _, f := range r.Files {
+				edit.Deleted = append(edit.Deleted, manifest.DeletedFileEntry{Level: c.InputLevel(i), FileNum: f.FileNum})
+			}
+		}
+		for _, f := range c.OutputRunFiles {
+			edit.Deleted = append(edit.Deleted, manifest.DeletedFileEntry{Level: c.OutputLevel, FileNum: f.FileNum})
+		}
+		if err := d.installCompaction(c, edit); err != nil {
+			return err
+		}
 	}
 
-	start := time.Now()
+	t := int(c.Trigger)
+	if trivial {
+		d.stats.TrivialMoves.Add(1)
+	}
+	d.stats.CompactionsByTrigger[t].Add(1)
+	d.stats.CompactBytesRead.Add(int64(res.BytesRead))
+	d.stats.CompactBytesWritten.Add(int64(res.BytesWritten))
+	d.stats.CompactBytesReadByTrigger[t].Add(int64(res.BytesRead))
+	d.stats.CompactBytesWrittenByTrigger[t].Add(int64(res.BytesWritten))
+	d.stats.ShadowedDropped.Add(int64(res.ShadowedDropped))
+	d.stats.PagesDropped.Add(int64(res.PagesDropped))
+	d.stats.RangeCoveredDropped.Add(int64(res.RangeCoveredDropped))
+	d.stats.JobLatencyByTrigger[t].Record(time.Since(ji.Started).Nanoseconds())
+	return nil
+}
+
+// merge runs the job's candidate through compaction.Run — the only code that
+// decides what a merge, or a range tombstone, may drop — and returns the
+// outputs uninstalled. j.v is the version the candidate was built against.
+func (d *DB) merge(j *compactJob) (*compaction.Result, error) {
+	v, c := j.v, j.cand
 	inCompaction := make(map[base.FileNum]bool) // every file this job replaces
-	for _, f := range append(files, c.OutputRunFiles...) {
+	for _, f := range c.ClaimFiles() {
 		inCompaction[f.FileNum] = true
 	}
 	bottom := d.isBottommost(v, c, inCompaction)
+	// The snapshot list is read now, not at pick time. Either is safe for an
+	// eager job — a snapshot taken after the pick already sees the tombstone
+	// — and the later read is the more conservative one.
 	d.mu.Lock()
 	snaps := append([]base.SeqNum(nil), d.snapshots...)
 	now := d.opts.Clock.Now()
@@ -223,7 +314,7 @@ func (d *DB) runCandidate(id uint64, v *manifest.Version, c *compaction.Candidat
 			r()
 		}
 	}()
-	env := compaction.Env{
+	return compaction.Run(c, compaction.Env{
 		FS:              d.opts.FS,
 		Dirname:         d.dirname,
 		WriterOpts:      d.writerOptions(),
@@ -241,6 +332,7 @@ func (d *DB) runCandidate(id uint64, v *manifest.Version, c *compaction.Candidat
 		Snapshots:                snaps,
 		Bottommost:               bottom,
 		RangeTombstoneDisposable: rtDisposable,
+		LiveRangeTombstones:      j.live,
 		OnTombstoneDropped: func(_ []byte, _ base.SeqNum, createdAt base.Timestamp) {
 			lat := int64(d.opts.Clock.Now() - createdAt)
 			if lat < 0 {
@@ -262,52 +354,7 @@ func (d *DB) runCandidate(id uint64, v *manifest.Version, c *compaction.Candidat
 			d.stats.PersistenceLatency.Record(lat)
 			d.stats.RangeTombstonesPersisted.Add(1)
 		},
-	}
-
-	res, err := compaction.Run(c, env)
-	if err != nil {
-		return err
-	}
-
-	edit := &manifest.VersionEdit{}
-	for i, r := range c.Inputs {
-		level := c.InputLevel(i)
-		for _, f := range r.Files {
-			edit.Deleted = append(edit.Deleted, manifest.DeletedFileEntry{Level: level, FileNum: f.FileNum})
-		}
-	}
-	for _, f := range c.OutputRunFiles {
-		edit.Deleted = append(edit.Deleted, manifest.DeletedFileEntry{Level: c.OutputLevel, FileNum: f.FileNum})
-	}
-	for _, of := range res.Outputs {
-		edit.Added = append(edit.Added, manifest.NewFileEntry{Level: c.OutputLevel, Meta: fileMetaFrom(of.FileNum, of.Meta)})
-	}
-	if err := d.installCompaction(c, edit); err != nil {
-		return err
-	}
-
-	d.stats.CompactionsByTrigger[int(c.Trigger)].Add(1)
-	d.stats.CompactBytesRead.Add(int64(res.BytesRead))
-	d.stats.CompactBytesWritten.Add(int64(res.BytesWritten))
-	d.stats.CompactBytesReadByTrigger[int(c.Trigger)].Add(int64(res.BytesRead))
-	d.stats.CompactBytesWrittenByTrigger[int(c.Trigger)].Add(int64(res.BytesWritten))
-	d.stats.ShadowedDropped.Add(int64(res.ShadowedDropped))
-	d.stats.PagesDropped.Add(int64(res.PagesDropped))
-	d.stats.RangeCoveredDropped.Add(int64(res.RangeCoveredDropped))
-	d.stats.JobLatencyByTrigger[int(c.Trigger)].Record(time.Since(start).Nanoseconds())
-	d.recordJob(JobInfo{
-		ID:          id,
-		Kind:        JobCompact,
-		Trigger:     c.Trigger,
-		Policy:      d.policy.Name(),
-		StartLevel:  c.StartLevel,
-		OutputLevel: c.OutputLevel,
-		Started:     start,
-		Finished:    time.Now(),
-		BytesIn:     res.BytesRead,
-		BytesOut:    res.BytesWritten,
 	})
-	return nil
 }
 
 // installCompaction commits a compaction's edit, resolving the run its Added
@@ -332,55 +379,14 @@ func (d *DB) installCompaction(c *compaction.Candidate, edit *manifest.VersionEd
 	}, nil)
 }
 
-// trivialMove relocates a file by manifest edit alone.
-func (d *DB) trivialMove(id uint64, c *compaction.Candidate, f *manifest.FileMetadata) error {
-	start := time.Now()
-	err := d.installCompaction(c, &manifest.VersionEdit{
-		Deleted: []manifest.DeletedFileEntry{{Level: c.StartLevel, FileNum: f.FileNum}},
-		Added:   []manifest.NewFileEntry{{Level: c.OutputLevel, Meta: f}},
-	})
-	if err != nil {
-		return err
-	}
-	d.stats.TrivialMoves.Add(1)
-	d.stats.CompactionsByTrigger[int(c.Trigger)].Add(1)
-	d.stats.JobLatencyByTrigger[int(c.Trigger)].Record(time.Since(start).Nanoseconds())
-	d.recordJob(JobInfo{
-		ID:          id,
-		Kind:        JobCompact,
-		Trigger:     c.Trigger,
-		Policy:      d.policy.Name(),
-		StartLevel:  c.StartLevel,
-		OutputLevel: c.OutputLevel,
-		Started:     start,
-		Finished:    time.Now(),
-		BytesIn:     f.Size,
-	})
-	return nil
-}
-
 // ---------------------------------------------------------------------------
-// Eager secondary range deletes (the KiWi fast path)
+// Eager secondary range deletes (the KiWi fast path): a fourth trigger
 
-// eagerJob is a picked-and-claimed unit of eager range-delete work: drop or
-// rewrite one file a live range tombstone can erase.
-type eagerJob struct {
-	id         uint64
-	level      int
-	runID      uint64
-	f          *manifest.FileMetadata
-	action     eagerAction
-	applicable base.SeqNum
-	rts        []base.RangeTombstone
-	snaps      []base.SeqNum
-}
-
-// pickEagerJob scans the tree for a file a live range tombstone can act on:
-// fully covered files are dropped by a metadata-only edit; partially
-// covered files are rewritten in place without their covered pages. The
-// chosen file is claimed (with its level-row key span) so concurrent
-// compactions exclude it.
-func (d *DB) pickEagerJob() (*eagerJob, bool) {
+// pickEagerJob scans the tree for a file a live range tombstone can erase
+// and claims it as an in-place candidate: the one file in, its own level and
+// run out. What the tombstones may drop from it is compaction.Run's call,
+// like for any other job; a fully covered file skips the merge (covered).
+func (d *DB) pickEagerJob() *compactJob {
 	d.pickMu.Lock()
 	defer d.pickMu.Unlock()
 	// Claims must be copied before the version is read (see
@@ -396,235 +402,79 @@ func (d *DB) pickEagerJob() (*eagerJob, bool) {
 	d.mu.Unlock()
 	rts := collectRangeTombstones(rs)
 	if len(rts) == 0 {
-		return nil, false
+		return nil
 	}
 
 	for l := 0; l < manifest.NumLevels; l++ {
 		for _, run := range v.Levels[l] {
 			for _, f := range run.Files {
-				if claims.FileClaimed(f.FileNum) {
+				applicable, covered := d.classifyEager(f, rts, snaps)
+				if applicable == 0 {
 					continue
 				}
-				action, applicable := d.classifyEager(v, l, run, f, rts, snaps)
-				if action == eagerNone {
+				cand := &compaction.Candidate{
+					Trigger:    compaction.TriggerRangeDelete,
+					StartLevel: l, OutputLevel: l, OutputRunID: run.ID,
+					Inputs: []*manifest.Run{{ID: run.ID, Files: []*manifest.FileMetadata{f}}},
+				}
+				// Erasing newest versions is only safe when nothing older
+				// sits below or in an older run beside.
+				if claims.Conflicts(cand) || !d.isBottommost(v, cand, map[base.FileNum]bool{f.FileNum: true}) {
 					continue
 				}
-				lo, hi := f.Smallest.UserKey, f.Largest.UserKey
-				if claims.Overlaps(l, l, lo, hi) {
-					continue
-				}
-				id := d.sched.newID()
-				d.inflight.Claim(id, []*manifest.FileMetadata{f}, l, l, lo, hi)
-				d.traceJobClaim(id, "eager-range-delete", l, "")
-				return &eagerJob{
-					id: id, level: l, runID: run.ID, f: f,
-					action: action, applicable: applicable, rts: rts, snaps: snaps,
-				}, true
+				j := &compactJob{id: d.sched.newID(), v: v, cand: cand, live: rts, applicable: applicable, covered: covered}
+				d.inflight.ClaimCandidate(j.id, cand)
+				d.traceJobClaim(j.id, "compact/"+cand.Trigger.String(), l, d.policy.Name())
+				return j
 			}
 		}
 	}
-	return nil, false
+	return nil
 }
 
-// runEagerJob executes a claimed eager range-delete job and releases its
-// claim.
-func (d *DB) runEagerJob(j *eagerJob) error {
-	start := time.Now()
-	var err error
-	switch j.action {
-	case eagerDrop:
-		err = d.eagerDropFile(j.level, j.f)
-	case eagerRewrite:
-		err = d.eagerRewriteFile(j.level, j.runID, j.f, j.rts, j.snaps, j.applicable)
-	}
-	d.inflight.Release(j.id)
-	d.recordJob(JobInfo{
-		ID:          j.id,
-		Kind:        JobEagerRangeDelete,
-		StartLevel:  j.level,
-		OutputLevel: j.level,
-		Started:     start,
-		Finished:    time.Now(),
-		BytesIn:     j.f.Size,
-		Err:         err,
-	})
-	return err
-}
-
-type eagerAction int
-
-const (
-	eagerNone eagerAction = iota
-	eagerDrop
-	eagerRewrite
-)
-
-// classifyEager decides what a range tombstone allows for file f at level
-// l. applicable is the highest tombstone sequence considered; it is
-// memoized after the action so span-only intersections (where no entry is
-// actually covered) are not re-processed forever.
-func (d *DB) classifyEager(v *manifest.Version, l int, run *manifest.Run, f *manifest.FileMetadata, rts []base.RangeTombstone, snaps []base.SeqNum) (eagerAction, base.SeqNum) {
+// classifyEager decides whether the live range tombstones rts give an eager
+// job something to do on file f. applicable is the highest tombstone
+// sequence that may act on f, zero for "leave f alone"; it is memoized after
+// the job so span-only intersections (where no entry is actually covered)
+// are not re-processed forever. covered reports that one tombstone covers
+// f's whole delete-key span: the file goes without being read.
+func (d *DB) classifyEager(f *manifest.FileMetadata, rts []base.RangeTombstone, snaps []base.SeqNum) (applicable base.SeqNum, covered bool) {
 	if f.NumEntries == 0 || f.NumDeletes > 0 || f.NumRangeDeletes > 0 {
 		// Files carrying tombstones are left to regular compaction:
 		// erasing them could resurrect deleted keys.
-		return eagerNone, 0
+		return 0, false
 	}
 	if f.DeleteKeyMin > f.DeleteKeyMax {
-		return eagerNone, 0
+		return 0, false
 	}
-	action := eagerNone
-	var applicable base.SeqNum
+	partial := false
 	for _, rt := range rts {
 		if f.LargestSeqNum >= rt.Seq {
 			continue
 		}
-		if !snapshotFree(snaps, rt.Seq) {
-			continue
+		if len(snaps) > 0 && snaps[0] < rt.Seq {
+			continue // a snapshot still reads what rt covers
 		}
 		if rt.Seq > applicable {
 			applicable = rt.Seq
 		}
 		if rt.CoversRange(f.DeleteKeyMin, f.DeleteKeyMax) {
-			action = eagerDrop
-		} else if action == eagerNone && !f.HasDuplicates && f.DeleteKeyMin < rt.Hi && f.DeleteKeyMax >= rt.Lo {
+			covered = true
+		} else if !f.HasDuplicates && f.DeleteKeyMin < rt.Hi && f.DeleteKeyMax >= rt.Lo {
 			// Partial rewrites of multi-version files could expose an
 			// older version of a covered key; leave those to regular
 			// compaction.
-			action = eagerRewrite
+			partial = true
 		}
 	}
-	if action == eagerNone {
-		return eagerNone, 0
+	if !covered && !partial {
+		return 0, false
 	}
 	d.eagerMu.Lock()
 	done, ok := d.eagerDone[f.FileNum]
 	d.eagerMu.Unlock()
 	if ok && applicable <= done {
-		return eagerNone, 0 // nothing new since the last pass over f
+		return 0, false // nothing new since the last pass over f
 	}
-	// Erasing newest versions is only safe when nothing older sits below.
-	if d.olderDataBelow(v, l, run, f) {
-		return eagerNone, 0
-	}
-	return action, applicable
-}
-
-// snapshotFree reports that no snapshot predates seq (snaps is ascending).
-func snapshotFree(snaps []base.SeqNum, seq base.SeqNum) bool {
-	return len(snaps) == 0 || snaps[0] >= seq
-}
-
-// olderDataBelow reports whether any file below level l — or an older run
-// of the same level — overlaps f's key range.
-func (d *DB) olderDataBelow(v *manifest.Version, l int, run *manifest.Run, f *manifest.FileMetadata) bool {
-	lo, hi := f.Smallest.UserKey, f.Largest.UserKey
-	for _, r := range v.Levels[l] {
-		if r.ID < run.ID && len(r.Find(lo, hi)) > 0 {
-			return true
-		}
-	}
-	for dl := l + 1; dl < manifest.NumLevels; dl++ {
-		for _, r := range v.Levels[dl] {
-			if len(r.Find(lo, hi)) > 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// eagerDropFile removes a fully covered file with a metadata-only edit.
-func (d *DB) eagerDropFile(l int, f *manifest.FileMetadata) error {
-	edit := &manifest.VersionEdit{Deleted: []manifest.DeletedFileEntry{{Level: l, FileNum: f.FileNum}}}
-	if err := d.installEdit(edit, nil, nil); err != nil {
-		return err
-	}
-	d.stats.RangeCoveredDropped.Add(int64(f.NumEntries))
-	return nil
-}
-
-// eagerRewriteFile rewrites a partially covered file without its covered
-// pages and entries, keeping it at the same level and run. applicable is
-// the tombstone watermark memoized so a no-op rewrite is never repeated.
-func (d *DB) eagerRewriteFile(l int, runID uint64, f *manifest.FileMetadata, rts []base.RangeTombstone, snaps []base.SeqNum, applicable base.SeqNum) error {
-	r, release, err := d.cache.get(f.FileNum)
-	if err != nil {
-		return err
-	}
-	defer release()
-
-	droppablePage := func(p sstable.PageInfo) bool {
-		for _, rt := range rts {
-			if f.LargestSeqNum < rt.Seq && snapshotFree(snaps, rt.Seq) && p.Droppable(rt) {
-				return false // drop the page
-			}
-		}
-		return true
-	}
-	coveredEntry := func(value []byte, seq base.SeqNum) bool {
-		if d.opts.DeleteKeyFunc == nil {
-			return false
-		}
-		dk := d.opts.DeleteKeyFunc(value)
-		for _, rt := range rts {
-			if rt.Covers(dk, seq) && snapshotFree(snaps, rt.Seq) {
-				return true
-			}
-		}
-		return false
-	}
-
-	it := r.NewCompactionIter(droppablePage)
-	var covered uint64
-	newFn, meta, err := d.writeTable(func(w *sstable.Writer) error {
-		for valid := it.First(); valid; valid = it.Next() {
-			ik := it.Key()
-			if ik.Kind() == base.KindSet && coveredEntry(it.Value(), ik.SeqNum()) {
-				covered++
-				continue
-			}
-			if err := w.Add(ik, it.Value()); err != nil {
-				return err
-			}
-		}
-		w.NoteDroppedPages(it.Dropped())
-		return it.Error()
-	})
-	if err != nil {
-		return err
-	}
-	newPath := manifest.MakeFilename(d.dirname, manifest.FileTypeTable, newFn)
-
-	if covered == 0 && it.Dropped() == 0 {
-		// The file's delete-key span intersects a tombstone but no
-		// entry is actually covered: discard the identical rewrite and
-		// remember the watermark so this file is not scanned again.
-		_ = d.opts.FS.Remove(newPath)
-		d.eagerMu.Lock()
-		d.eagerDone[f.FileNum] = applicable
-		d.eagerMu.Unlock()
-		return nil
-	}
-
-	edit := &manifest.VersionEdit{
-		Deleted: []manifest.DeletedFileEntry{{Level: l, FileNum: f.FileNum}},
-	}
-	if meta.HasEntries() {
-		edit.Added = []manifest.NewFileEntry{{Level: l, RunID: runID, Meta: fileMetaFrom(newFn, meta)}}
-		// Before the install: should it fail, removeTable forgets the
-		// watermark together with the file.
-		d.eagerMu.Lock()
-		d.eagerDone[newFn] = applicable
-		d.eagerMu.Unlock()
-	} else {
-		_ = d.opts.FS.Remove(newPath)
-	}
-	if err := d.installEdit(edit, nil, nil); err != nil {
-		return err
-	}
-	d.stats.PagesDropped.Add(int64(it.Dropped()))
-	d.stats.RangeCoveredDropped.Add(int64(covered))
-	d.stats.CompactBytesRead.Add(int64(it.BytesLoaded()))
-	d.stats.CompactBytesWritten.Add(int64(meta.Size))
-	return nil
+	return applicable, covered
 }

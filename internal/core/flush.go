@@ -22,11 +22,11 @@ func (d *DB) writerOptions() sstable.WriterOptions {
 	}
 }
 
-// writeTable creates a new table file, lets fill add its contents, and
-// finishes it. On any error after the file is created, the partial table is
-// closed and unlinked, so a failed job leaves no orphan behind; a finished
-// table is the caller's to install (installEdit) or discard.
-func (d *DB) writeTable(fill func(w *sstable.Writer) error) (_ base.FileNum, _ sstable.WriterMeta, err error) {
+// writeMemTable materializes a memtable as a new level-0 table file. On any
+// error after the file is created, the partial table is closed and unlinked,
+// so a failed flush leaves no orphan behind; a finished table is the caller's
+// to install (installEdit).
+func (d *DB) writeMemTable(m *memtable.MemTable) (_ base.FileNum, _ sstable.WriterMeta, err error) {
 	fn := d.vs.AllocFileNum()
 	path := manifest.MakeFilename(d.dirname, manifest.FileTypeTable, fn)
 	f, err := d.opts.FS.Create(path)
@@ -40,32 +40,22 @@ func (d *DB) writeTable(fill func(w *sstable.Writer) error) (_ base.FileNum, _ s
 		}
 	}()
 	w := sstable.NewWriter(f, d.writerOptions())
-	if err = fill(w); err != nil {
-		return 0, sstable.WriterMeta{}, err
+	it := m.NewIter()
+	for valid := it.First(); valid; valid = it.Next() {
+		if err = w.Add(it.Key(), it.Value()); err != nil {
+			return 0, sstable.WriterMeta{}, err
+		}
+	}
+	for _, rt := range m.RangeTombstones() {
+		if err = w.AddRangeTombstone(rt); err != nil {
+			return 0, sstable.WriterMeta{}, err
+		}
 	}
 	meta, err := w.Finish()
 	if err != nil {
 		return 0, sstable.WriterMeta{}, err
 	}
 	return fn, meta, nil
-}
-
-// writeMemTable materializes a memtable as a new level-0 table file.
-func (d *DB) writeMemTable(m *memtable.MemTable) (base.FileNum, sstable.WriterMeta, error) {
-	return d.writeTable(func(w *sstable.Writer) error {
-		it := m.NewIter()
-		for valid := it.First(); valid; valid = it.Next() {
-			if err := w.Add(it.Key(), it.Value()); err != nil {
-				return err
-			}
-		}
-		for _, rt := range m.RangeTombstones() {
-			if err := w.AddRangeTombstone(rt); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }
 
 // Flush synchronously persists the mutable memtable and drains every sealed
@@ -129,18 +119,16 @@ func (d *DB) flushOne() (bool, error) {
 	// possible), so this wait is bounded by the in-flight group applies.
 	e.mem.WaitWriters()
 
-	id := d.sched.newID()
-	d.traceJobClaim(id, "flush", 0, "")
-	start := time.Now()
+	ji := JobInfo{ID: d.sched.newID(), Kind: JobFlush, Started: time.Now()}
+	d.traceJobClaim(ji.ID, "flush", 0, "")
 	edit := &manifest.VersionEdit{}
-	var size uint64
 	if !e.mem.Empty() {
 		fn, meta, err := d.writeMemTable(e.mem)
 		if err != nil {
-			d.recordFailedJob(JobFlush, start, err)
+			d.recordJob(ji, err)
 			return false, err
 		}
-		size = meta.Size
+		ji.BytesOut = meta.Size
 		edit.Added = []manifest.NewFileEntry{{Level: 0, RunID: d.vs.AllocRunID(), Meta: fileMetaFrom(fn, meta)}}
 	}
 
@@ -152,7 +140,7 @@ func (d *DB) flushOne() (bool, error) {
 		d.stats.FlushQueueDepth.Set(int64(len(d.imm)))
 	})
 	if err != nil {
-		d.recordFailedJob(JobFlush, start, err)
+		d.recordJob(ji, err)
 		return false, err
 	}
 
@@ -161,15 +149,9 @@ func (d *DB) flushOne() (bool, error) {
 	}
 	if len(edit.Added) > 0 {
 		d.stats.Flushes.Add(1)
-		d.stats.BytesFlushed.Add(int64(size))
-		d.stats.FlushLatency.Record(time.Since(start).Nanoseconds())
-		d.recordJob(JobInfo{
-			ID:       id,
-			Kind:     JobFlush,
-			Started:  start,
-			Finished: time.Now(),
-			BytesOut: size,
-		})
+		d.stats.BytesFlushed.Add(int64(ji.BytesOut))
+		d.stats.FlushLatency.Record(time.Since(ji.Started).Nanoseconds())
+		d.recordJob(ji, nil)
 	}
 	return true, nil
 }

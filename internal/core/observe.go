@@ -124,8 +124,8 @@ func (d *DB) Registry() *metrics.Registry {
 	return d.registry
 }
 
-var triggerLabels = [3]metrics.Labels{
-	{"trigger": "l0"}, {"trigger": "saturation"}, {"trigger": "ttl"},
+var triggerLabels = [4]metrics.Labels{
+	{"trigger": "l0"}, {"trigger": "saturation"}, {"trigger": "ttl"}, {"trigger": "range-delete"},
 }
 
 // mergeLabels overlays l on top of extra without mutating either.
@@ -223,7 +223,7 @@ func (d *DB) RegisterMetrics(r *metrics.Registry, extra metrics.Labels) error {
 		"Wall-clock nanoseconds per flush job.", lb(nil), &s.FlushLatency))
 	counter("acheron_background_errors_total", "Failed background job attempts.", &s.BackgroundErrors)
 	counter("acheron_job_retries_total", "Background job retries scheduled for transient failures.", &s.JobRetries)
-	counter("acheron_files_created_total", "Table files installed into a version by flushes, compactions, and eager rewrites.", &s.FilesCreated)
+	counter("acheron_files_created_total", "Table files installed into a version by flushes and compactions.", &s.FilesCreated)
 	counter("acheron_files_deleted_total", "Table files unlinked: replaced ones, and outputs of a failed job that never joined a version.", &s.FilesDeleted)
 	counter("acheron_checkpoints_total", "Completed checkpoints.", &s.Checkpoints)
 

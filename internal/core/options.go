@@ -92,7 +92,8 @@ type Options struct {
 	// immediately: fully covered files are dropped by a metadata-only
 	// edit and partially covered files are rewritten without their
 	// covered pages, instead of waiting for compactions to carry the
-	// tombstone down (the KiWi fast path demonstrated by the paper).
+	// tombstone down (the KiWi fast path demonstrated by the paper). Both
+	// are in-place compaction jobs, trigger "range-delete".
 	EagerRangeDeletes bool
 
 	// DisableWAL skips write-ahead logging (benchmarks that measure pure
@@ -108,8 +109,8 @@ type Options struct {
 	// benchmarks do this).
 	DisableAutoMaintenance bool
 	// MaintenanceConcurrency is the size of the maintenance executor pool
-	// when auto maintenance is enabled. A pool of 1 steps flush, eager
-	// range deletes, and compactions strictly in that order — the sequence
+	// when auto maintenance is enabled. A pool of 1 steps flushes and
+	// compactions (eager range-delete candidates first) in that order — the sequence
 	// deterministic benches drive by hand through MaintenanceStep. A pool
 	// of n >= 2 is one flush executor plus n-1 compaction executors
 	// picking level/key-disjoint jobs concurrently, with TTL-triggered
@@ -135,7 +136,7 @@ type Options struct {
 	// stall condition engages.
 	Admission admission.Config
 	// MaxBackgroundRetries bounds consecutive transient failures of a
-	// background job (flush, compaction, eager range delete) before the
+	// background job (flush, compaction) before the
 	// engine gives up and enters read-only mode with a sticky background
 	// error. Permanent failures (out of space, corruption) escalate
 	// immediately regardless. Default 5; negative retries forever.

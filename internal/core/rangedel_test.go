@@ -507,3 +507,267 @@ func TestMemTableRangeTombstonesConcurrent(t *testing.T) {
 	close(done)
 	wg.Wait()
 }
+
+// eagerFixture opens an eager (or deferred) KiWi store that flushes only by
+// hand, so a test decides what each table holds.
+func eagerFixture(t *testing.T, fs vfs.FS, eager bool, tweak func(*Options)) (*DB, Options) {
+	t.Helper()
+	opts := kiwiOptions(fs, &base.LogicalClock{}, eager)
+	opts.MemTableBytes = 1 << 20
+	if tweak != nil {
+		tweak(&opts)
+	}
+	return mustOpen(t, opts), opts
+}
+
+// putFlush writes keys prefix+[lo, hi) with delete key dk(i) and flushes them
+// into one level-0 table.
+func putFlush(t *testing.T, d *DB, prefix string, lo, hi, tag int, dk func(i int) uint64) {
+	t.Helper()
+	for i := lo; i < hi; i++ {
+		if err := d.Put([]byte(fmt.Sprintf("%s%05d", prefix, i)), testValue(dk(i), tag)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func identityDK(i int) uint64 { return uint64(i) }
+
+// scanAll returns the store's logical contents as "key=value" strings.
+func scanAll(t *testing.T, d *DB) []string {
+	t.Helper()
+	it, err := d.NewIter(IterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer it.Close()
+	keys, values := collectScan(t, it)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("%s=%x", keys[i], values[i])
+	}
+	return keys
+}
+
+func runFileNums(r *manifest.Run) []base.FileNum {
+	var out []base.FileNum
+	for _, f := range r.Files {
+		out = append(out, f.FileNum)
+	}
+	return out
+}
+
+// TestEagerInPlaceCandidate pins the shapes the eager erase takes now that it
+// is a compaction candidate with StartLevel == OutputLevel run by
+// compaction.Run.
+func TestEagerInPlaceCandidate(t *testing.T) {
+	rangeDeleteJobs := func(d *DB) int64 {
+		return d.Stats().CompactionsByTrigger[compaction.TriggerRangeDelete].Get()
+	}
+
+	// A tiered level with two overlapping runs: the older run's files have
+	// nothing older below or beside them and are rewritten; the newer run's
+	// files sit on top of the older run's versions and must be left alone
+	// (dropping their covered entries would let the older versions show).
+	t.Run("older run rewritten, newer run refused", func(t *testing.T) {
+		const keys = 600
+		d, _ := eagerFixture(t, vfs.NewMemFS(), true, func(o *Options) {
+			o.Compaction.Policy = compaction.PolicySizeTiered
+			o.Compaction.DPT = 0
+		})
+		for tag := 0; tag < 4; tag++ { // two L0 runs merge into one L1 run, twice
+			putFlush(t, d, "k", 0, keys, tag, identityDK)
+			if err := d.WaitIdle(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := d.vs.Current()
+		if len(before.Levels[0]) != 0 || len(before.Levels[1]) != 2 {
+			t.Fatalf("fixture: want an empty L0 and two runs in L1, got %+v", d.Levels())
+		}
+		if err := d.DeleteSecondaryRange(0, keys/2); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.WaitIdle(); err != nil {
+			t.Fatal(err)
+		}
+		after := d.vs.Current()
+		if len(after.Levels[1]) != 2 {
+			t.Fatalf("want two runs in L1 still, got %+v", d.Levels())
+		}
+		newer, older := after.Levels[1][0], after.Levels[1][1] // newest first
+		if got, want := runFileNums(newer), runFileNums(before.Levels[1][0]); !reflect.DeepEqual(got, want) {
+			t.Fatalf("newer run was touched: files %v, were %v", got, want)
+		}
+		if older.ID != before.Levels[1][1].ID {
+			t.Fatalf("older run changed identity: %d, was %d", older.ID, before.Levels[1][1].ID)
+		}
+		var left uint64
+		for _, f := range older.Files {
+			left += f.NumEntries
+		}
+		if left != keys/2 || rangeDeleteJobs(d) == 0 {
+			t.Fatalf("older run holds %d entries after %d range-delete jobs, want %d", left, rangeDeleteJobs(d), keys/2)
+		}
+		for i := 0; i < keys; i++ {
+			v, err := d.Get([]byte(fmt.Sprintf("k%05d", i)))
+			if i < keys/2 && err != ErrNotFound {
+				t.Fatalf("covered key %d reads back: %x, %v", i, v, err)
+			}
+			if i >= keys/2 && (err != nil || !bytes.Equal(v, testValue(uint64(i), 3))) {
+				t.Fatalf("key %d = %x, %v; want its newest version", i, v, err)
+			}
+		}
+	})
+
+	// compaction.Run rolls outputs at TargetFileBytes, so a level-0 table
+	// larger than that comes back as several files of the same level-0 run.
+	t.Run("large L0 file rewritten into several files of its run", func(t *testing.T) {
+		const keys = 2000
+		var scans [2][2][]string // [eager][reopened]
+		for e, eager := range []bool{false, true} {
+			fs := vfs.NewMemFS()
+			d, opts := eagerFixture(t, fs, eager, nil)
+			putFlush(t, d, "k", 0, keys, 0, identityDK)
+			f := d.vs.Current().Levels[0][0].Files[0]
+			if f.Size <= opts.Compaction.TargetFileBytes {
+				t.Fatalf("fixture: L0 file of %d bytes does not exceed TargetFileBytes %d", f.Size, opts.Compaction.TargetFileBytes)
+			}
+			if err := d.DeleteSecondaryRange(0, keys/2); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.WaitIdle(); err != nil {
+				t.Fatal(err)
+			}
+			if eager {
+				l0 := d.vs.Current().Levels[0]
+				if len(l0) != 1 || len(l0[0].Files) < 2 {
+					t.Fatalf("want one L0 run of several files, got %+v", d.Levels())
+				}
+				for i, f := range l0[0].Files {
+					if i > 0 && base.Compare(l0[0].Files[i-1].Largest.UserKey, f.Smallest.UserKey) >= 0 {
+						t.Fatalf("L0 run is not sorted and disjoint at file %d", i)
+					}
+				}
+			}
+			for r := range scans[e] {
+				scans[e][r] = scanAll(t, d)
+				for i := 0; i < keys; i += 13 {
+					_, err := d.Get([]byte(fmt.Sprintf("k%05d", i)))
+					if (i < keys/2) != (err == ErrNotFound) {
+						t.Fatalf("eager=%v reopened=%v: get key %d: %v", eager, r == 1, i, err)
+					}
+				}
+				if err := d.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if r == 0 {
+					d = mustOpen(t, opts)
+				}
+			}
+		}
+		if len(scans[0][0]) != keys/2 || !reflect.DeepEqual(scans[0], scans[1]) {
+			t.Fatalf("eager and deferred engines disagree: %d/%d keys before the reopen, %d/%d after, want %d everywhere",
+				len(scans[0][0]), len(scans[1][0]), len(scans[0][1]), len(scans[1][1]), keys/2)
+		}
+	})
+
+	// The file's delete-key span straddles the tombstone but no entry is in
+	// it: the rewrite is discarded, nothing is installed, and the watermark
+	// keeps the picker from trying again.
+	t.Run("span-only intersection installs nothing", func(t *testing.T) {
+		fs := vfs.NewMemFS()
+		d, _ := eagerFixture(t, fs, true, nil)
+		putFlush(t, d, "k", 0, 1000, 0, func(i int) uint64 { return uint64(i%500 + 2000*(i/500)) })
+		before := d.vs.Current()
+		if err := d.DeleteSecondaryRange(1000, 1500); err != nil {
+			t.Fatal(err)
+		}
+		if did, err := d.MaintenanceStep(); err != nil || !did {
+			t.Fatalf("the no-op rewrite should run once: did=%v err=%v", did, err)
+		}
+		if d.vs.Current() != before {
+			t.Fatalf("a rewrite that dropped nothing installed a version: %+v", d.Levels())
+		}
+		assertNoOrphanTables(t, fs, d)
+		if did, err := d.MaintenanceStep(); err != nil || did {
+			t.Fatalf("the memoised file was picked again: did=%v err=%v", did, err)
+		}
+		if n := rangeDeleteJobs(d); n != 1 {
+			t.Fatalf("%d range-delete jobs, want exactly the one no-op", n)
+		}
+		if got := scanAll(t, d); len(got) != 1000 {
+			t.Fatalf("scan sees %d keys, want all 1000", len(got))
+		}
+	})
+}
+
+// TestEagerJobsInLedger: eager work is accounted like any other compaction.
+// One range-delete round that fully covers one file, half covers another and
+// only straddles a third (a discarded no-op rewrite) must leave the
+// by-trigger byte counters partitioning the totals — the no-op's bytes
+// included — and its jobs in the ring as in-place compactions.
+func TestEagerJobsInLedger(t *testing.T) {
+	d, _ := eagerFixture(t, vfs.NewMemFS(), true, func(o *Options) { o.Compaction.L0Threshold = 8 })
+	putFlush(t, d, "a", 0, 1000, 0, identityDK)                                                      // half covered by [0, 500)
+	putFlush(t, d, "b", 100, 400, 0, identityDK)                                                     // fully covered by [0, 500)
+	putFlush(t, d, "c", 0, 800, 0, func(i int) uint64 { return uint64(600 + i%400 + 1400*(i/400)) }) // straddles [1000, 1500)
+	noop := d.vs.Current().Levels[0][0].Files[0].FileNum
+	for _, r := range [][2]base.DeleteKey{{0, 500}, {1000, 1500}} {
+		if err := d.DeleteSecondaryRange(r[0], r[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+
+	st := d.Stats()
+	var read, written int64
+	for tr := range st.CompactionsByTrigger {
+		read += st.CompactBytesReadByTrigger[tr].Get()
+		written += st.CompactBytesWrittenByTrigger[tr].Get()
+	}
+	if read != st.CompactBytesRead.Get() || written != st.CompactBytesWritten.Get() || written == 0 {
+		t.Fatalf("by-trigger bytes do not partition the totals: read %d of %d, written %d of %d",
+			read, st.CompactBytesRead.Get(), written, st.CompactBytesWritten.Get())
+	}
+	rd := int(compaction.TriggerRangeDelete)
+	if st.CompactionsByTrigger[rd].Get() != 3 || st.JobLatencyByTrigger[rd].Count() != 3 {
+		t.Fatalf("range-delete jobs counted %d, timed %d; want 3 (rewrite, drop, no-op)",
+			st.CompactionsByTrigger[rd].Get(), st.JobLatencyByTrigger[rd].Count())
+	}
+	var rewrites, drops int
+	for _, j := range d.RecentMaintJobs() {
+		if j.Trigger != compaction.TriggerRangeDelete || j.Kind != JobCompact {
+			continue
+		}
+		if j.StartLevel != j.OutputLevel || j.Err != nil {
+			t.Fatalf("range-delete job is not a clean in-place compaction: %+v", j)
+		}
+		if j.BytesIn == 0 {
+			drops++
+		} else {
+			rewrites++
+		}
+	}
+	if drops != 1 || rewrites != 2 {
+		t.Fatalf("ring shows %d metadata-only drops and %d rewrites, want 1 and 2", drops, rewrites)
+	}
+	// The three outcomes really happened: 300 + 500 entries gone, the
+	// straddling file still in place under its watermark.
+	if got := st.RangeCoveredDropped.Get() + st.PagesDropped.Get(); st.RangeCoveredDropped.Get() < 300 || got == 0 {
+		t.Fatalf("range_covered_dropped=%d pages_dropped=%d", st.RangeCoveredDropped.Get(), st.PagesDropped.Get())
+	}
+	if got := scanAll(t, d); len(got) != 500+800 {
+		t.Fatalf("scan sees %d keys, want %d", len(got), 500+800)
+	}
+	d.eagerMu.Lock()
+	_, memoised := d.eagerDone[noop]
+	d.eagerMu.Unlock()
+	if !memoised || d.vs.Current().Levels[0][0].Files[0].FileNum != noop {
+		t.Fatalf("the straddling file %s should be untouched and memoised: %+v", noop, d.Levels())
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/base"
 	"repro/internal/compaction"
 	"repro/internal/event"
 	"repro/internal/manifest"
@@ -17,20 +18,16 @@ type JobKind int
 const (
 	// JobFlush drains one immutable memtable to level 0.
 	JobFlush JobKind = iota
-	// JobCompact merges runs between levels.
+	// JobCompact runs a compaction candidate: a merge between levels, a
+	// trivial move, or an in-place rewrite or drop of one file (the KiWi
+	// eager erase, trigger range-delete).
 	JobCompact
-	// JobEagerRangeDelete drops or rewrites a file covered by a secondary
-	// range tombstone (the KiWi fast path).
-	JobEagerRangeDelete
 )
 
 // String implements fmt.Stringer.
 func (k JobKind) String() string {
-	switch k {
-	case JobCompact:
+	if k == JobCompact {
 		return "compact"
-	case JobEagerRangeDelete:
-		return "eager-range-delete"
 	}
 	return "flush"
 }
@@ -43,8 +40,8 @@ type JobInfo struct {
 	ID      uint64
 	Kind    JobKind
 	Trigger compaction.Trigger
-	// Policy names the compaction policy that picked the job; empty for
-	// flushes and eager range deletes.
+	// Policy names the compaction policy the job ran under; empty for
+	// flushes.
 	Policy      string
 	StartLevel  int
 	OutputLevel int
@@ -164,8 +161,8 @@ func (s *scheduler) record(ji JobInfo) {
 	s.mu.Unlock()
 }
 
-// jobOpName renders a job's operation label for trace events: "flush",
-// "compact/<trigger>", "eager-range-delete".
+// jobOpName renders a job's operation label for trace events: "flush" or
+// "compact/<trigger>".
 func jobOpName(ji JobInfo) string {
 	if ji.Kind == JobCompact {
 		return "compact/" + ji.Trigger.String()
@@ -173,9 +170,11 @@ func jobOpName(ji JobInfo) string {
 	return ji.Kind.String()
 }
 
-// recordJob appends a completed job to the observability ring and emits the
-// matching JobCommit (or JobError) trace event.
-func (d *DB) recordJob(ji JobInfo) {
+// recordJob stamps a finished job with its end time and outcome, appends it
+// to the observability ring and emits the matching JobCommit (or JobError)
+// trace event — under the id, op and levels its JobClaim announced.
+func (d *DB) recordJob(ji JobInfo, err error) {
+	ji.Finished, ji.Err = time.Now(), err
 	d.sched.record(ji)
 	e := event.Event{
 		Type:   event.JobCommit,
@@ -195,22 +194,9 @@ func (d *DB) recordJob(ji JobInfo) {
 }
 
 // traceJobClaim emits the JobClaim event for a freshly picked job. policy is
-// the picking policy's name for compaction claims and empty otherwise
-// (flushes and eager work are policy-independent).
+// the policy's name for compaction claims and empty for flushes.
 func (d *DB) traceJobClaim(id uint64, op string, level int, policy string) {
 	d.trace.Emit(event.Event{Type: event.JobClaim, Op: op, Policy: policy, Job: id, Level: level})
-}
-
-// recordFailedJob appends a failed maintenance job to the observability
-// ring, carrying the error in JobInfo.Err.
-func (d *DB) recordFailedJob(kind JobKind, started time.Time, err error) {
-	d.recordJob(JobInfo{
-		ID:       d.sched.newID(),
-		Kind:     kind,
-		Started:  started,
-		Finished: time.Now(),
-		Err:      err,
-	})
 }
 
 // recentJobs returns the completed jobs still in the ring, oldest first.
@@ -241,7 +227,7 @@ func (d *DB) resumeMaintenance() {
 }
 
 // RecentMaintJobs returns the most recently completed maintenance jobs
-// (flushes, compactions, eager range deletes), oldest first. The window is
+// (flushes and compactions of every trigger), oldest first. The window is
 // bounded; it is an observability aid, not a durable log.
 func (d *DB) RecentMaintJobs() []JobInfo { return d.sched.recentJobs() }
 
@@ -326,13 +312,14 @@ func (d *DB) runFlushStep() (bool, error) {
 // eager range-delete work first (it is cheap and unblocks space), then the
 // most urgent disjoint compaction.
 func (d *DB) runCompactionStep() (bool, error) {
+	var job *compactJob
 	if d.opts.EagerRangeDeletes {
-		if job, ok := d.pickEagerJob(); ok {
-			return true, d.runEagerJob(job)
-		}
+		job = d.pickEagerJob()
 	}
-	job, ok := d.pickCompactionJob()
-	if !ok {
+	if job == nil {
+		job = d.pickCompactionJob()
+	}
+	if job == nil {
 		return false, nil
 	}
 	return true, d.runCompactionJob(job)
@@ -343,13 +330,20 @@ type compactJob struct {
 	id   uint64
 	v    *manifest.Version // the version the candidate was picked against
 	cand *compaction.Candidate
+
+	// Set by pickEagerJob only: the range tombstones live at the pick (none
+	// is in the input file), the watermark eagerDone takes once the job has
+	// run, and whether the whole file is covered.
+	live       []base.RangeTombstone
+	applicable base.SeqNum
+	covered    bool
 }
 
 // pickCompactionJob atomically picks the most urgent compaction disjoint
 // from all in-flight jobs and claims its files and rectangle. pickMu makes
 // pick+claim atomic: without it two executors could pick overlapping work
 // before either claim landed.
-func (d *DB) pickCompactionJob() (*compactJob, bool) {
+func (d *DB) pickCompactionJob() *compactJob {
 	d.pickMu.Lock()
 	defer d.pickMu.Unlock()
 	// Claims must be copied before the version is read (see
@@ -364,25 +358,19 @@ func (d *DB) pickCompactionJob() (*compactJob, bool) {
 
 	cand := d.policy.Pick(v, now, haveSnaps, claims)
 	if cand == nil {
-		return nil, false
+		return nil
 	}
 	id := d.sched.newID()
 	d.inflight.ClaimCandidate(id, cand)
 	d.traceJobClaim(id, "compact/"+cand.Trigger.String(), cand.StartLevel, d.policy.Name())
-	return &compactJob{id: id, v: v, cand: cand}, true
+	return &compactJob{id: id, v: v, cand: cand}
 }
 
 // runCompactionJob executes a claimed compaction and releases its claim.
 func (d *DB) runCompactionJob(j *compactJob) error {
-	start := time.Now()
 	d.stats.CompactionsInFlight.Add(1)
-	err := d.runCandidate(j.id, j.v, j.cand)
+	err := d.runCandidate(j)
 	d.stats.CompactionsInFlight.Add(-1)
 	d.inflight.Release(j.id)
-	if err != nil {
-		// Successful jobs record themselves in runCandidate; failed ones
-		// surface here so the ring carries the error.
-		d.recordFailedJob(JobCompact, start, err)
-	}
 	return err
 }

@@ -22,16 +22,17 @@ type Stats struct {
 	CompactBytesRead    metrics.Counter
 	CompactBytesWritten metrics.Counter
 	// CompactBytesReadByTrigger / CompactBytesWrittenByTrigger break the
-	// compaction I/O down by trigger (0=l0, 1=saturation, 2=ttl): the TTL
-	// rows price the delete-persistence guarantee, per policy, in bytes.
-	CompactBytesReadByTrigger    [3]metrics.Counter
-	CompactBytesWrittenByTrigger [3]metrics.Counter
+	// compaction I/O down by trigger (0=l0, 1=saturation, 2=ttl,
+	// 3=range-delete): the TTL rows price the delete-persistence guarantee,
+	// per policy, in bytes. The rows partition the totals above.
+	CompactBytesReadByTrigger    [4]metrics.Counter
+	CompactBytesWrittenByTrigger [4]metrics.Counter
 
 	// Flushes counts memtable flushes.
 	Flushes metrics.Counter
 	// CompactionsByTrigger counts compactions by trigger
-	// (0=l0, 1=saturation, 2=ttl).
-	CompactionsByTrigger [3]metrics.Counter
+	// (0=l0, 1=saturation, 2=ttl, 3=range-delete).
+	CompactionsByTrigger [4]metrics.Counter
 	// TrivialMoves counts metadata-only file moves.
 	TrivialMoves metrics.Counter
 
@@ -71,10 +72,10 @@ type Stats struct {
 	// FlushLatency records wall-clock nanoseconds per flush job.
 	FlushLatency metrics.Histogram
 	// JobLatencyByTrigger records wall-clock nanoseconds per compaction
-	// job, by trigger (0=l0, 1=saturation, 2=ttl). The TTL row is the
-	// DPT-critical one: with concurrent executors it must not inherit the
-	// latency of in-flight saturation work.
-	JobLatencyByTrigger [3]metrics.Histogram
+	// job, by trigger (0=l0, 1=saturation, 2=ttl, 3=range-delete). The TTL
+	// row is the DPT-critical one: with concurrent executors it must not
+	// inherit the latency of in-flight saturation work.
+	JobLatencyByTrigger [4]metrics.Histogram
 	// WriteStalls counts commits that blocked on backpressure;
 	// WriteStallNanos accumulates the total time spent stalled.
 	WriteStalls     metrics.Counter
@@ -217,8 +218,8 @@ func (s *Stats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "ingested=%d flushed=%d compact_read=%d compact_written=%d wa=%.2f\n",
 		s.BytesIngested.Get(), s.BytesFlushed.Get(), s.CompactBytesRead.Get(), s.CompactBytesWritten.Get(), s.WriteAmplification())
-	fmt.Fprintf(&b, "flushes=%d compactions[l0=%d sat=%d ttl=%d] trivial=%d\n",
-		s.Flushes.Get(), s.CompactionsByTrigger[0].Get(), s.CompactionsByTrigger[1].Get(), s.CompactionsByTrigger[2].Get(), s.TrivialMoves.Get())
+	fmt.Fprintf(&b, "flushes=%d compactions[l0=%d sat=%d ttl=%d rangedel=%d] trivial=%d\n",
+		s.Flushes.Get(), s.CompactionsByTrigger[0].Get(), s.CompactionsByTrigger[1].Get(), s.CompactionsByTrigger[2].Get(), s.CompactionsByTrigger[3].Get(), s.TrivialMoves.Get())
 	fmt.Fprintf(&b, "deletes=%d persisted=%d superseded=%d live_tombstones=%d p99_persist=%d max_persist=%d\n",
 		s.DeletesIssued.Get(), s.TombstonesPersisted.Get(), s.TombstonesSuperseded.Get(), s.LiveTombstones.Get(),
 		s.PersistenceLatency.Quantile(0.99), s.PersistenceLatency.Max())
@@ -226,8 +227,8 @@ func (s *Stats) String() string {
 		s.RangeDeletesIssued.Get(), s.RangeTombstonesPersisted.Get(), s.PagesDropped.Get(), s.RangeCoveredDropped.Get(), s.ShadowedDropped.Get())
 	fmt.Fprintf(&b, "flush_queue=%d peak_flush_queue=%d compactions_in_flight=%d p99_flush_ns=%d\n",
 		s.FlushQueueDepth.Get(), s.FlushQueueDepth.Peak(), s.CompactionsInFlight.Get(), s.FlushLatency.Quantile(0.99))
-	fmt.Fprintf(&b, "p99_job_ns[l0=%d sat=%d ttl=%d] write_stalls=%d stall_ns=%d\n",
-		s.JobLatencyByTrigger[0].Quantile(0.99), s.JobLatencyByTrigger[1].Quantile(0.99), s.JobLatencyByTrigger[2].Quantile(0.99),
+	fmt.Fprintf(&b, "p99_job_ns[l0=%d sat=%d ttl=%d rangedel=%d] write_stalls=%d stall_ns=%d\n",
+		s.JobLatencyByTrigger[0].Quantile(0.99), s.JobLatencyByTrigger[1].Quantile(0.99), s.JobLatencyByTrigger[2].Quantile(0.99), s.JobLatencyByTrigger[3].Quantile(0.99),
 		s.WriteStalls.Get(), s.WriteStallNanos.Get())
 	fmt.Fprintf(&b, "stalls_by_cause[imm=%d l0=%d] stall_timeouts=%d commit_cancels=%d\n",
 		s.StallsByCause[stallCauseImm].Get(), s.StallsByCause[stallCauseL0].Get(),

@@ -76,8 +76,10 @@ func (f *FileMetadata) Overlaps(lo, hi []byte) bool {
 }
 
 // Run is a sorted run: files disjoint in key space, ordered by Smallest.
-// Level 0 runs each hold exactly one file (one flush); deeper levels hold
-// one run under leveling or up to the size ratio T runs under tiering.
+// A level 0 run is born as one file (one flush) and stays one run; an
+// in-place rewrite larger than the target file size leaves several files
+// in it. Deeper levels hold one run under leveling or up to the size ratio
+// T runs under tiering.
 type Run struct {
 	// ID orders runs within a level: higher IDs are newer.
 	ID    uint64

@@ -159,8 +159,8 @@ type Properties struct {
 	// for standard tables).
 	NumTiles uint64
 	NumPages uint64
-	// DroppedPages counts pages elided by KiWi range-delete compaction
-	// when this table was written.
+	// DroppedPages is a retired field: no writer stamps it (written 0), but
+	// it keeps its slot in the encoding so existing tables open.
 	DroppedPages uint64
 	// MaxSeqNum is the largest sequence number of any entry or range
 	// tombstone in the table.

@@ -198,10 +198,6 @@ func (w *Writer) AddRangeTombstone(rt base.RangeTombstone) error {
 	return nil
 }
 
-// NoteDroppedPages records that n pages were elided (by a KiWi range-delete
-// compaction) while producing this table.
-func (w *Writer) NoteDroppedPages(n uint64) { w.meta.Props.DroppedPages += n }
-
 // sharedPrefixLen returns the length of the longest common prefix of a and b.
 func sharedPrefixLen(a, b []byte) int {
 	n := len(a)

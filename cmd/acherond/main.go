@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"os/signal"
 	"syscall"
@@ -44,6 +45,9 @@ func main() {
 	opts := core.Options{
 		Shards:     *shards,
 		SyncWrites: *syncWrites,
+		// A shard that goes read-only must say so somewhere an operator
+		// reads, not only on the read_only gauge.
+		Logger: log.Printf,
 		DeleteKeyFunc: func(v []byte) base.DeleteKey {
 			if len(v) < 8 {
 				return 0

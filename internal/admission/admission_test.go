@@ -232,7 +232,7 @@ func TestCloseReleasesWaiters(t *testing.T) {
 
 // TestAdmissionConcurrentStress hammers one controller from many goroutines
 // with mixed deadlines and checks the counters reconcile: every call is
-// accounted exactly once. Run under -race by `make race`/`make overload`.
+// accounted exactly once. Run under -race by `make race`.
 func TestAdmissionConcurrentStress(t *testing.T) {
 	var pressure atomic.Value
 	pressure.Store(0.0)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -61,7 +62,16 @@ func TestStalledWriterReleasedByBackgroundError(t *testing.T) {
 		t.Run(fmt.Sprintf("concurrency=%d", conc), func(t *testing.T) {
 			mem := vfs.NewMemFS()
 			efs := errorfs.Wrap(mem, 1)
-			d, err := Open("db", faultOptions(efs, conc))
+			opts := faultOptions(efs, conc)
+			// Options.Logger is called from executor goroutines.
+			var logMu sync.Mutex
+			var logged []string
+			opts.Logger = func(format string, args ...any) {
+				logMu.Lock()
+				logged = append(logged, fmt.Sprintf(format, args...))
+				logMu.Unlock()
+			}
+			d, err := Open("db", opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,6 +142,20 @@ func TestStalledWriterReleasedByBackgroundError(t *testing.T) {
 			}
 			if err := d.Close(); err != nil {
 				t.Fatalf("Close in read-only mode: %v", err)
+			}
+			// The flip to read-only is announced to Options.Logger exactly
+			// once per DB, with its cause, however many executors hit the
+			// sticky fault and however many writes are refused afterwards.
+			logMu.Lock()
+			defer logMu.Unlock()
+			var readOnly []string
+			for _, line := range logged {
+				if strings.Contains(line, "entering read-only mode") {
+					readOnly = append(readOnly, line)
+				}
+			}
+			if len(readOnly) != 1 || !strings.Contains(readOnly[0], "nospace fault on create") {
+				t.Fatalf("read-only log lines = %q, want exactly one, naming the injected fault", readOnly)
 			}
 		})
 	}

@@ -117,7 +117,7 @@ func (d *DB) checkpoint(ctx context.Context, destDir string) error {
 	vs.EnsureRunID(nextRun)
 	//lint:ignore lockheld checkpoint manifest I/O deliberately runs under the maintMu compaction freeze
 	if err := vs.LogAndApply(edit); err != nil {
-		//lint:ignore lockheld checkpoint manifest I/O deliberately runs under the maintMu compaction freeze
+		// The commit error is the one to report; the close error is dropped.
 		vfs.BestEffortClose(vs)
 		return err
 	}

@@ -438,7 +438,8 @@ func (p *commitPipeline) walStage(group []*pendingCommit, walW *wal.Writer) erro
 		}
 		walBytes += int64(len(payloads[i]))
 	}
-	//lint:ignore lockheld group-commit protocol: the leader serializes WAL appends with sequence order under commitMu, off the engine mutex
+	// Group-commit protocol: the leader serializes WAL appends with sequence
+	// order under commitMu, off the engine mutex.
 	err := walW.AddRecords(payloads)
 	// Drop the payload references so the recycled scratch slice does not
 	// pin this round's encoded records until the next round.
@@ -451,7 +452,8 @@ func (p *commitPipeline) walStage(group []*pendingCommit, walW *wal.Writer) erro
 		d.stats.WALGroupSize.Record(int64(len(group)))
 		if needSync {
 			syncStart := time.Now()
-			//lint:ignore lockheld group-commit protocol: one sync-before-ack per group under commitMu; members are released only afterwards
+			// One sync-before-ack per group under commitMu; members are
+			// released only afterwards.
 			err = walW.Sync()
 			if err == nil {
 				d.stats.WALSyncs.Add(1)

@@ -494,19 +494,19 @@ func TestSchedulerPauseQuiesces(t *testing.T) {
 	if !s.begin() {
 		t.Fatal("begin failed on an idle scheduler")
 	}
-	done := make(chan struct{})
+	// Set before end(), not after: a pause woken by end() may return before
+	// the goroutine's next statement runs.
+	var ending atomic.Bool
 	go func() {
 		time.Sleep(10 * time.Millisecond)
+		ending.Store(true)
 		s.end()
-		close(done)
 	}()
 	bg := context.Background()
 	if err := s.pauseCtx(bg); err != nil { // must block until end()
 		t.Fatal(err)
 	}
-	select {
-	case <-done:
-	default:
+	if !ending.Load() {
 		t.Fatal("pause returned while a job was still running")
 	}
 	if s.begin() {

@@ -25,7 +25,7 @@ import (
 //   - CompactAll over the recovered state preserves equivalence and the
 //     store closes cleanly.
 //
-// Fixed seeds keep the matrix deterministic for CI (`make faults`).
+// Fixed seeds keep the matrix deterministic for CI (`make race`).
 func TestCrashRecoveryTorture(t *testing.T) {
 	styles := []struct {
 		name string

@@ -365,17 +365,17 @@ func (vs *VersionSet) commitLocked(e *VersionEdit) (*Version, error) {
 			return nil, err
 		}
 	}
-	// The record append and fsync deliberately stay under commitMu: the
-	// commit point IS durable-log order, so releasing the mutex before the
-	// sync would let a later version install ahead of an earlier edit's
-	// durability. No reader or writer path blocks on commitMu — engine
-	// locks are only ever acquired after it (a flush install takes the
-	// engine mutex under commitMu), never held while waiting for it — so
-	// the hot paths never wait on this I/O.
-	//lint:ignore lockheld version-set commit point: log order must equal install order, so append+fsync stay under commitMu
+	// The record append and fsync deliberately stay under the caller's
+	// commitMu: the commit point IS durable-log order (log order must equal
+	// install order), so releasing the mutex before the sync would let a
+	// later version install ahead of an earlier edit's durability. No reader
+	// or writer path blocks on commitMu — engine locks are only ever
+	// acquired after it (a flush install takes the engine mutex under
+	// commitMu), never held while waiting for it — so the hot paths never
+	// wait on this I/O.
 	err = vs.writer.AddRecord(e.Encode())
 	if err == nil {
-		//lint:ignore lockheld version-set commit point: the edit must be durable before the version it produces is installed
+		// Durable before the version it produces is installed.
 		err = vs.writer.Sync()
 	}
 	if err == nil {

@@ -5,7 +5,6 @@ package metrics
 import (
 	"math"
 	"math/bits"
-	"sort"
 	"sync/atomic"
 )
 
@@ -84,8 +83,11 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.sum.Load()) / float64(n)
 }
 
-// Quantile returns an upper bound on the q-quantile (0 < q <= 1) using the
-// bucket upper edges. Returns 0 when empty.
+// Quantile returns an upper bound on the q-quantile (0 < q <= 1): the upper
+// edge of the bucket the quantile falls in, or the recorded maximum when
+// that is lower (no quantile exceeds the max, and the top occupied bucket is
+// rarely full). Returns 0 when empty. The loads are not mutually atomic: a
+// concurrent Record may already count in its bucket and not yet in the max.
 func (h *Histogram) Quantile(q float64) int64 {
 	n := h.count.Load()
 	if n == 0 {
@@ -96,13 +98,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 	for b := 0; b < 64; b++ {
 		seen += h.buckets[b].Load()
 		if seen >= target {
-			if b == 0 {
-				return 0
-			}
-			if b >= 63 {
-				return math.MaxInt64
-			}
-			return 1<<b - 1 // upper edge of bucket b
+			return min(BucketUpperBound(b), h.max.Load())
 		}
 	}
 	return h.max.Load()
@@ -177,20 +173,3 @@ func (g *PeakGauge) Get() int64 { return g.v.Load() }
 
 // Peak returns the largest value the gauge has held.
 func (g *PeakGauge) Peak() int64 { return g.peak.Load() }
-
-// Percentile computes the p-th percentile (0-100) of a float slice.
-func Percentile(vals []float64, p float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	idx := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(idx))
-	hi := int(math.Ceil(idx))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := idx - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}

@@ -40,6 +40,21 @@ func TestHistogramQuantileBounds(t *testing.T) {
 	if q100 < 1000 {
 		t.Fatalf("q100 = %d", q100)
 	}
+
+	// A max sitting low in its bucket [2048, 4096): the bucket edge 4095
+	// bounds every quantile that lands there, but the max bounds it tighter.
+	var low Histogram
+	for _, v := range []int64{100, 200, 2100, 2554} {
+		low.Record(v)
+	}
+	for _, q := range []float64{0.5, 0.75, 0.99, 1.0} {
+		if got := low.Quantile(q); got > low.Max() {
+			t.Errorf("Quantile(%v) = %d exceeds Max() = %d", q, got, low.Max())
+		}
+	}
+	if got := low.Quantile(0.5); got != 255 {
+		t.Errorf("Quantile(0.5) = %d, want the bucket edge 255 (below the max, so unclamped)", got)
+	}
 }
 
 func TestHistogramCountAbove(t *testing.T) {
@@ -116,28 +131,6 @@ func TestCounterAndGauge(t *testing.T) {
 	g.Set(42)
 	if g.Get() != 42 {
 		t.Fatal("Set failed")
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	vals := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if p := Percentile(vals, 50); math.Abs(p-5.5) > 0.01 {
-		t.Fatalf("p50 = %f", p)
-	}
-	if p := Percentile(vals, 0); p != 1 {
-		t.Fatalf("p0 = %f", p)
-	}
-	if p := Percentile(vals, 100); p != 10 {
-		t.Fatalf("p100 = %f", p)
-	}
-	if p := Percentile(nil, 50); p != 0 {
-		t.Fatalf("empty percentile = %f", p)
-	}
-	// Input must not be mutated (sorted copy).
-	unsorted := []float64{3, 1, 2}
-	Percentile(unsorted, 50)
-	if unsorted[0] != 3 {
-		t.Fatal("Percentile mutated its input")
 	}
 }
 

@@ -33,8 +33,6 @@ type Config struct {
 	// the client's limit, keeping the response under the frame cap.
 	// Default 4096.
 	MaxScanEntries int
-	// Logger, when set, receives per-connection diagnostics.
-	Logger func(format string, args ...any)
 }
 
 // Server serves the wire protocol over TCP against one Router.

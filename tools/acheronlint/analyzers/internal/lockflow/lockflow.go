@@ -1,6 +1,6 @@
-// Package lockflow is the shared machinery of the concurrency-invariant
-// analyzers (lockorder, condloop): canonical lock naming and a branch-aware
-// walk that threads a held-lock set through a function body.
+// Package lockflow is the shared machinery of the lock-discipline analyzers
+// (lockheld, lockorder, condloop): canonical lock naming and the one
+// branch-aware walk that threads a held-lock set through a function body.
 //
 // Canonical names make a lock's identity stable across access paths: the
 // engine mutex is "core.DB.mu" whether the source says d.mu, db.mu, or
@@ -16,7 +16,8 @@ import (
 	"go/types"
 )
 
-// Held maps canonical lock names to the position where each was acquired.
+// Held maps lock names (see Walker.Name) to the position where each was
+// acquired.
 type Held map[string]token.Pos
 
 // Clone copies a held set.
@@ -128,10 +129,10 @@ const (
 	OpUnlock
 )
 
-// MutexOp recognizes m.Lock/RLock/Unlock/RUnlock calls on sync mutexes and
-// returns the canonical lock name and operation. Read and write locks share
-// one name: for ordering and wakeup purposes they are the same resource.
-func MutexOp(info *types.Info, e ast.Expr) (string, MutexOpKind) {
+// mutexOp recognizes m.Lock/RLock/Unlock/RUnlock calls on sync mutexes and
+// returns the lock's name and operation. Read and write locks share one
+// name: for ordering, stall and wakeup purposes they are the same resource.
+func (w *Walker) mutexOp(e ast.Expr) (string, MutexOpKind) {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
 		return "", OpNone
@@ -140,27 +141,40 @@ func MutexOp(info *types.Info, e ast.Expr) (string, MutexOpKind) {
 	if !ok {
 		return "", OpNone
 	}
-	fn, ok := info.Uses[sel.Sel].(*types.Func)
+	fn, ok := w.Info.Uses[sel.Sel].(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync" {
 		return "", OpNone
 	}
 	switch fn.Name() {
 	case "Lock", "RLock":
-		return Key(info, sel.X), OpLock
+		return w.name(sel.X), OpLock
 	case "Unlock", "RUnlock":
-		return Key(info, sel.X), OpUnlock
+		return w.name(sel.X), OpUnlock
 	}
 	return "", OpNone
 }
 
+// name renders a lock receiver through Walker.Name, defaulting to Key.
+func (w *Walker) name(e ast.Expr) string {
+	if w.Name != nil {
+		return w.Name(e)
+	}
+	return Key(w.Info, e)
+}
+
 // Walker drives a branch-aware traversal of one function body, tracking the
-// set of locks held on each control-flow path. The walk mirrors the lockheld
-// analyzer's semantics: an early-return branch's unlock does not leak into
-// the fall-through path, `defer mu.Unlock()` holds the lock to function end,
-// and function literals are walked with fresh (empty) state — their bodies
-// run on their own call path or goroutine.
+// set of locks held on each control-flow path: an early-return branch's
+// unlock does not leak into the fall-through path, `defer mu.Unlock()` holds
+// the lock to function end, and function literals are walked with fresh
+// (empty) state — their bodies run on their own call path or goroutine.
 type Walker struct {
 	Info *types.Info
+	// Name renders a Lock/Unlock receiver as the held-set key; nil means
+	// Key, the canonical name a package-wide order graph needs. A
+	// function-local check sets types.ExprString instead: under canonical
+	// names a.mu and b.mu of one type are a single entry, and unlocking
+	// one would drop the other from the set.
+	Name func(ast.Expr) string
 	// OnAcquire fires when a lock is acquired; held is the set *before*
 	// the acquisition.
 	OnAcquire func(name string, pos token.Pos, held Held)
@@ -169,6 +183,10 @@ type Walker struct {
 	// goroutine launches are not reported (their bodies run under
 	// unknowable lock state).
 	OnCall func(call *ast.CallExpr, held Held)
+	// OnSend fires at the arrow of every channel send that can block — a
+	// send statement, or a send case of a select without a default clause —
+	// after the calls in its operands have been reported.
+	OnSend func(arrow token.Pos, held Held)
 }
 
 // WalkFunc analyzes one function body with empty initial lock state.
@@ -193,7 +211,7 @@ func (w *Walker) walkStmts(list []ast.Stmt, held Held) (Held, bool) {
 func (w *Walker) walkStmt(s ast.Stmt, held Held) (Held, bool) {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
-		if mu, op := MutexOp(w.Info, s.X); op == OpLock {
+		if mu, op := w.mutexOp(s.X); op == OpLock {
 			if w.OnAcquire != nil {
 				w.OnAcquire(mu, s.Pos(), held)
 			}
@@ -207,7 +225,7 @@ func (w *Walker) walkStmt(s ast.Stmt, held Held) (Held, bool) {
 		return held, isPanicCall(s.X)
 
 	case *ast.DeferStmt:
-		if _, op := MutexOp(w.Info, s.Call); op == OpUnlock {
+		if _, op := w.mutexOp(s.Call); op == OpUnlock {
 			// Held until function end; nothing to remove.
 			return held, false
 		}
@@ -261,6 +279,9 @@ func (w *Walker) walkStmt(s ast.Stmt, held Held) (Held, bool) {
 	case *ast.SendStmt:
 		w.checkExpr(s.Chan, held)
 		w.checkExpr(s.Value, held)
+		if w.OnSend != nil {
+			w.OnSend(s.Arrow, held)
+		}
 		return held, false
 
 	case *ast.BlockStmt:
@@ -321,9 +342,18 @@ func (w *Walker) walkStmt(s ast.Stmt, held Held) (Held, bool) {
 		return w.walkCases(s.Body, held)
 
 	case *ast.SelectStmt:
+		blocking := true
+		for _, cl := range s.Body.List {
+			if cl.(*ast.CommClause).Comm == nil {
+				blocking = false // has a default clause
+			}
+		}
 		out := held.Clone()
 		for _, cl := range s.Body.List {
 			comm := cl.(*ast.CommClause)
+			if send, ok := comm.Comm.(*ast.SendStmt); ok && blocking && w.OnSend != nil {
+				w.OnSend(send.Arrow, held)
+			}
 			caseHeld, term := w.walkStmts(comm.Body, held.Clone())
 			if !term {
 				out = union(out, caseHeld)
@@ -369,7 +399,7 @@ func (w *Walker) checkExpr(e ast.Expr, held Held) {
 			w.WalkFunc(n.Body)
 			return false
 		case *ast.CallExpr:
-			if mu, op := MutexOp(w.Info, n); op != OpNone {
+			if mu, op := w.mutexOp(n); op != OpNone {
 				// A lock op in expression position (rare: inside a bigger
 				// expression) is still an acquisition event.
 				if op == OpLock {

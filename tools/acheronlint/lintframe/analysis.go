@@ -1,8 +1,7 @@
 // Package lintframe is a minimal, dependency-free reimplementation of the
 // golang.org/x/tools/go/analysis vocabulary (Analyzer, Pass, Diagnostic)
-// plus the drivers needed to run analyzers over this module: a standalone
-// driver (`go run ./tools/acheronlint ./...`), a `go vet -vettool`
-// unitchecker, and an analysistest-style harness for testdata packages.
+// plus what runs analyzers over this module: a `go vet -vettool` unitchecker
+// and an analysistest-style harness for testdata packages.
 //
 // The x/tools module is deliberately not vendored: the framework surface the
 // acheronlint analyzers need is tiny, and keeping it in-tree means the lint
@@ -46,8 +45,7 @@ type Pass struct {
 type Diagnostic struct {
 	Pos     token.Pos
 	Message string
-	// Analyzer is the reporting analyzer's name, for structured (-json)
-	// output; the text renderers embed it in Message instead.
+	// Analyzer is the reporting analyzer's name, set by RunAnalyzers.
 	Analyzer string
 }
 
@@ -70,11 +68,15 @@ func (p *Pass) IsTestFile(pos token.Pos) bool {
 // The suppression contract matches staticcheck's: the directive names the
 // analyzer (or "*") and must carry a reason. It silences diagnostics of that
 // analyzer on the directive's own line (trailing-comment form) and on the
-// line immediately below (own-line form).
+// line immediately below (own-line form). A directive that names a running
+// analyzer and silences nothing is itself reported: it reads as "the linter
+// checked this and was overruled" where nothing was checked.
 type ignoreDirective struct {
+	pos      token.Pos
 	file     string
 	line     int
 	analyzer string
+	used     bool
 }
 
 var ignoreRE = regexp.MustCompile(`^//lint:ignore\s+(\S+)\s+\S`)
@@ -90,7 +92,7 @@ func parseIgnores(fset *token.FileSet, files []*ast.File) []ignoreDirective {
 					continue
 				}
 				pos := fset.Position(c.Pos())
-				out = append(out, ignoreDirective{file: pos.Filename, line: pos.Line, analyzer: m[1]})
+				out = append(out, ignoreDirective{pos: c.Pos(), file: pos.Filename, line: pos.Line, analyzer: m[1]})
 			}
 		}
 	}
@@ -98,9 +100,12 @@ func parseIgnores(fset *token.FileSet, files []*ast.File) []ignoreDirective {
 }
 
 // suppressed reports whether a diagnostic from the named analyzer at pos is
-// covered by one of the directives.
+// covered by one of the directives, and marks every directive covering it
+// as used.
 func suppressed(dirs []ignoreDirective, name string, pos token.Position) bool {
-	for _, d := range dirs {
+	hit := false
+	for i := range dirs {
+		d := &dirs[i]
 		if d.file != pos.Filename {
 			continue
 		}
@@ -108,17 +113,18 @@ func suppressed(dirs []ignoreDirective, name string, pos token.Position) bool {
 			continue
 		}
 		if pos.Line == d.line || pos.Line == d.line+1 {
-			return true
+			d.used, hit = true, true
 		}
 	}
-	return false
+	return hit
 }
 
 // RunAnalyzers applies each analyzer to the package and returns the
-// surviving (non-suppressed) diagnostics, sorted by position. The fact
-// store supplies facts exported by dependency packages and receives the
-// facts this package exports; a nil store disables facts (analyzers then
-// check what they can see in-package).
+// surviving (non-suppressed) diagnostics plus one for each //lint:ignore
+// directive that names one of the analyzers and suppressed nothing, sorted
+// by position. The fact store supplies facts exported by dependency
+// packages and receives the facts this package exports; a nil store
+// disables facts (analyzers then check what they can see in-package).
 func RunAnalyzers(pkg *Package, analyzers []*Analyzer, facts *FactStore) ([]Diagnostic, error) {
 	dirs := parseIgnores(pkg.Fset, pkg.Files)
 	var out []Diagnostic
@@ -141,6 +147,17 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer, facts *FactStore) ([]Diag
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %w", a.Name, err)
+		}
+	}
+	for _, d := range dirs {
+		if d.used {
+			continue
+		}
+		for _, a := range analyzers {
+			if d.analyzer == a.Name {
+				out = append(out, Diagnostic{Pos: d.pos, Analyzer: a.Name,
+					Message: "unused //lint:ignore " + a.Name + " directive"})
+			}
 		}
 	}
 	sortDiagnostics(pkg.Fset, out)

@@ -32,10 +32,9 @@ type PackageFact struct {
 	Data string `json:"data,omitempty"`
 }
 
-// FactStore accumulates package facts across a driver run. The standalone
-// driver fills it in dependency order; the unitchecker driver fills it from
-// the .vetx files of the unit's dependencies and serializes the current
-// package's facts into its own .vetx output.
+// FactStore accumulates package facts across a driver run. The unitchecker
+// driver fills it from the .vetx files of the unit's dependencies and
+// serializes the current package's facts into its own .vetx output.
 type FactStore struct {
 	byPkg map[string][]PackageFact
 	order []string // insertion order, for deterministic iteration
@@ -111,10 +110,8 @@ func (p *Pass) ExportFact(object, kind, data string) {
 }
 
 // ImportedFacts returns every fact of the given kind exported by this
-// analyzer for packages other than the one under analysis. With the
-// standalone driver over ./... the store holds facts for every
-// already-processed package (dependencies first); under go vet it holds
-// exactly the unit's transitive dependencies.
+// analyzer for packages other than the one under analysis: under go vet,
+// the dependencies whose .vetx files the go command handed this unit.
 func (p *Pass) ImportedFacts(kind string) []PackageFact {
 	if p.facts == nil {
 		return nil

@@ -1,19 +1,9 @@
 package lintframe
 
 import (
-	"bytes"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
-	"os/exec"
-	"path/filepath"
-	"sort"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -24,119 +14,6 @@ type Package struct {
 	Files      []*ast.File
 	Types      *types.Package
 	Info       *types.Info
-}
-
-// listedPackage is the subset of `go list -json` output the loader needs.
-type listedPackage struct {
-	ImportPath string
-	Dir        string
-	Name       string
-	GoFiles    []string
-	Deps       []string
-}
-
-// LoadPackages enumerates the packages matching the patterns with
-// `go list -json` and type-checks each from source. Only non-test Go files
-// are loaded; the analyzers' contract is to gate production code (see
-// Pass.IsTestFile).
-func LoadPackages(patterns []string) ([]*Package, error) {
-	args := append([]string{"list", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
-	var stdout, stderr bytes.Buffer
-	cmd.Stdout = &stdout
-	cmd.Stderr = &stderr
-	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, stderr.String())
-	}
-
-	var listed []listedPackage
-	dec := json.NewDecoder(&stdout)
-	for {
-		var p listedPackage
-		if err := dec.Decode(&p); errors.Is(err, io.EOF) {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("decoding go list output: %v", err)
-		}
-		if len(p.GoFiles) > 0 {
-			listed = append(listed, p)
-		}
-	}
-	sort.Slice(listed, func(i, j int) bool { return listed[i].ImportPath < listed[j].ImportPath })
-	listed = topoOrder(listed)
-
-	fset := token.NewFileSet()
-	// One source importer shared across packages so each dependency is
-	// type-checked at most once.
-	imp := importer.ForCompiler(fset, "source", nil)
-	var out []*Package
-	for _, lp := range listed {
-		pkg, err := checkPackage(fset, imp, lp)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, pkg)
-	}
-	return out, nil
-}
-
-// topoOrder arranges the loaded packages so every package follows the
-// packages it (transitively) depends on. The driver processes them in this
-// order, which is what makes dependency facts available by the time a
-// dependent package is analyzed. Ties (unrelated packages) keep their
-// import-path sort order, so output stays deterministic.
-func topoOrder(listed []listedPackage) []listedPackage {
-	inSet := make(map[string]int, len(listed)) // import path -> index
-	for i, lp := range listed {
-		inSet[lp.ImportPath] = i
-	}
-	out := make([]listedPackage, 0, len(listed))
-	visited := make(map[string]bool, len(listed))
-	var visit func(i int)
-	visit = func(i int) {
-		lp := listed[i]
-		if visited[lp.ImportPath] {
-			return
-		}
-		visited[lp.ImportPath] = true
-		// Deps is transitive and pre-sorted by the go command; restricting
-		// to in-set members keeps this a DAG walk over loaded packages.
-		for _, dep := range lp.Deps {
-			if j, ok := inSet[dep]; ok {
-				visit(j)
-			}
-		}
-		out = append(out, lp)
-	}
-	for i := range listed {
-		visit(i)
-	}
-	return out
-}
-
-func checkPackage(fset *token.FileSet, imp types.Importer, lp listedPackage) (*Package, error) {
-	var files []*ast.File
-	for _, name := range lp.GoFiles {
-		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("parsing %s: %v", name, err)
-		}
-		files = append(files, f)
-	}
-	info := NewTypesInfo()
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(lp.ImportPath, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking %s: %v", lp.ImportPath, err)
-	}
-	return &Package{
-		ImportPath: lp.ImportPath,
-		Dir:        lp.Dir,
-		Fset:       fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-	}, nil
 }
 
 // NewTypesInfo allocates a types.Info with every map the analyzers consult.

@@ -1,16 +1,17 @@
 package lintframe
 
 import (
-	"encoding/json"
+	"crypto/sha256"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 )
 
-// Main is the entry point shared by the acheronlint binary. It detects the
-// `go vet -vettool` unitchecker protocol (a single *.cfg argument, plus the
-// -V=full and -flags probes the go command sends first) and otherwise runs
-// as a standalone checker over the given package patterns.
+// Main is the entry point of the acheronlint binary, which runs one way: as
+// a `go vet -vettool`. It answers the -V=full and -flags probes the go
+// command sends first, then analyzes the one vet unit named by a *.cfg
+// argument; anything else prints usage and exits 1.
 //
 // Exit codes follow vet conventions: 0 clean, 1 usage/load failure,
 // 2 diagnostics reported.
@@ -21,8 +22,12 @@ func Main(analyzers ...*Analyzer) {
 	for _, a := range args {
 		switch {
 		case a == "-V=full" || a == "--V=full":
-			// The go command caches vet results keyed on this line.
-			fmt.Printf("acheronlint version 1 buildID=%s\n", buildFingerprint(analyzers))
+			id, err := buildID()
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "acheronlint: %v\n", err)
+				os.Exit(1)
+			}
+			fmt.Printf("acheronlint version 1 buildID=%s\n", id)
 			return
 		case a == "-flags" || a == "--flags":
 			// No analyzer-selection flags are exposed: the suite always
@@ -36,92 +41,23 @@ func Main(analyzers ...*Analyzer) {
 		os.Exit(unitcheckerMain(args[0], analyzers))
 	}
 
-	if len(args) > 0 && (args[0] == "-h" || args[0] == "-help" || args[0] == "--help") {
-		usage(analyzers)
+	usage(analyzers)
+	if len(args) == 1 && (args[0] == "-h" || args[0] == "-help" || args[0] == "--help") {
 		return
 	}
-
-	jsonOut := false
-	patterns := make([]string, 0, len(args))
-	for _, a := range args {
-		if a == "-json" || a == "--json" {
-			jsonOut = true
-			continue
-		}
-		patterns = append(patterns, a)
-	}
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	pkgs, err := LoadPackages(patterns)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "acheronlint: %v\n", err)
-		os.Exit(1)
-	}
-	// One shared fact store: packages arrive in dependency order from the
-	// loader, so each analysis sees the facts of every loaded dependency.
-	facts := NewFactStore()
-	var findings []jsonFinding
-	exit := 0
-	for _, pkg := range pkgs {
-		diags, err := RunAnalyzers(pkg, analyzers, facts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "acheronlint: %s: %v\n", pkg.ImportPath, err)
-			os.Exit(1)
-		}
-		for _, d := range diags {
-			exit = 2
-			pos := pkg.Fset.Position(d.Pos)
-			if jsonOut {
-				findings = append(findings, jsonFinding{
-					File:     pos.Filename,
-					Line:     pos.Line,
-					Column:   pos.Column,
-					Analyzer: d.Analyzer,
-					Message:  d.Message,
-				})
-				continue
-			}
-			fmt.Printf("%s: [%s] %s\n", pos, d.Analyzer, d.Message)
-		}
-	}
-	if jsonOut {
-		// Always emit a (possibly empty) array so CI consumers can parse
-		// the clean case without special-casing empty output.
-		if findings == nil {
-			findings = []jsonFinding{}
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "\t")
-		if err := enc.Encode(findings); err != nil {
-			fmt.Fprintf(os.Stderr, "acheronlint: encoding findings: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	os.Exit(exit)
-}
-
-// jsonFinding is the -json exposition of one diagnostic, shaped for CI
-// annotation tooling (file/line/column plus the analyzer name kept apart
-// from the human message).
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+	os.Exit(1)
 }
 
 func usage(analyzers []*Analyzer) {
-	fmt.Println("usage: acheronlint [-json] [packages]")
+	fmt.Println("usage: go vet -vettool=<path to acheronlint> [packages]")
 	fmt.Println()
-	fmt.Println("Runs the Acheron engine-specific analyzers over the given package")
-	fmt.Println("patterns (default ./...). Also usable as go vet -vettool=<binary>.")
-	fmt.Println("-json emits findings as a JSON array (file/line/column/analyzer/")
-	fmt.Println("message) for CI annotation tooling.")
+	fmt.Println("Runs the Acheron engine-specific analyzers over the build graph of the")
+	fmt.Println("given packages, test files included (`make acheronlint` builds the")
+	fmt.Println("binary and does this for ./...).")
 	fmt.Println()
 	fmt.Println("Suppress a finding with a //lint:ignore <analyzer> <reason> comment")
-	fmt.Println("on, or on the line above, the flagged line.")
+	fmt.Println("on, or on the line above, the flagged line; a directive that")
+	fmt.Println("suppresses nothing is itself reported.")
 	fmt.Println()
 	fmt.Println("Analyzers:")
 	for _, a := range analyzers {
@@ -133,19 +69,25 @@ func usage(analyzers []*Analyzer) {
 	}
 }
 
-// buildFingerprint folds the analyzer names and docs into a stable id so the
-// go command's vet cache invalidates when the suite changes shape.
-func buildFingerprint(analyzers []*Analyzer) string {
-	var h uint64 = 1469598103934665603 // FNV-1a
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= 1099511628211
-		}
+// buildID hashes the running executable. The go command keys its vet cache
+// on the -V=full line — the diagnostics of the packages named on the command
+// line and the .vetx fact files of their dependencies alike — so the id must
+// change whenever analyzer logic does, not only when an analyzer is added or
+// renamed; otherwise an edited fact computation is graded against facts the
+// old binary cached.
+func buildID() (string, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return "", err
 	}
-	for _, a := range analyzers {
-		mix(a.Name)
-		mix(a.Doc)
+	f, err := os.Open(exe)
+	if err != nil {
+		return "", err
 	}
-	return fmt.Sprintf("%016x", h)
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "", fmt.Errorf("hashing %s: %w", exe, err)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil)[:8]), nil
 }

@@ -10,15 +10,10 @@
 //	condloop       Cond.Wait outside a predicate loop; wakeups without the mutex
 //	errsentinel    sentinel errors matched with == instead of errors.Is/As
 //
-// Run standalone over package patterns (add -json for machine-readable
-// findings):
-//
-//	go run ./tools/acheronlint ./...
-//	go run ./tools/acheronlint -json ./...
-//
-// or as a vet tool, which also covers test files' build graph and carries
-// cross-package facts (lock-order summaries, atomic-field discipline,
-// cond-mutex bindings) through the go command's .vetx plumbing:
+// It runs one way, as a vet tool (`make acheronlint`): the go command hands
+// it the full build graph, test files included, and carries cross-package
+// facts (lock-order summaries, atomic-field discipline, cond-mutex bindings)
+// through its .vetx plumbing:
 //
 //	go build -o bin/acheronlint ./tools/acheronlint
 //	go vet -vettool=$(pwd)/bin/acheronlint ./...
@@ -27,6 +22,9 @@
 // immediately above, the flagged line:
 //
 //	//lint:ignore <analyzer> <reason>
+//
+// A directive that names an analyzer and suppresses nothing is reported
+// (`unused //lint:ignore <analyzer> directive`).
 //
 // Declare concurrency invariants for lockorder with:
 //

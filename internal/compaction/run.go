@@ -26,8 +26,6 @@ type Env struct {
 	// AllocFileNum reserves output file numbers.
 	AllocFileNum func() base.FileNum
 
-	// Now is the clock reading at compaction start.
-	Now base.Timestamp
 	// Snapshots are the active snapshot sequence numbers, ascending.
 	// Versions straddling a snapshot boundary must both be kept.
 	Snapshots []base.SeqNum
@@ -47,18 +45,6 @@ type Env struct {
 	// of the inputs' own, but they stay where they live: never written to
 	// an output, never reported as disposed.
 	LiveRangeTombstones []base.RangeTombstone
-
-	// OnTombstoneDropped fires when a point tombstone is physically
-	// disposed of (delete persisted). The key slice is only valid during
-	// the call.
-	OnTombstoneDropped func(userKey []byte, seq base.SeqNum, createdAt base.Timestamp)
-	// OnRangeTombstoneDropped fires when a secondary range tombstone is
-	// disposed of.
-	OnRangeTombstoneDropped func(base.RangeTombstone)
-	// OnTombstoneSuperseded fires when a tombstone is discarded because a
-	// newer write made it moot (not a persistence event, but the
-	// tombstone no longer exists).
-	OnTombstoneSuperseded func(userKey []byte, seq base.SeqNum)
 }
 
 // OutputFile pairs a new table's number with its metadata.
@@ -74,19 +60,22 @@ type Result struct {
 	// BytesRead and BytesWritten feed write-amplification accounting.
 	BytesRead    uint64
 	BytesWritten uint64
-	// EntriesIn/EntriesOut count merged entries.
-	EntriesIn  uint64
-	EntriesOut uint64
 	// ShadowedDropped counts superseded versions discarded.
 	ShadowedDropped uint64
 	// TombstonesDropped counts point tombstones disposed of (deletes
 	// persisted).
 	TombstonesDropped uint64
 	// TombstonesSuperseded counts tombstones dropped because a newer
-	// write shadowed them.
+	// write shadowed them (not a persistence event, but the tombstone no
+	// longer exists).
 	TombstonesSuperseded uint64
 	// RangeTombstonesDropped counts disposed secondary range tombstones.
 	RangeTombstonesDropped uint64
+	// DisposedCreatedAt holds the creation timestamp of every tombstone
+	// counted in RangeTombstonesDropped and TombstonesDropped, in that
+	// order: what the engine needs to book persistence latency once the
+	// job's edit is installed.
+	DisposedCreatedAt []base.Timestamp
 	// RangeCoveredDropped counts entries discarded because a secondary
 	// range tombstone covered them.
 	RangeCoveredDropped uint64
@@ -111,6 +100,7 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 
 	// Collect readers and range tombstones from every input file.
 	var rangeDels []base.RangeTombstone
+	var numDeletes uint64
 	collect := func(files []*manifest.FileMetadata) ([]*sstable.Reader, error) {
 		rs := make([]*sstable.Reader, len(files))
 		for i, f := range files {
@@ -120,7 +110,7 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 			}
 			rs[i] = r
 			rangeDels = append(rangeDels, r.RangeTombstones()...)
-			res.EntriesIn += f.NumEntries
+			numDeletes += f.NumDeletes
 		}
 		return rs, nil
 	}
@@ -205,20 +195,21 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 	var surviving []base.RangeTombstone
 	own := rangeDels
 	rangeDels = slices.Concat(own, env.LiveRangeTombstones)
+	if env.Bottommost {
+		res.DisposedCreatedAt = make([]base.Timestamp, 0, uint64(len(own))+numDeletes)
+	}
 	for _, rt := range own {
 		if env.Bottommost && len(env.Snapshots) == 0 &&
 			env.RangeTombstoneDisposable != nil && env.RangeTombstoneDisposable(rt) {
 			res.RangeTombstonesDropped++
-			if env.OnRangeTombstoneDropped != nil {
-				env.OnRangeTombstoneDropped(rt)
-			}
+			res.DisposedCreatedAt = append(res.DisposedCreatedAt, rt.CreatedAt)
 		} else {
 			surviving = append(surviving, rt)
 		}
 	}
 
 	merged := iterator.NewMerge(sources...)
-	out := newOutputWriter(env, res, surviving)
+	out := newOutputWriter(env, surviving)
 	defer func() {
 		if err != nil {
 			out.abort()
@@ -254,14 +245,9 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 				switch {
 				case ik.Kind() == base.KindDelete && env.Bottommost:
 					res.TombstonesDropped++
-					if env.OnTombstoneDropped != nil {
-						env.OnTombstoneDropped(ik.UserKey, ik.SeqNum(), base.DecodeTombstoneValue(value))
-					}
+					res.DisposedCreatedAt = append(res.DisposedCreatedAt, base.DecodeTombstoneValue(value))
 				case ik.Kind() == base.KindDelete:
 					res.TombstonesSuperseded++
-					if env.OnTombstoneSuperseded != nil {
-						env.OnTombstoneSuperseded(ik.UserKey, ik.SeqNum())
-					}
 				default:
 					res.ShadowedDropped++
 				}
@@ -276,9 +262,7 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 			// visible) of its key. Dispose of it at the bottom.
 			if env.Bottommost && noSnapshotIn(env.Snapshots, 0, ik.SeqNum()) {
 				res.TombstonesDropped++
-				if env.OnTombstoneDropped != nil {
-					env.OnTombstoneDropped(ik.UserKey, ik.SeqNum(), base.DecodeTombstoneValue(value))
-				}
+				res.DisposedCreatedAt = append(res.DisposedCreatedAt, base.DecodeTombstoneValue(value))
 				// Older versions of this key are shadowed by the
 				// stripe rule with lastKeptSeq = this seq.
 				lastKeptSeq = ik.SeqNum()
@@ -330,7 +314,6 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 	res.Outputs = out.outputs
 	for _, of := range res.Outputs {
 		res.BytesWritten += of.Meta.Size
-		res.EntriesOut += of.Meta.Props.NumEntries
 	}
 	return res, nil
 }
@@ -339,7 +322,6 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 // surviving range tombstones to the first output.
 type outputWriter struct {
 	env       Env
-	res       *Result
 	surviving []base.RangeTombstone
 	rtPlaced  bool
 
@@ -350,8 +332,8 @@ type outputWriter struct {
 	outputs []OutputFile
 }
 
-func newOutputWriter(env Env, res *Result, surviving []base.RangeTombstone) *outputWriter {
-	return &outputWriter{env: env, res: res, surviving: surviving}
+func newOutputWriter(env Env, surviving []base.RangeTombstone) *outputWriter {
+	return &outputWriter{env: env, surviving: surviving}
 }
 
 // open starts the next output table; the first one carries the surviving

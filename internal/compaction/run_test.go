@@ -2,6 +2,7 @@ package compaction
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/base"
@@ -59,7 +60,7 @@ type kv struct {
 
 // newTable materializes kvs (sorted by caller) plus range tombstones into
 // a new table, returning its metadata.
-func (e *testEnv) newTable(t *testing.T, kvs []kv, rts []base.RangeTombstone) *manifest.FileMetadata {
+func (e *testEnv) newTable(t testing.TB, kvs []kv, rts []base.RangeTombstone) *manifest.FileMetadata {
 	t.Helper()
 	fn := e.nextFN
 	e.nextFN++
@@ -94,7 +95,7 @@ func (e *testEnv) newTable(t *testing.T, kvs []kv, rts []base.RangeTombstone) *m
 	}
 }
 
-func (e *testEnv) env(t *testing.T) Env {
+func (e *testEnv) env(t testing.TB) Env {
 	t.Helper()
 	return Env{
 		FS:              e.fs,
@@ -206,8 +207,8 @@ func TestRunTombstoneSurvivesAboveBottom(t *testing.T) {
 	if len(got) != 2 || got[0].kind != base.KindDelete {
 		t.Fatalf("tombstone lost above bottom: %+v", got)
 	}
-	if res.TombstonesDropped != 0 {
-		t.Fatal("nothing should be disposed above bottom")
+	if res.TombstonesDropped != 0 || len(res.DisposedCreatedAt) != 0 {
+		t.Fatalf("nothing should be disposed above bottom: %+v", res)
 	}
 }
 
@@ -218,18 +219,11 @@ func TestRunTombstoneDisposedAtBottom(t *testing.T) {
 	}, nil)
 	bottom := e.newTable(t, []kv{
 		{"a", 2, base.KindSet, dkVal(7)},
+		{"a", 1, base.KindDelete, base.EncodeTombstoneValue(3)}, // shadowed, disposed too
 		{"b", 3, base.KindSet, dkVal(8)},
 	}, nil)
 	env := e.env(t)
 	env.Bottommost = true
-	env.Now = 100
-	var persisted []base.SeqNum
-	env.OnTombstoneDropped = func(_ []byte, seq base.SeqNum, createdAt base.Timestamp) {
-		persisted = append(persisted, seq)
-		if createdAt != 5 {
-			t.Errorf("createdAt = %d", createdAt)
-		}
-	}
 	res, err := Run(candidate(1, []*manifest.FileMetadata{top}, []*manifest.FileMetadata{bottom}), env)
 	if err != nil {
 		t.Fatal(err)
@@ -238,8 +232,9 @@ func TestRunTombstoneDisposedAtBottom(t *testing.T) {
 	if len(got) != 1 || got[0].key != "b" {
 		t.Fatalf("deletion not applied at bottom: %+v", got)
 	}
-	if res.TombstonesDropped != 1 || len(persisted) != 1 || persisted[0] != 10 {
-		t.Fatalf("disposal not recorded: %+v %v", res, persisted)
+	// Each disposed tombstone's creation time is reported exactly once.
+	if res.TombstonesDropped != 2 || !slices.Equal(res.DisposedCreatedAt, []base.Timestamp{5, 3}) {
+		t.Fatalf("disposal not recorded: %+v", res)
 	}
 }
 
@@ -251,8 +246,6 @@ func TestRunTombstoneSupersededByNewerWrite(t *testing.T) {
 	}, nil)
 	env := e.env(t)
 	env.Bottommost = false
-	superseded := 0
-	env.OnTombstoneSuperseded = func([]byte, base.SeqNum) { superseded++ }
 	res, err := Run(candidate(1, []*manifest.FileMetadata{in}, nil), env)
 	if err != nil {
 		t.Fatal(err)
@@ -261,8 +254,8 @@ func TestRunTombstoneSupersededByNewerWrite(t *testing.T) {
 	if len(got) != 1 || got[0].seq != 10 {
 		t.Fatalf("output: %+v", got)
 	}
-	if res.TombstonesSuperseded != 1 || superseded != 1 {
-		t.Fatalf("superseded accounting: %d/%d", res.TombstonesSuperseded, superseded)
+	if res.TombstonesSuperseded != 1 || res.TombstonesDropped != 0 || len(res.DisposedCreatedAt) != 0 {
+		t.Fatalf("superseded accounting (not a persistence event): %+v", res)
 	}
 }
 
@@ -310,8 +303,8 @@ func TestRunSnapshotBlocksTombstoneDisposal(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("snapshot should keep both tombstone and old version: %+v", got)
 	}
-	if res.TombstonesDropped != 0 {
-		t.Fatal("tombstone disposed despite snapshot")
+	if res.TombstonesDropped != 0 || len(res.DisposedCreatedAt) != 0 {
+		t.Fatalf("tombstone disposed despite snapshot: %+v", res)
 	}
 }
 
@@ -329,6 +322,9 @@ func TestRunRangeTombstoneCarriedWhenNotDisposable(t *testing.T) {
 	if len(res.Outputs) != 1 || res.Outputs[0].Meta.Props.NumRangeDeletes != 1 {
 		t.Fatalf("range tombstone not carried: %+v", res.Outputs)
 	}
+	if res.RangeTombstonesDropped != 0 || len(res.DisposedCreatedAt) != 0 {
+		t.Fatalf("carried range tombstone reported as disposed: %+v", res)
+	}
 }
 
 func TestRunRangeTombstoneDisposedWhenAllowed(t *testing.T) {
@@ -338,14 +334,12 @@ func TestRunRangeTombstoneDisposedWhenAllowed(t *testing.T) {
 	env := e.env(t)
 	env.Bottommost = true
 	env.RangeTombstoneDisposable = func(base.RangeTombstone) bool { return true }
-	dropped := 0
-	env.OnRangeTombstoneDropped = func(base.RangeTombstone) { dropped++ }
 	res, err := Run(candidate(1, []*manifest.FileMetadata{in}, nil), env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.RangeTombstonesDropped != 1 || dropped != 1 {
-		t.Fatal("range tombstone not disposed")
+	if res.RangeTombstonesDropped != 1 || !slices.Equal(res.DisposedCreatedAt, []base.Timestamp{rt.CreatedAt}) {
+		t.Fatalf("range tombstone not disposed: %+v", res)
 	}
 	if len(res.Outputs) != 1 || res.Outputs[0].Meta.Props.NumRangeDeletes != 0 {
 		t.Fatalf("outputs should carry no range tombstones: %+v", res.Outputs)
@@ -394,8 +388,6 @@ func TestRunKiWiPageDropsCounted(t *testing.T) {
 		env := e.env(t)
 		env.Bottommost = true
 		env.RangeTombstoneDisposable = func(base.RangeTombstone) bool { return true }
-		disposed := 0
-		env.OnRangeTombstoneDropped = func(base.RangeTombstone) { disposed++ }
 		var c *Candidate
 		if live {
 			in := e.newTable(t, kvs, nil)
@@ -416,9 +408,9 @@ func TestRunKiWiPageDropsCounted(t *testing.T) {
 		if live {
 			wantDisposed = 0
 		}
-		if disposed != wantDisposed || res.RangeTombstonesDropped != uint64(wantDisposed) {
-			t.Fatalf("live=%v: %d range tombstones disposed (callback fired %d times), want %d",
-				live, res.RangeTombstonesDropped, disposed, wantDisposed)
+		if res.RangeTombstonesDropped != uint64(wantDisposed) || len(res.DisposedCreatedAt) != wantDisposed {
+			t.Fatalf("live=%v: %d range tombstones disposed (%d timestamps reported), want %d",
+				live, res.RangeTombstonesDropped, len(res.DisposedCreatedAt), wantDisposed)
 		}
 		for _, of := range res.Outputs {
 			if of.Meta.Props.NumRangeDeletes != 0 {

@@ -265,6 +265,22 @@ func (d *DB) runCandidate(j *compactJob) (err error) {
 	d.stats.PagesDropped.Add(int64(res.PagesDropped))
 	d.stats.RangeCoveredDropped.Add(int64(res.RangeCoveredDropped))
 	d.stats.JobLatencyByTrigger[t].Record(time.Since(ji.Started).Nanoseconds())
+
+	// The tombstone ledger is booked here and not during the merge: until
+	// the edit lands the old files are what a reader and a disk scan find,
+	// and a failed or retried job must book nothing.
+	d.stats.TombstonesPersisted.Add(int64(res.TombstonesDropped))
+	d.stats.TombstonesSuperseded.Add(int64(res.TombstonesSuperseded))
+	d.stats.RangeTombstonesPersisted.Add(int64(res.RangeTombstonesDropped))
+	d.stats.LiveTombstones.Add(-int64(res.TombstonesDropped + res.TombstonesSuperseded))
+	now, deadline := d.opts.Clock.Now(), d.stats.persistenceDeadline.Load()
+	for _, createdAt := range res.DisposedCreatedAt {
+		lat := max(int64(now-createdAt), 0)
+		d.stats.PersistenceLatency.Record(lat)
+		if deadline > 0 && lat > deadline {
+			d.stats.TombstonesPersistedLate.Add(1)
+		}
+	}
 	return nil
 }
 
@@ -283,7 +299,6 @@ func (d *DB) merge(j *compactJob) (*compaction.Result, error) {
 	// — and the later read is the more conservative one.
 	d.mu.Lock()
 	snaps := append([]base.SeqNum(nil), d.snapshots...)
-	now := d.opts.Clock.Now()
 	d.mu.Unlock()
 
 	// A range tombstone is retired only when no file outside this
@@ -328,32 +343,10 @@ func (d *DB) merge(j *compactJob) (*compaction.Result, error) {
 			return r, nil
 		},
 		AllocFileNum:             d.vs.AllocFileNum,
-		Now:                      now,
 		Snapshots:                snaps,
 		Bottommost:               bottom,
 		RangeTombstoneDisposable: rtDisposable,
 		LiveRangeTombstones:      j.live,
-		OnTombstoneDropped: func(_ []byte, _ base.SeqNum, createdAt base.Timestamp) {
-			lat := int64(d.opts.Clock.Now() - createdAt)
-			if lat < 0 {
-				lat = 0
-			}
-			d.stats.PersistenceLatency.Record(lat)
-			d.stats.TombstonesPersisted.Add(1)
-			d.stats.LiveTombstones.Add(-1)
-		},
-		OnTombstoneSuperseded: func(_ []byte, _ base.SeqNum) {
-			d.stats.TombstonesSuperseded.Add(1)
-			d.stats.LiveTombstones.Add(-1)
-		},
-		OnRangeTombstoneDropped: func(rt base.RangeTombstone) {
-			lat := int64(d.opts.Clock.Now() - rt.CreatedAt)
-			if lat < 0 {
-				lat = 0
-			}
-			d.stats.PersistenceLatency.Record(lat)
-			d.stats.RangeTombstonesPersisted.Add(1)
-		},
 	})
 }
 

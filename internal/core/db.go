@@ -224,6 +224,12 @@ func Open(dirname string, opts Options) (*DB, error) {
 	}
 	// Everything recovered is fully applied; published == allocated.
 	d.commit.visible.Store(uint64(d.vs.LastSeqNum()))
+	// The live gauge moves by increments; it starts at what the recovered
+	// tree (replayed WAL included) holds.
+	var live uint64
+	d.vs.Current().AllFiles(func(_ int, f *manifest.FileMetadata) { live += f.NumDeletes })
+	d.stats.LiveTombstones.Set(int64(live))
+	d.stats.SetPersistenceDeadline(opts.Compaction.DPT)
 
 	if !opts.DisableAutoMaintenance {
 		d.startExecutors(opts.MaintenanceConcurrency)

@@ -293,6 +293,10 @@ func runModelDifferentialStress(t *testing.T, kind compaction.PolicyKind, seed i
 		pin.snap.Release()
 	}
 	checkEquivalence(t, d, m, int(seed))
+	if err := d.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	checkTombstoneLedger(t, d)
 }
 
 // TestScanCompactionStress runs range scans (full and prefix) concurrently

@@ -66,12 +66,12 @@ func (d *DB) EventsSince(seq uint64, max int) []event.Event { return d.trace.Sin
 // TraceEventsTotal returns the number of trace events emitted so far.
 func (d *DB) TraceEventsTotal() uint64 { return d.trace.Total() }
 
-// oldestTombstoneAge returns now minus the creation timestamp of the oldest
+// OldestTombstoneAge returns now minus the creation timestamp of the oldest
 // live tombstone (files, then memtables), in the clock's own units —
 // nanoseconds under the default wall clock. Zero when no tombstone is live.
 // Compared against the DPT it answers the paper's central question: how
 // close is the engine to violating its delete-persistence promise?
-func (d *DB) oldestTombstoneAge() int64 {
+func (d *DB) OldestTombstoneAge() int64 {
 	now := d.opts.Clock.Now()
 	var oldest base.Timestamp
 	have := false
@@ -238,11 +238,12 @@ func (d *DB) RegisterMetrics(r *metrics.Registry, extra metrics.Labels) error {
 	counter("acheron_shadowed_dropped_total", "Superseded versions discarded by compactions.", &s.ShadowedDropped)
 	must(r.RegisterHistogram("acheron_persistence_latency_ns",
 		"Per persisted tombstone, nanoseconds from delete issue to physical disposal.", lb(nil), &s.PersistenceLatency))
+	counter("acheron_tombstones_persisted_late_total", "Persisted tombstones whose latency exceeded the deadline (acheron_dpt_ns), compared exactly.", &s.TombstonesPersistedLate)
 	must(r.RegisterGauge("acheron_live_tombstones",
 		"Point tombstones currently in the tree.", lb(nil), &s.LiveTombstones))
 	must(r.RegisterGaugeFunc("acheron_oldest_tombstone_age_ns",
 		"Age of the oldest live tombstone (0 when none); compare against acheron_dpt_ns.",
-		lb(nil), d.oldestTombstoneAge))
+		lb(nil), d.OldestTombstoneAge))
 	must(r.RegisterGaugeFunc("acheron_dpt_ns",
 		"Configured delete persistence threshold (0 disables FADE).",
 		lb(nil), func() int64 { return int64(d.opts.Compaction.DPT) }))

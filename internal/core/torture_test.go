@@ -133,6 +133,7 @@ func tortureRound(t *testing.T, ops []errorfs.Op, glob string, seed int64) {
 	if msg, ok := matchesEither(d2, acked, alt); !ok {
 		t.Fatalf("recovered state matches neither model: %s", msg)
 	}
+	checkTombstoneLedger(t, d2)
 	if err := d2.VerifyChecksums(); err != nil {
 		t.Fatalf("scrub after recovery: %v", err)
 	}
@@ -142,6 +143,7 @@ func tortureRound(t *testing.T, ops []errorfs.Op, glob string, seed int64) {
 	if msg, ok := matchesEither(d2, acked, alt); !ok {
 		t.Fatalf("post-compaction state matches neither model: %s", msg)
 	}
+	checkTombstoneLedger(t, d2)
 	if err := d2.Close(); err != nil {
 		t.Fatalf("Close after recovery: %v", err)
 	}
@@ -160,6 +162,7 @@ func tortureRound(t *testing.T, ops []errorfs.Op, glob string, seed int64) {
 	if msg, ok := matchesEither(d3, acked, alt); !ok {
 		t.Fatalf("state after clean close/reopen matches neither model: %s", msg)
 	}
+	checkTombstoneLedger(t, d3)
 	if err := d3.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func A1TTLSplit(sc Scale) (*Table, error) {
 			return nil, err
 		}
 		st := rt.DB.Stats()
-		within, p99, _ := violationStats(st, dpt)
+		within, p99, _ := violationStats(st)
 		t.AddRow(cfg.Name, Fx(within, 3), I(p99), F(st.WriteAmplification()),
 			I(st.CompactionsByTrigger[int(compaction.TriggerTTL)].Get()))
 		if err := rt.Close(); err != nil {
@@ -118,7 +118,7 @@ func A3FADETieBreak(sc Scale) (*Table, error) {
 			return nil, err
 		}
 		st := rt.DB.Stats()
-		within, p99, _ := violationStats(st, dpt)
+		within, p99, _ := violationStats(st)
 		t.AddRow(cfg.Name, Fx(within, 3), I(p99), F(st.WriteAmplification()), I(st.LiveTombstones.Get()))
 		if err := rt.Close(); err != nil {
 			return nil, err

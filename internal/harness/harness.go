@@ -73,6 +73,9 @@ type EngineConfig struct {
 	// DPT enables FADE when non-zero (in logical ticks; the harness
 	// advances the clock one tick per operation).
 	DPT base.Duration
+	// GradeDPT is the deadline lateness is counted against, as tombstones
+	// persist, in an engine that runs without a DPT (E1's baseline).
+	GradeDPT base.Duration
 	// TTLSplit selects the per-level DPT division.
 	TTLSplit compaction.TTLSplit
 	// PagesPerTile > 1 selects the KiWi layout.
@@ -139,6 +142,9 @@ func OpenRuntime(cfg EngineConfig, sc Scale) (*Runtime, error) {
 	db, err := core.Open("bench-db", opts)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.DPT == 0 {
+		db.Stats().SetPersistenceDeadline(cfg.GradeDPT)
 	}
 	return &Runtime{Config: cfg, Scale: sc, DB: db, FS: fs, Clock: clk, liveKeys: make(map[string]bool)}, nil
 }

@@ -89,13 +89,16 @@ func TestViolationStats(t *testing.T) {
 	}
 	defer rt.Close()
 	st := rt.DB.Stats()
-	within, p99, max := violationStats(st, 100)
+	within, p99, max := violationStats(st)
 	if within != 1 || p99 != 0 || max != 0 {
 		t.Fatalf("empty stats: %f %d %d", within, p99, max)
 	}
+	// Two persisted, one of them past the deadline (the engine counts that
+	// as it records; see core's TestLateCountIsExact).
 	st.PersistenceLatency.Record(50)
 	st.PersistenceLatency.Record(5000)
-	within, _, max = violationStats(st, 100)
+	st.TombstonesPersistedLate.Add(1)
+	within, _, max = violationStats(st)
 	if within != 0.5 {
 		t.Fatalf("within = %f, want 0.5", within)
 	}
@@ -104,7 +107,7 @@ func TestViolationStats(t *testing.T) {
 	}
 	// A live tombstone counts as a violation.
 	st.LiveTombstones.Set(2)
-	within, _, _ = violationStats(st, 100)
+	within, _, _ = violationStats(st)
 	if within != 0.25 {
 		t.Fatalf("within with live = %f, want 0.25", within)
 	}

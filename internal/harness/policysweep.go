@@ -99,7 +99,7 @@ func C5PolicyWorkloadSweep(sc Scale) (*Table, error) {
 			readsPerSec := float64(reads) / time.Since(start).Seconds()
 
 			st := rt.DB.Stats()
-			within, _, _ := violationStats(st, dpt)
+			within, _, _ := violationStats(st)
 			t.AddRow(kind.String(), wl.name,
 				F(st.WriteAmplification()), F(rt.SpaceAmp()),
 				Fx(readsPerSec, 0), Fx(within, 3),

@@ -104,18 +104,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.max.Load()
 }
 
-// CountAbove returns the number of samples strictly greater than v,
-// conservatively (bucket granularity; samples in v's bucket are not
-// counted).
-func (h *Histogram) CountAbove(v int64) int64 {
-	b := bucketFor(v)
-	var n int64
-	for i := b + 1; i < 64; i++ {
-		n += h.buckets[i].Load()
-	}
-	return n
-}
-
 // Counter is an atomic monotone counter.
 type Counter struct{ v atomic.Int64 }
 

@@ -57,22 +57,6 @@ func TestHistogramQuantileBounds(t *testing.T) {
 	}
 }
 
-func TestHistogramCountAbove(t *testing.T) {
-	var h Histogram
-	h.Record(10)   // bucket [8,16)
-	h.Record(100)  // bucket [64,128)
-	h.Record(5000) // bucket [4096,8192)
-	if got := h.CountAbove(128); got != 1 {
-		t.Fatalf("CountAbove(128) = %d", got)
-	}
-	if got := h.CountAbove(1); got != 3 {
-		t.Fatalf("CountAbove(1) = %d", got)
-	}
-	if got := h.CountAbove(1 << 40); got != 0 {
-		t.Fatalf("CountAbove(huge) = %d", got)
-	}
-}
-
 func TestHistogramNegativeAndZero(t *testing.T) {
 	var h Histogram
 	h.Record(0)

@@ -325,6 +325,8 @@ type shardStats struct {
 	Deletes             int64 `json:"deletes"`
 	LiveTombstones      int64 `json:"live_tombstones"`
 	TombstonesPersisted int64 `json:"tombstones_persisted"`
+	PersistedLate       int64 `json:"tombstones_persisted_late"`
+	OldestTombstoneAge  int64 `json:"oldest_tombstone_age_ns"`
 	Flushes             int64 `json:"flushes"`
 	WALSyncs            int64 `json:"wal_syncs"`
 }
@@ -335,13 +337,15 @@ func (s *Server) stats(dst []byte) []byte {
 		Policy:    s.r.PolicyName(),
 		DiskBytes: s.r.DiskSize(),
 	}
-	for _, st := range s.r.Stats() {
+	for i, st := range s.r.Stats() {
 		doc.PerShard = append(doc.PerShard, shardStats{
 			BytesIngested:       st.BytesIngested.Get(),
 			Gets:                st.Gets.Get(),
 			Deletes:             st.DeletesIssued.Get(),
 			LiveTombstones:      st.LiveTombstones.Get(),
 			TombstonesPersisted: st.TombstonesPersisted.Get(),
+			PersistedLate:       st.TombstonesPersistedLate.Get(),
+			OldestTombstoneAge:  s.r.Shard(i).OldestTombstoneAge(),
 			Flushes:             st.Flushes.Get(),
 			WALSyncs:            st.WALSyncs.Get(),
 		})

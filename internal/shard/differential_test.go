@@ -348,6 +348,37 @@ func runShardedDifferentialStress(t *testing.T, shards int, seed int64) {
 		pin.snap.Release()
 	}
 	checkRouterEquivalence(t, r, m, int(seed))
+	if err := r.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	checkTombstoneLedgers(t, r, int64(opts.Compaction.DPT))
+}
+
+// checkTombstoneLedgers is core's checkTombstoneLedger over the exported
+// surface, per shard: with the memtables flushed and maintenance idle, the
+// tombstone ledger must agree with the tree it describes, and the late count
+// with the side of the DPT (0: none) the recorded maximum is on.
+func checkTombstoneLedgers(t *testing.T, r *Router, dpt int64) {
+	t.Helper()
+	for i, s := range r.Stats() {
+		var resident int64
+		for _, li := range r.Shard(i).Levels() {
+			resident += int64(li.Tombstones)
+		}
+		live, n, late := s.LiveTombstones.Get(), s.PersistenceLatency.Count(), s.TombstonesPersistedLate.Get()
+		if live != resident || live < 0 {
+			t.Fatalf("shard %d ledger: LiveTombstones = %d, tree holds %d", i, live, resident)
+		}
+		if want := s.TombstonesPersisted.Get() + s.RangeTombstonesPersisted.Get(); n != want {
+			t.Fatalf("shard %d ledger: %d latency samples for %d persisted tombstones", i, n, want)
+		}
+		if max := s.PersistenceLatency.Max(); late > n || (dpt > 0 && (late == 0) != (max <= dpt)) {
+			t.Fatalf("shard %d ledger: %d late of %d persisted, max latency %d against DPT %d", i, late, n, max, dpt)
+		}
+	}
 }
 
 // TestDPTShardSweepStress checks the FADE delete-persistence guarantee on
@@ -431,6 +462,7 @@ func TestDPTShardSweepStress(t *testing.T) {
 					t.Fatalf("shard %d: %d tombstone entries physically present after settle", s, residual)
 				}
 			}
+			checkTombstoneLedgers(t, r, dpt)
 			// And the deleted stripe is gone through the router.
 			for i := 0; i < 1200; i += 7 {
 				if _, err := r.Get([]byte(fmt.Sprintf("k%05d", i))); err != core.ErrNotFound {

@@ -126,26 +126,47 @@ type Iter struct {
 
 // NewIter opens an iterator over a finished block.
 func NewIter(data []byte, cmp Compare) (*Iter, error) {
+	i := &Iter{cmp: cmp}
+	if err := i.Reset(data); err != nil {
+		return nil, err
+	}
+	return i, nil
+}
+
+// Reset re-targets the iterator at another finished block, keeping its
+// restart-offset and key buffers, and leaves it unpositioned. It validates
+// data as NewIter does; after an error the iterator must be Reset again
+// before use. Nothing of the previous block is referenced afterwards, so a
+// caller that owns that block's buffer may overwrite it.
+func (i *Iter) Reset(data []byte) error {
+	i.data, i.restarts = nil, i.restarts[:0]
+	i.offset, i.nextOffset = 0, 0
+	i.key, i.value = i.key[:0], nil
+	i.valid, i.err = false, nil
 	if len(data) < 4 {
-		return nil, fmt.Errorf("block: too short (%d bytes)", len(data))
+		return fmt.Errorf("block: too short (%d bytes)", len(data))
 	}
 	n := int(binary.LittleEndian.Uint32(data[len(data)-4:]))
 	restartEnd := len(data) - 4
 	restartStart := restartEnd - 4*n
 	if n <= 0 || restartStart < 0 {
-		return nil, fmt.Errorf("block: corrupt restart array (count=%d)", n)
+		return fmt.Errorf("block: corrupt restart array (count=%d)", n)
 	}
-	restarts := make([]uint32, n)
-	for i := 0; i < n; i++ {
-		restarts[i] = binary.LittleEndian.Uint32(data[restartStart+4*i:])
+	if cap(i.restarts) < n {
+		i.restarts = make([]uint32, n)
+	}
+	restarts := i.restarts[:n]
+	for k := range restarts {
+		restarts[k] = binary.LittleEndian.Uint32(data[restartStart+4*k:])
 		// Every restart must point into the entries region (== restartStart
 		// is tolerated: it decodes as a clean end-of-block). An offset past
 		// it would index outside the entry slice.
-		if int(restarts[i]) > restartStart {
-			return nil, fmt.Errorf("block: restart %d offset %d beyond entries region (%d bytes)", i, restarts[i], restartStart)
+		if int(restarts[k]) > restartStart {
+			return fmt.Errorf("block: restart %d offset %d beyond entries region (%d bytes)", k, restarts[k], restartStart)
 		}
 	}
-	return &Iter{data: data[:restartStart], restarts: restarts, cmp: cmp}, nil
+	i.data, i.restarts = data[:restartStart], restarts
+	return nil
 }
 
 // Valid reports whether the iterator is positioned on an entry.

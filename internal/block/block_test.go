@@ -49,6 +49,49 @@ func TestBlockIterationRoundtrip(t *testing.T) {
 	}
 }
 
+// TestIterReset: one Iter re-targeted over blocks of different shapes walks
+// each like a fresh one, references nothing of the block it left (the old
+// buffer is scribbled over), and recovers from a Reset that was refused.
+func TestIterReset(t *testing.T) {
+	it, err := NewIter(buildBlock(t, 16, sortedKVs(3)), bytes.Compare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it.First()
+	var prev []byte
+	for _, shape := range []struct{ n, ri int }{{400, 16}, {5, 1}, {900, 7}, {1, 16}} {
+		for i := range prev {
+			prev[i] = 0xff
+		}
+		kvs := sortedKVs(shape.n)
+		data := buildBlock(t, shape.ri, kvs)
+		if err := it.Reset(data); err != nil {
+			t.Fatal(err)
+		}
+		if it.Valid() {
+			t.Fatal("Reset left the iterator positioned")
+		}
+		i := 0
+		for ok := it.First(); ok; ok = it.Next() {
+			if string(it.Key()) != kvs[i][0] || string(it.Value()) != kvs[i][1] {
+				t.Fatalf("n=%d entry %d: got (%q,%q), want %v", shape.n, i, it.Key(), it.Value(), kvs[i])
+			}
+			i++
+		}
+		if err := it.Error(); err != nil || i != len(kvs) {
+			t.Fatalf("n=%d: walked %d entries, err %v", shape.n, i, err)
+		}
+		mid := kvs[len(kvs)/2]
+		if !it.SeekGE([]byte(mid[0])) || string(it.Value()) != mid[1] {
+			t.Fatalf("n=%d: SeekGE(%q) landed on %q", shape.n, mid[0], it.Key())
+		}
+		prev = data
+		if err := it.Reset([]byte{1, 2}); err == nil {
+			t.Fatal("Reset accepted a two-byte block")
+		}
+	}
+}
+
 func TestBlockSeekGE(t *testing.T) {
 	kvs := sortedKVs(300)
 	data := buildBlock(t, 16, kvs)

@@ -89,7 +89,11 @@ func (c *Cache) Get(id, off uint64) ([]byte, bool) {
 // cache never writes into or recycles a buffer, eviction only drops its
 // reference, so a slice into a block a Get returned stays valid after the
 // block is evicted (the engine's point lookups rely on this to return a
-// value without copying it out of the block first).
+// value without copying it out of the block first). The one caller is
+// sstable.Reader.readBlock, on a read's miss, with a buffer it allocated for
+// the purpose: compaction iterators Get but never Put — their page buffers
+// are recycled, and their one pass over files about to be unlinked must not
+// evict what reads want.
 func (c *Cache) Put(id, off uint64, data []byte) {
 	k := blockKey{id, off}
 	s := c.shard(k)

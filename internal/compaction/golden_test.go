@@ -1,0 +1,206 @@
+package compaction
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/base"
+	"repro/internal/manifest"
+)
+
+// goldenTables pins, byte for byte, every table the writer and Run produce
+// for fixed inputs: the SHA-256 of each input table (written straight through
+// sstable.Writer, range tombstones included) and of each output of three
+// merges over them — above the bottom, at the bottom under an open snapshot
+// stripe, and at the bottom with nothing open, where point tombstones, one of
+// the two range tombstones, covered entries and (h = 4) whole pages go. Block
+// size 512, bloom and prefix bloom on, outputs rolled at 24 KiB. The hashes
+// were generated at PR 23 (639fe90): a change that is not meant to alter the
+// table format must leave them alone.
+var goldenTables = map[string][]string{
+	"h=1/inputs": {
+		"9e4241c825e5b0150c386fea95157f9794ecfc1f11b899f751d394f826eb14b0",
+		"f2a600fdc94fb67139efdb1a67f76dba9e610f7d34bc7811018470d6ed0c492f",
+		"544b0c6af6f90e1276a36a0c9f3c7e5200eda20925e727488bb80d2016c075e4",
+		"eb0eab129f1b162d4743196d73adeb49f2bb0a9e92d29f227840c076b3a935fc",
+		"e421a976d59181751c7867b0cbd833f3790976024dc2e2c1be528c9fcd0e77b2",
+		"661156cb2e577ed01fe07fecb7acfc439e705f5d21b1aa15306f5d73a2fc5357",
+		"2f2f38653abb7c7ea45670e3359cbec6ccf3a8b3c057d5dee817c3854f7c68e5",
+	},
+	"h=1/upper": {
+		"641228d8b36c2bc48bb63952e195a6b4d1375177ce3fc8384f0278a305f48420",
+		"638b7bda64136dc71ef75a2403abca30d6b6b8c09212f758ef925f4b694f4b34",
+		"56553ed7679078545ad339f667cc93a1a94980a73c75a31e2539a013a87d10db",
+		"efca42387547745cc35f1f44b6fae6bc0e61ef081074187a3cede3d602c35ce8",
+	},
+	"h=1/bottom-snapshot": {
+		"641228d8b36c2bc48bb63952e195a6b4d1375177ce3fc8384f0278a305f48420",
+		"638b7bda64136dc71ef75a2403abca30d6b6b8c09212f758ef925f4b694f4b34",
+		"9f559a4c8255c588ef31196963bdf3d5953a96744e7fc3e0766c02dcd0db52c0",
+		"04fd8333cfc2f375e31acf0767bf83328d86de0c3e33dd9eb37bbc03eb2f67c3",
+		"387b5ade06e59e483e6089738b5c77cb4ac792b11ac097887d99d7c4ce33c76e",
+	},
+	"h=1/bottom": {
+		"f8a56ec0e6afec3a9483e75945cd03c61299f300f0265213f4a6a464f39e5198",
+		"213c3a8ead43c32ff835f9b029f44cdce04244387cdea6d4b067dcda3a22f074",
+	},
+	"h=4/inputs": {
+		"4b7eb2f5ec34c3b811615e5665b43938c3fe5ec6e6fe08060470eec08d1821ae",
+		"5ed911c525f8551ca9cd519ee2f86669d9ba86a4bb70827f134e5ed34adafb57",
+		"e8a3786ad23dc6291d7cde70615ca008f7ddf6cc2f8164514962c80ed04fcdbc",
+		"080ee2fae5929add6a73a7364b68ad0e919c5145c9d0e64d74765dd022bbaece",
+		"07ab2c56b27b058dfa0e2c64d07ab9c1ffa9521fc5eea15c6149a475335206c1",
+		"963eabf7b32f4f8e09253ee95ec3cfdd27bd03bd33b20c2567481b6934e7e546",
+		"0e92bde3ba42ed701459e7a4636a1acbbd529f8d571db1e9178e7d0687f4c560",
+	},
+	"h=4/upper": {
+		"04665c1696af96f121fabf67922dc5ba4bf932bb6c181fb3ef98fda5c5d014e2",
+		"31f1f0b1ade97c3f013b4de1a10eb3731e4c355df04d2816da9a83312fe8f4c1",
+		"8ab26946b3ced9b3bee9077bded190f74fd1017c4f07cfa9730e034645c1ba63",
+		"eaebe70dc99a4f96253f1be20b9148209bf8e9fa3da634b253882a94abbfa3b4",
+	},
+	"h=4/bottom-snapshot": {
+		"04665c1696af96f121fabf67922dc5ba4bf932bb6c181fb3ef98fda5c5d014e2",
+		"31f1f0b1ade97c3f013b4de1a10eb3731e4c355df04d2816da9a83312fe8f4c1",
+		"75dfedfc003d87c89ee00106d85f9e9a03de2240c6e2ca98d2cee2411e0330f5",
+		"08e2446791582667f84c1e850faa5049ef50c04f6491c6def276d41671ba05ab",
+		"c140da4a00cd6267c39fdfb031103ced3d86f0317691d8142d1e83e7c40f8db8",
+	},
+	"h=4/bottom": {
+		"df18658b981f35214013f591cd60b1ec3ce4f8b4037de77d9526b21517d6fa35",
+		"fd5cb60ff7807c1c88ef101bd34d8ae6d42f8bd61e52fb334ff893055f8fe69a",
+	},
+}
+
+// goldenFixture builds the shared inputs: an older run of four files with one
+// version of each of 2 400 keys, and a newer run of three files overlapping
+// its upper half, one entry in five a tombstone, the first file carrying two
+// range tombstones.
+func goldenFixture(t *testing.T, h int) (e *testEnv, newer, older []*manifest.FileMetadata) {
+	e = newTestEnv(h)
+	e.wopts.BloomBitsPerKey = 10
+	e.wopts.PrefixBloomLength = 5
+	const n = 2400
+	value := func(dk, pad int) []byte { return append(dkVal(uint64(dk)), make([]byte, pad)...) }
+	for lo := 0; lo < n; lo += n / 4 {
+		var kvs []kv
+		for i := lo; i < lo+n/4; i++ {
+			kvs = append(kvs, kv{fmt.Sprintf("k%06d", i), base.SeqNum(1 + i), base.KindSet, value(i*7919%n, i%23)})
+		}
+		older = append(older, e.newTable(t, kvs, nil))
+	}
+	rts := []base.RangeTombstone{
+		{Lo: 0, Hi: 1300, Seq: 9000, CreatedAt: 7},
+		{Lo: 2000, Hi: 2100, Seq: 9001, CreatedAt: 9},
+	}
+	for lo := n / 2; lo < n; lo += n / 6 {
+		var kvs []kv
+		for i := lo; i < lo+n/6; i++ {
+			k := kv{fmt.Sprintf("k%06d", i), base.SeqNum(5000 + i), base.KindSet, value(i*104729%n, i%17)}
+			if i%5 == 0 {
+				k.kind, k.val = base.KindDelete, base.EncodeTombstoneValue(base.Timestamp(i))
+			}
+			kvs = append(kvs, k)
+		}
+		newer = append(newer, e.newTable(t, kvs, rts))
+		rts = nil
+	}
+	return e, newer, older
+}
+
+func (e *testEnv) hashTable(t *testing.T, fn base.FileNum) string {
+	t.Helper()
+	f, err := e.fs.Open(manifest.MakeFilename("db", manifest.FileTypeTable, fn))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	size, err := f.Size()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, size)
+	if _, err := f.ReadAt(data, 0); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(data))
+}
+
+func TestGoldenTableBytes(t *testing.T) {
+	got := map[string][]string{}
+	var order []string
+	record := func(name string, hashes []string) {
+		got[name] = hashes
+		order = append(order, name)
+	}
+	for _, h := range []int{1, 4} {
+		e, newer, older := goldenFixture(t, h)
+		var inputs []string
+		for _, f := range append(append([]*manifest.FileMetadata(nil), newer...), older...) {
+			inputs = append(inputs, e.hashTable(t, f.FileNum))
+		}
+		record(fmt.Sprintf("h=%d/inputs", h), inputs)
+
+		cases := []struct {
+			name string
+			tune func(*Env)
+		}{
+			{"upper", func(*Env) {}},
+			{"bottom-snapshot", func(env *Env) {
+				env.Bottommost = true
+				env.Snapshots = []base.SeqNum{1800} // splits the older run: versions above it are shadowed, at or below it kept
+				env.RangeTombstoneDisposable = func(base.RangeTombstone) bool { return true }
+			}},
+			{"bottom", func(env *Env) {
+				env.Bottommost = true
+				env.RangeTombstoneDisposable = func(rt base.RangeTombstone) bool { return rt.CreatedAt == 7 }
+				env.LiveRangeTombstones = []base.RangeTombstone{{Lo: 1500, Hi: 1560, Seq: 9500, CreatedAt: 11}}
+			}},
+		}
+		for _, c := range cases {
+			env := e.env(t)
+			env.TargetFileBytes = 24 << 10
+			c.tune(&env)
+			res, err := Run(candidate(1, newer, older), env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Outputs) < 2 {
+				t.Fatalf("h=%d/%s: %d outputs, want a roll", h, c.name, len(res.Outputs))
+			}
+			var outs []string
+			for _, of := range res.Outputs {
+				outs = append(outs, e.hashTable(t, of.FileNum))
+			}
+			record(fmt.Sprintf("h=%d/%s", h, c.name), outs)
+			switch c.name {
+			case "bottom-snapshot":
+				if res.RangeTombstonesDropped != 0 || res.ShadowedDropped == 0 {
+					t.Fatalf("h=%d/%s: fixture no longer exercises the stripe rule: %+v", h, c.name, res)
+				}
+			case "bottom":
+				if res.TombstonesDropped == 0 || res.RangeTombstonesDropped != 1 || res.RangeCoveredDropped == 0 ||
+					(h > 1 && res.PagesDropped == 0) {
+					t.Fatalf("h=%d/%s: fixture no longer exercises every disposal: %+v", h, c.name, res)
+				}
+			}
+		}
+	}
+	same := len(got) == len(goldenTables)
+	for name, hashes := range got {
+		same = same && strings.Join(hashes, ",") == strings.Join(goldenTables[name], ",")
+	}
+	if !same {
+		var b strings.Builder
+		for _, name := range order {
+			fmt.Fprintf(&b, "\t%q: {\n", name)
+			for _, h := range got[name] {
+				fmt.Fprintf(&b, "\t\t%q,\n", h)
+			}
+			b.WriteString("\t},\n")
+		}
+		t.Fatalf("table bytes changed; the tables now hash to:\n%s", b.String())
+	}
+}

@@ -216,8 +216,14 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 		}
 	}()
 
+	// ik and value alias the input iterators' page buffers, which those
+	// recycle: both are dead after merged.Next. The one thing kept across
+	// iterations is the previous user key, and only one copy of it exists:
+	// the output writer's own when the entry was written (it copied the key
+	// anyway), droppedKey when the key's newest version was dropped instead.
 	var (
-		lastUserKey  []byte
+		lastUserKey  []byte // aliases the writer's LastUserKey or droppedKey
+		droppedKey   []byte
 		lastKeptSeq  base.SeqNum
 		haveLast     bool
 		keyWipedByRT bool // newest version of lastUserKey was dropped via range tombstone
@@ -230,7 +236,6 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 		newKey := !haveLast || base.Compare(ik.UserKey, lastUserKey) != 0
 
 		if newKey {
-			lastUserKey = append(lastUserKey[:0], ik.UserKey...)
 			haveLast = true
 			keyWipedByRT = false
 		} else {
@@ -266,12 +271,14 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 				// Older versions of this key are shadowed by the
 				// stripe rule with lastKeptSeq = this seq.
 				lastKeptSeq = ik.SeqNum()
+				droppedKey = append(droppedKey[:0], ik.UserKey...)
+				lastUserKey = droppedKey
 				continue
 			}
 			if err := out.add(ik, value); err != nil {
 				return nil, err
 			}
-			lastKeptSeq = ik.SeqNum()
+			lastUserKey, lastKeptSeq = out.w.LastUserKey(), ik.SeqNum()
 
 		case base.KindSet:
 			// Entry-level KiWi drop: the newest version of a key
@@ -289,13 +296,15 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 				}
 				if keyWipedByRT {
 					res.RangeCoveredDropped++
+					droppedKey = append(droppedKey[:0], ik.UserKey...)
+					lastUserKey = droppedKey
 					continue
 				}
 			}
 			if err := out.add(ik, value); err != nil {
 				return nil, err
 			}
-			lastKeptSeq = ik.SeqNum()
+			lastUserKey, lastKeptSeq = out.w.LastUserKey(), ik.SeqNum()
 
 		default:
 			return nil, fmt.Errorf("compaction: unexpected kind %s in merge", ik.Kind())
@@ -319,13 +328,15 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 }
 
 // outputWriter rolls output tables at the target size and attaches
-// surviving range tombstones to the first output.
+// surviving range tombstones to the first output. One sstable.Writer serves
+// every output, re-targeted at each new file.
 type outputWriter struct {
 	env       Env
 	surviving []base.RangeTombstone
 	rtPlaced  bool
 
-	cur     *sstable.Writer
+	w       *sstable.Writer // nil until the first output is opened
+	open    bool            // w has a table in progress
 	curFile vfs.File
 	curNum  base.FileNum
 	curSize uint64
@@ -336,18 +347,23 @@ func newOutputWriter(env Env, surviving []base.RangeTombstone) *outputWriter {
 	return &outputWriter{env: env, surviving: surviving}
 }
 
-// open starts the next output table; the first one carries the surviving
+// start begins the next output table; the first one carries the surviving
 // range tombstones.
-func (o *outputWriter) open() error {
+func (o *outputWriter) start() error {
 	num := o.env.AllocFileNum()
 	f, err := o.env.FS.Create(manifest.MakeFilename(o.env.Dirname, manifest.FileTypeTable, num))
 	if err != nil {
 		return err
 	}
-	o.cur, o.curFile, o.curNum, o.curSize = sstable.NewWriter(f, o.env.WriterOpts), f, num, 0
+	if o.w == nil {
+		o.w = sstable.NewWriter(f, o.env.WriterOpts)
+	} else {
+		o.w.Reset(f)
+	}
+	o.open, o.curFile, o.curNum, o.curSize = true, f, num, 0
 	if !o.rtPlaced {
 		for _, rt := range o.surviving {
-			if err := o.cur.AddRangeTombstone(rt); err != nil {
+			if err := o.w.AddRangeTombstone(rt); err != nil {
 				return err
 			}
 		}
@@ -357,12 +373,12 @@ func (o *outputWriter) open() error {
 }
 
 func (o *outputWriter) add(ik base.InternalKey, value []byte) error {
-	if o.cur == nil {
-		if err := o.open(); err != nil {
+	if !o.open {
+		if err := o.start(); err != nil {
 			return err
 		}
 	}
-	if err := o.cur.Add(ik, value); err != nil {
+	if err := o.w.Add(ik, value); err != nil {
 		return err
 	}
 	o.curSize += uint64(ik.Size() + len(value))
@@ -373,14 +389,14 @@ func (o *outputWriter) add(ik base.InternalKey, value []byte) error {
 }
 
 func (o *outputWriter) roll() error {
-	if o.cur == nil {
+	if !o.open {
 		return nil
 	}
-	meta, err := o.cur.Finish()
+	meta, err := o.w.Finish()
 	if err != nil {
 		return err
 	}
-	o.cur = nil
+	o.open = false
 	if meta.HasEntries() {
 		o.outputs = append(o.outputs, OutputFile{FileNum: o.curNum, Meta: meta})
 	} else {
@@ -392,8 +408,8 @@ func (o *outputWriter) roll() error {
 func (o *outputWriter) finish() error {
 	// Surviving range tombstones must persist even when no entries were
 	// written (e.g. everything was dropped).
-	if o.cur == nil && !o.rtPlaced && len(o.surviving) > 0 {
-		if err := o.open(); err != nil {
+	if !o.open && !o.rtPlaced && len(o.surviving) > 0 {
+		if err := o.start(); err != nil {
 			return err
 		}
 	}
@@ -403,7 +419,7 @@ func (o *outputWriter) finish() error {
 // abort closes the table being written and unlinks every file this writer
 // created.
 func (o *outputWriter) abort() {
-	if o.cur != nil {
+	if o.open {
 		vfs.BestEffortClose(o.curFile)
 		o.remove(o.curNum)
 	}

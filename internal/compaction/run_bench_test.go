@@ -3,48 +3,60 @@ package compaction
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/base"
+	"repro/internal/cache"
 	"repro/internal/manifest"
 )
 
 // BenchmarkCompactionRun prices the merge loop per input entry: a bottommost
 // merge of two half-overlapping runs in which one entry in ten is a tombstone
-// it disposes of, and the KiWi (h = 4) in-place rewrite of one file under 1,
-// 100 and 1 000 live range tombstones that together cover a tenth of it.
+// it disposes of — bare, and the way the engine runs it, with a block cache
+// attached that holds half the input pages — and the KiWi (h = 4) in-place
+// rewrite of one file under 1, 100 and 1 000 live range tombstones that
+// together cover a tenth of it.
 func BenchmarkCompactionRun(b *testing.B) {
-	const n = 20000 // entries per run
-	value := func(dk int) []byte { return append(dkVal(uint64(dk)), make([]byte, 48)...) }
-	// run builds a sorted run of n keys starting at first, in four files.
-	run := func(e *testEnv, first int, seq base.SeqNum, tombstoneEvery int) []*manifest.FileMetadata {
-		var files []*manifest.FileMetadata
-		for lo := 0; lo < n; lo += n / 4 {
-			var kvs []kv
-			for i := lo; i < lo+n/4; i++ {
-				k := kv{fmt.Sprintf("k%07d", first+i), seq + base.SeqNum(i), base.KindSet, value(i * 7919 % n)}
-				if tombstoneEvery > 0 && i%tombstoneEvery == 0 {
-					k.kind, k.val = base.KindDelete, base.EncodeTombstoneValue(base.Timestamp(i))
-				}
-				kvs = append(kvs, k)
-			}
-			files = append(files, e.newTable(b, kvs, nil))
-		}
-		return files
-	}
-
+	const n = benchRunEntries
 	b.Run("merge/tombstones=10%", func(b *testing.B) {
 		e := newTestEnv(1)
-		older := run(e, 0, 1, 0)
-		newer := run(e, n/2, n+1, 5)
+		older := benchRunFiles(b, e, 0, 1, 0)
+		newer := benchRunFiles(b, e, n/2, n+1, 5)
 		env := e.env(b)
 		env.Bottommost = true
-		benchRun(b, e, candidate(1, newer, older), env)
+		benchRun(b, e, candidate(1, newer, older), env, nil)
+	})
+	b.Run("merge/tombstones=10%/cache=half", func(b *testing.B) {
+		e := newTestEnv(1)
+		older := benchRunFiles(b, e, 0, 1, 0)
+		newer := benchRunFiles(b, e, n/2, n+1, 5)
+		env := e.env(b)
+		env.Bottommost = true
+		// Every second input file is resident, read in through the read
+		// path; whatever a Run leaves in the cache of the others is evicted
+		// before the next, as the engine's unlink of a job's inputs does.
+		blocks := cache.New(64 << 20)
+		var warm, cold []*manifest.FileMetadata
+		for i, f := range slices.Concat(newer, older) {
+			if i%2 == 0 {
+				warm = append(warm, f)
+			} else {
+				cold = append(cold, f)
+			}
+		}
+		attachCache(b, env, warm, blocks, true)
+		attachCache(b, env, cold, blocks, false)
+		benchRun(b, e, candidate(1, newer, older), env, func() {
+			for _, f := range cold {
+				blocks.EvictFile(uint64(f.FileNum))
+			}
+		})
 	})
 	for _, live := range []int{1, 100, 1000} {
 		b.Run(fmt.Sprintf("kiwi-h4/live-range-tombstones=%d", live), func(b *testing.B) {
 			e := newTestEnv(4)
-			files := run(e, 0, 1, 0)
+			files := benchRunFiles(b, e, 0, 1, 0)
 			env := e.env(b)
 			env.Bottommost = true
 			for i := 0; i < live; i++ {
@@ -53,14 +65,38 @@ func BenchmarkCompactionRun(b *testing.B) {
 					base.RangeTombstone{Lo: lo, Hi: lo + base.DeleteKey(n/10/live), Seq: 2 * n, CreatedAt: 1})
 			}
 			benchRun(b, e, &Candidate{Trigger: TriggerRangeDelete, StartLevel: 1, OutputLevel: 1, OutputRunID: 1,
-				Inputs: []*manifest.Run{{ID: 1, Files: files}}}, env)
+				Inputs: []*manifest.Run{{ID: 1, Files: files}}}, env, nil)
 		})
 	}
 }
 
-// benchRun times Run(c, env), unlinking each iteration's outputs, and reports
-// the cost per input entry next to the MB/s of input bytes.
-func benchRun(b *testing.B, e *testEnv, c *Candidate, env Env) {
+// benchRunEntries is the size of one benchRunFiles run.
+const benchRunEntries = 20000
+
+// benchRunFiles builds a sorted run of benchRunEntries keys starting at first,
+// in four files: 64-byte values with scattered delete keys, every
+// tombstoneEvery-th entry (if positive) a tombstone.
+func benchRunFiles(t testing.TB, e *testEnv, first int, seq base.SeqNum, tombstoneEvery int) []*manifest.FileMetadata {
+	const n = benchRunEntries
+	var files []*manifest.FileMetadata
+	for lo := 0; lo < n; lo += n / 4 {
+		var kvs []kv
+		for i := lo; i < lo+n/4; i++ {
+			k := kv{fmt.Sprintf("k%07d", first+i), seq + base.SeqNum(i), base.KindSet, append(dkVal(uint64(i*7919%n)), make([]byte, 48)...)}
+			if tombstoneEvery > 0 && i%tombstoneEvery == 0 {
+				k.kind, k.val = base.KindDelete, base.EncodeTombstoneValue(base.Timestamp(i))
+			}
+			kvs = append(kvs, k)
+		}
+		files = append(files, e.newTable(t, kvs, nil))
+	}
+	return files
+}
+
+// benchRun times Run(c, env), unlinking each iteration's outputs (and calling
+// afterEach, if set) off the clock, and reports the cost per input entry next
+// to the MB/s of input bytes.
+func benchRun(b *testing.B, e *testEnv, c *Candidate, env Env, afterEach func()) {
 	var entries, bytes uint64
 	for _, f := range c.ClaimFiles() {
 		entries += f.NumEntries
@@ -83,6 +119,9 @@ func benchRun(b *testing.B, e *testEnv, c *Candidate, env Env) {
 			if err := e.fs.Remove(manifest.MakeFilename("db", manifest.FileTypeTable, of.FileNum)); err != nil {
 				b.Fatal(err)
 			}
+		}
+		if afterEach != nil {
+			afterEach()
 		}
 		b.StartTimer()
 	}

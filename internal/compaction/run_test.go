@@ -286,6 +286,53 @@ func TestRunSnapshotKeepsStraddledVersions(t *testing.T) {
 	}
 }
 
+// TestRunPreviousKeyAcrossRollsAndDrops: Run keeps no copy of the previous
+// user key when the writer has one, so the comparison must survive the writer
+// being re-targeted at the next output (every entry rolls here) and alternate
+// cleanly with the copy Run does keep, for a key whose newest version it
+// dropped.
+func TestRunPreviousKeyAcrossRollsAndDrops(t *testing.T) {
+	e := newTestEnv(1)
+	in := e.newTable(t, []kv{
+		{"a", 10, base.KindSet, dkVal(1)},
+		{"a", 5, base.KindSet, dkVal(2)},
+		{"a", 2, base.KindSet, dkVal(3)},
+		{"b", 9, base.KindDelete, base.EncodeTombstoneValue(1)},
+		{"b", 8, base.KindSet, dkVal(4)},
+		{"b", 1, base.KindSet, dkVal(5)},
+		{"c", 7, base.KindSet, dkVal(6)},
+		{"c", 6, base.KindSet, dkVal(7)},
+	}, nil)
+	env := e.env(t)
+	env.TargetFileBytes = 1
+	env.Snapshots = []base.SeqNum{3}
+	res, err := Run(candidate(1, []*manifest.FileMetadata{in}, nil), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, g := range e.readAll(t, res) {
+		got = append(got, fmt.Sprintf("%s@%d", g.key, g.seq))
+	}
+	if want := []string{"a@10", "a@2", "b@9", "b@1", "c@7"}; !slices.Equal(got, want) || len(res.Outputs) != len(want) {
+		t.Fatalf("under a snapshot at 3: kept %v in %d tables, want %v in one table each", got, len(res.Outputs), want)
+	}
+
+	env.Snapshots = nil
+	env.Bottommost = true
+	res, err = Run(candidate(1, []*manifest.FileMetadata{in}, nil), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = got[:0]
+	for _, g := range e.readAll(t, res) {
+		got = append(got, fmt.Sprintf("%s@%d", g.key, g.seq))
+	}
+	if want := []string{"a@10", "c@7"}; !slices.Equal(got, want) || res.TombstonesDropped != 1 || res.ShadowedDropped != 5 {
+		t.Fatalf("at the bottom: kept %v (%+v), want %v", got, res, want)
+	}
+}
+
 func TestRunSnapshotBlocksTombstoneDisposal(t *testing.T) {
 	e := newTestEnv(1)
 	in := e.newTable(t, []kv{

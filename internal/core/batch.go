@@ -72,12 +72,11 @@ func (b *Batch) Reset() {
 // base.Kind value.
 const walBatchTag = 0x10
 
-// encodeWALBatch frames the whole batch as one record:
+// appendWALBatch appends the whole batch to buf as one record:
 //
 //	walBatchTag | baseSeq uvarint | count uvarint |
 //	repeat: kind byte | keyLen uvarint | key | valLen uvarint | val
-func encodeWALBatch(baseSeq base.SeqNum, ops []batchOp) []byte {
-	buf := make([]byte, 0, 16+len(ops)*8)
+func appendWALBatch(buf []byte, baseSeq base.SeqNum, ops []batchOp) []byte {
 	buf = append(buf, walBatchTag)
 	buf = binary.AppendUvarint(buf, uint64(baseSeq))
 	buf = binary.AppendUvarint(buf, uint64(len(ops)))

@@ -12,6 +12,8 @@ import (
 
 	"repro/internal/base"
 	"repro/internal/compaction"
+	"repro/internal/manifest"
+	"repro/internal/memtable"
 	"repro/internal/vfs"
 )
 
@@ -416,5 +418,48 @@ func BenchmarkEagerRangeDelete(b *testing.B) {
 		if err := d.Close(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFlush prices the sstable writer's other caller per entry, beside
+// compaction's BenchmarkCompactionRun: one 4 MiB memtable (64-byte values,
+// one tombstone in ten) written by writeMemTable as one level-0 table.
+func BenchmarkFlush(b *testing.B) {
+	for _, h := range []int{1, 4} {
+		b.Run(fmt.Sprintf("h=%d", h), func(b *testing.B) {
+			d := benchDB(b, func(o *Options) { o.PagesPerTile = h })
+			m := memtable.New()
+			for i := 0; m.ApproximateBytes() < 4<<20; i++ {
+				ik := base.MakeInternalKey([]byte(fmt.Sprintf("k%014d", i)), base.SeqNum(i+1), base.KindSet)
+				value := append(testValue(uint64(i*7919%50_000), i), make([]byte, 40)...)
+				if i%10 == 0 {
+					ik.Trailer, value = base.MakeTrailer(base.SeqNum(i+1), base.KindDelete), base.EncodeTombstoneValue(base.Timestamp(i))
+				}
+				m.Add(ik, value)
+			}
+			var written uint64
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				fn, meta, err := d.writeMemTable(m)
+				if err != nil {
+					b.Fatal(err)
+				}
+				written = meta.Size
+				b.StopTimer()
+				if err := d.opts.FS.Remove(manifest.MakeFilename(d.dirname, manifest.FileTypeTable, fn)); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.SetBytes(int64(written))
+			per := float64(m.Len()) * float64(b.N)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/entry")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/per, "B/entry")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/per, "allocs/entry")
+		})
 	}
 }

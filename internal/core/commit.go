@@ -57,13 +57,15 @@ type commitPipeline struct {
 
 	// commitMu serializes leader rounds: gate, seqnum allocation, WAL
 	// append+sync, and publish-queue insertion. Acquired before d.mu.
-	// scratch is the WAL-stage payload slice, reused across rounds under
-	// commitMu. groups counts rounds reaching the WAL stage; one in
+	// scratch is the WAL-stage payload slice and walBuf the buffer the
+	// round's payloads are encoded into and cut from, both reused across
+	// rounds under commitMu. groups counts rounds reaching the WAL stage; one in
 	// opSampleInterval is traced. It is the pipeline's own counter, not
 	// DB.opSampleN: a lone writer's Put and its group would otherwise draw
 	// alternately from one counter and the group would take every sample.
 	commitMu sync.Mutex
 	scratch  [][]byte
+	walBuf   []byte
 	groups   uint64
 
 	// pmu guards publishQ, the FIFO of groups awaiting publication in
@@ -420,29 +422,37 @@ func (p *commitPipeline) walStage(group []*pendingCommit, walW *wal.Writer) erro
 		p.scratch = make([][]byte, len(group))
 	}
 	payloads := p.scratch[:len(group)]
+	// Every payload is encoded into one buffer and cut from it at once: a
+	// payload cut before the buffer grew keeps reading the old array, which
+	// nothing writes again.
+	buf := p.walBuf[:0]
 	needSync := d.opts.SyncWrites
-	var walBytes int64
 	for i, pc := range group {
+		start := len(buf)
 		switch {
 		case pc.rt != nil:
-			payloads[i] = encodeWALRangeDelete(*pc.rt)
+			buf = appendWALRangeDelete(buf, *pc.rt)
 			// Range deletes can trigger eager file drops whose manifest
 			// edits are synced; the tombstone must be just as durable, so
 			// a group containing one always syncs.
 			needSync = true
 		case pc.asBatch:
-			payloads[i] = encodeWALBatch(pc.baseSeq, pc.ops)
+			buf = appendWALBatch(buf, pc.baseSeq, pc.ops)
 		default:
 			op := pc.ops[0]
-			payloads[i] = encodeWALRecord(op.kind, pc.baseSeq, op.key, op.value)
+			buf = appendWALRecord(buf, op.kind, pc.baseSeq, op.key, op.value)
 		}
-		walBytes += int64(len(payloads[i]))
+		payloads[i] = buf[start:]
+	}
+	walBytes := int64(len(buf))
+	if cap(buf) <= maxRetainedWALBuf {
+		p.walBuf = buf
 	}
 	// Group-commit protocol: the leader serializes WAL appends with sequence
 	// order under commitMu, off the engine mutex.
 	err := walW.AddRecords(payloads)
 	// Drop the payload references so the recycled scratch slice does not
-	// pin this round's encoded records until the next round.
+	// pin an outgrown (or oversized, unretained) buffer until the next round.
 	for i := range payloads {
 		payloads[i] = nil
 	}

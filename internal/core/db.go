@@ -416,9 +416,13 @@ func (d *DB) Clock() base.Clock { return d.opts.Clock }
 // ---------------------------------------------------------------------------
 // Write path
 
-// walRecord kinds reuse base.Kind values.
-func encodeWALRecord(kind base.Kind, seq base.SeqNum, key, value []byte) []byte {
-	b := make([]byte, 0, 1+binary.MaxVarintLen64+len(key)+len(value)+8)
+// maxRetainedWALBuf bounds the encode buffer the commit pipeline keeps
+// between rounds, so one huge batch does not pin its size for good.
+const maxRetainedWALBuf = 1 << 20
+
+// appendWALRecord appends a single-op record to b. walRecord kinds reuse
+// base.Kind values.
+func appendWALRecord(b []byte, kind base.Kind, seq base.SeqNum, key, value []byte) []byte {
 	b = append(b, byte(kind))
 	b = binary.AppendUvarint(b, uint64(seq))
 	b = binary.AppendUvarint(b, uint64(len(key)))
@@ -427,8 +431,7 @@ func encodeWALRecord(kind base.Kind, seq base.SeqNum, key, value []byte) []byte 
 	return append(b, value...)
 }
 
-func encodeWALRangeDelete(rt base.RangeTombstone) []byte {
-	b := make([]byte, 0, 33)
+func appendWALRangeDelete(b []byte, rt base.RangeTombstone) []byte {
 	b = append(b, byte(base.KindRangeDelete))
 	return base.EncodeRangeTombstone(b, rt)
 }

@@ -216,17 +216,35 @@ func (r *Reader) MayContainPrefix(prefix []byte) bool {
 	return r.prefixFilter.MayContain(bloom.Hash(prefix))
 }
 
-// readBlock fetches a block — from the block cache when attached — and
-// verifies its CRC trailer on a cache miss. The returned buffer is immutable
-// and never recycled, whether it came from the cache or was freshly read:
-// slices into it (iterator keys and values) outlive the iterator, the table
-// cache's release of this reader, and the block's eviction.
+// readBlock fetches a block for a read — from the block cache when attached,
+// else from the file, filling the cache. The returned buffer is immutable and
+// never recycled, whether it came from the cache or was freshly read: slices
+// into it (iterator keys and values) outlive the iterator, the table cache's
+// release of this reader, and the block's eviction. That holds for what this
+// function hands out and for what the cache holds, which is all the read path
+// (getFromTable, core.Iter) ever sees; a compaction iterator reads its pages
+// through compactionReads.openPage instead, into buffers it owns and reuses.
 func (r *Reader) readBlock(h BlockHandle) ([]byte, error) {
 	if r.blockCache != nil {
 		if data, ok := r.blockCache.Get(r.cacheID, h.Offset); ok {
 			return data, nil
 		}
 	}
+	buf, err := r.readVerified(h, nil)
+	if err != nil {
+		return nil, err
+	}
+	data := buf[:h.Length]
+	if r.blockCache != nil {
+		r.blockCache.Put(r.cacheID, h.Offset, data)
+	}
+	return data, nil
+}
+
+// readVerified reads block h and its CRC trailer from the file into buf
+// (reallocated when too small) and verifies the checksum; the block is the
+// first h.Length bytes of the returned buffer.
+func (r *Reader) readVerified(h BlockHandle, buf []byte) ([]byte, error) {
 	// Validate the handle against the file size before allocating: a
 	// corrupt footer or index entry could otherwise demand an absurd
 	// allocation or a read past EOF. Checked in uint64 so a near-2^64
@@ -236,7 +254,11 @@ func (r *Reader) readBlock(h BlockHandle) ([]byte, error) {
 		return nil, fmt.Errorf("%w: block handle (offset %d, length %d) exceeds file size %d",
 			ErrCorrupt, h.Offset, h.Length, r.size)
 	}
-	buf := make([]byte, h.Length+4)
+	if n := int(h.Length + 4); cap(buf) < n {
+		buf = make([]byte, n)
+	} else {
+		buf = buf[:n]
+	}
 	if _, err := r.f.ReadAt(buf, int64(h.Offset)); err != nil {
 		return nil, fmt.Errorf("sstable: reading block at %d: %w", h.Offset, err)
 	}
@@ -244,10 +266,7 @@ func (r *Reader) readBlock(h BlockHandle) ([]byte, error) {
 	if got := crc32.Checksum(data, castagnoli); got != crcStored {
 		return nil, fmt.Errorf("%w: block at offset %d: checksum mismatch (stored %#x, computed %#x)", ErrCorrupt, h.Offset, crcStored, got)
 	}
-	if r.blockCache != nil {
-		r.blockCache.Put(r.cacheID, h.Offset, data)
-	}
-	return data, nil
+	return buf, nil
 }
 
 // PageFilter decides whether a page should be read (true) or elided (false)
@@ -257,10 +276,8 @@ type PageFilter func(PageInfo) bool
 // Iter iterates a table in internal-key order, transparently merging the
 // delete-key-ordered pages inside each tile. Not safe for concurrent use.
 type Iter struct {
-	r           *Reader
-	filter      PageFilter
-	dropped     uint64
-	bytesLoaded uint64
+	r *Reader
+	c *compactionReads // nil for a read-path iterator
 
 	gi    int // current tile (group) index; len(groups) == exhausted
 	pages []*block.Iter
@@ -269,21 +286,51 @@ type Iter struct {
 	err   error
 }
 
+// compactionReads is what NewCompactionIter adds to an Iter: the page filter
+// with its counters, and page buffers and block iterators that belong to this
+// Iter alone — never to the Reader, which concurrent reads share — and are
+// recycled from tile to tile. Keys and values the Iter returns therefore die
+// when it leaves their tile. Pages are looked up in the block cache but never
+// inserted: the job is about to unlink these files, and its one pass must not
+// evict blocks that reads want.
+type compactionReads struct {
+	filter      PageFilter
+	dropped     uint64
+	bytesLoaded uint64
+
+	// bufs[k] and iters[k] serve the k-th page loaded of the current tile.
+	bufs  [][]byte
+	iters []*block.Iter
+}
+
 // NewIter opens an iterator over the whole table.
 func (r *Reader) NewIter() *Iter { return &Iter{r: r, gi: -1, cur: -1} }
 
-// NewCompactionIter opens an iterator that elides pages rejected by filter
-// and counts them (Dropped).
+// NewCompactionIter opens an iterator for a merge that consumes each entry
+// before advancing: it elides pages rejected by filter (nil keeps all),
+// counting them (Dropped), and reads the rest into buffers it reuses, so a
+// key or value it returns is valid only until the iterator moves to another
+// tile. It leaves the block cache's contents alone.
 func (r *Reader) NewCompactionIter(filter PageFilter) *Iter {
-	return &Iter{r: r, filter: filter, gi: -1, cur: -1}
+	return &Iter{r: r, c: &compactionReads{filter: filter}, gi: -1, cur: -1}
 }
 
 // Dropped returns the number of pages elided by the page filter so far.
-func (i *Iter) Dropped() uint64 { return i.dropped }
+func (i *Iter) Dropped() uint64 {
+	if i.c == nil {
+		return 0
+	}
+	return i.c.dropped
+}
 
-// BytesLoaded returns the data-block bytes actually read so far; pages
-// elided by the page filter are never read and do not count.
-func (i *Iter) BytesLoaded() uint64 { return i.bytesLoaded }
+// BytesLoaded returns the data-block bytes a compaction iterator has read so
+// far; pages elided by the page filter are never read and do not count.
+func (i *Iter) BytesLoaded() uint64 {
+	if i.c == nil {
+		return 0
+	}
+	return i.c.bytesLoaded
+}
 
 // Error returns the first I/O or corruption error encountered.
 func (i *Iter) Error() error { return i.err }
@@ -298,6 +345,52 @@ func (i *Iter) Key() base.InternalKey { return i.ikey }
 // Value returns the current value, aliasing the page buffer.
 func (i *Iter) Value() []byte { return i.pages[i.cur].Value() }
 
+// openPage returns a block iterator over page pi for a read: the block is
+// immutable (readBlock), the iterator fresh.
+func (r *Reader) openPage(pi int) (*block.Iter, error) {
+	data, err := r.readBlock(r.entries[pi].handle)
+	if err != nil {
+		return nil, err
+	}
+	return block.NewIter(data, base.CompareEncoded)
+}
+
+// openPage returns a block iterator over page pi of r as the slot-th page of
+// the tile being loaded, or nil when the filter elides the page. A cache hit
+// is iterated in place — the block is shared, so it is neither copied into
+// nor adopted as an owned buffer; a miss is read, bounds- and CRC-checked,
+// into the slot's own buffer.
+func (c *compactionReads) openPage(r *Reader, pi, slot int) (*block.Iter, error) {
+	if c.filter != nil && !c.filter(r.Page(pi)) {
+		c.dropped++
+		return nil, nil
+	}
+	if slot == len(c.iters) {
+		c.bufs = append(c.bufs, nil)
+		c.iters = append(c.iters, nil)
+	}
+	h := r.entries[pi].handle
+	var data []byte
+	hit := false
+	if r.blockCache != nil {
+		data, hit = r.blockCache.Get(r.cacheID, h.Offset)
+	}
+	if !hit {
+		buf, err := r.readVerified(h, c.bufs[slot])
+		if err != nil {
+			return nil, err
+		}
+		c.bufs[slot], data = buf, buf[:h.Length]
+	}
+	c.bytesLoaded += h.Length
+	if c.iters[slot] == nil {
+		it, err := block.NewIter(data, base.CompareEncoded)
+		c.iters[slot] = it
+		return it, err
+	}
+	return c.iters[slot], c.iters[slot].Reset(data)
+}
+
 // loadTile opens the page iterators of tile gi. If seekTarget is non-nil
 // each page is positioned at the first entry >= target, else at its first
 // entry.
@@ -310,20 +403,19 @@ func (i *Iter) loadTile(gi int, seekTarget []byte) bool {
 	}
 	g := i.r.groups[gi]
 	for pi := g[0]; pi < g[1]; pi++ {
-		if i.filter != nil && !i.filter(i.r.Page(pi)) {
-			i.dropped++
+		var it *block.Iter
+		var err error
+		if i.c != nil {
+			it, err = i.c.openPage(i.r, pi, len(i.pages))
+		} else {
+			it, err = i.r.openPage(pi)
+		}
+		if err != nil {
+			i.err = err
+			return false
+		}
+		if it == nil {
 			continue
-		}
-		data, err := i.r.readBlock(i.r.entries[pi].handle)
-		if err != nil {
-			i.err = err
-			return false
-		}
-		i.bytesLoaded += i.r.entries[pi].handle.Length
-		it, err := block.NewIter(data, base.CompareEncoded)
-		if err != nil {
-			i.err = err
-			return false
 		}
 		if seekTarget != nil {
 			it.SeekGE(seekTarget)

@@ -1,10 +1,12 @@
 package sstable
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 
 	"repro/internal/base"
@@ -70,15 +72,52 @@ func (m WriterMeta) HasEntries() bool {
 	return m.Props.NumEntries > 0 || m.Props.NumRangeDeletes > 0
 }
 
-type bufferedEntry struct {
-	ikey  base.InternalKey
-	value []byte
-	dk    base.DeleteKey
-	hasDK bool
+// tileEntry addresses one buffered entry of the current KiWi tile: its encoded
+// internal key, then its value, back to back in Writer.arena.
+type tileEntry struct {
+	off    int // start of the encoded internal key
+	keyLen int // encoded length, trailer included
+	valLen int
+	dk     base.DeleteKey
+	hasDK  bool
+}
+
+func (e tileEntry) key(arena []byte) []byte   { return arena[e.off : e.off+e.keyLen] }
+func (e tileEntry) value(arena []byte) []byte { return arena[e.off+e.keyLen:][:e.valLen] }
+
+// pageStats gathers, entry by entry, what a page's index entry records.
+type pageStats struct {
+	dkMin, dkMax base.DeleteKey
+	hasDK        bool
+	hasDel       bool
+	maxSeq       base.SeqNum
+}
+
+func (p *pageStats) note(tr base.Trailer, dk base.DeleteKey, hasDK bool) {
+	if hasDK {
+		if !p.hasDK || dk < p.dkMin {
+			p.dkMin = dk
+		}
+		if !p.hasDK || dk > p.dkMax {
+			p.dkMax = dk
+		}
+		p.hasDK = true
+	}
+	if tr.Kind() == base.KindDelete {
+		p.hasDel = true
+	}
+	if s := tr.SeqNum(); s > p.maxSeq {
+		p.maxSeq = s
+	}
 }
 
 // Writer builds an sstable. Entries must be added in ascending internal-key
-// order. Writer is not safe for concurrent use.type
+// order. Writer is not safe for concurrent use.
+//
+// Add copies: with one page per tile the entry is encoded straight into the
+// data block being built, with more the tile is buffered in one byte arena and
+// woven into pages when it fills. Nothing is allocated per entry, and every
+// buffer survives Reset, so a job that writes many tables sizes them once.
 type Writer struct {
 	f    vfs.File
 	opts WriterOptions
@@ -87,8 +126,12 @@ type Writer struct {
 	dataBuf *block.Writer
 	index   *block.Writer
 
-	// tile accumulates entries for the current delete tile (KiWi mode).
-	tile      []bufferedEntry
+	// page describes the data block being built in dataBuf.
+	page pageStats
+	// arena and tile buffer the current delete tile (KiWi mode).
+	arena []byte
+	tile  []tileEntry
+	// tileBytes is the payload added to the current tile so far.
 	tileBytes int
 	tileID    uint64
 
@@ -96,12 +139,15 @@ type Writer struct {
 	prefixHashes []uint64
 	rangeDels    []base.RangeTombstone
 
-	meta        WriterMeta
-	haveTomb    bool
-	haveDK      bool
-	first       bool
+	meta     WriterMeta
+	haveTomb bool
+	haveDK   bool
+	first    bool
+	// lastAdded is the last key added; its user key aliases lastEnc, the
+	// same key encoded, which the next Add overwrites.
 	lastAdded   base.InternalKey
-	encodedKey  []byte
+	lastEnc     []byte
+	scratch     []byte // index values
 	finishedErr error
 	finished    bool
 }
@@ -109,26 +155,54 @@ type Writer struct {
 // NewWriter begins writing a table to f.
 func NewWriter(f vfs.File, opts WriterOptions) *Writer {
 	opts = opts.withDefaults()
-	return &Writer{
-		f:       f,
+	w := &Writer{
 		opts:    opts,
 		dataBuf: block.NewWriter(opts.RestartInterval),
 		index:   block.NewWriter(1),
-		first:   true,
+	}
+	w.Reset(f)
+	return w
+}
+
+// Reset re-targets the writer at a new, empty file, as if freshly made by
+// NewWriter with the same options, keeping its buffers. The table written
+// before, if any, must have been finished.
+func (w *Writer) Reset(f vfs.File) {
+	w.dataBuf.Reset()
+	w.index.Reset()
+	// Everything per-table starts from zero; only the buffers carry over.
+	// rangeDels does not: the finished table's WriterMeta holds that slice.
+	*w = Writer{
+		f: f, opts: w.opts, dataBuf: w.dataBuf, index: w.index, first: true,
+		arena: w.arena[:0], tile: w.tile[:0],
+		hashes: w.hashes[:0], prefixHashes: w.prefixHashes[:0],
+		lastEnc: w.lastEnc, scratch: w.scratch,
 	}
 }
 
+// LastUserKey returns the user key of the last entry added, nil before the
+// first. The slice is the writer's own copy and changes at the next Add; a
+// caller merging into the writer can compare against it instead of keeping a
+// second copy.
+func (w *Writer) LastUserKey() []byte { return w.lastAdded.UserKey }
+
 // Add appends an entry. Keys must arrive in strictly ascending internal-key
-// order; out-of-order keys are rejected.
+// order; out-of-order keys are rejected. Add has copied ikey.UserKey and
+// value by the time it returns: the caller may overwrite both (a flush passes
+// slices of the memtable arena, a compaction slices of a page buffer its
+// iterator is about to reuse).
 func (w *Writer) Add(ikey base.InternalKey, value []byte) error {
 	if w.finished {
 		return errors.New("sstable: Add after Finish")
 	}
-	if !w.first && ikey.Compare(w.lastAdded) <= 0 {
-		return fmt.Errorf("sstable: keys out of order: %s after %s", ikey, w.lastAdded)
-	}
-	if !w.first && base.Compare(ikey.UserKey, w.lastAdded.UserKey) == 0 {
-		w.meta.Props.HasDuplicates = true
+	if !w.first {
+		c := base.Compare(ikey.UserKey, w.lastAdded.UserKey)
+		if c < 0 || (c == 0 && ikey.Trailer >= w.lastAdded.Trailer) {
+			return fmt.Errorf("sstable: keys out of order: %s after %s", ikey, w.lastAdded)
+		}
+		if c == 0 {
+			w.meta.Props.HasDuplicates = true
+		}
 	}
 	if w.opts.PrefixBloomLength > 0 {
 		// Keys arrive sorted, so every prefix shared with the previous key
@@ -143,17 +217,18 @@ func (w *Writer) Add(ikey base.InternalKey, value []byte) error {
 		w.meta.Smallest = ikey.Clone()
 		w.first = false
 	}
-	w.lastAdded = ikey.Clone()
+	w.lastEnc = ikey.Encode(w.lastEnc[:0])
+	w.lastAdded = base.InternalKey{UserKey: w.lastEnc[:len(ikey.UserKey)], Trailer: ikey.Trailer}
 
-	e := bufferedEntry{ikey: w.lastAdded, value: append([]byte(nil), value...)}
-	if ikey.Kind() == base.KindSet && w.opts.DeleteKeyFunc != nil {
-		e.dk = w.opts.DeleteKeyFunc(value)
-		e.hasDK = true
-		if !w.haveDK || e.dk < w.meta.Props.DeleteKeyMin {
-			w.meta.Props.DeleteKeyMin = e.dk
+	var dk base.DeleteKey
+	hasDK := ikey.Kind() == base.KindSet && w.opts.DeleteKeyFunc != nil
+	if hasDK {
+		dk = w.opts.DeleteKeyFunc(value)
+		if !w.haveDK || dk < w.meta.Props.DeleteKeyMin {
+			w.meta.Props.DeleteKeyMin = dk
 		}
-		if !w.haveDK || e.dk > w.meta.Props.DeleteKeyMax {
-			w.meta.Props.DeleteKeyMax = e.dk
+		if !w.haveDK || dk > w.meta.Props.DeleteKeyMax {
+			w.meta.Props.DeleteKeyMax = dk
 		}
 		w.haveDK = true
 	}
@@ -175,7 +250,13 @@ func (w *Writer) Add(ikey base.InternalKey, value []byte) error {
 		w.hashes = append(w.hashes, bloom.Hash(ikey.UserKey))
 	}
 
-	w.tile = append(w.tile, e)
+	if w.opts.PagesPerTile == 1 {
+		w.dataBuf.Add(w.lastEnc, value)
+		w.page.note(ikey.Trailer, dk, hasDK)
+	} else {
+		w.tile = append(w.tile, tileEntry{off: len(w.arena), keyLen: len(w.lastEnc), valLen: len(value), dk: dk, hasDK: hasDK})
+		w.arena = append(append(w.arena, w.lastEnc...), value...)
+	}
 	w.tileBytes += ikey.Size() + len(value) + 8
 	if w.tileBytes >= w.opts.BlockSize*w.opts.PagesPerTile {
 		return w.flushTile()
@@ -218,119 +299,104 @@ func (w *Writer) noteTombstone(ts base.Timestamp) {
 	w.haveTomb = true
 }
 
-// flushTile writes the buffered entries as one delete tile: pages ordered by
-// delete key inside the tile, entries sorted by internal key inside each
-// page. With PagesPerTile == 1 this degenerates to a standard data block.
+// flushTile closes the current delete tile. Every page of a tile shares one
+// index separator, the tile's largest internal key — the last key added — so
+// sort-key binary search lands on the tile. With one page per tile the page is
+// already in dataBuf; otherwise the buffered entries are woven: pages ordered
+// by delete key inside the tile, entries sorted by internal key inside each
+// page.
 func (w *Writer) flushTile() error {
-	if len(w.tile) == 0 {
+	if w.tileBytes == 0 {
 		return nil
 	}
-	// The tile's index separator is its largest internal key; every page
-	// of the tile shares it so sort-key binary search lands on the tile.
-	sep := w.tile[len(w.tile)-1].ikey
-
-	pages := w.opts.PagesPerTile
-	if pages > len(w.tile) {
-		pages = len(w.tile)
+	var err error
+	if w.opts.PagesPerTile == 1 {
+		err = w.writePage()
+	} else {
+		err = w.weaveTile()
 	}
-	if pages > 1 {
-		// Order entries by delete key so each page covers a narrow
-		// delete-key band. Entries without a delete key (tombstones)
-		// sort first; ties broken by internal key for determinism.
-		sort.SliceStable(w.tile, func(i, j int) bool {
-			a, b := &w.tile[i], &w.tile[j]
-			if a.hasDK != b.hasDK {
-				return !a.hasDK
-			}
-			if a.dk != b.dk {
-				return a.dk < b.dk
-			}
-			return a.ikey.Compare(b.ikey) < 0
-		})
+	if err != nil {
+		return err
 	}
-	per := (len(w.tile) + pages - 1) / pages
-	for start := 0; start < len(w.tile); start += per {
-		end := start + per
-		if end > len(w.tile) {
-			end = len(w.tile)
-		}
-		page := w.tile[start:end]
-		if pages > 1 {
-			sort.Slice(page, func(i, j int) bool { return page[i].ikey.Compare(page[j].ikey) < 0 })
-		}
-		if err := w.writePage(page, sep); err != nil {
-			return err
-		}
-	}
-	w.tile = w.tile[:0]
 	w.tileBytes = 0
 	w.tileID++
 	w.meta.Props.NumTiles++
 	return nil
 }
 
-// writePage emits one data block and its index entry.
-func (w *Writer) writePage(page []bufferedEntry, sep base.InternalKey) error {
-	w.dataBuf.Reset()
-	var (
-		dkMin  base.DeleteKey = ^base.DeleteKey(0)
-		dkMax  base.DeleteKey
-		hasDK  bool
-		hasDel bool
-		maxSeq base.SeqNum
-	)
-	for i := range page {
-		e := &page[i]
-		w.encodedKey = e.ikey.Encode(w.encodedKey[:0])
-		w.dataBuf.Add(w.encodedKey, e.value)
-		if e.hasDK {
-			hasDK = true
-			if e.dk < dkMin {
-				dkMin = e.dk
+// weaveTile writes the buffered tile as its delete-key-ordered pages.
+func (w *Writer) weaveTile() error {
+	arena := w.arena
+	byKey := func(a, b tileEntry) int { return base.CompareEncoded(a.key(arena), b.key(arena)) }
+	pages := min(w.opts.PagesPerTile, len(w.tile))
+	if pages > 1 {
+		// Order entries by delete key so each page covers a narrow
+		// delete-key band. Entries without a delete key (tombstones) sort
+		// first; ties go to the internal key, which is unique, so the
+		// order is total.
+		slices.SortFunc(w.tile, func(a, b tileEntry) int {
+			switch {
+			case a.hasDK != b.hasDK:
+				if a.hasDK {
+					return 1
+				}
+				return -1
+			case a.dk != b.dk:
+				return cmp.Compare(a.dk, b.dk)
 			}
-			if e.dk > dkMax {
-				dkMax = e.dk
-			}
+			return byKey(a, b)
+		})
+	}
+	per := (len(w.tile) + pages - 1) / pages
+	for start := 0; start < len(w.tile); start += per {
+		page := w.tile[start:min(start+per, len(w.tile))]
+		if pages > 1 {
+			slices.SortFunc(page, byKey)
 		}
-		if e.ikey.Kind() == base.KindDelete {
-			hasDel = true
+		for _, e := range page {
+			key := e.key(arena)
+			w.dataBuf.Add(key, e.value(arena))
+			w.page.note(base.DecodeInternalKey(key).Trailer, e.dk, e.hasDK)
 		}
-		if s := e.ikey.SeqNum(); s > maxSeq {
-			maxSeq = s
+		if err := w.writePage(); err != nil {
+			return err
 		}
 	}
+	w.arena, w.tile = w.arena[:0], w.tile[:0]
+	return nil
+}
+
+// writePage emits the data block built in dataBuf and its index entry.
+func (w *Writer) writePage() error {
 	h, err := w.writeBlock(w.dataBuf.Finish())
 	if err != nil {
 		return err
 	}
-	ent := indexEntry{handle: h, tile: w.tileID, maxSeq: maxSeq}
-	if hasDK {
-		ent.dkMin, ent.dkMax = dkMin, dkMax
-	} else {
-		ent.dkMin, ent.dkMax = 1, 0 // empty span: never droppable
+	w.dataBuf.Reset()
+	p := w.page
+	w.page = pageStats{}
+	ent := indexEntry{handle: h, tile: w.tileID, maxSeq: p.maxSeq, dkMin: 1, dkMax: 0} // empty span: never droppable
+	if p.hasDK {
+		ent.dkMin, ent.dkMax = p.dkMin, p.dkMax
 	}
-	if hasDel {
+	if p.hasDel {
 		ent.flags |= pageFlagHasTombstones
 	}
-	w.encodedKey = sep.Encode(w.encodedKey[:0])
-	w.index.Add(w.encodedKey, encodeIndexEntry(nil, ent))
+	w.scratch = encodeIndexEntry(w.scratch[:0], ent)
+	w.index.Add(w.lastEnc, w.scratch)
 	w.meta.Props.NumPages++
 	return nil
 }
 
-// writeBlock writes raw block bytes plus a CRC trailer and returns the
-// handle.
+// writeBlock writes block bytes and their CRC trailer with one Write,
+// appending the trailer to data in place, and returns the handle.
 func (w *Writer) writeBlock(data []byte) (BlockHandle, error) {
 	h := BlockHandle{Offset: w.offset, Length: uint64(len(data))}
+	data = binary.LittleEndian.AppendUint32(data, crc32.Checksum(data, castagnoli))
 	if _, err := w.f.Write(data); err != nil {
 		return BlockHandle{}, err
 	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(data, castagnoli))
-	if _, err := w.f.Write(crc[:]); err != nil {
-		return BlockHandle{}, err
-	}
-	w.offset += uint64(len(data)) + 4
+	w.offset += uint64(len(data))
 	return h, nil
 }
 
@@ -352,7 +418,7 @@ func (w *Writer) finish() error {
 		return err
 	}
 	if !w.first {
-		w.meta.Largest = w.lastAdded
+		w.meta.Largest = w.lastAdded.Clone()
 	}
 
 	var ftr footer
@@ -360,7 +426,7 @@ func (w *Writer) finish() error {
 	// Bloom filter block.
 	if w.opts.BloomBitsPerKey > 0 && len(w.hashes) > 0 {
 		filter := bloom.Build(w.hashes, w.opts.BloomBitsPerKey)
-		h, err := w.writeBlock(filter.Encode(nil))
+		h, err := w.writeBlock(filter.Encode(make([]byte, 0, filter.SizeBytes()+8))) // header + bits + CRC, one allocation
 		if err != nil {
 			return err
 		}
@@ -375,7 +441,7 @@ func (w *Writer) finish() error {
 			bpk = 10
 		}
 		filter := bloom.Build(w.prefixHashes, bpk)
-		h, err := w.writeBlock(filter.Encode(nil))
+		h, err := w.writeBlock(filter.Encode(make([]byte, 0, filter.SizeBytes()+8))) // header + bits + CRC, one allocation
 		if err != nil {
 			return err
 		}

@@ -24,7 +24,11 @@ type tableCache struct {
 	tables map[base.FileNum]*cachedTable
 }
 
+// cachedTable is one open table and its pin count. acquire hands it out and
+// release takes it back; nothing else is needed to return a pin, so a point
+// lookup pins and unpins a table without allocating.
 type cachedTable struct {
+	fn      base.FileNum
 	reader  *sstable.Reader
 	refs    int
 	evicted bool
@@ -38,27 +42,27 @@ func newTableCache(fs vfs.FS, dirname string, blockCacheBytes int64) *tableCache
 	return c
 }
 
-// get returns a reader for the table and a release function that must be
-// called exactly once when the caller is done.
-func (c *tableCache) get(fn base.FileNum) (*sstable.Reader, func(), error) {
+// acquire pins the table's reader, opening it on first use. The caller must
+// hand the result to release exactly once when done with the reader.
+func (c *tableCache) acquire(fn base.FileNum) (*cachedTable, error) {
 	c.mu.Lock()
 	ct, ok := c.tables[fn]
 	if ok {
 		ct.refs++
 		c.mu.Unlock()
-		return ct.reader, func() { c.release(fn, ct) }, nil
+		return ct, nil
 	}
 	c.mu.Unlock()
 
 	// Open outside the lock; racing opens are deduplicated below.
 	f, err := c.fs.Open(manifest.MakeFilename(c.dirname, manifest.FileTypeTable, fn))
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	r, err := sstable.Open(f)
 	if err != nil {
 		vfs.BestEffortClose(f)
-		return nil, nil, fmt.Errorf("core: opening table %s: %w", fn, err)
+		return nil, fmt.Errorf("core: opening table %s: %w", fn, err)
 	}
 	if c.blocks != nil {
 		r.SetCache(c.blocks, uint64(fn))
@@ -69,20 +73,21 @@ func (c *tableCache) get(fn base.FileNum) (*sstable.Reader, func(), error) {
 		existing.refs++
 		c.mu.Unlock()
 		vfs.BestEffortClose(r)
-		return existing.reader, func() { c.release(fn, existing) }, nil
+		return existing, nil
 	}
-	ct = &cachedTable{reader: r, refs: 1}
+	ct = &cachedTable{fn: fn, reader: r, refs: 1}
 	c.tables[fn] = ct
 	c.mu.Unlock()
-	return r, func() { c.release(fn, ct) }, nil
+	return ct, nil
 }
 
-func (c *tableCache) release(fn base.FileNum, ct *cachedTable) {
+// release drops a pin taken by acquire.
+func (c *tableCache) release(ct *cachedTable) {
 	c.mu.Lock()
 	ct.refs--
 	closeNow := ct.evicted && ct.refs == 0
 	if closeNow {
-		delete(c.tables, fn)
+		delete(c.tables, ct.fn)
 	}
 	c.mu.Unlock()
 	if closeNow {

@@ -185,23 +185,23 @@ func (d *DB) VerifyChecksums() error {
 	var files []*manifest.FileMetadata
 	v.AllFiles(func(_ int, f *manifest.FileMetadata) { files = append(files, f) })
 	for _, f := range files {
-		r, release, err := d.cache.get(f.FileNum)
+		ct, err := d.cache.acquire(f.FileNum)
 		if err != nil {
 			return fmt.Errorf("acheron: scrub open %s: %w", f.FileNum, err)
 		}
-		it := r.NewIter()
+		it := ct.reader.NewIter()
 		var n uint64
 		var last base.InternalKey
 		for ok := it.First(); ok; ok = it.Next() {
 			if n > 0 && it.Key().Compare(last) <= 0 {
-				release()
+				d.cache.release(ct)
 				return fmt.Errorf("acheron: scrub %s: keys out of order at entry %d", f.FileNum, n)
 			}
 			last = it.Key().Clone()
 			n++
 		}
 		err = it.Error()
-		release()
+		d.cache.release(ct)
 		if err != nil {
 			return fmt.Errorf("acheron: scrub %s: %w", f.FileNum, err)
 		}

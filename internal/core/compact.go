@@ -323,10 +323,10 @@ func (d *DB) merge(j *compactJob) (*compaction.Result, error) {
 		return disposable
 	}
 
-	var releases []func()
+	var pinned []*cachedTable
 	defer func() {
-		for _, r := range releases {
-			r()
+		for _, ct := range pinned {
+			d.cache.release(ct)
 		}
 	}()
 	return compaction.Run(c, compaction.Env{
@@ -335,12 +335,12 @@ func (d *DB) merge(j *compactJob) (*compaction.Result, error) {
 		WriterOpts:      d.writerOptions(),
 		TargetFileBytes: d.opts.Compaction.TargetFileBytes,
 		OpenReader: func(fn base.FileNum) (*sstable.Reader, error) {
-			r, release, err := d.cache.get(fn)
+			ct, err := d.cache.acquire(fn)
 			if err != nil {
 				return nil, err
 			}
-			releases = append(releases, release)
-			return r, nil
+			pinned = append(pinned, ct)
+			return ct.reader, nil
 		},
 		AllocFileNum:             d.vs.AllocFileNum,
 		Snapshots:                snaps,

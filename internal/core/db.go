@@ -208,12 +208,12 @@ func Open(dirname string, opts Options) (*DB, error) {
 	// The manifest records only how many range tombstones a file carries;
 	// read them back so the recovered version serves them like any other.
 	err = vs.LoadRangeTombstones(func(fn base.FileNum) ([]base.RangeTombstone, error) {
-		r, release, err := d.cache.get(fn)
+		ct, err := d.cache.acquire(fn)
 		if err != nil {
 			return nil, err
 		}
-		defer release()
-		return r.RangeTombstones(), nil
+		defer d.cache.release(ct)
+		return ct.reader.RangeTombstones(), nil
 	})
 	if err == nil {
 		err = d.recoverAndClean()
@@ -827,6 +827,10 @@ func (d *DB) installEdit(edit *manifest.VersionEdit, atCommit func(cur *manifest
 type Snapshot struct {
 	db  *DB
 	seq base.SeqNum
+	// released is set, under db.mu, by the first Release. d.snapshots may
+	// hold seq more than once, so a second removal would drop another
+	// snapshot's pin.
+	released bool
 }
 
 // NewSnapshot captures the current state. The snapshot pins the published
@@ -845,11 +849,15 @@ func (d *DB) NewSnapshot() *Snapshot {
 // Seq returns the snapshot's sequence number.
 func (s *Snapshot) Seq() base.SeqNum { return s.seq }
 
-// Release unpins the snapshot. Releasing twice is an error kept silent.
+// Release unpins the snapshot. Only the first call has an effect.
 func (s *Snapshot) Release() {
 	d := s.db
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if s.released {
+		return
+	}
+	s.released = true
 	i := sort.Search(len(d.snapshots), func(i int) bool { return d.snapshots[i] >= s.seq })
 	if i < len(d.snapshots) && d.snapshots[i] == s.seq {
 		d.snapshots = append(d.snapshots[:i], d.snapshots[i+1:]...)
@@ -1069,11 +1077,12 @@ func (d *DB) searchSources(rs readState, key []byte) (base.Kind, []byte, base.Se
 }
 
 func (d *DB) getFromTable(f *manifest.FileMetadata, key []byte, seq base.SeqNum) (base.Kind, []byte, base.SeqNum, bool, error) {
-	r, release, err := d.cache.get(f.FileNum)
+	ct, err := d.cache.acquire(f.FileNum)
 	if err != nil {
 		return 0, nil, 0, false, err
 	}
-	defer release()
+	defer d.cache.release(ct)
+	r := ct.reader
 	if !r.MayContain(key) {
 		d.stats.BloomSkips.Add(1)
 		return 0, nil, 0, false, nil

@@ -99,6 +99,35 @@ func TestSnapshotReleaseUnblocksCleanup(t *testing.T) {
 	}
 }
 
+// TestSnapshotDoubleReleaseKeepsOtherPin: two snapshots at one sequence
+// number; releasing the first twice must leave the second's pin in place, so
+// compaction keeps the version it reads.
+func TestSnapshotDoubleReleaseKeepsOtherPin(t *testing.T) {
+	d := mustOpen(t, testOptions(vfs.NewMemFS(), &base.LogicalClock{}))
+	if err := d.Put([]byte("k"), testValue(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	s1, s2 := d.NewSnapshot(), d.NewSnapshot()
+	defer s2.Release()
+	if err := d.Put([]byte("k"), testValue(2, 2)); err != nil {
+		t.Fatal(err)
+	}
+	s1.Release()
+	s1.Release()
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := d.GetAt([]byte("k"), s2); err != nil || testDK(v) != 1 {
+		t.Fatalf("s2 reads %v, %v; want v1", v, err)
+	}
+}
+
 // TestDPTInvariant: after quiescing with the clock advanced past every
 // deadline, no live file may hold a tombstone whose cumulative TTL has
 // expired, and no tombstone's measured persistence may exceed the DPT plus

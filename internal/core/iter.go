@@ -29,11 +29,11 @@ type IterOptions struct {
 // Tombstoned, superseded, and range-deleted entries are skipped. An Iter
 // pins table readers; Close it when done.
 type Iter struct {
-	d        *DB
-	merge    *iterator.Merge
-	opts     IterOptions
-	rs       readState
-	releases []func()
+	d      *DB
+	merge  *iterator.Merge
+	opts   IterOptions
+	rs     readState
+	pinned []*cachedTable
 	// viewDeferred marks a scan that ran the plain merge because its
 	// version's sorted view was not yet earned; Close credits its steps.
 	viewDeferred bool
@@ -139,7 +139,7 @@ func (d *DB) newIter(opts IterOptions) (*Iter, error) {
 }
 
 // newRunConcat builds the lazily-opening Concat over one run's files,
-// pinning table readers on it.releases.
+// pinning table readers on it.pinned.
 func (it *Iter) newRunConcat(files []*manifest.FileMetadata) iterator.Internal {
 	d := it.d
 	return iterator.NewConcat(len(files),
@@ -147,13 +147,13 @@ func (it *Iter) newRunConcat(files []*manifest.FileMetadata) iterator.Internal {
 			return files[i].Smallest, files[i].Largest
 		},
 		func(i int) (iterator.Internal, error) {
-			r, release, err := d.cache.get(files[i].FileNum)
+			ct, err := d.cache.acquire(files[i].FileNum)
 			if err != nil {
 				return nil, err
 			}
-			it.releases = append(it.releases, release)
+			it.pinned = append(it.pinned, ct)
 			d.stats.IterTablesOpened.Add(1)
-			return r.NewIter(), nil
+			return ct.reader.NewIter(), nil
 		})
 }
 
@@ -171,13 +171,13 @@ func (d *DB) prefixCandidateFiles(files []*manifest.FileMetadata, prefix, upper 
 		if upper != nil && base.Compare(f.Smallest.UserKey, upper) >= 0 {
 			continue
 		}
-		r, release, err := d.cache.get(f.FileNum)
+		ct, err := d.cache.acquire(f.FileNum)
 		if err != nil {
 			out = append(out, f)
 			continue
 		}
-		skip := !r.MayContainPrefix(prefix)
-		release()
+		skip := !ct.reader.MayContainPrefix(prefix)
+		d.cache.release(ct)
 		if skip {
 			d.stats.PrefixBloomSkips.Add(1)
 			continue
@@ -204,10 +204,10 @@ func prefixSuccessor(prefix []byte) []byte {
 func (i *Iter) Close() error {
 	if !i.closed {
 		i.closed = true
-		for _, r := range i.releases {
-			r()
+		for _, ct := range i.pinned {
+			i.d.cache.release(ct)
 		}
-		i.releases = nil
+		i.pinned = nil
 		if i.viewDeferred {
 			i.d.readViews.Credit(i.rs.version, uint64(i.stepped))
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -292,12 +293,12 @@ func TestVersionCarriesLiveRangeTombstones(t *testing.T) {
 		v := d.vs.Current()
 		var want []base.RangeTombstone
 		v.AllFiles(func(_ int, f *manifest.FileMetadata) {
-			r, release, err := d.cache.get(f.FileNum)
+			ct, err := d.cache.acquire(f.FileNum)
 			if err != nil {
 				t.Fatalf("%s: %v", stage, err)
 			}
-			want = append(want, r.RangeTombstones()...)
-			release()
+			want = append(want, ct.reader.RangeTombstones()...)
+			d.cache.release(ct)
 		})
 		got := append([]base.RangeTombstone(nil), v.RangeTombstones()...)
 		for _, rts := range [][]base.RangeTombstone{got, want} {
@@ -360,13 +361,30 @@ func TestVersionCarriesLiveRangeTombstones(t *testing.T) {
 	check("checkpoint reopened", cp)
 }
 
+// raceEnabled reports whether the test binary runs under the race detector,
+// whose sync.Pool drops items at random, so allocation counts vary.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
+}
+
 // TestGetAllocsFlatInRangeTombstones: a Get hit with DeleteKeyFunc set
 // allocates the same whether no range tombstone is live, a hundred sit in
 // the version's files, or a hundred sit in the memtable — the coverage check
-// walks the published lists in place. The hit is served from a table, so it
-// also pins the single value copy: 12 allocations, where the engine that
-// collected tombstones per Get and copied the value twice made 13 / 21 / 22.
+// walks the published lists in place. The hit is served from a cached table
+// block and allocates only the value's one copy: the ceiling is 3, where the
+// engine that opened a table iterator per probe made 12, and the one that
+// collected tombstones per Get and copied the value twice 13 / 21 / 22.
 func TestGetAllocsFlatInRangeTombstones(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
 	const keys = 500
 	fixture := func(inFiles, inMem int) *DB {
 		d := mustOpen(t, testOptions(vfs.NewMemFS(), &base.LogicalClock{}))
@@ -405,8 +423,8 @@ func TestGetAllocsFlatInRangeTombstones(t *testing.T) {
 	none := allocs(fixture(0, 0))
 	files := allocs(fixture(100, 0))
 	mem := allocs(fixture(0, 100))
-	if none != files || none != mem || none > 12 {
-		t.Fatalf("Get-hit allocs: %v with no range tombstones, %v with 100 in files, %v with 100 in the memtable; want all equal and <= 12", none, files, mem)
+	if none != files || none != mem || none > 3 {
+		t.Fatalf("Get-hit allocs: %v with no range tombstones, %v with 100 in files, %v with 100 in the memtable; want all equal and <= 3", none, files, mem)
 	}
 }
 

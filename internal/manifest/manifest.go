@@ -95,20 +95,19 @@ func (r *Run) Size() uint64 {
 	return n
 }
 
-// Find returns the files in the run overlapping [lo, hi] user keys.
+// Find returns the files in the run overlapping [lo, hi] user keys. They are
+// contiguous in a run, so the result is a capped sub-slice of r.Files, made
+// without allocating; callers must not modify its elements.
 func (r *Run) Find(lo, hi []byte) []*FileMetadata {
 	// Binary search for the first file whose Largest >= lo.
 	i := sort.Search(len(r.Files), func(i int) bool {
 		return base.Compare(r.Files[i].Largest.UserKey, lo) >= 0
 	})
-	var out []*FileMetadata
-	for ; i < len(r.Files); i++ {
-		if base.Compare(r.Files[i].Smallest.UserKey, hi) > 0 {
-			break
-		}
-		out = append(out, r.Files[i])
+	j := i
+	for j < len(r.Files) && base.Compare(r.Files[j].Smallest.UserKey, hi) <= 0 {
+		j++
 	}
-	return out
+	return r.Files[i:j:j]
 }
 
 // Version is an immutable snapshot of the tree's shape.

@@ -101,12 +101,18 @@ func (m *MemTable) RangeTombstones() []base.RangeTombstone {
 	return nil
 }
 
+// searchKeys holds Get's encoded search keys. A stack buffer would not do:
+// the skiplist hands the key to its comparator, a func value, so it escapes.
+var searchKeys = sync.Pool{New: func() any { return new([]byte) }}
+
 // Get returns the newest entry for userKey visible at seq, along with the
 // entry's own sequence number.
 func (m *MemTable) Get(userKey []byte, seq base.SeqNum) (base.Kind, []byte, base.SeqNum, bool) {
 	it := m.list.NewIter()
-	search := base.MakeSearchKey(userKey, seq).Encode(nil)
-	if !it.SeekGE(search) {
+	search := searchKeys.Get().(*[]byte)
+	defer searchKeys.Put(search)
+	*search = base.MakeSearchKey(userKey, seq).Encode((*search)[:0])
+	if !it.SeekGE(*search) {
 		return 0, nil, 0, false
 	}
 	ik := base.DecodeInternalKey(it.Key())

@@ -1,0 +1,227 @@
+package sstable
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime/debug"
+	"sort"
+	"sync"
+	"testing"
+
+	"repro/internal/base"
+	"repro/internal/cache"
+	"repro/internal/vfs"
+)
+
+// raceEnabled reports whether the test binary runs under the race detector,
+// whose sync.Pool drops items at random, so allocation counts vary.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
+}
+
+// refGet is the reference point lookup: a table iterator sought to the search
+// key.
+func refGet(r *Reader, userKey []byte, seq base.SeqNum) (base.Kind, []byte, base.SeqNum, bool, error) {
+	it := r.NewIter()
+	if it.SeekGE(base.MakeSearchKey(userKey, seq)) {
+		k := it.Key()
+		if base.Compare(k.UserKey, userKey) == 0 {
+			return k.Kind(), it.Value(), k.SeqNum(), true, it.Error()
+		}
+	}
+	return 0, nil, 0, false, it.Error()
+}
+
+// TestGetMatchesIter: for every key, its odd neighbour (never written) and
+// three read sequence numbers, Get answers what a table iterator sought to the
+// search key answers — in both layouts, with no block cache, a cache too small
+// to keep a tile's pages together, and a cache holding every block.
+func TestGetMatchesIter(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const keys = 1500
+	var entries []entry
+	seqs := rng.Perm(3 * keys)
+	for k := 0; k < keys; k++ {
+		user := []byte(fmt.Sprintf("k%06d", 2*k))
+		versions := seqs[3*k : 3*k+1+rng.Intn(3)]
+		sort.Sort(sort.Reverse(sort.IntSlice(versions))) // newest first
+		for _, s := range versions {
+			kind, v := base.KindSet, mkValue(uint64(rng.Intn(50)), rng.Intn(48))
+			if rng.Intn(5) == 0 {
+				kind, v = base.KindDelete, base.EncodeTombstoneValue(base.Timestamp(s))
+			}
+			entries = append(entries, entry{base.MakeInternalKey(user, base.SeqNum(s+1), kind), v})
+		}
+	}
+	readSeqs := []base.SeqNum{base.MaxSeqNum, 3 * keys / 2, 3 * keys / 10}
+	for _, h := range []int{1, 4} {
+		r, _ := buildTable(t, vfs.NewMemFS(), "t.sst",
+			WriterOptions{BlockSize: 512, PagesPerTile: h, BloomBitsPerKey: 10, DeleteKeyFunc: dkExtract}, entries, nil)
+		for _, c := range []struct {
+			name  string
+			cache *cache.Cache
+		}{{"no cache", nil}, {"one-block cache", cache.New(16 * 700)}, {"full cache", cache.New(64 << 20)}} {
+			r.SetCache(c.cache, 1)
+			for k := -1; k <= 2*keys; k++ {
+				user := []byte(fmt.Sprintf("k%06d", k))
+				for _, seq := range readSeqs {
+					kind, v, s, ok, err := r.Get(user, seq)
+					wkind, wv, ws, wok, werr := refGet(r, user, seq)
+					if kind != wkind || !bytes.Equal(v, wv) || s != ws || ok != wok || err != werr {
+						t.Fatalf("h=%d %s: Get(%s, %d) = %v %q %d %v %v, iterator says %v %q %d %v %v",
+							h, c.name, user, seq, kind, v, s, ok, err, wkind, wv, ws, wok, werr)
+					}
+				}
+			}
+		}
+		r.SetCache(nil, 0)
+	}
+}
+
+// shortKeyTable writes one tile by hand — a page holding "a"#1, and a page
+// whose only key is the single byte "c", too short to be an internal key —
+// with "d"#1 as the tile's separator. With h = 1 the two keys share one page.
+func shortKeyTable(t *testing.T, h int) *Reader {
+	t.Helper()
+	fs := vfs.NewMemFS()
+	f, err := fs.Create("bad.sst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWriter(f, WriterOptions{PagesPerTile: h})
+	a := base.MakeInternalKey([]byte("a"), 1, base.KindSet).Encode(nil)
+	pages := [][][]byte{{a}, {[]byte("c")}}
+	if h == 1 {
+		pages = [][][]byte{{a, []byte("c")}}
+	}
+	w.lastEnc = base.MakeInternalKey([]byte("d"), 1, base.KindSet).Encode(nil)
+	for _, keys := range pages {
+		for _, k := range keys {
+			w.dataBuf.Add(k, []byte("v"))
+		}
+		if err := w.writePage(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	rf, err := fs.Open("bad.sst")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(rf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	return r
+}
+
+// TestGetShortDataKeyIsCorrupt: a lookup that lands on a data key shorter than
+// an internal key's trailer reports ErrCorrupt, as the iterator does.
+func TestGetShortDataKeyIsCorrupt(t *testing.T) {
+	for _, h := range []int{1, 4} {
+		r := shortKeyTable(t, h)
+		if _, _, _, _, err := refGet(r, []byte("b"), base.MaxSeqNum); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("h=%d: the iterator reads the short key with error %v; the fixture is wrong", h, err)
+		}
+		if _, _, _, _, err := r.Get([]byte("b"), base.MaxSeqNum); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("h=%d: Get landing on a 1-byte data key returned %v, want ErrCorrupt", h, err)
+		}
+	}
+}
+
+// TestGetConcurrentWithEviction: Gets on one Reader run while another
+// goroutine keeps evicting the file's blocks from the cache. Each value Get
+// returned aliases a block, which must not change after its eviction: every
+// value is checked again once the readers are done and the file is evicted.
+func TestGetConcurrentWithEviction(t *testing.T) {
+	for _, h := range []int{1, 4} {
+		entries := sortedEntries(3000, true)
+		r, _ := buildTable(t, vfs.NewMemFS(), "t.sst", WriterOptions{BlockSize: 512, PagesPerTile: h, DeleteKeyFunc: dkExtract}, entries, nil)
+		c := cache.New(64 << 20)
+		r.SetCache(c, 7)
+
+		stop := make(chan struct{})
+		var evictor sync.WaitGroup
+		evictor.Add(1)
+		go func() {
+			defer evictor.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					c.EvictFile(7)
+				}
+			}
+		}()
+		const readers = 4
+		got := make([][][]byte, readers)
+		var wg sync.WaitGroup
+		for g := 0; g < readers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := g; i < len(entries); i += readers {
+					_, v, _, ok, err := r.Get(entries[i].key.UserKey, base.MaxSeqNum)
+					if err != nil || !ok || !bytes.Equal(v, entries[i].value) {
+						t.Errorf("h=%d: Get(%s) = %q, %v, %v", h, entries[i].key, v, ok, err)
+						return
+					}
+					got[g] = append(got[g], v)
+				}
+			}(g)
+		}
+		wg.Wait()
+		close(stop)
+		evictor.Wait()
+		c.EvictFile(7)
+		for g := range got {
+			for n, v := range got[g] {
+				if i := g + n*readers; !bytes.Equal(v, entries[i].value) {
+					t.Fatalf("h=%d: the value Get returned for %s changed after its block was evicted", h, entries[i].key)
+				}
+			}
+		}
+	}
+}
+
+// TestGetAllocCeiling: a lookup served from cached blocks allocates at most
+// once on average, in both layouts: the iterator state is pooled and the value
+// aliases the block.
+func TestGetAllocCeiling(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	for _, h := range []int{1, 4} {
+		entries := sortedEntries(3000, true)
+		r, _ := buildTable(t, vfs.NewMemFS(), "t.sst", WriterOptions{BlockSize: 512, PagesPerTile: h, BloomBitsPerKey: 10, DeleteKeyFunc: dkExtract}, entries, nil)
+		r.SetCache(cache.New(64<<20), 1)
+		for _, e := range entries { // fill the cache
+			if _, _, _, _, err := r.Get(e.key.UserKey, base.MaxSeqNum); err != nil {
+				t.Fatal(err)
+			}
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			if _, _, _, ok, err := r.Get(entries[i%len(entries)].key.UserKey, base.MaxSeqNum); !ok || err != nil {
+				t.Fatalf("h=%d: Get(%s) = %v, %v", h, entries[i%len(entries)].key, ok, err)
+			}
+			i += 7
+		})
+		if allocs > 1 {
+			t.Fatalf("h=%d: a cached Get allocates %.2f times, ceiling 1", h, allocs)
+		}
+	}
+}

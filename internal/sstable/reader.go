@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"sync"
 
 	"repro/internal/base"
 	"repro/internal/block"
@@ -222,8 +223,11 @@ func (r *Reader) MayContainPrefix(prefix []byte) bool {
 // into it (iterator keys and values) outlive the iterator, the table cache's
 // release of this reader, and the block's eviction. That holds for what this
 // function hands out and for what the cache holds, which is all the read path
-// (getFromTable, core.Iter) ever sees; a compaction iterator reads its pages
-// through compactionReads.openPage instead, into buffers it owns and reuses.
+// (Get, core.Iter) ever sees; a compaction iterator reads its pages through
+// compactionReads.openPage instead, into buffers it owns and reuses. Read
+// blocks are not pooled: an eviction cannot know whether a value returned by
+// Get on another goroutine still aliases the block, so only the garbage
+// collector may reclaim it.
 func (r *Reader) readBlock(h BlockHandle) ([]byte, error) {
 	if r.blockCache != nil {
 		if data, ok := r.blockCache.Get(r.cacheID, h.Offset); ok {
@@ -470,24 +474,28 @@ func (i *Iter) First() bool {
 	return false
 }
 
-// SeekGE positions the iterator at the first entry with internal key >=
-// target.
-func (i *Iter) SeekGE(target base.InternalKey) bool {
-	i.err = nil
-	enc := target.Encode(nil)
-	// Binary search tiles: first tile whose separator (largest key) >=
-	// target holds the first candidate entry.
-	lo, hi := 0, len(i.r.groups)
+// seekTile binary-searches the tiles for the first whose separator (its
+// largest key) is >= the encoded key enc: that tile holds the first entry >=
+// enc. It returns len(r.groups) when every entry is smaller.
+func (r *Reader) seekTile(enc []byte) int {
+	lo, hi := 0, len(r.groups)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		sep := i.r.seps[i.r.groups[mid][0]]
-		if base.CompareEncoded(sep, enc) < 0 {
+		if base.CompareEncoded(r.seps[r.groups[mid][0]], enc) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	for gi := lo; gi < len(i.r.groups); gi++ {
+	return lo
+}
+
+// SeekGE positions the iterator at the first entry with internal key >=
+// target.
+func (i *Iter) SeekGE(target base.InternalKey) bool {
+	i.err = nil
+	enc := target.Encode(nil)
+	for gi := i.r.seekTile(enc); gi < len(i.r.groups); gi++ {
 		if i.loadTile(gi, enc) {
 			return true
 		}
@@ -528,18 +536,69 @@ func (i *Iter) Next() bool {
 	return false
 }
 
+// getState is a point lookup's scratch: the encoded search key and the block
+// iterator positioned on each page. It is pooled, so nothing Get returns may
+// point into it: the value aliases an immutable block (readBlock), never the
+// iterator's key buffer. Blocks themselves are never pooled — see readBlock.
+type getState struct {
+	key []byte
+	it  *block.Iter
+}
+
+var getStates = sync.Pool{New: func() any { return new(getState) }}
+
 // Get performs a point lookup: the newest visible entry for userKey at or
 // below seq. It returns the entry kind, its value, the entry's sequence
 // number, and whether it was found. The caller interprets KindDelete as
 // "definitively deleted". The Bloom filter is consulted by the caller via
 // MayContain so lookup statistics can be attributed.
+//
+// Only the first tile whose separator (its largest key) is >= the search key
+// can hold the key. Each of its pages is sought once; the candidate with the
+// user key and the largest trailer is the newest visible version.
 func (r *Reader) Get(userKey []byte, seq base.SeqNum) (base.Kind, []byte, base.SeqNum, bool, error) {
-	it := r.NewIter()
-	if it.SeekGE(base.MakeSearchKey(userKey, seq)) {
-		k := it.Key()
-		if base.Compare(k.UserKey, userKey) == 0 {
-			return k.Kind(), it.Value(), k.SeqNum(), true, it.Error()
+	g := getStates.Get().(*getState)
+	defer getStates.Put(g)
+	g.key = base.MakeSearchKey(userKey, seq).Encode(g.key[:0])
+	gi := r.seekTile(g.key)
+	if gi == len(r.groups) {
+		return 0, nil, 0, false, nil
+	}
+	var (
+		best  base.Trailer
+		value []byte
+		found bool
+	)
+	for pi := r.groups[gi][0]; pi < r.groups[gi][1]; pi++ {
+		data, err := r.readBlock(r.entries[pi].handle)
+		if err != nil {
+			return 0, nil, 0, false, err
+		}
+		if g.it == nil {
+			g.it, err = block.NewIter(data, base.CompareEncoded)
+		} else {
+			err = g.it.Reset(data)
+		}
+		if err != nil {
+			return 0, nil, 0, false, err
+		}
+		if !g.it.SeekGE(g.key) {
+			if err := g.it.Error(); err != nil {
+				return 0, nil, 0, false, err
+			}
+			continue
+		}
+		k := g.it.Key()
+		if len(k) < 8 {
+			return 0, nil, 0, false, fmt.Errorf("%w: data entry key too short (%d bytes)", ErrCorrupt, len(k))
+		}
+		ik := base.DecodeInternalKey(k)
+		if base.Compare(ik.UserKey, userKey) == 0 && (!found || ik.Trailer > best) {
+			best, value, found = ik.Trailer, g.it.Value(), true
 		}
 	}
-	return 0, nil, 0, false, it.Error()
+	if !found {
+		return 0, nil, 0, false, nil
+	}
+	return best.Kind(), value, best.SeqNum(), true, nil
 }

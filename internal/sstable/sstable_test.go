@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/base"
+	"repro/internal/cache"
 	"repro/internal/vfs"
 )
 
@@ -505,37 +506,78 @@ func TestRandomizedEntriesBothLayouts(t *testing.T) {
 	}
 }
 
+// kiwiBenchEntries returns n sorted entries shaped like the kiwi_retention
+// workload's: 16-byte keys and 64-byte values whose delete keys are scattered
+// over the key order, so a KiWi tile's pages each take a slice of its keys.
+func kiwiBenchEntries(n int) []entry {
+	out := make([]entry, n)
+	for i := range out {
+		out[i] = entry{
+			key:   base.MakeInternalKey([]byte(fmt.Sprintf("k%015d", i)), base.SeqNum(n-i), base.KindSet),
+			value: mkValue(uint64(i)*2654435761%uint64(n), 56),
+		}
+	}
+	return out
+}
+
+// BenchmarkTableWrite prices a 10 000-entry table in the standard layout
+// (h=1) and in KiWi's with four pages per tile (h=4), whose weave is the
+// difference.
 func BenchmarkTableWrite(b *testing.B) {
-	entries := sortedEntries(10_000, false)
-	fs := vfs.NewMemFS()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	entries := kiwiBenchEntries(10_000)
+	for _, h := range []int{1, 4} {
+		b.Run(fmt.Sprintf("h=%d", h), func(b *testing.B) {
+			fs := vfs.NewMemFS()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f, _ := fs.Create("bench.sst")
+				w := NewWriter(f, WriterOptions{BloomBitsPerKey: 10, PagesPerTile: h, DeleteKeyFunc: dkExtract})
+				for _, e := range entries {
+					w.Add(e.key, e.value)
+				}
+				w.Finish()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(entries)), "ns/entry")
+		})
+	}
+}
+
+// BenchmarkTableGet prices a point lookup that hits, in both layouts, with
+// every block read from the file (no cache) and with every block cached.
+func BenchmarkTableGet(b *testing.B) {
+	entries := kiwiBenchEntries(10_000)
+	for _, h := range []int{1, 4} {
+		fs := vfs.NewMemFS()
 		f, _ := fs.Create("bench.sst")
-		w := NewWriter(f, WriterOptions{BloomBitsPerKey: 10})
+		w := NewWriter(f, WriterOptions{BloomBitsPerKey: 10, PagesPerTile: h, DeleteKeyFunc: dkExtract})
 		for _, e := range entries {
 			w.Add(e.key, e.value)
 		}
 		w.Finish()
-	}
-}
-
-func BenchmarkTableGet(b *testing.B) {
-	fs := vfs.NewMemFS()
-	entries := sortedEntries(10_000, false)
-	f, _ := fs.Create("bench.sst")
-	w := NewWriter(f, WriterOptions{BloomBitsPerKey: 10})
-	for _, e := range entries {
-		w.Add(e.key, e.value)
-	}
-	w.Finish()
-	rf, _ := fs.Open("bench.sst")
-	r, err := Open(rf)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.Get(entries[i%len(entries)].key.UserKey, base.MaxSeqNum)
+		rf, _ := fs.Open("bench.sst")
+		r, err := Open(rf)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, cached := range []bool{false, true} {
+			name := fmt.Sprintf("h=%d/no-cache", h)
+			if cached {
+				name = fmt.Sprintf("h=%d/cache", h)
+				r.SetCache(cache.New(64<<20), 1)
+				for _, e := range entries {
+					r.Get(e.key.UserKey, base.MaxSeqNum)
+				}
+			}
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, _, ok, err := r.Get(entries[i*7919%len(entries)].key.UserKey, base.MaxSeqNum); !ok || err != nil {
+						b.Fatal(ok, err)
+					}
+				}
+			})
+		}
 	}
 }
 

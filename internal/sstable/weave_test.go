@@ -1,0 +1,146 @@
+package sstable
+
+import (
+	"bytes"
+	"cmp"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/base"
+	"repro/internal/vfs"
+)
+
+// refWeaveTile is the reference weave: the tile sorted by delete key with
+// ties broken by comparing internal keys, then every page re-sorted by
+// internal key — two comparator sorts, where Writer.weaveTile sorts arrival
+// ranks. It closes the tile as flushTile does.
+func refWeaveTile(w *Writer) error {
+	arena := w.arena
+	byKey := func(a, b tileEntry) int { return base.CompareEncoded(a.key(arena), b.key(arena)) }
+	pages := min(w.opts.PagesPerTile, len(w.tile))
+	if pages > 1 {
+		slices.SortFunc(w.tile, func(a, b tileEntry) int {
+			switch {
+			case a.hasDK != b.hasDK:
+				if a.hasDK {
+					return 1
+				}
+				return -1
+			case a.dk != b.dk:
+				return cmp.Compare(a.dk, b.dk)
+			}
+			return byKey(a, b)
+		})
+	}
+	per := (len(w.tile) + pages - 1) / pages
+	for start := 0; start < len(w.tile); start += per {
+		page := w.tile[start:min(start+per, len(w.tile))]
+		if pages > 1 {
+			slices.SortFunc(page, byKey)
+		}
+		for _, e := range page {
+			key := e.key(arena)
+			w.dataBuf.Add(key, e.value(arena))
+			w.page.note(base.DecodeInternalKey(key).Trailer, e.dk, e.hasDK)
+		}
+		if err := w.writePage(); err != nil {
+			return err
+		}
+	}
+	w.arena, w.tile = w.arena[:0], w.tile[:0]
+	w.tileBytes = 0
+	w.tileID++
+	w.meta.Props.NumTiles++
+	return nil
+}
+
+// writeRefTable writes entries through a Writer whose tiles are closed by
+// refWeaveTile instead of weaveTile, and reports how many tiles held fewer
+// entries than there are pages per tile.
+func writeRefTable(t *testing.T, fs *vfs.MemFS, name string, opts WriterOptions, entries []entry) (short int) {
+	t.Helper()
+	f, err := fs.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := NewWriter(f, opts)
+	tileCap := w.opts.BlockSize * w.opts.PagesPerTile
+	w.opts.BlockSize = 1 << 40 // Add never closes a tile; the loop below does
+	closeTile := func() {
+		if len(w.tile) < w.opts.PagesPerTile {
+			short++
+		}
+		if err := refWeaveTile(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, e := range entries {
+		if err := w.Add(e.key, e.value); err != nil {
+			t.Fatal(err)
+		}
+		if w.tileBytes >= tileCap {
+			closeTile()
+		}
+	}
+	if w.tileBytes > 0 {
+		closeTile()
+	}
+	if _, err := w.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return short
+}
+
+// weaveEntries returns n sorted entries over few delete keys, so that many
+// share one: some user keys carry several versions, about one in five is a
+// point tombstone (no delete key), and the odd value is large enough to fill
+// a tile on its own.
+func weaveEntries(rng *rand.Rand, n int) []entry {
+	out := make([]entry, 0, n)
+	seq := base.SeqNum(10 * n)
+	for k := 0; len(out) < n; k++ {
+		user := []byte(fmt.Sprintf("k%05d", k))
+		for v := 1 + rng.Intn(3); v > 0 && len(out) < n; v-- {
+			seq -= base.SeqNum(1 + rng.Intn(5))
+			if rng.Intn(5) == 0 {
+				out = append(out, entry{base.MakeInternalKey(user, seq, base.KindDelete), base.EncodeTombstoneValue(base.Timestamp(rng.Intn(100)))})
+				continue
+			}
+			pad := rng.Intn(40)
+			if rng.Intn(20) == 0 {
+				pad = 300 + rng.Intn(400)
+			}
+			out = append(out, entry{base.MakeInternalKey(user, seq, base.KindSet), mkValue(uint64(rng.Intn(4)), pad)})
+		}
+	}
+	return out
+}
+
+// TestWeaveMatchesReference: the rank weave writes byte for byte the table
+// the two comparator sorts write, over tiles with many equal delete keys,
+// point tombstones, several versions of one user key and tiles shorter than h.
+func TestWeaveMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	short := 0
+	for _, h := range []int{2, 3, 4, 8} {
+		for trial := 0; trial < 30; trial++ {
+			entries := weaveEntries(rng, 1+rng.Intn(400))
+			opts := WriterOptions{
+				BlockSize: 64 << rng.Intn(4), PagesPerTile: h,
+				BloomBitsPerKey: 10, DeleteKeyFunc: dkExtract,
+			}
+			fs := vfs.NewMemFS()
+			buildTable(t, fs, "rank.sst", opts, entries, nil)
+			short += writeRefTable(t, fs, "ref.sst", opts, entries)
+			if !bytes.Equal(fileBytes(t, fs, "rank.sst"), fileBytes(t, fs, "ref.sst")) {
+				t.Fatalf("h=%d trial %d (%d entries, block %d): the rank weave and the reference wrote different bytes",
+					h, trial, len(entries), opts.BlockSize)
+			}
+		}
+	}
+	if short == 0 {
+		t.Fatal("no tile shorter than h was written; the inputs do not cover that case")
+	}
+}

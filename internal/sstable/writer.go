@@ -131,6 +131,9 @@ type Writer struct {
 	// arena and tile buffer the current delete tile (KiWi mode).
 	arena []byte
 	tile  []tileEntry
+	// order and pageOf are weaveTile's scratch, indexed like tile.
+	order  []int32
+	pageOf []int32
 	// tileBytes is the payload added to the current tile so far.
 	tileBytes int
 	tileID    uint64
@@ -174,7 +177,7 @@ func (w *Writer) Reset(f vfs.File) {
 	// rangeDels does not: the finished table's WriterMeta holds that slice.
 	*w = Writer{
 		f: f, opts: w.opts, dataBuf: w.dataBuf, index: w.index, first: true,
-		arena: w.arena[:0], tile: w.tile[:0],
+		arena: w.arena[:0], tile: w.tile[:0], order: w.order, pageOf: w.pageOf,
 		hashes: w.hashes[:0], prefixHashes: w.prefixHashes[:0],
 		lastEnc: w.lastEnc, scratch: w.scratch,
 	}
@@ -325,37 +328,51 @@ func (w *Writer) flushTile() error {
 }
 
 // weaveTile writes the buffered tile as its delete-key-ordered pages.
+//
+// Add rejects out-of-order keys, so an entry's index in w.tile is its rank in
+// internal-key order, and the weave compares integers, never keys. Entries are
+// ranked by delete key — those without one (tombstones) first, ties broken by
+// arrival, which is the internal-key order — and rank r goes to page r / per.
+// Each page then goes out in arrival order, which sorts it by internal key:
+// the entries are bucketed by page, stably.
 func (w *Writer) weaveTile() error {
-	arena := w.arena
-	byKey := func(a, b tileEntry) int { return base.CompareEncoded(a.key(arena), b.key(arena)) }
-	pages := min(w.opts.PagesPerTile, len(w.tile))
+	n := len(w.tile)
+	pages := min(w.opts.PagesPerTile, n)
+	per := (n + pages - 1) / pages
+	order := w.order[:0]
+	for i := range n {
+		order = append(order, int32(i))
+	}
 	if pages > 1 {
-		// Order entries by delete key so each page covers a narrow
-		// delete-key band. Entries without a delete key (tombstones) sort
-		// first; ties go to the internal key, which is unique, so the
-		// order is total.
-		slices.SortFunc(w.tile, func(a, b tileEntry) int {
+		tile := w.tile
+		slices.SortFunc(order, func(a, b int32) int {
+			ea, eb := &tile[a], &tile[b]
 			switch {
-			case a.hasDK != b.hasDK:
-				if a.hasDK {
+			case ea.hasDK != eb.hasDK:
+				if ea.hasDK {
 					return 1
 				}
 				return -1
-			case a.dk != b.dk:
-				return cmp.Compare(a.dk, b.dk)
+			case ea.dk != eb.dk:
+				return cmp.Compare(ea.dk, eb.dk)
 			}
-			return byKey(a, b)
+			return cmp.Compare(a, b)
 		})
 	}
-	per := (len(w.tile) + pages - 1) / pages
-	for start := 0; start < len(w.tile); start += per {
-		page := w.tile[start:min(start+per, len(w.tile))]
-		if pages > 1 {
-			slices.SortFunc(page, byKey)
-		}
-		for _, e := range page {
-			key := e.key(arena)
-			w.dataBuf.Add(key, e.value(arena))
+	// pageOf[i] is the page of the i-th entry to arrive.
+	pageOf := slices.Grow(w.pageOf[:0], n)[:n]
+	for rank, i := range order {
+		pageOf[i] = int32(rank / per)
+	}
+	w.order, w.pageOf = order, pageOf
+	for p := int32(0); int(p)*per < n; p++ {
+		for i, pi := range pageOf {
+			if pi != p {
+				continue
+			}
+			e := &w.tile[i]
+			key := e.key(w.arena)
+			w.dataBuf.Add(key, e.value(w.arena))
 			w.page.note(base.DecodeInternalKey(key).Trailer, e.dk, e.hasDK)
 		}
 		if err := w.writePage(); err != nil {

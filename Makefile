@@ -3,7 +3,7 @@ GO ?= go
 # Decode-hardening fuzz targets and their per-target CI time budget.
 FUZZTIME ?= 20s
 
-.PHONY: all build test bench-check race fuzz-smoke lint vet acheronlint bench overload clean
+.PHONY: all build test cpu1 bench-check race fuzz-smoke lint vet acheronlint bench overload clean
 
 all: build lint test
 
@@ -12,6 +12,13 @@ build:
 
 test:
 	$(GO) test ./...
+
+# cpu1 runs the packages whose goroutines hand work to one another — a
+# compaction's merge and its writer goroutine, the commit pipeline, the
+# maintenance executors — with a single P (GOMAXPROCS=1), so a handoff that
+# only makes progress with a second one fails here rather than in production.
+cpu1:
+	$(GO) test -count=1 -cpu 1 ./internal/compaction/ ./internal/core/
 
 # bench-check builds, vets and smoke-tests the benchmark/ module, which root
 # `go test ./...` never reaches (it is its own module, replacing repro with

@@ -18,7 +18,9 @@ import (
 // the two range tombstones, covered entries and (h = 4) whole pages go. Block
 // size 512, bloom and prefix bloom on, outputs rolled at 24 KiB. The hashes
 // were generated at PR 23 (639fe90): a change that is not meant to alter the
-// table format must leave them alone.
+// table format must leave them alone. The "large" cases (largeGoldenRun) are
+// the one merge big enough to cross many handoff batches and output rolls;
+// their hashes were generated at 599d24a, before Run became a pipeline.
 var goldenTables = map[string][]string{
 	"h=1/inputs": {
 		"9e4241c825e5b0150c386fea95157f9794ecfc1f11b899f751d394f826eb14b0",
@@ -46,6 +48,15 @@ var goldenTables = map[string][]string{
 		"f8a56ec0e6afec3a9483e75945cd03c61299f300f0265213f4a6a464f39e5198",
 		"213c3a8ead43c32ff835f9b029f44cdce04244387cdea6d4b067dcda3a22f074",
 	},
+	"h=1/large": {
+		"ad96a078d957edce19fd94c7c7fd5671c7a537f4a729a6b1a8bc8d090832eebc",
+		"3727e267a0c8b0b3fdc88533d70c7eed1bcce05cae8556fe9b342b8aadfd64fb",
+		"3a30e65213208cc0c6e44f1df1eec58b4ed1b3b721b2df44ad76543f89a7a0ca",
+		"f6cec4fbbb86708aedbfe0b0a388aafc5177c5c7af28df95426654fb8f685b48",
+		"bd7d32cad613b5c89dc761bd7af7bad66e90fa9f742f3edc9a6557d16e42002b",
+		"97b107f02cbba3f3d06235c903dd3abb77bb13696fbdeda145c233243d315b29",
+		"a4354269eaf9a2a0cfe1f140c180d9b7858aa93f7a6d16823549584c9d2c5378",
+	},
 	"h=4/inputs": {
 		"4b7eb2f5ec34c3b811615e5665b43938c3fe5ec6e6fe08060470eec08d1821ae",
 		"5ed911c525f8551ca9cd519ee2f86669d9ba86a4bb70827f134e5ed34adafb57",
@@ -71,6 +82,15 @@ var goldenTables = map[string][]string{
 	"h=4/bottom": {
 		"df18658b981f35214013f591cd60b1ec3ce4f8b4037de77d9526b21517d6fa35",
 		"fd5cb60ff7807c1c88ef101bd34d8ae6d42f8bd61e52fb334ff893055f8fe69a",
+	},
+	"h=4/large": {
+		"3917bd65381797125096ccb9a3914422143181a924a419d4fd01105968c16b12",
+		"de70269e2987061ebdbb95644cfae8e07af2db7e178669f26668231543f986e9",
+		"e97e8a99f452b86a1d6104f1cfdcc23378cf4ce9eae8f04e8039970e4a331216",
+		"41cb4a2eb3f05e230f8b3c860db1f1ad6ccacdb30f5deacad885d8ffa7637aaf",
+		"fd0321c9e2ea33aa01b0e656281f1b84fb5cb2e0bf97c9c68d913e463cb2a4f3",
+		"9712f3f92396cb01c0244719f4f0ed8d58ebb8e0d80769635d998a40dfcf1b1a",
+		"e98aa6f34261be8a149bd6b23fe37afd2bcb46667b62806c86224f27fcf0b97f",
 	},
 }
 
@@ -108,6 +128,40 @@ func goldenFixture(t *testing.T, h int) (e *testEnv, newer, older []*manifest.Fi
 		rts = nil
 	}
 	return e, newer, older
+}
+
+// largeGoldenRun is the "large" golden merge, big enough to cross many
+// handoff batches and output rolls: at the bottom, two half-overlapping runs of
+// benchRunEntries each, one newer entry in five a tombstone, two live range
+// tombstones covering delete-key spans, outputs rolled at 256 KiB.
+func largeGoldenRun(t *testing.T, h int) (*testEnv, *Result) {
+	const n = benchRunEntries
+	e := newTestEnv(h)
+	older, newer := benchRunFiles(t, e, 0, 1, 0), benchRunFiles(t, e, n/2, n+1, 5)
+	env := e.env(t)
+	env.TargetFileBytes = 256 << 10
+	env.Bottommost = true
+	env.LiveRangeTombstones = []base.RangeTombstone{
+		{Lo: 2000, Hi: 6000, Seq: 4 * n, CreatedAt: 1},
+		{Lo: 12000, Hi: 12200, Seq: 4 * n, CreatedAt: 2},
+	}
+	res, err := Run(candidate(1, newer, older), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TombstonesDropped == 0 || res.RangeCoveredDropped == 0 || (h > 1 && res.PagesDropped == 0) {
+		t.Fatalf("h=%d/large: fixture no longer exercises every drop: %+v", h, res)
+	}
+	// What crosses the pipe is each kept entry's user key and value.
+	var handed uint64
+	for _, of := range res.Outputs {
+		p := of.Meta.Props
+		handed += p.RawKeyBytes - 8*p.NumEntries + p.RawValueBytes
+	}
+	if handed < 8*batchBytes || len(res.Outputs) < 4 {
+		t.Fatalf("h=%d/large: %d bytes handed over in %d tables, want at least 8 batches and 3 rolls", h, handed, len(res.Outputs))
+	}
+	return e, res
 }
 
 func (e *testEnv) hashTable(t *testing.T, fn base.FileNum) string {
@@ -187,6 +241,13 @@ func TestGoldenTableBytes(t *testing.T) {
 				}
 			}
 		}
+
+		le, res := largeGoldenRun(t, h)
+		var outs []string
+		for _, of := range res.Outputs {
+			outs = append(outs, le.hashTable(t, of.FileNum))
+		}
+		record(fmt.Sprintf("h=%d/large", h), outs)
 	}
 	same := len(got) == len(goldenTables)
 	for name, hashes := range got {

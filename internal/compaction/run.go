@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/base"
 	"repro/internal/iterator"
@@ -12,7 +13,10 @@ import (
 	"repro/internal/vfs"
 )
 
-// Env carries everything a compaction execution needs from the engine.
+// Env carries everything a compaction execution needs from the engine. Run
+// calls OpenReader and RangeTombstoneDisposable on its caller's goroutine,
+// FS and AllocFileNum on its writer goroutine, and WriterOpts.DeleteKeyFunc
+// on both, concurrently.
 type Env struct {
 	// FS and Dirname locate output files.
 	FS      vfs.FS
@@ -92,9 +96,11 @@ func noSnapshotIn(snaps []base.SeqNum, lo, hi base.SeqNum) bool {
 
 // Run executes the candidate: merges its inputs, applies shadowing,
 // tombstone-disposal and KiWi page/entry drops, and writes the output
-// tables. It does not touch the manifest; the engine applies the edit. On
-// any error it closes the table being written and unlinks everything it
-// wrote, so a failed (and retried) merge leaves no orphan behind.
+// tables. It does not touch the manifest; the engine applies the edit. The
+// tables are written by a goroutine of Run's own (see pipe), which has exited
+// by the time Run returns. On any error it closes the table being written and
+// unlinks everything it wrote, so a failed (and retried) merge leaves no
+// orphan behind.
 func Run(c *Candidate, env Env) (_ *Result, err error) {
 	res := &Result{}
 
@@ -209,21 +215,20 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 	}
 
 	merged := iterator.NewMerge(sources...)
-	out := newOutputWriter(env, surviving)
+	p := startPipe(newOutputWriter(env, surviving))
 	defer func() {
 		if err != nil {
-			out.abort()
+			p.close(true)
+			p.out.abort()
 		}
 	}()
 
 	// ik and value alias the input iterators' page buffers, which those
 	// recycle: both are dead after merged.Next. The one thing kept across
-	// iterations is the previous user key, and only one copy of it exists:
-	// the output writer's own when the entry was written (it copied the key
-	// anyway), droppedKey when the key's newest version was dropped instead.
+	// iterations is the previous user key, copied into lastUserKey when a new
+	// one arrives; a kept entry is copied into the pipe's batch.
 	var (
-		lastUserKey  []byte // aliases the writer's LastUserKey or droppedKey
-		droppedKey   []byte
+		lastUserKey  []byte
 		lastKeptSeq  base.SeqNum
 		haveLast     bool
 		keyWipedByRT bool // newest version of lastUserKey was dropped via range tombstone
@@ -238,6 +243,7 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 		if newKey {
 			haveLast = true
 			keyWipedByRT = false
+			lastUserKey = append(lastUserKey[:0], ik.UserKey...)
 		} else {
 			// An older version of a key we have already emitted (or
 			// wiped). Drop it if it shares a visibility stripe with
@@ -271,14 +277,8 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 				// Older versions of this key are shadowed by the
 				// stripe rule with lastKeptSeq = this seq.
 				lastKeptSeq = ik.SeqNum()
-				droppedKey = append(droppedKey[:0], ik.UserKey...)
-				lastUserKey = droppedKey
 				continue
 			}
-			if err := out.add(ik, value); err != nil {
-				return nil, err
-			}
-			lastUserKey, lastKeptSeq = out.w.LastUserKey(), ik.SeqNum()
 
 		case base.KindSet:
 			// Entry-level KiWi drop: the newest version of a key
@@ -296,19 +296,17 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 				}
 				if keyWipedByRT {
 					res.RangeCoveredDropped++
-					droppedKey = append(droppedKey[:0], ik.UserKey...)
-					lastUserKey = droppedKey
 					continue
 				}
 			}
-			if err := out.add(ik, value); err != nil {
-				return nil, err
-			}
-			lastUserKey, lastKeptSeq = out.w.LastUserKey(), ik.SeqNum()
 
 		default:
 			return nil, fmt.Errorf("compaction: unexpected kind %s in merge", ik.Kind())
 		}
+		if err := p.add(ik, value); err != nil {
+			return nil, err
+		}
+		lastKeptSeq = ik.SeqNum()
 	}
 	if err := merged.Error(); err != nil {
 		return nil, err
@@ -317,14 +315,170 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 		res.PagesDropped += it.Dropped()
 		res.BytesRead += it.BytesLoaded()
 	}
-	if err := out.finish(); err != nil {
+	if err := p.close(false); err != nil {
 		return nil, err
 	}
-	res.Outputs = out.outputs
+	res.Outputs = p.out.outputs
 	for _, of := range res.Outputs {
 		res.BytesWritten += of.Meta.Size
 	}
 	return res, nil
+}
+
+// The merge and the table writer run on two goroutines: Run's loop decides
+// what survives and copies each kept entry into a batch; one writer goroutine
+// per job owns the outputWriter and adds every batch's entries, in order, to
+// the output tables. Batches are large because handing one over wakes the
+// other goroutine, which costs about as long as producing a few tens of KiB
+// of entries: with small batches the two stages mostly take turns. Of the
+// batches in flight, the merge fills one, the writer empties one and the rest
+// wait between them. They come from a pool that outlives the job, so a job
+// allocates none.
+const (
+	batchBytes      = 128 << 10
+	batchesInFlight = 4
+)
+
+// batch is a run of kept entries in merge order: user keys and values back to
+// back in buf, and for each entry its trailer and where its key and value end.
+type batch struct {
+	buf  []byte
+	ents []batchEntry
+}
+
+type batchEntry struct {
+	trailer        base.Trailer
+	keyEnd, valEnd int
+}
+
+var batchPool = sync.Pool{New: func() any { return &batch{buf: make([]byte, 0, batchBytes)} }}
+
+// getBatch returns an empty batch from the pool.
+func getBatch() *batch {
+	b := batchPool.Get().(*batch)
+	b.reset()
+	return b
+}
+
+func (b *batch) reset() { b.buf, b.ents = b.buf[:0], b.ents[:0] }
+
+// pipe hands the merge's kept entries to the writer goroutine. The merge
+// fills cur and sends it on full; the writer returns each batch it has
+// written to the pool.
+type pipe struct {
+	out  *outputWriter // the writer goroutine's alone until done is closed
+	cur  *batch
+	full chan *batch
+	done chan struct{} // closed when the writer goroutine has exited
+	err  error         // the writer's error; read only after done
+	// abandon, set before full is closed, tells the writer not to finish
+	// the table in progress.
+	abandon bool
+	closed  bool
+}
+
+func startPipe(out *outputWriter) *pipe {
+	p := &pipe{
+		out:  out,
+		cur:  getBatch(),
+		full: make(chan *batch, batchesInFlight-2),
+		done: make(chan struct{}),
+	}
+	go p.write()
+	return p
+}
+
+// add copies one kept entry into the current batch, handing the batch over
+// first if the entry would not fit. A writer error surfaces here.
+func (p *pipe) add(ik base.InternalKey, value []byte) error {
+	if len(p.cur.ents) > 0 && len(p.cur.buf)+len(ik.UserKey)+len(value) > batchBytes {
+		if err := p.handoff(); err != nil {
+			return err
+		}
+	}
+	b := p.cur
+	b.buf = append(b.buf, ik.UserKey...)
+	keyEnd := len(b.buf)
+	b.buf = append(b.buf, value...)
+	b.ents = append(b.ents, batchEntry{trailer: ik.Trailer, keyEnd: keyEnd, valEnd: len(b.buf)})
+	return nil
+}
+
+// handoff passes the current batch to the writer and starts a new one. Once
+// the writer has stopped, it returns the writer's error instead.
+func (p *pipe) handoff() error {
+	// A stopped writer can leave room in full: look at done first, so that
+	// the error surfaces here and not a few batches later.
+	select {
+	case <-p.done:
+		return p.err
+	default:
+	}
+	select {
+	case p.full <- p.cur:
+		p.cur = getBatch()
+		return nil
+	case <-p.done:
+		return p.err
+	}
+}
+
+// write is the writer goroutine. It stops at its first error; otherwise it
+// writes until full is closed and then finishes the last table, unless the
+// merge abandoned the job.
+func (p *pipe) write() {
+	defer close(p.done)
+	for b := range p.full {
+		err := p.writeBatch(b)
+		batchPool.Put(b)
+		if err != nil {
+			p.err = err
+			return
+		}
+	}
+	if !p.abandon {
+		p.err = p.out.finish()
+	}
+}
+
+func (p *pipe) writeBatch(b *batch) error {
+	start := 0
+	for _, e := range b.ents {
+		ik := base.InternalKey{UserKey: b.buf[start:e.keyEnd:e.keyEnd], Trailer: e.trailer}
+		if err := p.out.add(ik, b.buf[e.keyEnd:e.valEnd:e.valEnd]); err != nil {
+			return err
+		}
+		start = e.valEnd
+	}
+	return nil
+}
+
+// close hands over the last batch — or, when abandoning, tells the writer to
+// stop — waits for the writer goroutine to exit, returns every batch to the
+// pool and reports the writer's error. Only after close may the caller read
+// or abort p.out. A second call only repeats the error.
+func (p *pipe) close(abandon bool) error {
+	if p.closed {
+		return p.err
+	}
+	p.closed = true
+	if len(p.cur.ents) > 0 && !abandon {
+		select {
+		case p.full <- p.cur:
+			p.cur = nil
+		case <-p.done:
+		}
+	}
+	p.abandon = abandon
+	close(p.full)
+	<-p.done
+	if p.cur != nil {
+		batchPool.Put(p.cur)
+	}
+	for b := range p.full {
+		batchPool.Put(b)
+	}
+	return p.err
 }
 
 // outputWriter rolls output tables at the target size and attaches

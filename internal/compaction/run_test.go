@@ -286,11 +286,10 @@ func TestRunSnapshotKeepsStraddledVersions(t *testing.T) {
 	}
 }
 
-// TestRunPreviousKeyAcrossRollsAndDrops: Run keeps no copy of the previous
-// user key when the writer has one, so the comparison must survive the writer
-// being re-targeted at the next output (every entry rolls here) and alternate
-// cleanly with the copy Run does keep, for a key whose newest version it
-// dropped.
+// TestRunPreviousKeyAcrossRollsAndDrops: Run compares each key against its
+// own copy of the previous user key, which must hold across outputs (every
+// entry rolls here) and across versions kept, shadowed and dropped as the
+// newest of their key.
 func TestRunPreviousKeyAcrossRollsAndDrops(t *testing.T) {
 	e := newTestEnv(1)
 	in := e.newTable(t, []kv{

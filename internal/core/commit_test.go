@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,11 +24,11 @@ import (
 // merged models form the reference for a final full-scan equivalence
 // check. Also asserts the pipeline actually grouped commits: with
 // SyncWrites and this much contention, at least one WAL write must have
-// carried more than one commit.
+// carried more than one commit. The syncs take a little time, as a disk's
+// would, so that a commit can queue behind one even with a single P.
 func TestGroupCommitStressConcurrent(t *testing.T) {
-	fs := vfs.NewMemFS()
 	opts := Options{
-		FS:            fs,
+		FS:            slowSyncFS{vfs.NewMemFS(), 20 * time.Microsecond},
 		MemTableBytes: 64 << 10,
 		DeleteKeyFunc: testDK,
 		SyncWrites:    true,
@@ -178,6 +179,8 @@ func TestGroupCommitStressConcurrent(t *testing.T) {
 					return
 				}
 				snap.Release()
+				// Let the writers run between scans, also with one P.
+				runtime.Gosched()
 			}
 		}(r)
 	}

@@ -73,7 +73,10 @@ type Options struct {
 	// key-ordered pages per delete tile. Requires DeleteKeyFunc.
 	PagesPerTile int
 	// DeleteKeyFunc extracts the secondary delete key from a value.
-	// Required for KiWi layouts and secondary range deletes.
+	// Required for KiWi layouts and secondary range deletes. It must be a
+	// pure function, safe for concurrent use: reads, flushes and the
+	// maintenance executors call it at once, and so do the two goroutines
+	// of a single compaction (the merge and its table writer).
 	DeleteKeyFunc base.DeleteKeyExtractor
 
 	// Compaction selects the layout policy, the picker (min-overlap

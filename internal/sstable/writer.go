@@ -183,12 +183,6 @@ func (w *Writer) Reset(f vfs.File) {
 	}
 }
 
-// LastUserKey returns the user key of the last entry added, nil before the
-// first. The slice is the writer's own copy and changes at the next Add; a
-// caller merging into the writer can compare against it instead of keeping a
-// second copy.
-func (w *Writer) LastUserKey() []byte { return w.lastAdded.UserKey }
-
 // Add appends an entry. Keys must arrive in strictly ascending internal-key
 // order; out-of-order keys are rejected. Add has copied ikey.UserKey and
 // value by the time it returns: the caller may overwrite both (a flush passes

@@ -9,7 +9,10 @@
 // roughly 0.6185^b (≈0.8% at b=10).
 package bloom
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"slices"
+)
 
 // Filter is an immutable, queryable Bloom filter.
 type Filter struct {
@@ -17,37 +20,53 @@ type Filter struct {
 	probes uint32
 }
 
+// maxProbes bounds the probe count a filter is built or decoded with.
+const maxProbes = 30
+
 // Build constructs a filter over the given key hashes. Callers hash keys
 // with Hash. bitsPerKey tunes the space/false-positive trade-off; values
 // below 1 are clamped to 1.
 func Build(hashes []uint64, bitsPerKey int) Filter {
-	if bitsPerKey < 1 {
-		bitsPerKey = 1
-	}
-	// probes k = bitsPerKey * ln(2), clamped to [1, 30].
-	probes := uint32(float64(bitsPerKey) * 0.69)
-	if probes < 1 {
-		probes = 1
-	}
-	if probes > 30 {
-		probes = 30
-	}
-	nBits := len(hashes) * bitsPerKey
-	if nBits < 64 {
-		nBits = 64
-	}
-	nBytes := (nBits + 7) / 8
+	probes, nBytes := size(len(hashes), bitsPerKey)
 	bits := make([]byte, nBytes)
-	nBits = nBytes * 8
+	setBits(bits, probes, hashes)
+	return Filter{bits: bits, probes: probes}
+}
+
+// AppendCompact builds the filter Build would and appends its compact wire
+// form to dst: one probe-count byte, then the bit array. It allocates only
+// when dst lacks the capacity, so a caller building many small filters into
+// one reused buffer allocates nothing per filter. DecodeCompact reads it back.
+func AppendCompact(dst []byte, hashes []uint64, bitsPerKey int) []byte {
+	probes, nBytes := size(len(hashes), bitsPerKey)
+	dst = append(dst, byte(probes))
+	start := len(dst)
+	dst = slices.Grow(dst, nBytes)[:start+nBytes]
+	clear(dst[start:])
+	setBits(dst[start:], probes, hashes)
+	return dst
+}
+
+// size returns the probe count and bit-array bytes of a filter over n keys.
+func size(n, bitsPerKey int) (probes uint32, nBytes int) {
+	bitsPerKey = max(bitsPerKey, 1)
+	// probes k = bitsPerKey * ln(2), clamped to [1, maxProbes].
+	probes = min(max(uint32(float64(bitsPerKey)*0.69), 1), maxProbes)
+	nBits := max(n*bitsPerKey, 64)
+	return probes, (nBits + 7) / 8
+}
+
+// setBits sets every hash's probe bits in bits.
+func setBits(bits []byte, probes uint32, hashes []uint64) {
+	nBits := uint64(len(bits) * 8)
 	for _, h := range hashes {
 		delta := h>>33 | h<<31
 		for i := uint32(0); i < probes; i++ {
-			pos := h % uint64(nBits)
+			pos := h % nBits
 			bits[pos/8] |= 1 << (pos % 8)
 			h += delta
 		}
 	}
-	return Filter{bits: bits, probes: probes}
 }
 
 // MayContain reports whether the filter possibly contains the key with the
@@ -87,10 +106,19 @@ func Decode(b []byte) (Filter, bool) {
 		return Filter{}, false
 	}
 	probes := binary.LittleEndian.Uint32(b[:4])
-	if probes == 0 || probes > 30 {
+	if probes == 0 || probes > maxProbes {
 		return Filter{}, false
 	}
 	return Filter{bits: b[4:], probes: probes}, true
+}
+
+// DecodeCompact parses the form AppendCompact writes; the filter aliases b.
+// ok is false if the probe count is out of range or the bit array is empty.
+func DecodeCompact(b []byte) (Filter, bool) {
+	if len(b) < 2 || b[0] == 0 || b[0] > maxProbes {
+		return Filter{}, false
+	}
+	return Filter{bits: b[1:], probes: uint32(b[0])}, true
 }
 
 // AppendPrefixHashes appends the hashes of key's prefixes with lengths in

@@ -93,6 +93,36 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	}
 }
 
+// TestAppendCompact: the compact form carries the filter Build makes, decodes
+// back to it, appends after what dst held, and allocates nothing once dst has
+// the room.
+func TestAppendCompact(t *testing.T) {
+	for _, n := range []int{0, 1, 7, 1000} {
+		hs := hashAll(keysN(n, "k"))
+		want := Build(hs, 10)
+		enc := AppendCompact([]byte("head"), hs, 10)
+		if string(enc[:4]) != "head" {
+			t.Fatalf("n=%d: AppendCompact overwrote dst", n)
+		}
+		got, ok := DecodeCompact(enc[4:])
+		if !ok || got.probes != want.probes || string(got.bits) != string(want.bits) {
+			t.Fatalf("n=%d: compact form decodes to %d probes, %d bytes; Build made %d, %d", n, got.probes, got.SizeBytes(), want.probes, want.SizeBytes())
+		}
+		buf := make([]byte, 0, len(enc))
+		if allocs := testing.AllocsPerRun(10, func() { AppendCompact(buf, hs, 10) }); allocs != 0 {
+			t.Fatalf("n=%d: AppendCompact into a large enough buffer allocated %.0f times", n, allocs)
+		}
+	}
+}
+
+func TestDecodeCompactRejectsCorrupt(t *testing.T) {
+	for _, b := range [][]byte{nil, {3}, {0, 0xff}, {31, 0xff}} {
+		if _, ok := DecodeCompact(b); ok {
+			t.Errorf("DecodeCompact(%v) accepted", b)
+		}
+	}
+}
+
 func TestDecodeRejectsCorrupt(t *testing.T) {
 	if _, ok := Decode(nil); ok {
 		t.Error("nil input should fail")

@@ -108,6 +108,12 @@ func TestRunBesideReaders(t *testing.T) {
 	done := make(chan struct{})
 	var rounds atomic.Int64
 	var wg sync.WaitGroup
+	// Stop the readers however the test ends: left running past a failure
+	// they would keep allocating under the package's later tests.
+	defer func() {
+		close(done)
+		wg.Wait()
+	}()
 	for g := 0; g < 3; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -163,8 +169,6 @@ func TestRunBesideReaders(t *testing.T) {
 			t.Fatalf("run %d beside readers: outputs hash to %v, want %v", i, got, want)
 		}
 	}
-	close(done)
-	wg.Wait()
 }
 
 // TestRunLeavesBlockCacheAlone: a job's one pass over files it is about to

@@ -1082,30 +1082,30 @@ func (d *DB) getFromTable(f *manifest.FileMetadata, key []byte, seq base.SeqNum)
 		return 0, nil, 0, false, err
 	}
 	defer d.cache.release(ct)
-	r := ct.reader
-	if !r.MayContain(key) {
+	res, err := ct.reader.Lookup(key, seq)
+	if err != nil {
+		return 0, nil, 0, false, err
+	}
+	if res.Filtered {
 		d.stats.BloomSkips.Add(1)
 		return 0, nil, 0, false, nil
 	}
 	d.stats.TablesProbed.Add(1)
-	k, v, s, ok, err := r.Get(key, seq)
-	// Classify the filter's "maybe": with filters enabled, a probe that
+	// Classify the filters' "maybe": with filters enabled, a probe that
 	// finds a version (at or below the read sequence) was a true positive;
-	// one that finds nothing was a false positive out of the filter's
-	// error budget.
-	if d.opts.BloomBitsPerKey > 0 && err == nil {
-		if ok {
+	// one that finds nothing was a false positive out of the filters' error
+	// budget — in a KiWi table, of any of the tile's page filters.
+	if d.opts.BloomBitsPerKey > 0 {
+		if res.Found {
 			d.stats.BloomTruePositives.Add(1)
 		} else {
 			d.stats.BloomFalsePositives.Add(1)
 		}
 	}
-	if !ok || err != nil {
-		return 0, nil, 0, false, err
-	}
-	// v aliases the table's block, which outlives the release: blocks are
-	// immutable and never recycled, cached or not. getAt makes the copy.
-	return k, v, s, true, nil
+	// res.Value aliases the table's block, which outlives the release:
+	// blocks are immutable and never recycled, cached or not. getAt makes
+	// the copy.
+	return res.Kind, res.Value, res.Seq, res.Found, nil
 }
 
 // ---------------------------------------------------------------------------

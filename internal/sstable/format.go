@@ -3,7 +3,8 @@
 // Layout:
 //
 //	[data block 0][crc] [data block 1][crc] ... [data block n][crc]
-//	[bloom filter block][crc]
+//	[bloom filter block][crc]         // standard layout only
+//	[prefix bloom filter block][crc]  // optional
 //	[range-tombstone block][crc]      // KiWi secondary-key deletes
 //	[properties block][crc]
 //	[index block][crc]
@@ -17,9 +18,25 @@
 // is simply the degenerate case of one page per tile, so a single reader
 // handles both layouts.
 //
-// The index block maps each page to: block handle, delete-key min/max, and
-// tile id. The index key is the tile's largest internal key (shared by all
-// pages of the tile), so sort-key binary search lands on tiles.
+// The index block maps each page to: block handle, delete-key min/max,
+// maximum sequence number, tile id and flags. The index key is the tile's
+// largest internal key (shared by all pages of the tile), so sort-key binary
+// search lands on tiles.
+//
+// Bloom filters follow the unit a point lookup reads. A standard table has
+// one filter block over every user key, found through the footer. In a KiWi
+// table every page of a tile spans the tile's whole sort-key range, so a
+// file filter would still leave a lookup seeking all h pages; instead each
+// page's index entry carries, after its flags, a filter over the user keys
+// woven into that page (one probe-count byte, then the bits:
+// bloom.AppendCompact), and the table has no filter block. The bits per key
+// are the same, so the filter bytes are the file filter's to within per-page
+// rounding, and a lookup reads only the pages whose filter admits the key.
+// Versions of one user key may straddle a tile boundary; "is the key in this
+// table?" still needs only the first tile whose separator's user key is >=
+// the key, because a tile that ends on a version of the key holds that
+// version (Reader.MayContain). A reader that predates page filters ignores
+// the trailing bytes, as it does the properties block's optional fields.
 package sstable
 
 import (
@@ -29,6 +46,7 @@ import (
 	"hash/crc32"
 
 	"repro/internal/base"
+	"repro/internal/bloom"
 )
 
 // ErrCorrupt is wrapped into every checksum-mismatch and structural-decode
@@ -82,7 +100,7 @@ const (
 
 // indexEntry is the decoded form of one index-block value: the page's
 // handle, its delete-key span, its maximum sequence number, the tile it
-// belongs to, and flag bits.
+// belongs to, flag bits and, in a KiWi table, the page's Bloom filter.
 type indexEntry struct {
 	handle BlockHandle
 	dkMin  base.DeleteKey
@@ -90,8 +108,13 @@ type indexEntry struct {
 	maxSeq base.SeqNum
 	tile   uint64
 	flags  uint64
+	// filter is the page filter, aliasing the index block; the zero Filter
+	// (no trailer) admits every key.
+	filter bloom.Filter
 }
 
+// encodeIndexEntry appends every field but the filter, whose compact form
+// (bloom.AppendCompact) the writer appends straight after.
 func encodeIndexEntry(dst []byte, e indexEntry) []byte {
 	dst = EncodeBlockHandle(dst, e.handle)
 	dst = binary.AppendUvarint(dst, e.dkMin)
@@ -132,7 +155,14 @@ func decodeIndexEntry(b []byte) (indexEntry, bool) {
 	}
 	b = b[n:]
 	e.flags, n = binary.Uvarint(b)
-	return e, n > 0
+	if n <= 0 {
+		return e, false
+	}
+	if b = b[n:]; len(b) > 0 {
+		e.filter, ok = bloom.DecodeCompact(b)
+		return e, ok
+	}
+	return e, true
 }
 
 // Properties summarizes a table's contents. FADE consults OldestTombstone

@@ -12,15 +12,16 @@ import (
 	"repro/internal/vfs"
 )
 
-// fuzzSeedTable builds a complete, valid sstable and returns its raw bytes.
-func fuzzSeedTable(tb testing.TB, entries int, withRangeDel bool) []byte {
+// fuzzSeedTable builds a complete, valid sstable with h pages per tile and
+// returns its raw bytes.
+func fuzzSeedTable(tb testing.TB, entries int, withRangeDel bool, h int) []byte {
 	tb.Helper()
 	fs := vfs.NewMemFS()
 	f, err := fs.Create("seed.sst")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	w := NewWriter(f, WriterOptions{BlockSize: 256, BloomBitsPerKey: 10})
+	w := NewWriter(f, WriterOptions{BlockSize: 256, BloomBitsPerKey: 10, PagesPerTile: h, DeleteKeyFunc: dkExtract})
 	seq := base.SeqNum(entries + 1)
 	for i := 0; i < entries; i++ {
 		key := []byte(fmt.Sprintf("key%04d", i))
@@ -86,13 +87,15 @@ func fuzzOpenBytes(tb testing.TB, data []byte) (*Reader, error) {
 }
 
 // FuzzSSTableFooterProps hammers the table-open path — footer, properties,
-// index, bloom, and range-tombstone decoding — plus a full scan and point
-// lookups on any table that opens. Corruption must surface as an error
-// (ideally wrapping ErrCorrupt), never as a panic or an infinite loop.
+// index (a KiWi table's page filters included), bloom, and range-tombstone
+// decoding — plus a full scan and point lookups on any table that opens.
+// Corruption must surface as an error (ideally wrapping ErrCorrupt), never as
+// a panic or an infinite loop.
 func FuzzSSTableFooterProps(f *testing.F) {
-	valid := fuzzSeedTable(f, 120, true)
+	valid := fuzzSeedTable(f, 120, true, 1)
 	f.Add(valid)
-	f.Add(fuzzSeedTable(f, 1, false))
+	f.Add(fuzzSeedTable(f, 1, false, 1))
+	f.Add(fuzzSeedTable(f, 120, true, 4))
 	f.Add(valid[:len(valid)/2])          // lost the footer entirely
 	f.Add(valid[:len(valid)-FooterSize]) // exactly the footer removed
 	footFlip := append([]byte(nil), valid...)
@@ -146,6 +149,9 @@ func FuzzSSTableFooterProps(f *testing.F) {
 			_ = r.MayContain(key)
 			if _, _, _, _, err := r.Get(key, base.MaxSeqNum); err != nil && !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("Get(%q) failed with a non-corruption error: %v", key, err)
+			}
+			if _, err := r.Lookup(key, base.MaxSeqNum); err != nil && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Lookup(%q) failed with a non-corruption error: %v", key, err)
 			}
 		}
 	})

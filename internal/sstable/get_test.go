@@ -108,7 +108,7 @@ func shortKeyTable(t *testing.T, h int) *Reader {
 		for _, k := range keys {
 			w.dataBuf.Add(k, []byte("v"))
 		}
-		if err := w.writePage(); err != nil {
+		if err := w.writePage(nil); err != nil {
 			t.Fatal(err)
 		}
 	}

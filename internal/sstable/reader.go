@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"sort"
 	"sync"
 
 	"repro/internal/base"
@@ -53,8 +54,11 @@ type Reader struct {
 	// forming tile i.
 	groups [][2]int
 
-	filter    bloom.Filter
-	hasFilter bool
+	// filter is a standard table's file filter; a KiWi table's filters are
+	// its pages' (indexEntry.filter), and pageFilters says it has them.
+	filter      bloom.Filter
+	hasFilter   bool
+	pageFilters bool
 
 	prefixFilter    bloom.Filter
 	hasPrefixFilter bool
@@ -141,12 +145,14 @@ func Open(f vfs.File) (*Reader, error) {
 		if len(it.Key()) < 8 {
 			return nil, fmt.Errorf("%w: index key too short (%d bytes)", ErrCorrupt, len(it.Key()))
 		}
+		// The entry's page filter aliases ib, which is immutable (readBlock).
 		ent, ok := decodeIndexEntry(it.Value())
 		if !ok {
 			return nil, fmt.Errorf("%w: corrupt index entry", ErrCorrupt)
 		}
 		r.seps = append(r.seps, append([]byte(nil), it.Key()...))
 		r.entries = append(r.entries, ent)
+		r.pageFilters = r.pageFilters || ent.filter.SizeBytes() > 0
 	}
 	if err := it.Error(); err != nil {
 		return nil, err
@@ -192,13 +198,34 @@ func (r *Reader) Page(i int) PageInfo {
 	return PageInfo{DKMin: e.dkMin, DKMax: e.dkMax, MaxSeq: e.maxSeq, HasTombstones: e.flags&pageFlagHasTombstones != 0}
 }
 
-// MayContain probes the Bloom filter for a user key. Tables without filters
-// always report true.
+// MayContain reports whether the table may hold some version of userKey,
+// probing whatever Bloom filters it carries; false is definitive. Tables
+// without filters always report true. In a KiWi table the page filters of
+// the first tile whose separator's user key is >= userKey answer for the
+// whole table. Versions of one key can straddle a tile boundary, but then the
+// earlier tile's separator — its last entry — is one of them, so that tile
+// holds a version and its filters admit the key; no later tile need be
+// probed.
 func (r *Reader) MayContain(userKey []byte) bool {
-	if !r.hasFilter {
+	switch {
+	case r.hasFilter:
+		return r.filter.MayContain(bloom.Hash(userKey))
+	case !r.pageFilters:
 		return true
 	}
-	return r.filter.MayContain(bloom.Hash(userKey))
+	h := bloom.Hash(userKey)
+	gi := sort.Search(len(r.groups), func(gi int) bool {
+		return base.Compare(base.DecodeInternalKey(r.seps[r.groups[gi][0]]).UserKey, userKey) >= 0
+	})
+	if gi == len(r.groups) {
+		return false
+	}
+	for pi := r.groups[gi][0]; pi < r.groups[gi][1]; pi++ {
+		if r.entries[pi].filter.MayContain(h) {
+			return true
+		}
+	}
+	return false
 }
 
 // MayContainPrefix reports whether some key in the table may start with
@@ -547,32 +574,69 @@ type getState struct {
 
 var getStates = sync.Pool{New: func() any { return new(getState) }}
 
-// Get performs a point lookup: the newest visible entry for userKey at or
-// below seq. It returns the entry kind, its value, the entry's sequence
-// number, and whether it was found. The caller interprets KindDelete as
-// "definitively deleted". The Bloom filter is consulted by the caller via
-// MayContain so lookup statistics can be attributed.
-//
-// Only the first tile whose separator (its largest key) is >= the search key
-// can hold the key. Each of its pages is sought once; the candidate with the
-// user key and the largest trailer is the newest visible version.
+// LookupResult is a point lookup's answer: the newest visible entry's kind,
+// value (aliasing an immutable block) and sequence number, if Found.
+type LookupResult struct {
+	Kind  base.Kind
+	Value []byte
+	Seq   base.SeqNum
+	Found bool
+	// Filtered reports that a Bloom filter ruled the table out before any
+	// page was read: the file filter, or the page filters of every page of
+	// the tile the lookup lands on.
+	Filtered bool
+}
+
+// Lookup performs a point lookup — the newest visible entry for userKey at or
+// below seq — consulting every filter the table carries on the way, with one
+// hash of the key: a standard table's file filter first, then, in a KiWi
+// table, each page's filter before the page is read. The caller interprets
+// KindDelete as "definitively deleted".
+func (r *Reader) Lookup(userKey []byte, seq base.SeqNum) (LookupResult, error) {
+	return r.lookup(userKey, seq, r.hasFilter)
+}
+
+// Get is Lookup without the file filter, for callers that consult it first
+// through MayContain; page filters are still used inside the tile. It returns
+// the entry kind, its value, the entry's sequence number, and whether it was
+// found.
 func (r *Reader) Get(userKey []byte, seq base.SeqNum) (base.Kind, []byte, base.SeqNum, bool, error) {
+	res, err := r.lookup(userKey, seq, false)
+	return res.Kind, res.Value, res.Seq, res.Found, err
+}
+
+// lookup serves Lookup and Get. Only the first tile whose separator (its
+// largest key) is >= the search key can hold the key. Each of its pages whose
+// filter admits the key is sought once; the candidate with the user key and
+// the largest trailer is the newest visible version.
+func (r *Reader) lookup(userKey []byte, seq base.SeqNum, fileFilter bool) (LookupResult, error) {
+	var h uint64
+	if fileFilter || r.pageFilters {
+		h = bloom.Hash(userKey)
+	}
+	if fileFilter && !r.filter.MayContain(h) {
+		return LookupResult{Filtered: true}, nil
+	}
 	g := getStates.Get().(*getState)
 	defer getStates.Put(g)
 	g.key = base.MakeSearchKey(userKey, seq).Encode(g.key[:0])
 	gi := r.seekTile(g.key)
 	if gi == len(r.groups) {
-		return 0, nil, 0, false, nil
+		return LookupResult{}, nil
 	}
 	var (
-		best  base.Trailer
-		value []byte
-		found bool
+		res  = LookupResult{Filtered: true}
+		best base.Trailer
 	)
 	for pi := r.groups[gi][0]; pi < r.groups[gi][1]; pi++ {
+		// A table without page filters has zero ones, which admit every key.
+		if !r.entries[pi].filter.MayContain(h) {
+			continue
+		}
+		res.Filtered = false
 		data, err := r.readBlock(r.entries[pi].handle)
 		if err != nil {
-			return 0, nil, 0, false, err
+			return LookupResult{}, err
 		}
 		if g.it == nil {
 			g.it, err = block.NewIter(data, base.CompareEncoded)
@@ -580,25 +644,25 @@ func (r *Reader) Get(userKey []byte, seq base.SeqNum) (base.Kind, []byte, base.S
 			err = g.it.Reset(data)
 		}
 		if err != nil {
-			return 0, nil, 0, false, err
+			return LookupResult{}, err
 		}
 		if !g.it.SeekGE(g.key) {
 			if err := g.it.Error(); err != nil {
-				return 0, nil, 0, false, err
+				return LookupResult{}, err
 			}
 			continue
 		}
 		k := g.it.Key()
 		if len(k) < 8 {
-			return 0, nil, 0, false, fmt.Errorf("%w: data entry key too short (%d bytes)", ErrCorrupt, len(k))
+			return LookupResult{}, fmt.Errorf("%w: data entry key too short (%d bytes)", ErrCorrupt, len(k))
 		}
 		ik := base.DecodeInternalKey(k)
-		if base.Compare(ik.UserKey, userKey) == 0 && (!found || ik.Trailer > best) {
-			best, value, found = ik.Trailer, g.it.Value(), true
+		if base.Compare(ik.UserKey, userKey) == 0 && (!res.Found || ik.Trailer > best) {
+			best, res.Value, res.Found = ik.Trailer, g.it.Value(), true
 		}
 	}
-	if !found {
-		return 0, nil, 0, false, nil
+	if res.Found {
+		res.Kind, res.Seq = best.Kind(), best.SeqNum()
 	}
-	return best.Kind(), value, best.SeqNum(), true, nil
+	return res, nil
 }

@@ -1,6 +1,7 @@
 package sstable
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -544,9 +545,16 @@ func BenchmarkTableWrite(b *testing.B) {
 }
 
 // BenchmarkTableGet prices a point lookup that hits, in both layouts, with
-// every block read from the file (no cache) and with every block cached.
+// every block read from the file (no cache) and with every block cached; and
+// a Lookup of a key inside the table's range that it does not hold, which the
+// filters answer: one file-filter probe at h = 1, a tile search and the
+// tile's page-filter probes at h = 4.
 func BenchmarkTableGet(b *testing.B) {
 	entries := kiwiBenchEntries(10_000)
+	absent := make([][]byte, len(entries))
+	for i, e := range entries {
+		absent[i] = append(bytes.Clone(e.key.UserKey), 'x')
+	}
 	for _, h := range []int{1, 4} {
 		fs := vfs.NewMemFS()
 		f, _ := fs.Create("bench.sst")
@@ -578,6 +586,14 @@ func BenchmarkTableGet(b *testing.B) {
 				}
 			})
 		}
+		b.Run(fmt.Sprintf("h=%d/absent-in-range", h), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if res, err := r.Lookup(absent[i*7919%len(absent)], base.MaxSeqNum); res.Found || err != nil {
+					b.Fatal(res, err)
+				}
+			}
+		})
 	}
 }
 

@@ -9,13 +9,15 @@ import (
 	"testing"
 
 	"repro/internal/base"
+	"repro/internal/bloom"
 	"repro/internal/vfs"
 )
 
 // refWeaveTile is the reference weave: the tile sorted by delete key with
 // ties broken by comparing internal keys, then every page re-sorted by
 // internal key — two comparator sorts, where Writer.weaveTile sorts arrival
-// ranks. It closes the tile as flushTile does.
+// ranks — and each page's filter built from its user keys hashed afresh. It
+// closes the tile as flushTile does.
 func refWeaveTile(w *Writer) error {
 	arena := w.arena
 	byKey := func(a, b tileEntry) int { return base.CompareEncoded(a.key(arena), b.key(arena)) }
@@ -40,12 +42,17 @@ func refWeaveTile(w *Writer) error {
 		if pages > 1 {
 			slices.SortFunc(page, byKey)
 		}
+		var hashes []uint64
 		for _, e := range page {
 			key := e.key(arena)
 			w.dataBuf.Add(key, e.value(arena))
-			w.page.note(base.DecodeInternalKey(key).Trailer, e.dk, e.hasDK)
+			ik := base.DecodeInternalKey(key)
+			w.page.note(ik.Trailer, e.dk, e.hasDK)
+			if w.opts.BloomBitsPerKey > 0 {
+				hashes = append(hashes, bloom.Hash(ik.UserKey))
+			}
 		}
-		if err := w.writePage(); err != nil {
+		if err := w.writePage(hashes); err != nil {
 			return err
 		}
 	}

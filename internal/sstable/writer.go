@@ -22,8 +22,9 @@ type WriterOptions struct {
 	BlockSize int
 	// RestartInterval is the block restart-point interval.
 	RestartInterval int
-	// BloomBitsPerKey sizes the table's Bloom filter. Zero disables the
-	// filter; 10 is the conventional default.
+	// BloomBitsPerKey sizes the table's Bloom filters: one over the whole
+	// table in the standard layout, one per page in KiWi's. Zero disables
+	// them; 10 is the conventional default.
 	BloomBitsPerKey int
 	// PrefixBloomLength, when positive, adds a second Bloom filter indexing
 	// every key prefix of length 1..PrefixBloomLength, letting prefix scans
@@ -80,6 +81,7 @@ type tileEntry struct {
 	valLen int
 	dk     base.DeleteKey
 	hasDK  bool
+	hash   uint64 // bloom.Hash of the user key, for its page's filter
 }
 
 func (e tileEntry) key(arena []byte) []byte   { return arena[e.off : e.off+e.keyLen] }
@@ -138,7 +140,10 @@ type Writer struct {
 	tileBytes int
 	tileID    uint64
 
+	// hashes feed the file filter (standard layout), pageHashes the filter
+	// of the page being woven (KiWi layout).
 	hashes       []uint64
+	pageHashes   []uint64
 	prefixHashes []uint64
 	rangeDels    []base.RangeTombstone
 
@@ -178,7 +183,7 @@ func (w *Writer) Reset(f vfs.File) {
 	*w = Writer{
 		f: f, opts: w.opts, dataBuf: w.dataBuf, index: w.index, first: true,
 		arena: w.arena[:0], tile: w.tile[:0], order: w.order, pageOf: w.pageOf,
-		hashes: w.hashes[:0], prefixHashes: w.prefixHashes[:0],
+		hashes: w.hashes[:0], pageHashes: w.pageHashes[:0], prefixHashes: w.prefixHashes[:0],
 		lastEnc: w.lastEnc, scratch: w.scratch,
 	}
 }
@@ -243,15 +248,19 @@ func (w *Writer) Add(ikey base.InternalKey, value []byte) error {
 	if s := ikey.SeqNum(); w.meta.Props.NumEntries == 1 || s < w.meta.Props.MinSeqNum {
 		w.meta.Props.MinSeqNum = s
 	}
+	var hash uint64
 	if w.opts.BloomBitsPerKey > 0 {
-		w.hashes = append(w.hashes, bloom.Hash(ikey.UserKey))
+		hash = bloom.Hash(ikey.UserKey)
+		if w.opts.PagesPerTile == 1 {
+			w.hashes = append(w.hashes, hash)
+		}
 	}
 
 	if w.opts.PagesPerTile == 1 {
 		w.dataBuf.Add(w.lastEnc, value)
 		w.page.note(ikey.Trailer, dk, hasDK)
 	} else {
-		w.tile = append(w.tile, tileEntry{off: len(w.arena), keyLen: len(w.lastEnc), valLen: len(value), dk: dk, hasDK: hasDK})
+		w.tile = append(w.tile, tileEntry{off: len(w.arena), keyLen: len(w.lastEnc), valLen: len(value), dk: dk, hasDK: hasDK, hash: hash})
 		w.arena = append(append(w.arena, w.lastEnc...), value...)
 	}
 	w.tileBytes += ikey.Size() + len(value) + 8
@@ -308,7 +317,7 @@ func (w *Writer) flushTile() error {
 	}
 	var err error
 	if w.opts.PagesPerTile == 1 {
-		err = w.writePage()
+		err = w.writePage(nil)
 	} else {
 		err = w.weaveTile()
 	}
@@ -328,7 +337,8 @@ func (w *Writer) flushTile() error {
 // ranked by delete key — those without one (tombstones) first, ties broken by
 // arrival, which is the internal-key order — and rank r goes to page r / per.
 // Each page then goes out in arrival order, which sorts it by internal key:
-// the entries are bucketed by page, stably.
+// the entries are bucketed by page, stably. With filters on, the page's entry
+// hashes are gathered on the way for its filter.
 func (w *Writer) weaveTile() error {
 	n := len(w.tile)
 	pages := min(w.opts.PagesPerTile, n)
@@ -360,6 +370,7 @@ func (w *Writer) weaveTile() error {
 	}
 	w.order, w.pageOf = order, pageOf
 	for p := int32(0); int(p)*per < n; p++ {
+		hashes := w.pageHashes[:0]
 		for i, pi := range pageOf {
 			if pi != p {
 				continue
@@ -368,8 +379,12 @@ func (w *Writer) weaveTile() error {
 			key := e.key(w.arena)
 			w.dataBuf.Add(key, e.value(w.arena))
 			w.page.note(base.DecodeInternalKey(key).Trailer, e.dk, e.hasDK)
+			if w.opts.BloomBitsPerKey > 0 {
+				hashes = append(hashes, e.hash)
+			}
 		}
-		if err := w.writePage(); err != nil {
+		w.pageHashes = hashes
+		if err := w.writePage(hashes); err != nil {
 			return err
 		}
 	}
@@ -377,8 +392,9 @@ func (w *Writer) weaveTile() error {
 	return nil
 }
 
-// writePage emits the data block built in dataBuf and its index entry.
-func (w *Writer) writePage() error {
+// writePage emits the data block built in dataBuf and its index entry, with a
+// page filter over hashes unless there are none.
+func (w *Writer) writePage(hashes []uint64) error {
 	h, err := w.writeBlock(w.dataBuf.Finish())
 	if err != nil {
 		return err
@@ -394,6 +410,9 @@ func (w *Writer) writePage() error {
 		ent.flags |= pageFlagHasTombstones
 	}
 	w.scratch = encodeIndexEntry(w.scratch[:0], ent)
+	if len(hashes) > 0 {
+		w.scratch = bloom.AppendCompact(w.scratch, hashes, w.opts.BloomBitsPerKey)
+	}
 	w.index.Add(w.lastEnc, w.scratch)
 	w.meta.Props.NumPages++
 	return nil
@@ -434,7 +453,8 @@ func (w *Writer) finish() error {
 
 	var ftr footer
 
-	// Bloom filter block.
+	// Bloom filter block: standard layout only (hashes stays empty in KiWi's,
+	// whose filters went out with the pages' index entries).
 	if w.opts.BloomBitsPerKey > 0 && len(w.hashes) > 0 {
 		filter := bloom.Build(w.hashes, w.opts.BloomBitsPerKey)
 		h, err := w.writeBlock(filter.Encode(make([]byte, 0, filter.SizeBytes()+8))) // header + bits + CRC, one allocation

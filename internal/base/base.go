@@ -6,8 +6,10 @@ package base
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // SeqNum is a monotonically increasing sequence number assigned to every
@@ -254,6 +256,83 @@ func (rt RangeTombstone) Covers(dk DeleteKey, seq SeqNum) bool {
 // observed in a page or file.
 func (rt RangeTombstone) CoversRange(lo, hi DeleteKey) bool {
 	return lo >= rt.Lo && hi < rt.Hi
+}
+
+// Skyline answers Covers for a whole list of range tombstones with one binary
+// search: the list flattened into disjoint delete-key intervals, each holding
+// the newest seqnum among the tombstones covering it. Some tombstone of the
+// list covers (dk, seq) exactly when seq is below the seqnum of dk's
+// interval. The zero value covers nothing; Build reuses its buffers.
+type Skyline struct {
+	// Interval i is [los[i], los[i+1]), the last one open-ended; seqs[i] is
+	// the newest seqnum covering it, 0 in a gap. Adjacent intervals differ.
+	los  []DeleteKey
+	seqs []SeqNum
+	// Build's scratch: the tombstones newest first, and the union-find
+	// links to each interval's next one not yet assigned.
+	bySeq []RangeTombstone
+	next  []int32
+}
+
+// Build makes s the skyline of rts, in O(k log k) for k tombstones. The
+// endpoints of every non-empty tombstone, sorted, cut the key space into
+// elementary intervals; the tombstones are then applied newest first, each
+// assigning its seqnum to those of its intervals no newer one has, and a
+// union-find over "next unassigned interval" visits each interval once.
+func (s *Skyline) Build(rts []RangeTombstone) {
+	los, bySeq := s.los[:0], s.bySeq[:0]
+	for _, rt := range rts {
+		if rt.Lo < rt.Hi {
+			los = append(los, rt.Lo, rt.Hi)
+			bySeq = append(bySeq, rt)
+		}
+	}
+	slices.Sort(los)
+	los = slices.Compact(los)
+	slices.SortFunc(bySeq, func(a, b RangeTombstone) int { return cmp.Compare(b.Seq, a.Seq) })
+	// The last interval starts at the largest Hi: no tombstone reaches it,
+	// and its link ends every walk.
+	seqs := slices.Grow(s.seqs[:0], len(los))[:len(los)]
+	next := slices.Grow(s.next[:0], len(los))[:len(los)]
+	clear(seqs)
+	for i := range next {
+		next[i] = int32(i)
+	}
+	find := func(i int32) int32 {
+		for next[i] != i {
+			next[i] = next[next[i]]
+			i = next[i]
+		}
+		return i
+	}
+	for _, rt := range bySeq {
+		lo, _ := slices.BinarySearch(los, rt.Lo)
+		hi, _ := slices.BinarySearch(los, rt.Hi)
+		for i := find(int32(lo)); int(i) < hi; i = find(i + 1) {
+			seqs[i] = rt.Seq
+			next[i] = i + 1
+		}
+	}
+	// Merge neighbours with the same seqnum, in place.
+	n := 0
+	for i := range los {
+		if n > 0 && seqs[i] == seqs[n-1] {
+			continue
+		}
+		los[n], seqs[n] = los[i], seqs[i]
+		n++
+	}
+	s.los, s.seqs, s.bySeq, s.next = los[:n], seqs[:n], bySeq, next
+}
+
+// Covers reports whether some tombstone s was built from covers an entry with
+// the given delete key and sequence number.
+func (s *Skyline) Covers(dk DeleteKey, seq SeqNum) bool {
+	i, found := slices.BinarySearch(s.los, dk)
+	if !found {
+		i--
+	}
+	return i >= 0 && seq < s.seqs[i]
 }
 
 // EncodeRangeTombstone appends the wire form of rt to dst.

@@ -194,6 +194,43 @@ func TestRangeTombstoneCoversRange(t *testing.T) {
 	}
 }
 
+// TestSkylineMatchesCovers: for random tombstone lists over a small key space
+// (many overlaps, touching ends, empty spans, equal seqnums), the skyline
+// answers exactly what walking the list with Covers does, at every delete
+// key and around every seqnum; and rebuilding a used skyline allocates
+// nothing.
+func TestSkylineMatchesCovers(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var s Skyline
+	for trial := 0; trial < 300; trial++ {
+		rts := make([]RangeTombstone, rng.Intn(12))
+		for i := range rts {
+			rts[i] = RangeTombstone{Lo: DeleteKey(rng.Intn(40)), Hi: DeleteKey(rng.Intn(40)), Seq: SeqNum(rng.Intn(8))}
+		}
+		s.Build(rts)
+		for dk := DeleteKey(0); dk < 42; dk++ {
+			for seq := SeqNum(0); seq < 10; seq++ {
+				want := false
+				for _, rt := range rts {
+					want = want || rt.Covers(dk, seq)
+				}
+				if got := s.Covers(dk, seq); got != want {
+					t.Fatalf("trial %d, tombstones %v: Covers(%d, %d) = %v, want %v", trial, rts, dk, seq, got, want)
+				}
+			}
+		}
+	}
+	rts := make([]RangeTombstone, 1000)
+	for i := range rts {
+		lo := DeleteKey(rng.Intn(1 << 20))
+		rts[i] = RangeTombstone{Lo: lo, Hi: lo + DeleteKey(rng.Intn(1<<12)), Seq: SeqNum(rng.Intn(1 << 30))}
+	}
+	s.Build(rts)
+	if allocs := testing.AllocsPerRun(5, func() { s.Build(rts) }); allocs != 0 {
+		t.Fatalf("rebuilding a skyline of %d tombstones allocated %.0f times", len(rts), allocs)
+	}
+}
+
 func TestLogicalClock(t *testing.T) {
 	var c LogicalClock
 	if c.Now() != 0 {

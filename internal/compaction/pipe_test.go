@@ -13,6 +13,7 @@ import (
 	"repro/internal/base"
 	"repro/internal/manifest"
 	"repro/internal/sstable"
+	"repro/internal/vfs"
 	"repro/internal/vfs/errorfs"
 )
 
@@ -149,4 +150,91 @@ func TestRunBatchesPooled(t *testing.T) {
 	if first < second+batchesInFlight*batchBytes/2 {
 		t.Fatalf("the job allocated %d bytes with the pool empty and %d with it filled: its batches were not pooled", first, second)
 	}
+}
+
+// TestRunReportsStageWaits: a job whose writer is held up reports the merge's
+// wait on it, and a job whose merge is held up reports the writer's wait for
+// batches — each at least as long as the hold-up guarantees.
+func TestRunReportsStageWaits(t *testing.T) {
+	const n = 1000
+	e := newTestEnv(1)
+	var older, newer []kv
+	for i := 0; i < n; i++ {
+		older = append(older, kv{fmt.Sprintf("k%05d", i), 1, base.KindSet, dkVal(uint64(i))})
+		newer = append(newer, kv{fmt.Sprintf("k%05d", i), n + 1, base.KindSet, dkVal(uint64(i))})
+	}
+	c := candidate(1, []*manifest.FileMetadata{e.newTable(t, newer, nil)}, []*manifest.FileMetadata{e.newTable(t, older, nil)})
+	const delay = 20 * time.Millisecond
+
+	t.Run("writer-bound", func(t *testing.T) {
+		// The last table's Sync runs after the merge has handed everything
+		// over, so the join waits through it.
+		env := e.env(t)
+		env.FS = slowFS{FS: e.fs, sync: delay}
+		res, err := Run(c, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.MergeWait < delay {
+			t.Fatalf("MergeWait = %v behind a %v sync", res.MergeWait, delay)
+		}
+	})
+	t.Run("merge-bound", func(t *testing.T) {
+		// Every page read by the merge is slow, and the writer has nothing
+		// to do until a batch (here, the whole job) arrives.
+		env := e.env(t)
+		slow := slowFS{FS: e.fs, read: delay / 10}
+		env.OpenReader = func(fn base.FileNum) (*sstable.Reader, error) {
+			f, err := slow.Open(manifest.MakeFilename("db", manifest.FileTypeTable, fn))
+			if err != nil {
+				return nil, err
+			}
+			return sstable.Open(f)
+		}
+		res, err := Run(c, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.WriterWait < delay {
+			t.Fatalf("WriterWait = %v behind %d KiB of pages read at %v each", res.WriterWait, res.BytesRead>>10, delay/10)
+		}
+	})
+}
+
+// slowFS delays every Sync of a file it creates and every ReadAt of a file it
+// opens.
+type slowFS struct {
+	vfs.FS
+	sync, read time.Duration
+}
+
+func (fs slowFS) Create(name string) (vfs.File, error) {
+	f, err := fs.FS.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return slowFile{f, fs}, nil
+}
+
+func (fs slowFS) Open(name string) (vfs.File, error) {
+	f, err := fs.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return slowFile{f, fs}, nil
+}
+
+type slowFile struct {
+	vfs.File
+	fs slowFS
+}
+
+func (f slowFile) Sync() error {
+	time.Sleep(f.fs.sync)
+	return f.File.Sync()
+}
+
+func (f slowFile) ReadAt(p []byte, off int64) (int, error) {
+	time.Sleep(f.fs.read)
+	return f.File.ReadAt(p, off)
 }

@@ -2,9 +2,9 @@ package compaction
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/base"
 	"repro/internal/iterator"
@@ -85,6 +85,12 @@ type Result struct {
 	RangeCoveredDropped uint64
 	// PagesDropped counts whole KiWi pages elided without being read.
 	PagesDropped uint64
+
+	// MergeWait is how long the merge waited on the writer goroutine: for
+	// room to hand a batch over, and at the join. WriterWait is how long the
+	// writer waited for the merge's next batch (or its end). A job its writer
+	// bounds shows as MergeWait, one its merge bounds as WriterWait.
+	MergeWait, WriterWait time.Duration
 }
 
 // noSnapshotIn reports that no active snapshot t satisfies lo <= t < hi,
@@ -92,6 +98,24 @@ type Result struct {
 func noSnapshotIn(snaps []base.SeqNum, lo, hi base.SeqNum) bool {
 	i := sort.Search(len(snaps), func(i int) bool { return snaps[i] >= lo })
 	return i >= len(snaps) || snaps[i] >= hi
+}
+
+// applicableRangeDels returns the tombstones of lists that a merge may apply
+// to the entries it drops: those no active snapshot predates.
+func applicableRangeDels(snaps []base.SeqNum, lists ...[]base.RangeTombstone) []base.RangeTombstone {
+	n := 0
+	for _, l := range lists {
+		n += len(l)
+	}
+	out := make([]base.RangeTombstone, 0, n)
+	for _, l := range lists {
+		for _, rt := range l {
+			if noSnapshotIn(snaps, 0, rt.Seq) {
+				out = append(out, rt)
+			}
+		}
+	}
+	return out
 }
 
 // Run executes the candidate: merges its inputs, applies shadowing,
@@ -105,7 +129,7 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 	res := &Result{}
 
 	// Collect readers and range tombstones from every input file.
-	var rangeDels []base.RangeTombstone
+	var own []base.RangeTombstone
 	var numDeletes uint64
 	collect := func(files []*manifest.FileMetadata) ([]*sstable.Reader, error) {
 		rs := make([]*sstable.Reader, len(files))
@@ -115,24 +139,30 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 				return nil, fmt.Errorf("compaction: opening input %s: %w", f.FileNum, err)
 			}
 			rs[i] = r
-			rangeDels = append(rangeDels, r.RangeTombstones()...)
+			own = append(own, r.RangeTombstones()...)
 			numDeletes += f.NumDeletes
 		}
 		return rs, nil
 	}
 
+	// applicable are the range tombstones the drops below may apply: the
+	// inputs' own and the live ones, less those an open snapshot predates.
+	// It is set once every input is collected, before the first page is read.
+	var applicable []base.RangeTombstone
 	// pageFilter implements the KiWi fast path: a page is elided when a
 	// range tombstone fully covers its delete-key span, it holds no
 	// tombstones, all its entries predate the tombstone, and no snapshot
-	// could still need its contents.
+	// could still need its contents. One tombstone must cover the whole
+	// span: asking the skyline, a union of several, would drop pages this
+	// rule reads, and change what the job reads and reports.
 	//
 	// Page drops are only sound for files where no *older* version of a
 	// dropped key could surface afterwards: the file must belong to the
 	// compaction's oldest run, the compaction must be bottommost (nothing
 	// older below), and the file must hold a single version per key.
 	pageFilter := func(p sstable.PageInfo) bool {
-		for _, rt := range rangeDels {
-			if p.Droppable(rt) && noSnapshotIn(env.Snapshots, 0, rt.Seq) {
+		for _, rt := range applicable {
+			if p.Droppable(rt) {
 				return false // drop
 			}
 		}
@@ -199,8 +229,13 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 	// partitioned; the live ones from outside join the set the filters
 	// apply and nothing else.
 	var surviving []base.RangeTombstone
-	own := rangeDels
-	rangeDels = slices.Concat(own, env.LiveRangeTombstones)
+	applicable = applicableRangeDels(env.Snapshots, own, env.LiveRangeTombstones)
+	// The entry-level drop asks whether any of them covers an entry: the
+	// skyline answers that with one binary search.
+	var skyline base.Skyline
+	if env.Bottommost && env.WriterOpts.DeleteKeyFunc != nil {
+		skyline.Build(applicable)
+	}
 	if env.Bottommost {
 		res.DisposedCreatedAt = make([]base.Timestamp, 0, uint64(len(own))+numDeletes)
 	}
@@ -286,15 +321,9 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 			// the bottommost level (no deeper versions exist to
 			// resurrect).
 			if newKey && env.Bottommost && env.WriterOpts.DeleteKeyFunc != nil {
-				dk := env.WriterOpts.DeleteKeyFunc(value)
-				for _, rt := range rangeDels {
-					if rt.Covers(dk, ik.SeqNum()) && noSnapshotIn(env.Snapshots, 0, rt.Seq) {
-						keyWipedByRT = true
-						keyWipedSeq = ik.SeqNum()
-						break
-					}
-				}
-				if keyWipedByRT {
+				if skyline.Covers(env.WriterOpts.DeleteKeyFunc(value), ik.SeqNum()) {
+					keyWipedByRT = true
+					keyWipedSeq = ik.SeqNum()
 					res.RangeCoveredDropped++
 					continue
 				}
@@ -319,6 +348,7 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 		return nil, err
 	}
 	res.Outputs = p.out.outputs
+	res.MergeWait, res.WriterWait = p.mergeWait, p.writerWait
 	for _, of := range res.Outputs {
 		res.BytesWritten += of.Meta.Size
 	}
@@ -371,6 +401,9 @@ type pipe struct {
 	full chan *batch
 	done chan struct{} // closed when the writer goroutine has exited
 	err  error         // the writer's error; read only after done
+	// mergeWait is the merge's time blocked on the writer, writerWait (read
+	// only after done) the writer's blocked on the merge.
+	mergeWait, writerWait time.Duration
 	// abandon, set before full is closed, tells the writer not to finish
 	// the table in progress.
 	abandon bool
@@ -414,8 +447,10 @@ func (p *pipe) handoff() error {
 		return p.err
 	default:
 	}
+	start := time.Now()
 	select {
 	case p.full <- p.cur:
+		p.mergeWait += time.Since(start)
 		p.cur = getBatch()
 		return nil
 	case <-p.done:
@@ -428,7 +463,13 @@ func (p *pipe) handoff() error {
 // merge abandoned the job.
 func (p *pipe) write() {
 	defer close(p.done)
-	for b := range p.full {
+	for {
+		start := time.Now()
+		b, ok := <-p.full
+		p.writerWait += time.Since(start)
+		if !ok {
+			break
+		}
 		err := p.writeBatch(b)
 		batchPool.Put(b)
 		if err != nil {
@@ -462,6 +503,7 @@ func (p *pipe) close(abandon bool) error {
 		return p.err
 	}
 	p.closed = true
+	start := time.Now()
 	if len(p.cur.ents) > 0 && !abandon {
 		select {
 		case p.full <- p.cur:
@@ -472,6 +514,7 @@ func (p *pipe) close(abandon bool) error {
 	p.abandon = abandon
 	close(p.full)
 	<-p.done
+	p.mergeWait += time.Since(start)
 	if p.cur != nil {
 		batchPool.Put(p.cur)
 	}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/base"
 	"repro/internal/cache"
@@ -55,19 +56,28 @@ func BenchmarkCompactionRun(b *testing.B) {
 	})
 	for _, live := range []int{1, 100, 1000} {
 		b.Run(fmt.Sprintf("kiwi-h4/live-range-tombstones=%d", live), func(b *testing.B) {
-			e := newTestEnv(4)
-			files := benchRunFiles(b, e, 0, 1, 0)
-			env := e.env(b)
-			env.Bottommost = true
-			for i := 0; i < live; i++ {
-				lo := base.DeleteKey(i * n / live)
-				env.LiveRangeTombstones = append(env.LiveRangeTombstones,
-					base.RangeTombstone{Lo: lo, Hi: lo + base.DeleteKey(n/10/live), Seq: 2 * n, CreatedAt: 1})
-			}
-			benchRun(b, e, &Candidate{Trigger: TriggerRangeDelete, StartLevel: 1, OutputLevel: 1, OutputRunID: 1,
-				Inputs: []*manifest.Run{{ID: 1, Files: files}}}, env, nil)
+			e, c, env := kiwiLiveJob(b, live)
+			benchRun(b, e, c, env, nil)
 		})
 	}
+}
+
+// kiwiLiveJob is the KiWi (h = 4) in-place rewrite of one bottommost run of
+// benchRunEntries under live range tombstones that together cover a tenth of
+// its delete keys.
+func kiwiLiveJob(t testing.TB, live int) (*testEnv, *Candidate, Env) {
+	const n = benchRunEntries
+	e := newTestEnv(4)
+	files := benchRunFiles(t, e, 0, 1, 0)
+	env := e.env(t)
+	env.Bottommost = true
+	for i := 0; i < live; i++ {
+		lo := base.DeleteKey(i * n / live)
+		env.LiveRangeTombstones = append(env.LiveRangeTombstones,
+			base.RangeTombstone{Lo: lo, Hi: lo + base.DeleteKey(n/10/live), Seq: 2 * n, CreatedAt: 1})
+	}
+	return e, &Candidate{Trigger: TriggerRangeDelete, StartLevel: 1, OutputLevel: 1, OutputRunID: 1,
+		Inputs: []*manifest.Run{{ID: 1, Files: files}}}, env
 }
 
 // benchRunEntries is the size of one benchRunFiles run.
@@ -95,9 +105,12 @@ func benchRunFiles(t testing.TB, e *testEnv, first int, seq base.SeqNum, tombsto
 
 // benchRun times Run(c, env), unlinking each iteration's outputs (and calling
 // afterEach, if set) off the clock, and reports the cost per input entry next
-// to the MB/s of input bytes.
+// to the MB/s of input bytes, with the two stage waits per entry: a job bound
+// by its writer goroutine shows merge-wait, one bound by its merge
+// writer-wait.
 func benchRun(b *testing.B, e *testEnv, c *Candidate, env Env, afterEach func()) {
 	var entries, bytes uint64
+	var mergeWait, writerWait time.Duration
 	for _, f := range c.ClaimFiles() {
 		entries += f.NumEntries
 		bytes += f.Size
@@ -115,6 +128,8 @@ func benchRun(b *testing.B, e *testEnv, c *Candidate, env Env, afterEach func())
 			b.Fatal("merge wrote nothing")
 		}
 		b.StopTimer()
+		mergeWait += res.MergeWait
+		writerWait += res.WriterWait
 		for _, of := range res.Outputs {
 			if err := e.fs.Remove(manifest.MakeFilename("db", manifest.FileTypeTable, of.FileNum)); err != nil {
 				b.Fatal(err)
@@ -131,4 +146,6 @@ func benchRun(b *testing.B, e *testEnv, c *Candidate, env Env, afterEach func())
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/entry")
 	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/per, "B/entry")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/per, "allocs/entry")
+	b.ReportMetric(float64(mergeWait.Nanoseconds())/per, "merge-wait-ns/entry")
+	b.ReportMetric(float64(writerWait.Nanoseconds())/per, "writer-wait-ns/entry")
 }

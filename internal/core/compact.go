@@ -264,6 +264,8 @@ func (d *DB) runCandidate(j *compactJob) (err error) {
 	d.stats.ShadowedDropped.Add(int64(res.ShadowedDropped))
 	d.stats.PagesDropped.Add(int64(res.PagesDropped))
 	d.stats.RangeCoveredDropped.Add(int64(res.RangeCoveredDropped))
+	d.stats.CompactMergeWaitNanos.Add(res.MergeWait.Nanoseconds())
+	d.stats.CompactWriterWaitNanos.Add(res.WriterWait.Nanoseconds())
 	d.stats.JobLatencyByTrigger[t].Record(time.Since(ji.Started).Nanoseconds())
 
 	// The tombstone ledger is booked here and not during the merge: until

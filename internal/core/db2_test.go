@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/base"
@@ -560,5 +561,41 @@ func TestTrivialMoveSkipsRewrite(t *testing.T) {
 	}
 	if d.Stats().TrivialMoves.Get() == 0 {
 		t.Log("no trivial moves occurred (workload-dependent; not a failure)")
+	}
+}
+
+// TestCompactionStageWaitsBooked: a merge's two stage waits reach Stats and
+// the metrics registry, which is how an operator tells a writer-bound job from
+// a merge-bound one.
+func TestCompactionStageWaitsBooked(t *testing.T) {
+	d := mustOpen(t, testOptions(vfs.NewMemFS(), &base.LogicalClock{}))
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 500; i++ {
+			if err := d.Put([]byte(fmt.Sprintf("k%04d", i)), testValue(uint64(i), i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := d.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	st := d.Stats()
+	if st.CompactBytesWritten.Get() == 0 {
+		t.Fatal("fixture: no merge ran")
+	}
+	if st.CompactMergeWaitNanos.Get()+st.CompactWriterWaitNanos.Get() == 0 {
+		t.Fatal("a merge ran and neither stage wait was booked")
+	}
+	var sb strings.Builder
+	if _, err := d.Registry().WriteTo(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"acheron_compact_merge_wait_ns_total", "acheron_compact_writer_wait_ns_total"} {
+		if !strings.Contains(sb.String(), "\n"+name+" ") {
+			t.Errorf("the registry does not export %s", name)
+		}
 	}
 }

@@ -207,6 +207,8 @@ func (d *DB) RegisterMetrics(r *metrics.Registry, extra metrics.Labels) error {
 	counter("acheron_compact_bytes_read_total", "Bytes read by compactions.", &s.CompactBytesRead)
 	counter("acheron_compact_bytes_written_total", "Bytes written by compactions.", &s.CompactBytesWritten)
 	counter("acheron_trivial_moves_total", "Metadata-only file moves.", &s.TrivialMoves)
+	counter("acheron_compact_merge_wait_ns_total", "Nanoseconds compaction merges waited on their writer goroutine (handoffs and the join): writer-bound time.", &s.CompactMergeWaitNanos)
+	counter("acheron_compact_writer_wait_ns_total", "Nanoseconds compaction writer goroutines waited for the merge's next batch: merge-bound time.", &s.CompactWriterWaitNanos)
 	policy := d.policy.Name()
 	for t := range s.CompactionsByTrigger {
 		lbl := lb(metrics.Labels{"trigger": triggerLabels[t]["trigger"], "policy": policy})

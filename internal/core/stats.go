@@ -193,6 +193,13 @@ type Stats struct {
 	// (Here, not beside PersistenceLatency, so no hot counter above moved.)
 	TombstonesPersistedLate metrics.Counter
 	persistenceDeadline     atomic.Int64
+
+	// CompactMergeWaitNanos and CompactWriterWaitNanos say which of a
+	// compaction's two goroutines bounds it: the first sums the time merges
+	// waited on their writer goroutine (a writer-bound job), the second the
+	// time writers waited for the merge's next batch (a merge-bound job).
+	CompactMergeWaitNanos  metrics.Counter
+	CompactWriterWaitNanos metrics.Counter
 }
 
 // WriteAmplification returns (flushed + compaction-written) / ingested, the

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -133,9 +135,17 @@ type Writer struct {
 	// arena and tile buffer the current delete tile (KiWi mode).
 	arena []byte
 	tile  []tileEntry
-	// order and pageOf are weaveTile's scratch, indexed like tile.
-	order  []int32
-	pageOf []int32
+	// The rest is weaveTile's scratch: pageOf is indexed like tile, order
+	// holds the tile's arrivals grouped by page, packed and byBucket the
+	// packed ranking keys, counts the histogram and then the page cursors.
+	pageOf   []int32
+	order    []int32
+	packed   []uint64
+	byBucket []uint64
+	counts   []int32
+	// sortedTiles counts the tiles whose delete-key span left too few bits
+	// to pack, which rankSorted ranked instead.
+	sortedTiles int
 	// tileBytes is the payload added to the current tile so far.
 	tileBytes int
 	tileID    uint64
@@ -182,7 +192,8 @@ func (w *Writer) Reset(f vfs.File) {
 	// rangeDels does not: the finished table's WriterMeta holds that slice.
 	*w = Writer{
 		f: f, opts: w.opts, dataBuf: w.dataBuf, index: w.index, first: true,
-		arena: w.arena[:0], tile: w.tile[:0], order: w.order, pageOf: w.pageOf,
+		arena: w.arena[:0], tile: w.tile[:0],
+		pageOf: w.pageOf, order: w.order, packed: w.packed, byBucket: w.byBucket, counts: w.counts,
 		hashes: w.hashes[:0], pageHashes: w.pageHashes[:0], prefixHashes: w.prefixHashes[:0],
 		lastEnc: w.lastEnc, scratch: w.scratch,
 	}
@@ -335,46 +346,38 @@ func (w *Writer) flushTile() error {
 // Add rejects out-of-order keys, so an entry's index in w.tile is its rank in
 // internal-key order, and the weave compares integers, never keys. Entries are
 // ranked by delete key — those without one (tombstones) first, ties broken by
-// arrival, which is the internal-key order — and rank r goes to page r / per.
-// Each page then goes out in arrival order, which sorts it by internal key:
-// the entries are bucketed by page, stably. With filters on, the page's entry
-// hashes are gathered on the way for its filter.
+// arrival, which is the internal-key order — and rank r goes to page r / per
+// (rankPacked, else rankSorted). Each page then goes out in arrival order,
+// which sorts it by internal key: a counting sort by page, stable, groups the
+// arrivals into order. With filters on, the page's entry hashes are gathered
+// on the way for its filter.
 func (w *Writer) weaveTile() error {
 	n := len(w.tile)
 	pages := min(w.opts.PagesPerTile, n)
 	per := (n + pages - 1) / pages
-	order := w.order[:0]
-	for i := range n {
-		order = append(order, int32(i))
-	}
-	if pages > 1 {
-		tile := w.tile
-		slices.SortFunc(order, func(a, b int32) int {
-			ea, eb := &tile[a], &tile[b]
-			switch {
-			case ea.hasDK != eb.hasDK:
-				if ea.hasDK {
-					return 1
-				}
-				return -1
-			case ea.dk != eb.dk:
-				return cmp.Compare(ea.dk, eb.dk)
-			}
-			return cmp.Compare(a, b)
-		})
-	}
 	// pageOf[i] is the page of the i-th entry to arrive.
 	pageOf := slices.Grow(w.pageOf[:0], n)[:n]
-	for rank, i := range order {
-		pageOf[i] = int32(rank / per)
+	w.pageOf = pageOf
+	if pages == 1 {
+		clear(pageOf)
+	} else if !w.rankPacked(per) {
+		w.rankSorted(per)
 	}
-	w.order, w.pageOf = order, pageOf
-	for p := int32(0); int(p)*per < n; p++ {
+	// Page p holds ranks [p*per, (p+1)*per), so its arrivals start at p*per
+	// in order; counts serves as the pages' cursors.
+	cursor := slices.Grow(w.counts[:0], pages)[:pages]
+	for p := range cursor {
+		cursor[p] = int32(p * per)
+	}
+	order := slices.Grow(w.order[:0], n)[:n]
+	for i, p := range pageOf {
+		order[cursor[p]] = int32(i)
+		cursor[p]++
+	}
+	w.counts, w.order = cursor, order
+	for start := 0; start < n; start += per {
 		hashes := w.pageHashes[:0]
-		for i, pi := range pageOf {
-			if pi != p {
-				continue
-			}
+		for _, i := range order[start:min(start+per, n)] {
 			e := &w.tile[i]
 			key := e.key(w.arena)
 			w.dataBuf.Add(key, e.value(w.arena))
@@ -390,6 +393,112 @@ func (w *Writer) weaveTile() error {
 	}
 	w.arena, w.tile = w.arena[:0], w.tile[:0]
 	return nil
+}
+
+// rankPacked sets w.pageOf without comparing entries. Those without a delete
+// key take the first ranks, in arrival order. Each keyed entry becomes one
+// uint64, (dk − min dk) << idxBits | arrival, whose integer order is the
+// ranking's; one histogram pass over the keys' top bits then puts every entry
+// in a bucket of consecutive ranks. A bucket inside one page maps to it in one
+// step; only a bucket that straddles a page boundary is sorted. It reports
+// false, having set nothing, when the tile's delete-key span leaves too few of
+// the 64 bits for the arrival index.
+func (w *Writer) rankPacked(per int) bool {
+	tile, pageOf := w.tile, w.pageOf
+	keyed, lo, hi := 0, uint64(math.MaxUint64), uint64(0)
+	for i := range tile {
+		if e := &tile[i]; e.hasDK {
+			keyed++
+			lo, hi = min(lo, e.dk), max(hi, e.dk)
+		}
+	}
+	idxBits := bits.Len(uint(len(tile) - 1))
+	if keyed > 0 && bits.Len64(hi-lo)+idxBits > 64 {
+		return false
+	}
+	packed, unkeyed := w.packed[:0], 0
+	for i := range tile {
+		e := &tile[i]
+		if !e.hasDK {
+			pageOf[i] = int32(unkeyed / per)
+			unkeyed++
+			continue
+		}
+		packed = append(packed, (e.dk-lo)<<idxBits|uint64(i))
+	}
+	w.packed = packed
+	if keyed == 0 {
+		return true
+	}
+	// About one bucket per keyed entry: bucket b holds the keys whose top
+	// bits read b.
+	bucketBits := bits.Len(uint(keyed))
+	shift := max(bits.Len64((hi-lo)<<idxBits|uint64(len(tile)-1))-bucketBits, 0)
+	counts := slices.Grow(w.counts[:0], 1<<bucketBits+1)[:1<<bucketBits+1]
+	clear(counts)
+	for _, k := range packed {
+		counts[k>>shift+1]++
+	}
+	for b := 1; b < len(counts); b++ {
+		counts[b] += counts[b-1]
+	}
+	// counts[b] is where bucket b starts; the scatter moves it to where b ends.
+	byBucket := slices.Grow(w.byBucket[:0], keyed)[:keyed]
+	for _, k := range packed {
+		b := k >> shift
+		byBucket[counts[b]] = k
+		counts[b]++
+	}
+	w.counts, w.byBucket = counts, byBucket
+	mask := uint64(1)<<idxBits - 1
+	start := 0
+	for _, c := range counts[:len(counts)-1] {
+		end := int(c)
+		if end == start {
+			continue
+		}
+		bucket := byBucket[start:end]
+		if first := (unkeyed + start) / per; first == (unkeyed+end-1)/per {
+			for _, k := range bucket {
+				pageOf[k&mask] = int32(first)
+			}
+		} else {
+			slices.Sort(bucket)
+			for j, k := range bucket {
+				pageOf[k&mask] = int32((unkeyed + start + j) / per)
+			}
+		}
+		start = end
+	}
+	return true
+}
+
+// rankSorted sets w.pageOf for a tile rankPacked cannot pack, by a comparator
+// sort of the arrival indices on (has a delete key, delete key, arrival).
+func (w *Writer) rankSorted(per int) {
+	tile := w.tile
+	order := w.order[:0]
+	for i := range tile {
+		order = append(order, int32(i))
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		ea, eb := &tile[a], &tile[b]
+		switch {
+		case ea.hasDK != eb.hasDK:
+			if ea.hasDK {
+				return 1
+			}
+			return -1
+		case ea.dk != eb.dk:
+			return cmp.Compare(ea.dk, eb.dk)
+		}
+		return cmp.Compare(a, b)
+	})
+	for rank, i := range order {
+		w.pageOf[i] = int32(rank / per)
+	}
+	w.order = order
+	w.sortedTiles++
 }
 
 // writePage emits the data block built in dataBuf and its index entry, with a

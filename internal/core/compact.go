@@ -11,7 +11,7 @@ import (
 	"repro/internal/sstable"
 )
 
-// Maintenance-side lock order, machine-checked by the lockorder analyzer:
+// Maintenance-side lock order, part of the documented lock DAG:
 // the maintenance gate is outermost, then the stage locks (flushMu for the
 // flush queue, pickMu for pick+claim), then the engine mutex. pickMu also
 // precedes the claim-satellite locks, which encodes the claim-before-

@@ -54,8 +54,8 @@ type FS interface {
 // one situation where discarding a close error is sound: the close cannot
 // affect correctness, either because the file was only read from or because
 // the surrounding path is already returning an earlier error. Durability
-// paths must propagate close errors instead; the closecheck analyzer
-// enforces the distinction.
+// paths must propagate close errors instead; that distinction is kept in
+// review.
 func BestEffortClose(c io.Closer) {
 	_ = c.Close()
 }

@@ -13,8 +13,8 @@
 //     sync, but racy in this codebase's idiom: a waiter can check its
 //     predicate, lose the CPU, miss the unlocked Broadcast, then Wait
 //     forever. The analyzer learns each cond's mutex from its
-//     `sync.NewCond(&mu)` construction (exported as "condmutex" facts for
-//     cross-package use) and requires that mutex at every wake site.
+//     `sync.NewCond(&mu)` construction in the same package and requires
+//     that mutex at every wake site.
 //
 // Wait's own mutex requirement is not checked: the runtime already panics
 // on it, and helper functions that Wait on a caller-held mutex (the
@@ -25,7 +25,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 
 	"repro/tools/acheronlint/analyzers/internal/lockflow"
 	"repro/tools/acheronlint/lintframe"
@@ -54,32 +53,13 @@ func run(pass *lintframe.Pass) error {
 			checkWakeSites(pass, fd.Body, bindings)
 		}
 	}
-
-	imported := make(map[string]bool)
-	for _, f := range pass.ImportedFacts("condmutex") {
-		imported[f.Object] = true
-	}
-	var keys []string
-	for cond := range bindings {
-		if !imported[cond] {
-			keys = append(keys, cond)
-		}
-	}
-	sort.Strings(keys)
-	for _, cond := range keys {
-		pass.ExportFact(cond, "condmutex", bindings[cond])
-	}
 	return nil
 }
 
 // collectBindings maps each cond's canonical name to its mutex's canonical
-// name, from sync.NewCond(&mu) construction sites anywhere in the package
-// plus imported facts.
+// name, from sync.NewCond(&mu) construction sites anywhere in the package.
 func collectBindings(pass *lintframe.Pass) map[string]string {
 	bindings := make(map[string]string)
-	for _, f := range pass.ImportedFacts("condmutex") {
-		bindings[f.Object] = f.Data
-	}
 	bind := func(lhs ast.Expr, rhs ast.Expr) {
 		mu, ok := newCondMutex(pass.TypesInfo, rhs)
 		if !ok {
@@ -276,8 +256,8 @@ func checkWakeSites(pass *lintframe.Pass, body *ast.BlockStmt, bindings map[stri
 				}
 				mu, bound := bindings[cond]
 				if !bound {
-					// Unknown binding (cond constructed elsewhere without a
-					// fact): can't judge, stay silent.
+					// Unknown binding (cond constructed in another
+					// package): can't judge, stay silent.
 					return
 				}
 				if _, ok := held[mu]; !ok {

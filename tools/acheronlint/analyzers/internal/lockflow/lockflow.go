@@ -1,11 +1,11 @@
 // Package lockflow is the shared machinery of the lock-discipline analyzers
-// (lockheld, lockorder, condloop): canonical lock naming and the one
-// branch-aware walk that threads a held-lock set through a function body.
+// (lockheld, condloop): canonical lock naming and the one branch-aware walk
+// that threads a held-lock set through a function body.
 //
 // Canonical names make a lock's identity stable across access paths: the
 // engine mutex is "core.DB.mu" whether the source says d.mu, db.mu, or
-// p.d.mu, which is what lets a package-wide acquire graph (and cross-package
-// facts) line up. A struct field canonicalizes to
+// p.d.mu, which is what lets condloop match a wake site to the mutex its
+// cond was built on. A struct field canonicalizes to
 // "<pkg>.<Type>.<field>", a package-level var to "<pkg>.<var>", and anything
 // else (locals, complex expressions) falls back to its source rendering.
 package lockflow
@@ -68,21 +68,6 @@ func Key(info *types.Info, e ast.Expr) string {
 	return types.ExprString(e)
 }
 
-// FuncKey canonicalizes a function or method object: "<pkg>.<Func>" or
-// "<pkg>.<Type>.<Method>". It is the key lock-acquisition summaries are
-// exported under, so call sites in other packages can look them up.
-func FuncKey(fn *types.Func) string {
-	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-		if owner := namedRecv(sig.Recv().Type()); owner != nil {
-			return ownerKey(owner) + "." + fn.Name()
-		}
-	}
-	if fn.Pkg() != nil {
-		return lastPathElem(fn.Pkg().Path()) + "." + fn.Name()
-	}
-	return fn.Name()
-}
-
 // namedRecv dereferences a receiver type down to its named type, if any.
 func namedRecv(t types.Type) *types.Named {
 	if p, ok := t.(*types.Pointer); ok {
@@ -107,10 +92,6 @@ func varKey(v *types.Var) string {
 	return v.Name()
 }
 
-// PkgShort returns the last element of a package's import path — the
-// prefix every canonical name starts with.
-func PkgShort(p *types.Package) string { return lastPathElem(p.Path()) }
-
 func lastPathElem(path string) string {
 	for i := len(path) - 1; i >= 0; i-- {
 		if path[i] == '/' {
@@ -131,7 +112,7 @@ const (
 
 // mutexOp recognizes m.Lock/RLock/Unlock/RUnlock calls on sync mutexes and
 // returns the lock's name and operation. Read and write locks share one
-// name: for ordering, stall and wakeup purposes they are the same resource.
+// name: for stall and wakeup purposes they are the same resource.
 func (w *Walker) mutexOp(e ast.Expr) (string, MutexOpKind) {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
@@ -170,14 +151,11 @@ func (w *Walker) name(e ast.Expr) string {
 type Walker struct {
 	Info *types.Info
 	// Name renders a Lock/Unlock receiver as the held-set key; nil means
-	// Key, the canonical name a package-wide order graph needs. A
-	// function-local check sets types.ExprString instead: under canonical
-	// names a.mu and b.mu of one type are a single entry, and unlocking
-	// one would drop the other from the set.
+	// Key, the canonical name condloop matches against the mutex a cond was
+	// built on. A function-local check sets types.ExprString instead: under
+	// canonical names a.mu and b.mu of one type are a single entry, and
+	// unlocking one would drop the other from the set.
 	Name func(ast.Expr) string
-	// OnAcquire fires when a lock is acquired; held is the set *before*
-	// the acquisition.
-	OnAcquire func(name string, pos token.Pos, held Held)
 	// OnCall fires for every call expression that is not itself a mutex
 	// operation, with the held set at the call site. Deferred calls and
 	// goroutine launches are not reported (their bodies run under
@@ -212,9 +190,6 @@ func (w *Walker) walkStmt(s ast.Stmt, held Held) (Held, bool) {
 	switch s := s.(type) {
 	case *ast.ExprStmt:
 		if mu, op := w.mutexOp(s.X); op == OpLock {
-			if w.OnAcquire != nil {
-				w.OnAcquire(mu, s.Pos(), held)
-			}
 			held[mu] = s.Pos()
 			return held, false
 		} else if op == OpUnlock {
@@ -401,11 +376,8 @@ func (w *Walker) checkExpr(e ast.Expr, held Held) {
 		case *ast.CallExpr:
 			if mu, op := w.mutexOp(n); op != OpNone {
 				// A lock op in expression position (rare: inside a bigger
-				// expression) is still an acquisition event.
+				// expression) still changes the held set.
 				if op == OpLock {
-					if w.OnAcquire != nil {
-						w.OnAcquire(mu, n.Pos(), held)
-					}
 					held[mu] = n.Pos()
 				} else {
 					delete(held, mu)

@@ -31,7 +31,7 @@ func h() {}
 
 // events type-checks prelude+body, walks the function f that body declares,
 // and renders what the hooks saw: one "event subject {held,set}" string per
-// firing.
+// firing. The held set is observed at calls and sends only.
 func events(t *testing.T, body string, name func(ast.Expr) string) []string {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -60,9 +60,8 @@ func events(t *testing.T, body string, name func(ast.Expr) string) []string {
 		out = append(out, fmt.Sprintf("%s {%s}", ev, strings.Join(keys, ",")))
 	}
 	w := &Walker{
-		Info:      info,
-		Name:      name,
-		OnAcquire: func(name string, _ token.Pos, held Held) { record("acquire "+name, held) },
+		Info: info,
+		Name: name,
 		OnCall: func(call *ast.CallExpr, held Held) {
 			fun := "func"
 			if id, ok := call.Fun.(*ast.Ident); ok {
@@ -99,7 +98,7 @@ func TestWalker(t *testing.T) {
 				mu.Unlock()
 				g()
 			}`,
-			want: []string{"acquire p.mu {}", "call g {p.mu}", "call g {}"},
+			want: []string{"call g {p.mu}", "call g {}"},
 		},
 		{
 			name: "both branches falling through merge",
@@ -111,7 +110,7 @@ func TestWalker(t *testing.T) {
 				}
 				g()
 			}`,
-			want: []string{"acquire p.mu {}", "acquire p.mu2 {}", "call g {p.mu,p.mu2}"},
+			want: []string{"call g {p.mu,p.mu2}"},
 		},
 		{
 			name: "defer Unlock holds to function end",
@@ -120,7 +119,7 @@ func TestWalker(t *testing.T) {
 				defer mu.Unlock()
 				g()
 			}`,
-			want: []string{"acquire p.mu {}", "call g {p.mu}"},
+			want: []string{"call g {p.mu}"},
 		},
 		{
 			name: "a deferred call is not reported, its arguments are",
@@ -129,7 +128,7 @@ func TestWalker(t *testing.T) {
 				defer print(len("x"))
 				mu.Unlock()
 			}`,
-			want: []string{"acquire p.mu {}", "call len {p.mu}"},
+			want: []string{"call len {p.mu}"},
 		},
 		{
 			name: "for merges the body's state into the fall-through",
@@ -139,7 +138,7 @@ func TestWalker(t *testing.T) {
 				}
 				g()
 			}`,
-			want: []string{"acquire p.mu {}", "call g {p.mu}"},
+			want: []string{"call g {p.mu}"},
 		},
 		{
 			name: "range merges the body's state into the fall-through",
@@ -152,7 +151,7 @@ func TestWalker(t *testing.T) {
 				}
 				g()
 			}`,
-			want: []string{"acquire p.mu {}", "call h {}", "acquire p.mu2 {}", "call g {p.mu,p.mu2}"},
+			want: []string{"call h {}", "call g {p.mu,p.mu2}"},
 		},
 		{
 			name: "switch merges non-terminating clauses only",
@@ -166,7 +165,7 @@ func TestWalker(t *testing.T) {
 				}
 				g()
 			}`,
-			want: []string{"acquire p.mu {}", "acquire p.mu2 {}", "call g {p.mu}"},
+			want: []string{"call g {p.mu}"},
 		},
 		{
 			name: "select merges non-terminating clauses only",
@@ -181,7 +180,7 @@ func TestWalker(t *testing.T) {
 				}
 				g()
 			}`,
-			want: []string{"acquire p.mu {}", "acquire p.mu2 {}", "call panic {p.mu2}", "call g {p.mu}"},
+			want: []string{"call panic {p.mu2}", "call g {p.mu}"},
 		},
 		{
 			name: "a function literal and a go statement start with an empty set",
@@ -192,7 +191,7 @@ func TestWalker(t *testing.T) {
 				go h()
 				mu.Unlock()
 			}`,
-			want: []string{"acquire p.mu {}", "call func {p.mu}", "call g {}", "call h {}"},
+			want: []string{"call func {p.mu}", "call g {}", "call h {}"},
 		},
 		{
 			name: "a send statement fires OnSend after its operands' calls",
@@ -202,7 +201,7 @@ func TestWalker(t *testing.T) {
 				mu.Unlock()
 				ch <- 1
 			}`,
-			want: []string{"acquire p.mu {}", "call len {p.mu}", "send {p.mu}", "send {}"},
+			want: []string{"call len {p.mu}", "send {p.mu}", "send {}"},
 		},
 		{
 			name: "select with default fires no OnSend",
@@ -212,9 +211,10 @@ func TestWalker(t *testing.T) {
 				case ch <- 1:
 				default:
 				}
+				g()
 				mu.Unlock()
 			}`,
-			want: []string{"acquire p.mu {}"},
+			want: []string{"call g {p.mu}"},
 		},
 		{
 			name: "select without default fires OnSend once per send case",
@@ -227,28 +227,30 @@ func TestWalker(t *testing.T) {
 				}
 				mu.Unlock()
 			}`,
-			want: []string{"acquire p.mu {}", "send {p.mu}", "send {p.mu}"},
+			want: []string{"send {p.mu}", "send {p.mu}"},
 		},
 		{
 			name: "nil Name keys a field lock canonically, RLock and Lock alike",
 			body: `func f(a, b *T) {
 				a.mu.RLock()
 				b.mu.Lock()
+				h()
 				a.mu.RUnlock()
 				g()
 			}`,
-			want: []string{"acquire p.T.mu {}", "acquire p.T.mu {p.T.mu}", "call g {}"},
+			want: []string{"call h {p.T.mu}", "call g {}"},
 		},
 		{
 			name: "a non-nil Name is used verbatim",
 			body: `func f(a, b *T) {
 				a.mu.RLock()
 				b.mu.Lock()
+				h()
 				a.mu.RUnlock()
 				g()
 			}`,
 			Name: types.ExprString,
-			want: []string{"acquire a.mu {}", "acquire b.mu {a.mu}", "call g {b.mu}"},
+			want: []string{"call h {a.mu,b.mu}", "call g {b.mu}"},
 		},
 	}
 	for _, tc := range cases {

@@ -5,7 +5,7 @@
 // Holding the engine's mutexes across disk I/O is the classic LSM stall:
 // every Put blocks behind a manifest fsync, every read blocks behind a
 // flush. Lock state is tracked function-locally by lockflow.Walker, the
-// branch-aware walk lockorder and condloop also stand on: Lock/RLock adds
+// branch-aware walk condloop also stands on: Lock/RLock adds
 // the mutex, Unlock/RUnlock on the same control-flow path removes it — also
 // when the call is nested inside a larger expression — `defer mu.Unlock()`
 // holds it to function end, a branch that unlocks-then-returns does not leak
@@ -120,7 +120,7 @@ func (c *checker) ioCallee(call *ast.CallExpr) string {
 	switch fun := call.Fun.(type) {
 	case *ast.SelectorExpr:
 		id = fun.Sel
-		paths = lintframe.CalleePkgPaths(c.pass.TypesInfo, fun)
+		paths = calleePkgPaths(c.pass.TypesInfo, fun)
 	case *ast.Ident:
 		id = fun
 	default:
@@ -158,6 +158,29 @@ func (c *checker) ioCallee(call *ast.CallExpr) string {
 		}
 	}
 	return ""
+}
+
+// calleePkgPaths returns the candidate package paths a method call should be
+// attributed to: the static type of the receiver expression (after
+// dereferencing pointers) and the method's declaring package. Both matter —
+// embedded interfaces promote methods into another package (vfs.File.Close
+// is declared by io.Closer), so classifying by declaring package alone
+// misses exactly the calls a storage engine cares about.
+func calleePkgPaths(info *types.Info, sel *ast.SelectorExpr) []string {
+	var out []string
+	if tv, ok := info.Types[sel.X]; ok && tv.Type != nil {
+		t := tv.Type
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
+		}
+		if named, ok := t.(*types.Named); ok && named.Obj().Pkg() != nil {
+			out = append(out, named.Obj().Pkg().Path())
+		}
+	}
+	if fn, ok := info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil {
+		out = append(out, fn.Pkg().Path())
+	}
+	return out
 }
 
 // anyLock returns one held mutex (the lexically smallest for determinism).

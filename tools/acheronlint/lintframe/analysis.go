@@ -1,7 +1,9 @@
 // Package lintframe is a minimal, dependency-free reimplementation of the
 // golang.org/x/tools/go/analysis vocabulary (Analyzer, Pass, Diagnostic)
 // plus what runs analyzers over this module: a `go vet -vettool` unitchecker
-// and an analysistest-style harness for testdata packages.
+// and an analysistest-style harness for testdata packages. Analysis is
+// per package: no analyzer reads another package's results, so there are no
+// facts, and a dependency-only vet unit is answered without being loaded.
 //
 // The x/tools module is deliberately not vendored: the framework surface the
 // acheronlint analyzers need is tiny, and keeping it in-tree means the lint
@@ -31,14 +33,11 @@ type Analyzer struct {
 
 // Pass carries one analyzed package to an Analyzer's Run function.
 type Pass struct {
-	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
-	Pkg       *types.Package
 	TypesInfo *types.Info
 
 	report func(Diagnostic)
-	facts  *FactStore
 }
 
 // Diagnostic is one reported problem.
@@ -122,20 +121,15 @@ func suppressed(dirs []ignoreDirective, name string, pos token.Position) bool {
 // RunAnalyzers applies each analyzer to the package and returns the
 // surviving (non-suppressed) diagnostics plus one for each //lint:ignore
 // directive that names one of the analyzers and suppressed nothing, sorted
-// by position. The fact store supplies facts exported by dependency
-// packages and receives the facts this package exports; a nil store
-// disables facts (analyzers then check what they can see in-package).
-func RunAnalyzers(pkg *Package, analyzers []*Analyzer, facts *FactStore) ([]Diagnostic, error) {
+// by position.
+func RunAnalyzers(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	dirs := parseIgnores(pkg.Fset, pkg.Files)
 	var out []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
-			Analyzer:  a,
 			Fset:      pkg.Fset,
 			Files:     pkg.Files,
-			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
-			facts:     facts,
 		}
 		name := a.Name
 		pass.report = func(d Diagnostic) {
@@ -162,28 +156,6 @@ func RunAnalyzers(pkg *Package, analyzers []*Analyzer, facts *FactStore) ([]Diag
 	}
 	sortDiagnostics(pkg.Fset, out)
 	return out, nil
-}
-
-// ComputeFacts runs the analyzers over the package purely for their fact
-// exports, discarding diagnostics. The unitchecker driver uses it for
-// VetxOnly (dependency) passes, where the go command wants the package's
-// facts but not its findings.
-func ComputeFacts(pkg *Package, analyzers []*Analyzer, facts *FactStore) error {
-	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer:  a,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.Info,
-			facts:     facts,
-			report:    func(Diagnostic) {},
-		}
-		if err := a.Run(pass); err != nil {
-			return fmt.Errorf("%s: %w", a.Name, err)
-		}
-	}
-	return nil
 }
 
 func sortDiagnostics(fset *token.FileSet, ds []Diagnostic) {

@@ -57,8 +57,7 @@ func Run(t *testing.T, dir string, a *lintframe.Analyzer, pkgname string) {
 
 	info := lintframe.NewTypesInfo()
 	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	tpkg, err := conf.Check(pkgname, fset, files, info)
-	if err != nil {
+	if _, err := conf.Check(pkgname, fset, files, info); err != nil {
 		t.Fatalf("type-checking testdata: %v", err)
 	}
 
@@ -67,10 +66,9 @@ func Run(t *testing.T, dir string, a *lintframe.Analyzer, pkgname string) {
 		Dir:        pkgdir,
 		Fset:       fset,
 		Files:      files,
-		Types:      tpkg,
 		Info:       info,
 	}
-	diags, err := lintframe.RunAnalyzers(pkg, []*lintframe.Analyzer{a}, lintframe.NewFactStore())
+	diags, err := lintframe.RunAnalyzers(pkg, []*lintframe.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}

@@ -12,7 +12,6 @@ type Package struct {
 	Dir        string
 	Fset       *token.FileSet
 	Files      []*ast.File
-	Types      *types.Package
 	Info       *types.Info
 }
 

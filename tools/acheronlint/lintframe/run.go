@@ -69,12 +69,10 @@ func usage(analyzers []*Analyzer) {
 	}
 }
 
-// buildID hashes the running executable. The go command keys its vet cache
-// on the -V=full line — the diagnostics of the packages named on the command
-// line and the .vetx fact files of their dependencies alike — so the id must
-// change whenever analyzer logic does, not only when an analyzer is added or
-// renamed; otherwise an edited fact computation is graded against facts the
-// old binary cached.
+// buildID hashes the running executable. The go command keys its cached vet
+// results on the -V=full line, so the id must change whenever analyzer logic
+// does, not only when an analyzer is added or renamed; otherwise a rebuilt
+// linter would replay the old binary's findings for unchanged packages.
 func buildID() (string, error) {
 	exe, err := os.Executable()
 	if err != nil {

@@ -17,15 +17,12 @@ import (
 // -vettool binary for each package unit (see x/tools unitchecker for the
 // canonical schema; only the fields used here are declared).
 type vetConfig struct {
-	ID                        string
 	Compiler                  string
 	Dir                       string
 	ImportPath                string
 	GoFiles                   []string
 	ImportMap                 map[string]string
 	PackageFile               map[string]string
-	Standard                  map[string]bool
-	PackageVetx               map[string]string // dependency import path -> its .vetx facts file
 	VetxOnly                  bool
 	VetxOutput                string
 	SucceedOnTypecheckFailure bool
@@ -34,12 +31,10 @@ type vetConfig struct {
 // unitcheckerMain runs the analyzers over one vet unit described by cfgPath
 // and returns the process exit code.
 //
-// Facts flow through the go command's .vetx plumbing: every pass — including
-// VetxOnly dependency passes, which report nothing — type-checks its unit,
-// runs the analyzers, and serializes the facts they export to VetxOutput.
-// Dependency facts arrive through PackageVetx, so cross-package invariants
-// (lock-order summaries, atomic-field discipline) hold over the full build
-// graph, test files' dependencies included.
+// The go command also sends a VetxOnly unit for every dependency of the
+// packages it was asked to vet, standard library included, wanting only that
+// package's facts file. No analyzer exports facts, so every unit gets an
+// empty VetxOutput first, and a VetxOnly one is never parsed or type-checked.
 func unitcheckerMain(cfgPath string, analyzers []*Analyzer) int {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
@@ -51,63 +46,37 @@ func unitcheckerMain(cfgPath string, analyzers []*Analyzer) int {
 		fmt.Fprintf(os.Stderr, "acheronlint: parsing vet config %s: %v\n", cfgPath, err)
 		return 1
 	}
-
-	pkg, code := loadVetUnit(&cfg)
-	if pkg == nil {
-		// Tolerated type-check failures still owe the go command a facts
-		// file; an empty one keeps the downstream passes running.
-		if code == 0 && cfg.VetxOutput != "" {
-			if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-				fmt.Fprintf(os.Stderr, "acheronlint: writing vetx output: %v\n", err)
-				return 1
-			}
-		}
+	if code := writeVetx(cfg.VetxOutput); code != 0 || cfg.VetxOnly {
 		return code
 	}
 
-	facts := NewFactStore()
-	for dep, vetx := range cfg.PackageVetx {
-		payload, err := os.ReadFile(vetx)
-		if err != nil {
-			// A missing or unreadable facts file degrades to fact-less
-			// analysis of that dependency, not a hard failure: stale vet
-			// caches from a pre-facts binary produce empty files anyway.
-			continue
-		}
-		if err := facts.DecodePackage(dep, payload); err != nil {
-			fmt.Fprintf(os.Stderr, "acheronlint: %v\n", err)
-			return 1
-		}
+	pkg, code := loadVetUnit(&cfg)
+	if pkg == nil {
+		return code
 	}
-
-	var diags []Diagnostic
-	if cfg.VetxOnly {
-		err = ComputeFacts(pkg, analyzers, facts)
-	} else {
-		diags, err = RunAnalyzers(pkg, analyzers, facts)
-	}
+	diags, err := RunAnalyzers(pkg, analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "acheronlint: %s: %v\n", cfg.ImportPath, err)
 		return 1
 	}
-
-	if cfg.VetxOutput != "" {
-		payload, err := facts.EncodePackage(cfg.ImportPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "acheronlint: encoding facts: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(cfg.VetxOutput, payload, 0o666); err != nil {
-			fmt.Fprintf(os.Stderr, "acheronlint: writing vetx output: %v\n", err)
-			return 1
-		}
-	}
-
 	for _, d := range diags {
 		fmt.Fprintf(os.Stderr, "%s: [%s] %s\n", pkg.Fset.Position(d.Pos), d.Analyzer, d.Message)
 	}
 	if len(diags) > 0 {
 		return 2
+	}
+	return 0
+}
+
+// writeVetx writes the empty facts file the go command requires of every
+// unit that names one.
+func writeVetx(path string) int {
+	if path == "" {
+		return 0
+	}
+	if err := os.WriteFile(path, nil, 0o666); err != nil {
+		fmt.Fprintf(os.Stderr, "acheronlint: writing vetx output: %v\n", err)
+		return 1
 	}
 	return 0
 }
@@ -146,8 +115,7 @@ func loadVetUnit(cfg *vetConfig) (*Package, int) {
 	}
 	info := NewTypesInfo()
 	conf := types.Config{Importer: importer.ForCompiler(fset, compiler, lookup)}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
+	if _, err := conf.Check(cfg.ImportPath, fset, files, info); err != nil {
 		if cfg.SucceedOnTypecheckFailure {
 			return nil, 0
 		}
@@ -160,7 +128,6 @@ func loadVetUnit(cfg *vetConfig) (*Package, int) {
 		Dir:        cfg.Dir,
 		Fset:       fset,
 		Files:      files,
-		Types:      tpkg,
 		Info:       info,
 	}, 0
 }

@@ -15,13 +15,12 @@ import (
 // goldenFlush pins the bytes of a flushed memtable — writeMemTable is the
 // sstable writer's other caller, beside compaction.Run (whose outputs
 // internal/compaction's TestGoldenTableBytes pins). 3 000 puts with
-// overwrites, one delete in seven and two range deletes, prefix bloom on,
-// flushed as one level-0 table at h = 1 and h = 4. Generated at PR 23
-// (639fe90); h = 4 regenerated when page filters in the index entries
-// replaced a KiWi table's filter block.
+// overwrites, one delete in seven and two range deletes, flushed as one
+// level-0 table at h = 1 and h = 4. Regenerated at 6ef740a when the fixture
+// stopped writing a prefix filter block.
 var goldenFlush = map[int]string{
-	1: "92fb84b2893ececfd3917f5a20d21494ca6106352fa270a7513d314b1ec482c9",
-	4: "3008d410e7d29c19906936866351e2d4fdd23815deb8c68ce276f87d5ac31701",
+	1: "72f94b00719ce454995ea0ebbaf0a686abd0dec1feda432e9ec7d2cd7a54db3e",
+	4: "65e42aa370d8f742a08a1a8b82811fcde0b3fd71b6933d4a2a61d7690f62abcf",
 }
 
 func TestGoldenFlushBytes(t *testing.T) {
@@ -30,7 +29,6 @@ func TestGoldenFlushBytes(t *testing.T) {
 		opts := testOptions(fs, &base.LogicalClock{})
 		opts.MemTableBytes = 4 << 20
 		opts.PagesPerTile = h
-		opts.PrefixBloomLength = 5
 		d := mustOpen(t, opts)
 		for i := 0; i < 3000; i++ {
 			key := []byte(fmt.Sprintf("key%05d", i*7919%2000))

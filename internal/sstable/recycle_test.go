@@ -40,7 +40,7 @@ func TestAddCopiesKeyAndValue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := NewWriter(f, WriterOptions{BlockSize: 512, PagesPerTile: h, BloomBitsPerKey: 10, PrefixBloomLength: 4, DeleteKeyFunc: dkExtract})
+		w := NewWriter(f, WriterOptions{BlockSize: 512, PagesPerTile: h, BloomBitsPerKey: 10, DeleteKeyFunc: dkExtract})
 		var keyBuf, valBuf []byte
 		for _, e := range entries {
 			keyBuf = append(keyBuf[:0], e.key.UserKey...)
@@ -77,8 +77,8 @@ func TestAddCopiesKeyAndValue(t *testing.T) {
 			if it.Key().Compare(entries[n].key) != 0 || !bytes.Equal(it.Value(), entries[n].value) {
 				t.Fatalf("h=%d: entry %d reads back %s, want %s", h, n, it.Key(), entries[n].key)
 			}
-			if !r.MayContain(entries[n].key.UserKey) || !r.MayContainPrefix(entries[n].key.UserKey[:3]) {
-				t.Fatalf("h=%d: filters miss %s", h, entries[n].key)
+			if !r.MayContain(entries[n].key.UserKey) {
+				t.Fatalf("h=%d: filter misses %s", h, entries[n].key)
 			}
 			n++
 		}
@@ -95,7 +95,7 @@ func TestAddCopiesKeyAndValue(t *testing.T) {
 // earlier table is not disturbed.
 func TestWriterResetMatchesFreshWriter(t *testing.T) {
 	for _, h := range []int{1, 4} {
-		opts := WriterOptions{BlockSize: 512, PagesPerTile: h, BloomBitsPerKey: 10, PrefixBloomLength: 4, DeleteKeyFunc: dkExtract}
+		opts := WriterOptions{BlockSize: 512, PagesPerTile: h, BloomBitsPerKey: 10, DeleteKeyFunc: dkExtract}
 		all := sortedEntries(2000, true)
 		rts := []base.RangeTombstone{{Lo: 5, Hi: 9, Seq: 7, CreatedAt: 3}}
 		fs := vfs.NewMemFS()

@@ -60,14 +60,12 @@ acheronlint:
 # fuzz-smoke gives each decode fuzzer a short budget on top of the checked-in
 # corpus under testdata/fuzz/. Catches format-decoder panics (block entries,
 # WAL frames, sstable footers/properties/index entries), false negatives
-# of the prefix and KiWi page Bloom filters, and a range-tombstone skyline
-# that answers other than the tombstone walk it replaced, before they reach a
-# release.
+# of the KiWi page Bloom filters, and a range-tombstone skyline that answers
+# other than the tombstone walk it replaced, before they reach a release.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBlockIter -fuzztime $(FUZZTIME) ./internal/block/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/wal/
 	$(GO) test -run '^$$' -fuzz FuzzSSTableFooterProps -fuzztime $(FUZZTIME) ./internal/sstable/
-	$(GO) test -run '^$$' -fuzz FuzzPrefixBloom -fuzztime $(FUZZTIME) ./internal/sstable/
 	$(GO) test -run '^$$' -fuzz FuzzPageFilter -fuzztime $(FUZZTIME) ./internal/sstable/
 	$(GO) test -run '^$$' -fuzz FuzzSkyline -fuzztime $(FUZZTIME) ./internal/compaction/
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/wire/

@@ -45,9 +45,8 @@
 // A view is built once scans of its version have earned it — stepped over
 // as many entries as the version holds — so a tree that changes between
 // short scans never pays for views it would not reuse; disable with
-// Options.DisableReadViews. With Options.PrefixBloomLength
-// set, sstables also carry prefix Bloom filters and prefix scans
-// (IterOptions.Prefix) skip non-matching tables without opening them.
+// Options.DisableReadViews. A prefix scan (IterOptions.Prefix) is a scan
+// bounded by the prefix and its successor, served the same way.
 package acheron
 
 import (

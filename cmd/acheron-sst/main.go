@@ -79,10 +79,6 @@ func props(r *sstable.Reader) {
 	if p.NumEntries > p.NumDeletes {
 		fmt.Printf("delete-key span:    [%d, %d]\n", p.DeleteKeyMin, p.DeleteKeyMax)
 	}
-	if p.PrefixBloomMaxLen > 0 {
-		fmt.Printf("prefix bloom:       prefixes up to %d bytes (%d filter bytes)\n",
-			p.PrefixBloomMaxLen, p.PrefixFilter.Length)
-	}
 }
 
 func layout(r *sstable.Reader) {

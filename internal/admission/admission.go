@@ -26,6 +26,11 @@ import (
 	"repro/internal/metrics"
 )
 
+// softGatePressure is the pressure threshold of the write soft gate: above
+// it an empty bucket sheds instead of queueing, and at pressure >= 1.0 (the
+// stall condition itself) writes shed unconditionally.
+const softGatePressure = 0.75
+
 // ErrOverloaded is returned when admission control rejects an operation:
 // the engine-pressure soft gate shed it, its token wait would exceed the
 // caller's deadline, or the wait would exceed Config.MaxWait. Rejections
@@ -75,11 +80,6 @@ type Config struct {
 	// <= 0 selects the default, 500ms.
 	MaxWait time.Duration
 
-	// SoftGatePressure is the pressure threshold of the write soft gate:
-	// above it an empty bucket sheds instead of queueing, and at pressure
-	// >= 1.0 (the stall condition itself) writes shed unconditionally.
-	// <= 0 selects the default, 0.75; >= 1 disables the soft band.
-	SoftGatePressure float64
 	// Pressure reports live engine pressure in [0, ∞): 0 idle, 1.0 at the
 	// write-stall threshold. Nil disables the soft gate. It is called
 	// outside the controller's mutex and must be cheap and lock-light.
@@ -151,9 +151,6 @@ type Controller struct {
 func NewController(cfg Config) *Controller {
 	if cfg.MaxWait <= 0 {
 		cfg.MaxWait = 500 * time.Millisecond
-	}
-	if cfg.SoftGatePressure <= 0 {
-		cfg.SoftGatePressure = 0.75
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -229,7 +226,7 @@ func (c *Controller) Admit(ctx context.Context, cl Class) error {
 				m.Shed.Add(1)
 				return fmt.Errorf("%w: engine pressure %.2f at stall threshold, write shed", ErrOverloaded, p)
 			}
-			pressured = p >= c.cfg.SoftGatePressure
+			pressured = p >= softGatePressure
 		}
 		if !limited {
 			m.Admitted.Add(1)

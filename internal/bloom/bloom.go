@@ -121,21 +121,6 @@ func DecodeCompact(b []byte) (Filter, bool) {
 	return Filter{bits: b[1:], probes: uint32(b[0])}, true
 }
 
-// AppendPrefixHashes appends the hashes of key's prefixes with lengths in
-// (skip, maxLen], capped at len(key). Writers feeding sorted keys pass the
-// length of the shared prefix with the previous key as skip: those prefixes
-// were already hashed for the earlier key, so the total work over a table is
-// near-linear in the distinct-prefix count rather than keys × maxLen.
-func AppendPrefixHashes(dst []uint64, key []byte, skip, maxLen int) []uint64 {
-	if maxLen > len(key) {
-		maxLen = len(key)
-	}
-	for l := skip + 1; l <= maxLen; l++ {
-		dst = append(dst, Hash(key[:l]))
-	}
-	return dst
-}
-
 // Hash computes the 64-bit hash of a key used for both filter construction
 // and probing. It is a 64-bit FNV-1a variant with extra avalanche mixing
 // (xxhash-style finalizer) to decorrelate the double-hashing probes.

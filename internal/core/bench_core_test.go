@@ -59,23 +59,6 @@ func BenchmarkPut(b *testing.B) {
 	}
 }
 
-func BenchmarkPutNoWAL(b *testing.B) {
-	d := benchDB(b, func(o *Options) { o.DisableWAL = true })
-	val := testValue(1, 1)
-	b.SetBytes(int64(16 + len(val)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%014d", i)), val); err != nil {
-			b.Fatal(err)
-		}
-		if i%4096 == 4095 {
-			if err := d.WaitIdle(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 func BenchmarkBatchPut(b *testing.B) {
 	d := benchDB(b, nil)
 	val := testValue(1, 1)

@@ -391,9 +391,7 @@ func (p *commitPipeline) processGroup(group []*pendingCommit, own *pendingCommit
 		pc.mem = mem
 	}
 
-	if !d.opts.DisableWAL {
-		g.err = p.walStage(active, walW)
-	}
+	g.err = p.walStage(active, walW)
 
 	// Publish-queue insertion happens under commitMu, so publishQ is FIFO
 	// in sequence order and the ratchet can pop contiguous prefixes.

@@ -311,16 +311,14 @@ func (d *DB) recoverAndClean() error {
 	d.vs.SetLastSeqNum(maxSeq)
 
 	// Open a fresh WAL for new writes.
-	if !d.opts.DisableWAL {
-		newLog := d.vs.AllocFileNum()
-		f, err := fs.Create(manifest.MakeFilename(d.dirname, manifest.FileTypeLog, newLog))
-		if err != nil {
-			return err
-		}
-		d.walW = wal.NewWriter(f)
-		d.memLog = newLog
-		d.vs.SetLogNum(newLog)
+	newLog := d.vs.AllocFileNum()
+	f, err := fs.Create(manifest.MakeFilename(d.dirname, manifest.FileTypeLog, newLog))
+	if err != nil {
+		return err
 	}
+	d.walW = wal.NewWriter(f)
+	d.memLog = newLog
+	d.vs.SetLogNum(newLog)
 
 	// Flush recovered data immediately so the old logs can go, then
 	// persist the new LogNum either way.
@@ -364,12 +362,13 @@ func (d *DB) Close() error {
 	close(d.closeCh)
 	d.wg.Wait()
 
-	// Flush outstanding memtables so DisableWAL stores survive reopen.
-	// With a sticky background error the flush is known to fail (and the
-	// data it would persist is already durable in the WAL for synced
-	// writes); skip it so Close completes cleanly in read-only mode. A
-	// flush error here must not abort the shutdown: record it, finish
-	// releasing resources, and return it at the end.
+	// Flush outstanding memtables so writes that were never synced survive
+	// reopen and recovery finds nothing to replay. With a sticky background
+	// error the flush is known to fail (and the data it would persist is
+	// already durable in the WAL for synced writes); skip it so Close
+	// completes cleanly in read-only mode. A flush error here must not abort
+	// the shutdown: record it, finish releasing resources, and return it at
+	// the end.
 	var err error
 	if d.BackgroundError() == nil {
 		if ferr := d.Flush(); ferr != nil && !errors.Is(ferr, ErrClosed) {
@@ -710,26 +709,20 @@ func (d *DB) maybeRotateLocked() (bool, error) {
 // (memtable, WAL segment) pair under d.mu and append to the WAL after
 // releasing it, relying on commitMu to keep the pair stable meanwhile.
 func (d *DB) rotateLocked() error {
-	var (
-		newLog base.FileNum
-		newW   *wal.Writer
-	)
-	if !d.opts.DisableWAL {
-		newLog = d.vs.AllocFileNum()
-		f, err := d.opts.FS.Create(manifest.MakeFilename(d.dirname, manifest.FileTypeLog, newLog))
-		if err != nil {
-			return err
-		}
-		newW = wal.NewWriter(f)
-		if err := d.walW.Close(); err != nil {
-			// The old segment's tail is in doubt; abandon the rotation
-			// and surface the error. The fresh segment was never linked
-			// to any state, so close and unlink it rather than orphaning
-			// the file and its number.
-			vfs.BestEffortClose(newW)
-			_ = d.opts.FS.Remove(manifest.MakeFilename(d.dirname, manifest.FileTypeLog, newLog))
-			return err
-		}
+	newLog := d.vs.AllocFileNum()
+	f, err := d.opts.FS.Create(manifest.MakeFilename(d.dirname, manifest.FileTypeLog, newLog))
+	if err != nil {
+		return err
+	}
+	newW := wal.NewWriter(f)
+	if err := d.walW.Close(); err != nil {
+		// The old segment's tail is in doubt; abandon the rotation and
+		// surface the error. The fresh segment was never linked to any
+		// state, so close and unlink it rather than orphaning the file and
+		// its number.
+		vfs.BestEffortClose(newW)
+		_ = d.opts.FS.Remove(manifest.MakeFilename(d.dirname, manifest.FileTypeLog, newLog))
+		return err
 	}
 	d.imm = append(d.imm, immEntry{mem: d.mem, logNum: d.memLog})
 	d.mem = memtable.New()

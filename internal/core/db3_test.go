@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -202,12 +203,13 @@ func TestIterationDuringCompaction(t *testing.T) {
 	}
 }
 
-// TestWALDisabledDataSurvivesThroughClose: with the WAL off, Close must
-// flush so a reopen still sees all acknowledged writes.
-func TestWALDisabledDataSurvivesThroughClose(t *testing.T) {
+// TestCloseLeavesNothingToReplay: writes acknowledged without SyncWrites
+// are in memtables and unsynced WAL segments when Close runs. Close flushes
+// them, so a reopen reads every key back and recovery finds no WAL records to
+// flush.
+func TestCloseLeavesNothingToReplay(t *testing.T) {
 	fs := vfs.NewMemFS()
 	opts := testOptions(fs, &base.LogicalClock{})
-	opts.DisableWAL = true
 	d, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -225,33 +227,18 @@ func TestWALDisabledDataSurvivesThroughClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	for i := 0; i < 1000; i += 111 {
-		if _, err := d.Get([]byte(fmt.Sprintf("k%04d", i))); err != nil {
-			t.Fatalf("WAL-less store lost k%04d across close: %v", i, err)
+	if n := d.Stats().Flushes.Get(); n != 0 {
+		t.Fatalf("recovery flushed %d memtables, want 0: Close left WAL records behind", n)
+	}
+	for i := 0; i < 1000; i++ {
+		k := fmt.Sprintf("k%04d", i)
+		v, err := d.Get([]byte(k))
+		if err != nil {
+			t.Fatalf("lost %s across close: %v", k, err)
 		}
-	}
-}
-
-// TestNoWALFilesWhenDisabled: DisableWAL really writes no log files.
-func TestNoWALFilesWhenDisabled(t *testing.T) {
-	fs := vfs.NewMemFS()
-	opts := testOptions(fs, &base.LogicalClock{})
-	opts.DisableWAL = true
-	d := mustOpen(t, opts)
-	for i := 0; i < 2000; i++ {
-		d.Put([]byte(fmt.Sprintf("k%04d", i)), testValue(uint64(i), i))
-	}
-	if err := d.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	names, _ := fs.List("db")
-	for _, n := range names {
-		if strings.HasSuffix(n, ".log") {
-			t.Fatalf("WAL file %s written despite DisableWAL", n)
+		if !bytes.Equal(v, testValue(uint64(i), i)) {
+			t.Fatalf("%s reads back %q after reopen", k, v)
 		}
-	}
-	if d.Stats().WALBytes.Get() != 0 {
-		t.Fatal("WAL bytes accounted despite DisableWAL")
 	}
 }
 

@@ -151,7 +151,6 @@ func TestModelEquivalence(t *testing.T) {
 			o.Compaction.Picker = compaction.PickFADE
 			o.Compaction.DPT = 2000
 		}},
-		{"no-wal", func(o *Options) { o.DisableWAL = true }},
 	}
 	for _, cfg := range configs {
 		t.Run(cfg.name, func(t *testing.T) {

@@ -14,11 +14,10 @@ import (
 // options.
 func (d *DB) writerOptions() sstable.WriterOptions {
 	return sstable.WriterOptions{
-		BlockSize:         blockBytes,
-		BloomBitsPerKey:   d.opts.BloomBitsPerKey,
-		PrefixBloomLength: d.opts.PrefixBloomLength,
-		PagesPerTile:      d.opts.PagesPerTile,
-		DeleteKeyFunc:     d.opts.DeleteKeyFunc,
+		BlockSize:       blockBytes,
+		BloomBitsPerKey: d.opts.BloomBitsPerKey,
+		PagesPerTile:    d.opts.PagesPerTile,
+		DeleteKeyFunc:   d.opts.DeleteKeyFunc,
 	}
 }
 
@@ -144,9 +143,7 @@ func (d *DB) flushOne() (bool, error) {
 		return false, err
 	}
 
-	if !d.opts.DisableWAL && e.logNum != 0 {
-		_ = d.opts.FS.Remove(manifest.MakeFilename(d.dirname, manifest.FileTypeLog, e.logNum))
-	}
+	_ = d.opts.FS.Remove(manifest.MakeFilename(d.dirname, manifest.FileTypeLog, e.logNum))
 	if len(edit.Added) > 0 {
 		d.stats.Flushes.Add(1)
 		d.stats.BytesFlushed.Add(int64(ji.BytesOut))

@@ -17,9 +17,7 @@ type IterOptions struct {
 	UpperBound []byte
 	// Prefix restricts the scan to keys starting with this prefix: it
 	// implies bounds [Prefix, prefix-successor(Prefix)), intersected with
-	// any explicit bounds. When tables carry prefix Bloom filters
-	// (Options.PrefixBloomLength), candidate sstables whose filter rules
-	// the prefix out are excluded before ever being opened.
+	// any explicit bounds, and is otherwise an ordinary bounded scan.
 	Prefix []byte
 	// Snapshot pins the view; nil reads the latest state.
 	Snapshot *Snapshot
@@ -92,14 +90,7 @@ func (d *DB) newIter(opts IterOptions) (*Iter, error) {
 	var runIters []iterator.Internal
 	for l := 0; l < manifest.NumLevels; l++ {
 		for _, run := range rs.version.Levels[l] {
-			files := run.Files
-			if opts.Prefix != nil {
-				files = d.prefixCandidateFiles(files, opts.Prefix, opts.UpperBound)
-			}
-			if len(files) == 0 {
-				continue
-			}
-			runIters = append(runIters, it.newRunConcat(files))
+			runIters = append(runIters, it.newRunConcat(run.Files))
 		}
 	}
 
@@ -113,14 +104,12 @@ func (d *DB) newIter(opts IterOptions) (*Iter, error) {
 	// real, and the view replaces it with one cursor advance. The view is
 	// keyed by version identity, so snapshots and mid-scan compactions are
 	// naturally correct: this read state pins rs.version, and the view never
-	// describes anything else. Prefix scans bypass it — their filtered file
-	// set would not match the view's selector sequence. A build merges the
-	// whole version, so the cache runs it only once view-less scans of this
-	// version have stepped over that many entries themselves (Close credits
-	// them); until then, and after a failed build, the plain merge serves.
+	// describes anything else. A build merges the whole version, so the cache
+	// runs it only once view-less scans of this version have stepped over
+	// that many entries themselves (Close credits them); until then, and
+	// after a failed build, the plain merge serves.
 	var view *readview.View
-	if n := rs.version.NumEntries(); d.readViews != nil && opts.Prefix == nil &&
-		len(runIters) >= 2 && n <= readViewMaxEntries {
+	if n := rs.version.NumEntries(); d.readViews != nil && len(runIters) >= 2 && n <= readViewMaxEntries {
 		view, err = d.readViews.Get(rs.version, n, func() (*readview.View, error) {
 			return readview.Build(runIters, readview.DefaultAnchorInterval)
 		})
@@ -155,36 +144,6 @@ func (it *Iter) newRunConcat(files []*manifest.FileMetadata) iterator.Internal {
 			d.stats.IterTablesOpened.Add(1)
 			return ct.reader.NewIter(), nil
 		})
-}
-
-// prefixCandidateFiles filters a run's files down to those that may hold a
-// key starting with prefix: first by key-range overlap with
-// [prefix, upper), then by each remaining file's prefix Bloom filter. Files
-// the filter excludes are never opened by the scan. A table-cache error
-// keeps the file (the scan will surface the error if it actually reads it).
-func (d *DB) prefixCandidateFiles(files []*manifest.FileMetadata, prefix, upper []byte) []*manifest.FileMetadata {
-	out := files[:0:0]
-	for _, f := range files {
-		if base.Compare(f.Largest.UserKey, prefix) < 0 {
-			continue
-		}
-		if upper != nil && base.Compare(f.Smallest.UserKey, upper) >= 0 {
-			continue
-		}
-		ct, err := d.cache.acquire(f.FileNum)
-		if err != nil {
-			out = append(out, f)
-			continue
-		}
-		skip := !ct.reader.MayContainPrefix(prefix)
-		d.cache.release(ct)
-		if skip {
-			d.stats.PrefixBloomSkips.Add(1)
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
 }
 
 // prefixSuccessor returns the smallest key greater than every key with the

@@ -310,7 +310,6 @@ func TestScanCompactionStress(t *testing.T) {
 	fs := vfs.NewMemFS()
 	clk := &base.LogicalClock{}
 	opts := testOptions(fs, clk)
-	opts.PrefixBloomLength = 3
 	d, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)

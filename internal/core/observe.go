@@ -264,7 +264,6 @@ func (d *DB) RegisterMetrics(r *metrics.Registry, extra metrics.Labels) error {
 	counter("acheron_iter_view_hits_total", "Scans served by an already-cached sorted view.", &s.IterViewHits)
 	counter("acheron_iter_view_deferred_total", "Scans that ran the plain merge because their version's sorted view was not yet earned.", &s.IterViewDeferred)
 	counter("acheron_iter_view_invalidations_total", "Sorted-view cache entries (built or still earning) dropped by version installs.", &s.IterViewInvalidations)
-	counter("acheron_prefix_bloom_skips_total", "Sstables excluded from prefix scans by prefix Bloom filters.", &s.PrefixBloomSkips)
 	counter("acheron_iter_tables_opened_total", "Sstable iterators materialized by range scans.", &s.IterTablesOpened)
 
 	// Per-operation latency histograms.

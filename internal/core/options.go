@@ -57,12 +57,6 @@ type Options struct {
 	// BlockCacheBytes bounds the shared block cache. Default 8 MiB;
 	// negative disables caching.
 	BlockCacheBytes int64
-	// PrefixBloomLength, when positive, adds a second Bloom filter to every
-	// newly written sstable indexing all key prefixes of length 1 up to
-	// this bound. Prefix scans (IterOptions.Prefix) probe it to skip whole
-	// tables without opening them. 0 disables prefix filters (default);
-	// tables written either way remain readable by both configurations.
-	PrefixBloomLength int
 	// DisableReadViews turns off the cached sorted views over each
 	// version's runs (REMIX-style): with views on — the default — a range
 	// scan's steady-state Next advances a single run cursor instead of
@@ -99,9 +93,6 @@ type Options struct {
 	// are in-place compaction jobs, trigger "range-delete".
 	EagerRangeDeletes bool
 
-	// DisableWAL skips write-ahead logging (benchmarks that measure pure
-	// structural amplification).
-	DisableWAL bool
 	// SyncWrites syncs the WAL before acknowledging every commit instead
 	// of syncing on rotation only. Commits are group-committed: concurrent
 	// writers that arrive while a sync is in flight share the next one, so

@@ -100,9 +100,9 @@ func scanIdentical(t *testing.T, dOn, dOff *DB, opts IterOptions) int64 {
 	return stepped
 }
 
-// TestReadViewScanMatchesDisabled requires byte-identical scans, full and
-// bounded, from the two engines, plus working view counters on the enabled
-// one.
+// TestReadViewScanMatchesDisabled requires byte-identical scans, full,
+// bounded and by prefix, from the two engines, plus working view counters on
+// the enabled one.
 func TestReadViewScanMatchesDisabled(t *testing.T) {
 	dOn, dOff, mOn := openViewPair(t)
 	probes := []IterOptions{
@@ -125,6 +125,13 @@ func TestReadViewScanMatchesDisabled(t *testing.T) {
 	}
 	if dOff.stats.IterViewBuilds.Get() != 0 {
 		t.Fatalf("views disabled but %d were built", dOff.stats.IterViewBuilds.Get())
+	}
+
+	// A prefix scan is an ordinary bounded scan, so the built view serves it.
+	hits := dOn.stats.IterViewHits.Get()
+	scanIdentical(t, dOn, dOff, IterOptions{Prefix: []byte("key003")})
+	if got := dOn.stats.IterViewHits.Get(); got != hits+1 {
+		t.Fatalf("prefix scan: view hits %d -> %d, want one more", hits, got)
 	}
 }
 
@@ -300,97 +307,9 @@ func TestReadViewSnapshotAndMidScanCompaction(t *testing.T) {
 	}
 }
 
-// TestPrefixScanWithBloomSkips checks prefix-scan semantics and that prefix
-// Bloom filters exclude whole tables from the scan.
-func TestPrefixScanWithBloomSkips(t *testing.T) {
-	opts := testOptions(vfs.NewMemFS(), &base.LogicalClock{})
-	opts.PrefixBloomLength = 4
-	d, err := Open("db", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d.Close()
-
-	// Three runs. Two of them span the target prefix "usrb" by key range
-	// (keys on both sides of it) without containing a single usrb key —
-	// only the prefix Bloom filter can exclude those; range pruning cannot.
-	m := newModel()
-	runs := [][]string{
-		{"usra", "usrd"},
-		{"usrb"},
-		{"usra", "usre"},
-	}
-	tick := uint64(0)
-	for _, fams := range runs {
-		for _, fam := range fams {
-			for i := 0; i < 100; i++ {
-				k := fmt.Sprintf("%s%05d", fam, i)
-				tick++
-				v := testValue(tick, i)
-				if err := d.Put([]byte(k), v); err != nil {
-					t.Fatal(err)
-				}
-				m.put(k, v)
-			}
-		}
-		if err := d.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	opened0 := d.stats.IterTablesOpened.Get()
-	it, err := d.NewIter(IterOptions{Prefix: []byte("usrb")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys, _ := collectScan(t, it)
-	it.Close()
-	openedPrefix := d.stats.IterTablesOpened.Get() - opened0
-
-	if len(keys) != 100 {
-		t.Fatalf("prefix scan returned %d keys, want 100", len(keys))
-	}
-	for _, k := range keys {
-		if !bytes.HasPrefix([]byte(k), []byte("usrb")) {
-			t.Fatalf("prefix scan leaked key %s", k)
-		}
-	}
-	if skips := d.stats.PrefixBloomSkips.Get(); skips < 2 {
-		t.Fatalf("prefix bloom skips = %d, want >= 2 (the two straddling tables)", skips)
-	}
-	if openedPrefix != 1 {
-		t.Fatalf("prefix scan opened %d tables, want exactly the usrb table", openedPrefix)
-	}
-
-	// A longer prefix than the indexed bound stays correct (truncated probe).
-	it, err = d.NewIter(IterOptions{Prefix: []byte("usrb0000")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys, _ = collectScan(t, it)
-	it.Close()
-	if len(keys) != 10 {
-		t.Fatalf("long-prefix scan returned %d keys, want 10", len(keys))
-	}
-
-	// An absent family is rejected without opening anything.
-	opened1 := d.stats.IterTablesOpened.Get()
-	it, err = d.NewIter(IterOptions{Prefix: []byte("zzzz")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys, _ = collectScan(t, it)
-	it.Close()
-	if len(keys) != 0 {
-		t.Fatalf("absent-prefix scan returned %d keys", len(keys))
-	}
-	if d.stats.IterTablesOpened.Get() != opened1 {
-		t.Fatal("absent-prefix scan opened tables despite bloom filters")
-	}
-}
-
-// TestPrefixScanWithoutFiltersStillCorrect: prefix semantics are pure bounds
-// when tables carry no prefix filter.
+// TestPrefixScanWithoutFiltersStillCorrect: a prefix scan is the bounded scan
+// [prefix, successor): it returns exactly the keys with the prefix, and one
+// whose bounds lie past every table opens none.
 func TestPrefixScanWithoutFiltersStillCorrect(t *testing.T) {
 	opts := testOptions(vfs.NewMemFS(), &base.LogicalClock{})
 	d, err := Open("db", opts)
@@ -422,8 +341,16 @@ func TestPrefixScanWithoutFiltersStillCorrect(t *testing.T) {
 			t.Fatalf("entry %d: %s != %s", i, keys[i], want[i])
 		}
 	}
-	if d.stats.PrefixBloomSkips.Get() != 0 {
-		t.Fatal("no prefix filters were written, so nothing can be skipped")
+
+	opened := d.stats.IterTablesOpened.Get()
+	it, err = d.NewIter(IterOptions{Prefix: []byte("zzzz")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, _ = collectScan(t, it)
+	it.Close()
+	if len(keys) != 0 || d.stats.IterTablesOpened.Get() != opened {
+		t.Fatalf("absent-prefix scan returned %d keys and opened %d tables", len(keys), d.stats.IterTablesOpened.Get()-opened)
 	}
 }
 

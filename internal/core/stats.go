@@ -143,13 +143,9 @@ type Stats struct {
 	IterViewBuilds        metrics.Counter
 	IterViewHits          metrics.Counter
 	IterViewInvalidations metrics.Counter
-	// PrefixBloomSkips counts sstables excluded from a prefix scan by
-	// their prefix Bloom filter — files never opened at all.
-	PrefixBloomSkips metrics.Counter
 	// IterTablesOpened counts sstable iterators materialized by range
-	// scans (Concat children actually opened). Together with
-	// PrefixBloomSkips it prices prefix filtering: skips are tables this
-	// counter never saw.
+	// scans (Concat children actually opened): a bounded scan opens only
+	// the files its bounds reach.
 	IterTablesOpened metrics.Counter
 
 	// FilesCreated counts table files installed into a version; FilesDeleted
@@ -213,8 +209,8 @@ func (s *Stats) WriteAmplification() float64 {
 }
 
 // CommitsPerSync returns the group-commit amortization ratio: WAL record
-// appends per fsync. Returns 0 before any sync (including DisableWAL or
-// sync-on-rotation-only configurations with no rotation yet).
+// appends per fsync. Returns 0 before any sync (sync-on-rotation-only
+// configurations with no rotation yet).
 func (s *Stats) CommitsPerSync() float64 {
 	syncs := s.WALSyncs.Get()
 	if syncs == 0 {
@@ -266,9 +262,9 @@ func (s *Stats) String() string {
 	fmt.Fprintf(&b, "wal_appends=%d wal_syncs=%d iters=%d seeks=%d files_created=%d files_deleted=%d checkpoints=%d\n",
 		s.WALAppends.Get(), s.WALSyncs.Get(), s.ItersOpened.Get(), s.IterSeeks.Get(),
 		s.FilesCreated.Get(), s.FilesDeleted.Get(), s.Checkpoints.Get())
-	fmt.Fprintf(&b, "reseeks=%d view_builds=%d view_hits=%d view_deferred=%d view_invalidations=%d prefix_bloom_skips=%d scan_tables_opened=%d p99_scan_step_ns=%d\n",
+	fmt.Fprintf(&b, "reseeks=%d view_builds=%d view_hits=%d view_deferred=%d view_invalidations=%d scan_tables_opened=%d p99_scan_step_ns=%d\n",
 		s.IterReseeks.Get(), s.IterViewBuilds.Get(), s.IterViewHits.Get(), s.IterViewDeferred.Get(), s.IterViewInvalidations.Get(),
-		s.PrefixBloomSkips.Get(), s.IterTablesOpened.Get(), s.IterScanLatency.Quantile(0.99))
+		s.IterTablesOpened.Get(), s.IterScanLatency.Quantile(0.99))
 	fmt.Fprintf(&b, "p99_put_ns=%d p99_batch_ns=%d p99_get_ns=%d p99_seek_ns=%d\n",
 		s.PutLatency.Quantile(0.99), s.BatchLatency.Quantile(0.99),
 		s.GetLatency.Quantile(0.99), s.IterSeekLatency.Quantile(0.99))

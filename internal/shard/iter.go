@@ -15,8 +15,7 @@ type IterOptions struct {
 	LowerBound []byte
 	UpperBound []byte
 	// Prefix restricts the scan to keys starting with this prefix (see
-	// core.IterOptions.Prefix); each shard applies its prefix Bloom
-	// filters independently.
+	// core.IterOptions.Prefix): each shard scans the implied bounds.
 	Prefix []byte
 	// Snapshot pins the view; nil reads each shard's latest state.
 	Snapshot *Snapshot

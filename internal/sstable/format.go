@@ -4,7 +4,6 @@
 //
 //	[data block 0][crc] [data block 1][crc] ... [data block n][crc]
 //	[bloom filter block][crc]         // standard layout only
-//	[prefix bloom filter block][crc]  // optional
 //	[range-tombstone block][crc]      // KiWi secondary-key deletes
 //	[properties block][crc]
 //	[index block][crc]
@@ -36,7 +35,10 @@
 // table?" still needs only the first tile whose separator's user key is >=
 // the key, because a tile that ends on a version of the key holds that
 // version (Reader.MayContain). A reader that predates page filters ignores
-// the trailing bytes, as it does the properties block's optional fields.
+// the trailing bytes. Every reader likewise ignores bytes after the
+// properties block's fixed fields: older tables put three varints there
+// locating a prefix Bloom filter block, and they still open, that block
+// unreferenced.
 package sstable
 
 import (
@@ -206,14 +208,6 @@ type Properties struct {
 	// version of a key whose newest version was range-deleted, so it is
 	// only permitted on duplicate-free tables.
 	HasDuplicates bool
-	// PrefixBloomMaxLen, when non-zero, is the longest key-prefix length
-	// indexed by the table's prefix Bloom filter, and PrefixFilter locates
-	// that filter's block. These ride as optional trailing fields of the
-	// properties block (readers that predate them ignore trailing bytes;
-	// tables written without them decode to the zero values), so the footer
-	// layout and format version are unchanged.
-	PrefixBloomMaxLen uint64
-	PrefixFilter      BlockHandle
 }
 
 func encodeProperties(dst []byte, p *Properties) []byte {
@@ -234,13 +228,7 @@ func encodeProperties(dst []byte, p *Properties) []byte {
 	if p.HasDuplicates {
 		dup = 1
 	}
-	dst = binary.AppendUvarint(dst, dup)
-	if p.PrefixBloomMaxLen > 0 {
-		dst = binary.AppendUvarint(dst, p.PrefixBloomMaxLen)
-		dst = binary.AppendUvarint(dst, p.PrefixFilter.Offset)
-		dst = binary.AppendUvarint(dst, p.PrefixFilter.Length)
-	}
-	return dst
+	return binary.AppendUvarint(dst, dup)
 }
 
 func decodeProperties(b []byte) (Properties, error) {
@@ -266,19 +254,8 @@ func decodeProperties(b []byte) (Properties, error) {
 	p.MaxSeqNum = base.SeqNum(maxSeq)
 	p.MinSeqNum = base.SeqNum(minSeq)
 	p.HasDuplicates = dup == 1
-	// Optional trailing fields: the prefix-bloom triple. Absent in tables
-	// written before (or without) prefix filters.
-	if len(b) > 0 {
-		opt := []*uint64{&p.PrefixBloomMaxLen, &p.PrefixFilter.Offset, &p.PrefixFilter.Length}
-		for i, f := range opt {
-			v, n := binary.Uvarint(b)
-			if n <= 0 {
-				return p, fmt.Errorf("%w: corrupt properties block (optional field %d)", ErrCorrupt, i)
-			}
-			b = b[n:]
-			*f = v
-		}
-	}
+	// Trailing bytes, such as the prefix-filter triple of older tables, are
+	// ignored.
 	return p, nil
 }
 

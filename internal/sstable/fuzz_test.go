@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"testing"
 
 	"repro/internal/base"
@@ -152,79 +151,6 @@ func FuzzSSTableFooterProps(f *testing.F) {
 			}
 			if _, err := r.Lookup(key, base.MaxSeqNum); err != nil && !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("Lookup(%q) failed with a non-corruption error: %v", key, err)
-			}
-		}
-	})
-}
-
-// FuzzPrefixBloom checks the prefix filter's one hard guarantee: for every
-// key written into a table, MayContainPrefix must return true for EVERY
-// prefix of that key up to (and, via truncation, beyond) the configured
-// bound. The fuzzer controls the key material and the bound; keys are carved
-// from the raw input, sorted, and deduplicated before writing.
-func FuzzPrefixBloom(f *testing.F) {
-	f.Add([]byte("user1/a\x00user1/b\x00user2/a\x00zebra"), uint8(4))
-	f.Add([]byte("a\x00ab\x00abc\x00abcd\x00abcde"), uint8(3))
-	f.Add([]byte("\x00\x00\x00"), uint8(1))
-	f.Add([]byte("same\x00same\x00same"), uint8(8))
-	f.Add(bytes.Repeat([]byte("k"), 300), uint8(16))
-
-	f.Fuzz(func(t *testing.T, raw []byte, bound uint8) {
-		if bound == 0 {
-			bound = 1
-		}
-		// Carve NUL-separated user keys out of the raw input.
-		var keys [][]byte
-		for _, part := range bytes.Split(raw, []byte{0}) {
-			if len(part) == 0 || len(part) > 64 {
-				continue
-			}
-			keys = append(keys, part)
-			if len(keys) == 64 {
-				break
-			}
-		}
-		sort.Slice(keys, func(i, j int) bool { return bytes.Compare(keys[i], keys[j]) < 0 })
-		uniq := keys[:0]
-		for i, k := range keys {
-			if i == 0 || !bytes.Equal(k, keys[i-1]) {
-				uniq = append(uniq, k)
-			}
-		}
-		if len(uniq) == 0 {
-			return
-		}
-
-		fs := vfs.NewMemFS()
-		wf, err := fs.Create("pfx.sst")
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := NewWriter(wf, WriterOptions{BlockSize: 256, BloomBitsPerKey: 10, PrefixBloomLength: int(bound)})
-		for i, k := range uniq {
-			if err := w.Add(base.MakeInternalKey(k, base.SeqNum(len(uniq)-i), base.KindSet), []byte("v")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := w.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		rf, err := fs.Open("pfx.sst")
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := Open(rf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-
-		for _, k := range uniq {
-			for l := 1; l <= len(k); l++ {
-				if !r.MayContainPrefix(k[:l]) {
-					t.Fatalf("false negative: key %q present but prefix %q rejected (bound %d)",
-						k, k[:l], bound)
-				}
 			}
 		}
 	})

@@ -60,9 +60,6 @@ type Reader struct {
 	hasFilter   bool
 	pageFilters bool
 
-	prefixFilter    bloom.Filter
-	hasPrefixFilter bool
-
 	rangeDels []base.RangeTombstone
 }
 
@@ -104,18 +101,6 @@ func Open(f vfs.File) (*Reader, error) {
 			return nil, fmt.Errorf("%w: corrupt bloom filter block", ErrCorrupt)
 		}
 		r.filter, r.hasFilter = filter, true
-	}
-
-	if r.props.PrefixFilter.Length > 0 {
-		raw, err := r.readBlock(r.props.PrefixFilter)
-		if err != nil {
-			return nil, err
-		}
-		filter, ok := bloom.Decode(raw)
-		if !ok {
-			return nil, fmt.Errorf("%w: corrupt prefix bloom filter block", ErrCorrupt)
-		}
-		r.prefixFilter, r.hasPrefixFilter = filter, true
 	}
 
 	if ftr.rangeDel.Length > 0 {
@@ -226,22 +211,6 @@ func (r *Reader) MayContain(userKey []byte) bool {
 		}
 	}
 	return false
-}
-
-// MayContainPrefix reports whether some key in the table may start with
-// prefix. A false return is definitive (no key has the prefix); true may be
-// a false positive. Tables without a prefix filter always report true. A
-// prefix longer than the indexed bound is truncated to the bound — every key
-// with the long prefix also has the truncated one, so the probe stays
-// conservative.
-func (r *Reader) MayContainPrefix(prefix []byte) bool {
-	if !r.hasPrefixFilter || len(prefix) == 0 {
-		return true
-	}
-	if ml := int(r.props.PrefixBloomMaxLen); len(prefix) > ml {
-		prefix = prefix[:ml]
-	}
-	return r.prefixFilter.MayContain(bloom.Hash(prefix))
 }
 
 // readBlock fetches a block for a read — from the block cache when attached,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sort"
 	"testing"
 
@@ -597,77 +598,48 @@ func BenchmarkTableGet(b *testing.B) {
 	}
 }
 
-func TestPrefixBloomNoFalseNegatives(t *testing.T) {
-	fs := vfs.NewMemFS()
-	const bound = 6
-	entries := make([]entry, 0, 200)
-	for i := 0; i < 200; i++ {
-		k := fmt.Sprintf("user%03d/attr%d", i%40, i)
-		entries = append(entries, entry{
-			key:   base.MakeInternalKey([]byte(k), base.SeqNum(1000-i), base.KindSet),
-			value: mkValue(uint64(i), 8),
-		})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key.Compare(entries[j].key) < 0 })
-	r, _ := buildTable(t, fs, "pfx.sst", WriterOptions{BloomBitsPerKey: 10, PrefixBloomLength: bound}, entries, nil)
-
-	if r.Props().PrefixBloomMaxLen != bound {
-		t.Fatalf("PrefixBloomMaxLen = %d, want %d", r.Props().PrefixBloomMaxLen, bound)
-	}
-	for _, e := range entries {
-		k := e.key.UserKey
-		for l := 1; l <= len(k); l++ {
-			// Prefixes past the bound are truncated by the probe, so every
-			// length must report maybe-present.
-			if !r.MayContainPrefix(k[:l]) {
-				t.Fatalf("false negative for prefix %q (len %d)", k[:l], l)
+// TestPrefixFilterTableStillReads opens tables written when the writer could
+// add a prefix Bloom filter (over key prefixes of up to 4 bytes): a filter
+// block, and its triple after the properties' fixed fields. The reader
+// ignores both, and every block it reads passes its checksum. The tables
+// hold sortedEntries(300, true) and one range tombstone, in both layouts.
+func TestPrefixFilterTableStillReads(t *testing.T) {
+	entries := sortedEntries(300, true)
+	for _, h := range []int{1, 4} {
+		f, err := vfs.OSFS{}.Open(filepath.Join("testdata", fmt.Sprintf("prefix-filter-h%d.sst", h)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := Open(f)
+		if err != nil {
+			t.Fatalf("h=%d: %v", h, err)
+		}
+		if p := r.Props(); p.NumEntries != 300 || p.NumRangeDeletes != 1 {
+			t.Fatalf("h=%d: properties %+v", h, p)
+		}
+		if rts := r.RangeTombstones(); len(rts) != 1 || rts[0] != (base.RangeTombstone{Lo: 5, Hi: 9, Seq: 400, CreatedAt: 3}) {
+			t.Fatalf("h=%d: range tombstones %v", h, rts)
+		}
+		it := r.NewIter()
+		n := 0
+		for ok := it.First(); ok; ok = it.Next() {
+			if it.Key().Compare(entries[n].key) != 0 || !bytes.Equal(it.Value(), entries[n].value) {
+				t.Fatalf("h=%d: entry %d reads back %s, want %s", h, n, it.Key(), entries[n].key)
+			}
+			n++
+		}
+		if err := it.Error(); err != nil || n != len(entries) {
+			t.Fatalf("h=%d: iterated %d of %d entries, err %v", h, n, len(entries), err)
+		}
+		for _, e := range entries {
+			if !r.MayContain(e.key.UserKey) {
+				t.Fatalf("h=%d: filter misses %s", h, e.key)
+			}
+			kind, v, seq, found, err := r.Get(e.key.UserKey, base.MaxSeqNum)
+			if err != nil || !found || kind != e.key.Kind() || seq != e.key.SeqNum() || !bytes.Equal(v, e.value) {
+				t.Fatalf("h=%d: Get(%s) = %v %q #%d found=%v err=%v", h, e.key, kind, v, seq, found, err)
 			}
 		}
-	}
-	// Disjoint prefixes should mostly miss (bloom FPs allowed, but at 10
-	// bits/key a 100% hit rate would mean the filter is broken).
-	miss := 0
-	for i := 0; i < 100; i++ {
-		if !r.MayContainPrefix([]byte(fmt.Sprintf("zzz%03d", i))) {
-			miss++
-		}
-	}
-	if miss == 0 {
-		t.Fatal("prefix filter never rejects absent prefixes")
-	}
-}
-
-func TestPrefixBloomDisabledAlwaysMaybe(t *testing.T) {
-	fs := vfs.NewMemFS()
-	entries := sortedEntries(50, false)
-	r, _ := buildTable(t, fs, "nopfx.sst", WriterOptions{BloomBitsPerKey: 10}, entries, nil)
-	if r.Props().PrefixBloomMaxLen != 0 {
-		t.Fatalf("PrefixBloomMaxLen = %d, want 0", r.Props().PrefixBloomMaxLen)
-	}
-	if !r.MayContainPrefix([]byte("absent")) {
-		t.Fatal("table without a prefix filter must always report maybe")
-	}
-}
-
-func TestPrefixBloomPropertiesBackwardCompat(t *testing.T) {
-	// A properties block without the optional trailing fields (as written
-	// before prefix blooms existed, or with them disabled) must decode to
-	// zero values, and one with them must round-trip.
-	p := Properties{NumEntries: 7, NumPages: 2, NumTiles: 2}
-	got, err := decodeProperties(encodeProperties(nil, &p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.PrefixBloomMaxLen != 0 || got.PrefixFilter.Length != 0 {
-		t.Fatalf("zero-value prefix fields corrupted: %+v", got)
-	}
-	p.PrefixBloomMaxLen = 8
-	p.PrefixFilter = BlockHandle{Offset: 123, Length: 456}
-	got, err = decodeProperties(encodeProperties(nil, &p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != p {
-		t.Fatalf("round-trip mismatch:\n got %+v\nwant %+v", got, p)
+		r.Close()
 	}
 }

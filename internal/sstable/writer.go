@@ -22,17 +22,10 @@ type WriterOptions struct {
 	// BlockSize is the target uncompressed page size in bytes.
 	// Default 4096.
 	BlockSize int
-	// RestartInterval is the block restart-point interval.
-	RestartInterval int
 	// BloomBitsPerKey sizes the table's Bloom filters: one over the whole
 	// table in the standard layout, one per page in KiWi's. Zero disables
 	// them; 10 is the conventional default.
 	BloomBitsPerKey int
-	// PrefixBloomLength, when positive, adds a second Bloom filter indexing
-	// every key prefix of length 1..PrefixBloomLength, letting prefix scans
-	// skip the table without opening it. Zero disables it. The filter is
-	// sized by BloomBitsPerKey (10 if that is unset).
-	PrefixBloomLength int
 	// PagesPerTile selects the storage layout: 1 produces a standard
 	// globally sorted table; >1 produces the KiWi key-weaving layout with
 	// that many delete-key-ordered pages per tile. Default 1.
@@ -47,9 +40,6 @@ type WriterOptions struct {
 func (o WriterOptions) withDefaults() WriterOptions {
 	if o.BlockSize <= 0 {
 		o.BlockSize = 4096
-	}
-	if o.RestartInterval <= 0 {
-		o.RestartInterval = block.DefaultRestartInterval
 	}
 	if o.PagesPerTile <= 0 {
 		o.PagesPerTile = 1
@@ -152,10 +142,9 @@ type Writer struct {
 
 	// hashes feed the file filter (standard layout), pageHashes the filter
 	// of the page being woven (KiWi layout).
-	hashes       []uint64
-	pageHashes   []uint64
-	prefixHashes []uint64
-	rangeDels    []base.RangeTombstone
+	hashes     []uint64
+	pageHashes []uint64
+	rangeDels  []base.RangeTombstone
 
 	meta     WriterMeta
 	haveTomb bool
@@ -175,7 +164,7 @@ func NewWriter(f vfs.File, opts WriterOptions) *Writer {
 	opts = opts.withDefaults()
 	w := &Writer{
 		opts:    opts,
-		dataBuf: block.NewWriter(opts.RestartInterval),
+		dataBuf: block.NewWriter(block.DefaultRestartInterval),
 		index:   block.NewWriter(1),
 	}
 	w.Reset(f)
@@ -194,7 +183,7 @@ func (w *Writer) Reset(f vfs.File) {
 		f: f, opts: w.opts, dataBuf: w.dataBuf, index: w.index, first: true,
 		arena: w.arena[:0], tile: w.tile[:0],
 		pageOf: w.pageOf, order: w.order, packed: w.packed, byBucket: w.byBucket, counts: w.counts,
-		hashes: w.hashes[:0], pageHashes: w.pageHashes[:0], prefixHashes: w.prefixHashes[:0],
+		hashes: w.hashes[:0], pageHashes: w.pageHashes[:0],
 		lastEnc: w.lastEnc, scratch: w.scratch,
 	}
 }
@@ -216,15 +205,6 @@ func (w *Writer) Add(ikey base.InternalKey, value []byte) error {
 		if c == 0 {
 			w.meta.Props.HasDuplicates = true
 		}
-	}
-	if w.opts.PrefixBloomLength > 0 {
-		// Keys arrive sorted, so every prefix shared with the previous key
-		// is already hashed; only the suffix past the common prefix is new.
-		skip := 0
-		if !w.first {
-			skip = sharedPrefixLen(w.lastAdded.UserKey, ikey.UserKey)
-		}
-		w.prefixHashes = bloom.AppendPrefixHashes(w.prefixHashes, ikey.UserKey, skip, w.opts.PrefixBloomLength)
 	}
 	if w.first {
 		w.meta.Smallest = ikey.Clone()
@@ -294,19 +274,6 @@ func (w *Writer) AddRangeTombstone(rt base.RangeTombstone) error {
 		w.meta.Props.MaxSeqNum = rt.Seq
 	}
 	return nil
-}
-
-// sharedPrefixLen returns the length of the longest common prefix of a and b.
-func sharedPrefixLen(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	i := 0
-	for i < n && a[i] == b[i] {
-		i++
-	}
-	return i
 }
 
 func (w *Writer) noteTombstone(ts base.Timestamp) {
@@ -571,22 +538,6 @@ func (w *Writer) finish() error {
 			return err
 		}
 		ftr.filter = h
-	}
-
-	// Prefix Bloom filter block. Its handle lives in the properties block
-	// (optional trailing fields), so it must be written before properties.
-	if w.opts.PrefixBloomLength > 0 && len(w.prefixHashes) > 0 {
-		bpk := w.opts.BloomBitsPerKey
-		if bpk <= 0 {
-			bpk = 10
-		}
-		filter := bloom.Build(w.prefixHashes, bpk)
-		h, err := w.writeBlock(filter.Encode(make([]byte, 0, filter.SizeBytes()+8))) // header + bits + CRC, one allocation
-		if err != nil {
-			return err
-		}
-		w.meta.Props.PrefixFilter = h
-		w.meta.Props.PrefixBloomMaxLen = uint64(w.opts.PrefixBloomLength)
 	}
 
 	// Range-tombstone block.

@@ -9,6 +9,11 @@
 // error matching core.ErrOverloaded, a closed store core.ErrClosed, and a
 // framing violation wire.ErrProtocol — all via errors.Is, exactly as the
 // embedded API behaves.
+//
+// Results belong to the caller. Get returns a fresh copy of the value; one
+// Scan page is copied into a single backing array shared by its entries,
+// each Key and Value capped at its own length, so a caller may retain or
+// append to any of them without disturbing the others.
 package client
 
 import (
@@ -22,7 +27,10 @@ import (
 	"repro/internal/wire"
 )
 
-// KV is one scan result entry.
+// KV is one scan result entry. The entries of one Scan page share a
+// backing array, but every Key and Value is capped at its own length: an
+// append reallocates rather than overwriting the neighbouring bytes, and
+// retaining one entry keeps its page's array alive.
 type KV struct {
 	Key   []byte
 	Value []byte
@@ -180,16 +188,24 @@ func (c *Client) Scan(lower, upper []byte, limit int) ([]KV, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []KV
+	// Size the page first, then copy it into one backing array.
+	n, size := 0, 0
 	err = wire.DecodeScanBody(body, func(key, value []byte) {
-		out = append(out, KV{
-			Key:   append([]byte(nil), key...),
-			Value: append([]byte(nil), value...),
-		})
+		n++
+		size += len(key) + len(value)
 	})
-	if err != nil {
+	if err != nil || n == 0 {
 		return nil, err
 	}
+	out := make([]KV, 0, n)
+	buf := make([]byte, 0, size)
+	_ = wire.DecodeScanBody(body, func(key, value []byte) {
+		k := len(buf)
+		buf = append(buf, key...)
+		v := len(buf)
+		buf = append(buf, value...)
+		out = append(out, KV{Key: buf[k:v:v], Value: buf[v:len(buf):len(buf)]})
+	})
 	return out, nil
 }
 

@@ -1,9 +1,12 @@
 package client
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"sort"
 	"testing"
@@ -35,7 +38,7 @@ func testValue(dk uint64, tag int) []byte {
 // serve starts an in-process acherond on loopback over a fresh in-memory
 // sharded store and returns the store and a connected client; everything is
 // torn down with the test.
-func serve(t *testing.T, opts core.Options, cfg server.Config) (*shard.Router, *Client) {
+func serve(t testing.TB, opts core.Options, cfg server.Config) (*shard.Router, *Client) {
 	t.Helper()
 	opts.FS = vfs.NewMemFS()
 	opts.DeleteKeyFunc = testDK
@@ -213,4 +216,108 @@ func TestClientRestoresSentinels(t *testing.T) {
 	if _, err := c.Get([]byte("k")); !errors.Is(err, core.ErrClosed) {
 		t.Fatalf("Get on a closed store = %v, want ErrClosed", err)
 	}
+}
+
+// loopReader serves frame over and over, standing in for a server that
+// answers every request with it.
+type loopReader struct {
+	frame []byte
+	off   int
+}
+
+func (l *loopReader) Read(p []byte) (int, error) {
+	n := copy(p, l.frame[l.off:])
+	l.off = (l.off + n) % len(l.frame)
+	return n, nil
+}
+
+// TestScanPageOneAllocation: Client.Scan decodes a 20-entry page with two
+// allocations beyond the round trip's own — one backing array for every
+// key and value, and the exact-size []KV — and each entry's Key and Value
+// can be appended to without touching its neighbours.
+func TestScanPageOneAllocation(t *testing.T) {
+	var body []byte
+	for i := 0; i < 20; i++ {
+		body = wire.AppendScanEntry(body, []byte(fmt.Sprintf("key%02d", i)), testValue(uint64(i), i))
+	}
+	var frame bytes.Buffer
+	if err := wire.WriteFrame(&frame, wire.AppendOK(nil, body)); err != nil {
+		t.Fatal(err)
+	}
+	// A Client on a scripted stream: every request is written to nowhere
+	// and answered with the page. Ping pays the same round trip and reads
+	// the same frame, so the difference is what Scan's decode allocates.
+	c := &Client{br: bufio.NewReader(&loopReader{frame: frame.Bytes()}), bw: bufio.NewWriter(io.Discard)}
+	var kvs []KV
+	var err error
+	scan := testing.AllocsPerRun(200, func() { kvs, err = c.Scan(nil, nil, 20) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	ping := testing.AllocsPerRun(200, func() { err = c.Ping() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scan-ping > 2 {
+		t.Fatalf("Scan of a 20-entry page: %v allocations beyond the round trip's %v, want at most 2", scan-ping, ping)
+	}
+
+	if len(kvs) != 20 || cap(kvs) != 20 {
+		t.Fatalf("Scan returned len %d cap %d, want an exact 20", len(kvs), cap(kvs))
+	}
+	for i := range kvs {
+		kvs[i].Key = append(kvs[i].Key, '!')
+		kvs[i].Value = append(kvs[i].Value, '!')
+	}
+	for i, kv := range kvs {
+		wantKey := fmt.Sprintf("key%02d!", i)
+		wantValue := string(testValue(uint64(i), i)) + "!"
+		if string(kv.Key) != wantKey || string(kv.Value) != wantValue {
+			t.Fatalf("entry %d after appends is %q=%x, want %q=%x", i, kv.Key, kv.Value, wantKey, wantValue)
+		}
+	}
+}
+
+// BenchmarkServedRoundTrip prices one request through the client, loopback
+// TCP, the server and a two-shard in-memory store, per op: get and put of
+// one key, and a scan of 20 entries. Allocations count both sides of the
+// connection.
+func BenchmarkServedRoundTrip(b *testing.B) {
+	const keys = 1000
+	_, c := serve(b, core.Options{Shards: 2}, server.Config{OpTimeout: 2 * time.Second})
+	keyList := make([][]byte, keys)
+	for i := range keyList {
+		keyList[i] = []byte(fmt.Sprintf("key%06d", i))
+	}
+	key := func(i int) []byte { return keyList[i%keys] }
+	for i := 0; i < keys; i++ {
+		if err := c.Put(key(i), testValue(uint64(i), i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("get", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := c.Get(key(i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("put", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if err := c.Put(key(i), testValue(uint64(i), i)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("scan20", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			kvs, err := c.Scan(key(i%(keys-20)), nil, 20)
+			if err != nil || len(kvs) != 20 {
+				b.Fatalf("scan: %d entries, %v", len(kvs), err)
+			}
+		}
+	})
 }

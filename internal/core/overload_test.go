@@ -163,8 +163,11 @@ func TestMaintenanceBarrierHonorsContext(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Wait for the flush itself to park on the gate: an executor merely
+	// running (another's empty compaction step) would let CompactAllCtx
+	// past the barrier to flush inline into the gate, never to return.
 	waitDeadline := time.Now().Add(10 * time.Second)
-	for !d.sched.anyRunning() {
+	for fs.parked.Load() == 0 {
 		if time.Now().After(waitDeadline) {
 			t.Fatal("no executor ever claimed the gated flush")
 		}

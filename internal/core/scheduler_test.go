@@ -357,11 +357,15 @@ type gateFS struct {
 	vfs.FS
 	armed atomic.Bool
 	gate  chan struct{}
+	// parked counts the creates waiting on gate right now.
+	parked atomic.Int32
 }
 
 func (g *gateFS) Create(name string) (vfs.File, error) {
 	if g.armed.Load() && strings.HasSuffix(name, ".sst") {
+		g.parked.Add(1)
 		<-g.gate
+		g.parked.Add(-1)
 	}
 	return g.FS.Create(name)
 }

@@ -26,6 +26,8 @@ import (
 type Config struct {
 	// OpTimeout is the deadline attached to every request's context; it
 	// bounds admission waits, write stalls, and group-commit queueing.
+	// Its timer is armed only when an op waits on one of those: a request
+	// that never parks compares the clock against the deadline instead.
 	// 0 disables (requests may block indefinitely on a saturated engine,
 	// and Close then blocks behind them). Default 0.
 	OpTimeout time.Duration
@@ -195,12 +197,89 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// opCtx returns the context for one request.
-func (s *Server) opCtx() (context.Context, context.CancelFunc) {
+// opCtx returns the context for one request, or nil when Config.OpTimeout
+// is off.
+func (s *Server) opCtx() *opContext {
 	if s.cfg.OpTimeout <= 0 {
-		return context.Background(), func() {}
+		return nil
 	}
-	return context.WithTimeout(context.Background(), s.cfg.OpTimeout)
+	return &opContext{deadline: time.Now().Add(s.cfg.OpTimeout)}
+}
+
+// opContext is one request's context under Config.OpTimeout: it behaves as
+// context.WithTimeout(context.Background(), OpTimeout) does, but arms its
+// timer only when something first asks for Done — the admission queue, a
+// commit follower, a write stall — so a request that never parks builds no
+// timer. Until then Err reads the clock instead: once the deadline has
+// passed it closes Done, as the fired timer would have, and reports
+// context.DeadlineExceeded.
+type opContext struct {
+	deadline time.Time
+
+	mu    sync.Mutex
+	done  chan struct{} // nil until Done is first called
+	timer *time.Timer   // nil until Done arms it
+	err   error         // nil until the deadline passes or the request ends
+}
+
+func (c *opContext) Deadline() (time.Time, bool) { return c.deadline, true }
+
+func (c *opContext) Value(any) any { return nil }
+
+func (c *opContext) Done() <-chan struct{} {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.done == nil {
+		c.done = make(chan struct{})
+		if c.err == nil {
+			if d := time.Until(c.deadline); d > 0 {
+				c.timer = time.AfterFunc(d, c.expire)
+				return c.done
+			}
+			c.err = context.DeadlineExceeded
+		}
+		close(c.done)
+	}
+	return c.done
+}
+
+func (c *opContext) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.err == nil && !time.Now().Before(c.deadline) {
+		c.endLocked(context.DeadlineExceeded)
+	}
+	return c.err
+}
+
+// expire is the armed timer's callback.
+func (c *opContext) expire() {
+	c.mu.Lock()
+	c.endLocked(context.DeadlineExceeded)
+	c.mu.Unlock()
+}
+
+// cancel ends the request: it stops the timer if one was armed and closes
+// Done if it exists, releasing anything still selecting on it.
+func (c *opContext) cancel() {
+	c.mu.Lock()
+	if c.timer != nil {
+		c.timer.Stop()
+	}
+	c.endLocked(context.Canceled)
+	c.mu.Unlock()
+}
+
+// endLocked records err as the context's end and closes Done if it has been
+// made; only the first end counts. c.mu is held.
+func (c *opContext) endLocked(err error) {
+	if c.err != nil {
+		return
+	}
+	c.err = err
+	if c.done != nil {
+		close(c.done)
+	}
 }
 
 // appendEngineErr classifies err into a wire error response.
@@ -217,8 +296,11 @@ func appendEngineErr(dst []byte, err error) []byte {
 
 // execute runs one decoded request and appends its response to dst.
 func (s *Server) execute(req wire.Request, dst []byte) []byte {
-	ctx, cancel := s.opCtx()
-	defer cancel()
+	var ctx context.Context = context.Background()
+	if oc := s.opCtx(); oc != nil {
+		defer oc.cancel()
+		ctx = oc
+	}
 	switch req.Op {
 	case wire.OpPing:
 		return wire.AppendOK(dst, nil)
@@ -290,13 +372,17 @@ func (s *Server) scan(req wire.Request, dst []byte) []byte {
 	if limit <= 0 || limit > s.cfg.MaxScanEntries {
 		limit = s.cfg.MaxScanEntries
 	}
-	var body []byte
+	// The page is encoded straight into dst: the status byte, then each
+	// entry. The budget counts the body only, from just past the status.
+	start := len(dst)
+	dst = append(dst, byte(wire.StatusOK))
+	body := len(dst)
 	n := 0
 	for ok := it.First(); ok && n < limit; ok = it.Next() {
-		if len(body)+len(it.Key())+len(it.Value())+16 > scanBodyBudget {
+		if len(dst)-body+len(it.Key())+len(it.Value())+16 > scanBodyBudget {
 			break
 		}
-		body = wire.AppendScanEntry(body, it.Key(), it.Value())
+		dst = wire.AppendScanEntry(dst, it.Key(), it.Value())
 		n++
 	}
 	scanErr := it.Error()
@@ -305,9 +391,9 @@ func (s *Server) scan(req wire.Request, dst []byte) []byte {
 		scanErr = closeErr
 	}
 	if scanErr != nil {
-		return appendEngineErr(dst, scanErr)
+		return appendEngineErr(dst[:start], scanErr)
 	}
-	return wire.AppendOK(dst, body)
+	return dst
 }
 
 // statsDoc is the stats response body: one JSON document aggregating the

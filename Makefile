@@ -15,12 +15,14 @@ test:
 
 # cpu1 runs the packages whose goroutines hand work to one another — a
 # compaction's merge and its writer goroutine, the commit pipeline, the
-# maintenance executors, and the server's request deadlines, armed only when
-# a request parks and closed from the runtime's timer to wake a handler
-# parked in the engine — with a single P (GOMAXPROCS=1), so a handoff that
-# only makes progress with a second one fails here rather than in production.
+# maintenance executors, the shard router's fan-out of batches, range
+# deletes, flushes and closes to one goroutine per shard, and the server's
+# request deadlines, armed only when a request parks and closed from the
+# runtime's timer to wake a handler parked in the engine — with a single P
+# (GOMAXPROCS=1), so a handoff that only makes progress with a second one
+# fails here rather than in production.
 cpu1:
-	$(GO) test -count=1 -cpu 1 ./internal/compaction/ ./internal/core/ ./internal/server/ ./internal/client/
+	$(GO) test -count=1 -cpu 1 ./internal/compaction/ ./internal/core/ ./internal/shard/ ./internal/server/ ./internal/client/
 
 # bench-check builds, vets and smoke-tests the benchmark/ module, which root
 # `go test ./...` never reaches (it is its own module, replacing repro with

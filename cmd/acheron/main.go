@@ -31,6 +31,7 @@ import (
 	"repro/internal/compaction"
 	"repro/internal/core"
 	"repro/internal/event"
+	"repro/internal/metrics"
 )
 
 func main() {
@@ -427,7 +428,7 @@ var localCommands = map[string]func(l localStore, args []string) error{
 		if len(args) > 0 {
 			addr = args[0]
 		}
-		bound, _, err := l.db.ServeMetrics(addr)
+		bound, _, err := metrics.Serve(addr, l.db.MetricsHandler())
 		if err != nil {
 			return err
 		}

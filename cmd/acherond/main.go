@@ -24,6 +24,7 @@ import (
 	"repro/internal/base"
 	"repro/internal/compaction"
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/server"
 	"repro/internal/shard"
 )
@@ -95,7 +96,7 @@ func main() {
 		*dir, bound, r.NumShards(), *dpt, r.PolicyName())
 
 	if *metricsAddr != "" {
-		mbound, _, err := r.ServeMetrics(*metricsAddr)
+		mbound, _, err := metrics.Serve(*metricsAddr, metrics.NewServeMux(r.Registry()))
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "metrics: %v\n", err)
 		} else {

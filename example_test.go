@@ -94,6 +94,46 @@ func ExampleDB_DeleteSecondaryRange() {
 	// live=50
 }
 
+// ExampleShardedOpen partitions a store across two engines behind one
+// router. Point ops route to one shard; a secondary range delete lands on
+// every shard. A reopen with Shards: 0 adopts the persisted shard count.
+func ExampleShardedOpen() {
+	opts := acheron.Options{
+		FS:            acheron.NewMemFS(),
+		Shards:        2,
+		DeleteKeyFunc: workload.ExtractDeleteKey,
+	}
+	db, err := acheron.ShardedOpen("sharded-db", opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for ts := uint64(0); ts < 100; ts++ {
+		db.Put([]byte(fmt.Sprintf("event:%03d", ts)), workload.ValueFor(ts, 32))
+	}
+	db.Delete([]byte("event:099"))
+	_, err = db.Get([]byte("event:099"))
+	fmt.Printf("deleted=%v\n", err == acheron.ErrNotFound)
+
+	// Drop everything with timestamp < 50, whichever shard holds it.
+	db.DeleteSecondaryRange(0, 50)
+	_, err = db.Get([]byte("event:010"))
+	v, _ := db.Get([]byte("event:060"))
+	fmt.Printf("event:010 deleted=%v event:060 ts=%d\n", err == acheron.ErrNotFound, workload.ExtractDeleteKey(v))
+	db.Close()
+
+	opts.Shards = 0
+	db, err = acheron.ShardedOpen("sharded-db", opts)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer db.Close()
+	fmt.Printf("shards=%d\n", db.NumShards())
+	// Output:
+	// deleted=true
+	// event:010 deleted=true event:060 ts=60
+	// shards=2
+}
+
 // ExampleBatch commits several writes atomically.
 func ExampleBatch() {
 	db, err := acheron.Open("batch-db", acheron.Options{FS: acheron.NewMemFS()})

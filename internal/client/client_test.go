@@ -3,37 +3,20 @@ package client
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
-	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/base"
 	"repro/internal/core"
 	"repro/internal/server"
 	"repro/internal/shard"
+	"repro/internal/storetest"
 	"repro/internal/vfs"
 	"repro/internal/wire"
 )
-
-func testDK(v []byte) base.DeleteKey {
-	if len(v) < 8 {
-		return 0
-	}
-	return binary.BigEndian.Uint64(v)
-}
-
-func testValue(dk uint64, tag int) []byte {
-	v := make([]byte, 16)
-	binary.BigEndian.PutUint64(v, dk)
-	binary.BigEndian.PutUint64(v[8:], uint64(tag))
-	return v
-}
 
 // serve starts an in-process acherond on loopback over a fresh in-memory
 // sharded store and returns the store and a connected client; everything is
@@ -41,7 +24,7 @@ func testValue(dk uint64, tag int) []byte {
 func serve(t testing.TB, opts core.Options, cfg server.Config) (*shard.Router, *Client) {
 	t.Helper()
 	opts.FS = vfs.NewMemFS()
-	opts.DeleteKeyFunc = testDK
+	opts.DeleteKeyFunc = storetest.DeleteKey
 	r, err := shard.Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -69,127 +52,65 @@ func serve(t testing.TB, opts core.Options, cfg server.Config) (*shard.Router, *
 // scanAll pages through [lower, upper) the way the Scan contract says to:
 // re-issue with lower set just past the last returned key until a page comes
 // back empty.
-func scanAll(t *testing.T, c *Client, lower, upper []byte, pageLimit int) []KV {
-	t.Helper()
+func scanAll(c *Client, lower, upper []byte, pageLimit int) ([]KV, error) {
 	var out []KV
 	for {
 		page, err := c.Scan(lower, upper, pageLimit)
-		if err != nil {
-			t.Fatalf("Scan(%q, %q): %v", lower, upper, err)
-		}
-		if len(page) == 0 {
-			return out
+		if err != nil || len(page) == 0 {
+			return out, err
 		}
 		out = append(out, page...)
 		lower = append(append([]byte(nil), page[len(page)-1].Key...), 0)
 	}
 }
 
-// TestClientModelDifferential runs a seeded random op stream through the
-// client, the wire, the server and a 3-shard router, and checks every read
-// against a map model. The memtable is small so flushes and compactions run
-// underneath, and the server's page cap is small so full scans take several
-// round trips.
+// kvIter walks the entries of a paged scan.
+type kvIter struct {
+	kvs []KV
+	i   int
+}
+
+func (it *kvIter) First() bool   { it.i = 0; return it.i < len(it.kvs) }
+func (it *kvIter) Next() bool    { it.i++; return it.i < len(it.kvs) }
+func (it *kvIter) Key() []byte   { return it.kvs[it.i].Key }
+func (it *kvIter) Value() []byte { return it.kvs[it.i].Value }
+func (it *kvIter) Error() error  { return nil }
+func (it *kvIter) Close() error  { return nil }
+
+// TestClientModelDifferential runs the shared op soup through the client,
+// the wire, the server and a 3-shard router, and diffs it against the model.
+// The memtable is small so flushes and compactions run underneath, and the
+// server's page cap is small so full scans take several round trips; scans
+// page alternately at the server's cap and at 5, below it.
 func TestClientModelDifferential(t *testing.T) {
 	_, c := serve(t,
 		core.Options{Shards: 3, MemTableBytes: 8 << 10},
 		server.Config{OpTimeout: 10 * time.Second, MaxScanEntries: 16})
-
-	rng := rand.New(rand.NewSource(20230613))
-	model := map[string][]byte{}
-	key := func() string { return fmt.Sprintf("key%04d", rng.Intn(300)) }
-	val := func(i int) []byte { return testValue(uint64(rng.Intn(1000)), i) }
-	rangeDelete := func(lo, hi uint64) {
-		for k, v := range model {
-			if dk := testDK(v); dk >= lo && dk < hi {
-				delete(model, k)
+	scans := 0
+	storetest.Run(t, &storetest.Target{
+		Store:    c,
+		NotFound: core.ErrNotFound,
+		Apply: func(ops []storetest.Op) error {
+			batch := make([]wire.BatchOp, len(ops))
+			for i, o := range ops {
+				batch[i] = wire.BatchOp{Key: o.Key, Value: o.Value, Delete: o.Delete}
 			}
-		}
-	}
-	checkScan := func(op int, lower, upper string, pageLimit int) {
-		var want []string
-		for k := range model {
-			if k >= lower && (upper == "" || k < upper) {
-				want = append(want, k)
+			return c.Apply(batch)
+		},
+		Scan: func(b storetest.Bounds) (storetest.Iter, error) {
+			lower, upper := b.Lower, b.Upper
+			if n := len(b.Prefix); n > 0 {
+				lower = b.Prefix
+				upper = append(bytes.Clone(b.Prefix[:n-1]), b.Prefix[n-1]+1)
 			}
-		}
-		sort.Strings(want)
-		var ub []byte
-		if upper != "" {
-			ub = []byte(upper)
-		}
-		got := scanAll(t, c, []byte(lower), ub, pageLimit)
-		if len(got) != len(want) {
-			t.Fatalf("op %d scan [%q,%q): %d keys, model has %d", op, lower, upper, len(got), len(want))
-		}
-		for i, kv := range got {
-			if string(kv.Key) != want[i] || string(kv.Value) != string(model[want[i]]) {
-				t.Fatalf("op %d scan [%q,%q): entry %d is %q, model has %q", op, lower, upper, i, kv.Key, want[i])
-			}
-		}
-	}
-
-	for i := 0; i < 4000; i++ {
-		switch p := rng.Intn(100); {
-		case p < 45:
-			k, v := key(), val(i)
-			if err := c.Put([]byte(k), v); err != nil {
-				t.Fatalf("op %d Put: %v", i, err)
-			}
-			model[k] = v
-		case p < 60:
-			k := key()
-			if err := c.Delete([]byte(k)); err != nil {
-				t.Fatalf("op %d Delete: %v", i, err)
-			}
-			delete(model, k)
-		case p < 65:
-			lo := uint64(rng.Intn(950))
-			hi := lo + uint64(1+rng.Intn(50))
-			if err := c.DeleteSecondaryRange(lo, hi); err != nil {
-				t.Fatalf("op %d DeleteSecondaryRange: %v", i, err)
-			}
-			rangeDelete(lo, hi)
-		case p < 75:
-			ops := make([]wire.BatchOp, 1+rng.Intn(8))
-			for j := range ops {
-				ops[j] = wire.BatchOp{Key: []byte(key())}
-				if rng.Intn(4) == 0 {
-					ops[j].Delete = true
-				} else {
-					ops[j].Value = val(i)
-				}
-			}
-			if err := c.Apply(ops); err != nil {
-				t.Fatalf("op %d Apply: %v", i, err)
-			}
-			for _, o := range ops {
-				if o.Delete {
-					delete(model, string(o.Key))
-				} else {
-					model[string(o.Key)] = o.Value
-				}
-			}
-		case p < 97:
-			k := key()
-			got, err := c.Get([]byte(k))
-			want, present := model[k]
-			switch {
-			case present && (err != nil || string(got) != string(want)):
-				t.Fatalf("op %d Get(%q) = %x, %v; model has %x", i, k, got, err, want)
-			case !present && !errors.Is(err, core.ErrNotFound):
-				t.Fatalf("op %d Get(%q) = %x, %v; model has no such key", i, k, got, err)
-			}
-		default:
-			lower, upper := key(), ""
-			if rng.Intn(2) == 0 {
-				upper = key()
-			}
-			// 0 asks for the server's cap; 5 is below it.
-			checkScan(i, lower, upper, []int{0, 5}[rng.Intn(2)])
-		}
-	}
-	checkScan(4000, "", "", 0)
+			scans++
+			kvs, err := scanAll(c, lower, upper, []int{0, 5}[scans%2])
+			return &kvIter{kvs: kvs}, err
+		},
+	}, storetest.Config{
+		Seed: 20230613, Ops: 4000, Keys: 300, DeleteKeys: 1000, CheckEvery: 800,
+		Mix: storetest.Mix{Put: 45, Delete: 15, Batch: 10, RangeDelete: 5, Get: 22, Scan: 3},
+	})
 }
 
 // TestClientRestoresSentinels: engine errors cross the wire as codes and
@@ -204,10 +125,10 @@ func TestClientRestoresSentinels(t *testing.T) {
 	if _, err := c.Get([]byte("missing")); !errors.Is(err, core.ErrNotFound) {
 		t.Fatalf("Get(missing) = %v, want ErrNotFound", err)
 	}
-	if err := c.Put([]byte("k"), testValue(1, 1)); err != nil {
+	if err := c.Put([]byte("k"), storetest.Value(1, 1)); err != nil {
 		t.Fatalf("first Put: %v", err)
 	}
-	if err := c.Put([]byte("k"), testValue(2, 2)); !errors.Is(err, core.ErrOverloaded) {
+	if err := c.Put([]byte("k"), storetest.Value(2, 2)); !errors.Is(err, core.ErrOverloaded) {
 		t.Fatalf("Put on an empty bucket = %v, want ErrOverloaded", err)
 	}
 	if err := r.Close(); err != nil {
@@ -238,7 +159,7 @@ func (l *loopReader) Read(p []byte) (int, error) {
 func TestScanPageOneAllocation(t *testing.T) {
 	var body []byte
 	for i := 0; i < 20; i++ {
-		body = wire.AppendScanEntry(body, []byte(fmt.Sprintf("key%02d", i)), testValue(uint64(i), i))
+		body = wire.AppendScanEntry(body, []byte(fmt.Sprintf("key%02d", i)), storetest.Value(uint64(i), i))
 	}
 	var frame bytes.Buffer
 	if err := wire.WriteFrame(&frame, wire.AppendOK(nil, body)); err != nil {
@@ -271,7 +192,7 @@ func TestScanPageOneAllocation(t *testing.T) {
 	}
 	for i, kv := range kvs {
 		wantKey := fmt.Sprintf("key%02d!", i)
-		wantValue := string(testValue(uint64(i), i)) + "!"
+		wantValue := string(storetest.Value(uint64(i), i)) + "!"
 		if string(kv.Key) != wantKey || string(kv.Value) != wantValue {
 			t.Fatalf("entry %d after appends is %q=%x, want %q=%x", i, kv.Key, kv.Value, wantKey, wantValue)
 		}
@@ -291,7 +212,7 @@ func BenchmarkServedRoundTrip(b *testing.B) {
 	}
 	key := func(i int) []byte { return keyList[i%keys] }
 	for i := 0; i < keys; i++ {
-		if err := c.Put(key(i), testValue(uint64(i), i)); err != nil {
+		if err := c.Put(key(i), storetest.Value(uint64(i), i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -306,7 +227,7 @@ func BenchmarkServedRoundTrip(b *testing.B) {
 	b.Run("put", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if err := c.Put(key(i), testValue(uint64(i), i)); err != nil {
+			if err := c.Put(key(i), storetest.Value(uint64(i), i)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/base"
+	"repro/internal/storetest"
 	"repro/internal/vfs"
 )
 
@@ -13,7 +14,7 @@ func TestBatchAtomicVisibility(t *testing.T) {
 	d := mustOpen(t, testOptions(vfs.NewMemFS(), &base.LogicalClock{}))
 	b := NewBatch()
 	for i := 0; i < 100; i++ {
-		b.Put([]byte(fmt.Sprintf("k%03d", i)), testValue(uint64(i), i))
+		b.Put([]byte(fmt.Sprintf("k%03d", i)), storetest.Value(uint64(i), i))
 	}
 	if b.Len() != 100 {
 		t.Fatalf("Len = %d", b.Len())
@@ -30,13 +31,13 @@ func TestBatchAtomicVisibility(t *testing.T) {
 
 func TestBatchMixedOps(t *testing.T) {
 	d := mustOpen(t, testOptions(vfs.NewMemFS(), &base.LogicalClock{}))
-	if err := d.Put([]byte("victim"), testValue(1, 1)); err != nil {
+	if err := d.Put([]byte("victim"), storetest.Value(1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	b := NewBatch()
-	b.Put([]byte("new"), testValue(2, 2))
+	b.Put([]byte("new"), storetest.Value(2, 2))
 	b.Delete([]byte("victim"))
-	b.Put([]byte("other"), testValue(3, 3))
+	b.Put([]byte("other"), storetest.Value(3, 3))
 	if err := d.Apply(b); err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +57,8 @@ func TestBatchSnapshotSeesAllOrNone(t *testing.T) {
 	before := d.NewSnapshot()
 	defer before.Release()
 	b := NewBatch()
-	b.Put([]byte("a"), testValue(1, 1))
-	b.Put([]byte("b"), testValue(2, 2))
+	b.Put([]byte("a"), storetest.Value(1, 1))
+	b.Put([]byte("b"), storetest.Value(2, 2))
 	if err := d.Apply(b); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestBatchSurvivesReopen(t *testing.T) {
 	}
 	b := NewBatch()
 	for i := 0; i < 500; i++ {
-		b.Put([]byte(fmt.Sprintf("k%04d", i)), testValue(uint64(i), i))
+		b.Put([]byte(fmt.Sprintf("k%04d", i)), storetest.Value(uint64(i), i))
 	}
 	b.Delete([]byte("k0100"))
 	if err := d.Apply(b); err != nil {
@@ -108,7 +109,7 @@ func TestBatchSurvivesReopen(t *testing.T) {
 func TestBatchResetAndReuse(t *testing.T) {
 	d := mustOpen(t, testOptions(vfs.NewMemFS(), &base.LogicalClock{}))
 	b := NewBatch()
-	b.Put([]byte("x"), testValue(1, 1))
+	b.Put([]byte("x"), storetest.Value(1, 1))
 	if err := d.Apply(b); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestBatchResetAndReuse(t *testing.T) {
 	if b.Len() != 0 {
 		t.Fatal("Reset did not clear")
 	}
-	b.Put([]byte("y"), testValue(2, 2))
+	b.Put([]byte("y"), storetest.Value(2, 2))
 	if err := d.Apply(b); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestConcurrentBatchesAndReads(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				b := NewBatch()
 				for j := 0; j < 5; j++ {
-					b.Put([]byte(fmt.Sprintf("w%d-k%04d", w, i*5+j)), testValue(uint64(i), i))
+					b.Put([]byte(fmt.Sprintf("w%d-k%04d", w, i*5+j)), storetest.Value(uint64(i), i))
 				}
 				if err := d.Apply(b); err != nil {
 					t.Error(err)

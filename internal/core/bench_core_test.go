@@ -14,6 +14,7 @@ import (
 	"repro/internal/compaction"
 	"repro/internal/manifest"
 	"repro/internal/memtable"
+	"repro/internal/storetest"
 	"repro/internal/vfs"
 )
 
@@ -23,7 +24,7 @@ func benchDB(b *testing.B, mod func(*Options)) *DB {
 		FS:                     vfs.NewMemFS(),
 		Clock:                  &base.LogicalClock{},
 		MemTableBytes:          4 << 20,
-		DeleteKeyFunc:          testDK,
+		DeleteKeyFunc:          storetest.DeleteKey,
 		DisableAutoMaintenance: true,
 		Compaction: compaction.Options{
 			SizeRatio:       10,
@@ -44,7 +45,7 @@ func benchDB(b *testing.B, mod func(*Options)) *DB {
 
 func BenchmarkPut(b *testing.B) {
 	d := benchDB(b, nil)
-	val := testValue(1, 1)
+	val := storetest.Value(1, 1)
 	b.SetBytes(int64(16 + len(val)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -61,7 +62,7 @@ func BenchmarkPut(b *testing.B) {
 
 func BenchmarkBatchPut(b *testing.B) {
 	d := benchDB(b, nil)
-	val := testValue(1, 1)
+	val := storetest.Value(1, 1)
 	b.SetBytes(int64(16 + len(val)))
 	b.ResetTimer()
 	batch := NewBatch()
@@ -86,7 +87,7 @@ func benchPopulated(b *testing.B, n int, mod func(*Options)) *DB {
 	b.Helper()
 	d := benchDB(b, mod)
 	for i := 0; i < n; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%014d", i)), testValue(uint64(i), i)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("k%014d", i)), storetest.Value(uint64(i), i)); err != nil {
 			b.Fatal(err)
 		}
 		if i%4096 == 4095 {
@@ -159,7 +160,7 @@ func BenchmarkScan50AfterInstall(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		if err := d.Put([]byte(fmt.Sprintf("k%014d", (i*31)%n)), testValue(uint64(i), i)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("k%014d", (i*31)%n)), storetest.Value(uint64(i), i)); err != nil {
 			b.Fatal(err)
 		}
 		if err := d.Flush(); err != nil {
@@ -250,7 +251,7 @@ var parallelWriters = []int{1, 4, 8, 16}
 // range, and reports syncs/op so the grouped and serialized runs can be
 // compared on amortization as well as throughput.
 func runParallelPuts(b *testing.B, d *DB, writers, batchSize int) {
-	val := testValue(1, 1)
+	val := storetest.Value(1, 1)
 	b.SetBytes(int64(16 + len(val)))
 	b.ResetTimer()
 	var wg sync.WaitGroup
@@ -332,7 +333,7 @@ func BenchmarkDeleteAndPersist(b *testing.B) {
 		o.Compaction.Picker = compaction.PickFADE
 	})
 	for i := 0; i < 50_000; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%014d", i)), testValue(uint64(i), i)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("k%014d", i)), storetest.Value(uint64(i), i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -372,7 +373,7 @@ func BenchmarkEagerRangeDelete(b *testing.B) {
 		// L1 file; the fifth stays in L0.
 		const n = 5 * perFile
 		for k := 0; k < n; k++ {
-			if err := d.Put([]byte(fmt.Sprintf("k%014d", k)), testValue(uint64(k*7919%n), k)); err != nil {
+			if err := d.Put([]byte(fmt.Sprintf("k%014d", k)), storetest.Value(uint64(k*7919%n), k)); err != nil {
 				b.Fatal(err)
 			}
 			if k%perFile == perFile-1 {
@@ -414,7 +415,7 @@ func BenchmarkFlush(b *testing.B) {
 			m := memtable.New()
 			for i := 0; m.ApproximateBytes() < 4<<20; i++ {
 				ik := base.MakeInternalKey([]byte(fmt.Sprintf("k%014d", i)), base.SeqNum(i+1), base.KindSet)
-				value := append(testValue(uint64(i*7919%50_000), i), make([]byte, 40)...)
+				value := append(storetest.Value(uint64(i*7919%50_000), i), make([]byte, 40)...)
 				if i%10 == 0 {
 					ik.Trailer, value = base.MakeTrailer(base.SeqNum(i+1), base.KindDelete), base.EncodeTombstoneValue(base.Timestamp(i))
 				}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/compaction"
 	"repro/internal/event"
 	"repro/internal/manifest"
+	"repro/internal/storetest"
 	"repro/internal/vfs"
 	"repro/internal/vfs/errorfs"
 	"repro/internal/wal"
@@ -75,7 +76,7 @@ func TestStalledWriterReleasedByBackgroundError(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := d.Put([]byte("committed"), testValue(7, 7)); err != nil {
+			if err := d.Put([]byte("committed"), storetest.Value(7, 7)); err != nil {
 				t.Fatal(err)
 			}
 			// Every table create from here on is out of space — permanent.
@@ -89,7 +90,7 @@ func TestStalledWriterReleasedByBackgroundError(t *testing.T) {
 			errCh := make(chan error, 1)
 			go func() {
 				for i := 0; ; i++ {
-					if err := d.Put([]byte(fmt.Sprintf("k%06d", i)), testValue(uint64(i), i)); err != nil {
+					if err := d.Put([]byte(fmt.Sprintf("k%06d", i)), storetest.Value(uint64(i), i)); err != nil {
 						errCh <- err
 						return
 					}
@@ -112,7 +113,7 @@ func TestStalledWriterReleasedByBackgroundError(t *testing.T) {
 			if _, err := d.Get([]byte("committed")); err != nil {
 				t.Fatalf("read in read-only mode: %v", err)
 			}
-			if err := d.Put([]byte("x"), testValue(1, 1)); !errors.Is(err, ErrBackgroundError) {
+			if err := d.Put([]byte("x"), storetest.Value(1, 1)); !errors.Is(err, ErrBackgroundError) {
 				t.Fatalf("Put after background error = %v", err)
 			}
 			if err := d.DeleteSecondaryRange(1, 2); !errors.Is(err, ErrBackgroundError) {
@@ -180,7 +181,7 @@ func TestTransientFlushErrorRetriesAndRecovers(t *testing.T) {
 				Kind:     errorfs.FaultTransient, // one-shot: first sst sync fails
 			})
 			for i := 0; i < 3000; i++ {
-				if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), testValue(uint64(i), i)); err != nil {
+				if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), storetest.Value(uint64(i), i)); err != nil {
 					t.Fatalf("put %d: %v", i, err)
 				}
 			}
@@ -229,7 +230,7 @@ func TestTransientRetriesExhaustedGoReadOnly(t *testing.T) {
 				Kind:     errorfs.FaultTransient,
 			})
 			for i := 0; i < 3000; i++ {
-				if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), testValue(uint64(i), i)); err != nil {
+				if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), storetest.Value(uint64(i), i)); err != nil {
 					if errors.Is(err, ErrBackgroundError) {
 						break // stalled writer released by the escalation — fine
 					}
@@ -285,7 +286,7 @@ func TestCloseDuringRepeatedlyFailingFlush(t *testing.T) {
 			})
 			// Fill past one rotation so a flush is pending and failing.
 			for i := 0; i < 2500; i++ {
-				if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), testValue(uint64(i), i)); err != nil {
+				if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), storetest.Value(uint64(i), i)); err != nil {
 					t.Fatalf("put %d: %v", i, err)
 				}
 			}
@@ -322,7 +323,7 @@ func TestWALCorruptionLocated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%04d", i)), testValue(uint64(i), i)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("k%04d", i)), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -369,13 +370,13 @@ func TestManifestCorruptionLocated(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 1000; i++ {
-		d.Put([]byte(fmt.Sprintf("k%04d", i)), testValue(uint64(i), i))
+		d.Put([]byte(fmt.Sprintf("k%04d", i)), storetest.Value(uint64(i), i))
 	}
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 1000; i++ {
-		d.Put([]byte(fmt.Sprintf("j%04d", i)), testValue(uint64(i), i))
+		d.Put([]byte(fmt.Sprintf("j%04d", i)), storetest.Value(uint64(i), i))
 	}
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -494,14 +495,14 @@ func TestTransientCompactionCommitLeavesNoOrphans(t *testing.T) {
 				if err := d.sched.pauseCtx(context.Background()); err != nil {
 					t.Fatal(err)
 				}
-				m := newModel()
+				m := storetest.NewModel()
 				put := func(round int) {
 					for i := 0; i < keys; i++ {
-						k, v := fmt.Sprintf("k%05d", i), testValue(uint64(i), round)
+						k, v := fmt.Sprintf("k%05d", i), storetest.Value(uint64(i), round)
 						if err := d.Put([]byte(k), v); err != nil {
 							t.Fatal(err)
 						}
-						m.put(k, v)
+						m.Put(k, v)
 					}
 					if err := d.Flush(); err != nil {
 						t.Fatal(err)
@@ -513,7 +514,7 @@ func TestTransientCompactionCommitLeavesNoOrphans(t *testing.T) {
 					if err := d.DeleteSecondaryRange(0, keys/2); err != nil {
 						t.Fatal(err)
 					}
-					m.rangeDelete(0, keys/2)
+					m.DeleteRange(0, keys/2)
 				} else {
 					// Three overlapping L0 files: a real merge, not a trivial move.
 					put(1)
@@ -547,9 +548,9 @@ func TestTransientCompactionCommitLeavesNoOrphans(t *testing.T) {
 				}
 				check := func(d *DB) {
 					t.Helper()
-					for _, k := range m.sortedKeys() {
-						if v, err := d.Get([]byte(k)); err != nil || !bytes.Equal(v, m.data[k]) {
-							t.Fatalf("get %s = %x, %v; want %x", k, v, err, m.data[k])
+					for _, k := range m.Keys() {
+						if v, err := d.Get([]byte(k)); err != nil || !bytes.Equal(v, m.Data[k]) {
+							t.Fatalf("get %s = %x, %v; want %x", k, v, err, m.Data[k])
 						}
 					}
 					if _, err := d.Get([]byte("k00000")); tc.eager && err != ErrNotFound {
@@ -610,7 +611,7 @@ func TestFailedJobKeepsItsClaim(t *testing.T) {
 	if did, err := d.MaintenanceStep(); !did || err == nil {
 		t.Fatalf("the TTL compaction should have met the fault: did=%v err=%v", did, err)
 	}
-	if err := d.Put([]byte("late"), testValue(1, 1)); err != nil {
+	if err := d.Put([]byte("late"), storetest.Value(1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	failNextTable()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/base"
+	"repro/internal/storetest"
 	"repro/internal/vfs"
 )
 
@@ -14,7 +15,7 @@ func TestCheckpointIsOpenable(t *testing.T) {
 	opts := testOptions(fs, clk)
 	d := mustOpen(t, opts)
 	for i := 0; i < 3000; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), testValue(uint64(i), i)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -28,7 +29,7 @@ func TestCheckpointIsOpenable(t *testing.T) {
 	}
 
 	// The source keeps working.
-	if err := d.Put([]byte("post-checkpoint"), testValue(1, 1)); err != nil {
+	if err := d.Put([]byte("post-checkpoint"), storetest.Value(1, 1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -54,7 +55,7 @@ func TestCheckpointIsOpenable(t *testing.T) {
 		t.Fatalf("checkpoint leaked post-checkpoint write: %v", err)
 	}
 	// Both stores accept writes without interfering.
-	if err := cp.Put([]byte("fork"), testValue(2, 2)); err != nil {
+	if err := cp.Put([]byte("fork"), storetest.Value(2, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Get([]byte("fork")); err != ErrNotFound {
@@ -83,7 +84,7 @@ func TestVerifyChecksumsClean(t *testing.T) {
 	fs := vfs.NewMemFS()
 	d := mustOpen(t, testOptions(fs, &base.LogicalClock{}))
 	for i := 0; i < 4000; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), testValue(uint64(i), i)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -101,7 +102,7 @@ func TestVerifyChecksumsDetectsCorruption(t *testing.T) {
 	opts.BlockCacheBytes = -1 // force reads to hit the (corrupted) file
 	d := mustOpen(t, opts)
 	for i := 0; i < 4000; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), testValue(uint64(i), i)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/base"
 	"repro/internal/compaction"
 	"repro/internal/event"
+	"repro/internal/storetest"
 	"repro/internal/vfs"
 	"repro/internal/vfs/errorfs"
 )
@@ -30,7 +31,7 @@ func TestGroupCommitStressConcurrent(t *testing.T) {
 	opts := Options{
 		FS:            slowSyncFS{vfs.NewMemFS(), 20 * time.Microsecond},
 		MemTableBytes: 64 << 10,
-		DeleteKeyFunc: testDK,
+		DeleteKeyFunc: storetest.DeleteKey,
 		SyncWrites:    true,
 		Compaction: compaction.Options{
 			SizeRatio:       4,
@@ -53,12 +54,12 @@ func TestGroupCommitStressConcurrent(t *testing.T) {
 	const keysPerWriter = 300
 	const dkSpan = 1000 // writer w owns delete keys [w*dkSpan, (w+1)*dkSpan)
 
-	models := make([]*model, writers)
+	models := make([]*storetest.Model, writers)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
-		models[w] = newModel()
+		models[w] = storetest.NewModel()
 		wg.Add(1)
-		go func(w int, m *model) {
+		go func(w int, m *storetest.Model) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(1000 + w)))
 			dkBase := uint64(w * dkSpan)
@@ -68,18 +69,18 @@ func TestGroupCommitStressConcurrent(t *testing.T) {
 				dk := dkBase + uint64(rng.Intn(dkSpan-20))
 				switch p := rng.Intn(100); {
 				case p < 55:
-					v := testValue(dk, i)
+					v := storetest.Value(dk, i)
 					if err := d.Put([]byte(k), v); err != nil {
 						t.Errorf("writer %d Put: %v", w, err)
 						return
 					}
-					m.put(k, v)
+					m.Put(k, v)
 				case p < 70:
 					if err := d.Delete([]byte(k)); err != nil {
 						t.Errorf("writer %d Delete: %v", w, err)
 						return
 					}
-					m.delete(k)
+					m.Delete(k)
 				case p < 85:
 					b := NewBatch()
 					for j := 0; j < 3; j++ {
@@ -87,7 +88,7 @@ func TestGroupCommitStressConcurrent(t *testing.T) {
 						if j == 2 {
 							b.Delete([]byte(bk))
 						} else {
-							b.Put([]byte(bk), testValue(dk, i+j))
+							b.Put([]byte(bk), storetest.Value(dk, i+j))
 						}
 					}
 					if err := d.Apply(b); err != nil {
@@ -97,9 +98,9 @@ func TestGroupCommitStressConcurrent(t *testing.T) {
 					for j := 0; j < 3; j++ {
 						bk := key(i + j)
 						if j == 2 {
-							m.delete(bk)
+							m.Delete(bk)
 						} else {
-							m.put(bk, testValue(dk, i+j))
+							m.Put(bk, storetest.Value(dk, i+j))
 						}
 					}
 				default:
@@ -109,12 +110,12 @@ func TestGroupCommitStressConcurrent(t *testing.T) {
 						t.Errorf("writer %d DeleteSecondaryRange: %v", w, err)
 						return
 					}
-					m.rangeDelete(lo, hi)
+					m.DeleteRange(lo, hi)
 				}
 				// Read-your-writes: this writer is the only mutator of its
 				// partition, so a Get must reflect the model exactly.
 				if i%17 == 0 {
-					want, ok := m.data[k]
+					want, ok := m.Data[k]
 					got, err := d.Get([]byte(k))
 					switch {
 					case err == ErrNotFound:
@@ -192,13 +193,13 @@ func TestGroupCommitStressConcurrent(t *testing.T) {
 	}
 
 	// Merge the disjoint per-writer models and compare against the engine.
-	merged := newModel()
+	merged := storetest.NewModel()
 	for _, m := range models {
-		for k, v := range m.data {
-			merged.data[k] = v
+		for k, v := range m.Data {
+			merged.Data[k] = v
 		}
 	}
-	checkEquivalence(t, d, merged, 7)
+	storetest.Check(t, target(d), merged, 7)
 
 	// Group commit must have amortized at least once under this contention.
 	if max := d.stats.WALGroupSize.Max(); max < 2 {
@@ -299,7 +300,7 @@ func groupCrashRound(t *testing.T, seed int64) {
 				}
 				for j := 0; j < n; j++ {
 					keys = append(keys, fmt.Sprintf("w%d-%06d-%d", w, i, j))
-					vals = append(vals, testValue(uint64(w*1000+i), i))
+					vals = append(vals, storetest.Value(uint64(w*1000+i), i))
 				}
 				var err error
 				if isBatch {
@@ -428,7 +429,7 @@ func TestSequentialPutsSampleOwnLatency(t *testing.T) {
 	}
 	d := mustOpen(t, opts)
 	for i := 0; i < puts; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("key%06d", i)), testValue(uint64(i), i)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("key%06d", i)), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/base"
 	"repro/internal/compaction"
+	"repro/internal/storetest"
 	"repro/internal/vfs"
 )
 
@@ -19,7 +20,7 @@ func TestAutoMaintenanceStress(t *testing.T) {
 	opts := Options{
 		FS:            fs,
 		MemTableBytes: 64 << 10,
-		DeleteKeyFunc: testDK,
+		DeleteKeyFunc: storetest.DeleteKey,
 		Compaction: compaction.Options{
 			SizeRatio:       4,
 			L0Threshold:     2,
@@ -48,7 +49,7 @@ func TestAutoMaintenanceStress(t *testing.T) {
 				if i%5 == 4 {
 					err = d.Delete(k)
 				} else {
-					err = d.Put(k, testValue(uint64(i), i))
+					err = d.Put(k, storetest.Value(uint64(i), i))
 				}
 				if err != nil {
 					t.Error(err)
@@ -152,7 +153,7 @@ func TestWorkerDisposesTombstonesOnWallClock(t *testing.T) {
 	}
 	defer d.Close()
 	for i := 0; i < 2000; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), testValue(uint64(i), i)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -153,6 +153,9 @@ func Open(dirname string, opts Options) (*DB, error) {
 		return nil, errors.New("acheron: PagesPerTile > 1 requires DeleteKeyFunc")
 	}
 	fs := opts.FS
+	if fs.Exists(manifest.MakeFilename(dirname, manifest.FileTypeShards, 0)) {
+		return nil, fmt.Errorf("acheron: %s is a sharded store; open it with shard.Open (acheron.ShardedOpen)", dirname)
+	}
 	if err := fs.MkdirAll(dirname); err != nil {
 		return nil, err
 	}

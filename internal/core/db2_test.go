@@ -8,6 +8,7 @@ import (
 	"repro/internal/base"
 	"repro/internal/compaction"
 	"repro/internal/manifest"
+	"repro/internal/storetest"
 	"repro/internal/vfs"
 )
 
@@ -25,14 +26,14 @@ func TestSnapshotIsolation(t *testing.T) {
 	clk := &base.LogicalClock{}
 	d := mustOpen(t, testOptions(vfs.NewMemFS(), clk))
 
-	if err := d.Put([]byte("k"), testValue(1, 1)); err != nil {
+	if err := d.Put([]byte("k"), storetest.Value(1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	snap := d.NewSnapshot()
 	defer snap.Release()
 
 	// Overwrite and delete after the snapshot.
-	if err := d.Put([]byte("k"), testValue(2, 2)); err != nil {
+	if err := d.Put([]byte("k"), storetest.Value(2, 2)); err != nil {
 		t.Fatal(err)
 	}
 	snap2 := d.NewSnapshot()
@@ -50,10 +51,10 @@ func TestSnapshotIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if v, err := d.GetAt([]byte("k"), snap); err != nil || base.DeleteKey(1) != testDK(v) {
+	if v, err := d.GetAt([]byte("k"), snap); err != nil || base.DeleteKey(1) != storetest.DeleteKey(v) {
 		t.Fatalf("snap1 sees %v, %v", v, err)
 	}
-	if v, err := d.GetAt([]byte("k"), snap2); err != nil || base.DeleteKey(2) != testDK(v) {
+	if v, err := d.GetAt([]byte("k"), snap2); err != nil || base.DeleteKey(2) != storetest.DeleteKey(v) {
 		t.Fatalf("snap2 sees %v, %v", v, err)
 	}
 	if _, err := d.Get([]byte("k")); err != ErrNotFound {
@@ -68,7 +69,7 @@ func TestSnapshotReleaseUnblocksCleanup(t *testing.T) {
 	opts.Compaction.Picker = compaction.PickFADE
 	d := mustOpen(t, opts)
 
-	if err := d.Put([]byte("k"), testValue(1, 1)); err != nil {
+	if err := d.Put([]byte("k"), storetest.Value(1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	snap := d.NewSnapshot()
@@ -105,7 +106,7 @@ func TestSnapshotReleaseUnblocksCleanup(t *testing.T) {
 // compaction keeps the version it reads.
 func TestSnapshotDoubleReleaseKeepsOtherPin(t *testing.T) {
 	d := mustOpen(t, testOptions(vfs.NewMemFS(), &base.LogicalClock{}))
-	if err := d.Put([]byte("k"), testValue(1, 1)); err != nil {
+	if err := d.Put([]byte("k"), storetest.Value(1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Flush(); err != nil {
@@ -113,7 +114,7 @@ func TestSnapshotDoubleReleaseKeepsOtherPin(t *testing.T) {
 	}
 	s1, s2 := d.NewSnapshot(), d.NewSnapshot()
 	defer s2.Release()
-	if err := d.Put([]byte("k"), testValue(2, 2)); err != nil {
+	if err := d.Put([]byte("k"), storetest.Value(2, 2)); err != nil {
 		t.Fatal(err)
 	}
 	s1.Release()
@@ -124,7 +125,7 @@ func TestSnapshotDoubleReleaseKeepsOtherPin(t *testing.T) {
 	if err := d.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := d.GetAt([]byte("k"), s2); err != nil || testDK(v) != 1 {
+	if v, err := d.GetAt([]byte("k"), s2); err != nil || storetest.DeleteKey(v) != 1 {
 		t.Fatalf("s2 reads %v, %v; want v1", v, err)
 	}
 }
@@ -148,7 +149,7 @@ func TestDPTInvariant(t *testing.T) {
 		if i%5 == 4 {
 			err = d.Delete([]byte(k))
 		} else {
-			err = d.Put([]byte(k), testValue(uint64(i), i))
+			err = d.Put([]byte(k), storetest.Value(uint64(i), i))
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -228,7 +229,7 @@ func TestDPTPolicySweepStress(t *testing.T) {
 				if i%5 == 4 {
 					err = d.Delete([]byte(k))
 				} else {
-					err = d.Put([]byte(k), testValue(uint64(i), i))
+					err = d.Put([]byte(k), storetest.Value(uint64(i), i))
 				}
 				if err != nil {
 					t.Fatal(err)
@@ -293,7 +294,7 @@ func TestBaselineLeavesTombstones(t *testing.T) {
 
 	// Settle data into deeper levels, then delete a stripe.
 	for i := 0; i < 2000; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), testValue(uint64(i), i)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -320,7 +321,7 @@ func TestBaselineLeavesTombstones(t *testing.T) {
 func TestIterBounds(t *testing.T) {
 	d := mustOpen(t, testOptions(vfs.NewMemFS(), &base.LogicalClock{}))
 	for i := 0; i < 100; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%03d", i)), testValue(uint64(i), i)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("k%03d", i)), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -351,15 +352,15 @@ func TestIterBounds(t *testing.T) {
 
 func TestIterSkipsTombstonesAndOldVersions(t *testing.T) {
 	d := mustOpen(t, testOptions(vfs.NewMemFS(), &base.LogicalClock{}))
-	d.Put([]byte("a"), testValue(1, 1))
-	d.Put([]byte("a"), testValue(2, 2)) // newer version
-	d.Put([]byte("b"), testValue(3, 3))
+	d.Put([]byte("a"), storetest.Value(1, 1))
+	d.Put([]byte("a"), storetest.Value(2, 2)) // newer version
+	d.Put([]byte("b"), storetest.Value(3, 3))
 	d.Delete([]byte("b"))
-	d.Put([]byte("c"), testValue(4, 4))
+	d.Put([]byte("c"), storetest.Value(4, 4))
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	d.Put([]byte("d"), testValue(5, 5)) // in memtable
+	d.Put([]byte("d"), storetest.Value(5, 5)) // in memtable
 
 	it, err := d.NewIter(IterOptions{})
 	if err != nil {
@@ -368,7 +369,7 @@ func TestIterSkipsTombstonesAndOldVersions(t *testing.T) {
 	defer it.Close()
 	var got []string
 	for ok := it.First(); ok; ok = it.Next() {
-		got = append(got, fmt.Sprintf("%s=%d", it.Key(), testDK(it.Value())))
+		got = append(got, fmt.Sprintf("%s=%d", it.Key(), storetest.DeleteKey(it.Value())))
 	}
 	want := "[a=2 c=4 d=5]"
 	if fmt.Sprint(got) != want {
@@ -423,7 +424,7 @@ func TestStatsAccounting(t *testing.T) {
 	clk := &base.LogicalClock{}
 	d := mustOpen(t, testOptions(vfs.NewMemFS(), clk))
 	for i := 0; i < 3000; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%06d", i)), testValue(uint64(i), i)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("k%06d", i)), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -462,7 +463,7 @@ func TestLargeValuesRoundtrip(t *testing.T) {
 	for i := range big {
 		big[i] = byte(i)
 	}
-	copy(big, testValue(1, 1)) // keep a valid delete-key prefix
+	copy(big, storetest.Value(1, 1)) // keep a valid delete-key prefix
 	if err := d.Put([]byte("big"), big); err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +508,7 @@ func TestTieringAccumulatesRuns(t *testing.T) {
 	opts.Compaction.Policy = compaction.PolicySizeTiered
 	d := mustOpen(t, opts)
 	for i := 0; i < 20_000; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%07d", i%6000)), testValue(uint64(i), i)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("k%07d", i%6000)), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 		if i%500 == 0 {
@@ -544,7 +545,7 @@ func TestTrivialMoveSkipsRewrite(t *testing.T) {
 	d := mustOpen(t, opts)
 	// Disjoint key ranges so compactions can move files without merging.
 	for i := 0; i < 6000; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%07d", i)), testValue(uint64(i), i)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("k%07d", i)), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 		if i%200 == 0 {
@@ -571,7 +572,7 @@ func TestCompactionStageWaitsBooked(t *testing.T) {
 	d := mustOpen(t, testOptions(vfs.NewMemFS(), &base.LogicalClock{}))
 	for round := 0; round < 2; round++ {
 		for i := 0; i < 500; i++ {
-			if err := d.Put([]byte(fmt.Sprintf("k%04d", i)), testValue(uint64(i), i)); err != nil {
+			if err := d.Put([]byte(fmt.Sprintf("k%04d", i)), storetest.Value(uint64(i), i)); err != nil {
 				t.Fatal(err)
 			}
 		}

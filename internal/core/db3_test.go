@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/base"
 	"repro/internal/manifest"
+	"repro/internal/storetest"
 	"repro/internal/vfs"
 	"repro/internal/vfs/errorfs"
 )
@@ -24,7 +25,7 @@ func TestOrphanTablesRemovedAtOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 500; i++ {
-		d.Put([]byte(fmt.Sprintf("k%04d", i)), testValue(uint64(i), i))
+		d.Put([]byte(fmt.Sprintf("k%04d", i)), storetest.Value(uint64(i), i))
 	}
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
@@ -61,7 +62,7 @@ func TestTornWALTailRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%04d", i)), testValue(uint64(i), i)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("k%04d", i)), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,7 +114,7 @@ func TestFlushSyncErrorSurfaces(t *testing.T) {
 	opts := testOptions(efs, &base.LogicalClock{})
 	d := mustOpen(t, opts)
 	for i := 0; i < 100; i++ {
-		d.Put([]byte(fmt.Sprintf("k%04d", i)), testValue(uint64(i), i))
+		d.Put([]byte(fmt.Sprintf("k%04d", i)), storetest.Value(uint64(i), i))
 	}
 	rule := efs.Add(&errorfs.Rule{
 		Ops:      []errorfs.Op{errorfs.OpSync},
@@ -146,7 +147,7 @@ func TestRecoveryPreservesSeqNums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Put([]byte("k"), testValue(1, 1))
+	d.Put([]byte("k"), storetest.Value(1, 1))
 	d.Delete([]byte("k"))
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
@@ -158,11 +159,11 @@ func TestRecoveryPreservesSeqNums(t *testing.T) {
 	defer d.Close()
 	// The new write must shadow the tombstone: if seqnums restarted low
 	// it would be shadowed BY the tombstone instead.
-	if err := d.Put([]byte("k"), testValue(2, 2)); err != nil {
+	if err := d.Put([]byte("k"), storetest.Value(2, 2)); err != nil {
 		t.Fatal(err)
 	}
 	v, err := d.Get([]byte("k"))
-	if err != nil || testDK(v) != 2 {
+	if err != nil || storetest.DeleteKey(v) != 2 {
 		t.Fatalf("post-recovery write shadowed by old tombstone: %v, %v", v, err)
 	}
 }
@@ -174,7 +175,7 @@ func TestIterationDuringCompaction(t *testing.T) {
 	opts := testOptions(fs, &base.LogicalClock{})
 	d := mustOpen(t, opts)
 	for i := 0; i < 4000; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), testValue(uint64(i), i)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -215,7 +216,7 @@ func TestCloseLeavesNothingToReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 1000; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%04d", i)), testValue(uint64(i), i)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("k%04d", i)), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -236,7 +237,7 @@ func TestCloseLeavesNothingToReplay(t *testing.T) {
 		if err != nil {
 			t.Fatalf("lost %s across close: %v", k, err)
 		}
-		if !bytes.Equal(v, testValue(uint64(i), i)) {
+		if !bytes.Equal(v, storetest.Value(uint64(i), i)) {
 			t.Fatalf("%s reads back %q after reopen", k, v)
 		}
 	}
@@ -249,7 +250,7 @@ func TestBlockCacheServesReads(t *testing.T) {
 	opts.BlockCacheBytes = 4 << 20
 	d := mustOpen(t, opts)
 	for i := 0; i < 3000; i++ {
-		d.Put([]byte(fmt.Sprintf("k%05d", i)), testValue(uint64(i), i))
+		d.Put([]byte(fmt.Sprintf("k%05d", i)), storetest.Value(uint64(i), i))
 	}
 	if err := d.CompactAll(); err != nil {
 		t.Fatal(err)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/base"
 	"repro/internal/manifest"
+	"repro/internal/storetest"
 	"repro/internal/vfs"
 )
 
@@ -41,7 +42,7 @@ func TestGoldenFlushBytes(t *testing.T) {
 			case i == 2500:
 				err = d.DeleteSecondaryRange(50, 150)
 			default:
-				err = d.Put(key, append(testValue(uint64(i%1000), i), make([]byte, i%29)...))
+				err = d.Put(key, append(storetest.Value(uint64(i%1000), i), make([]byte, i%29)...))
 			}
 			if err != nil {
 				t.Fatal(err)

@@ -10,17 +10,14 @@ import (
 	"repro/internal/iterator"
 	"repro/internal/manifest"
 	"repro/internal/memtable"
+	"repro/internal/storetest"
 	"repro/internal/vfs"
 	"repro/internal/vfs/errorfs"
 )
 
-// checkTombstoneLedger asserts, at quiescence, that the tombstone ledger
-// agrees with the tree it describes and not merely with itself: the live
-// gauge is the tombstones resident in memtables and files, every persisted
-// tombstone has exactly one latency sample, and the late count is the exact
-// side of the deadline the recorded maximum says it is.
-func checkTombstoneLedger(t testing.TB, d *DB) {
-	t.Helper()
+// ledger reads d's tombstone ledger beside the tombstones its memtables and
+// files hold.
+func ledger(d *DB) storetest.Ledger {
 	d.mu.Lock()
 	resident := d.mem.NumDeletes()
 	for _, e := range d.imm {
@@ -31,19 +28,22 @@ func checkTombstoneLedger(t testing.TB, d *DB) {
 		resident += int64(li.Tombstones)
 	}
 	s := d.Stats()
-	live, n, late := s.LiveTombstones.Get(), s.PersistenceLatency.Count(), s.TombstonesPersistedLate.Get()
-	if live != resident || live < 0 {
-		t.Fatalf("ledger: LiveTombstones = %d, tree and memtables hold %d", live, resident)
+	return storetest.Ledger{
+		Resident:   resident,
+		Live:       s.LiveTombstones.Get(),
+		Persisted:  s.TombstonesPersisted.Get() + s.RangeTombstonesPersisted.Get(),
+		Samples:    s.PersistenceLatency.Count(),
+		Late:       s.TombstonesPersistedLate.Get(),
+		MaxLatency: s.PersistenceLatency.Max(),
+		DPT:        int64(d.opts.Compaction.DPT),
 	}
-	if want := s.TombstonesPersisted.Get() + s.RangeTombstonesPersisted.Get(); n != want {
-		t.Fatalf("ledger: %d latency samples for %d persisted tombstones", n, want)
-	}
-	if late > n {
-		t.Fatalf("ledger: %d late of %d persisted", late, n)
-	}
-	if dpt := int64(d.opts.Compaction.DPT); dpt > 0 && (late == 0) != (s.PersistenceLatency.Max() <= dpt) {
-		t.Fatalf("ledger: late = %d but max latency %d against DPT %d", late, s.PersistenceLatency.Max(), dpt)
-	}
+}
+
+// checkTombstoneLedger asserts, at quiescence, that d's tombstone ledger
+// agrees with the tree and memtables it describes.
+func checkTombstoneLedger(t testing.TB, d *DB) {
+	t.Helper()
+	storetest.CheckLedgers(t, []storetest.Ledger{ledger(d)})
 }
 
 // TestFailedCompactionBooksNoTombstones: the ledger is booked after the
@@ -65,7 +65,7 @@ func TestFailedCompactionBooksNoTombstones(t *testing.T) {
 			opts.MemTableBytes = 1 << 20 // the test flushes by hand
 			d := mustOpen(t, opts)
 			for i := 0; i < keys; i++ {
-				if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), testValue(uint64(i), 0)); err != nil {
+				if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), storetest.Value(uint64(i), 0)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -121,7 +121,7 @@ func TestLiveTombstonesSeededOnOpen(t *testing.T) {
 	}
 	const keys = 500
 	for i := 0; i < keys; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), testValue(uint64(i), 0)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("k%05d", i)), storetest.Value(uint64(i), 0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -292,7 +292,7 @@ func TestDeeperTreeRegimeMissesDPT(t *testing.T) {
 				}
 			case p < 600:
 				if k := rng.Intn(keys); !retired[k] {
-					if err := d.Put([]byte(fmt.Sprintf("key%06d", k)), testValue(uint64(tick), k)); err != nil {
+					if err := d.Put([]byte(fmt.Sprintf("key%06d", k)), storetest.Value(uint64(tick), k)); err != nil {
 						t.Fatal(err)
 					}
 					recent = append(recent, k)

@@ -9,120 +9,18 @@ import (
 
 	"repro/internal/base"
 	"repro/internal/compaction"
+	"repro/internal/storetest"
 	"repro/internal/vfs"
 )
 
-// snapModel compares the engine's view at a snapshot with a frozen copy of
-// the model taken at the same instant.
-func snapModel(m *model) map[string][]byte {
-	frozen := make(map[string][]byte, len(m.data))
-	for k, v := range m.data {
-		frozen[k] = append([]byte(nil), v...)
-	}
-	return frozen
-}
-
-func checkSnapshotView(t *testing.T, d *DB, snap *Snapshot, frozen map[string][]byte) {
-	t.Helper()
-	it, err := d.NewIter(IterOptions{Snapshot: snap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer it.Close()
-	seen := 0
-	for ok := it.First(); ok; ok = it.Next() {
-		want, present := frozen[string(it.Key())]
-		if !present {
-			t.Fatalf("snapshot scan surfaced key %q written after the snapshot", it.Key())
-		}
-		if string(it.Value()) != string(want) {
-			t.Fatalf("snapshot value divergence at %q", it.Key())
-		}
-		seen++
-	}
-	if err := it.Error(); err != nil {
-		t.Fatal(err)
-	}
-	if seen != len(frozen) {
-		t.Fatalf("snapshot scan has %d keys, frozen model %d", seen, len(frozen))
-	}
-}
-
-// checkScanAcrossMaintenance opens a (possibly bounded) iterator, walks part
-// of it, runs a flush or a maintenance step while the iterator is mid-flight,
-// and then finishes the walk — the whole scan must still read exactly the
-// state frozen at open time. This is the single-threaded version of a scan
-// racing a compaction: the version the iterator (and any cached read view)
-// refers to is replaced underneath it.
-func checkScanAcrossMaintenance(t *testing.T, d *DB, m *model, rng *rand.Rand, op int) {
-	t.Helper()
-	var opts IterOptions
-	if rng.Intn(2) == 0 {
-		lo := fmt.Sprintf("key%05d", rng.Intn(400))
-		hi := fmt.Sprintf("key%05d", 200+rng.Intn(400))
-		if lo < hi {
-			opts.LowerBound, opts.UpperBound = []byte(lo), []byte(hi)
-		}
-	}
-	inBounds := func(k string) bool {
-		if opts.LowerBound != nil && k < string(opts.LowerBound) {
-			return false
-		}
-		if opts.UpperBound != nil && k >= string(opts.UpperBound) {
-			return false
-		}
-		return true
-	}
-	var want []string
-	for _, k := range m.sortedKeys() {
-		if inBounds(k) {
-			want = append(want, k)
-		}
-	}
-
-	it, err := d.NewIter(opts)
-	if err != nil {
-		t.Fatalf("op %d scan open: %v", op, err)
-	}
-	defer it.Close()
-	var got []string
-	ok := it.First()
-	cut := rng.Intn(len(want) + 1)
-	for i := 0; ok && i < cut; i++ {
-		got = append(got, string(it.Key()))
-		ok = it.Next()
-	}
-	// Shift the tree underneath the open iterator.
-	if rng.Intn(2) == 0 {
-		if err := d.Flush(); err != nil {
-			t.Fatalf("op %d mid-scan Flush: %v", op, err)
-		}
-	} else if _, err := d.MaintenanceStep(); err != nil {
-		t.Fatalf("op %d mid-scan MaintenanceStep: %v", op, err)
-	}
-	for ; ok; ok = it.Next() {
-		got = append(got, string(it.Key()))
-	}
-	if err := it.Error(); err != nil {
-		t.Fatalf("op %d scan: %v", op, err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("op %d scan across maintenance: %d keys, want %d", op, len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("op %d scan entry %d: %s != %s", op, i, got[i], want[i])
-		}
-	}
-}
-
-// TestModelDifferentialStress drives the engine with a long randomized op
-// sequence — puts, deletes, batches, secondary range deletes, flushes,
-// maintenance steps, snapshots, and full reopens — and continuously diffs it
-// against the in-memory reference model, under every compaction policy. Each
-// reopen switches policy, and over the starting policies and seeds every
-// ordered pair is crossed: a tree built under one layout must read the same
-// and converge under another.
+// TestModelDifferentialStress drives the engine with the shared op soup —
+// puts, deletes, batches, secondary range deletes, scans across flushes and
+// maintenance steps, pinned snapshots, and two full reopens, the first after
+// a crash (WAL replay) and the second after CompactAll and Close — and
+// continuously diffs it against the reference model, under every compaction
+// policy. Each reopen switches policy, and over the starting policies and
+// seeds every ordered pair is crossed: a tree built under one layout must
+// read the same and converge under another.
 // Seeds are fixed so every failure reproduces; the "Stress" name places it
 // under the race-detector gate.
 func TestModelDifferentialStress(t *testing.T) {
@@ -133,170 +31,31 @@ func TestModelDifferentialStress(t *testing.T) {
 	}
 	for _, kind := range policies {
 		for _, seed := range []int64{1, 7, 42} {
-			kind, seed := kind, seed
 			t.Run(fmt.Sprintf("%s/seed=%d", kind, seed), func(t *testing.T) {
 				t.Parallel()
-				runModelDifferentialStress(t, kind, seed)
+				clk := &base.LogicalClock{}
+				opts := testOptions(vfs.NewMemFS(), clk)
+				opts.Compaction.Policy = kind
+				// The tree this run builds is a few tens of KB: a small L1
+				// makes it several levels deep and lets levels saturate on
+				// bytes, which is where a level left in another policy's
+				// shape is first acted on.
+				opts.Compaction.BaseLevelBytes = 4 << 10
+				// The first reopen is a crash: acked writes must be durable.
+				opts.SyncWrites = true
+				// Each reopen moves on by one or two policies, by seed, so
+				// the seeds between them cross every ordered pair.
+				step := compaction.PolicyKind(1 + seed%2)
+				next := func(_ int, o *Options) { o.Compaction.Policy = (o.Compaction.Policy-1+step)%3 + 1 }
+				const ops = 4000
+				storetest.Run(t, openTarget(t, opts, next), storetest.Config{
+					Seed: seed, Ops: ops, Mix: storetest.Stress, Keys: 600, DeleteKeys: 1000,
+					Clock: clk, Tick: 1000, CheckEvery: 800,
+					Reopens: []storetest.Reopen{{After: ops / 3, Crash: true}, {After: 2 * ops / 3, Compacted: true}},
+				})
 			})
 		}
 	}
-}
-
-func runModelDifferentialStress(t *testing.T, kind compaction.PolicyKind, seed int64) {
-	rng := rand.New(rand.NewSource(seed))
-	fs := vfs.NewMemFS()
-	clk := &base.LogicalClock{}
-	opts := testOptions(fs, clk)
-	opts.Compaction.Policy = kind
-	// The tree this run builds is a few tens of KB: a small L1 makes it
-	// several levels deep and lets levels saturate on bytes, which is
-	// where a level left in another policy's shape is first acted on.
-	opts.Compaction.BaseLevelBytes = 4 << 10
-	d, err := Open("db", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { d.Close() }()
-	m := newModel()
-
-	const ops = 4000
-	keySpace := 600
-	// Each reopen moves on by one or two policies, by seed, so the seeds
-	// between them cross every ordered pair of policies.
-	step := compaction.PolicyKind(1 + seed%2)
-	key := func() string { return fmt.Sprintf("key%05d", rng.Intn(keySpace)) }
-
-	type pinned struct {
-		snap   *Snapshot
-		frozen map[string][]byte
-	}
-	var pins []pinned
-
-	for i := 0; i < ops; i++ {
-		clk.Advance(base.Duration(rng.Intn(1000)))
-		switch p := rng.Intn(100); {
-		case p < 45: // put
-			k := key()
-			v := testValue(uint64(rng.Intn(1000)), i)
-			if err := d.Put([]byte(k), v); err != nil {
-				t.Fatalf("op %d Put: %v", i, err)
-			}
-			m.put(k, v)
-		case p < 60: // delete (existing or absent)
-			k := key()
-			if err := d.Delete([]byte(k)); err != nil {
-				t.Fatalf("op %d Delete: %v", i, err)
-			}
-			m.delete(k)
-		case p < 70: // batch of puts + deletes
-			b := NewBatch()
-			type bop struct {
-				k   string
-				v   []byte
-				del bool
-			}
-			var staged []bop
-			for j := 0; j < 1+rng.Intn(8); j++ {
-				k := key()
-				if rng.Intn(4) == 0 {
-					b.Delete([]byte(k))
-					staged = append(staged, bop{k: k, del: true})
-				} else {
-					v := testValue(uint64(rng.Intn(1000)), i*100+j)
-					b.Put([]byte(k), v)
-					staged = append(staged, bop{k: k, v: v})
-				}
-			}
-			if err := d.Apply(b); err != nil {
-				t.Fatalf("op %d Apply: %v", i, err)
-			}
-			for _, o := range staged {
-				if o.del {
-					m.delete(o.k)
-				} else {
-					m.put(o.k, o.v)
-				}
-			}
-		case p < 75: // secondary range delete
-			lo := base.DeleteKey(rng.Intn(900))
-			hi := lo + base.DeleteKey(1+rng.Intn(100))
-			if err := d.DeleteSecondaryRange(lo, hi); err != nil {
-				t.Fatalf("op %d DeleteSecondaryRange: %v", i, err)
-			}
-			m.rangeDelete(lo, hi)
-		case p < 82: // point-get spot check
-			k := key()
-			v, err := d.Get([]byte(k))
-			want, present := m.data[k]
-			if present {
-				if err != nil {
-					t.Fatalf("op %d Get(%q): %v", i, k, err)
-				}
-				if string(v) != string(want) {
-					t.Fatalf("op %d Get(%q) divergence", i, k)
-				}
-			} else if err != ErrNotFound {
-				t.Fatalf("op %d Get(absent %q) = %v", i, k, err)
-			}
-		case p < 85: // long range scan with a flush/compaction mid-flight
-			checkScanAcrossMaintenance(t, d, m, rng, i)
-		case p < 88: // flush
-			if err := d.Flush(); err != nil {
-				t.Fatalf("op %d Flush: %v", i, err)
-			}
-		case p < 94: // one maintenance step (flush or compaction)
-			if _, err := d.MaintenanceStep(); err != nil {
-				t.Fatalf("op %d MaintenanceStep: %v", i, err)
-			}
-		case p < 97: // pin a snapshot (bounded; released below)
-			if len(pins) < 3 {
-				pins = append(pins, pinned{snap: d.NewSnapshot(), frozen: snapModel(m)})
-			}
-		default: // verify + release the oldest pinned snapshot
-			if len(pins) > 0 {
-				checkSnapshotView(t, d, pins[0].snap, pins[0].frozen)
-				pins[0].snap.Release()
-				pins = pins[1:]
-			}
-		}
-
-		if i%800 == 799 {
-			checkEquivalence(t, d, m, int(seed)*1000+i)
-		}
-		// Two full reopens per run: WAL replay at 1/3, compacted
-		// state at 2/3.
-		if i == ops/3 || i == 2*ops/3 {
-			for _, pin := range pins {
-				checkSnapshotView(t, d, pin.snap, pin.frozen)
-				pin.snap.Release()
-			}
-			pins = nil
-			if i == 2*ops/3 {
-				if err := d.CompactAll(); err != nil {
-					t.Fatalf("op %d CompactAll: %v", i, err)
-				}
-			}
-			if err := d.Close(); err != nil {
-				t.Fatalf("op %d Close: %v", i, err)
-			}
-			kind = (kind-1+step)%3 + 1
-			opts.Compaction.Policy = kind
-			d, err = Open("db", opts)
-			if err != nil {
-				t.Fatalf("op %d reopen under %s: %v", i, kind, err)
-			}
-			checkEquivalence(t, d, m, int(seed)*1000+i)
-		}
-	}
-	for _, pin := range pins {
-		checkSnapshotView(t, d, pin.snap, pin.frozen)
-		pin.snap.Release()
-	}
-	checkEquivalence(t, d, m, int(seed))
-	if err := d.WaitIdle(); err != nil {
-		t.Fatal(err)
-	}
-	checkTombstoneLedger(t, d)
 }
 
 // TestScanCompactionStress runs range scans (full and prefix) concurrently
@@ -328,7 +87,7 @@ func TestScanCompactionStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				k := fmt.Sprintf("w%d-%06d", w, i)
-				if err := d.Put([]byte(k), testValue(uint64(w), i)); err != nil {
+				if err := d.Put([]byte(k), storetest.Value(uint64(w), i)); err != nil {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}
@@ -464,7 +223,7 @@ func TestCacheAccountingConcurrent(t *testing.T) {
 	const n = 8000
 	for i := 0; i < n; i++ {
 		k := fmt.Sprintf("key%06d", i)
-		if err := d.Put([]byte(k), testValue(uint64(i), i)); err != nil {
+		if err := d.Put([]byte(k), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -543,7 +302,7 @@ func TestBloomAccountingGroundTruth(t *testing.T) {
 	const present = 500
 	for i := 0; i < present; i++ {
 		k := fmt.Sprintf("key%06d", i)
-		if err := d.Put([]byte(k), testValue(uint64(i), i)); err != nil {
+		if err := d.Put([]byte(k), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 	}

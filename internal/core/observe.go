@@ -2,8 +2,6 @@ package core
 
 import (
 	"encoding/json"
-	"fmt"
-	"net"
 	"net/http"
 	"strconv"
 	"time"
@@ -397,22 +395,12 @@ func toJobJSON(jobs []JobInfo) []jobJSON {
 }
 
 // MetricsHandler returns an http.Handler exposing the DB's observability
-// surface:
+// surface: metrics.NewServeMux's /metrics and /vars over Registry, plus
 //
-//	/metrics          Prometheus text exposition
-//	/vars             all metrics as one JSON object
 //	/events?since=N&max=M   buffered trace events, oldest first
-//	/jobs             recently completed maintenance jobs
+//	/jobs                   recently completed maintenance jobs
 func (d *DB) MetricsHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_, _ = d.Registry().WriteTo(w)
-	})
-	mux.HandleFunc("/vars", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = d.Registry().WriteJSON(w)
-	})
+	mux := metrics.NewServeMux(d.Registry())
 	mux.HandleFunc("/events", func(w http.ResponseWriter, req *http.Request) {
 		q := req.URL.Query()
 		since, _ := strconv.ParseUint(q.Get("since"), 10, 64)
@@ -431,26 +419,5 @@ func (d *DB) MetricsHandler() http.Handler {
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(toJobJSON(d.RecentMaintJobs()))
 	})
-	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Path != "/" {
-			http.NotFound(w, req)
-			return
-		}
-		fmt.Fprint(w, "acheron observability endpoints: /metrics /vars /events /jobs\n")
-	})
 	return mux
-}
-
-// ServeMetrics starts an HTTP server exposing MetricsHandler on addr (e.g.
-// "127.0.0.1:0"). It returns the bound address and a function that stops
-// the server. The server is not tied to the DB lifecycle; stop it before
-// (or after) Close as convenient.
-func (d *DB) ServeMetrics(addr string) (string, func() error, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, err
-	}
-	srv := &http.Server{Handler: d.MetricsHandler()}
-	go func() { _ = srv.Serve(ln) }()
-	return ln.Addr().String(), srv.Close, nil
 }

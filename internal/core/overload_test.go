@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/base"
+	"repro/internal/storetest"
 	"repro/internal/vfs"
 	"repro/internal/vfs/errorfs"
 )
@@ -23,7 +24,7 @@ func stallOptions(fs vfs.FS) Options {
 	return Options{
 		FS:                      fs,
 		MemTableBytes:           4 << 10,
-		DeleteKeyFunc:           testDK,
+		DeleteKeyFunc:           storetest.DeleteKey,
 		MaintenanceConcurrency:  2,
 		MaintenanceTickInterval: time.Millisecond,
 		MaxImmutableMemTables:   1,
@@ -41,7 +42,7 @@ func fillToStallThreshold(t *testing.T, d *DB) {
 		if time.Now().After(deadline) {
 			t.Fatal("immutable queue never filled against a gated flush")
 		}
-		if err := d.Put([]byte(fmt.Sprintf("fill%06d", i)), testValue(uint64(i), i)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("fill%06d", i)), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,7 +71,7 @@ func TestStallDeadlineExceeded(t *testing.T) {
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 		defer cancel()
-		leaderErr <- d.PutCtx(ctx, []byte("stalled"), testValue(1, 1))
+		leaderErr <- d.PutCtx(ctx, []byte("stalled"), storetest.Value(1, 1))
 	}()
 
 	// Wait until the leader is parked in the stall gate, then enqueue a
@@ -86,7 +87,7 @@ func TestStallDeadlineExceeded(t *testing.T) {
 	}
 	fctx, fcancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer fcancel()
-	ferr := d.PutCtx(fctx, []byte("queued"), testValue(2, 2))
+	ferr := d.PutCtx(fctx, []byte("queued"), storetest.Value(2, 2))
 	if !errors.Is(ferr, context.DeadlineExceeded) {
 		t.Fatalf("queued follower returned %v, want wrapped context.DeadlineExceeded", ferr)
 	}
@@ -131,7 +132,7 @@ func TestStallDeadlineExceeded(t *testing.T) {
 	close(fs.gate)
 	deadline = time.Now().Add(10 * time.Second)
 	for {
-		if err := d.Put([]byte("after"), testValue(3, 3)); err == nil {
+		if err := d.Put([]byte("after"), storetest.Value(3, 3)); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -159,7 +160,7 @@ func TestMaintenanceBarrierHonorsContext(t *testing.T) {
 	// Rotate once so the background executor picks up a flush and pins
 	// inside the gated sstable create.
 	for i := 0; d.stats.FlushQueueDepth.Get() == 0; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%06d", i)), testValue(uint64(i), i)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("k%06d", i)), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,7 +221,7 @@ func TestOverloadStressRandomCancels(t *testing.T) {
 	opts := Options{
 		FS:                      vfs.NewMemFS(),
 		MemTableBytes:           32 << 10,
-		DeleteKeyFunc:           testDK,
+		DeleteKeyFunc:           storetest.DeleteKey,
 		MaintenanceConcurrency:  2,
 		MaintenanceTickInterval: time.Millisecond,
 		MaxImmutableMemTables:   2,
@@ -271,7 +272,7 @@ func TestOverloadStressRandomCancels(t *testing.T) {
 						err = nil
 					}
 				} else {
-					err = d.PutCtx(ctx, key, testValue(uint64(i), w))
+					err = d.PutCtx(ctx, key, storetest.Value(uint64(i), w))
 				}
 				if cancel != nil {
 					cancel()
@@ -334,7 +335,7 @@ func TestOverloadStressBoundedClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Drain the single burst token so the writers below must queue.
-	if err := d.Put([]byte("first"), testValue(1, 1)); err != nil {
+	if err := d.Put([]byte("first"), storetest.Value(1, 1)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -342,7 +343,7 @@ func TestOverloadStressBoundedClose(t *testing.T) {
 	writerErrs := make(chan error, writers)
 	for w := 0; w < writers; w++ {
 		go func(w int) {
-			writerErrs <- d.Put([]byte(fmt.Sprintf("queued%d", w)), testValue(uint64(w), w))
+			writerErrs <- d.Put([]byte(fmt.Sprintf("queued%d", w)), storetest.Value(uint64(w), w))
 		}(w)
 	}
 	time.Sleep(50 * time.Millisecond) // let the writers reach the gate
@@ -411,7 +412,7 @@ func TestCancelledCommitAtomicity(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + w)))
 			for i := 0; i < rounds; i++ {
 				ka, kb := pairKeys(w, i)
-				val := testValue(uint64(w*rounds+i), i)
+				val := storetest.Value(uint64(w*rounds+i), i)
 				b := NewBatch()
 				b.Put(ka, val)
 				b.Put(kb, val)

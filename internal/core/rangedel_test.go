@@ -14,6 +14,7 @@ import (
 	"repro/internal/base"
 	"repro/internal/compaction"
 	"repro/internal/manifest"
+	"repro/internal/storetest"
 	"repro/internal/vfs"
 )
 
@@ -38,14 +39,14 @@ func TestRangeDeleteKeySemantics(t *testing.T) {
 			d := mustOpen(t, kiwiOptions(vfs.NewMemFS(), clk, eager))
 
 			// v1 has dk=500 (outside), v2 has dk=50 (inside).
-			if err := d.Put([]byte("k"), testValue(500, 1)); err != nil {
+			if err := d.Put([]byte("k"), storetest.Value(500, 1)); err != nil {
 				t.Fatal(err)
 			}
-			if err := d.Put([]byte("k"), testValue(50, 2)); err != nil {
+			if err := d.Put([]byte("k"), storetest.Value(50, 2)); err != nil {
 				t.Fatal(err)
 			}
 			// Also a key whose newest version is outside the range.
-			if err := d.Put([]byte("other"), testValue(900, 3)); err != nil {
+			if err := d.Put([]byte("other"), storetest.Value(900, 3)); err != nil {
 				t.Fatal(err)
 			}
 			if err := d.DeleteSecondaryRange(0, 100); err != nil {
@@ -94,14 +95,14 @@ func TestRangeDeleteKeySemantics(t *testing.T) {
 func TestRangeDeleteSeqOrderMatters(t *testing.T) {
 	clk := &base.LogicalClock{}
 	d := mustOpen(t, kiwiOptions(vfs.NewMemFS(), clk, false))
-	if err := d.Put([]byte("k"), testValue(50, 1)); err != nil {
+	if err := d.Put([]byte("k"), storetest.Value(50, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.DeleteSecondaryRange(0, 100); err != nil {
 		t.Fatal(err)
 	}
 	// Re-insert with a covered delete key AFTER the tombstone: visible.
-	if err := d.Put([]byte("k"), testValue(60, 2)); err != nil {
+	if err := d.Put([]byte("k"), storetest.Value(60, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.Get([]byte("k")); err != nil {
@@ -149,7 +150,7 @@ func TestEagerDeferredEquivalence(t *testing.T) {
 			}
 			for ok := it.First(); ok; ok = it.Next() {
 				contents[ri] = append(contents[ri],
-					fmt.Sprintf("%s=%d", it.Key(), testDK(it.Value())))
+					fmt.Sprintf("%s=%d", it.Key(), storetest.DeleteKey(it.Value())))
 			}
 			it.Close()
 		}
@@ -167,7 +168,7 @@ func TestEagerDeferredEquivalence(t *testing.T) {
 		case r < 0.70:
 			tick++
 			k := fmt.Sprintf("k%05d", rng.Intn(1500))
-			v := testValue(tick, i)
+			v := storetest.Value(tick, i)
 			apply(func(r run) error { r.clk.Advance(1); return r.d.Put([]byte(k), v) })
 		case r < 0.78:
 			k := fmt.Sprintf("k%05d", rng.Intn(1500))
@@ -213,10 +214,10 @@ func TestRangeTombstoneRetirementRequiresGlobalInertness(t *testing.T) {
 
 	// Two widely separated key regions in separate files after compaction.
 	for i := 0; i < 1000; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("a%05d", i)), testValue(uint64(i), i)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("a%05d", i)), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
-		if err := d.Put([]byte(fmt.Sprintf("z%05d", i)), testValue(uint64(i), i)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("z%05d", i)), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -248,7 +249,7 @@ func TestRangeTombstoneRetirementRequiresGlobalInertness(t *testing.T) {
 		}
 		defer it.Close()
 		for ok := it.First(); ok; ok = it.Next() {
-			if dk := testDK(it.Value()); dk < 500 {
+			if dk := storetest.DeleteKey(it.Value()); dk < 500 {
 				t.Fatalf("tombstone retired while covered entry %q (dk=%d) remains", it.Key(), dk)
 			}
 		}
@@ -267,21 +268,21 @@ func TestVersionCarriesLiveRangeTombstones(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { d.Close() }()
-	m := newModel()
+	m := storetest.NewModel()
 	put := func(lo, hi, tag int) {
 		for i := lo; i < hi; i++ {
-			k, v := fmt.Sprintf("k%05d", i), testValue(uint64(i), tag)
+			k, v := fmt.Sprintf("k%05d", i), storetest.Value(uint64(i), tag)
 			if err := d.Put([]byte(k), v); err != nil {
 				t.Fatal(err)
 			}
-			m.put(k, v)
+			m.Put(k, v)
 		}
 	}
 	rangeDelete := func(lo, hi base.DeleteKey) {
 		if err := d.DeleteSecondaryRange(lo, hi); err != nil {
 			t.Fatal(err)
 		}
-		m.rangeDelete(lo, hi)
+		m.DeleteRange(lo, hi)
 	}
 	put(0, 3000, 0)
 	rangeDelete(100, 400)
@@ -307,26 +308,13 @@ func TestVersionCarriesLiveRangeTombstones(t *testing.T) {
 		if len(got) == 0 || !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: version lists %v, live tables hold %v", stage, got, want)
 		}
-		it, err := d.NewIter(IterOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer it.Close()
-		keys := m.sortedKeys()
-		n := 0
-		for ok := it.First(); ok; ok = it.Next() {
-			if n >= len(keys) || string(it.Key()) != keys[n] || !bytes.Equal(it.Value(), m.data[keys[n]]) {
-				t.Fatalf("%s: scan position %d is %s, model disagrees", stage, n, it.Key())
-			}
-			n++
-		}
-		if n != len(keys) {
-			t.Fatalf("%s: scan saw %d keys, model has %d", stage, n, len(keys))
+		if diff := storetest.Diff(target(d), m); diff != "" {
+			t.Fatalf("%s: %s", stage, diff)
 		}
 		for i := 0; i < 3000; i += 7 {
 			k := fmt.Sprintf("k%05d", i)
 			v, err := d.Get([]byte(k))
-			if want, ok := m.data[k]; ok != (err == nil) || !bytes.Equal(v, want) {
+			if want, ok := m.Data[k]; ok != (err == nil) || !bytes.Equal(v, want) {
 				t.Fatalf("%s: get %s = %x, %v; model has %x", stage, k, v, err, want)
 			}
 		}
@@ -389,7 +377,7 @@ func TestGetAllocsFlatInRangeTombstones(t *testing.T) {
 	fixture := func(inFiles, inMem int) *DB {
 		d := mustOpen(t, testOptions(vfs.NewMemFS(), &base.LogicalClock{}))
 		for i := 0; i < keys; i++ {
-			if err := d.Put([]byte(fmt.Sprintf("key%05d", i)), testValue(uint64(i), i)); err != nil {
+			if err := d.Put([]byte(fmt.Sprintf("key%05d", i)), storetest.Value(uint64(i), i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -439,7 +427,7 @@ func TestMemTableRangeTombstonesConcurrent(t *testing.T) {
 	)
 	d := mustOpen(t, kiwiOptions(vfs.NewMemFS(), &base.LogicalClock{}, false))
 	for i := 0; i < keys; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("key%05d", i)), testValue(uint64(i), i)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("key%05d", i)), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 		if i == keys/2 {
@@ -493,7 +481,7 @@ func TestMemTableRangeTombstonesConcurrent(t *testing.T) {
 				}
 				kept := 0
 				for ok := it.First(); ok; ok = it.Next() {
-					dk := int(testDK(it.Value()))
+					dk := int(storetest.DeleteKey(it.Value()))
 					if dk < floor {
 						t.Errorf("scan returned key%05d after range delete [0, %d) returned", dk, floor)
 					}
@@ -543,7 +531,7 @@ func eagerFixture(t *testing.T, fs vfs.FS, eager bool, tweak func(*Options)) (*D
 func putFlush(t *testing.T, d *DB, prefix string, lo, hi, tag int, dk func(i int) uint64) {
 	t.Helper()
 	for i := lo; i < hi; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("%s%05d", prefix, i)), testValue(dk(i), tag)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("%s%05d", prefix, i)), storetest.Value(dk(i), tag)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -634,7 +622,7 @@ func TestEagerInPlaceCandidate(t *testing.T) {
 			if i < keys/2 && err != ErrNotFound {
 				t.Fatalf("covered key %d reads back: %x, %v", i, v, err)
 			}
-			if i >= keys/2 && (err != nil || !bytes.Equal(v, testValue(uint64(i), 3))) {
+			if i >= keys/2 && (err != nil || !bytes.Equal(v, storetest.Value(uint64(i), 3))) {
 				t.Fatalf("key %d = %x, %v; want its newest version", i, v, err)
 			}
 		}

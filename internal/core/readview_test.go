@@ -8,12 +8,13 @@ import (
 	"testing"
 
 	"repro/internal/base"
+	"repro/internal/storetest"
 	"repro/internal/vfs"
 )
 
 // fillMultiRun loads the DB (and model) with enough flushed batches to leave
 // several overlapping runs on disk plus data in the live memtable.
-func fillMultiRun(t *testing.T, d *DB, m *model, batches, perBatch int, seed int64) {
+func fillMultiRun(t *testing.T, d *DB, m *storetest.Model, batches, perBatch int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	tick := uint64(0)
@@ -21,17 +22,17 @@ func fillMultiRun(t *testing.T, d *DB, m *model, batches, perBatch int, seed int
 		for i := 0; i < perBatch; i++ {
 			k := fmt.Sprintf("key%05d", rng.Intn(batches*perBatch/2))
 			tick++
-			v := testValue(tick, b*perBatch+i)
+			v := storetest.Value(tick, b*perBatch+i)
 			if err := d.Put([]byte(k), v); err != nil {
 				t.Fatal(err)
 			}
-			m.put(k, v)
+			m.Put(k, v)
 			if rng.Intn(9) == 0 {
 				dk := fmt.Sprintf("key%05d", rng.Intn(batches*perBatch/2))
 				if err := d.Delete([]byte(dk)); err != nil {
 					t.Fatal(err)
 				}
-				m.delete(dk)
+				m.Delete(dk)
 			}
 		}
 		if b < batches-1 {
@@ -59,13 +60,13 @@ func collectScan(t *testing.T, it *Iter) ([]string, [][]byte) {
 
 // openViewPair runs the same workload through two engines — views on
 // (default) and off — and returns them with the model both must match.
-func openViewPair(t *testing.T) (dOn, dOff *DB, m *model) {
+func openViewPair(t *testing.T) (dOn, dOff *DB, m *storetest.Model) {
 	t.Helper()
-	open := func(disable bool) (*DB, *model) {
+	open := func(disable bool) (*DB, *storetest.Model) {
 		opts := testOptions(vfs.NewMemFS(), &base.LogicalClock{})
 		opts.DisableReadViews = disable
 		d := mustOpen(t, opts)
-		m := newModel()
+		m := storetest.NewModel()
 		fillMultiRun(t, d, m, 6, 300, 7)
 		return d, m
 	}
@@ -115,7 +116,7 @@ func TestReadViewScanMatchesDisabled(t *testing.T) {
 		scanIdentical(t, dOn, dOff, opts)
 	}
 	// The model agrees too.
-	checkEquivalence(t, dOn, mOn, 200)
+	storetest.Check(t, target(dOn), mOn, 200)
 
 	if dOn.stats.IterViewBuilds.Get() == 0 {
 		t.Fatal("views enabled but no view was ever built")
@@ -185,24 +186,24 @@ func TestReadViewEarnedOnStaticTree(t *testing.T) {
 // correctly, and nothing is built.
 func TestReadViewNotBuiltUnderChurn(t *testing.T) {
 	d := mustOpen(t, testOptions(vfs.NewMemFS(), &base.LogicalClock{}))
-	m := newModel()
+	m := storetest.NewModel()
 	fillMultiRun(t, d, m, 4, 300, 13)
 	rng := rand.New(rand.NewSource(5))
 	const rounds = 50
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < 20; i++ {
 			k := fmt.Sprintf("key%05d", rng.Intn(600))
-			v := testValue(uint64(100000+r*20+i), i)
+			v := storetest.Value(uint64(100000+r*20+i), i)
 			if err := d.Put([]byte(k), v); err != nil {
 				t.Fatal(err)
 			}
-			m.put(k, v)
+			m.Put(k, v)
 		}
 		if err := d.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		from := fmt.Sprintf("key%05d", rng.Intn(500))
-		keys := m.sortedKeys()
+		keys := m.Keys()
 		keys = keys[sort.SearchStrings(keys, from):]
 		it, err := d.NewIter(IterOptions{})
 		if err != nil {
@@ -210,7 +211,7 @@ func TestReadViewNotBuiltUnderChurn(t *testing.T) {
 		}
 		n := 0
 		for ok := it.SeekGE([]byte(from)); ok && n < 50; ok = it.Next() {
-			if n >= len(keys) || string(it.Key()) != keys[n] || !bytes.Equal(it.Value(), m.data[keys[n]]) {
+			if n >= len(keys) || string(it.Key()) != keys[n] || !bytes.Equal(it.Value(), m.Data[keys[n]]) {
 				t.Fatalf("round %d entry %d: engine has %q, model disagrees", r, n, it.Key())
 			}
 			n++
@@ -240,12 +241,12 @@ func TestReadViewSnapshotAndMidScanCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	m := newModel()
+	m := storetest.NewModel()
 	fillMultiRun(t, d, m, 5, 250, 21)
 
 	snap := d.NewSnapshot()
 	defer snap.Release()
-	want := m.sortedKeys()
+	want := m.Keys()
 
 	// Start a scan and advance partway before any mutation.
 	it, err := d.NewIter(IterOptions{Snapshot: snap})
@@ -262,7 +263,7 @@ func TestReadViewSnapshotAndMidScanCompaction(t *testing.T) {
 
 	// Mutate and compact everything while the scan is mid-flight.
 	for i := 0; i < 300; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("key%05d", i)), testValue(uint64(900000+i), i)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("key%05d", i)), storetest.Value(uint64(900000+i), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -317,7 +318,7 @@ func TestPrefixScanWithoutFiltersStillCorrect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	m := newModel()
+	m := storetest.NewModel()
 	fillMultiRun(t, d, m, 4, 200, 3)
 
 	it, err := d.NewIter(IterOptions{Prefix: []byte("key001")})
@@ -328,7 +329,7 @@ func TestPrefixScanWithoutFiltersStillCorrect(t *testing.T) {
 	it.Close()
 
 	var want []string
-	for _, k := range m.sortedKeys() {
+	for _, k := range m.Keys() {
 		if bytes.HasPrefix([]byte(k), []byte("key001")) {
 			want = append(want, k)
 		}
@@ -381,7 +382,7 @@ func TestReadViewReseekCounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	m := newModel()
+	m := storetest.NewModel()
 	fillMultiRun(t, d, m, 3, 150, 11)
 
 	before := d.stats.IterReseeks.Get()

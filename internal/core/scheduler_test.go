@@ -13,6 +13,7 @@ import (
 	"repro/internal/base"
 	"repro/internal/compaction"
 	"repro/internal/manifest"
+	"repro/internal/storetest"
 	"repro/internal/vfs"
 )
 
@@ -40,7 +41,7 @@ func TestSchedulerConcurrentStress(t *testing.T) {
 	opts := Options{
 		FS:                     fs,
 		MemTableBytes:          32 << 10,
-		DeleteKeyFunc:          testDK,
+		DeleteKeyFunc:          storetest.DeleteKey,
 		EagerRangeDeletes:      true,
 		MaintenanceConcurrency: 3,
 		MaxImmutableMemTables:  2,
@@ -76,11 +77,11 @@ func TestSchedulerConcurrentStress(t *testing.T) {
 					err = d.DeleteSecondaryRange(lo, lo+40)
 				case 21:
 					b := NewBatch()
-					b.Put(k, testValue(uint64(i), i))
+					b.Put(k, storetest.Value(uint64(i), i))
 					b.Delete([]byte(fmt.Sprintf("w%d-k%05d", w, (i+7)%1200)))
 					err = d.Apply(b)
 				default:
-					err = d.Put(k, testValue(uint64(w*opsPerWriter+i), i))
+					err = d.Put(k, storetest.Value(uint64(w*opsPerWriter+i), i))
 				}
 				if err != nil {
 					t.Error(err)
@@ -208,7 +209,7 @@ func TestSchedulerSerializedDeterminism(t *testing.T) {
 					t.Fatal(err)
 				}
 			default:
-				if err := d.Put(k, testValue(uint64(rng.Intn(4000)), i)); err != nil {
+				if err := d.Put(k, storetest.Value(uint64(rng.Intn(4000)), i)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -243,7 +244,7 @@ func TestSchedulerTTLPreemption(t *testing.T) {
 	opts := Options{
 		FS:                     fs,
 		MemTableBytes:          16 << 10,
-		DeleteKeyFunc:          testDK,
+		DeleteKeyFunc:          storetest.DeleteKey,
 		MaintenanceConcurrency: 3,
 		Compaction: compaction.Options{
 			SizeRatio:       4,
@@ -267,12 +268,12 @@ func TestSchedulerTTLPreemption(t *testing.T) {
 		// the disjoint "b" keyspace.
 		for i := 0; i < 1500; i++ {
 			ka := []byte(fmt.Sprintf("a%06d", (round*1500+i)%5000))
-			if err := d.Put(ka, testValue(uint64(i), i)); err != nil {
+			if err := d.Put(ka, storetest.Value(uint64(i), i)); err != nil {
 				t.Fatal(err)
 			}
 			if i%3 == 0 {
 				kb := []byte(fmt.Sprintf("b%06d", (round*500+i)%3000))
-				if err := d.Put(kb, testValue(uint64(i)+1<<32, i)); err != nil {
+				if err := d.Put(kb, storetest.Value(uint64(i)+1<<32, i)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -315,7 +316,7 @@ func TestSchedulerWriteBackpressure(t *testing.T) {
 	opts := Options{
 		FS:                     fs,
 		MemTableBytes:          4 << 10,
-		DeleteKeyFunc:          testDK,
+		DeleteKeyFunc:          storetest.DeleteKey,
 		MaintenanceConcurrency: 2,
 		MaxImmutableMemTables:  1,
 		Compaction: compaction.Options{
@@ -330,7 +331,7 @@ func TestSchedulerWriteBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4000; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%06d", i)), testValue(uint64(i), i)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("k%06d", i)), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -379,7 +380,7 @@ func TestSchedulerCloseReleasesStalledWriter(t *testing.T) {
 	opts := Options{
 		FS:                     fs,
 		MemTableBytes:          4 << 10,
-		DeleteKeyFunc:          testDK,
+		DeleteKeyFunc:          storetest.DeleteKey,
 		MaintenanceConcurrency: 2,
 		MaxImmutableMemTables:  1,
 	}
@@ -392,7 +393,7 @@ func TestSchedulerCloseReleasesStalledWriter(t *testing.T) {
 	writerDone := make(chan error, 1)
 	go func() {
 		for i := 0; ; i++ {
-			if err := d.Put([]byte(fmt.Sprintf("k%06d", i)), testValue(uint64(i), i)); err != nil {
+			if err := d.Put([]byte(fmt.Sprintf("k%06d", i)), storetest.Value(uint64(i), i)); err != nil {
 				writerDone <- err
 				return
 			}
@@ -446,7 +447,7 @@ func testPausedFlushWaitsForResume(t *testing.T, concurrency int) {
 	opts := Options{
 		FS:                      vfs.NewMemFS(),
 		MemTableBytes:           4 << 10,
-		DeleteKeyFunc:           testDK,
+		DeleteKeyFunc:           storetest.DeleteKey,
 		MaintenanceConcurrency:  concurrency,
 		MaintenanceTickInterval: time.Hour,
 		MaxImmutableMemTables:   -1, // writers must not stall while paused
@@ -467,7 +468,7 @@ func testPausedFlushWaitsForResume(t *testing.T, concurrency int) {
 		t.Fatal(err)
 	}
 	for i := 0; queued() == 0; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%06d", i)), testValue(uint64(i), i)); err != nil {
+		if err := d.Put([]byte(fmt.Sprintf("k%06d", i)), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 		if i > 100000 {

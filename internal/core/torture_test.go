@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/base"
+	"repro/internal/storetest"
 	"repro/internal/vfs"
 	"repro/internal/vfs/errorfs"
 )
@@ -78,30 +79,30 @@ func tortureRound(t *testing.T, ops []errorfs.Op, glob string, seed int64) {
 	// crash point fired; if the hook fired mid-op, that one op is ambiguous
 	// (its WAL sync may or may not precede the snapshot) and lands only in
 	// the alternate model.
-	acked := newModel()
-	alt := newModel()
+	acked := storetest.NewModel()
+	alt := storetest.NewModel()
 	const maxOps = 600
-	var inFlight func(*model)
+	var inFlight func(*storetest.Model)
 	for i := 0; i < maxOps && crash == nil; i++ {
 		key := fmt.Sprintf("k%04d", rng.Intn(300))
 		dk := uint64(rng.Intn(100))
 		switch p := rng.Intn(100); {
 		case p < 60:
-			v := testValue(dk, i)
-			inFlight = func(m *model) { m.put(key, v) }
+			v := storetest.Value(dk, i)
+			inFlight = func(m *storetest.Model) { m.Put(key, v) }
 			err = d.Put([]byte(key), v)
 		case p < 75:
-			inFlight = func(m *model) { m.delete(key) }
+			inFlight = func(m *storetest.Model) { m.Delete(key) }
 			err = d.Delete([]byte(key))
 		case p < 82:
 			lo, hi := dk, dk+uint64(1+rng.Intn(10))
-			inFlight = func(m *model) { m.rangeDelete(lo, hi) }
+			inFlight = func(m *storetest.Model) { m.DeleteRange(lo, hi) }
 			err = d.DeleteSecondaryRange(lo, hi)
 		case p < 94:
-			inFlight = func(*model) {}
+			inFlight = func(*storetest.Model) {}
 			err = d.Flush()
 		default:
-			inFlight = func(*model) {}
+			inFlight = func(*storetest.Model) {}
 			err = d.CompactAll()
 		}
 		if err != nil {
@@ -119,8 +120,8 @@ func tortureRound(t *testing.T, ops []errorfs.Op, glob string, seed int64) {
 		inFlight(alt)
 	}
 	// alt = acked + the ambiguous in-flight op (or just base).
-	for k, v := range acked.data {
-		alt.put(k, v)
+	for k, v := range acked.Data {
+		alt.Put(k, v)
 	}
 	// Abandon d without Close: that IS the crash. No background goroutines
 	// exist (DisableAutoMaintenance), so the handle just goes dark.
@@ -168,58 +169,16 @@ func tortureRound(t *testing.T, ops []errorfs.Op, glob string, seed int64) {
 	}
 }
 
-// matchesEither dumps the engine and compares it against the two candidate
-// models. Unlike checkEquivalence it must not t.Fatal on the first
-// divergence — the base model failing is fine as long as alt matches.
-func matchesEither(d *DB, acked, alt *model) (string, bool) {
-	got := map[string]string{}
-	it, err := d.NewIter(IterOptions{})
-	if err != nil {
-		return err.Error(), false
-	}
-	for ok := it.First(); ok; ok = it.Next() {
-		got[string(it.Key())] = string(it.Value())
-	}
-	if err := it.Error(); err != nil {
-		return err.Error(), false
-	}
-	if err := it.Close(); err != nil {
-		return err.Error(), false
-	}
-	if diff := diffModel(got, acked); diff == "" {
+// matchesEither compares the engine against the two candidate models.
+// Unlike storetest.Check it must not t.Fatal on the first divergence — the
+// base model failing is fine as long as alt matches.
+func matchesEither(d *DB, acked, alt *storetest.Model) (string, bool) {
+	vsAcked := storetest.Diff(target(d), acked)
+	if vsAcked == "" {
 		return "", true
 	}
-	if diff := diffModel(got, alt); diff == "" {
-		return "", true
-	}
-	return fmt.Sprintf("vs acked: %s; vs alt: %s",
-		diffModel(got, acked), diffModel(got, alt)), false
-}
-
-func diffModel(got map[string]string, m *model) string {
-	var diffs []string
-	for k, v := range m.data {
-		gv, ok := got[k]
-		switch {
-		case !ok:
-			diffs = append(diffs, fmt.Sprintf("lost %q", k))
-		case gv != string(v):
-			diffs = append(diffs, fmt.Sprintf("value mismatch at %q", k))
-		}
-	}
-	for k := range got {
-		if _, ok := m.data[k]; !ok {
-			diffs = append(diffs, fmt.Sprintf("resurfaced %q", k))
-		}
-	}
-	if len(diffs) == 0 {
-		return ""
-	}
-	sort.Strings(diffs)
-	if len(diffs) > 5 {
-		diffs = append(diffs[:5], fmt.Sprintf("... %d more", len(diffs)-5))
-	}
-	return strings.Join(diffs, ", ")
+	vsAlt := storetest.Diff(target(d), alt)
+	return fmt.Sprintf("vs acked: %s; vs alt: %s", vsAcked, vsAlt), vsAlt == ""
 }
 
 func listTables(t *testing.T, fs vfs.FS) []string {

@@ -26,6 +26,9 @@ const (
 	FileTypeManifest
 	// FileTypeCurrent is the CURRENT pointer file.
 	FileTypeCurrent
+	// FileTypeShards is a sharded store's meta file, at its root. A store
+	// directory holds it (shard.Open) or CURRENT (core.Open), never both.
+	FileTypeShards
 )
 
 // MakeFilename returns the path of a file of the given type and number.
@@ -39,6 +42,8 @@ func MakeFilename(dirname string, t FileType, fn base.FileNum) string {
 		return filepath.Join(dirname, fmt.Sprintf("MANIFEST-%06d", uint64(fn)))
 	case FileTypeCurrent:
 		return filepath.Join(dirname, "CURRENT")
+	case FileTypeShards:
+		return filepath.Join(dirname, "SHARDS")
 	}
 	panic("manifest: unknown file type")
 }
@@ -48,6 +53,8 @@ func ParseFilename(name string) (t FileType, fn base.FileNum, ok bool) {
 	switch {
 	case name == "CURRENT":
 		return FileTypeCurrent, 0, true
+	case name == "SHARDS":
+		return FileTypeShards, 0, true
 	case strings.HasPrefix(name, "MANIFEST-"):
 		var n uint64
 		if _, err := fmt.Sscanf(name, "MANIFEST-%06d", &n); err != nil {

@@ -41,7 +41,6 @@ type View struct {
 	anchors   []base.InternalKey // key of every interval-th entry of the merge
 	selectors []uint16           // per entry, the run that supplies it
 	interval  int
-	numRuns   int
 }
 
 // Build materializes the view by running the k-way merge once over the
@@ -55,7 +54,7 @@ func Build(runs []iterator.Internal, anchorInterval int) (*View, error) {
 	if len(runs) > MaxRuns {
 		return nil, fmt.Errorf("readview: %d runs exceeds the %d-run limit", len(runs), MaxRuns)
 	}
-	v := &View{interval: anchorInterval, numRuns: len(runs)}
+	v := &View{interval: anchorInterval}
 	m := iterator.NewMerge(runs...)
 	for ok := m.First(); ok; ok = m.Next() {
 		if len(v.selectors)%anchorInterval == 0 {
@@ -71,19 +70,6 @@ func Build(runs []iterator.Internal, anchorInterval int) (*View, error) {
 
 // NumEntries returns the total entry count of the merged view.
 func (v *View) NumEntries() int { return len(v.selectors) }
-
-// NumRuns returns the number of runs the view was built over.
-func (v *View) NumRuns() int { return v.numRuns }
-
-// MemoryBytes estimates the view's resident size: two bytes per entry of
-// selectors plus the cloned anchor keys.
-func (v *View) MemoryBytes() int64 {
-	n := int64(len(v.selectors)) * 2
-	for i := range v.anchors {
-		n += int64(len(v.anchors[i].UserKey)) + 16
-	}
-	return n
-}
 
 // Iter walks a View using one cursor per run. It implements
 // iterator.Internal, so the engine composes it under its merging iterator

@@ -10,36 +10,21 @@ import (
 	"net"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/base"
 	"repro/internal/client"
 	"repro/internal/compaction"
 	"repro/internal/core"
 	"repro/internal/shard"
+	"repro/internal/storetest"
 	"repro/internal/vfs"
 	"repro/internal/vfs/errorfs"
 	"repro/internal/wire"
 )
-
-func testDK(v []byte) base.DeleteKey {
-	if len(v) < 8 {
-		return 0
-	}
-	return binary.BigEndian.Uint64(v)
-}
-
-func testValue(dk uint64, tag int) []byte {
-	v := make([]byte, 24)
-	binary.BigEndian.PutUint64(v, dk)
-	binary.BigEndian.PutUint64(v[8:], uint64(tag))
-	return v
-}
 
 func testRouter(t *testing.T, shards int) *shard.Router {
 	t.Helper()
@@ -47,7 +32,7 @@ func testRouter(t *testing.T, shards int) *shard.Router {
 		FS:            vfs.NewMemFS(),
 		Shards:        shards,
 		MemTableBytes: 32 << 10,
-		DeleteKeyFunc: testDK,
+		DeleteKeyFunc: storetest.DeleteKey,
 		Compaction: compaction.Options{
 			SizeRatio:       4,
 			L0Threshold:     2,
@@ -83,7 +68,7 @@ func TestServerRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := c.Put([]byte(fmt.Sprintf("key%03d", i)), testValue(uint64(i), i)); err != nil {
+		if err := c.Put([]byte(fmt.Sprintf("key%03d", i)), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -91,7 +76,7 @@ func TestServerRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(v) != string(testValue(7, 7)) {
+	if string(v) != string(storetest.Value(7, 7)) {
 		t.Fatal("Get returned the wrong value")
 	}
 	if err := c.Delete([]byte("key007")); err != nil {
@@ -108,7 +93,7 @@ func TestServerRoundTrip(t *testing.T) {
 		t.Fatalf("range-deleted key: %v", err)
 	}
 	if err := c.Apply([]wire.BatchOp{
-		{Key: []byte("b1"), Value: testValue(900, 1)},
+		{Key: []byte("b1"), Value: storetest.Value(900, 1)},
 		{Delete: true, Key: []byte("key099")},
 	}); err != nil {
 		t.Fatal(err)
@@ -234,7 +219,7 @@ func TestServerStressChaosClients(t *testing.T) {
 					var opErr error
 					switch rng.Intn(4) {
 					case 0:
-						opErr = c.Put(k, testValue(uint64(rng.Intn(100)), i))
+						opErr = c.Put(k, storetest.Value(uint64(rng.Intn(100)), i))
 					case 1:
 						if _, err := c.Get(k); err != nil && !errors.Is(err, core.ErrNotFound) {
 							opErr = err
@@ -349,7 +334,7 @@ func TestOpTimeoutBoundsParkedRequest(t *testing.T) {
 			Shards:                1,
 			MemTableBytes:         4 << 10,
 			MaxImmutableMemTables: 1,
-			DeleteKeyFunc:         testDK,
+			DeleteKeyFunc:         storetest.DeleteKey,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -370,7 +355,7 @@ func TestOpTimeoutBoundsParkedRequest(t *testing.T) {
 	timedPut := func(t *testing.T, c *client.Client, key string) error {
 		t.Helper()
 		done := make(chan error, 1)
-		go func() { done <- c.Put([]byte(key), testValue(1, 1)) }()
+		go func() { done <- c.Put([]byte(key), storetest.Value(1, 1)) }()
 		select {
 		case err := <-done:
 			return err
@@ -425,7 +410,7 @@ func TestOpTimeoutBoundsParkedRequest(t *testing.T) {
 		leaderDone := make(chan error, 1)
 		go func() {
 			for i := 0; !stop.Load(); i++ {
-				if err := r.PutCtx(ctx, []byte(fmt.Sprintf("k%06d", i)), testValue(1, i)); err != nil {
+				if err := r.PutCtx(ctx, []byte(fmt.Sprintf("k%06d", i)), storetest.Value(1, i)); err != nil {
 					leaderDone <- err
 					return
 				}
@@ -467,14 +452,14 @@ func TestScanPageAtFrameBudget(t *testing.T) {
 		FS:            vfs.NewMemFS(),
 		Shards:        2,
 		MemTableBytes: 4 << 20,
-		DeleteKeyFunc: testDK,
+		DeleteKeyFunc: storetest.DeleteKey,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 	rng := rand.New(rand.NewSource(64))
-	model := map[string][]byte{}
+	m := storetest.NewModel()
 	for i := 0; i < 40; i++ {
 		k := fmt.Sprintf("big%03d", i)
 		v := make([]byte, 60<<10+rng.Intn(8<<10))
@@ -483,13 +468,9 @@ func TestScanPageAtFrameBudget(t *testing.T) {
 		if err := r.Put([]byte(k), v); err != nil {
 			t.Fatal(err)
 		}
-		model[k] = v
+		m.Put(k, v)
 	}
-	keys := make([]string, 0, len(model))
-	for k := range model {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := m.Keys()
 
 	srv := New(r, Config{})
 	addr, err := srv.Start("127.0.0.1:0")
@@ -520,7 +501,7 @@ func TestScanPageAtFrameBudget(t *testing.T) {
 	}
 	n := 0
 	if err := wire.DecodeScanBody(body, func(key, value []byte) {
-		if string(key) != keys[n] || string(value) != string(model[keys[n]]) {
+		if string(key) != keys[n] || string(value) != string(m.Data[keys[n]]) {
 			t.Fatalf("page entry %d is %q, want %q", n, key, keys[n])
 		}
 		n++
@@ -530,7 +511,7 @@ func TestScanPageAtFrameBudget(t *testing.T) {
 	if n == 0 || n == len(keys) {
 		t.Fatalf("page holds %d of %d entries; the budget should end it early", n, len(keys))
 	}
-	if next := len(keys[n]) + len(model[keys[n]]); len(body)+next+16 <= scanBodyBudget {
+	if next := len(keys[n]) + len(m.Data[keys[n]]); len(body)+next+16 <= scanBodyBudget {
 		t.Fatalf("page of %d body bytes stopped before entry %d (%d bytes) although it fit the %d-byte budget",
 			len(body), n, next, scanBodyBudget)
 	}
@@ -561,7 +542,7 @@ func TestScanPageAtFrameBudget(t *testing.T) {
 		t.Fatalf("paged scan read %d entries, store has %d", len(got), len(keys))
 	}
 	for i, kv := range got {
-		if string(kv.Key) != keys[i] || string(kv.Value) != string(model[keys[i]]) {
+		if string(kv.Key) != keys[i] || string(kv.Value) != string(m.Data[keys[i]]) {
 			t.Fatalf("paged entry %d is %q, want %q", i, kv.Key, keys[i])
 		}
 	}
@@ -575,7 +556,7 @@ func TestScanErrorAnswersCleanly(t *testing.T) {
 	r, err := shard.Open("db", core.Options{
 		FS:                     efs,
 		Shards:                 1,
-		DeleteKeyFunc:          testDK,
+		DeleteKeyFunc:          storetest.DeleteKey,
 		DisableAutoMaintenance: true,
 	})
 	if err != nil {
@@ -584,7 +565,7 @@ func TestScanErrorAnswersCleanly(t *testing.T) {
 	defer r.Close()
 	const keys = 2000
 	for i := 0; i < keys; i++ {
-		if err := r.Put([]byte(fmt.Sprintf("key%05d", i)), testValue(uint64(i), i)); err != nil {
+		if err := r.Put([]byte(fmt.Sprintf("key%05d", i)), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -642,14 +623,14 @@ func TestGetAllocCeiling(t *testing.T) {
 	r, err := shard.Open("db", core.Options{
 		FS:                     vfs.NewMemFS(),
 		Shards:                 1,
-		DeleteKeyFunc:          testDK,
+		DeleteKeyFunc:          storetest.DeleteKey,
 		DisableAutoMaintenance: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if err := r.Put([]byte("k"), testValue(1, 1)); err != nil {
+	if err := r.Put([]byte("k"), storetest.Value(1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Flush(); err != nil {

@@ -1,9 +1,6 @@
 package shard
 
 import (
-	"fmt"
-	"net"
-	"net/http"
 	"strconv"
 
 	"repro/internal/metrics"
@@ -27,43 +24,4 @@ func (r *Router) Registry() *metrics.Registry {
 		r.registry = reg
 	})
 	return r.registry
-}
-
-// MetricsHandler returns an http.Handler exposing the aggregated
-// observability surface:
-//
-//	/metrics   Prometheus text exposition, all shards, shard-labeled
-//	/vars      all metrics as one JSON object
-func (r *Router) MetricsHandler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_, _ = r.Registry().WriteTo(w)
-	})
-	mux.HandleFunc("/vars", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = r.Registry().WriteJSON(w)
-	})
-	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
-		if req.URL.Path != "/" {
-			http.NotFound(w, req)
-			return
-		}
-		fmt.Fprintf(w, "acheron sharded observability endpoints (%d shards): /metrics /vars\n", len(r.shards))
-	})
-	return mux
-}
-
-// ServeMetrics starts an HTTP server exposing MetricsHandler on addr (e.g.
-// "127.0.0.1:0"). It returns the bound address and a function that stops
-// the server. The server is not tied to the router lifecycle; stop it
-// before (or after) Close as convenient.
-func (r *Router) ServeMetrics(addr string) (string, func() error, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, err
-	}
-	srv := &http.Server{Handler: r.MetricsHandler()}
-	go func() { _ = srv.Serve(ln) }()
-	return ln.Addr().String(), srv.Close, nil
 }

@@ -36,10 +36,6 @@ import (
 	"repro/internal/vfs"
 )
 
-// metaFile records the store's shard count at its root, next to the
-// per-shard subdirectories.
-const metaFile = "SHARDS"
-
 // metaMagic is the first line of the meta file; versioned so a future
 // resharding format can be detected.
 const metaMagic = "acheron-shards v1"
@@ -76,7 +72,7 @@ func shardDirName(i int) string { return fmt.Sprintf("shard-%03d", i) }
 // readMeta loads the persisted shard count, reporting whether a meta file
 // exists.
 func readMeta(fs vfs.FS, dir string) (int, bool, error) {
-	path := filepath.Join(dir, metaFile)
+	path := manifest.MakeFilename(dir, manifest.FileTypeShards, 0)
 	if !fs.Exists(path) {
 		return 0, false, nil
 	}
@@ -109,8 +105,7 @@ func readMeta(fs vfs.FS, dir string) (int, bool, error) {
 
 // writeMeta persists the shard count durably.
 func writeMeta(fs vfs.FS, dir string, n int) error {
-	path := filepath.Join(dir, metaFile)
-	f, err := fs.Create(path)
+	f, err := fs.Create(manifest.MakeFilename(dir, manifest.FileTypeShards, 0))
 	if err != nil {
 		return err
 	}
@@ -139,14 +134,17 @@ func Open(dirname string, opts core.Options) (*Router, error) {
 	if opts.Shards > MaxShards {
 		return nil, fmt.Errorf("shard: Shards=%d exceeds the maximum %d", opts.Shards, MaxShards)
 	}
-	if err := fs.MkdirAll(dirname); err != nil {
-		return nil, err
-	}
-	n := opts.Shards
 	persisted, havePersisted, err := readMeta(fs, dirname)
 	if err != nil {
 		return nil, err
 	}
+	if !havePersisted && fs.Exists(manifest.MakeFilename(dirname, manifest.FileTypeCurrent, 0)) {
+		return nil, fmt.Errorf("shard: %s is a single-engine store; open it with core.Open (acheron.Open)", dirname)
+	}
+	if err := fs.MkdirAll(dirname); err != nil {
+		return nil, err
+	}
+	n := opts.Shards
 	switch {
 	case havePersisted && n <= 0:
 		n = persisted

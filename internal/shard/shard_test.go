@@ -3,8 +3,15 @@ package shard
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"io/fs"
+	"net/http"
+	"net/http/httptest"
+	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -12,22 +19,10 @@ import (
 	"repro/internal/base"
 	"repro/internal/compaction"
 	"repro/internal/core"
+	"repro/internal/metrics"
+	"repro/internal/storetest"
 	"repro/internal/vfs"
 )
-
-func testDK(v []byte) base.DeleteKey {
-	if len(v) < 8 {
-		return 0
-	}
-	return binary.BigEndian.Uint64(v)
-}
-
-func testValue(dk uint64, tag int) []byte {
-	v := make([]byte, 24)
-	binary.BigEndian.PutUint64(v, dk)
-	binary.BigEndian.PutUint64(v[8:], uint64(tag))
-	return v
-}
 
 func testOptions(fs vfs.FS, clk base.Clock, shards int) core.Options {
 	return core.Options{
@@ -35,7 +30,7 @@ func testOptions(fs vfs.FS, clk base.Clock, shards int) core.Options {
 		Clock:                  clk,
 		Shards:                 shards,
 		MemTableBytes:          32 << 10,
-		DeleteKeyFunc:          testDK,
+		DeleteKeyFunc:          storetest.DeleteKey,
 		DisableAutoMaintenance: true,
 		Compaction: compaction.Options{
 			SizeRatio:       4,
@@ -53,6 +48,64 @@ func mustOpen(t *testing.T, dir string, opts core.Options) *Router {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// TestOpenRefusesOtherLayout: core.Open of a sharded store and shard.Open
+// of a single-engine store each fail, naming the entry point to use, and
+// leave the directory as they found it. Each used to open the other's store
+// as empty and write its own layout beside it.
+func TestOpenRefusesOtherLayout(t *testing.T) {
+	root := t.TempDir()
+	opts := testOptions(vfs.OSFS{}, &base.LogicalClock{}, 2)
+	sharded, single := filepath.Join(root, "sharded"), filepath.Join(root, "single")
+	r := mustOpen(t, sharded, opts)
+	d, err := core.Open(single, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []storetest.Store{r, d} {
+		if err := s.Put([]byte("k"), storetest.Value(1, 1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := errors.Join(r.Close(), d.Close()); err != nil {
+		t.Fatal(err)
+	}
+	tree := func(dir string) string {
+		var entries []string
+		err := filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			info, err := e.Info()
+			entries = append(entries, fmt.Sprintf("%s:%d", path, info.Size()))
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Join(entries, " ")
+	}
+	for _, c := range []struct {
+		dir, want string
+		open      func() (io.Closer, error)
+	}{
+		{sharded, "shard.Open", func() (io.Closer, error) { return core.Open(sharded, opts) }},
+		{single, "core.Open", func() (io.Closer, error) { return Open(single, opts) }},
+	} {
+		before := tree(c.dir)
+		s, err := c.open()
+		if err == nil {
+			s.Close()
+			t.Fatalf("opening %s under the other layout succeeded", c.dir)
+		}
+		if !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("refusal %q does not name %s", err, c.want)
+		}
+		if after := tree(c.dir); after != before {
+			t.Fatalf("refused open changed %s:\n%s\nto\n%s", c.dir, before, after)
+		}
+	}
 }
 
 // TestShardRouting checks that point routing is deterministic, stable
@@ -80,7 +133,7 @@ func TestShardRouting(t *testing.T) {
 
 	// A key routed to shard s must be readable through the router and
 	// present only on that shard.
-	key, val := []byte("routed"), testValue(9, 9)
+	key, val := []byte("routed"), storetest.Value(9, 9)
 	if err := r.Put(key, val); err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +160,7 @@ func TestShardMetaPersistence(t *testing.T) {
 	fs := vfs.NewMemFS()
 	opts := testOptions(fs, &base.LogicalClock{}, 3)
 	r := mustOpen(t, "db", opts)
-	if err := r.Put([]byte("a"), testValue(1, 1)); err != nil {
+	if err := r.Put([]byte("a"), storetest.Value(1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.Close(); err != nil {
@@ -141,7 +194,7 @@ func TestShardScanMerge(t *testing.T) {
 
 	const n = 500
 	for i := 0; i < n; i++ {
-		if err := r.Put([]byte(fmt.Sprintf("key%04d", i)), testValue(uint64(i), i)); err != nil {
+		if err := r.Put([]byte(fmt.Sprintf("key%04d", i)), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,12 +240,12 @@ func TestShardBatchSplit(t *testing.T) {
 	r := mustOpen(t, "db", testOptions(fs, &base.LogicalClock{}, 4))
 	defer r.Close()
 
-	if err := r.Put([]byte("gone"), testValue(1, 1)); err != nil {
+	if err := r.Put([]byte("gone"), storetest.Value(1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	b := core.NewBatch()
 	for i := 0; i < 64; i++ {
-		b.Put([]byte(fmt.Sprintf("batch%03d", i)), testValue(uint64(i), i))
+		b.Put([]byte(fmt.Sprintf("batch%03d", i)), storetest.Value(uint64(i), i))
 	}
 	b.Delete([]byte("gone"))
 	if err := r.Apply(b); err != nil {
@@ -205,7 +258,7 @@ func TestShardBatchSplit(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Get(%q): %v", k, err)
 		}
-		if !bytes.Equal(v, testValue(uint64(i), i)) {
+		if !bytes.Equal(v, storetest.Value(uint64(i), i)) {
 			t.Fatalf("Get(%q) wrong value", k)
 		}
 	}
@@ -223,7 +276,7 @@ func TestShardCheckpoint(t *testing.T) {
 	defer r.Close()
 
 	for i := 0; i < 200; i++ {
-		if err := r.Put([]byte(fmt.Sprintf("ck%04d", i)), testValue(uint64(i), i)); err != nil {
+		if err := r.Put([]byte(fmt.Sprintf("ck%04d", i)), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -254,28 +307,70 @@ func TestShardCheckpoint(t *testing.T) {
 	}
 }
 
-// TestShardRegistryLabels checks that the aggregated registry exposes one
-// family per metric with a shard label per instance.
+// TestShardRegistryLabels serves a 2-shard router's one registry through
+// metrics.NewServeMux over HTTP: /metrics has each engine family once, with
+// the same series under shard="0" and shard="1", and /vars is one JSON object.
 func TestShardRegistryLabels(t *testing.T) {
-	fs := vfs.NewMemFS()
-	r := mustOpen(t, "db", testOptions(fs, &base.LogicalClock{}, 2))
+	r := mustOpen(t, "db", testOptions(vfs.NewMemFS(), &base.LogicalClock{}, 2))
 	defer r.Close()
-	if err := r.Put([]byte("m"), testValue(1, 1)); err != nil {
+	if err := r.Put([]byte("m"), storetest.Value(1, 1)); err != nil {
 		t.Fatal(err)
+	}
+	srv := httptest.NewServer(metrics.NewServeMux(r.Registry()))
+	defer srv.Close()
+	get := func(path string) *http.Response {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %v, %v", path, resp, err)
+		}
+		return resp
 	}
 
-	var sb strings.Builder
-	if _, err := r.Registry().WriteTo(&sb); err != nil {
+	resp := get("/metrics")
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	text := sb.String()
-	for _, want := range []string{`shard="0"`, `shard="1"`} {
-		if !strings.Contains(text, want) {
-			t.Fatalf("registry output lacks %s", want)
+	// Per family, the count of its series (histograms by _count) per shard.
+	series := map[string][2]int{}
+	shardLabel := regexp.MustCompile(`\{.*shard="([01])".*\} `)
+	family := ""
+	for _, line := range strings.Split(strings.TrimSpace(string(body)), "\n") {
+		if f, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			family = strings.Fields(f)[0]
+			if _, dup := series[family]; dup {
+				t.Fatalf("family %s exposed twice", family)
+			}
+			series[family] = [2]int{}
+			continue
+		}
+		name := line[:strings.IndexAny(line, "{ ")]
+		if strings.HasPrefix(line, "#") || (name != family && name != family+"_count") {
+			continue
+		}
+		m := shardLabel.FindStringSubmatch(line)
+		if m == nil {
+			t.Fatalf("series without a shard label: %s", line)
+		}
+		n := series[family]
+		n[m[1][0]-'0']++
+		series[family] = n
+	}
+	if len(series) == 0 {
+		t.Fatal("/metrics exposed no families")
+	}
+	for f, n := range series {
+		if n[0] == 0 || n[0] != n[1] {
+			t.Fatalf("family %s: %d series on shard 0, %d on shard 1", f, n[0], n[1])
 		}
 	}
-	if strings.Count(text, "# HELP acheron_wal_appends") != 1 {
-		t.Fatal("acheron_wal_appends family not exposed exactly once")
+
+	resp = get("/vars")
+	defer resp.Body.Close()
+	var vars map[string]any
+	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil || len(vars) == 0 {
+		t.Fatalf("/vars: %d entries, %v", len(vars), err)
 	}
 }
 
@@ -287,7 +382,7 @@ func TestShardAggregates(t *testing.T) {
 	defer r.Close()
 
 	for i := 0; i < 2000; i++ {
-		if err := r.Put([]byte(fmt.Sprintf("agg%05d", i)), testValue(uint64(i), i)); err != nil {
+		if err := r.Put([]byte(fmt.Sprintf("agg%05d", i)), storetest.Value(uint64(i), i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -163,9 +163,6 @@ func Wrap(inner vfs.FS, seed int64) *FS {
 	return &FS{inner: inner, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Inner returns the wrapped filesystem.
-func (fs *FS) Inner() vfs.FS { return fs.inner }
-
 // Add installs a rule and returns it so callers can poll Fired.
 func (fs *FS) Add(r *Rule) *Rule {
 	fs.mu.Lock()

@@ -16,13 +16,15 @@ test:
 # cpu1 runs the packages whose goroutines hand work to one another — a
 # compaction's merge and its writer goroutine, the commit pipeline, the
 # maintenance executors, the shard router's fan-out of batches, range
-# deletes, flushes and closes to one goroutine per shard, and the server's
+# deletes, flushes and closes to one goroutine per shard, the server's
 # request deadlines, armed only when a request parks and closed from the
-# runtime's timer to wake a handler parked in the engine — with a single P
-# (GOMAXPROCS=1), so a handoff that only makes progress with a second one
-# fails here rather than in production.
+# runtime's timer to wake a handler parked in the engine, and the memtable
+# skiplist's concurrent appliers, which share its chunk allocator and CAS
+# splice, so a chunk roll must complete for a writer parked mid-allocation —
+# with a single P (GOMAXPROCS=1), so a handoff that only makes progress with
+# a second one fails here rather than in production.
 cpu1:
-	$(GO) test -count=1 -cpu 1 ./internal/compaction/ ./internal/core/ ./internal/shard/ ./internal/server/ ./internal/client/
+	$(GO) test -count=1 -cpu 1 ./internal/compaction/ ./internal/core/ ./internal/shard/ ./internal/server/ ./internal/client/ ./internal/skiplist/ ./internal/memtable/
 
 # bench-check builds, vets and smoke-tests the benchmark/ module, which root
 # `go test ./...` never reaches (it is its own module, replacing repro with
@@ -64,8 +66,10 @@ acheronlint:
 # fuzz-smoke gives each decode fuzzer a short budget on top of the checked-in
 # corpus under testdata/fuzz/. Catches format-decoder panics (block entries,
 # WAL frames, sstable footers/properties/index entries), false negatives
-# of the KiWi page Bloom filters, and a range-tombstone skyline that answers
-# other than the tombstone walk it replaced, before they reach a release.
+# of the KiWi page Bloom filters, a range-tombstone skyline that answers
+# other than the tombstone walk it replaced, and a memtable skiplist whose
+# arena loses or garbles an entry of any size up to past its largest chunk,
+# before they reach a release.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBlockIter -fuzztime $(FUZZTIME) ./internal/block/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/wal/
@@ -73,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzPageFilter -fuzztime $(FUZZTIME) ./internal/sstable/
 	$(GO) test -run '^$$' -fuzz FuzzSkyline -fuzztime $(FUZZTIME) ./internal/compaction/
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzSkiplist -fuzztime $(FUZZTIME) ./internal/skiplist/
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...

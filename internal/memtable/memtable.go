@@ -46,14 +46,15 @@ func New() *MemTable {
 // Add inserts an entry. The key's sequence number must be unique within the
 // memtable. key and value are copied. Add is safe for concurrent use.
 func (m *MemTable) Add(ikey base.InternalKey, value []byte) {
-	enc := ikey.Encode(make([]byte, 0, ikey.Size()))
-	v := append([]byte(nil), value...)
+	// The skiplist copies the key into its arena before comparing it, so
+	// the encoding stays on the stack unless the key outgrows buf.
+	var buf [128]byte
 	if ikey.Kind() == base.KindDelete {
 		ts := base.DecodeTombstoneValue(value)
 		m.noteTombstone(ts)
 		m.numDeletes.Add(1)
 	}
-	m.list.Insert(enc, v)
+	m.list.Insert(ikey.Encode(buf[:0]), value)
 }
 
 // AcquireWriters registers n in-flight writers about to Add to this
@@ -147,12 +148,13 @@ func (m *MemTable) OldestTombstone() (base.Timestamp, bool) {
 
 // Iter iterates the memtable in internal-key order.
 type Iter struct {
-	it   *skiplist.Iter
+	it   skiplist.Iter
 	ikey base.InternalKey
+	seek []byte // SeekGE's encoded target, reused from seek to seek
 }
 
 // NewIter returns an unpositioned iterator over the point entries.
-func (m *MemTable) NewIter() *Iter { return &Iter{it: m.list.NewIter()} }
+func (m *MemTable) NewIter() *Iter { return &Iter{it: *m.list.NewIter()} }
 
 // Valid reports whether the iterator is positioned on an entry.
 func (i *Iter) Valid() bool { return i.it.Valid() }
@@ -175,7 +177,8 @@ func (i *Iter) First() bool { return i.update(i.it.First()) }
 
 // SeekGE positions on the first entry >= target.
 func (i *Iter) SeekGE(target base.InternalKey) bool {
-	return i.update(i.it.SeekGE(target.Encode(nil)))
+	i.seek = target.Encode(i.seek[:0])
+	return i.update(i.it.SeekGE(i.seek))
 }
 
 // Next advances the iterator.

@@ -1,7 +1,10 @@
 package memtable
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
+	"runtime/debug"
 	"sync"
 	"testing"
 
@@ -256,5 +259,140 @@ func TestConcurrentReadWrite(t *testing.T) {
 	wg.Wait()
 	if kind, _, seq, ok := m.Get([]byte("k000"), base.MaxSeqNum); !ok || kind != base.KindSet || seq == 0 {
 		t.Fatalf("final get = %v seq=%d ok=%v", kind, seq, ok)
+	}
+}
+
+// TestReturnedSlicesCapped: the values Get and the iterator return have cap
+// == len, so a caller's append copies instead of writing over the next
+// entry, and they keep their bytes while 10^4 more entries roll the arena
+// to further chunks. (A value copied with append, as before the arena, got
+// the capacity of its size class.)
+func TestReturnedSlicesCapped(t *testing.T) {
+	m := New()
+	m.Add(base.MakeInternalKey([]byte("a"), 1, base.KindSet), []byte("hello"))
+	m.Add(base.MakeInternalKey([]byte("b"), 2, base.KindSet), []byte("world"))
+	_, v, _, _ := m.Get([]byte("a"), base.MaxSeqNum)
+	it := m.NewIter()
+	it.First()
+	iv := it.Value()
+	for _, b := range [][]byte{v, iv} {
+		if string(b) != "hello" || cap(b) != len(b) {
+			t.Fatalf("value %q has len %d, cap %d", b, len(b), cap(b))
+		}
+	}
+	_ = append(v, "!!!"...)
+	if _, w, _, _ := m.Get([]byte("b"), base.MaxSeqNum); string(w) != "world" {
+		t.Fatalf("next value reads %q after an append to the previous one", w)
+	}
+	for i := 0; i < 10_000; i++ {
+		m.Add(base.MakeInternalKey([]byte(fmt.Sprintf("c%05d", i)), base.SeqNum(i+3), base.KindSet), make([]byte, 32))
+	}
+	if string(v) != "hello" || string(iv) != "hello" {
+		t.Fatalf("values read %q, %q after more adds", v, iv)
+	}
+}
+
+// TestLargeKeysAndValues adds user keys around the size Add encodes on its
+// stack, and a value larger than the skiplist's largest chunk, and reads
+// them back. (Nothing at the parent of the arena depended on these sizes,
+// so it passes there too.)
+func TestLargeKeysAndValues(t *testing.T) {
+	m := New()
+	want := map[string][]byte{}
+	for i, n := range []int{0, 119, 120, 121, 5000} {
+		k := bytes.Repeat([]byte{byte('a' + i)}, n)
+		want[string(k)] = []byte(fmt.Sprintf("v%d", n))
+	}
+	want["big"] = bytes.Repeat([]byte("0123456789abcdef"), 1<<17) // 2 MiB
+	seq := base.SeqNum(0)
+	for k, v := range want {
+		seq++
+		m.Add(base.MakeInternalKey([]byte(k), seq, base.KindSet), v)
+	}
+	for k, v := range want {
+		if _, got, _, ok := m.Get([]byte(k), base.MaxSeqNum); !ok || !bytes.Equal(got, v) {
+			t.Fatalf("Get(%d-byte key) = %d bytes, ok=%v; want %d bytes", len(k), len(got), ok, len(v))
+		}
+	}
+}
+
+// raceEnabled reports whether the test binary runs under the race detector,
+// whose instrumentation allocates, so allocation counts vary.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
+}
+
+// TestAddAndSeekAllocs pins the allocations of the write and scan paths: an
+// Add allocates nothing of its own (the arena's chunks are amortized over
+// thousands of entries), an iterator is one allocation and a seek none.
+func TestAddAndSeekAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	m := New()
+	key, val := make([]byte, 24), make([]byte, 128)
+	seq := base.SeqNum(0)
+	if a := testing.AllocsPerRun(1000, func() {
+		seq++
+		m.Add(base.MakeInternalKey(key, seq, base.KindSet), val)
+	}); a != 0 {
+		t.Errorf("Add: %v allocs, want 0", a)
+	}
+	target := base.MakeSearchKey(key, base.MaxSeqNum)
+	if a := testing.AllocsPerRun(100, func() {
+		it := m.NewIter()
+		it.SeekGE(target)
+		it.SeekGE(target)
+	}); a > 2 {
+		t.Errorf("NewIter and two seeks: %v allocs, want <= 2 (the iterator and its seek buffer)", a)
+	}
+}
+
+// benchMemTable returns benchEntries keys of 24 bytes in a fixed random
+// order, a 128-byte value, and a memtable holding them: a 4 MiB memtable's
+// worth.
+func benchMemTable(b *testing.B) ([]base.InternalKey, []byte, *MemTable) {
+	const benchEntries = 20_000
+	keys := make([]base.InternalKey, benchEntries)
+	for i, j := range rand.New(rand.NewSource(1)).Perm(benchEntries) {
+		keys[i] = base.MakeInternalKey([]byte(fmt.Sprintf("user%020d", j*7919)), base.SeqNum(i+1), base.KindSet)
+	}
+	val := bytes.Repeat([]byte{'v'}, 128)
+	m := New()
+	for _, k := range keys {
+		m.Add(k, val)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	return keys, val, m
+}
+
+// BenchmarkAdd times an Add to a memtable of up to benchEntries entries; a
+// full one is replaced by a fresh one, so ns/op does not grow with b.N.
+func BenchmarkAdd(b *testing.B) {
+	keys, val, m := benchMemTable(b)
+	for i := 0; i < b.N; i++ {
+		j := i % len(keys)
+		if j == 0 {
+			m = New()
+		}
+		m.Add(keys[j], val)
+	}
+}
+
+// BenchmarkGet times a Get of a present key of a benchEntries memtable.
+func BenchmarkGet(b *testing.B) {
+	keys, _, m := benchMemTable(b)
+	for i := 0; i < b.N; i++ {
+		if _, _, _, ok := m.Get(keys[i%len(keys)].UserKey, base.MaxSeqNum); !ok {
+			b.Fatal("key missing")
+		}
 	}
 }

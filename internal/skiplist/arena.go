@@ -1,0 +1,190 @@
+package skiplist
+
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+	"unsafe"
+)
+
+// This file is the only one in the package, and the first in the module, to
+// use unsafe. The rest of the list sees nodes only through the methods below.
+
+// node is the header of a list entry as it lies in an arena chunk. Only
+// tower[:height] is backed by the chunk: the key follows the last tower slot
+// and the value follows the key, so a search hop that compares a node's key
+// reads the cache line its link was loaded from.
+type node struct {
+	keyLen uint32
+	valLen uint32
+	height uint32
+	tower  [maxHeight]atomic.Uint32 // refs to the next node at each level
+}
+
+const (
+	// nodeSize is a full-height header. Every chunk ends with at least this
+	// much slack, so converting the address of a node with a truncated tower
+	// to *node never reaches past the end of the chunk's allocation —
+	// checkptr, on under -race, checks exactly that.
+	nodeSize = uint64(unsafe.Sizeof(node{}))
+	towerOff = uint64(unsafe.Offsetof(node{}.tower))
+
+	// A ref names a node by its chunk's index (high bits) and its offset in
+	// the chunk in 4-byte units (low offBits bits); nodes are 4-byte
+	// aligned. Ref 0 is nil: it would name the head, at the start of chunk
+	// 0, and nothing links to the head.
+	offBits = 18
+	offMask = 1<<offBits - 1
+	// maxChunks caps the arena at 2^32 refs of 4 bytes: 16 GiB of nodes.
+	maxChunks = 1 << (32 - offBits)
+
+	// Chunks double from firstChunk up to maxChunk, so a small memtable
+	// allocates little and a large one rolls rarely. Every offset in a
+	// regular chunk fits a ref; an entry too large for one gets a chunk of
+	// its own, where it sits at offset 0.
+	firstChunk = 16 << 10
+	maxChunk   = 4 << offBits // 1 MiB
+)
+
+func (n *node) key() []byte {
+	return bytesAt(unsafe.Add(unsafe.Pointer(n), towerOff+4*uint64(n.height)), n.keyLen)
+}
+
+func (n *node) value() []byte {
+	return bytesAt(unsafe.Add(unsafe.Pointer(n), towerOff+4*uint64(n.height)+uint64(n.keyLen)), n.valLen)
+}
+
+// bytesAt returns the n bytes at p with cap == len, so a caller's append
+// copies rather than overwriting the next entry. Empty is nil.
+func bytesAt(p unsafe.Pointer, n uint32) []byte {
+	if n == 0 {
+		return nil
+	}
+	return unsafe.Slice((*byte)(p), n)
+}
+
+// arena allocates nodes from chunks of zeroed, pointer-free memory, so an
+// insert allocates nothing of its own and the garbage collector never scans
+// the list's contents. Allocation is a lock-free bump of the current
+// chunk's offset; only adding a chunk takes the mutex.
+type arena struct {
+	// table holds every chunk's base address by index. It grows by append
+	// under mu and is republished whole, so a loaded table never changes
+	// below its length. A chunk is published here before any node in it is
+	// linked.
+	table atomic.Pointer[[]unsafe.Pointer]
+	cur   atomic.Pointer[chunk] // the chunk nodes are bump-allocated from
+	mu    sync.Mutex            // serializes adding a chunk
+}
+
+type chunk struct {
+	base  unsafe.Pointer
+	idx   uint32
+	limit uint64        // allocation size minus the nodeSize slack
+	off   atomic.Uint64 // next free byte; past limit once the chunk is full
+}
+
+// init makes the first chunk and returns the head node at its start, with
+// a full tower.
+func (a *arena) init() *node {
+	base, idx := a.addChunk(firstChunk)
+	c := &chunk{base: base, idx: idx, limit: firstChunk - nodeSize}
+	c.off.Store(nodeSize)
+	a.cur.Store(c)
+	head := (*node)(base)
+	head.height = maxHeight
+	return head
+}
+
+// addChunk allocates a zeroed chunk of size bytes (a multiple of 8) and
+// publishes it. The caller holds mu, or is init.
+func (a *arena) addChunk(size uint64) (unsafe.Pointer, uint32) {
+	var t []unsafe.Pointer
+	if p := a.table.Load(); p != nil {
+		t = *p
+	}
+	if len(t) == maxChunks {
+		panic("skiplist: arena exceeds 16 GiB")
+	}
+	// []uint64 rather than []byte: the base is 8-byte aligned at any size.
+	base := unsafe.Pointer(unsafe.SliceData(make([]uint64, size/8)))
+	t = append(t, base)
+	a.table.Store(&t)
+	return base, uint32(len(t) - 1)
+}
+
+// newNode allocates a node of the given height holding copies of key and
+// value, and returns its ref and address. Its tower is all nil.
+func (a *arena) newNode(key, value []byte, height int) (uint32, *node) {
+	kv := uint64(len(key)) + uint64(len(value))
+	if kv > math.MaxUint32 {
+		panic("skiplist: key and value exceed 4 GiB")
+	}
+	hdr := towerOff + 4*uint64(height)
+	r, p := a.alloc((hdr + kv + 3) &^ 3)
+	n := (*node)(p)
+	n.keyLen, n.valLen, n.height = uint32(len(key)), uint32(len(value)), uint32(height)
+	dst := unsafe.Slice((*byte)(unsafe.Add(p, hdr)), kv)
+	copy(dst[copy(dst, key):], value)
+	return r, n
+}
+
+// alloc reserves size bytes, a multiple of 4, and returns their ref and
+// address. Concurrent callers get disjoint ranges.
+func (a *arena) alloc(size uint64) (uint32, unsafe.Pointer) {
+	if size > maxChunk-nodeSize {
+		a.mu.Lock()
+		defer a.mu.Unlock()
+		base, idx := a.addChunk((size + nodeSize + 7) &^ 7)
+		return idx << offBits, base
+	}
+	for {
+		c := a.cur.Load()
+		// A failed add leaves off past limit, which marks the chunk full
+		// for everyone; the tail it skips is never used.
+		if end := c.off.Add(size); end <= c.limit {
+			off := end - size
+			return c.idx<<offBits | uint32(off>>2), unsafe.Add(c.base, off)
+		}
+		a.roll(c, size)
+	}
+}
+
+// roll replaces the full chunk c as the current one, unless another writer
+// already has, with a chunk twice its size (capped at maxChunk) or the
+// smallest power of two that holds size, whichever is larger.
+func (a *arena) roll(c *chunk, size uint64) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.cur.Load() != c {
+		return
+	}
+	next := min(2*(c.limit+nodeSize), maxChunk)
+	for next < size+nodeSize {
+		next *= 2
+	}
+	base, idx := a.addChunk(next)
+	a.cur.Store(&chunk{base: base, idx: idx, limit: next - nodeSize})
+}
+
+// resolver turns refs into nodes against a snapshot of the arena's chunk
+// table. A ref loaded from a tower was linked after its chunk was
+// published, so a ref past the snapshot only means the snapshot is stale.
+type resolver struct {
+	a *arena
+	t []unsafe.Pointer
+}
+
+func (a *arena) resolver() resolver { return resolver{a: a, t: *a.table.Load()} }
+
+// node returns the node r names, or nil for ref 0.
+func (rv *resolver) node(r uint32) *node {
+	if r == 0 {
+		return nil
+	}
+	i := r >> offBits
+	if int(i) >= len(rv.t) {
+		rv.t = *rv.a.table.Load()
+	}
+	return (*node)(unsafe.Add(rv.t[i], uint64(r&offMask)<<2))
+}

@@ -19,17 +19,12 @@ const (
 // Compare orders two keys. Negative means a < b.
 type Compare func(a, b []byte) int
 
-type node struct {
-	key   []byte
-	value []byte
-	next  [maxHeight]atomic.Pointer[node]
-}
-
 // List is the skiplist. Create one with New. Concurrent readers are always
 // safe; concurrent writers are safe too, provided keys are distinct (the
 // engine guarantees this: every internal key carries a unique sequence
-// number).
+// number). Nodes, keys and values live in the list's arena (arena.go).
 type List struct {
+	arena  arena
 	head   *node
 	cmp    Compare
 	height atomic.Int32
@@ -54,7 +49,8 @@ func (s *splitmix) next() uint64 {
 
 // New returns an empty list ordered by cmp.
 func New(cmp Compare) *List {
-	l := &List{head: &node{}, cmp: cmp}
+	l := &List{cmp: cmp}
+	l.head = l.arena.init()
 	l.rng.state.Store(0x9E3779B97F4A7C15)
 	l.height.Store(1)
 	return l
@@ -63,7 +59,10 @@ func New(cmp Compare) *List {
 // Len returns the number of entries.
 func (l *List) Len() int { return int(l.count.Load()) }
 
-// Bytes returns the approximate memory consumed by keys and values.
+// Bytes returns the logical size of the entries: key and value plus 64
+// bytes each. It is a fixed function of the entries inserted, not of how
+// the arena lays them out, so the engine's flush points depend only on
+// what was written. An entry's physical size is at most its logical one.
 func (l *List) Bytes() int64 { return l.bytes.Load() }
 
 func (l *List) randomHeight() int {
@@ -78,11 +77,12 @@ func (l *List) randomHeight() int {
 // findGE returns the first node with key >= target, also filling prev with
 // the predecessor at every level when prev != nil.
 func (l *List) findGE(target []byte, prev *[maxHeight]*node) *node {
+	rv := l.arena.resolver()
 	x := l.head
 	level := int(l.height.Load()) - 1
 	for {
-		next := x.next[level].Load()
-		if next != nil && l.cmp(next.key, target) < 0 {
+		next := rv.node(x.tower[level].Load())
+		if next != nil && l.cmp(next.key(), target) < 0 {
 			x = next
 			continue
 		}
@@ -98,7 +98,8 @@ func (l *List) findGE(target []byte, prev *[maxHeight]*node) *node {
 
 // Insert adds a key/value pair. The key must not already be present; the
 // engine guarantees uniqueness because every internal key carries a unique
-// sequence number. Key and value are retained, not copied.
+// sequence number. Key and value are copied into the arena; the caller may
+// reuse both once Insert returns.
 //
 // Insert is safe for concurrent use. Each level is spliced with a
 // compare-and-swap; on contention the writer re-walks forward from its
@@ -106,17 +107,21 @@ func (l *List) findGE(target []byte, prev *[maxHeight]*node) *node {
 // bottom-up, so a node becomes visible to readers at level 0 first and is
 // fully initialized before it is published anywhere.
 func (l *List) Insert(key, value []byte) {
-	var prev [maxHeight]*node
-	l.findGE(key, &prev)
-
 	h := l.randomHeight()
+	ref, n := l.arena.newNode(key, value, h)
+	// Search with the arena's copy: the caller's key then never reaches
+	// the comparator, so it does not escape and may live on their stack.
+	k := n.key()
+	var prev [maxHeight]*node
+	l.findGE(k, &prev)
+
 	for {
 		listH := l.height.Load()
 		if int32(h) <= listH || l.height.CompareAndSwap(listH, int32(h)) {
 			break
 		}
 	}
-	n := &node{key: key, value: value}
+	rv := l.arena.resolver()
 	for i := 0; i < h; i++ {
 		p := prev[i]
 		if p == nil {
@@ -124,13 +129,13 @@ func (l *List) Insert(key, value []byte) {
 			p = l.head
 		}
 		for {
-			next := p.next[i].Load()
-			for next != nil && l.cmp(next.key, key) < 0 {
-				p = next
-				next = p.next[i].Load()
+			next := p.tower[i].Load()
+			for nx := rv.node(next); nx != nil && l.cmp(nx.key(), k) < 0; nx = rv.node(next) {
+				p = nx
+				next = p.tower[i].Load()
 			}
-			n.next[i].Store(next)
-			if p.next[i].CompareAndSwap(next, n) {
+			n.tower[i].Store(next)
+			if p.tower[i].CompareAndSwap(next, ref) {
 				break
 			}
 		}
@@ -142,8 +147,8 @@ func (l *List) Insert(key, value []byte) {
 // Get returns the value stored at exactly key.
 func (l *List) Get(key []byte) ([]byte, bool) {
 	n := l.findGE(key, nil)
-	if n != nil && l.cmp(n.key, key) == 0 {
-		return n.value, true
+	if n != nil && l.cmp(n.key(), key) == 0 {
+		return n.value(), true
 	}
 	return nil, false
 }
@@ -151,39 +156,45 @@ func (l *List) Get(key []byte) ([]byte, bool) {
 // Iter is a stateful iterator over the list. It is safe to use concurrently
 // with writers, observing some subset of concurrent insertions.
 type Iter struct {
-	l *List
-	n *node
+	rv         resolver
+	l          *List
+	n          *node
+	key, value []byte // n's, cut once per move
 }
 
 // NewIter returns an unpositioned iterator.
-func (l *List) NewIter() *Iter { return &Iter{l: l} }
+func (l *List) NewIter() *Iter { return &Iter{l: l, rv: l.arena.resolver()} }
 
 // Valid reports whether the iterator is positioned on an entry.
 func (i *Iter) Valid() bool { return i.n != nil }
 
-// Key returns the current key. It aliases stored memory and must not be
-// mutated.
-func (i *Iter) Key() []byte { return i.n.key }
+// Key returns the current key. It aliases the arena and must not be
+// mutated; its cap equals its len.
+func (i *Iter) Key() []byte { return i.key }
 
-// Value returns the current value.
-func (i *Iter) Value() []byte { return i.n.value }
+// Value returns the current value, under the same terms as Key.
+func (i *Iter) Value() []byte { return i.value }
+
+func (i *Iter) set(n *node) bool {
+	i.n = n
+	if n == nil {
+		i.key, i.value = nil, nil
+		return false
+	}
+	i.key, i.value = n.key(), n.value()
+	return true
+}
 
 // First positions the iterator on the smallest key.
-func (i *Iter) First() bool {
-	i.n = i.l.head.next[0].Load()
-	return i.n != nil
-}
+func (i *Iter) First() bool { return i.set(i.rv.node(i.l.head.tower[0].Load())) }
 
 // SeekGE positions the iterator on the first key >= target.
-func (i *Iter) SeekGE(target []byte) bool {
-	i.n = i.l.findGE(target, nil)
-	return i.n != nil
-}
+func (i *Iter) SeekGE(target []byte) bool { return i.set(i.l.findGE(target, nil)) }
 
 // Next advances the iterator.
 func (i *Iter) Next() bool {
-	if i.n != nil {
-		i.n = i.n.next[0].Load()
+	if i.n == nil {
+		return false
 	}
-	return i.n != nil
+	return i.set(i.rv.node(i.n.tower[0].Load()))
 }

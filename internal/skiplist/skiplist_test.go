@@ -129,30 +129,6 @@ func TestDeterministicHeights(t *testing.T) {
 	}
 }
 
-func BenchmarkInsert(b *testing.B) {
-	l := New(bytes.Compare)
-	keys := make([][]byte, b.N)
-	for i := range keys {
-		keys[i] = []byte(fmt.Sprintf("k%012d", i*2654435761))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.Insert(keys[i], nil)
-	}
-}
-
-func BenchmarkSeekGE(b *testing.B) {
-	l := New(bytes.Compare)
-	for i := 0; i < 100_000; i++ {
-		l.Insert([]byte(fmt.Sprintf("k%012d", i)), nil)
-	}
-	it := l.NewIter()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		it.SeekGE([]byte(fmt.Sprintf("k%012d", i%100_000)))
-	}
-}
-
 // TestConcurrentInsertProperty hammers Insert from many goroutines with
 // interleaved key ranges and verifies the classic skiplist invariants
 // afterwards: nothing lost, nothing duplicated, level-0 fully ordered, and
@@ -204,21 +180,26 @@ func TestConcurrentInsertProperty(t *testing.T) {
 			t.Fatalf("trial %d: iterated %d keys, want %d", trial, n, totalKeys)
 		}
 		// Upper levels: sorted, and every node linked at level i is
-		// reachable at level i-1 (tower integrity).
+		// reachable at level i-1 and tall enough to be linked at i (tower
+		// integrity). The walk follows the refs in the nodes' towers.
+		rv := l.arena.resolver()
 		for level := 1; level < int(l.height.Load()); level++ {
 			below := make(map[string]bool)
-			for x := l.head.next[level-1].Load(); x != nil; x = x.next[level-1].Load() {
-				below[string(x.key)] = true
+			for x := rv.node(l.head.tower[level-1].Load()); x != nil; x = rv.node(x.tower[level-1].Load()) {
+				below[string(x.key())] = true
 			}
 			var last []byte
-			for x := l.head.next[level].Load(); x != nil; x = x.next[level].Load() {
-				if last != nil && bytes.Compare(last, x.key) >= 0 {
+			for x := rv.node(l.head.tower[level].Load()); x != nil; x = rv.node(x.tower[level].Load()) {
+				if int(x.height) <= level {
+					t.Fatalf("trial %d: node %q of height %d linked at level %d", trial, x.key(), x.height, level)
+				}
+				if last != nil && bytes.Compare(last, x.key()) >= 0 {
 					t.Fatalf("trial %d: level %d out of order", trial, level)
 				}
-				if !below[string(x.key)] {
-					t.Fatalf("trial %d: level %d node %q missing from level %d", trial, level, x.key, level-1)
+				if !below[string(x.key())] {
+					t.Fatalf("trial %d: level %d node %q missing from level %d", trial, level, x.key(), level-1)
 				}
-				last = append(last[:0], x.key...)
+				last = append(last[:0], x.key()...)
 			}
 		}
 		// Every key readable via Get, with the owning writer's value.
@@ -287,5 +268,173 @@ func TestConcurrentInsertWithReaders(t *testing.T) {
 	readers.Wait()
 	if want := 1000 + writers*perWriter; l.Len() != want {
 		t.Fatalf("Len = %d, want %d", l.Len(), want)
+	}
+}
+
+// TestEntryLargerThanChunk inserts entries whose key plus value exceeds the
+// largest chunk, between small ones, and reads them all back. (The list
+// before the arena had no chunks, so it passes there too; this pins the
+// path that gives such an entry a chunk of its own.)
+func TestEntryLargerThanChunk(t *testing.T) {
+	l := New(bytes.Compare)
+	want := map[string][]byte{}
+	put := func(k string, v []byte) {
+		l.Insert([]byte(k), v)
+		want[k] = v
+	}
+	big := func(n int, seed byte) []byte {
+		v := make([]byte, n)
+		for i := range v {
+			v[i] = seed + byte(i*31)
+		}
+		return v
+	}
+	put("a", []byte("small"))
+	put("b", big(maxChunk+1, 1))
+	put("c", []byte("small"))
+	put(string(big(maxChunk/2, 2)), big(maxChunk/2, 3)) // split across key and value
+	put("d", big(3*maxChunk, 4))
+	for i := 0; i < 100; i++ {
+		put(fmt.Sprintf("e%03d", i), big(100, byte(i)))
+	}
+	for k, v := range want {
+		got, ok := l.Get([]byte(k))
+		if !ok || !bytes.Equal(got, v) {
+			t.Fatalf("Get(%.8q): %d bytes, ok=%v; want %d bytes", k, len(got), ok, len(v))
+		}
+	}
+	n := 0
+	it := l.NewIter()
+	for ok := it.First(); ok; ok = it.Next() {
+		if !bytes.Equal(it.Value(), want[string(it.Key())]) {
+			t.Fatalf("iterated %.8q with the wrong value", it.Key())
+		}
+		n++
+	}
+	if n != len(want) {
+		t.Fatalf("iterated %d entries, want %d", n, len(want))
+	}
+}
+
+// TestTruncatedNodeAtChunkEnd places a node of every height, empty key and
+// value included, so that its truncated header ends exactly at its chunk's
+// usable end, then reads it back. Under -race, checkptr fails the
+// conversion to *node if the chunk lacked its nodeSize slack. (Nothing at
+// the parent of the arena truncated a node, so it cannot fail there.)
+func TestTruncatedNodeAtChunkEnd(t *testing.T) {
+	for h := 1; h <= maxHeight; h++ {
+		for _, kv := range [][2]string{{"", ""}, {"k", ""}, {"key", "v"}} {
+			l := New(bytes.Compare)
+			c := l.arena.cur.Load()
+			size := (towerOff + 4*uint64(h) + uint64(len(kv[0])+len(kv[1])) + 3) &^ 3
+			c.off.Store(c.limit - size)
+			ref, n := l.arena.newNode([]byte(kv[0]), []byte(kv[1]), h)
+			if l.arena.cur.Load() != c || ref>>offBits != c.idx {
+				t.Fatalf("h=%d %q: node did not land in the chunk's tail", h, kv)
+			}
+			rv := l.arena.resolver()
+			if got := rv.node(ref); got != n || int(got.height) != h || string(got.key()) != kv[0] || string(got.value()) != kv[1] {
+				t.Fatalf("h=%d %q: read back height %d key %q value %q", h, kv, got.height, got.key(), got.value())
+			}
+			for i := 0; i < h; i++ {
+				if n.tower[i].Load() != 0 {
+					t.Fatalf("h=%d: fresh tower slot %d is not nil", h, i)
+				}
+			}
+		}
+	}
+}
+
+// TestKeyValueCopiedAndCapped: Insert copies key and value, so the caller
+// may reuse its buffers; the slices Get and the iterator return have cap ==
+// len, so appending to one cannot overwrite the entry after it; and their
+// bytes stay put through 10^4 more inserts and a chunk roll. The list
+// before the arena retained the caller's slices and fails the first two.
+func TestKeyValueCopiedAndCapped(t *testing.T) {
+	l := New(bytes.Compare)
+	key := append(make([]byte, 0, 64), "key-0"...)
+	val := append(make([]byte, 0, 64), "value-0"...)
+	l.Insert(key, val)
+	l.Insert([]byte("key-1"), []byte("value-1"))
+	copy(key, "XXXXX")
+	copy(val, "XXXXXXX")
+
+	v, ok := l.Get([]byte("key-0"))
+	it := l.NewIter()
+	if !ok || !it.First() {
+		t.Fatal("key-0 missing")
+	}
+	k, iv := it.Key(), it.Value()
+	for _, b := range [][]byte{v, k, iv} {
+		if cap(b) != len(b) {
+			t.Fatalf("returned slice %q has cap %d > len %d", b, cap(b), len(b))
+		}
+	}
+	if string(k) != "key-0" || string(v) != "value-0" || string(iv) != "value-0" {
+		t.Fatalf("entry reads %q=%q (iterator %q) after the caller reused its buffers", k, v, iv)
+	}
+	_ = append(k, '!')
+	_ = append(v, '!')
+	if it.Next(); string(it.Key()) != "key-1" || string(it.Value()) != "value-1" {
+		t.Fatalf("next entry reads %q=%q after appends to the previous one", it.Key(), it.Value())
+	}
+
+	first := l.arena.cur.Load()
+	for i := 0; i < 10_000; i++ {
+		l.Insert([]byte(fmt.Sprintf("more-%05d", i)), make([]byte, 16))
+	}
+	if l.arena.cur.Load() == first {
+		t.Fatal("10^4 inserts did not roll a chunk")
+	}
+	if string(k) != "key-0" || string(v) != "value-0" || string(iv) != "value-0" {
+		t.Fatalf("entry reads %q=%q (iterator %q) after more inserts", k, v, iv)
+	}
+}
+
+// benchKeys returns n memtable-shaped keys, 24 bytes each, in a fixed
+// random order, and a 128-byte value.
+func benchKeys(n int) ([][]byte, []byte) {
+	keys := make([][]byte, n)
+	for i, j := range rand.New(rand.NewSource(1)).Perm(n) {
+		keys[i] = []byte(fmt.Sprintf("user%020d", j*7919))
+	}
+	return keys, bytes.Repeat([]byte{'v'}, 128)
+}
+
+// benchEntries is the size of the benchmarks' lists: about a 4 MiB
+// memtable's worth of benchKeys entries.
+const benchEntries = 20_000
+
+// BenchmarkInsert times an insert into a list of up to benchEntries
+// entries; a full list is replaced by a fresh one, so ns/op does not grow
+// with b.N.
+func BenchmarkInsert(b *testing.B) {
+	keys, val := benchKeys(benchEntries)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var l *List
+	for i := 0; i < b.N; i++ {
+		j := i % len(keys)
+		if j == 0 {
+			l = New(bytes.Compare)
+		}
+		l.Insert(keys[j], val)
+	}
+}
+
+// BenchmarkSeekGE times a seek to a present key of a benchEntries list.
+func BenchmarkSeekGE(b *testing.B) {
+	keys, val := benchKeys(benchEntries)
+	l := New(bytes.Compare)
+	for _, k := range keys {
+		l.Insert(k, val)
+	}
+	it := l.NewIter()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !it.SeekGE(keys[i%len(keys)]) {
+			b.Fatal("seek found nothing")
+		}
 	}
 }

@@ -67,9 +67,10 @@ acheronlint:
 # corpus under testdata/fuzz/. Catches format-decoder panics (block entries,
 # WAL frames, sstable footers/properties/index entries), false negatives
 # of the KiWi page Bloom filters, a range-tombstone skyline that answers
-# other than the tombstone walk it replaced, and a memtable skiplist whose
+# other than the tombstone walk it replaced, a memtable skiplist whose
 # arena loses or garbles an entry of any size up to past its largest chunk,
-# before they reach a release.
+# and a block cache that serves a block other than the last one put for its
+# key or loses count of its bytes, before they reach a release.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBlockIter -fuzztime $(FUZZTIME) ./internal/block/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/wal/
@@ -78,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSkyline -fuzztime $(FUZZTIME) ./internal/compaction/
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzSkiplist -fuzztime $(FUZZTIME) ./internal/skiplist/
+	$(GO) test -run '^$$' -fuzz FuzzCache -fuzztime $(FUZZTIME) ./internal/cache/
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...

@@ -2,6 +2,10 @@ package cache
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"runtime/debug"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -139,5 +143,193 @@ func BenchmarkCacheGetHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Get(1, 0)
+	}
+}
+
+// TestSmallCacheHoldsBlocks: a cache too small for 16 shards of a block each
+// still caches blocks, in fewer shards, within its capacity.
+func TestSmallCacheHoldsBlocks(t *testing.T) {
+	c := New(48 << 10)
+	c.Put(1, 0, make([]byte, 4096))
+	if _, ok := c.Get(1, 0); !ok {
+		t.Fatal("a 48 KiB cache refused a 4 KiB block")
+	}
+	for i := uint64(1); i < 100; i++ {
+		c.Put(1, i*4096, make([]byte, 4096))
+	}
+	if c.Bytes() > 48<<10 {
+		t.Fatalf("cache over capacity: %d bytes", c.Bytes())
+	}
+}
+
+// TestShardCount: a cache gets 16 shards where each can hold 256 KiB, and
+// halves the count until each can, down to one.
+func TestShardCount(t *testing.T) {
+	for _, tc := range []struct {
+		capacity int64
+		shards   int
+	}{{0, 1}, {48 << 10, 1}, {512 << 10, 2}, {1 << 20, 4}, {4 << 20, 16}, {8 << 20, 16}, {64 << 20, 16}} {
+		if got := len(New(tc.capacity).shards); got != tc.shards {
+			t.Errorf("New(%d) has %d shards, want %d", tc.capacity, got, tc.shards)
+		}
+	}
+}
+
+// TestHotSetSurvivesColdPass: blocks read between passes of never-read
+// blocks stay resident, however many such blocks go through. A quarter of
+// the capacity is hot; each round reads all of it, then puts a capacity's
+// worth of blocks from another file that nobody reads.
+func TestHotSetSurvivesColdPass(t *testing.T) {
+	const capacity, block = 1 << 20, 4096
+	c := New(capacity)
+	blk := make([]byte, block)
+	const hot = capacity / 4 / block
+	for i := uint64(0); i < hot; i++ {
+		c.Put(1, i*block, blk)
+	}
+	cold := uint64(0)
+	missed := 0
+	for round := 0; round < 20; round++ {
+		for i := uint64(0); i < hot; i++ {
+			if _, ok := c.Get(1, i*block); !ok {
+				missed++
+				c.Put(1, i*block, blk)
+			}
+		}
+		for n := 0; n < capacity/block; n++ {
+			c.Put(2, cold*block, blk)
+			cold++
+		}
+	}
+	if missed != 0 {
+		t.Fatalf("%d of %d hot reads missed", missed, 20*hot)
+	}
+	if c.Bytes() > capacity {
+		t.Fatalf("cache over capacity: %d bytes", c.Bytes())
+	}
+}
+
+// TestPutGetAllocs: in a full cache, a Put that evicts a block and a Get
+// that hits allocate nothing.
+func TestPutGetAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	c := New(1 << 20)
+	blk := make([]byte, 4096)
+	off := uint64(0)
+	for c.Evictions() == 0 {
+		c.Put(1, off, blk)
+		off += 4096
+	}
+	if a := testing.AllocsPerRun(1000, func() {
+		c.Put(1, off, blk)
+		off += 4096
+	}); a != 0 {
+		t.Errorf("a Put that evicts allocates %.2f times", a)
+	}
+	last := off - 4096
+	if a := testing.AllocsPerRun(1000, func() {
+		if _, ok := c.Get(1, last); !ok {
+			t.Fatal("the newest block is not resident")
+		}
+	}); a != 0 {
+		t.Errorf("a Get hit allocates %.2f times", a)
+	}
+}
+
+// raceEnabled reports whether the test binary runs under the race detector,
+// which adds allocations of its own.
+func raceEnabled() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
+}
+
+// mixTrace is a block access stream in read_settled's shape: point reads of
+// 4 KiB blocks drawn zipfian (θ 0.99) over five times the capacity, ranks
+// scattered over the files, and one op in twenty a scan of 4 consecutive
+// blocks from a uniform start. An op is a block number, or the negated
+// first block of a scan minus one.
+func mixTrace(capacity int64, ops int) []int64 {
+	const theta = 0.99
+	n := 5 * capacity / 4096
+	cdf := make([]float64, n)
+	sum := 0.0
+	for i := range cdf {
+		sum += 1 / math.Pow(float64(i+1), theta)
+		cdf[i] = sum
+	}
+	rng := rand.New(rand.NewSource(1))
+	trace := make([]int64, ops)
+	for i := range trace {
+		if rng.Intn(20) == 0 {
+			trace[i] = -1 - rng.Int63n(n-3)
+			continue
+		}
+		rank := int64(sort.SearchFloat64s(cdf, rng.Float64()*sum))
+		trace[i] = rank * 7919 % n // a permutation: the prime 7919 does not divide n
+	}
+	return trace
+}
+
+// BenchmarkCacheMix replays mixTrace through an 8 MiB cache, reading
+// through it as sstable.Reader does: a miss puts the block. An op is a
+// point read or a 4-block scan; hit_ratio counts blocks after a warm-up
+// pass over the whole trace.
+func BenchmarkCacheMix(b *testing.B) {
+	const capacity = 8 << 20
+	trace := mixTrace(capacity, 1<<19)
+	blk := make([]byte, 4096)
+	c := New(capacity)
+	read := func(block int64) {
+		id, off := uint64(block/256+1), uint64(block%256*4096)
+		if _, ok := c.Get(id, off); !ok {
+			c.Put(id, off, blk)
+		}
+	}
+	op := func(i int) {
+		if t := trace[i%len(trace)]; t >= 0 {
+			read(t)
+		} else {
+			for j := -1 - t; j < -1-t+4; j++ {
+				read(j)
+			}
+		}
+	}
+	for i := range trace {
+		op(i)
+	}
+	hits, misses := c.Hits(), c.Misses()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(i)
+	}
+	b.StopTimer()
+	hits, misses = c.Hits()-hits, c.Misses()-misses
+	b.ReportMetric(float64(hits)/float64(hits+misses), "hit_ratio")
+}
+
+// BenchmarkCachePutEvict puts never-seen 4 KiB blocks into a full 8 MiB
+// cache, so every Put evicts one.
+func BenchmarkCachePutEvict(b *testing.B) {
+	const capacity = 8 << 20
+	c := New(capacity)
+	blk := make([]byte, 4096)
+	off := uint64(0)
+	for ; c.Evictions() == 0; off += 4096 {
+		c.Put(1, off, blk)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Put(1, off, blk)
+		off += 4096
 	}
 }

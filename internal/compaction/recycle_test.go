@@ -63,8 +63,8 @@ func TestRunBytesIndependentOfBlockCache(t *testing.T) {
 			warm  bool
 		}{
 			{"no cache", nil, false},
-			{"one block a shard, cold", cache.New(16 * 700), false},
-			{"one block a shard, churned by reads", cache.New(16 * 700), true},
+			{"11 KiB cache, cold", cache.New(16 * 700), false},
+			{"11 KiB cache, churned by reads", cache.New(16 * 700), true},
 			{"every block resident", cache.New(64 << 20), true},
 		} {
 			attachCache(t, env, inputs, c.cache, c.warm)

@@ -69,7 +69,7 @@ func TestGetMatchesIter(t *testing.T) {
 		for _, c := range []struct {
 			name  string
 			cache *cache.Cache
-		}{{"no cache", nil}, {"one-block cache", cache.New(16 * 700)}, {"full cache", cache.New(64 << 20)}} {
+		}{{"no cache", nil}, {"11 KiB cache", cache.New(16 * 700)}, {"full cache", cache.New(64 << 20)}} {
 			r.SetCache(c.cache, 1)
 			for k := -1; k <= 2*keys; k++ {
 				user := []byte(fmt.Sprintf("k%06d", k))

@@ -145,8 +145,8 @@ func TestWriterResetMatchesFreshWriter(t *testing.T) {
 }
 
 // TestCompactionIterRecyclesOnlyItsOwnBuffers: a compaction iterator returns
-// the same stream as a read iterator with no cache, a cache of one block and a
-// cache already holding every block; it inserts nothing, evicts nothing, and
+// the same stream as a read iterator with no cache, a cache of a few blocks
+// and a cache already holding every block; it inserts nothing, evicts nothing, and
 // the cached blocks it iterated in place are bit-for-bit what they were.
 func TestCompactionIterRecyclesOnlyItsOwnBuffers(t *testing.T) {
 	for _, h := range []int{1, 4} {
@@ -176,7 +176,7 @@ func TestCompactionIterRecyclesOnlyItsOwnBuffers(t *testing.T) {
 		}
 		check("no cache", nil)
 
-		one := cache.New(16 * 700) // one block a shard at most
+		one := cache.New(16 * 700) // a few blocks at most
 		r.SetCache(one, 1)
 		check("small cache", one)
 		if one.Bytes() != 0 {

@@ -19,8 +19,7 @@ test:
 # deletes, flushes and closes to one goroutine per shard, the server's
 # request deadlines, armed only when a request parks and closed from the
 # runtime's timer to wake a handler parked in the engine, and the memtable
-# skiplist's concurrent appliers, which share its chunk allocator and CAS
-# splice, so a chunk roll must complete for a writer parked mid-allocation —
+# and skiplist, whose one writer races lock-free readers across chunk rolls —
 # with a single P (GOMAXPROCS=1), so a handoff that only makes progress with
 # a second one fails here rather than in production.
 cpu1:

@@ -148,8 +148,8 @@ func (d *DB) commitBatch(ctx context.Context, b *Batch) error {
 	}
 
 	// The pipeline stamps the batch's contiguous sequence block and keeps
-	// it atomic for readers: the whole block publishes in one step of the
-	// visibility ratchet, so readers see all of the batch or none of it.
+	// it atomic for readers: the whole block publishes in one step, so
+	// readers see all of the batch or none of it.
 	pc := &pendingCommit{ops: b.ops, asBatch: true, ctx: ctx}
 	if err := d.commit.commit(pc); err != nil {
 		return err

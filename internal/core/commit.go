@@ -20,15 +20,16 @@ import (
 // runs the admission gate (closed / background error / stall backpressure /
 // memtable rotation) once per group, stamps a contiguous sequence-number
 // block, encodes every member's records into a single buffered WAL write and
-// at most one fsync, then releases the members to apply their own entries to
-// the memtable concurrently (the skiplist supports CAS inserts).
+// at most one fsync, then applies every member's entries to the memtable
+// itself, so a memtable only ever has one writer.
 //
 // Visibility is decoupled from allocation: d.vs.LastSeqNum() becomes the
 // *allocated* counter (advanced by the leader before the WAL stage), while
 // readers observe the *published* counter, commitPipeline.visible, which a
-// ratchet advances only once every group at or below it has fully applied.
-// Readers therefore never observe a half-applied group, and a batch stays
-// atomic: its sequence block publishes in one step.
+// leader advances to its group's last sequence number once the group has
+// applied. Groups apply in sequence order — the leader takes applyMu before
+// it releases commitMu — so readers never observe a half-applied group, and
+// a batch stays atomic: its sequence block publishes in one step.
 //
 // Lock ordering: commitMu is acquired before d.mu, never the reverse. The
 // leader holds commitMu across the gate, the sequence allocation, and the
@@ -39,24 +40,23 @@ import (
 //
 // That order is recorded below, with the rest of the lock DAG (DESIGN.md
 // "Lock-order DAG"); no tool checks it, so a path taking commitMu (or
-// qmu/pmu) while d.mu is held shows up as a hang in the stress suites.
+// qmu/applyMu) while d.mu is held shows up as a hang in the stress suites.
 //
 // acheron:locks order core.commitPipeline.commitMu < core.DB.mu
-// acheron:locks order core.commitPipeline.commitMu < core.commitPipeline.qmu
-// acheron:locks order core.commitPipeline.commitMu < core.commitPipeline.pmu
+// acheron:locks order core.commitPipeline.commitMu < core.commitPipeline.applyMu < core.commitPipeline.qmu
+// acheron:locks order core.DB.flushMu < core.commitPipeline.applyMu
 type commitPipeline struct {
 	d *DB
 
-	// qmu guards the arrival queue and leader election. spare is the
-	// previous round's queue backing, recycled so steady-state rounds
-	// allocate no queue storage.
+	// qmu guards the arrival queue — pendingCommits linked through next,
+	// from head to the next field tail points at — and leader election.
 	qmu          sync.Mutex
-	queue        []*pendingCommit
-	spare        []*pendingCommit
+	head         *pendingCommit
+	tail         **pendingCommit
 	leaderActive bool
 
-	// commitMu serializes leader rounds: gate, seqnum allocation, WAL
-	// append+sync, and publish-queue insertion. Acquired before d.mu.
+	// commitMu serializes leader rounds: gate, seqnum allocation and WAL
+	// append+sync. Acquired before d.mu.
 	// scratch is the WAL-stage payload slice and walBuf the buffer the
 	// round's payloads are encoded into and cut from, both reused across
 	// rounds under commitMu. groups counts rounds reaching the WAL stage; one in
@@ -68,11 +68,13 @@ type commitPipeline struct {
 	walBuf   []byte
 	groups   uint64
 
-	// pmu guards publishQ, the FIFO of groups awaiting publication in
-	// sequence order. visible is the published sequence number readers use.
-	pmu      sync.Mutex
-	publishQ []*commitGroup
-	visible  atomic.Uint64
+	// applyMu is held by the one leader applying its group to the
+	// memtable. A leader takes it under commitMu, so groups apply and
+	// publish in sequence order; flushOne takes it once to wait out the
+	// last group bound to a sealed memtable. visible is the published
+	// sequence number readers use, stored only under applyMu.
+	applyMu sync.Mutex
+	visible atomic.Uint64
 }
 
 // commitSignal is what a parked writer receives on its notify channel.
@@ -81,9 +83,9 @@ type commitSignal uint8
 const (
 	// sigLead promotes the writer to leader of the next round.
 	sigLead commitSignal = iota
-	// sigWALDone tells the writer its group's WAL stage finished; it must
-	// now apply its own entries and publish.
-	sigWALDone
+	// sigDone tells the writer its commit is finished: applied and
+	// published, or failed with pendingCommit.err.
+	sigDone
 )
 
 // pendingCommit is one writer's enqueued commit: either a slice of point
@@ -107,28 +109,19 @@ type pendingCommit struct {
 	// one signal ever sent). A writer that leads immediately never parks.
 	notify chan commitSignal
 
+	// next links the arrival queue and, once a leader drains it, the
+	// round's group. Guarded by qmu while queued, then the leader's.
+	next *pendingCommit
+
 	// promoted marks the queue head holding the leadership baton: sigLead
 	// has been sent to its notify channel. Guarded by qmu; withdraw must
 	// know whether the writer it removes has to pass the baton on.
 	promoted bool
 
-	// released marks a member the stall gate failed and signalled early
-	// (its context expired mid-stall); leadRound must not signal it again.
-	// Written and read only by the round's leader.
-	released bool
-
-	// groupBuf holds the round's commitGroup, embedded in the first group
-	// member's pendingCommit to spare an allocation; the GC keeps it alive
-	// as long as any member references it.
-	groupBuf commitGroup
-
-	// Filled by the leader before sigWALDone.
-	group   *commitGroup
+	// Filled by the leader before sigDone. err is the admission gate's or
+	// the WAL stage's failure; a failed commit was not applied.
 	baseSeq base.SeqNum
-	mem     *memtable.MemTable
-	// err is set instead of group when the group failed the admission gate
-	// (nothing was allocated or written).
-	err error
+	err     error
 }
 
 // seqCount returns how many sequence numbers the commit consumes.
@@ -139,24 +132,10 @@ func (pc *pendingCommit) seqCount() int {
 	return len(pc.ops)
 }
 
-// commitGroup is one drained round's worth of commits.
-type commitGroup struct {
-	endSeq  base.SeqNum
-	total   int32
-	applied atomic.Int32
-	// err is a WAL-stage failure, shared by every member: their entries
-	// were never written, they skip the memtable apply, but the group still
-	// publishes so the visibility ratchet advances over the allocated hole
-	// (allocated sequence numbers are never reused).
-	err error
-	// done is Added once at group creation and Done'd at publication;
-	// members Wait on it. A WaitGroup instead of a channel keeps the group
-	// allocation-free (it lives embedded in a member's pendingCommit).
-	done sync.WaitGroup
-}
-
 func newCommitPipeline(d *DB) *commitPipeline {
-	return &commitPipeline{d: d}
+	p := &commitPipeline{d: d}
+	p.tail = &p.head
+	return p
 }
 
 // visibleSeqNum returns the published sequence number: the newest point at
@@ -175,7 +154,7 @@ func (p *commitPipeline) visibleSeqNum() base.SeqNum {
 func (p *commitPipeline) commit(pc *pendingCommit) error {
 	if p.enqueue(pc) {
 		p.leadRound(pc)
-		return p.finishCommit(pc)
+		return pc.err
 	}
 	// A context that can never fire has a nil Done channel, which keeps the
 	// non-cancellable path select-free.
@@ -200,7 +179,7 @@ func (p *commitPipeline) commit(pc *pendingCommit) error {
 	} else if <-pc.notify == sigLead {
 		p.leadRound(pc)
 	}
-	return p.finishCommit(pc)
+	return pc.err
 }
 
 // withdraw removes a cancelled follower from the arrival queue. It returns
@@ -211,17 +190,17 @@ func (p *commitPipeline) commit(pc *pendingCommit) error {
 func (p *commitPipeline) withdraw(pc *pendingCommit) bool {
 	p.qmu.Lock()
 	defer p.qmu.Unlock()
-	idx := -1
-	for i, q := range p.queue {
-		if q == pc {
-			idx = i
-			break
+	link := &p.head
+	for *link != pc {
+		if *link == nil {
+			return false
 		}
+		link = &(*link).next
 	}
-	if idx < 0 {
-		return false
+	*link = pc.next
+	if p.tail == &pc.next {
+		p.tail = link
 	}
-	p.queue = append(p.queue[:idx], p.queue[idx+1:]...)
 	if pc.promoted {
 		// The baton was sent under qmu before promoted became observable,
 		// so the buffered sigLead is guaranteed to be present: this receive
@@ -239,7 +218,8 @@ func (p *commitPipeline) withdraw(pc *pendingCommit) bool {
 func (p *commitPipeline) enqueue(pc *pendingCommit) bool {
 	p.qmu.Lock()
 	defer p.qmu.Unlock()
-	p.queue = append(p.queue, pc)
+	*p.tail = pc
+	p.tail = &pc.next
 	if !p.leaderActive {
 		p.leaderActive = true
 		return true
@@ -248,36 +228,49 @@ func (p *commitPipeline) enqueue(pc *pendingCommit) bool {
 	return false
 }
 
-// leadRound drains the queue and processes it as one group, then signals the
-// followers and hands leadership to the next arrival, if any.
+// leadRound drains the queue and processes it as one group. It hands
+// leadership to the next arrival, if any, as soon as commitMu is free —
+// that leader's gate and WAL stage overlap this group's apply — then
+// applies and publishes the group and signals the followers.
 func (p *commitPipeline) leadRound(own *pendingCommit) {
 	p.commitMu.Lock()
 	p.qmu.Lock()
-	group := p.queue
-	// Hand the previous round's backing array to the arrival queue so
-	// steady-state rounds allocate nothing here.
-	p.queue = p.spare
-	p.spare = nil
+	group := p.head
+	p.head, p.tail = nil, &p.head
 	p.qmu.Unlock()
 
-	p.processGroup(group, own)
-	p.commitMu.Unlock()
-
-	for _, pc := range group {
-		if pc != own && !pc.released {
-			pc.notify <- sigWALDone
+	group, mem, endSeq := p.processGroup(group, own)
+	if mem == nil {
+		// The gate failed the group: nothing to apply or publish.
+		p.commitMu.Unlock()
+		p.handoff()
+	} else {
+		p.applyMu.Lock()
+		p.commitMu.Unlock()
+		p.handoff()
+		for pc := group; pc != nil; pc = pc.next {
+			if pc.err == nil {
+				p.apply(pc, mem)
+			}
 		}
+		// Also after a WAL failure, so readers pass the allocated hole
+		// (allocated sequence numbers are never reused).
+		p.visible.Store(uint64(endSeq))
+		p.applyMu.Unlock()
 	}
+	for pc := group; pc != nil; {
+		// A signalled follower returns at once: read its link first.
+		next := pc.next
+		if pc != own {
+			pc.notify <- sigDone
+		}
+		pc = next
+	}
+}
 
-	// The group slice is now leader-private (members hold only their own
-	// pendingCommit pointers): clear and recycle it.
-	for i := range group {
-		group[i] = nil
-	}
+// handoff passes the leadership baton on; see handoffLocked.
+func (p *commitPipeline) handoff() {
 	p.qmu.Lock()
-	if p.spare == nil {
-		p.spare = group[:0]
-	}
 	p.handoffLocked()
 	p.qmu.Unlock()
 }
@@ -289,143 +282,107 @@ func (p *commitPipeline) leadRound(own *pendingCommit) {
 // with respect to withdraw: a cancelled writer always knows whether it holds
 // the baton it must pass on.
 func (p *commitPipeline) handoffLocked() {
-	if len(p.queue) > 0 {
-		next := p.queue[0]
-		next.promoted = true
-		next.notify <- sigLead
+	if p.head != nil {
+		p.head.promoted = true
+		p.head.notify <- sigLead
 		return
 	}
 	p.leaderActive = false
 }
 
-// failPending rejects a whole group at the admission gate. Members the
-// stall gate already failed individually keep their own error.
-func failPending(group []*pendingCommit, err error) {
-	for _, pc := range group {
-		if pc.err == nil {
-			pc.err = err
-		}
+// failAll fails every member of the group with err.
+func failAll(group *pendingCommit, err error) {
+	for pc := group; pc != nil; pc = pc.next {
+		pc.err = err
 	}
 }
 
 // processGroup runs the admission gate, allocates the group's sequence
 // block, and performs the WAL stage. Called with commitMu held. Members the
-// stall gate expired (context deadline/cancel while stalled) are dropped
-// from the round; the survivors commit.
-func (p *commitPipeline) processGroup(group []*pendingCommit, own *pendingCommit) {
+// stall gate expired (context deadline/cancel while stalled) were signalled
+// there and are dropped from the round; processGroup returns the rest. mem
+// is the memtable the group applies to and endSeq its last sequence number;
+// mem is nil when the group failed the gate, having allocated nothing.
+func (p *commitPipeline) processGroup(group, own *pendingCommit) (_ *pendingCommit, mem *memtable.MemTable, endSeq base.SeqNum) {
 	d := p.d
 	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		failPending(group, ErrClosed)
-		return
-	}
-	if err := d.backgroundErrLocked(); err != nil {
-		d.mu.Unlock()
-		failPending(group, err)
-		return
-	}
-	// Backpressure applies to the whole group — including range deletes,
-	// which previously bypassed the stall gate entirely and could grow the
-	// flush backlog without bound.
-	if err := d.stallWritesLocked(group, own); err != nil {
-		d.mu.Unlock()
-		failPending(group, err)
-		return
-	}
-	// The stall gate may have failed (and already released) members whose
-	// context expired; the round continues with the survivors.
-	active := group
-	failed := 0
-	for _, pc := range group {
-		if pc.err != nil {
-			failed++
+	err := ErrClosed
+	if !d.closed {
+		// Backpressure applies to the whole group — including range
+		// deletes, which previously bypassed the stall gate entirely and
+		// could grow the flush backlog without bound.
+		if err = d.backgroundErrLocked(); err == nil {
+			err = d.stallWritesLocked(group, own)
 		}
 	}
-	if failed == len(group) {
-		d.mu.Unlock()
-		return
-	}
-	if failed > 0 {
-		active = make([]*pendingCommit, 0, len(group)-failed)
-		for _, pc := range group {
-			if pc.err == nil {
-				active = append(active, pc)
-			}
+	// Unlink the members the stall gate failed: it signalled them already.
+	for link := &group; *link != nil; {
+		if (*link).err != nil {
+			*link = (*link).next
+		} else {
+			link = &(*link).next
 		}
 	}
 	// Rotation check at the leader boundary: the memtable the previous
 	// round filled past its budget is sealed here, before this round's
 	// sequence block and records bind to a (memtable, WAL segment) pair.
-	rotated, err := d.maybeRotateLocked()
-	if err != nil {
+	rotated := false
+	if err == nil && group != nil {
+		rotated, err = d.maybeRotateLocked()
+	}
+	if err != nil || group == nil {
 		d.mu.Unlock()
-		failPending(group, err)
-		return
+		failAll(group, err)
+		return group, nil, 0
 	}
 
-	total := 0
-	for _, pc := range active {
+	total, members := 0, 0
+	for pc := group; pc != nil; pc = pc.next {
 		pc.baseSeq = d.vs.LastSeqNum() + 1 + base.SeqNum(total)
 		if pc.rt != nil {
 			pc.rt.Seq = pc.baseSeq
 		}
 		total += pc.seqCount()
+		members++
 	}
-	endSeq := d.vs.LastSeqNum() + base.SeqNum(total)
+	endSeq = d.vs.LastSeqNum() + base.SeqNum(total)
 	// Advance the *allocated* counter before releasing d.mu so the next
 	// round allocates past this block; readers keep using the published
 	// counter until the group lands.
 	d.vs.SetLastSeqNum(endSeq)
-	mem := d.mem
-	mem.AcquireWriters(len(active))
-	walW := d.walW
+	mem, walW := d.mem, d.walW
 	d.mu.Unlock()
 
-	g := &active[0].groupBuf
-	g.endSeq = endSeq
-	g.total = int32(len(active))
-	g.done.Add(1)
-	for _, pc := range active {
-		pc.group = g
-		pc.mem = mem
+	// A WAL-stage failure fails every member: nothing of theirs is
+	// applied, but the group still publishes endSeq.
+	if err := p.walStage(group, members, walW); err != nil {
+		failAll(group, err)
 	}
-
-	g.err = p.walStage(active, walW)
-
-	// Publish-queue insertion happens under commitMu, so publishQ is FIFO
-	// in sequence order and the ratchet can pop contiguous prefixes.
-	p.pmu.Lock()
-	p.publishQ = append(p.publishQ, g)
-	p.pmu.Unlock()
-
 	if rotated {
 		d.notifyWork()
 	}
+	return group, mem, endSeq
 }
 
 // walStage encodes every member's records into one buffered WAL write and
 // syncs at most once. Called with commitMu held; WAL I/O is serialized by
 // commitMu alone, not d.mu.
-func (p *commitPipeline) walStage(group []*pendingCommit, walW *wal.Writer) error {
+func (p *commitPipeline) walStage(group *pendingCommit, members int, walW *wal.Writer) error {
 	d := p.d
 	p.groups++
 	sampled := p.groups%opSampleInterval == 0
 	start := time.Time{}
 	if sampled {
 		start = time.Now()
-		d.trace.Emit(event.Event{Type: event.GroupCommitBegin, Time: start, Bytes: int64(len(group))})
+		d.trace.Emit(event.Event{Type: event.GroupCommitBegin, Time: start, Bytes: int64(members)})
 	}
-	if cap(p.scratch) < len(group) {
-		p.scratch = make([][]byte, len(group))
-	}
-	payloads := p.scratch[:len(group)]
+	payloads := p.scratch[:0]
 	// Every payload is encoded into one buffer and cut from it at once: a
 	// payload cut before the buffer grew keeps reading the old array, which
 	// nothing writes again.
 	buf := p.walBuf[:0]
 	needSync := d.opts.SyncWrites
-	for i, pc := range group {
+	for pc := group; pc != nil; pc = pc.next {
 		start := len(buf)
 		switch {
 		case pc.rt != nil:
@@ -440,7 +397,7 @@ func (p *commitPipeline) walStage(group []*pendingCommit, walW *wal.Writer) erro
 			op := pc.ops[0]
 			buf = appendWALRecord(buf, op.kind, pc.baseSeq, op.key, op.value)
 		}
-		payloads[i] = buf[start:]
+		payloads = append(payloads, buf[start:])
 	}
 	walBytes := int64(len(buf))
 	if cap(buf) <= maxRetainedWALBuf {
@@ -451,13 +408,12 @@ func (p *commitPipeline) walStage(group []*pendingCommit, walW *wal.Writer) erro
 	err := walW.AddRecords(payloads)
 	// Drop the payload references so the recycled scratch slice does not
 	// pin an outgrown (or oversized, unretained) buffer until the next round.
-	for i := range payloads {
-		payloads[i] = nil
-	}
+	clear(payloads)
+	p.scratch = payloads[:0]
 	if err == nil {
 		d.stats.WALBytes.Add(walBytes)
-		d.stats.WALAppends.Add(int64(len(group)))
-		d.stats.WALGroupSize.Record(int64(len(group)))
+		d.stats.WALAppends.Add(int64(members))
+		d.stats.WALGroupSize.Record(int64(members))
 		if needSync {
 			syncStart := time.Now()
 			// One sync-before-ack per group under commitMu; members are
@@ -479,54 +435,17 @@ func (p *commitPipeline) walStage(group []*pendingCommit, walW *wal.Writer) erro
 	return err
 }
 
-// finishCommit applies the writer's own entries, releases its memtable ref,
-// drives the publication ratchet, and waits for the group to publish so the
-// caller gets read-your-writes on return.
-func (p *commitPipeline) finishCommit(pc *pendingCommit) error {
-	g := pc.group
-	if g == nil {
-		// Admission-gate failure: nothing allocated, nothing to publish.
-		return pc.err
-	}
-	if g.err == nil {
-		p.applyToMem(pc)
-	}
-	pc.mem.ReleaseWriter()
-	if g.applied.Add(1) == g.total {
-		p.publishLanded()
-	}
-	g.done.Wait()
-	return g.err
-}
-
-// applyToMem inserts the commit's entries into its captured memtable.
-func (p *commitPipeline) applyToMem(pc *pendingCommit) {
+// apply inserts the commit's entries into the group's memtable. Called
+// with applyMu held: the memtable's one writer.
+func (p *commitPipeline) apply(pc *pendingCommit, mem *memtable.MemTable) {
 	if pc.rt != nil {
-		pc.mem.AddRangeTombstone(*pc.rt)
+		mem.AddRangeTombstone(*pc.rt)
 		return
 	}
 	d := p.d
 	for i, op := range pc.ops {
 		seq := pc.baseSeq + base.SeqNum(i)
-		pc.mem.Add(base.MakeInternalKey(op.key, seq, op.kind), op.value)
+		mem.Add(base.MakeInternalKey(op.key, seq, op.kind), op.value)
 		d.stats.BytesIngested.Add(int64(len(op.key) + len(op.value)))
 	}
-}
-
-// publishLanded pops every fully-applied group at the head of publishQ,
-// advancing the published sequence number and releasing group members. The
-// last applier of any group calls it, so a slow head group's publication is
-// always driven to completion by whichever applier finishes last.
-func (p *commitPipeline) publishLanded() {
-	p.pmu.Lock()
-	for len(p.publishQ) > 0 {
-		g := p.publishQ[0]
-		if g.applied.Load() < g.total {
-			break
-		}
-		p.publishQ = p.publishQ[1:]
-		p.visible.Store(uint64(g.endSeq))
-		g.done.Done()
-	}
-	p.pmu.Unlock()
 }

@@ -452,3 +452,30 @@ func TestSequentialPutsSampleOwnLatency(t *testing.T) {
 		t.Errorf("%d group-commit trace events for %d groups, want %d±1", groupBegins, puts, want)
 	}
 }
+
+// TestPutAllocs: a lone writer's Put allocates only its pendingCommit, and
+// a Delete that plus its tombstone value. The leader applies the commit
+// itself, so neither pays for a commit group or a memtable writer count.
+func TestPutAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	opts := testOptions(vfs.NewMemFS(), &base.LogicalClock{})
+	opts.MemTableBytes = 64 << 20
+	d := mustOpen(t, opts)
+	key, val := []byte("key00000"), storetest.Value(1, 1)
+	if a := testing.AllocsPerRun(1000, func() {
+		if err := d.Put(key, val); err != nil {
+			t.Fatal(err)
+		}
+	}); a > 1 {
+		t.Errorf("Put allocates %.2f times, want <= 1", a)
+	}
+	if a := testing.AllocsPerRun(1000, func() {
+		if err := d.Delete(key); err != nil {
+			t.Fatal(err)
+		}
+	}); a > 2 {
+		t.Errorf("Delete allocates %.2f times, want <= 2", a)
+	}
+}

@@ -73,7 +73,7 @@ type DB struct {
 	registry     *metrics.Registry
 
 	// commit is the group-commit write pipeline: it owns commitMu (ordered
-	// before d.mu), the commit queue, and the published-seqnum ratchet that
+	// before d.mu), the commit queue, and the published sequence number
 	// readers consult via visibleSeqNum.
 	commit *commitPipeline
 
@@ -596,7 +596,7 @@ var stallCauseNames = [numStallCauses]string{"imm-memtables", "l0-runs"}
 // next round.
 //
 // Called with d.mu held; may release and reacquire it.
-func (d *DB) stallWritesLocked(group []*pendingCommit, own *pendingCommit) error {
+func (d *DB) stallWritesLocked(group, own *pendingCommit) error {
 	if d.opts.DisableAutoMaintenance {
 		return nil
 	}
@@ -628,7 +628,7 @@ func (d *DB) stallWritesLocked(group []*pendingCommit, own *pendingCommit) error
 			d.stats.WriteStalls.Add(1)
 			stallStart = time.Now()
 			d.trace.Emit(event.Event{Type: event.StallBegin, Time: stallStart})
-			for _, pc := range group {
+			for pc := group; pc != nil; pc = pc.next {
 				if stop := armCtxWake(pc.ctx, d.wakeStalledWriters); stop != nil {
 					stops = append(stops, stop)
 				}
@@ -644,7 +644,7 @@ func (d *DB) stallWritesLocked(group []*pendingCommit, own *pendingCommit) error
 		// the stall then clears: its deadline elapsed while the engine held
 		// it, and the caller has likely moved on.
 		live := 0
-		for _, pc := range group {
+		for pc := group; pc != nil; pc = pc.next {
 			if pc.err != nil {
 				continue
 			}
@@ -659,10 +659,9 @@ func (d *DB) stallWritesLocked(group []*pendingCommit, own *pendingCommit) error
 			d.stats.StallTimeouts.Add(1)
 			d.trace.Emit(event.Event{Type: event.StallTimeout, Dur: waited, Err: pc.err.Error()})
 			if pc != own {
-				// Release the follower now; leadRound skips released
-				// members when signalling the finished round.
-				pc.released = true
-				pc.notify <- sigWALDone
+				// Release the follower now; processGroup drops it from
+				// the round.
+				pc.notify <- sigDone
 			}
 		}
 		if live == 0 {

@@ -113,10 +113,11 @@ func (d *DB) flushOne() (bool, error) {
 	e := d.imm[0]
 	d.mu.Unlock()
 
-	// A commit group that captured this memtable while it was mutable may
-	// still be applying entries. The table is sealed (no new writer refs
-	// possible), so this wait is bounded by the in-flight group applies.
-	e.mem.WaitWriters()
+	// The last commit group bound to this memtable may still be applying
+	// its entries. That group took applyMu before the rotation that sealed
+	// the table (both under commitMu), so one lock of applyMu waits it out.
+	d.commit.applyMu.Lock()
+	d.commit.applyMu.Unlock()
 
 	ji := JobInfo{ID: d.sched.newID(), Kind: JobFlush, Started: time.Now()}
 	d.traceJobClaim(ji.ID, "flush", 0, "")

@@ -1,9 +1,12 @@
 // Package memtable wraps the skiplist with the bookkeeping an LSM memtable
 // needs: size accounting for flush triggers, tombstone statistics for FADE,
-// and a sidecar holding KiWi secondary-key range tombstones.
+// and a sidecar holding KiWi secondary-key range tombstones. A memtable has
+// one writer at a time — the engine's commit pipeline applies groups one
+// after another — and any number of lock-free readers beside it.
 package memtable
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -11,11 +14,9 @@ import (
 	"repro/internal/skiplist"
 )
 
-// MemTable is an in-memory, ordered write buffer. Concurrent writers are
-// safe (the skiplist splices with per-level CAS); readers are concurrent
-// and lock-free on the point-entry path. The commit pipeline registers
-// in-flight writers via AcquireWriters so a flush can wait for stragglers
-// after the table is sealed.
+// MemTable is an in-memory, ordered write buffer. Add and AddRangeTombstone
+// must not be called concurrently with each other; every read method may
+// run beside them, with no lock.
 type MemTable struct {
 	list *skiplist.List
 
@@ -25,26 +26,25 @@ type MemTable struct {
 	// memtable holds few tombstones and is read far more often than that.
 	rangeDels atomic.Pointer[[]base.RangeTombstone]
 
-	mu sync.RWMutex // serializes rangeDels writers; guards the tombstone age
-
-	// writers tracks commit-pipeline appliers still inserting into this
-	// memtable. The pipeline acquires refs under the engine mutex while
-	// the table is mutable; flush calls WaitWriters after sealing, so the
-	// wait is bounded by in-flight group applies.
-	writers sync.WaitGroup
-
-	numDeletes      atomic.Int64
-	oldestTombstone base.Timestamp
-	hasTombstone    bool
+	numDeletes atomic.Int64
+	// oldestTombstone is the creation time of the oldest tombstone, or
+	// noTombstone while there is none.
+	oldestTombstone atomic.Int64
 }
+
+// noTombstone marks a memtable that holds no tombstone yet; it is later
+// than any creation time.
+const noTombstone = math.MaxInt64
 
 // New returns an empty memtable.
 func New() *MemTable {
-	return &MemTable{list: skiplist.New(base.CompareEncoded)}
+	m := &MemTable{list: skiplist.New(base.CompareEncoded)}
+	m.oldestTombstone.Store(noTombstone)
+	return m
 }
 
 // Add inserts an entry. The key's sequence number must be unique within the
-// memtable. key and value are copied. Add is safe for concurrent use.
+// memtable. key and value are copied.
 func (m *MemTable) Add(ikey base.InternalKey, value []byte) {
 	// The skiplist copies the key into its arena before comparing it, so
 	// the encoding stays on the stack unless the key outgrows buf.
@@ -57,39 +57,20 @@ func (m *MemTable) Add(ikey base.InternalKey, value []byte) {
 	m.list.Insert(ikey.Encode(buf[:0]), value)
 }
 
-// AcquireWriters registers n in-flight writers about to Add to this
-// memtable. Callers must hold whatever lock makes the memtable the current
-// mutable one, so a ref can never be acquired after the table is sealed
-// and a flush has begun waiting.
-func (m *MemTable) AcquireWriters(n int) { m.writers.Add(n) }
-
-// ReleaseWriter drops one writer ref acquired with AcquireWriters.
-func (m *MemTable) ReleaseWriter() { m.writers.Done() }
-
-// WaitWriters blocks until every acquired writer ref has been released.
-// Flush calls this after the table is sealed (no new refs possible) and
-// before iterating it.
-func (m *MemTable) WaitWriters() { m.writers.Wait() }
-
 // AddRangeTombstone records a secondary-key range tombstone.
 func (m *MemTable) AddRangeTombstone(rt base.RangeTombstone) {
-	m.mu.Lock()
 	old := m.RangeTombstones()
 	next := make([]base.RangeTombstone, len(old)+1)
 	copy(next, old)
 	next[len(old)] = rt
 	m.rangeDels.Store(&next)
-	m.mu.Unlock()
 	m.noteTombstone(rt.CreatedAt)
 }
 
 func (m *MemTable) noteTombstone(ts base.Timestamp) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if !m.hasTombstone || ts < m.oldestTombstone {
-		m.oldestTombstone = ts
+	if int64(ts) < m.oldestTombstone.Load() {
+		m.oldestTombstone.Store(int64(ts))
 	}
-	m.hasTombstone = true
 }
 
 // RangeTombstones returns the sidecar tombstones recorded so far. The slice
@@ -141,9 +122,8 @@ func (m *MemTable) Empty() bool { return m.Len() == 0 && m.NumRangeDeletes() == 
 // OldestTombstone returns the creation time of the memtable's oldest
 // tombstone; ok is false when it holds none.
 func (m *MemTable) OldestTombstone() (base.Timestamp, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.oldestTombstone, m.hasTombstone
+	ts := m.oldestTombstone.Load()
+	return base.Timestamp(ts), ts != noTombstone
 }
 
 // Iter iterates the memtable in internal-key order.

@@ -2,7 +2,6 @@ package skiplist
 
 import (
 	"math"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 )
@@ -65,39 +64,35 @@ func bytesAt(p unsafe.Pointer, n uint32) []byte {
 
 // arena allocates nodes from chunks of zeroed, pointer-free memory, so an
 // insert allocates nothing of its own and the garbage collector never scans
-// the list's contents. Allocation is a lock-free bump of the current
-// chunk's offset; only adding a chunk takes the mutex.
+// the list's contents. Allocation bumps the current chunk's offset; only
+// the list's one writer allocates, so nothing here but the chunk table is
+// shared with readers.
 type arena struct {
 	// table holds every chunk's base address by index. It grows by append
-	// under mu and is republished whole, so a loaded table never changes
-	// below its length. A chunk is published here before any node in it is
-	// linked.
+	// and is republished whole, so a loaded table never changes below its
+	// length. A chunk is published here before any node in it is linked.
 	table atomic.Pointer[[]unsafe.Pointer]
-	cur   atomic.Pointer[chunk] // the chunk nodes are bump-allocated from
-	mu    sync.Mutex            // serializes adding a chunk
-}
 
-type chunk struct {
+	// The chunk nodes are bump-allocated from: its address and index, the
+	// next free byte, and its allocation size minus the nodeSize slack.
 	base  unsafe.Pointer
 	idx   uint32
-	limit uint64        // allocation size minus the nodeSize slack
-	off   atomic.Uint64 // next free byte; past limit once the chunk is full
+	off   uint64
+	limit uint64
 }
 
 // init makes the first chunk and returns the head node at its start, with
 // a full tower.
 func (a *arena) init() *node {
-	base, idx := a.addChunk(firstChunk)
-	c := &chunk{base: base, idx: idx, limit: firstChunk - nodeSize}
-	c.off.Store(nodeSize)
-	a.cur.Store(c)
-	head := (*node)(base)
+	a.base, a.idx = a.addChunk(firstChunk)
+	a.off, a.limit = nodeSize, firstChunk-nodeSize
+	head := (*node)(a.base)
 	head.height = maxHeight
 	return head
 }
 
 // addChunk allocates a zeroed chunk of size bytes (a multiple of 8) and
-// publishes it. The caller holds mu, or is init.
+// publishes it.
 func (a *arena) addChunk(size uint64) (unsafe.Pointer, uint32) {
 	var t []unsafe.Pointer
 	if p := a.table.Load(); p != nil {
@@ -130,41 +125,30 @@ func (a *arena) newNode(key, value []byte, height int) (uint32, *node) {
 }
 
 // alloc reserves size bytes, a multiple of 4, and returns their ref and
-// address. Concurrent callers get disjoint ranges.
+// address.
 func (a *arena) alloc(size uint64) (uint32, unsafe.Pointer) {
 	if size > maxChunk-nodeSize {
-		a.mu.Lock()
-		defer a.mu.Unlock()
 		base, idx := a.addChunk((size + nodeSize + 7) &^ 7)
 		return idx << offBits, base
 	}
-	for {
-		c := a.cur.Load()
-		// A failed add leaves off past limit, which marks the chunk full
-		// for everyone; the tail it skips is never used.
-		if end := c.off.Add(size); end <= c.limit {
-			off := end - size
-			return c.idx<<offBits | uint32(off>>2), unsafe.Add(c.base, off)
-		}
-		a.roll(c, size)
+	if a.off+size > a.limit {
+		a.roll(size)
 	}
+	off := a.off
+	a.off += size
+	return a.idx<<offBits | uint32(off>>2), unsafe.Add(a.base, off)
 }
 
-// roll replaces the full chunk c as the current one, unless another writer
-// already has, with a chunk twice its size (capped at maxChunk) or the
-// smallest power of two that holds size, whichever is larger.
-func (a *arena) roll(c *chunk, size uint64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.cur.Load() != c {
-		return
-	}
-	next := min(2*(c.limit+nodeSize), maxChunk)
+// roll replaces the current chunk, which cannot hold size more bytes, with
+// a chunk twice its size (capped at maxChunk) or the smallest power of two
+// that holds size, whichever is larger. The old chunk's tail is never used.
+func (a *arena) roll(size uint64) {
+	next := min(2*(a.limit+nodeSize), maxChunk)
 	for next < size+nodeSize {
 		next *= 2
 	}
-	base, idx := a.addChunk(next)
-	a.cur.Store(&chunk{base: base, idx: idx, limit: next - nodeSize})
+	a.base, a.idx = a.addChunk(next)
+	a.off, a.limit = 0, next-nodeSize
 }
 
 // resolver turns refs into nodes against a snapshot of the arena's chunk

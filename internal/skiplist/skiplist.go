@@ -1,7 +1,7 @@
 // Package skiplist provides the ordered map backing Acheron's memtables: a
-// concurrent-writer, multi-reader skiplist over byte-slice keys. Readers
-// never take locks; writers insert lock-free with a per-level CAS splice,
-// so group-commit followers can apply to the same memtable in parallel.
+// single-writer, multi-reader skiplist over byte-slice keys. Readers never
+// take locks; the writer links a new node bottom-up with atomic stores, so
+// a reader sees it whole or not at all at each level.
 package skiplist
 
 import (
@@ -19,10 +19,9 @@ const (
 // Compare orders two keys. Negative means a < b.
 type Compare func(a, b []byte) int
 
-// List is the skiplist. Create one with New. Concurrent readers are always
-// safe; concurrent writers are safe too, provided keys are distinct (the
-// engine guarantees this: every internal key carries a unique sequence
-// number). Nodes, keys and values live in the list's arena (arena.go).
+// List is the skiplist. Create one with New. Insert calls must not run
+// concurrently with each other; readers are safe beside them. Nodes, keys
+// and values live in the list's arena (arena.go).
 type List struct {
 	arena  arena
 	head   *node
@@ -35,13 +34,12 @@ type List struct {
 
 // splitmix is a tiny deterministic PRNG (SplitMix64); the list is
 // reproducible for a given insertion sequence, which keeps benchmarks and
-// property tests deterministic. The state advances with a single atomic
-// add, so concurrent inserts each draw a distinct value while a serialized
-// insertion sequence consumes exactly the heights it always did.
-type splitmix struct{ state atomic.Uint64 }
+// property tests deterministic.
+type splitmix uint64
 
 func (s *splitmix) next() uint64 {
-	z := s.state.Add(0x9e3779b97f4a7c15)
+	*s += 0x9e3779b97f4a7c15
+	z := uint64(*s)
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -51,7 +49,7 @@ func (s *splitmix) next() uint64 {
 func New(cmp Compare) *List {
 	l := &List{cmp: cmp}
 	l.head = l.arena.init()
-	l.rng.state.Store(0x9E3779B97F4A7C15)
+	l.rng = 0x9E3779B97F4A7C15
 	l.height.Store(1)
 	return l
 }
@@ -101,44 +99,28 @@ func (l *List) findGE(target []byte, prev *[maxHeight]*node) *node {
 // sequence number. Key and value are copied into the arena; the caller may
 // reuse both once Insert returns.
 //
-// Insert is safe for concurrent use. Each level is spliced with a
-// compare-and-swap; on contention the writer re-walks forward from its
-// stale predecessor (never from the head) and retries. Linking proceeds
-// bottom-up, so a node becomes visible to readers at level 0 first and is
-// fully initialized before it is published anywhere.
+// Insert must not run concurrently with another Insert. Linking proceeds
+// bottom-up, and a node's link at each level is stored before the link to
+// it, so a node becomes visible to readers at level 0 first and is fully
+// initialized before it is published anywhere.
 func (l *List) Insert(key, value []byte) {
 	h := l.randomHeight()
 	ref, n := l.arena.newNode(key, value, h)
 	// Search with the arena's copy: the caller's key then never reaches
 	// the comparator, so it does not escape and may live on their stack.
-	k := n.key()
 	var prev [maxHeight]*node
-	l.findGE(k, &prev)
-
-	for {
-		listH := l.height.Load()
-		if int32(h) <= listH || l.height.CompareAndSwap(listH, int32(h)) {
-			break
-		}
-	}
-	rv := l.arena.resolver()
+	l.findGE(n.key(), &prev)
 	for i := 0; i < h; i++ {
 		p := prev[i]
 		if p == nil {
-			// Level raised above what findGE walked: start at the head.
+			// A level above the list's height: only the head links there.
 			p = l.head
 		}
-		for {
-			next := p.tower[i].Load()
-			for nx := rv.node(next); nx != nil && l.cmp(nx.key(), k) < 0; nx = rv.node(next) {
-				p = nx
-				next = p.tower[i].Load()
-			}
-			n.tower[i].Store(next)
-			if p.tower[i].CompareAndSwap(next, ref) {
-				break
-			}
-		}
+		n.tower[i].Store(p.tower[i].Load())
+		p.tower[i].Store(ref)
+	}
+	if int32(h) > l.height.Load() {
+		l.height.Store(int32(h))
 	}
 	l.count.Add(1)
 	l.bytes.Add(int64(len(key) + len(value) + 64))
@@ -154,7 +136,7 @@ func (l *List) Get(key []byte) ([]byte, bool) {
 }
 
 // Iter is a stateful iterator over the list. It is safe to use concurrently
-// with writers, observing some subset of concurrent insertions.
+// with the writer, observing some subset of concurrent insertions.
 type Iter struct {
 	rv         resolver
 	l          *List

@@ -82,57 +82,104 @@ func TestBytesAccounting(t *testing.T) {
 }
 
 // TestConcurrentReadersOneWriter checks the single-writer/many-readers
-// contract: readers must always observe a consistent ordered prefix.
+// contract. One writer inserts keys in a scrambled order, rolling several
+// arena chunks, while readers iterate — always a strictly ascending
+// sequence — and Get keys inserted before they started. Afterwards the
+// towers are walked: every level sorted, each a subsequence of the level
+// below, no node linked above its height, nothing lost. Run under -race.
 func TestConcurrentReadersOneWriter(t *testing.T) {
+	const (
+		prefix = 1000
+		keys   = 20_000
+	)
 	l := New(bytes.Compare)
-	done := make(chan struct{})
+	for i := 0; i < prefix; i++ {
+		l.Insert([]byte(fmt.Sprintf("pre%06d", i)), []byte("p"))
+	}
+	firstChunk := l.arena.idx
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for r := 0; r < 4; r++ {
+	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
 				select {
-				case <-done:
+				case <-stop:
 					return
 				default:
 				}
 				it := l.NewIter()
-				prev := []byte(nil)
+				var prev []byte
 				for ok := it.First(); ok; ok = it.Next() {
 					if prev != nil && bytes.Compare(prev, it.Key()) >= 0 {
-						t.Error("reader observed out-of-order keys")
+						t.Errorf("reader saw %q after %q", it.Key(), prev)
 						return
 					}
 					prev = append(prev[:0], it.Key()...)
 				}
+				for i := 0; i < prefix; i += 97 {
+					k := fmt.Sprintf("pre%06d", i)
+					if v, ok := l.Get([]byte(k)); !ok || string(v) != "p" {
+						t.Errorf("pre-populated %q: %q, ok=%v", k, v, ok)
+						return
+					}
+				}
 			}
 		}()
 	}
-	for i := 0; i < 20_000; i++ {
-		l.Insert([]byte(fmt.Sprintf("k%08d", i*2654435761%20_000)), []byte("v"))
+	for _, i := range rand.New(rand.NewSource(1)).Perm(keys) {
+		l.Insert([]byte(fmt.Sprintf("k%08d", i)), make([]byte, 64))
 	}
-	close(done)
+	close(stop)
 	wg.Wait()
+	if rolled := l.arena.idx - firstChunk; rolled < 3 {
+		t.Fatalf("the writer rolled %d chunks, want >= 3", rolled)
+	}
+
+	if want := prefix + keys; l.Len() != want {
+		t.Fatalf("Len = %d, want %d", l.Len(), want)
+	}
+	checkTowers(t, l, prefix+keys)
 }
 
-func TestDeterministicHeights(t *testing.T) {
-	build := func() string {
-		l := New(bytes.Compare)
-		for i := 0; i < 100; i++ {
-			l.Insert([]byte(fmt.Sprintf("k%03d", i)), nil)
+// checkTowers walks every level of l: level 0 links want nodes in strictly
+// ascending order; each upper level is sorted, a subsequence of the level
+// below, and holds only nodes tall enough to be linked there. The walk
+// follows the refs in the nodes' towers.
+func checkTowers(t *testing.T, l *List, want int) {
+	t.Helper()
+	rv := l.arena.resolver()
+	var below map[string]bool
+	for level := 0; level < int(l.height.Load()); level++ {
+		on := make(map[string]bool)
+		var last []byte
+		for x := rv.node(l.head.tower[level].Load()); x != nil; x = rv.node(x.tower[level].Load()) {
+			if int(x.height) <= level {
+				t.Fatalf("node %q of height %d linked at level %d", x.key(), x.height, level)
+			}
+			if last != nil && bytes.Compare(last, x.key()) >= 0 {
+				t.Fatalf("level %d out of order at %q", level, x.key())
+			}
+			if level > 0 && !below[string(x.key())] {
+				t.Fatalf("level %d node %q missing from level %d", level, x.key(), level-1)
+			}
+			on[string(x.key())] = true
+			last = append(last[:0], x.key()...)
 		}
-		return fmt.Sprintf("%d", l.height.Load())
-	}
-	if build() != build() {
-		t.Fatal("same insertion sequence should produce identical structure")
+		if level == 0 && len(on) != want {
+			t.Fatalf("level 0 links %d nodes, want %d", len(on), want)
+		}
+		below = on
 	}
 }
 
-// TestConcurrentInsertProperty hammers Insert from many goroutines with
-// interleaved key ranges and verifies the classic skiplist invariants
-// afterwards: nothing lost, nothing duplicated, level-0 fully ordered, and
-// every upper level a subsequence of the level below it.
+// TestConcurrentInsertProperty inserts from many goroutines, serialized by
+// a mutex as Insert's single-writer contract requires (the engine holds its
+// apply lock the same way), with interleaved key ranges in scrambled order,
+// and verifies the skiplist invariants afterwards: nothing lost, nothing
+// duplicated, every level sorted and a subsequence of the level below, and
+// every key readable with its writer's value.
 func TestConcurrentInsertProperty(t *testing.T) {
 	const (
 		writers    = 8
@@ -142,6 +189,7 @@ func TestConcurrentInsertProperty(t *testing.T) {
 	)
 	for trial := 0; trial < iterations; trial++ {
 		l := New(bytes.Compare)
+		var mu sync.Mutex
 		var wg sync.WaitGroup
 		for w := 0; w < writers; w++ {
 			wg.Add(1)
@@ -152,7 +200,9 @@ func TestConcurrentInsertProperty(t *testing.T) {
 				order := rand.New(rand.NewSource(int64(trial*writers + w))).Perm(perWriter)
 				for _, i := range order {
 					k := []byte(fmt.Sprintf("k%08d", i*writers+w))
+					mu.Lock()
 					l.Insert(k, []byte{byte(w)})
+					mu.Unlock()
 				}
 			}(w)
 		}
@@ -161,48 +211,18 @@ func TestConcurrentInsertProperty(t *testing.T) {
 		if l.Len() != totalKeys {
 			t.Fatalf("trial %d: Len = %d, want %d", trial, l.Len(), totalKeys)
 		}
-		// Level 0: every key present, strictly ascending.
 		it := l.NewIter()
 		n := 0
-		var prev []byte
 		for ok := it.First(); ok; ok = it.Next() {
-			want := fmt.Sprintf("k%08d", n)
-			if string(it.Key()) != want {
+			if want := fmt.Sprintf("k%08d", n); string(it.Key()) != want {
 				t.Fatalf("trial %d: position %d holds %q, want %q", trial, n, it.Key(), want)
 			}
-			if prev != nil && bytes.Compare(prev, it.Key()) >= 0 {
-				t.Fatalf("trial %d: out of order at %d", trial, n)
-			}
-			prev = append(prev[:0], it.Key()...)
 			n++
 		}
 		if n != totalKeys {
 			t.Fatalf("trial %d: iterated %d keys, want %d", trial, n, totalKeys)
 		}
-		// Upper levels: sorted, and every node linked at level i is
-		// reachable at level i-1 and tall enough to be linked at i (tower
-		// integrity). The walk follows the refs in the nodes' towers.
-		rv := l.arena.resolver()
-		for level := 1; level < int(l.height.Load()); level++ {
-			below := make(map[string]bool)
-			for x := rv.node(l.head.tower[level-1].Load()); x != nil; x = rv.node(x.tower[level-1].Load()) {
-				below[string(x.key())] = true
-			}
-			var last []byte
-			for x := rv.node(l.head.tower[level].Load()); x != nil; x = rv.node(x.tower[level].Load()) {
-				if int(x.height) <= level {
-					t.Fatalf("trial %d: node %q of height %d linked at level %d", trial, x.key(), x.height, level)
-				}
-				if last != nil && bytes.Compare(last, x.key()) >= 0 {
-					t.Fatalf("trial %d: level %d out of order", trial, level)
-				}
-				if !below[string(x.key())] {
-					t.Fatalf("trial %d: level %d node %q missing from level %d", trial, level, x.key(), level-1)
-				}
-				last = append(last[:0], x.key()...)
-			}
-		}
-		// Every key readable via Get, with the owning writer's value.
+		checkTowers(t, l, totalKeys)
 		for i := 0; i < totalKeys; i += 97 {
 			k := []byte(fmt.Sprintf("k%08d", i))
 			v, ok := l.Get(k)
@@ -216,9 +236,10 @@ func TestConcurrentInsertProperty(t *testing.T) {
 	}
 }
 
-// TestConcurrentInsertWithReaders overlaps readers with concurrent writers:
-// iterators must observe a sorted subset of the final contents at every
-// step, and Get must find any key inserted before the reader started.
+// TestConcurrentInsertWithReaders overlaps lock-free readers with writers
+// on many goroutines that take turns on a mutex: iterators must observe a
+// strictly ascending sequence at every step, and Get must find any key
+// inserted before the reader started. Run under -race.
 func TestConcurrentInsertWithReaders(t *testing.T) {
 	const writers = 4
 	const perWriter = 5000
@@ -243,23 +264,29 @@ func TestConcurrentInsertWithReaders(t *testing.T) {
 				var prev []byte
 				for ok := it.First(); ok; ok = it.Next() {
 					if prev != nil && bytes.Compare(prev, it.Key()) >= 0 {
-						panic(fmt.Sprintf("reader saw disorder: %q then %q", prev, it.Key()))
+						t.Errorf("reader saw %q after %q", it.Key(), prev)
+						return
 					}
 					prev = append(prev[:0], it.Key()...)
 				}
 				if _, ok := l.Get([]byte("pre000500")); !ok {
-					panic("pre-populated key vanished")
+					t.Errorf("pre-populated key vanished")
+					return
 				}
 			}
 		}()
 	}
+	var mu sync.Mutex
 	var writersWG sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		writersWG.Add(1)
 		go func(w int) {
 			defer writersWG.Done()
 			for i := 0; i < perWriter; i++ {
-				l.Insert([]byte(fmt.Sprintf("w%d-%08d", w, i)), nil)
+				k := []byte(fmt.Sprintf("w%d-%08d", w, i))
+				mu.Lock()
+				l.Insert(k, nil)
+				mu.Unlock()
 			}
 		}(w)
 	}
@@ -268,6 +295,19 @@ func TestConcurrentInsertWithReaders(t *testing.T) {
 	readers.Wait()
 	if want := 1000 + writers*perWriter; l.Len() != want {
 		t.Fatalf("Len = %d, want %d", l.Len(), want)
+	}
+}
+
+func TestDeterministicHeights(t *testing.T) {
+	build := func() string {
+		l := New(bytes.Compare)
+		for i := 0; i < 100; i++ {
+			l.Insert([]byte(fmt.Sprintf("k%03d", i)), nil)
+		}
+		return fmt.Sprintf("%d", l.height.Load())
+	}
+	if build() != build() {
+		t.Fatal("same insertion sequence should produce identical structure")
 	}
 }
 
@@ -325,11 +365,11 @@ func TestTruncatedNodeAtChunkEnd(t *testing.T) {
 	for h := 1; h <= maxHeight; h++ {
 		for _, kv := range [][2]string{{"", ""}, {"k", ""}, {"key", "v"}} {
 			l := New(bytes.Compare)
-			c := l.arena.cur.Load()
+			idx := l.arena.idx
 			size := (towerOff + 4*uint64(h) + uint64(len(kv[0])+len(kv[1])) + 3) &^ 3
-			c.off.Store(c.limit - size)
+			l.arena.off = l.arena.limit - size
 			ref, n := l.arena.newNode([]byte(kv[0]), []byte(kv[1]), h)
-			if l.arena.cur.Load() != c || ref>>offBits != c.idx {
+			if l.arena.idx != idx || ref>>offBits != idx {
 				t.Fatalf("h=%d %q: node did not land in the chunk's tail", h, kv)
 			}
 			rv := l.arena.resolver()
@@ -379,11 +419,11 @@ func TestKeyValueCopiedAndCapped(t *testing.T) {
 		t.Fatalf("next entry reads %q=%q after appends to the previous one", it.Key(), it.Value())
 	}
 
-	first := l.arena.cur.Load()
+	first := l.arena.idx
 	for i := 0; i < 10_000; i++ {
 		l.Insert([]byte(fmt.Sprintf("more-%05d", i)), make([]byte, 16))
 	}
-	if l.arena.cur.Load() == first {
+	if l.arena.idx == first {
 		t.Fatal("10^4 inserts did not roll a chunk")
 	}
 	if string(k) != "key-0" || string(v) != "value-0" || string(iv) != "value-0" {

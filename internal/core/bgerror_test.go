@@ -438,9 +438,9 @@ func corruptByteAt(t *testing.T, fs *vfs.MemFS, name string, off int64) {
 }
 
 // assertNoOrphanTables fails if the store directory holds a table file the
-// current version does not reference. Callers quiesce maintenance (and have no
-// read in flight) first, so nothing is legitimately between written and
-// installed, or between replaced and unlinked.
+// current version does not reference. Callers quiesce maintenance first, so
+// nothing is legitimately between written and installed, or between replaced
+// and unlinked.
 func assertNoOrphanTables(t *testing.T, fs vfs.FS, d *DB) {
 	t.Helper()
 	live := make(map[base.FileNum]bool)

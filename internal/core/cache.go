@@ -11,55 +11,44 @@ import (
 	"repro/internal/vfs"
 )
 
-// tableCache hands out shared, reference-counted sstable readers. A reader
-// stays open while any iterator or compaction references it; once its file
-// is evicted (deleted by a compaction) and the last reference drops, the
-// reader is closed. All readers share one block cache.
+// tableCache hands out shared sstable readers, one per open table, all over
+// one block cache. It pins nothing: a reader is asked for only under a
+// reference to a version that holds its file (manifest.Version.Unref), so
+// when the file dies nobody can be using the reader, and evict closes it.
 type tableCache struct {
 	fs      vfs.FS
 	dirname string
 	blocks  *cache.Cache // nil disables block caching
 
 	mu     sync.Mutex
-	tables map[base.FileNum]*cachedTable
-}
-
-// cachedTable is one open table and its pin count. acquire hands it out and
-// release takes it back; nothing else is needed to return a pin, so a point
-// lookup pins and unpins a table without allocating.
-type cachedTable struct {
-	fn      base.FileNum
-	reader  *sstable.Reader
-	refs    int
-	evicted bool
+	tables map[base.FileNum]*sstable.Reader
 }
 
 func newTableCache(fs vfs.FS, dirname string, blockCacheBytes int64) *tableCache {
-	c := &tableCache{fs: fs, dirname: dirname, tables: make(map[base.FileNum]*cachedTable)}
+	c := &tableCache{fs: fs, dirname: dirname, tables: make(map[base.FileNum]*sstable.Reader)}
 	if blockCacheBytes > 0 {
 		c.blocks = cache.New(blockCacheBytes)
 	}
 	return c
 }
 
-// acquire pins the table's reader, opening it on first use. The caller must
-// hand the result to release exactly once when done with the reader.
-func (c *tableCache) acquire(fn base.FileNum) (*cachedTable, error) {
+// get returns the table's reader, opening it on first use. The caller must
+// hold a reference to a version holding the file for as long as it uses the
+// reader.
+func (c *tableCache) get(fn base.FileNum) (*sstable.Reader, error) {
 	c.mu.Lock()
-	ct, ok := c.tables[fn]
-	if ok {
-		ct.refs++
-		c.mu.Unlock()
-		return ct, nil
-	}
+	r, ok := c.tables[fn]
 	c.mu.Unlock()
+	if ok {
+		return r, nil
+	}
 
 	// Open outside the lock; racing opens are deduplicated below.
 	f, err := c.fs.Open(manifest.MakeFilename(c.dirname, manifest.FileTypeTable, fn))
 	if err != nil {
 		return nil, err
 	}
-	r, err := sstable.Open(f)
+	r, err = sstable.Open(f)
 	if err != nil {
 		vfs.BestEffortClose(f)
 		return nil, fmt.Errorf("core: opening table %s: %w", fn, err)
@@ -70,61 +59,36 @@ func (c *tableCache) acquire(fn base.FileNum) (*cachedTable, error) {
 
 	c.mu.Lock()
 	if existing, ok := c.tables[fn]; ok {
-		existing.refs++
 		c.mu.Unlock()
 		vfs.BestEffortClose(r)
 		return existing, nil
 	}
-	ct = &cachedTable{fn: fn, reader: r, refs: 1}
-	c.tables[fn] = ct
+	c.tables[fn] = r
 	c.mu.Unlock()
-	return ct, nil
+	return r, nil
 }
 
-// release drops a pin taken by acquire.
-func (c *tableCache) release(ct *cachedTable) {
-	c.mu.Lock()
-	ct.refs--
-	closeNow := ct.evicted && ct.refs == 0
-	if closeNow {
-		delete(c.tables, ct.fn)
-	}
-	c.mu.Unlock()
-	if closeNow {
-		vfs.BestEffortClose(ct.reader)
-	}
-}
-
-// evict marks a deleted file's reader for closure once unreferenced and
-// drops its cached blocks.
+// evict closes a dead file's reader and drops its cached blocks.
 func (c *tableCache) evict(fn base.FileNum) {
 	if c.blocks != nil {
 		c.blocks.EvictFile(uint64(fn))
 	}
 	c.mu.Lock()
-	ct, ok := c.tables[fn]
-	if !ok {
-		c.mu.Unlock()
-		return
-	}
-	ct.evicted = true
-	closeNow := ct.refs == 0
-	if closeNow {
-		delete(c.tables, fn)
-	}
+	r, ok := c.tables[fn]
+	delete(c.tables, fn)
 	c.mu.Unlock()
-	if closeNow {
-		vfs.BestEffortClose(ct.reader)
+	if ok {
+		vfs.BestEffortClose(r)
 	}
 }
 
-// close releases every cached reader regardless of refs (DB shutdown).
+// close releases every cached reader (DB shutdown).
 func (c *tableCache) close() {
 	c.mu.Lock()
 	tables := c.tables
-	c.tables = make(map[base.FileNum]*cachedTable)
+	c.tables = make(map[base.FileNum]*sstable.Reader)
 	c.mu.Unlock()
-	for _, ct := range tables {
-		vfs.BestEffortClose(ct.reader)
+	for _, r := range tables {
+		vfs.BestEffortClose(r)
 	}
 }

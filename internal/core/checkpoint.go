@@ -21,10 +21,9 @@ func (d *DB) Checkpoint(destDir string) error {
 	return d.CheckpointCtx(context.Background(), destDir)
 }
 
-// CheckpointCtx is Checkpoint honoring ctx: the deadline/cancel applies to
-// the executor quiesce (the maintenance barrier) and between file copies. A
-// context error leaves no complete checkpoint behind; destDir may hold a
-// partial copy the caller should discard.
+// CheckpointCtx is Checkpoint honoring ctx: the deadline/cancel applies
+// between file copies. A context error leaves no complete checkpoint behind;
+// destDir may hold a partial copy the caller should discard.
 func (d *DB) CheckpointCtx(ctx context.Context, destDir string) error {
 	start := time.Now()
 	err := d.checkpoint(ctx, destDir)
@@ -47,30 +46,21 @@ func (d *DB) checkpoint(ctx context.Context, destDir string) error {
 	if err := d.Flush(); err != nil {
 		return err
 	}
-	// Freeze maintenance (and therefore file deletions) while copying:
-	// pause the executor pool, then take maintMu against synchronous callers.
-	// The quiesce is the unbounded wait here (a saturation merge can run
-	// for a long time), so it honors the caller's deadline.
-	if err := d.sched.pauseCtx(ctx); err != nil {
-		return fmt.Errorf("acheron: checkpoint interrupted waiting for maintenance to quiesce: %w", err)
-	}
-	defer d.resumeMaintenance()
-	d.maintMu.Lock()
-	defer d.maintMu.Unlock()
-
+	// The reference keeps the version's files on disk while they are
+	// copied; maintenance runs on beside the copy.
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
 		return ErrClosed
 	}
-	v := d.vs.Current()
+	v := d.vs.Ref()
 	lastSeq := d.vs.LastSeqNum()
 	nextFile := d.vs.NextFileNum()
 	nextRun := d.vs.NextRunID()
 	d.mu.Unlock()
+	defer d.unref(v)
 
 	fs := d.opts.FS
-	//lint:ignore lockheld maintMu exists to freeze compactions during the copy; all checkpoint I/O deliberately runs under it
 	if err := fs.MkdirAll(destDir); err != nil {
 		return err
 	}
@@ -103,11 +93,17 @@ func (d *DB) checkpoint(ctx context.Context, destDir string) error {
 		}
 		edit.Added = append(edit.Added, manifest.NewFileEntry{Level: p.level, RunID: p.runID, Meta: p.meta})
 	}
+	// The destination's versions take references on the metadata they
+	// hold, so it gets its own copies — by way of the manifest encoding,
+	// which is all it records — and never counts among this store's holders.
+	edit, err := manifest.DecodeVersionEdit(edit.Encode())
+	if err != nil {
+		return err
+	}
 
 	// A fresh manifest in the destination makes it independently
 	// openable. LogAndApply stamps the version set's own counters into
 	// the edit, so seed them from the source first.
-	//lint:ignore lockheld checkpoint manifest I/O deliberately runs under the maintMu compaction freeze
 	vs, err := manifest.Create(fs, destDir)
 	if err != nil {
 		return err
@@ -115,13 +111,11 @@ func (d *DB) checkpoint(ctx context.Context, destDir string) error {
 	vs.SetLastSeqNum(lastSeq)
 	vs.EnsureFileNum(nextFile)
 	vs.EnsureRunID(nextRun)
-	//lint:ignore lockheld checkpoint manifest I/O deliberately runs under the maintMu compaction freeze
 	if err := vs.LogAndApply(edit); err != nil {
 		// The commit error is the one to report; the close error is dropped.
 		vfs.BestEffortClose(vs)
 		return err
 	}
-	//lint:ignore lockheld checkpoint manifest I/O deliberately runs under the maintMu compaction freeze
 	return vs.Close()
 }
 
@@ -179,30 +173,28 @@ func (d *DB) VerifyChecksums() error {
 		d.mu.Unlock()
 		return ErrClosed
 	}
-	v := d.vs.Current()
+	v := d.vs.Ref()
 	d.mu.Unlock()
+	defer d.unref(v)
 
 	var files []*manifest.FileMetadata
 	v.AllFiles(func(_ int, f *manifest.FileMetadata) { files = append(files, f) })
 	for _, f := range files {
-		ct, err := d.cache.acquire(f.FileNum)
+		r, err := d.cache.get(f.FileNum)
 		if err != nil {
 			return fmt.Errorf("acheron: scrub open %s: %w", f.FileNum, err)
 		}
-		it := ct.reader.NewIter()
+		it := r.NewIter()
 		var n uint64
 		var last base.InternalKey
 		for ok := it.First(); ok; ok = it.Next() {
 			if n > 0 && it.Key().Compare(last) <= 0 {
-				d.cache.release(ct)
 				return fmt.Errorf("acheron: scrub %s: keys out of order at entry %d", f.FileNum, n)
 			}
 			last = it.Key().Clone()
 			n++
 		}
-		err = it.Error()
-		d.cache.release(ct)
-		if err != nil {
+		if err := it.Error(); err != nil {
 			return fmt.Errorf("acheron: scrub %s: %w", f.FileNum, err)
 		}
 		if n != f.NumEntries {

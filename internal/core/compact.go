@@ -8,7 +8,6 @@ import (
 	"repro/internal/base"
 	"repro/internal/compaction"
 	"repro/internal/manifest"
-	"repro/internal/sstable"
 )
 
 // Maintenance-side lock order, part of the documented lock DAG:
@@ -117,15 +116,15 @@ func (d *DB) compactAll(ctx context.Context) error {
 			return fmt.Errorf("acheron: compact-all interrupted: %w", err)
 		}
 		d.maintMu.Lock()
-		v := d.vs.Current()
-		if len(v.Levels[l]) == 0 {
-			d.maintMu.Unlock()
-			continue
+		v := d.vs.Ref()
+		var err error
+		if len(v.Levels[l]) > 0 {
+			cand := d.policy.WholeLevel(v, l)
+			cand.Trigger = compaction.TriggerSaturation
+			err = d.runCandidate(&compactJob{id: d.sched.newID(), v: v, cand: cand})
 		}
-		cand := d.policy.WholeLevel(v, l)
-		cand.Trigger = compaction.TriggerSaturation
-		err := d.runCandidate(&compactJob{id: d.sched.newID(), v: v, cand: cand})
 		d.maintMu.Unlock()
+		d.unref(v)
 		if err != nil {
 			return err
 		}
@@ -325,25 +324,12 @@ func (d *DB) merge(j *compactJob) (*compaction.Result, error) {
 		return disposable
 	}
 
-	var pinned []*cachedTable
-	defer func() {
-		for _, ct := range pinned {
-			d.cache.release(ct)
-		}
-	}()
 	return compaction.Run(c, compaction.Env{
-		FS:              d.opts.FS,
-		Dirname:         d.dirname,
-		WriterOpts:      d.writerOptions(),
-		TargetFileBytes: d.opts.Compaction.TargetFileBytes,
-		OpenReader: func(fn base.FileNum) (*sstable.Reader, error) {
-			ct, err := d.cache.acquire(fn)
-			if err != nil {
-				return nil, err
-			}
-			pinned = append(pinned, ct)
-			return ct.reader, nil
-		},
+		FS:                       d.opts.FS,
+		Dirname:                  d.dirname,
+		WriterOpts:               d.writerOptions(),
+		TargetFileBytes:          d.opts.Compaction.TargetFileBytes,
+		OpenReader:               d.cache.get,
 		AllocFileNum:             d.vs.AllocFileNum,
 		Snapshots:                snaps,
 		Bottommost:               bottom,
@@ -389,7 +375,7 @@ func (d *DB) pickEagerJob() *compactJob {
 	// still claimed or already applied, never invisible to both checks.
 	claims := d.inflight.Snapshot()
 	d.mu.Lock()
-	v := d.vs.Current()
+	v := d.vs.Ref()
 	snaps := append([]base.SeqNum(nil), d.snapshots...)
 	// Collect all live tombstones, including unflushed ones. WAL
 	// durability for them is ensured at issue time.
@@ -397,6 +383,7 @@ func (d *DB) pickEagerJob() *compactJob {
 	d.mu.Unlock()
 	rts := collectRangeTombstones(rs)
 	if len(rts) == 0 {
+		d.unref(v)
 		return nil
 	}
 
@@ -424,6 +411,7 @@ func (d *DB) pickEagerJob() *compactJob {
 			}
 		}
 	}
+	d.unref(v)
 	return nil
 }
 

@@ -97,19 +97,13 @@ type DB struct {
 	// with it, executors stop, and reads keep serving committed data. It
 	// never clears; recovery is reopening the DB.
 	bgErr error
-	// activeReads counts outstanding read states (gets, iterators).
-	// While any exist, physical deletion of replaced table files is
-	// deferred to pendingDeletes: an old read state's version may still
-	// lazily open them.
-	activeReads    int
-	pendingDeletes []base.FileNum
 	// stallCond (condition over d.mu) wakes writers stalled on
 	// backpressure: commits wait while immutables or L0 runs pile past
 	// their limits, and flush pops / compaction commits broadcast.
 	stallCond *sync.Cond
 
 	// maintMu serializes the synchronous maintenance entry points
-	// (MaintenanceStep, Checkpoint, CompactAll) among themselves. It does
+	// (MaintenanceStep, CompactAll) among themselves. It does
 	// not freeze the executor pool — sched.pause does that. Concurrent
 	// executors do not take it: their mutual exclusion is per-resource,
 	// flushMu for the flush queue, pickMu+inflight claims for compactions.
@@ -211,12 +205,11 @@ func Open(dirname string, opts Options) (*DB, error) {
 	// The manifest records only how many range tombstones a file carries;
 	// read them back so the recovered version serves them like any other.
 	err = vs.LoadRangeTombstones(func(fn base.FileNum) ([]base.RangeTombstone, error) {
-		ct, err := d.cache.acquire(fn)
+		r, err := d.cache.get(fn)
 		if err != nil {
 			return nil, err
 		}
-		defer d.cache.release(ct)
-		return ct.reader.RangeTombstones(), nil
+		return r.RangeTombstones(), nil
 	})
 	if err == nil {
 		err = d.recoverAndClean()
@@ -766,11 +759,24 @@ func (d *DB) notifyWork() {
 // (manifest.ErrEditInDoubt): then they stay for the next Open to adopt or
 // sweep. On success, in order: publish + wake stalled writers; drop cached
 // read views; notify executors; account and announce each new file
-// (FileCreate, only now that it is durable); hand replaced files to
-// deleteTables. A file both Deleted and Added (a trivial move) is neither new
-// nor dead.
+// (FileCreate, only now that it is durable); unlink the replaced files no
+// reader's version holds (the rest die with their last reader's unref). A
+// file both Deleted and Added (a trivial move) is neither new nor replaced:
+// the new version's reference keeps it.
 func (d *DB) installEdit(edit *manifest.VersionEdit, atCommit func(cur *manifest.Version), underMu func()) error {
-	err := d.vs.Commit(edit, atCommit, func(publish func()) {
+	deleted := func(fn base.FileNum) bool {
+		return slices.ContainsFunc(edit.Deleted, func(e manifest.DeletedFileEntry) bool { return e.FileNum == fn })
+	}
+	replaced := len(edit.Deleted)
+	for _, a := range edit.Added {
+		if deleted(a.Meta.FileNum) {
+			replaced--
+		}
+	}
+	dead, err := d.vs.Commit(edit, atCommit, func(publish func()) {
+		// Counted before the install so the gauge never reads below the
+		// files on disk: a reader may unlink one the moment it is replaced.
+		d.stats.ZombieTables.Add(int64(replaced))
 		d.mu.Lock()
 		publish()
 		if underMu != nil {
@@ -779,12 +785,6 @@ func (d *DB) installEdit(edit *manifest.VersionEdit, atCommit func(cur *manifest
 		d.stallCond.Broadcast()
 		d.mu.Unlock()
 	})
-	deleted := func(fn base.FileNum) bool {
-		return slices.ContainsFunc(edit.Deleted, func(e manifest.DeletedFileEntry) bool { return e.FileNum == fn })
-	}
-	added := func(fn base.FileNum) bool {
-		return slices.ContainsFunc(edit.Added, func(e manifest.NewFileEntry) bool { return e.Meta.FileNum == fn })
-	}
 	if err != nil {
 		for _, a := range edit.Added {
 			if !deleted(a.Meta.FileNum) && !errors.Is(err, manifest.ErrEditInDoubt) {
@@ -804,13 +804,7 @@ func (d *DB) installEdit(edit *manifest.VersionEdit, atCommit func(cur *manifest
 			})
 		}
 	}
-	var dead []base.FileNum
-	for _, del := range edit.Deleted {
-		if !added(del.FileNum) {
-			dead = append(dead, del.FileNum)
-		}
-	}
-	d.deleteTables(dead)
+	d.removeDead(dead)
 	return nil
 }
 
@@ -873,7 +867,8 @@ func (d *DB) invalidateReadViews() {
 	}
 }
 
-// readState is a consistent view captured under d.mu.
+// readState is a consistent view captured under d.mu. It holds a reference
+// to its version, so every table it may open stays on disk until unref.
 type readState struct {
 	mem     *memtable.MemTable
 	imms    []immEntry // oldest first
@@ -881,6 +876,8 @@ type readState struct {
 	seq     base.SeqNum
 }
 
+// acquireReadState captures a read state holding a reference to its version;
+// the caller hands rs.version to unref when done.
 func (d *DB) acquireReadState(snap *Snapshot) (readState, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -890,7 +887,7 @@ func (d *DB) acquireReadState(snap *Snapshot) (readState, error) {
 	rs := readState{
 		mem:     d.mem,
 		imms:    append([]immEntry(nil), d.imm...),
-		version: d.vs.Current(),
+		version: d.vs.Ref(),
 		// The published counter, not the allocated one: sequence numbers
 		// above it may not have reached the memtable yet.
 		seq: d.visibleSeqNum(),
@@ -898,44 +895,24 @@ func (d *DB) acquireReadState(snap *Snapshot) (readState, error) {
 	if snap != nil {
 		rs.seq = snap.seq
 	}
-	d.activeReads++
 	return rs, nil
 }
 
-// releaseReadState unpins a read state; the last release flushes deferred
-// file deletions.
-func (d *DB) releaseReadState() {
-	d.mu.Lock()
-	d.activeReads--
-	var todo []base.FileNum
-	if d.activeReads == 0 && len(d.pendingDeletes) > 0 {
-		todo = d.pendingDeletes
-		d.pendingDeletes = nil
-	}
-	d.mu.Unlock()
-	for _, fn := range todo {
+// unref drops a reference taken with VersionSet.Ref and unlinks the files
+// whose last holder it was.
+func (d *DB) unref(v *manifest.Version) { d.removeDead(v.Unref()) }
+
+// removeDead unlinks replaced files that no version holds any more.
+func (d *DB) removeDead(dead []base.FileNum) {
+	for _, fn := range dead {
 		d.removeTable(fn, true)
+		d.stats.ZombieTables.Add(-1)
 	}
 }
 
-// deleteTables physically removes replaced table files, deferring while
-// reads are outstanding.
-func (d *DB) deleteTables(fns []base.FileNum) {
-	d.mu.Lock()
-	if d.activeReads > 0 {
-		d.pendingDeletes = append(d.pendingDeletes, fns...)
-		d.mu.Unlock()
-		return
-	}
-	d.mu.Unlock()
-	for _, fn := range fns {
-		d.removeTable(fn, true)
-	}
-}
-
-// removeTable is the one place a table file dies: it evicts the file's
-// cached readers and blocks, forgets its eager watermark, and unlinks it.
-// Only an announced file — one a FileCreate was emitted for, because a
+// removeTable is the one place a table file dies: it closes the file's
+// cached reader, drops its blocks, forgets its eager watermark, and unlinks
+// it. Only an announced file — one a FileCreate was emitted for, because a
 // version held it — is accounted and reported deleted.
 func (d *DB) removeTable(fn base.FileNum, announced bool) {
 	d.cache.evict(fn)
@@ -1024,7 +1001,7 @@ func (d *DB) getAt(key []byte, snap *Snapshot) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer d.releaseReadState()
+	defer d.unref(rs.version)
 	d.stats.Gets.Add(1)
 
 	kind, value, entrySeq, found, err := d.searchSources(rs, key)
@@ -1072,12 +1049,11 @@ func (d *DB) searchSources(rs readState, key []byte) (base.Kind, []byte, base.Se
 }
 
 func (d *DB) getFromTable(f *manifest.FileMetadata, key []byte, seq base.SeqNum) (base.Kind, []byte, base.SeqNum, bool, error) {
-	ct, err := d.cache.acquire(f.FileNum)
+	r, err := d.cache.get(f.FileNum)
 	if err != nil {
 		return 0, nil, 0, false, err
 	}
-	defer d.cache.release(ct)
-	res, err := ct.reader.Lookup(key, seq)
+	res, err := r.Lookup(key, seq)
 	if err != nil {
 		return 0, nil, 0, false, err
 	}
@@ -1097,9 +1073,9 @@ func (d *DB) getFromTable(f *manifest.FileMetadata, key []byte, seq base.SeqNum)
 			d.stats.BloomFalsePositives.Add(1)
 		}
 	}
-	// res.Value aliases the table's block, which outlives the release:
-	// blocks are immutable and never recycled, cached or not. getAt makes
-	// the copy.
+	// res.Value aliases the table's block, which outlives the version
+	// reference: blocks are immutable and never recycled, cached or not.
+	// getAt makes the copy.
 	return res.Kind, res.Value, res.Seq, res.Found, nil
 }
 

@@ -25,13 +25,12 @@ type IterOptions struct {
 
 // Iter is a user-facing iterator over live keys in ascending order.
 // Tombstoned, superseded, and range-deleted entries are skipped. An Iter
-// pins table readers; Close it when done.
+// holds its version's table files on disk; Close it when done.
 type Iter struct {
-	d      *DB
-	merge  *iterator.Merge
-	opts   IterOptions
-	rs     readState
-	pinned []*cachedTable
+	d     *DB
+	merge *iterator.Merge
+	opts  IterOptions
+	rs    readState
 	// viewDeferred marks a scan that ran the plain merge because its
 	// version's sorted view was not yet earned; Close credits its steps.
 	viewDeferred bool
@@ -55,7 +54,7 @@ type Iter struct {
 func (i *Iter) Stepped() int64 { return i.stepped }
 
 // NewIter opens an iterator. The returned iterator is unpositioned; call
-// First or SeekGE. It pins table files until Close.
+// First or SeekGE. It holds the files of the version it reads until Close.
 func (d *DB) NewIter(opts IterOptions) (*Iter, error) {
 	start := time.Now()
 	it, err := d.newIter(opts)
@@ -127,8 +126,7 @@ func (d *DB) newIter(opts IterOptions) (*Iter, error) {
 	return it, nil
 }
 
-// newRunConcat builds the lazily-opening Concat over one run's files,
-// pinning table readers on it.pinned.
+// newRunConcat builds the lazily-opening Concat over one run's files.
 func (it *Iter) newRunConcat(files []*manifest.FileMetadata) iterator.Internal {
 	d := it.d
 	return iterator.NewConcat(len(files),
@@ -136,13 +134,12 @@ func (it *Iter) newRunConcat(files []*manifest.FileMetadata) iterator.Internal {
 			return files[i].Smallest, files[i].Largest
 		},
 		func(i int) (iterator.Internal, error) {
-			ct, err := d.cache.acquire(files[i].FileNum)
+			r, err := d.cache.get(files[i].FileNum)
 			if err != nil {
 				return nil, err
 			}
-			it.pinned = append(it.pinned, ct)
 			d.stats.IterTablesOpened.Add(1)
-			return ct.reader.NewIter(), nil
+			return r.NewIter(), nil
 		})
 }
 
@@ -159,18 +156,15 @@ func prefixSuccessor(prefix []byte) []byte {
 	return nil
 }
 
-// Close releases the iterator's pinned resources. Closing twice is safe.
+// Close releases the iterator's version, unlinking the files only it still
+// held. Closing twice is safe.
 func (i *Iter) Close() error {
 	if !i.closed {
 		i.closed = true
-		for _, ct := range i.pinned {
-			i.d.cache.release(ct)
-		}
-		i.pinned = nil
 		if i.viewDeferred {
 			i.d.readViews.Credit(i.rs.version, uint64(i.stepped))
 		}
-		i.d.releaseReadState()
+		i.d.unref(i.rs.version)
 	}
 	i.valid = false
 	return i.err

@@ -225,13 +225,12 @@ func tombstoneCensus(t testing.TB, d *DB, perFile map[base.FileNum]map[base.SeqN
 			return
 		}
 		if perFile[f.FileNum] == nil {
-			ct, err := d.cache.acquire(f.FileNum)
+			r, err := d.cache.get(f.FileNum)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer d.cache.release(ct)
 			perFile[f.FileNum] = map[base.SeqNum]base.Timestamp{}
-			scan(perFile[f.FileNum], ct.reader.NewIter(), ct.reader.RangeTombstones())
+			scan(perFile[f.FileNum], r.NewIter(), r.RangeTombstones())
 		}
 		for seq, ts := range perFile[f.FileNum] {
 			census[seq] = ts

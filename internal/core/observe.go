@@ -283,6 +283,8 @@ func (d *DB) RegisterMetrics(r *metrics.Registry, extra metrics.Labels) error {
 		"Worst flush backlog ever reached.", lb(nil), s.FlushQueueDepth.Peak))
 	must(r.RegisterGauge("acheron_compactions_in_flight",
 		"Currently running compaction jobs.", lb(nil), &s.CompactionsInFlight))
+	must(r.RegisterGauge("acheron_zombie_tables",
+		"Table files gone from the current version but still held by a reader's version.", lb(nil), &s.ZombieTables))
 	must(r.RegisterGauge("acheron_read_only",
 		"1 once a sticky background error flipped the DB read-only.", lb(nil), &s.ReadOnly))
 

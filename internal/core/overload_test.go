@@ -145,9 +145,10 @@ func TestStallDeadlineExceeded(t *testing.T) {
 	}
 }
 
-// TestMaintenanceBarrierHonorsContext covers the CompactAllCtx / CheckpointCtx
-// routing through the deadline-aware quiesce: a caller behind a pinned
-// maintenance job gets its context error back instead of waiting the job out.
+// TestMaintenanceBarrierHonorsContext covers the CompactAllCtx routing
+// through the deadline-aware quiesce: a caller behind a pinned maintenance job
+// gets its context error back instead of waiting the job out. CheckpointCtx
+// quiesces nothing; its context is checked between file copies.
 func TestMaintenanceBarrierHonorsContext(t *testing.T) {
 	fs := &gateFS{FS: vfs.NewMemFS(), gate: make(chan struct{})}
 	opts := stallOptions(fs)

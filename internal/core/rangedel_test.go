@@ -294,12 +294,11 @@ func TestVersionCarriesLiveRangeTombstones(t *testing.T) {
 		v := d.vs.Current()
 		var want []base.RangeTombstone
 		v.AllFiles(func(_ int, f *manifest.FileMetadata) {
-			ct, err := d.cache.acquire(f.FileNum)
+			r, err := d.cache.get(f.FileNum)
 			if err != nil {
 				t.Fatalf("%s: %v", stage, err)
 			}
-			want = append(want, ct.reader.RangeTombstones()...)
-			d.cache.release(ct)
+			want = append(want, r.RangeTombstones()...)
 		})
 		got := append([]base.RangeTombstone(nil), v.RangeTombstones()...)
 		for _, rts := range [][]base.RangeTombstone{got, want} {

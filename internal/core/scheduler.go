@@ -56,7 +56,7 @@ type JobInfo struct {
 const maxRecentJobs = 64
 
 // scheduler coordinates the maintenance executors: it counts running jobs,
-// supports pausing (checkpoint/CompactAll quiescing), and keeps a ring of
+// supports pausing (CompactAll's quiesce), and keeps a ring of
 // recently completed jobs. Job priority lives in the picker, not here —
 // every executor asks the picker for the most urgent disjoint job, and the
 // picker orders TTL (DPT-critical) ahead of L0 ahead of saturation.
@@ -255,7 +255,7 @@ func (d *DB) startExecutors(n int) {
 // executor is the maintenance loop every pool member runs: sleep until woken
 // (or the tick, which is what detects TTL expiry), then run step until it
 // reports no work. Each step is bracketed by sched.begin/end, so a pause
-// (Checkpoint, CompactAll) freezes the whole pool, whatever its size.
+// (CompactAll) freezes the whole pool, whatever its size.
 // Transient step errors retry with capped exponential backoff (a failed
 // flush leaves its immutable queued, so the retry re-runs the same work);
 // permanent or retry-exhausted errors set the sticky background error and
@@ -328,7 +328,7 @@ func (d *DB) runCompactionStep() (bool, error) {
 // compactJob is a picked-and-claimed compaction awaiting execution.
 type compactJob struct {
 	id   uint64
-	v    *manifest.Version // the version the candidate was picked against
+	v    *manifest.Version // the version the candidate was picked against, referenced until the job ends
 	cand *compaction.Candidate
 
 	// Set by pickEagerJob only: the range tombstones live at the pick (none
@@ -351,13 +351,14 @@ func (d *DB) pickCompactionJob() *compactJob {
 	// still claimed or already applied, never invisible to both checks.
 	claims := d.inflight.Snapshot()
 	d.mu.Lock()
-	v := d.vs.Current()
+	v := d.vs.Ref()
 	now := d.opts.Clock.Now()
 	haveSnaps := len(d.snapshots) > 0
 	d.mu.Unlock()
 
 	cand := d.policy.Pick(v, now, haveSnaps, claims)
 	if cand == nil {
+		d.unref(v)
 		return nil
 	}
 	id := d.sched.newID()
@@ -366,11 +367,13 @@ func (d *DB) pickCompactionJob() *compactJob {
 	return &compactJob{id: id, v: v, cand: cand}
 }
 
-// runCompactionJob executes a claimed compaction and releases its claim.
+// runCompactionJob executes a claimed compaction and releases its claim and
+// its version: the job's inputs die here unless a reader still holds them.
 func (d *DB) runCompactionJob(j *compactJob) error {
 	d.stats.CompactionsInFlight.Add(1)
 	err := d.runCandidate(j)
 	d.stats.CompactionsInFlight.Add(-1)
 	d.inflight.Release(j.id)
+	d.unref(j.v)
 	return err
 }

@@ -196,6 +196,12 @@ type Stats struct {
 	// time writers waited for the merge's next batch (a merge-bound job).
 	CompactMergeWaitNanos  metrics.Counter
 	CompactWriterWaitNanos metrics.Counter
+
+	// ZombieTables gauges table files gone from the current version but
+	// still on disk, because an older version a reader (an iterator, a Get,
+	// a checkpoint, a scrub or a running job) holds still names them: the
+	// bytes a deleted value may hide in past its tombstone's disposal.
+	ZombieTables metrics.Gauge
 }
 
 // WriteAmplification returns (flushed + compaction-written) / ingested, the
@@ -259,9 +265,9 @@ func (s *Stats) String() string {
 	fmt.Fprintf(&b, "gets=%d hits=%d bloom_skips=%d tables_probed=%d bloom_tp=%d bloom_fp=%d\n",
 		s.Gets.Get(), s.GetHits.Get(), s.BloomSkips.Get(), s.TablesProbed.Get(),
 		s.BloomTruePositives.Get(), s.BloomFalsePositives.Get())
-	fmt.Fprintf(&b, "wal_appends=%d wal_syncs=%d iters=%d seeks=%d files_created=%d files_deleted=%d checkpoints=%d\n",
+	fmt.Fprintf(&b, "wal_appends=%d wal_syncs=%d iters=%d seeks=%d files_created=%d files_deleted=%d zombie_tables=%d checkpoints=%d\n",
 		s.WALAppends.Get(), s.WALSyncs.Get(), s.ItersOpened.Get(), s.IterSeeks.Get(),
-		s.FilesCreated.Get(), s.FilesDeleted.Get(), s.Checkpoints.Get())
+		s.FilesCreated.Get(), s.FilesDeleted.Get(), s.ZombieTables.Get(), s.Checkpoints.Get())
 	fmt.Fprintf(&b, "reseeks=%d view_builds=%d view_hits=%d view_deferred=%d view_invalidations=%d scan_tables_opened=%d p99_scan_step_ns=%d\n",
 		s.IterReseeks.Get(), s.IterViewBuilds.Get(), s.IterViewHits.Get(), s.IterViewDeferred.Get(), s.IterViewInvalidations.Get(),
 		s.IterTablesOpened.Get(), s.IterScanLatency.Quantile(0.99))

@@ -2,13 +2,16 @@
 // which level, grouped into which sorted runs, plus the metadata FADE needs
 // to age tombstones (per-file oldest tombstone, tombstone counts). Versions
 // are immutable; every flush/compaction applies a VersionEdit producing a
-// new Version, and edits are logged durably for crash recovery.
+// new Version, and edits are logged durably for crash recovery. Versions are
+// reference-counted, and a version holds a reference on each of its files:
+// a file is dead, and may be unlinked, once no version holds it.
 package manifest
 
 import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/base"
 )
@@ -17,7 +20,8 @@ import (
 // overlapping runs; deeper levels are shaped by the compaction policy.
 const NumLevels = 7
 
-// FileMetadata describes one sstable. It is immutable after creation.
+// FileMetadata describes one sstable. Its exported fields are immutable once
+// a version holds it; only the count of versions holding it changes.
 type FileMetadata struct {
 	// FileNum names the file on disk.
 	FileNum base.FileNum
@@ -58,6 +62,9 @@ type FileMetadata struct {
 	// metadata — the table's writer, or VersionSet.LoadRangeTombstones for
 	// files recovered from the manifest — before any version holds the file.
 	RangeTombstones []base.RangeTombstone
+
+	// refs counts the live versions holding the file (see Version.Unref).
+	refs atomic.Int32
 }
 
 // TombstoneDensity returns the fraction of the file's entries that are
@@ -110,7 +117,9 @@ func (r *Run) Find(lo, hi []byte) []*FileMetadata {
 	return r.Files[i:j:j]
 }
 
-// Version is an immutable snapshot of the tree's shape.
+// Version is an immutable snapshot of the tree's shape. Its files stay on
+// disk while it is referenced: by the version set while it is current, and
+// by each reader or job that took it with VersionSet.Ref until its Unref.
 type Version struct {
 	// Levels[l] holds the level's runs, newest first.
 	Levels [NumLevels][]*Run
@@ -120,6 +129,26 @@ type Version struct {
 	// version is built.
 	rangeTombstones []base.RangeTombstone
 	numEntries      uint64
+
+	// refs counts the version's holders. The version set installs a
+	// version with one (its own) and takes the files' references then.
+	refs atomic.Int32
+}
+
+// Unref drops one reference to v. The last one releases v's hold on its
+// files, and Unref returns those v was the last holder of: no version holds
+// them any more, so nothing can open them again, and the caller unlinks them.
+func (v *Version) Unref() []base.FileNum {
+	if v.refs.Add(-1) > 0 {
+		return nil
+	}
+	var dead []base.FileNum
+	v.AllFiles(func(_ int, f *FileMetadata) {
+		if f.refs.Add(-1) == 0 {
+			dead = append(dead, f.FileNum)
+		}
+	})
+	return dead
 }
 
 // RangeTombstones returns every range tombstone carried by the version's

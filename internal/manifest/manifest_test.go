@@ -445,7 +445,7 @@ func TestConcurrentLogAndApply(t *testing.T) {
 				fn := vs.AllocFileNum()
 				lo := fmt.Sprintf("w%02d-%03d", w, i)
 				e := &VersionEdit{Added: []NewFileEntry{{Level: 6, Meta: fileMeta(int(fn), lo, lo+"z")}}}
-				err := vs.Commit(e, func(*Version) { e.Added[0].RunID = vs.AllocRunID() }, nil)
+				_, err := vs.Commit(e, func(*Version) { e.Added[0].RunID = vs.AllocRunID() }, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -519,5 +519,87 @@ func TestFailedCommitIsForgotten(t *testing.T) {
 				t.Fatalf("%d manifest files in %v, want 1", manifests, names)
 			}
 		})
+	}
+}
+
+// TestVersionRefsReportDeadFiles: a file is reported dead exactly once, by
+// whoever drops the last version holding it — the install that replaced it,
+// or the Unref of a reader still holding the old version. A trivially moved
+// file (deleted and re-added by one edit) is never dead, and Load's replay
+// leaves each recovered file held by the current version alone.
+func TestVersionRefsReportDeadFiles(t *testing.T) {
+	fs := vfs.NewMemFS()
+	vs, err := Create(fs, "db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	add := func(level int, f *FileMetadata) NewFileEntry {
+		return NewFileEntry{Level: level, RunID: vs.AllocRunID(), Meta: f}
+	}
+	f1, f2 := fileMeta(int(vs.AllocFileNum()), "a", "f"), fileMeta(int(vs.AllocFileNum()), "g", "m")
+	if err := vs.LogAndApply(&VersionEdit{Added: []NewFileEntry{add(0, f1), add(0, f2)}}); err != nil {
+		t.Fatal(err)
+	}
+	commit := func(e *VersionEdit) []base.FileNum {
+		t.Helper()
+		dead, err := vs.Commit(e, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dead
+	}
+
+	// Replaced under a reader: the install reports nothing, the reader's
+	// Unref reports the file.
+	reader := vs.Ref()
+	f3 := fileMeta(int(vs.AllocFileNum()), "a", "f")
+	if dead := commit(&VersionEdit{Added: []NewFileEntry{add(1, f3)}, Deleted: []DeletedFileEntry{{Level: 0, FileNum: f1.FileNum}}}); len(dead) != 0 {
+		t.Fatalf("install under a reader reported %v dead", dead)
+	}
+	if dead := reader.Unref(); !reflect.DeepEqual(dead, []base.FileNum{f1.FileNum}) {
+		t.Fatalf("reader's Unref reported %v dead, want [%s]", dead, f1.FileNum)
+	}
+
+	// Trivially moved, with and without a reader: never dead.
+	reader = vs.Ref()
+	if dead := commit(&VersionEdit{Added: []NewFileEntry{add(2, f2)}, Deleted: []DeletedFileEntry{{Level: 0, FileNum: f2.FileNum}}}); len(dead) != 0 {
+		t.Fatalf("trivial move reported %v dead", dead)
+	}
+	if dead := reader.Unref(); len(dead) != 0 {
+		t.Fatalf("reader of the pre-move version reported %v dead", dead)
+	}
+	if dead := commit(&VersionEdit{Added: []NewFileEntry{add(3, f2)}, Deleted: []DeletedFileEntry{{Level: 2, FileNum: f2.FileNum}}}); len(dead) != 0 {
+		t.Fatalf("second trivial move reported %v dead", dead)
+	}
+
+	// Replaced with no reader: the install itself reports it.
+	if dead := commit(&VersionEdit{Deleted: []DeletedFileEntry{{Level: 1, FileNum: f3.FileNum}}}); !reflect.DeepEqual(dead, []base.FileNum{f3.FileNum}) {
+		t.Fatalf("install with no reader reported %v dead, want [%s]", dead, f3.FileNum)
+	}
+	if err := vs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The log replays adds, deletes and moves; afterwards the one surviving
+	// file is held by the current version only, so replacing it reports it
+	// at once, and a reader of the replaced version has nothing left to free.
+	re, err := Load(fs, "db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	v := re.Ref()
+	if v.NumFiles() != 1 || len(v.Levels[3]) != 1 || v.Levels[3][0].Files[0].FileNum != f2.FileNum {
+		t.Fatalf("recovered %d files, want only %s at L3", v.NumFiles(), f2.FileNum)
+	}
+	if dead := v.Unref(); len(dead) != 0 {
+		t.Fatalf("reader of the recovered version reported %v dead", dead)
+	}
+	dead, err := re.Commit(&VersionEdit{Deleted: []DeletedFileEntry{{Level: 3, FileNum: f2.FileNum}}}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dead, []base.FileNum{f2.FileNum}) {
+		t.Fatalf("replacing the recovered file reported %v dead, want [%s]", dead, f2.FileNum)
 	}
 }

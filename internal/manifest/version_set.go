@@ -110,10 +110,22 @@ type VersionSet struct {
 	nextRunID   atomic.Uint64 // next unallocated sorted-run id
 }
 
-// Current returns the current immutable Version.
+// Current returns the current immutable Version, without a reference: its
+// metadata may be read, but its files may be unlinked once a later version
+// replaces it. A caller that opens files takes Ref instead.
 func (vs *VersionSet) Current() *Version {
 	vs.mu.RLock()
 	defer vs.mu.RUnlock()
+	return vs.current
+}
+
+// Ref returns the current Version with a reference taken, which keeps its
+// files on disk until the caller's Unref. Taken under mu, the reference
+// cannot race the install that drops the set's own.
+func (vs *VersionSet) Ref() *Version {
+	vs.mu.RLock()
+	defer vs.mu.RUnlock()
+	vs.current.refs.Add(1)
 	return vs.current
 }
 
@@ -169,11 +181,8 @@ func Create(fs vfs.FS, dirname string) (*VersionSet, error) {
 	if err := fs.MkdirAll(dirname); err != nil {
 		return nil, err
 	}
-	vs := &VersionSet{
-		fs:      fs,
-		dirname: dirname,
-		current: &Version{},
-	}
+	vs := &VersionSet{fs: fs, dirname: dirname}
+	vs.installVersion(&Version{})
 	vs.nextFileNum.Store(1)
 	vs.nextRunID.Store(1)
 	if err := vs.rollManifest(); err != nil {
@@ -213,11 +222,8 @@ func Load(fs vfs.FS, dirname string) (*VersionSet, error) {
 		vfs.BestEffortClose(mf)
 		return nil, err
 	}
-	vs := &VersionSet{
-		fs:      fs,
-		dirname: dirname,
-		current: &Version{},
-	}
+	vs := &VersionSet{fs: fs, dirname: dirname}
+	vs.installVersion(&Version{})
 	vs.nextFileNum.Store(1)
 	vs.nextRunID.Store(1)
 	for {
@@ -258,7 +264,9 @@ func Load(fs vfs.FS, dirname string) (*VersionSet, error) {
 }
 
 // applyLocked applies an edit to the in-memory state without logging it.
-// Callers hold commitMu (or are single-threaded, during recovery).
+// Callers hold commitMu (or are single-threaded, during recovery). Nothing
+// has opened a file yet, so what the install reports dead is not unlinked:
+// Open sweeps every table no version names.
 func (vs *VersionSet) applyLocked(e *VersionEdit) error {
 	nv, err := vs.current.Apply(e)
 	if err != nil {
@@ -269,11 +277,21 @@ func (vs *VersionSet) applyLocked(e *VersionEdit) error {
 	return nil
 }
 
-// installVersion publishes nv as the current version.
-func (vs *VersionSet) installVersion(nv *Version) {
+// installVersion publishes nv as the current version: it takes the set's
+// reference on nv and nv's on each of its files, swaps current, and drops
+// the set's reference on the old version. It returns the files that died:
+// those the old version held and no version holds now.
+func (vs *VersionSet) installVersion(nv *Version) []base.FileNum {
+	nv.refs.Store(1)
+	nv.AllFiles(func(_ int, f *FileMetadata) { f.refs.Add(1) })
 	vs.mu.Lock()
+	old := vs.current
 	vs.current = nv
 	vs.mu.Unlock()
+	if old == nil {
+		return nil
+	}
+	return old.Unref()
 }
 
 // noteEditCounters merges the edit's stamped counters into the live ones.
@@ -289,8 +307,12 @@ func (vs *VersionSet) noteEditCounters(e *VersionEdit) {
 }
 
 // LogAndApply durably records the edit, then installs the resulting
-// Version. Concurrent callers are serialized at the commit point.
-func (vs *VersionSet) LogAndApply(e *VersionEdit) error { return vs.Commit(e, nil, nil) }
+// Version. Concurrent callers are serialized at the commit point. It is
+// Commit for a caller that unlinks no file.
+func (vs *VersionSet) LogAndApply(e *VersionEdit) error {
+	_, err := vs.Commit(e, nil, nil)
+	return err
+}
 
 // Commit is the version set's one commit point. Under the commit mutex —
 // atomically with respect to other committers — it lets a non-nil finish
@@ -304,10 +326,13 @@ func (vs *VersionSet) LogAndApply(e *VersionEdit) error { return vs.Commit(e, ni
 // change (a flush pops its immutable memtable this way). Neither callback may
 // block on a lock ordered before the commit mutex.
 //
-// On an error the edit is not installed, and unless the error wraps
-// ErrEditInDoubt no later Load will replay it either, so the caller may
-// unlink the files it added.
-func (vs *VersionSet) Commit(e *VersionEdit, finish func(cur *Version), install func(publish func())) error {
+// On success Commit returns the files that died with the install: those the
+// replaced version held, that the new one does not, and that no reader's
+// version holds either. The caller unlinks them; a file a reader still holds
+// is reported by that reader's Unref instead. On an error the edit is not
+// installed, and unless the error wraps ErrEditInDoubt no later Load will
+// replay it either, so the caller may unlink the files it added.
+func (vs *VersionSet) Commit(e *VersionEdit, finish func(cur *Version), install func(publish func())) ([]base.FileNum, error) {
 	vs.commitMu.Lock()
 	defer vs.commitMu.Unlock()
 	if finish != nil {
@@ -315,15 +340,17 @@ func (vs *VersionSet) Commit(e *VersionEdit, finish func(cur *Version), install 
 	}
 	nv, err := vs.commitLocked(e)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	var dead []base.FileNum
+	publish := func() { dead = vs.installVersion(nv) }
 	if install != nil {
-		install(func() { vs.installVersion(nv) })
+		install(publish)
 	} else {
-		vs.installVersion(nv)
+		publish()
 	}
 	vs.noteEditCounters(e)
-	return nil
+	return dead, nil
 }
 
 // LoadRangeTombstones fills FileMetadata.RangeTombstones for the recovered

@@ -6,10 +6,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/admission"
+	"repro/internal/base"
+	"repro/internal/compaction"
 	"repro/internal/core"
 	"repro/internal/server"
 	"repro/internal/shard"
@@ -81,36 +84,66 @@ func (it *kvIter) Close() error  { return nil }
 // the wire, the server and a 3-shard router, and diffs it against the model.
 // The memtable is small so flushes and compactions run underneath, and the
 // server's page cap is small so full scans take several round trips; scans
-// page alternately at the server's cap and at 5, below it.
+// page alternately at the server's cap and at 5, below it. The fade run is
+// the soup's FADE configuration, on a logical clock the server's
+// maintenance reads as the soup advances it: most flushes there merge their
+// memtable straight into level 1.
 func TestClientModelDifferential(t *testing.T) {
-	_, c := serve(t,
-		core.Options{Shards: 3, MemTableBytes: 8 << 10},
-		server.Config{OpTimeout: 10 * time.Second, MaxScanEntries: 16})
-	scans := 0
-	storetest.Run(t, &storetest.Target{
-		Store:    c,
-		NotFound: core.ErrNotFound,
-		Apply: func(ops []storetest.Op) error {
-			batch := make([]wire.BatchOp, len(ops))
-			for i, o := range ops {
-				batch[i] = wire.BatchOp{Key: o.Key, Value: o.Value, Delete: o.Delete}
+	for _, fade := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fade=%v", fade), func(t *testing.T) {
+			opts := core.Options{Shards: 3, MemTableBytes: 8 << 10}
+			cfg := storetest.Config{
+				Seed: 20230613, Ops: 4000, Keys: 300, DeleteKeys: 1000, CheckEvery: 800,
+				Mix: storetest.Mix{Put: 45, Delete: 15, Batch: 10, RangeDelete: 5, Get: 22, Scan: 3},
 			}
-			return c.Apply(batch)
-		},
-		Scan: func(b storetest.Bounds) (storetest.Iter, error) {
-			lower, upper := b.Lower, b.Upper
-			if n := len(b.Prefix); n > 0 {
-				lower = b.Prefix
-				upper = append(bytes.Clone(b.Prefix[:n-1]), b.Prefix[n-1]+1)
+			if fade {
+				clk := &syncClock{}
+				opts.Clock = clk
+				opts.Compaction = compaction.Options{Picker: compaction.PickFADE, DPT: storetest.FADEDPT}
+				cfg.Clock, cfg.Tick, cfg.FADE = clk, 1000, true
 			}
-			scans++
-			kvs, err := scanAll(c, lower, upper, []int{0, 5}[scans%2])
-			return &kvIter{kvs: kvs}, err
-		},
-	}, storetest.Config{
-		Seed: 20230613, Ops: 4000, Keys: 300, DeleteKeys: 1000, CheckEvery: 800,
-		Mix: storetest.Mix{Put: 45, Delete: 15, Batch: 10, RangeDelete: 5, Get: 22, Scan: 3},
-	})
+			r, c := serve(t, opts, server.Config{OpTimeout: 10 * time.Second, MaxScanEntries: 16})
+			scans := 0
+			storetest.Run(t, &storetest.Target{
+				Store:    c,
+				NotFound: core.ErrNotFound,
+				Apply: func(ops []storetest.Op) error {
+					batch := make([]wire.BatchOp, len(ops))
+					for i, o := range ops {
+						batch[i] = wire.BatchOp{Key: o.Key, Value: o.Value, Delete: o.Delete}
+					}
+					return c.Apply(batch)
+				},
+				Scan: func(b storetest.Bounds) (storetest.Iter, error) {
+					lower, upper := b.Lower, b.Upper
+					if n := len(b.Prefix); n > 0 {
+						lower = b.Prefix
+						upper = append(bytes.Clone(b.Prefix[:n-1]), b.Prefix[n-1]+1)
+					}
+					scans++
+					kvs, err := scanAll(c, lower, upper, []int{0, 5}[scans%2])
+					return &kvIter{kvs: kvs}, err
+				},
+				FlushesToL1: func() int64 {
+					var n int64
+					for _, s := range r.Stats() {
+						n += s.FlushesToL1.Get()
+					}
+					return n
+				},
+			}, cfg)
+		})
+	}
+}
+
+// syncClock is a logical clock that the soup advances while the server's
+// maintenance goroutines read it.
+type syncClock struct{ now atomic.Int64 }
+
+func (c *syncClock) Now() base.Timestamp { return base.Timestamp(c.now.Load()) }
+
+func (c *syncClock) Advance(d base.Duration) base.Timestamp {
+	return base.Timestamp(c.now.Add(int64(d)))
 }
 
 // TestClientRestoresSentinels: engine errors cross the wire as codes and

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/base"
 	"repro/internal/manifest"
+	"repro/internal/memtable"
 )
 
 // Layout is the tree's data layout under the configured PolicyKind. All
@@ -275,6 +276,40 @@ func (pc *pickCtx) pickTTL() *Candidate {
 	return c
 }
 
+// PickFlush returns the TTL job that takes a sealed memtable straight into
+// level 1, or nil when it is to be flushed to level 0 as usual. meta
+// describes mem as the level-0 table the flush would write. The job is the
+// one pickTTL would schedule the moment that table landed: it would arrive
+// expired (FADE's level-0 rule, whose clock started at the delete, not at
+// the flush), level 0 is empty (older level-0 runs must stay above the
+// memtable's newer data) and level 1 is in the single-run region and one
+// run at most, so the whole-level push of level 0 merges the memtable with
+// level 1's overlap and nothing else. Writing the table first would only
+// have it read back and rewritten by that job.
+func (p *Layout) PickFlush(v *manifest.Version, mem *memtable.MemTable, meta *manifest.FileMetadata, now base.Timestamp, haveSnapshots bool, inflight *InFlightSet) *Candidate {
+	if p.o.DPT == 0 || len(v.Levels[0]) > 0 || len(v.Levels[1]) > 1 {
+		return nil
+	}
+	pc := p.newPickCtx(v, now, haveSnapshots, inflight)
+	if pc.first > 1 {
+		return nil
+	}
+	over, ok := pc.expired(meta, 0)
+	if !ok {
+		return nil
+	}
+	c := &Candidate{
+		Trigger: TriggerTTL, Score: float64(over),
+		StartLevel: 0, OutputLevel: 1,
+		Mem: mem, MemMeta: meta,
+	}
+	fillOutputOverlap(v, c)
+	if inflight.Conflicts(c) {
+		return nil
+	}
+	return c
+}
+
 // evictOne moves one file — chosen by the configured Picker — out of
 // byte-saturated single-run level l. Files claimed by running jobs are not
 // considered.
@@ -382,16 +417,23 @@ func fillOutputOverlap(v *manifest.Version, c *Candidate) {
 	}
 }
 
-// inputBounds returns the user-key span of the candidate's inputs.
+// inputBounds returns the user-key span of the candidate's inputs, its
+// memtable included.
 func inputBounds(c *Candidate) (lo, hi []byte) {
+	widen := func(f *manifest.FileMetadata) {
+		if lo == nil || base.Compare(f.Smallest.UserKey, lo) < 0 {
+			lo = f.Smallest.UserKey
+		}
+		if hi == nil || base.Compare(f.Largest.UserKey, hi) > 0 {
+			hi = f.Largest.UserKey
+		}
+	}
+	if c.MemMeta != nil {
+		widen(c.MemMeta)
+	}
 	for _, r := range c.Inputs {
 		for _, f := range r.Files {
-			if lo == nil || base.Compare(f.Smallest.UserKey, lo) < 0 {
-				lo = f.Smallest.UserKey
-			}
-			if hi == nil || base.Compare(f.Largest.UserKey, hi) > 0 {
-				hi = f.Largest.UserKey
-			}
+			widen(f)
 		}
 	}
 	return lo, hi

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/base"
 	"repro/internal/manifest"
+	"repro/internal/memtable"
 )
 
 // Picker selects which file a saturated level compacts first.
@@ -241,6 +242,12 @@ type Candidate struct {
 	// single partial run (the picked files); under tiering or L0 it is
 	// every run of the start level.
 	Inputs []*manifest.Run
+	// Mem, when set, is a sealed memtable merged as the job's newest input,
+	// ahead of Inputs: the flush Layout.PickFlush sends straight into level
+	// 1. MemMeta describes it as the level-0 table a flush would write from
+	// it; its key span counts in the candidate's rectangle.
+	Mem     *memtable.MemTable
+	MemMeta *manifest.FileMetadata
 	// InputLevels, when non-nil, gives each input run's level (parallel
 	// to Inputs); nil means every run is at StartLevel. TTL-triggered
 	// tiering compactions span two levels so the tombstone can actually

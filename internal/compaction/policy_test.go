@@ -396,3 +396,60 @@ func BenchmarkPick(b *testing.B) {
 		})
 	}
 }
+
+// TestPickFlush: a memtable, described as the level-0 table it would
+// become, merges straight into level 1 only when that table would arrive
+// TTL-expired, level 0 is empty and level 1 is one leveled run at most. The
+// candidate is the level-0 TTL push: level 1's overlap as the output run,
+// the memtable's span in the rectangle even where level 1 has nothing under
+// it — so a claim there conflicts — and no file of its own.
+func TestPickFlush(t *testing.T) {
+	mem := func(lo, hi string, oldest base.Timestamp) *manifest.FileMetadata {
+		return &manifest.FileMetadata{Smallest: ik(lo, 100), Largest: ik(hi, 1), HasTombstones: true, OldestTombstone: oldest}
+	}
+	l1 := addFiles(t, &manifest.Version{}, 1, 1, file(1, "a", "c", 100), file(2, "d", "f", 100), file(3, "g", "i", 100))
+	o := Options{SizeRatio: 4, DPT: 1000, Picker: PickFADE}.WithDefaults()
+	layout := o.NewLayout()
+
+	c := layout.PickFlush(l1, nil, mem("b", "e", 0), 1001, false, nil)
+	if c == nil || c.Trigger != TriggerTTL || c.StartLevel != 0 || c.OutputLevel != 1 || c.OutputRunID != 1 {
+		t.Fatalf("expired memtable over level 1: %+v", c)
+	}
+	if len(c.InputFiles()) != 0 || len(c.OutputRunFiles) != 2 || c.OutputRunFiles[0].FileNum != 1 || c.OutputRunFiles[1].FileNum != 2 {
+		t.Fatalf("inputs %v, output run files %v: want none, and files 1 and 2", c.InputFiles(), c.OutputRunFiles)
+	}
+
+	// Nothing of level 1 under the memtable: the span still stands.
+	c = layout.PickFlush(l1, nil, mem("x", "z", 0), 1001, false, nil)
+	if c == nil || len(c.OutputRunFiles) != 0 {
+		t.Fatalf("expired memtable beside level 1: %+v", c)
+	}
+	if minL, maxL, lo, hi := c.Rectangle(); minL != 0 || maxL != 1 || string(lo) != "x" || string(hi) != "z" {
+		t.Fatalf("rectangle [%d,%d] x [%s,%s], want [0,1] x [x,z]", minL, maxL, lo, hi)
+	}
+	claims := NewInFlightSet()
+	claims.Claim(7, nil, 1, 2, []byte("y"), []byte("y"))
+	if c := layout.PickFlush(l1, nil, mem("x", "z", 0), 1001, false, claims); c != nil {
+		t.Fatalf("a claim inside the memtable's span must decline it: %+v", c)
+	}
+
+	noTombs := mem("b", "e", 0)
+	noTombs.HasTombstones = false
+	for _, tc := range []struct {
+		name   string
+		layout *Layout
+		v      *manifest.Version
+		meta   *manifest.FileMetadata
+	}{
+		{"within-budget", layout, l1, mem("b", "e", 1)},
+		{"no-tombstones", layout, l1, noTombs},
+		{"no-dpt", Options{SizeRatio: 4, Picker: PickFADE}.NewLayout(), l1, mem("b", "e", 0)},
+		{"l0-not-empty", layout, addFiles(t, l1, 0, 2, file(4, "x", "z", 100)), mem("b", "e", 0)},
+		{"l1-two-runs", layout, addFiles(t, l1, 1, 3, file(5, "x", "z", 100)), mem("b", "e", 0)},
+		{"l1-tiered", sizeTiered(o), l1, mem("b", "e", 0)},
+	} {
+		if c := tc.layout.PickFlush(tc.v, nil, tc.meta, 1001, false, nil); c != nil {
+			t.Errorf("%s: %+v, want a level-0 flush", tc.name, c)
+		}
+	}
+}

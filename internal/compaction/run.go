@@ -118,9 +118,10 @@ func applicableRangeDels(snaps []base.SeqNum, lists ...[]base.RangeTombstone) []
 	return out
 }
 
-// Run executes the candidate: merges its inputs, applies shadowing,
-// tombstone-disposal and KiWi page/entry drops, and writes the output
-// tables. It does not touch the manifest; the engine applies the edit. The
+// Run executes the candidate: merges its inputs (its memtable, if any,
+// among them), applies shadowing, tombstone-disposal and KiWi page/entry
+// drops, and writes the output tables. It does not touch the manifest; the
+// engine applies the edit. The
 // tables are written by a goroutine of Run's own (see pipe), which has exited
 // by the time Run returns. On any error it closes the table being written and
 // unlinks everything it wrote, so a failed (and retried) merge leaves no
@@ -204,6 +205,11 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 		return nil
 	}
 
+	if c.Mem != nil {
+		sources = append(sources, c.Mem.NewIter())
+		own = append(own, c.Mem.RangeTombstones()...)
+		numDeletes += uint64(c.Mem.NumDeletes())
+	}
 	for i, r := range c.Inputs {
 		// Without an output run the last input run (inputs are newest
 		// first) is the compaction's oldest data.

@@ -446,4 +446,96 @@ func BenchmarkFlush(b *testing.B) {
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/per, "allocs/entry")
 		})
 	}
+	// expired flushes a 4 MiB memtable whose tombstones have outlived level
+	// 0's budget over a populated level 1, timed from Flush until WaitIdle
+	// returns: whichever way the engine takes the memtable down, it ends in
+	// the same tree. written-B/entry is what MemFS took in meanwhile: the
+	// tables, plus a manifest edit or two.
+	b.Run("expired", func(b *testing.B) {
+		var entries, written int64
+		var allocBytes, mallocs uint64
+		var before, after runtime.MemStats
+		b.StopTimer()
+		for i := 0; i < b.N; i++ {
+			d, fs, n := expiredFlushDB(b)
+			runtime.ReadMemStats(&before)
+			w := fs.BytesWritten()
+			b.StartTimer()
+			if err := d.Flush(); err != nil {
+				b.Fatal(err)
+			}
+			if err := d.WaitIdle(); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			written += fs.BytesWritten() - w
+			allocBytes += after.TotalAlloc - before.TotalAlloc
+			mallocs += after.Mallocs - before.Mallocs
+			entries += n
+			if err := d.Close(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		per := float64(entries)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/entry")
+		b.ReportMetric(float64(allocBytes)/per, "B/entry")
+		b.ReportMetric(float64(mallocs)/per, "allocs/entry")
+		b.ReportMetric(float64(written)/per, "written-B/entry")
+	})
+}
+
+// expiredFlushDB returns a store with about 2 MiB in level 1 and a
+// mutable memtable of about 4 MiB — puts over level 1's keys and beside
+// them, one entry in ten a delete — whose tombstones are past the DPT, all
+// of it level 0's budget in a one-level tree. n is the memtable's entries.
+func expiredFlushDB(b *testing.B) (_ *DB, _ *vfs.MemFS, n int64) {
+	b.Helper()
+	fs := vfs.NewMemFS()
+	clk := &base.LogicalClock{}
+	d, err := Open("bench", Options{
+		FS:                     fs,
+		Clock:                  clk,
+		MemTableBytes:          8 << 20,
+		DeleteKeyFunc:          storetest.DeleteKey,
+		DisableAutoMaintenance: true,
+		Compaction: compaction.Options{
+			Picker:          compaction.PickFADE,
+			DPT:             1000,
+			SizeRatio:       10,
+			L0Threshold:     1,
+			BaseLevelBytes:  8 << 20,
+			TargetFileBytes: 2 << 20,
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	value := func(i int) []byte { return append(storetest.Value(uint64(i), i), make([]byte, 40)...) }
+	for i := 0; i < 20_000; i++ {
+		if err := d.Put([]byte(fmt.Sprintf("k%014d", 3*i)), value(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// One level-0 run is over the threshold: it moves into level 1.
+	if err := d.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	if err := d.WaitIdle(); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 28_000; i++ {
+		k := []byte(fmt.Sprintf("k%014d", 2*i))
+		if i%10 == 0 {
+			err = d.Delete(k)
+		} else {
+			err = d.Put(k, value(i))
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		n++
+	}
+	clk.Advance(2000)
+	return d, fs, n
 }

@@ -22,6 +22,9 @@ type tableCache struct {
 
 	mu     sync.Mutex
 	tables map[base.FileNum]*sstable.Reader
+	// closed is set by close: from then on get opens nothing, so an
+	// iterator outliving its store cannot leave a reader no one closes.
+	closed bool
 }
 
 func newTableCache(fs vfs.FS, dirname string, blockCacheBytes int64) *tableCache {
@@ -34,13 +37,17 @@ func newTableCache(fs vfs.FS, dirname string, blockCacheBytes int64) *tableCache
 
 // get returns the table's reader, opening it on first use. The caller must
 // hold a reference to a version holding the file for as long as it uses the
-// reader.
+// reader. Once the cache is closed it fails with ErrClosed.
 func (c *tableCache) get(fn base.FileNum) (*sstable.Reader, error) {
 	c.mu.Lock()
 	r, ok := c.tables[fn]
+	closed := c.closed
 	c.mu.Unlock()
 	if ok {
 		return r, nil
+	}
+	if closed {
+		return nil, fmt.Errorf("core: opening table %s: %w", fn, ErrClosed)
 	}
 
 	// Open outside the lock; racing opens are deduplicated below.
@@ -58,6 +65,11 @@ func (c *tableCache) get(fn base.FileNum) (*sstable.Reader, error) {
 	}
 
 	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		vfs.BestEffortClose(r)
+		return nil, fmt.Errorf("core: opening table %s: %w", fn, ErrClosed)
+	}
 	if existing, ok := c.tables[fn]; ok {
 		c.mu.Unlock()
 		vfs.BestEffortClose(r)
@@ -82,11 +94,13 @@ func (c *tableCache) evict(fn base.FileNum) {
 	}
 }
 
-// close releases every cached reader (DB shutdown).
+// close releases every cached reader and makes get fail from then on (DB
+// shutdown).
 func (c *tableCache) close() {
 	c.mu.Lock()
 	tables := c.tables
 	c.tables = make(map[base.FileNum]*sstable.Reader)
+	c.closed = true
 	c.mu.Unlock()
 	for _, r := range tables {
 		vfs.BestEffortClose(r)

@@ -12,13 +12,16 @@ import (
 
 // Maintenance-side lock order, part of the documented lock DAG:
 // the maintenance gate is outermost, then the stage locks (flushMu for the
-// flush queue, pickMu for pick+claim), then the engine mutex. pickMu also
+// flush queue, pickMu for pick+claim), then the engine mutex. flushMu
+// precedes pickMu: a flush that merges its memtable straight into level 1
+// claims that merge while it holds the queue. pickMu also
 // precedes the claim-satellite locks, which encodes the claim-before-
 // version-read rule: a compaction's inputs are claimed under pickMu before
 // any d.mu-guarded version state is re-read.
 //
 // acheron:locks order core.DB.maintMu < core.DB.flushMu < core.DB.mu
 // acheron:locks order core.DB.maintMu < core.DB.pickMu < core.DB.mu
+// acheron:locks order core.DB.flushMu < core.DB.pickMu
 // acheron:locks order core.DB.pickMu < core.DB.eagerMu
 
 // MaintenanceStep performs at most one unit of background work — a flush or
@@ -177,7 +180,7 @@ func (d *DB) isBottommost(v *manifest.Version, c *compaction.Candidate, inCompac
 func (d *DB) runCandidate(j *compactJob) (err error) {
 	c := j.cand
 	files := c.InputFiles()
-	if len(files) == 0 {
+	if len(files) == 0 && c.Mem == nil {
 		return nil
 	}
 	ji := JobInfo{
@@ -343,6 +346,12 @@ func (d *DB) merge(j *compactJob) (*compaction.Result, error) {
 // concurrent compactions into the same (previously empty) leveling output
 // must both land in the single run the first one creates.
 func (d *DB) installCompaction(c *compaction.Candidate, edit *manifest.VersionEdit) error {
+	var underMu func()
+	if c.Mem != nil {
+		// A flush into level 1: the memtable leaves the queue as its data
+		// appears in level 1 (flushOne holds flushMu, so it is imm[0]).
+		underMu = d.popImmLocked
+	}
 	return d.installEdit(edit, func(cur *manifest.Version) {
 		runID := c.OutputRunID
 		if c.OutputToNewRun {
@@ -357,7 +366,7 @@ func (d *DB) installCompaction(c *compaction.Candidate, edit *manifest.VersionEd
 		for i := range edit.Added {
 			edit.Added[i].RunID = runID
 		}
-	}, nil)
+	}, underMu)
 }
 
 // ---------------------------------------------------------------------------

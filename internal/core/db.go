@@ -1136,11 +1136,14 @@ func fileMetaFrom(fn base.FileNum, meta sstable.WriterMeta) *manifest.FileMetada
 		HasDuplicates:   meta.Props.HasDuplicates,
 	}
 	if meta.Props.NumEntries == 0 && meta.Props.NumRangeDeletes > 0 {
-		// A tombstone-only table covers the whole key space. The lower
-		// bound must be empty-but-non-nil: nil user keys read as "no
-		// bounds at all" to the compaction span computation.
-		f.Smallest = base.MakeSearchKey([]byte{}, base.MaxSeqNum)
-		f.Largest = base.MakeInternalKey(maxUserKeySentinel, 0, base.KindSet)
+		f.Smallest, f.Largest = wholeKeySpace()
 	}
 	return f
+}
+
+// wholeKeySpace returns the bounds of a tombstone-only table, which covers
+// the whole key space. The lower bound is empty-but-non-nil: nil user keys
+// read as "no bounds at all" to the compaction span computation.
+func wholeKeySpace() (smallest, largest base.InternalKey) {
+	return base.MakeSearchKey([]byte{}, base.MaxSeqNum), base.MakeInternalKey(maxUserKeySentinel, 0, base.KindSet)
 }

@@ -60,6 +60,7 @@ func target(d *DB) *storetest.Target {
 			err := d.WaitIdle()
 			return []storetest.Ledger{ledger(d)}, err
 		},
+		FlushesToL1: d.Stats().FlushesToL1.Get,
 	}
 }
 

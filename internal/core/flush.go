@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/base"
+	"repro/internal/compaction"
 	"repro/internal/manifest"
 	"repro/internal/memtable"
 	"repro/internal/sstable"
@@ -58,7 +59,8 @@ func (d *DB) writeMemTable(m *memtable.MemTable) (_ base.FileNum, _ sstable.Writ
 }
 
 // Flush synchronously persists the mutable memtable and drains every sealed
-// one to level 0.
+// one to level 0 — or, for one whose tombstones have outlived level 0's TTL
+// budget, straight into level 1.
 func (d *DB) Flush() error {
 	start := time.Now()
 	err := d.flushAll()
@@ -119,7 +121,22 @@ func (d *DB) flushOne() (bool, error) {
 	d.commit.applyMu.Lock()
 	d.commit.applyMu.Unlock()
 
-	ji := JobInfo{ID: d.sched.newID(), Kind: JobFlush, Started: time.Now()}
+	start := time.Now()
+	// A memtable whose tombstones have already outlived level 0's budget
+	// merges straight into level 1: as a level-0 table it would only be
+	// read back and rewritten there by the next TTL job.
+	if j := d.pickFlushJob(e.mem); j != nil {
+		if err := d.runCompactionJob(j); err != nil {
+			return false, err
+		}
+		_ = d.opts.FS.Remove(manifest.MakeFilename(d.dirname, manifest.FileTypeLog, e.logNum))
+		d.stats.Flushes.Add(1)
+		d.stats.FlushesToL1.Add(1)
+		d.stats.FlushLatency.Record(time.Since(start).Nanoseconds())
+		return true, nil
+	}
+
+	ji := JobInfo{ID: d.sched.newID(), Kind: JobFlush, Started: start}
 	d.traceJobClaim(ji.ID, "flush", 0, "")
 	edit := &manifest.VersionEdit{}
 	if !e.mem.Empty() {
@@ -135,11 +152,7 @@ func (d *DB) flushOne() (bool, error) {
 	// The version install is atomic with the imm pop; the table's range
 	// tombstones ride on its metadata, so readers find them in the new
 	// version the moment the memtable is gone.
-	err := d.installEdit(edit, nil, func() {
-		d.imm = d.imm[1:]
-		d.stats.FlushQueueDepth.Set(int64(len(d.imm)))
-	})
-	if err != nil {
+	if err := d.installEdit(edit, nil, d.popImmLocked); err != nil {
 		d.recordJob(ji, err)
 		return false, err
 	}
@@ -152,4 +165,41 @@ func (d *DB) flushOne() (bool, error) {
 		d.recordJob(ji, nil)
 	}
 	return true, nil
+}
+
+// popImmLocked drops the oldest sealed memtable from the flush queue, in
+// the critical section that installs the version holding its data. Caller
+// holds d.mu.
+func (d *DB) popImmLocked() {
+	d.imm = d.imm[1:]
+	d.stats.FlushQueueDepth.Set(int64(len(d.imm)))
+}
+
+// pickFlushJob claims the job that merges sealed memtable m straight into
+// level 1 (compaction.Layout.PickFlush), or returns nil when m is to be
+// written to level 0: its tombstones are within level 0's budget, the tree
+// is not in the shape for it, or a running job's claim overlaps the merge.
+func (d *DB) pickFlushJob(m *memtable.MemTable) *compactJob {
+	meta := memTableMeta(m)
+	return d.claimJob(func(v *manifest.Version, now base.Timestamp, haveSnaps bool, claims *compaction.InFlightSet) *compaction.Candidate {
+		return d.policy.PickFlush(v, m, meta, now, haveSnaps, claims)
+	})
+}
+
+// memTableMeta describes sealed memtable m as the level-0 table
+// writeMemTable would make of it — its user-key span and the tombstone
+// summary fileMetaFrom would read from the table's properties — so the
+// picker can judge the table before it exists.
+func memTableMeta(m *memtable.MemTable) *manifest.FileMetadata {
+	f := &manifest.FileMetadata{}
+	f.OldestTombstone, f.HasTombstones = m.OldestTombstone()
+	it := m.NewIter()
+	if !it.First() {
+		f.Smallest, f.Largest = wholeKeySpace()
+		return f
+	}
+	f.Smallest = it.Key()
+	it.Last()
+	f.Largest = it.Key()
+	return f
 }

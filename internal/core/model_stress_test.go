@@ -21,21 +21,36 @@ import (
 // policy. Each reopen switches policy, and over the starting policies and
 // seeds every ordered pair is crossed: a tree built under one layout must
 // read the same and converge under another.
+// A fourth run starts leveled under the soup's FADE configuration, where
+// most flushes merge their memtable straight into level 1.
 // Seeds are fixed so every failure reproduces; the "Stress" name places it
 // under the race-detector gate.
 func TestModelDifferentialStress(t *testing.T) {
-	policies := []compaction.PolicyKind{
-		compaction.PolicyLeveled,
-		compaction.PolicySizeTiered,
-		compaction.PolicyLazyLeveling,
+	starts := []struct {
+		kind compaction.PolicyKind
+		fade bool
+	}{
+		{compaction.PolicyLeveled, false},
+		{compaction.PolicySizeTiered, false},
+		{compaction.PolicyLazyLeveling, false},
+		{compaction.PolicyLeveled, true},
 	}
-	for _, kind := range policies {
+	for _, start := range starts {
+		kind := start.kind
+		name := kind.String()
+		if start.fade {
+			name += "-fade"
+		}
 		for _, seed := range []int64{1, 7, 42} {
-			t.Run(fmt.Sprintf("%s/seed=%d", kind, seed), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/seed=%d", name, seed), func(t *testing.T) {
 				t.Parallel()
 				clk := &base.LogicalClock{}
 				opts := testOptions(vfs.NewMemFS(), clk)
 				opts.Compaction.Policy = kind
+				if start.fade {
+					opts.Compaction.Picker = compaction.PickFADE
+					opts.Compaction.DPT = storetest.FADEDPT
+				}
 				// The tree this run builds is a few tens of KB: a small L1
 				// makes it several levels deep and lets levels saturate on
 				// bytes, which is where a level left in another policy's
@@ -50,7 +65,7 @@ func TestModelDifferentialStress(t *testing.T) {
 				const ops = 4000
 				storetest.Run(t, openTarget(t, opts, next), storetest.Config{
 					Seed: seed, Ops: ops, Mix: storetest.Stress, Keys: 600, DeleteKeys: 1000,
-					Clock: clk, Tick: 1000, CheckEvery: 800,
+					Clock: clk, Tick: 1000, CheckEvery: 800, FADE: start.fade,
 					Reopens: []storetest.Reopen{{After: ops / 3, Crash: true}, {After: 2 * ops / 3, Compacted: true}},
 				})
 			})

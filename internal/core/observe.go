@@ -201,6 +201,7 @@ func (d *DB) RegisterMetrics(r *metrics.Registry, extra metrics.Labels) error {
 
 	// Maintenance.
 	counter("acheron_flushes_total", "Memtable flushes.", &s.Flushes)
+	counter("acheron_flushes_to_l1_total", "Memtable flushes merged straight into level 1, their tombstones past level 0's TTL budget (also in acheron_flushes_total; their bytes are compaction bytes).", &s.FlushesToL1)
 	counter("acheron_bytes_flushed_total", "Sstable bytes written by flushes.", &s.BytesFlushed)
 	counter("acheron_compact_bytes_read_total", "Bytes read by compactions.", &s.CompactBytesRead)
 	counter("acheron_compact_bytes_written_total", "Bytes written by compactions.", &s.CompactBytesWritten)
@@ -224,7 +225,7 @@ func (d *DB) RegisterMetrics(r *metrics.Registry, extra metrics.Labels) error {
 	counter("acheron_background_errors_total", "Failed background job attempts.", &s.BackgroundErrors)
 	counter("acheron_job_retries_total", "Background job retries scheduled for transient failures.", &s.JobRetries)
 	counter("acheron_files_created_total", "Table files installed into a version by flushes and compactions.", &s.FilesCreated)
-	counter("acheron_files_deleted_total", "Table files unlinked: replaced ones, and outputs of a failed job that never joined a version.", &s.FilesDeleted)
+	counter("acheron_files_deleted_total", "Table files of a version unlinked once replaced. Outputs that never joined a version are unlinked uncounted.", &s.FilesDeleted)
 	counter("acheron_checkpoints_total", "Completed checkpoints.", &s.Checkpoints)
 
 	// Deletes — the paper's subject.

@@ -340,10 +340,14 @@ type compactJob struct {
 }
 
 // pickCompactionJob atomically picks the most urgent compaction disjoint
-// from all in-flight jobs and claims its files and rectangle. pickMu makes
-// pick+claim atomic: without it two executors could pick overlapping work
-// before either claim landed.
-func (d *DB) pickCompactionJob() *compactJob {
+// from all in-flight jobs and claims its files and rectangle.
+func (d *DB) pickCompactionJob() *compactJob { return d.claimJob(d.policy.Pick) }
+
+// claimJob runs pick against the current version and the running jobs'
+// claims, and claims the candidate it returns. pickMu makes pick+claim
+// atomic: without it two executors could pick overlapping work before
+// either claim landed.
+func (d *DB) claimJob(pick func(v *manifest.Version, now base.Timestamp, haveSnaps bool, claims *compaction.InFlightSet) *compaction.Candidate) *compactJob {
 	d.pickMu.Lock()
 	defer d.pickMu.Unlock()
 	// Claims must be copied before the version is read (see
@@ -356,7 +360,7 @@ func (d *DB) pickCompactionJob() *compactJob {
 	haveSnaps := len(d.snapshots) > 0
 	d.mu.Unlock()
 
-	cand := d.policy.Pick(v, now, haveSnaps, claims)
+	cand := pick(v, now, haveSnaps, claims)
 	if cand == nil {
 		d.unref(v)
 		return nil

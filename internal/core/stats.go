@@ -29,8 +29,13 @@ type Stats struct {
 	CompactBytesReadByTrigger    [4]metrics.Counter
 	CompactBytesWrittenByTrigger [4]metrics.Counter
 
-	// Flushes counts memtable flushes.
-	Flushes metrics.Counter
+	// Flushes counts memtable flushes; FlushesToL1 counts those of them
+	// that merged their memtable straight into level 1, because its
+	// tombstones had outlived level 0's TTL budget. Such a flush writes no
+	// level-0 table: its bytes are a TTL compaction's, in
+	// CompactBytesWritten, and none in BytesFlushed.
+	Flushes     metrics.Counter
+	FlushesToL1 metrics.Counter
 	// CompactionsByTrigger counts compactions by trigger
 	// (0=l0, 1=saturation, 2=ttl, 3=range-delete).
 	CompactionsByTrigger [4]metrics.Counter
@@ -149,7 +154,10 @@ type Stats struct {
 	IterTablesOpened metrics.Counter
 
 	// FilesCreated counts table files installed into a version; FilesDeleted
-	// counts table files unlinked (replaced, or left by a failed install).
+	// counts the files of a version unlinked once replaced. Outputs that
+	// never joined a version — a failed install's, a flush into level 1
+	// included, or an in-place rewrite's that changed nothing — are
+	// unlinked uncounted, as they were never counted created.
 	FilesCreated metrics.Counter
 	FilesDeleted metrics.Counter
 	// Checkpoints counts completed checkpoints.
@@ -245,8 +253,8 @@ func (s *Stats) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "ingested=%d flushed=%d compact_read=%d compact_written=%d wa=%.2f\n",
 		s.BytesIngested.Get(), s.BytesFlushed.Get(), s.CompactBytesRead.Get(), s.CompactBytesWritten.Get(), s.WriteAmplification())
-	fmt.Fprintf(&b, "flushes=%d compactions[l0=%d sat=%d ttl=%d rangedel=%d] trivial=%d\n",
-		s.Flushes.Get(), s.CompactionsByTrigger[0].Get(), s.CompactionsByTrigger[1].Get(), s.CompactionsByTrigger[2].Get(), s.CompactionsByTrigger[3].Get(), s.TrivialMoves.Get())
+	fmt.Fprintf(&b, "flushes=%d to_l1=%d compactions[l0=%d sat=%d ttl=%d rangedel=%d] trivial=%d\n",
+		s.Flushes.Get(), s.FlushesToL1.Get(), s.CompactionsByTrigger[0].Get(), s.CompactionsByTrigger[1].Get(), s.CompactionsByTrigger[2].Get(), s.CompactionsByTrigger[3].Get(), s.TrivialMoves.Get())
 	fmt.Fprintf(&b, "deletes=%d persisted=%d superseded=%d live_tombstones=%d late=%d p99_persist=%d max_persist=%d\n",
 		s.DeletesIssued.Get(), s.TombstonesPersisted.Get(), s.TombstonesSuperseded.Get(), s.LiveTombstones.Get(),
 		s.TombstonesPersistedLate.Get(), s.PersistenceLatency.Quantile(0.99), s.PersistenceLatency.Max())

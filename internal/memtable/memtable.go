@@ -155,6 +155,9 @@ func (i *Iter) update(valid bool) bool {
 // First positions on the smallest entry.
 func (i *Iter) First() bool { return i.update(i.it.First()) }
 
+// Last positions on the largest entry.
+func (i *Iter) Last() bool { return i.update(i.it.Last()) }
+
 // SeekGE positions on the first entry >= target.
 func (i *Iter) SeekGE(target base.InternalKey) bool {
 	i.seek = target.Encode(i.seek[:0])

@@ -41,6 +41,13 @@ func target(r *Router) *storetest.Target {
 		MaintenanceStep: func() error { _, err := r.MaintenanceStep(); return err },
 		WaitIdle:        r.WaitIdle,
 		CompactAll:      r.CompactAll,
+		FlushesToL1: func() int64 {
+			var n int64
+			for _, s := range r.Stats() {
+				n += s.FlushesToL1.Get()
+			}
+			return n
+		},
 	}
 }
 
@@ -51,17 +58,30 @@ func target(r *Router) *storetest.Target {
 // crash (WAL replay on every shard) and the second adopting the persisted
 // shard count — and continuously diffs it against the model at
 // 1, 2, and 4 shards. The model knows nothing about routing, so any
-// misrouted, lost, or resurrected key is a divergence. Seeds are fixed so
-// every failure reproduces; the "Stress" name places it under the
-// race-detector gate.
+// misrouted, lost, or resurrected key is a divergence. At 2 shards it also
+// runs the soup's FADE configuration, where most flushes merge their
+// memtable straight into level 1. Seeds are fixed so every failure
+// reproduces; the "Stress" name places it under the race-detector gate.
 func TestShardedModelDifferentialStress(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
+	for _, run := range []struct {
+		shards int
+		fade   bool
+	}{{1, false}, {2, false}, {4, false}, {2, true}} {
+		shards, fade := run.shards, run.fade
 		for _, seed := range []int64{1, 7, 42} {
-			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
+			name := fmt.Sprintf("shards=%d/seed=%d", shards, seed)
+			if fade {
+				name = fmt.Sprintf("shards=%d-fade/seed=%d", shards, seed)
+			}
+			t.Run(name, func(t *testing.T) {
 				t.Parallel()
 				clk := &base.LogicalClock{}
 				opts := testOptions(vfs.NewMemFS(), clk, shards)
 				opts.SyncWrites = true // the first reopen is a crash
+				if fade {
+					opts.Compaction.Picker = compaction.PickFADE
+					opts.Compaction.DPT = storetest.FADEDPT
+				}
 				var open func() *storetest.Target
 				open = func() *storetest.Target {
 					r := mustOpen(t, "db", opts)
@@ -93,7 +113,7 @@ func TestShardedModelDifferentialStress(t *testing.T) {
 				const ops = 4000
 				storetest.Run(t, open(), storetest.Config{
 					Seed: seed, Ops: ops, Mix: storetest.Stress, Keys: 600, DeleteKeys: 1000,
-					Clock: clk, Tick: 1000, CheckEvery: 800,
+					Clock: clk, Tick: 1000, CheckEvery: 800, FADE: fade,
 					Reopens: []storetest.Reopen{{After: ops / 3, Crash: true}, {After: 2 * ops / 3, Compacted: true}},
 				})
 			})

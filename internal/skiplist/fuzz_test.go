@@ -113,6 +113,9 @@ func FuzzSkiplist(f *testing.F) {
 		if i != len(model) {
 			t.Fatalf("iterated %d entries, want %d", i, len(model))
 		}
+		if ok := it.Last(); ok != (len(model) > 0) || ok && !bytes.Equal(it.Key(), model[len(model)-1].k) {
+			t.Fatalf("Last = %.16q, %v over %d entries", it.Key(), ok, len(model))
+		}
 		for _, e := range model {
 			if v, ok := l.Get(e.k); !ok || !bytes.Equal(v, e.v) {
 				t.Fatalf("Get(%.16q) = %d bytes, %v after the run", e.k, len(v), ok)

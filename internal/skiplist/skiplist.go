@@ -170,6 +170,22 @@ func (i *Iter) set(n *node) bool {
 // First positions the iterator on the smallest key.
 func (i *Iter) First() bool { return i.set(i.rv.node(i.l.head.tower[0].Load())) }
 
+// Last positions the iterator on the largest key.
+func (i *Iter) Last() bool {
+	x := i.l.head
+	for level := int(i.l.height.Load()) - 1; level >= 0; {
+		if next := i.rv.node(x.tower[level].Load()); next != nil {
+			x = next
+		} else {
+			level--
+		}
+	}
+	if x == i.l.head {
+		return i.set(nil)
+	}
+	return i.set(x)
+}
+
 // SeekGE positions the iterator on the first key >= target.
 func (i *Iter) SeekGE(target []byte) bool { return i.set(i.l.findGE(target, nil)) }
 

@@ -28,11 +28,14 @@ func TestInsertGet(t *testing.T) {
 
 func TestOrderedIteration(t *testing.T) {
 	l := New(bytes.Compare)
+	it := l.NewIter()
+	if it.Last() {
+		t.Fatal("Last on an empty list is valid")
+	}
 	perm := rand.New(rand.NewSource(3)).Perm(2000)
 	for _, i := range perm {
 		l.Insert([]byte(fmt.Sprintf("k%08d", i)), nil)
 	}
-	it := l.NewIter()
 	prev := []byte(nil)
 	n := 0
 	for ok := it.First(); ok; ok = it.Next() {
@@ -44,6 +47,9 @@ func TestOrderedIteration(t *testing.T) {
 	}
 	if n != 2000 {
 		t.Fatalf("iterated %d", n)
+	}
+	if !it.Last() || !bytes.Equal(it.Key(), prev) {
+		t.Fatalf("Last = %q, want %q", it.Key(), prev)
 	}
 }
 

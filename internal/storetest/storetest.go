@@ -178,6 +178,9 @@ type Target struct {
 	Reopen func(leg int, crash bool) (*Target, error)
 	// Ledgers quiesces the store and reads each engine's tombstone ledger.
 	Ledgers func() ([]Ledger, error)
+	// FlushesToL1 reads how many flushes, summed over the store's engines,
+	// merged their memtable straight into level 1 since it was opened.
+	FlushesToL1 func() int64
 }
 
 // Check compares the store with the model: a full scan, then point gets of
@@ -293,8 +296,13 @@ type Config struct {
 	// writes in order instead, as timestamps would.
 	DeleteKeys int
 	// Clock, when set, advances by 1 to Tick each op.
-	Clock *base.LogicalClock
+	Clock Clock
 	Tick  int
+	// FADE marks a run of the FADE configuration: the engines run the FADE
+	// picker with DPT FADEDPT on Clock, with Tick 1000. Run then fails
+	// unless some flush, over all reopens, merged its memtable straight into
+	// level 1 (Target.FlushesToL1).
+	FADE bool
 	// CheckEvery runs Check every so many ops; IdleEvery runs WaitIdle.
 	CheckEvery, IdleEvery int
 	Reopens               []Reopen
@@ -302,6 +310,21 @@ type Config struct {
 	// and another Check, before the ledger check.
 	Settle bool
 }
+
+// Clock is the soup's logical clock: a *base.LogicalClock, or a clock of
+// the test's own that the store's background goroutines may read as the
+// soup advances it.
+type Clock interface {
+	Advance(base.Duration) base.Timestamp
+}
+
+// FADEDPT is the delete persistence threshold, in clock ticks, of the FADE
+// configuration. At Tick 1000 a tombstone ages by 500 ticks an op on
+// average, so it is past level 0's share of this DPT tens of ops after the
+// delete, sooner than most memtables are flushed: most flushes that find
+// level 0 empty merge their memtable straight into level 1, the path a DPT
+// of many memtables' worth never takes.
+const FADEDPT base.Duration = 20_000
 
 type pin struct {
 	scan    func(Bounds) (Iter, error)
@@ -317,6 +340,7 @@ func Run(t testing.TB, tg *Target, cfg Config) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	m := NewModel()
 	var pins []pin
+	var flushesToL1 int64
 	tag := 0
 	key := func() string { return fmt.Sprintf("key%05d", rng.Intn(cfg.Keys)) }
 	value := func() []byte {
@@ -443,6 +467,9 @@ func Run(t testing.TB, tg *Target, cfg Config) {
 			if r.Compacted {
 				must(i, "CompactAll", tg.CompactAll())
 			}
+			if cfg.FADE {
+				flushesToL1 += tg.FlushesToL1()
+			}
 			next, err := tg.Reopen(leg, r.Crash)
 			must(i, fmt.Sprintf("reopen %d", leg), err)
 			tg = next
@@ -462,5 +489,11 @@ func Run(t testing.TB, tg *Target, cfg Config) {
 		ls, err := tg.Ledgers()
 		must(cfg.Ops, "Ledgers", err)
 		CheckLedgers(t, ls)
+	}
+	if cfg.FADE {
+		if flushesToL1 += tg.FlushesToL1(); flushesToL1 == 0 {
+			t.Fatalf("FADE configuration: no flush merged its memtable straight into level 1")
+		}
+		t.Logf("%d flushes merged their memtable straight into level 1", flushesToL1)
 	}
 }

@@ -85,8 +85,8 @@ type Config struct {
 	// outside the controller's mutex and must be cheap and lock-light.
 	Pressure func() float64
 
-	// Now overrides the clock for tests; nil uses time.Now.
-	Now func() time.Time
+	// now is the clock, time.Now unless this package's tests set it.
+	now func() time.Time
 }
 
 // Enabled reports whether the configuration asks for any admission control
@@ -152,11 +152,11 @@ func NewController(cfg Config) *Controller {
 	if cfg.MaxWait <= 0 {
 		cfg.MaxWait = 500 * time.Millisecond
 	}
-	if cfg.Now == nil {
-		cfg.Now = time.Now
+	if cfg.now == nil {
+		cfg.now = time.Now
 	}
 	c := &Controller{cfg: cfg, closed: make(chan struct{})}
-	now := cfg.Now()
+	now := cfg.now()
 	c.buckets[ClassRead] = newBucket(cfg.ReadRate, cfg.ReadBurst, now)
 	c.buckets[ClassWrite] = newBucket(cfg.WriteRate, cfg.WriteBurst, now)
 	return c
@@ -214,7 +214,7 @@ func (c *Controller) Admit(ctx context.Context, cl Class) error {
 		m.Admitted.Add(1)
 		return nil
 	}
-	start := c.cfg.Now()
+	start := c.cfg.now()
 	deadline, hasDeadline := ctx.Deadline()
 	for waited := false; ; waited = true {
 		// The pressure gate is re-read every attempt so a backlog that
@@ -236,7 +236,7 @@ func (c *Controller) Admit(ctx context.Context, cl Class) error {
 		if ok {
 			m.Admitted.Add(1)
 			if waited {
-				m.Wait.Record(int64(c.cfg.Now().Sub(start)))
+				m.Wait.Record(int64(c.cfg.now().Sub(start)))
 			}
 			return nil
 		}
@@ -247,7 +247,7 @@ func (c *Controller) Admit(ctx context.Context, cl Class) error {
 			m.Shed.Add(1)
 			return fmt.Errorf("%w: admission bucket empty under pressure, write shed", ErrOverloaded)
 		}
-		now := c.cfg.Now()
+		now := c.cfg.now()
 		if hasDeadline && now.Add(wait).After(deadline) {
 			// Fail fast: the token provably cannot arrive in time. Wrap
 			// both sentinels so callers can match either the overload or
@@ -275,7 +275,7 @@ func (c *Controller) take(cl Class) (bool, time.Duration) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	b := &c.buckets[cl]
-	b.refill(c.cfg.Now())
+	b.refill(c.cfg.now())
 	if b.tokens >= 1 {
 		b.tokens--
 		return true, 0

@@ -57,7 +57,7 @@ func TestBurstThenRefill(t *testing.T) {
 	clk := newFakeClock()
 	// MaxWait of 1ns turns Admit into a probe: an empty bucket is rejected
 	// at once instead of queued for.
-	c := NewController(Config{WriteRate: 100, WriteBurst: 5, MaxWait: time.Nanosecond, Now: clk.Now})
+	c := NewController(Config{WriteRate: 100, WriteBurst: 5, MaxWait: time.Nanosecond, now: clk.Now})
 	admitted := func() bool { return c.Admit(context.Background(), ClassWrite) == nil }
 	for i := 0; i < 5; i++ {
 		if !admitted() {
@@ -291,5 +291,48 @@ func TestAdmissionConcurrentStress(t *testing.T) {
 	}
 	if accounted != total.Load() {
 		t.Fatalf("accounted %d admissions, issued %d", accounted, total.Load())
+	}
+}
+
+// admitGates are the two gates on Admit's hot path: one with no limit, and
+// one rate-limited whose bucket never runs dry (a burst of 1e11 tokens).
+var admitGates = []struct {
+	name string
+	cfg  Config
+}{
+	{"unlimited", Config{}},
+	{"rate-limited", Config{WriteRate: 1e12}},
+}
+
+// BenchmarkAdmit prices an admission that succeeds at once.
+func BenchmarkAdmit(b *testing.B) {
+	for _, g := range admitGates {
+		b.Run(g.name, func(b *testing.B) {
+			c := NewController(g.cfg)
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.Admit(ctx, ClassWrite); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestAdmitAllocs: an admission that succeeds at once allocates nothing,
+// limited or not (BenchmarkAdmit's recorded allocs/op).
+func TestAdmitAllocs(t *testing.T) {
+	for _, g := range admitGates {
+		c := NewController(g.cfg)
+		ctx := context.Background()
+		if a := testing.AllocsPerRun(1000, func() {
+			if err := c.Admit(ctx, ClassWrite); err != nil {
+				t.Fatal(err)
+			}
+		}); a > 0 {
+			t.Fatalf("%s: Admit makes %.1f allocations, want 0", g.name, a)
+		}
 	}
 }

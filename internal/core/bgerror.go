@@ -58,7 +58,7 @@ func (d *DB) setBackgroundError(cause error) {
 
 // backgroundErrPermanent classifies a background job error. Out-of-space
 // and data corruption are not cured by retrying; everything else is assumed
-// transient (the caller bounds retries with MaxBackgroundRetries).
+// transient (the caller bounds retries with tuning.maxRetries).
 func backgroundErrPermanent(err error) bool {
 	return errors.Is(err, vfs.ErrNoSpace) ||
 		errors.Is(err, syscall.ENOSPC) ||
@@ -69,11 +69,11 @@ func backgroundErrPermanent(err error) bool {
 // noteJobError accounts one failed background job attempt and decides its
 // fate: true means back off and retry; false means the error was escalated
 // to a sticky background error (permanent class, or consecutive transient
-// failures exhausted MaxBackgroundRetries) and the executor should stop.
+// failures exhausted tuning.maxRetries) and the executor should stop.
 func (d *DB) noteJobError(kind string, consecutive int, err error) bool {
 	d.stats.BackgroundErrors.Add(1)
 	retriable := !backgroundErrPermanent(err)
-	if retriable && (d.opts.MaxBackgroundRetries < 0 || consecutive <= d.opts.MaxBackgroundRetries) {
+	if n := d.opts.tuning.maxRetries; retriable && (n < 0 || consecutive <= n) {
 		d.stats.JobRetries.Add(1)
 		d.trace.Emit(event.Event{Type: event.JobRetry, Op: kind, Err: err.Error()})
 		d.opts.logf("acheron: %s error (attempt %d, will retry): %v", kind, consecutive, err)
@@ -89,17 +89,11 @@ func (d *DB) noteJobError(kind string, consecutive int, err error) bool {
 // backoffDelay returns the capped exponential delay before retry attempt
 // consecutive (1-based): base, 2·base, 4·base, ... capped at the max.
 func (d *DB) backoffDelay(consecutive int) time.Duration {
-	delay := d.opts.BackgroundRetryBaseDelay
-	for i := 1; i < consecutive; i++ {
+	delay, ceil := d.opts.tuning.retryBase, d.opts.tuning.retryMax
+	for i := 1; i < consecutive && delay < ceil; i++ {
 		delay *= 2
-		if delay >= d.opts.BackgroundRetryMaxDelay {
-			return d.opts.BackgroundRetryMaxDelay
-		}
 	}
-	if delay > d.opts.BackgroundRetryMaxDelay {
-		delay = d.opts.BackgroundRetryMaxDelay
-	}
-	return delay
+	return min(delay, ceil)
 }
 
 // backoffWait sleeps for delay, returning false if the DB started closing

@@ -25,19 +25,21 @@ import (
 func faultOptions(fs vfs.FS, concurrency int) Options {
 	opts := testOptions(fs, &base.LogicalClock{})
 	opts.DisableAutoMaintenance = false
-	opts.MaintenanceConcurrency = concurrency
 	opts.MaintenanceTickInterval = time.Millisecond
-	opts.MaxImmutableMemTables = 1
-	opts.MaxBackgroundRetries = 3
-	opts.BackgroundRetryBaseDelay = time.Millisecond
-	opts.BackgroundRetryMaxDelay = 4 * time.Millisecond
+	tn := tune(&opts)
+	tn.executors = concurrency
+	tn.maxImm = 1
+	tn.maxRetries = 3
+	tn.retryBase = time.Millisecond
+	tn.retryMax = 4 * time.Millisecond
 	return opts
 }
 
 func TestBackoffDelaySchedule(t *testing.T) {
 	opts := testOptions(vfs.NewMemFS(), &base.LogicalClock{})
-	opts.BackgroundRetryBaseDelay = 10 * time.Millisecond
-	opts.BackgroundRetryMaxDelay = 80 * time.Millisecond
+	tn := tune(&opts)
+	tn.retryBase = 10 * time.Millisecond
+	tn.retryMax = 80 * time.Millisecond
 	d := mustOpen(t, opts)
 	want := []time.Duration{
 		10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond,
@@ -210,7 +212,7 @@ func TestTransientFlushErrorRetriesAndRecovers(t *testing.T) {
 }
 
 // TestTransientRetriesExhaustedGoReadOnly: a fault that keeps reading as
-// transient still escalates once MaxBackgroundRetries consecutive attempts
+// transient still escalates once tuning.maxRetries consecutive attempts
 // fail.
 func TestTransientRetriesExhaustedGoReadOnly(t *testing.T) {
 	for _, conc := range []int{1, 2} {
@@ -218,7 +220,7 @@ func TestTransientRetriesExhaustedGoReadOnly(t *testing.T) {
 			mem := vfs.NewMemFS()
 			efs := errorfs.Wrap(mem, 1)
 			opts := faultOptions(efs, conc)
-			opts.MaxBackgroundRetries = 2
+			opts.tuning.maxRetries = 2
 			d, err := Open("db", opts)
 			if err != nil {
 				t.Fatal(err)
@@ -248,8 +250,8 @@ func TestTransientRetriesExhaustedGoReadOnly(t *testing.T) {
 			if !errors.Is(werr, ErrBackgroundError) || !errors.Is(werr, errorfs.ErrInjected) {
 				t.Fatalf("background error = %v", werr)
 			}
-			if got := d.Stats().JobRetries.Get(); got != int64(opts.MaxBackgroundRetries) {
-				t.Fatalf("JobRetries = %d, want %d", got, opts.MaxBackgroundRetries)
+			if got := d.Stats().JobRetries.Get(); got != int64(opts.tuning.maxRetries) {
+				t.Fatalf("JobRetries = %d, want %d", got, opts.tuning.maxRetries)
 			}
 			if _, err := d.Get([]byte("k00000")); err != nil {
 				t.Fatalf("read in read-only mode: %v", err)
@@ -269,11 +271,11 @@ func TestCloseDuringRepeatedlyFailingFlush(t *testing.T) {
 			mem := vfs.NewMemFS()
 			efs := errorfs.Wrap(mem, 1)
 			opts := faultOptions(efs, conc)
-			opts.MaxBackgroundRetries = -1 // retry forever: escalation never rescues Close
-			opts.BackgroundRetryMaxDelay = 50 * time.Millisecond
+			opts.tuning.maxRetries = -1 // retry forever: escalation never rescues Close
+			opts.tuning.retryMax = 50 * time.Millisecond
 			// Plenty of immutable-queue headroom: the fill below must not stall,
 			// since retry-forever means no background error ever releases it.
-			opts.MaxImmutableMemTables = 100
+			opts.tuning.maxImm = 100
 			d, err := Open("db", opts)
 			if err != nil {
 				t.Fatal(err)

@@ -27,7 +27,7 @@ import (
 // MaintenanceStep performs at most one unit of background work — a flush or
 // a compaction (eager range-delete candidates first) — returning whether
 // anything was done. Deterministic benchmarks drive this directly with auto
-// maintenance disabled; with MaintenanceConcurrency=1 it is the step of the
+// maintenance disabled; with a pool of one executor it is the step of the
 // pool's only executor, so background maintenance runs exactly this
 // sequence.
 func (d *DB) MaintenanceStep() (bool, error) {
@@ -349,8 +349,10 @@ func (d *DB) installCompaction(c *compaction.Candidate, edit *manifest.VersionEd
 	var underMu func()
 	if c.Mem != nil {
 		// A flush into level 1: the memtable leaves the queue as its data
-		// appears in level 1 (flushOne holds flushMu, so it is imm[0]).
+		// appears in level 1 (flushOne holds flushMu, so it is imm[0]), and
+		// its WAL segment falls below the watermark.
 		underMu = d.popImmLocked
+		edit.LogNum = d.unflushedLog()
 	}
 	return d.installEdit(edit, func(cur *manifest.Version) {
 		runID := c.OutputRunID

@@ -157,10 +157,10 @@ func (d *DB) admitClass(ctx context.Context, cl admission.Class) error {
 // set's internal read lock — so the gate never touches d.mu.
 func (d *DB) writePressure() float64 {
 	var p float64
-	if m := d.opts.MaxImmutableMemTables; m > 0 {
+	if m := d.opts.tuning.maxImm; m > 0 {
 		p = float64(d.stats.FlushQueueDepth.Get()) / float64(m)
 	}
-	if m := d.opts.L0StallRuns; m > 0 {
+	if m := d.opts.tuning.l0StallRuns; m > 0 {
 		if q := float64(len(d.vs.Current().Levels[0])) / float64(m); q > p {
 			p = q
 		}

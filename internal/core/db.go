@@ -228,7 +228,7 @@ func Open(dirname string, opts Options) (*DB, error) {
 	d.stats.SetPersistenceDeadline(opts.Compaction.DPT)
 
 	if !opts.DisableAutoMaintenance {
-		d.startExecutors(opts.MaintenanceConcurrency)
+		d.startExecutors(opts.tuning.executors)
 	}
 	return d, nil
 }
@@ -314,11 +314,10 @@ func (d *DB) recoverAndClean() error {
 	}
 	d.walW = wal.NewWriter(f)
 	d.memLog = newLog
-	d.vs.SetLogNum(newLog)
 
 	// Flush recovered data immediately so the old logs can go, then
 	// persist the new LogNum either way.
-	edit := &manifest.VersionEdit{}
+	edit := &manifest.VersionEdit{LogNum: newLog}
 	if !rec.Empty() {
 		fn, meta, err := d.writeMemTable(rec)
 		if err != nil {
@@ -562,8 +561,8 @@ func (d *DB) wakeStalledWriters() {
 // stallCause indexes the per-cause stall metrics: which resource's limit
 // engaged the backpressure.
 const (
-	stallCauseImm = iota // immutable-memtable backlog (MaxImmutableMemTables)
-	stallCauseL0         // L0 run count (L0StallRuns)
+	stallCauseImm = iota // immutable-memtable backlog (tuning.maxImm)
+	stallCauseL0         // L0 run count (tuning.l0StallRuns)
 	numStallCauses
 )
 
@@ -611,8 +610,8 @@ func (d *DB) stallWritesLocked(group, own *pendingCommit) error {
 		if err = d.backgroundErrLocked(); err != nil {
 			break
 		}
-		immFull := d.opts.MaxImmutableMemTables > 0 && len(d.imm) >= d.opts.MaxImmutableMemTables
-		l0Full := d.opts.L0StallRuns > 0 && len(d.vs.Current().Levels[0]) >= d.opts.L0StallRuns
+		immFull := d.opts.tuning.maxImm > 0 && len(d.imm) >= d.opts.tuning.maxImm
+		l0Full := d.opts.tuning.l0StallRuns > 0 && len(d.vs.Current().Levels[0]) >= d.opts.tuning.l0StallRuns
 		if !immFull && !l0Full {
 			break
 		}

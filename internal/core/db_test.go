@@ -26,6 +26,13 @@ func testOptions(fs vfs.FS, clk base.Clock) Options {
 	}
 }
 
+// tune gives opts its own copy of the default tuning and returns it, for
+// the test to set the pool size, stall limits or retry policy before Open.
+func tune(opts *Options) *tuning {
+	opts.tuning = defaultTuning()
+	return opts.tuning
+}
+
 // target presents d to the shared differential suite.
 func target(d *DB) *storetest.Target {
 	scan := func(snap *Snapshot) func(storetest.Bounds) (storetest.Iter, error) {

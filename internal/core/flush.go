@@ -15,7 +15,6 @@ import (
 // options.
 func (d *DB) writerOptions() sstable.WriterOptions {
 	return sstable.WriterOptions{
-		BlockSize:       blockBytes,
 		BloomBitsPerKey: d.opts.BloomBitsPerKey,
 		PagesPerTile:    d.opts.PagesPerTile,
 		DeleteKeyFunc:   d.opts.DeleteKeyFunc,
@@ -138,7 +137,7 @@ func (d *DB) flushOne() (bool, error) {
 
 	ji := JobInfo{ID: d.sched.newID(), Kind: JobFlush, Started: start}
 	d.traceJobClaim(ji.ID, "flush", 0, "")
-	edit := &manifest.VersionEdit{}
+	edit := &manifest.VersionEdit{LogNum: d.unflushedLog()}
 	if !e.mem.Empty() {
 		fn, meta, err := d.writeMemTable(e.mem)
 		if err != nil {
@@ -165,6 +164,18 @@ func (d *DB) flushOne() (bool, error) {
 		d.recordJob(ji, nil)
 	}
 	return true, nil
+}
+
+// unflushedLog is the WAL segment of the oldest memtable left unflushed
+// once imm[0]'s flush lands: a flush edit's LogNum, below which recovery
+// reads no segment. Caller holds flushMu, so imm[0] is the one flushing.
+func (d *DB) unflushedLog() base.FileNum {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if len(d.imm) > 1 {
+		return d.imm[1].logNum
+	}
+	return d.memLog
 }
 
 // popImmLocked drops the oldest sealed memtable from the flush queue, in

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/base"
@@ -307,15 +308,18 @@ func TestFlushIntoL1Declined(t *testing.T) {
 // TestFlushIntoL1Crash crashes a flush into level 1 after its outputs are
 // synced but before the manifest append, and after the append but before
 // the WAL segment is removed. The reopened store holds every acknowledged
-// write, no table the manifest does not name, and scrubs clean.
+// write, no table the manifest does not name, and scrubs clean. After the
+// append, it also holds the flushed memtable once: in level 1, not again
+// replayed into level 0 (checkNoReplay).
 func TestFlushIntoL1Crash(t *testing.T) {
 	for _, point := range []struct {
-		name string
-		op   errorfs.Op
-		glob string
+		name     string
+		op       errorfs.Op
+		glob     string
+		appended bool // the crash follows the manifest append
 	}{
-		{"before-manifest-append", errorfs.OpWrite, "MANIFEST-*"},
-		{"before-wal-removal", errorfs.OpRemove, "*.log"},
+		{"before-manifest-append", errorfs.OpWrite, "MANIFEST-*", false},
+		{"before-wal-removal", errorfs.OpRemove, "*.log", true},
 	} {
 		t.Run(point.name, func(t *testing.T) {
 			tw := openFlushTwin(t, twinConfig{sync: true})
@@ -349,7 +353,71 @@ func TestFlushIntoL1Crash(t *testing.T) {
 				}
 			}
 			checkTombstoneLedger(t, d)
+			if point.appended {
+				checkNoReplay(t, d, tw.d)
+			}
 		})
+	}
+}
+
+// TestFlushCrashBeforeWALRemoval crashes a plain flush to level 0 after its
+// manifest append, before its WAL segment is removed. The reopened store
+// holds the memtable once, as the one level-0 table the flush wrote.
+func TestFlushCrashBeforeWALRemoval(t *testing.T) {
+	tw := openFlushTwin(t, twinConfig{sync: true})
+	var crash *vfs.MemFS
+	tw.efs.Add(&errorfs.Rule{
+		Ops: []errorfs.Op{errorfs.OpRemove}, PathGlob: "*.log", Kind: errorfs.FaultNone,
+		Hook: func(errorfs.Op, string) { crash = tw.mem.CrashClone() },
+	})
+	if err := tw.d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	l0 := tw.d.vs.Current().Levels[0]
+	if crash == nil || len(l0) != 1 || len(l0[0].Files) != 1 {
+		t.Fatalf("crash point reached: %v, level 0: %d runs", crash != nil, len(l0))
+	}
+
+	opts := tw.d.opts
+	opts.FS = crash
+	d := mustOpen(t, opts)
+	storetest.Check(t, target(d), tw.model, 0)
+	checkTombstoneLedger(t, d)
+	checkNoReplay(t, d, tw.d)
+	storetest.Check(t, target(d), tw.model, 0)
+}
+
+// checkNoReplay fails unless d — crashed's store, reopened after a crash
+// between a flush's manifest append and its WAL segment's removal — holds
+// the flushed memtable once: level 0 holds the tables crashed's held, the live
+// tombstone gauge reads what crashed's read, and maintenance then books no
+// persistence sample beyond the point and range tombstones crashed held
+// live. A replayed segment would bring back, live, tombstones the flush
+// had already disposed of.
+func checkNoReplay(t *testing.T, d, crashed *DB) {
+	t.Helper()
+	level0 := func(d *DB) []base.FileNum {
+		var fns []base.FileNum
+		for _, r := range d.vs.Current().Levels[0] {
+			for _, f := range r.Files {
+				fns = append(fns, f.FileNum)
+			}
+		}
+		return fns
+	}
+	if got, want := level0(d), level0(crashed); !slices.Equal(got, want) {
+		t.Fatalf("level 0 holds tables %v after recovery, %v before the crash", got, want)
+	}
+	live := crashed.Stats().LiveTombstones.Get()
+	if n := d.Stats().LiveTombstones.Get(); n != live {
+		t.Fatalf("LiveTombstones = %d after recovery, %d before the crash", n, live)
+	}
+	live += int64(len(crashed.vs.Current().RangeTombstones()))
+	if err := d.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	if n := d.Stats().PersistenceLatency.Count(); n > live {
+		t.Fatalf("maintenance after recovery booked %d persistence samples; %d tombstones were live at the crash", n, live)
 	}
 }
 

@@ -22,8 +22,6 @@ import (
 
 // Tuning values no test, experiment, or workload has needed to change.
 const (
-	// blockBytes is the sstable page size.
-	blockBytes = 4096
 	// readViewMaxEntries skips cached-view construction for versions with
 	// more entries than this, bounding a view's resident size (2 bytes per
 	// entry plus anchors).
@@ -102,44 +100,16 @@ type Options struct {
 	// executors; callers drive MaintenanceStep themselves (deterministic
 	// benchmarks do this).
 	DisableAutoMaintenance bool
-	// MaintenanceConcurrency is the size of the maintenance executor pool
-	// when auto maintenance is enabled. A pool of 1 steps flushes and
-	// compactions (eager range-delete candidates first) in that order — the sequence
-	// deterministic benches drive by hand through MaintenanceStep. A pool
-	// of n >= 2 is one flush executor plus n-1 compaction executors
-	// picking level/key-disjoint jobs concurrently, with TTL-triggered
-	// (DPT-critical) jobs taking priority over saturation work. Default: 2
-	// when GOMAXPROCS > 1, else 1.
-	MaintenanceConcurrency int
 	// MaintenanceTickInterval is how often idle executors re-examine the
 	// tree (TTL expiry detection is tick-driven). Default 25ms.
 	MaintenanceTickInterval time.Duration
-	// MaxImmutableMemTables stalls writes when this many immutable
-	// memtables are queued for flush (only with auto maintenance; manual
-	// drivers are never stalled). Default 4; negative disables stalling.
-	MaxImmutableMemTables int
-	// L0StallRuns stalls writes when level 0 holds at least this many
-	// runs (only with auto maintenance). Default 12; negative disables.
-	L0StallRuns int
 	// Admission configures token-bucket admission control ahead of the
 	// write and read paths (see package admission). The zero value
 	// disables the gate entirely; it activates when WriteRate or ReadRate
 	// is positive. The pressure feed defaults to the engine's live stall
-	// pressure: the imm-memtable and L0 backlogs measured against
-	// MaxImmutableMemTables and L0StallRuns, so writes shed before the
-	// stall condition engages.
+	// pressure: the imm-memtable and L0 backlogs measured against their
+	// stall limits, so writes shed before the stall condition engages.
 	Admission admission.Config
-	// MaxBackgroundRetries bounds consecutive transient failures of a
-	// background job (flush, compaction) before the
-	// engine gives up and enters read-only mode with a sticky background
-	// error. Permanent failures (out of space, corruption) escalate
-	// immediately regardless. Default 5; negative retries forever.
-	MaxBackgroundRetries int
-	// BackgroundRetryBaseDelay and BackgroundRetryMaxDelay bound the
-	// capped exponential backoff between retries of a failing background
-	// job: base, 2·base, 4·base, … up to the max. Defaults 20ms and 1s.
-	BackgroundRetryBaseDelay time.Duration
-	BackgroundRetryMaxDelay  time.Duration
 	// EventListener, when set, receives every trace event synchronously at
 	// the emit site. It must be fast and must not call back into the DB.
 	// Events are buffered in a ring of event.DefaultRingSize regardless,
@@ -147,6 +117,46 @@ type Options struct {
 	EventListener event.Listener
 	// Logger, when set, receives diagnostic messages.
 	Logger func(format string, args ...any)
+
+	// tuning replaces defaultTuning when set, by this package's tests only.
+	tuning *tuning
+}
+
+// tuning is the maintenance pool size, the write-stall limits and the
+// background retry policy.
+type tuning struct {
+	// executors is the pool size: 1 steps MaintenanceStep (flush, then a
+	// compaction), the sequence deterministic drivers run by hand; n >= 2
+	// is a flush executor and n-1 compaction executors picking disjoint
+	// jobs, TTL-triggered (DPT-critical) ones first.
+	executors int
+	// Writes stall, with auto maintenance only, while maxImm sealed
+	// memtables await a flush or level 0 holds l0StallRuns runs; a limit
+	// <= 0 never stalls.
+	maxImm, l0StallRuns int
+	// A background job failing transiently more than maxRetries times in a
+	// row (never, if negative) turns the store read-only; the retries back
+	// off from retryBase, doubling, up to retryMax.
+	maxRetries          int
+	retryBase, retryMax time.Duration
+}
+
+// The default stall limits and retry policy.
+const (
+	maxImmutableMemTables, l0StallRuns = 4, 12
+	maxBackgroundRetries               = 5
+	retryBaseDelay, retryMaxDelay      = 20 * time.Millisecond, time.Second
+)
+
+// defaultTuning is every caller's: one executor at one P, otherwise a
+// flush and a compaction executor.
+func defaultTuning() *tuning {
+	t := &tuning{executors: 1, maxImm: maxImmutableMemTables, l0StallRuns: l0StallRuns,
+		maxRetries: maxBackgroundRetries, retryBase: retryBaseDelay, retryMax: retryMaxDelay}
+	if runtime.GOMAXPROCS(0) > 1 {
+		t.executors = 2
+	}
+	return t
 }
 
 func (o Options) withDefaults() Options {
@@ -168,29 +178,11 @@ func (o Options) withDefaults() Options {
 	if o.PagesPerTile <= 0 {
 		o.PagesPerTile = 1
 	}
-	if o.MaintenanceConcurrency <= 0 {
-		o.MaintenanceConcurrency = 1
-		if runtime.GOMAXPROCS(0) > 1 {
-			o.MaintenanceConcurrency = 2
-		}
-	}
 	if o.MaintenanceTickInterval <= 0 {
 		o.MaintenanceTickInterval = 25 * time.Millisecond
 	}
-	if o.MaxImmutableMemTables == 0 {
-		o.MaxImmutableMemTables = 4
-	}
-	if o.L0StallRuns == 0 {
-		o.L0StallRuns = 12
-	}
-	if o.MaxBackgroundRetries == 0 {
-		o.MaxBackgroundRetries = 5
-	}
-	if o.BackgroundRetryBaseDelay <= 0 {
-		o.BackgroundRetryBaseDelay = 20 * time.Millisecond
-	}
-	if o.BackgroundRetryMaxDelay <= 0 {
-		o.BackgroundRetryMaxDelay = time.Second
+	if o.tuning == nil {
+		o.tuning = defaultTuning()
 	}
 	o.Compaction = o.Compaction.WithDefaults()
 	return o

@@ -21,14 +21,16 @@ import (
 // tiny memtables, a one-deep immutable queue, and flushes pinned by the
 // supplied gateFS until its gate channel is closed.
 func stallOptions(fs vfs.FS) Options {
-	return Options{
+	opts := Options{
 		FS:                      fs,
 		MemTableBytes:           4 << 10,
 		DeleteKeyFunc:           storetest.DeleteKey,
-		MaintenanceConcurrency:  2,
 		MaintenanceTickInterval: time.Millisecond,
-		MaxImmutableMemTables:   1,
 	}
+	tn := tune(&opts)
+	tn.executors = 2
+	tn.maxImm = 1
+	return opts
 }
 
 // fillToStallThreshold writes until the immutable queue is full, so the NEXT
@@ -38,7 +40,7 @@ func stallOptions(fs vfs.FS) Options {
 func fillToStallThreshold(t *testing.T, d *DB) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
-	for i := 0; d.stats.FlushQueueDepth.Get() < int64(d.opts.MaxImmutableMemTables); i++ {
+	for i := 0; d.stats.FlushQueueDepth.Get() < int64(d.opts.tuning.maxImm); i++ {
 		if time.Now().After(deadline) {
 			t.Fatal("immutable queue never filled against a gated flush")
 		}
@@ -152,7 +154,7 @@ func TestStallDeadlineExceeded(t *testing.T) {
 func TestMaintenanceBarrierHonorsContext(t *testing.T) {
 	fs := &gateFS{FS: vfs.NewMemFS(), gate: make(chan struct{})}
 	opts := stallOptions(fs)
-	opts.MaxImmutableMemTables = -1 // no stalls: this test is about the barrier
+	opts.tuning.maxImm = -1 // no stalls: this test is about the barrier
 	d, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -223,9 +225,7 @@ func TestOverloadStressRandomCancels(t *testing.T) {
 		FS:                      vfs.NewMemFS(),
 		MemTableBytes:           32 << 10,
 		DeleteKeyFunc:           storetest.DeleteKey,
-		MaintenanceConcurrency:  2,
 		MaintenanceTickInterval: time.Millisecond,
-		MaxImmutableMemTables:   2,
 		Admission: admission.Config{
 			WriteRate:  5000,
 			WriteBurst: 50,
@@ -233,6 +233,9 @@ func TestOverloadStressRandomCancels(t *testing.T) {
 			MaxWait:    2 * time.Millisecond,
 		},
 	}
+	tn := tune(&opts)
+	tn.executors = 2
+	tn.maxImm = 2
 	d, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -392,7 +395,7 @@ func TestCancelledCommitAtomicity(t *testing.T) {
 		Kind:     errorfs.FaultTransient,
 	})
 	opts := faultOptions(efs, 2)
-	opts.MaxBackgroundRetries = -1
+	opts.tuning.maxRetries = -1
 
 	d, err := Open("db", opts)
 	if err != nil {

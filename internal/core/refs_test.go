@@ -89,7 +89,7 @@ func TestIteratorPinsOnlyItsVersion(t *testing.T) {
 func concurrentOptions(fs vfs.FS) Options {
 	opts := testOptions(fs, &base.LogicalClock{})
 	opts.DisableAutoMaintenance = false
-	opts.MaintenanceConcurrency = 2
+	tune(&opts).executors = 2
 	opts.MaintenanceTickInterval = time.Millisecond
 	return opts
 }

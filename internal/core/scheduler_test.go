@@ -39,12 +39,10 @@ func (s *slowFS) Create(name string) (vfs.File, error) {
 func TestSchedulerConcurrentStress(t *testing.T) {
 	fs := vfs.NewMemFS()
 	opts := Options{
-		FS:                     fs,
-		MemTableBytes:          32 << 10,
-		DeleteKeyFunc:          storetest.DeleteKey,
-		EagerRangeDeletes:      true,
-		MaintenanceConcurrency: 3,
-		MaxImmutableMemTables:  2,
+		FS:                fs,
+		MemTableBytes:     32 << 10,
+		DeleteKeyFunc:     storetest.DeleteKey,
+		EagerRangeDeletes: true,
 		Compaction: compaction.Options{
 			SizeRatio:       4,
 			L0Threshold:     2,
@@ -54,6 +52,9 @@ func TestSchedulerConcurrentStress(t *testing.T) {
 			Picker:          compaction.PickFADE,
 		},
 	}
+	tn := tune(&opts)
+	tn.executors = 3
+	tn.maxImm = 2
 	d, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -242,10 +243,9 @@ func TestSchedulerSerializedDeterminism(t *testing.T) {
 func TestSchedulerTTLPreemption(t *testing.T) {
 	fs := &slowFS{FS: vfs.NewMemFS(), delay: 3 * time.Millisecond}
 	opts := Options{
-		FS:                     fs,
-		MemTableBytes:          16 << 10,
-		DeleteKeyFunc:          storetest.DeleteKey,
-		MaintenanceConcurrency: 3,
+		FS:            fs,
+		MemTableBytes: 16 << 10,
+		DeleteKeyFunc: storetest.DeleteKey,
 		Compaction: compaction.Options{
 			SizeRatio:       4,
 			L0Threshold:     2,
@@ -255,6 +255,7 @@ func TestSchedulerTTLPreemption(t *testing.T) {
 			Picker:          compaction.PickFADE,
 		},
 	}
+	tune(&opts).executors = 3
 	d, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -314,11 +315,9 @@ func TestSchedulerWriteBackpressure(t *testing.T) {
 	fs := &slowFS{FS: vfs.NewMemFS(), delay: 2 * time.Millisecond}
 	fs.armed.Store(true)
 	opts := Options{
-		FS:                     fs,
-		MemTableBytes:          4 << 10,
-		DeleteKeyFunc:          storetest.DeleteKey,
-		MaintenanceConcurrency: 2,
-		MaxImmutableMemTables:  1,
+		FS:            fs,
+		MemTableBytes: 4 << 10,
+		DeleteKeyFunc: storetest.DeleteKey,
 		Compaction: compaction.Options{
 			SizeRatio:       4,
 			L0Threshold:     4,
@@ -326,6 +325,9 @@ func TestSchedulerWriteBackpressure(t *testing.T) {
 			TargetFileBytes: 16 << 10,
 		},
 	}
+	tn := tune(&opts)
+	tn.executors = 2
+	tn.maxImm = 1
 	d, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -338,8 +340,8 @@ func TestSchedulerWriteBackpressure(t *testing.T) {
 	d.mu.Lock()
 	queued := len(d.imm)
 	d.mu.Unlock()
-	if max := opts.MaxImmutableMemTables; queued > max+1 {
-		t.Fatalf("immutable queue reached %d with MaxImmutableMemTables=%d", queued, max)
+	if max := opts.tuning.maxImm; queued > max+1 {
+		t.Fatalf("immutable queue reached %d with a stall limit of %d", queued, max)
 	}
 	if d.stats.WriteStalls.Get() == 0 {
 		t.Fatal("a fast writer against 2ms flushes never stalled")
@@ -378,12 +380,13 @@ func (g *gateFS) Create(name string) (vfs.File, error) {
 func TestSchedulerCloseReleasesStalledWriter(t *testing.T) {
 	fs := &gateFS{FS: vfs.NewMemFS(), gate: make(chan struct{})}
 	opts := Options{
-		FS:                     fs,
-		MemTableBytes:          4 << 10,
-		DeleteKeyFunc:          storetest.DeleteKey,
-		MaintenanceConcurrency: 2,
-		MaxImmutableMemTables:  1,
+		FS:            fs,
+		MemTableBytes: 4 << 10,
+		DeleteKeyFunc: storetest.DeleteKey,
 	}
+	tn := tune(&opts)
+	tn.executors = 2
+	tn.maxImm = 1
 	d, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -448,11 +451,11 @@ func testPausedFlushWaitsForResume(t *testing.T, concurrency int) {
 		FS:                      vfs.NewMemFS(),
 		MemTableBytes:           4 << 10,
 		DeleteKeyFunc:           storetest.DeleteKey,
-		MaintenanceConcurrency:  concurrency,
 		MaintenanceTickInterval: time.Hour,
-		MaxImmutableMemTables:   -1, // writers must not stall while paused
-		L0StallRuns:             -1,
 	}
+	tn := tune(&opts)
+	tn.executors = concurrency
+	tn.maxImm, tn.l0StallRuns = -1, -1 // writers must not stall while paused
 	d, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)

@@ -37,6 +37,8 @@ func TestCrashRecoveryTorture(t *testing.T) {
 		{"sst-write", []errorfs.Op{errorfs.OpWrite}, "*.sst"},
 		{"manifest-sync", []errorfs.Op{errorfs.OpSync}, "MANIFEST-*"},
 		{"any-write", []errorfs.Op{errorfs.OpWrite}, ""},
+		// After a flush's manifest append, before its segment is removed.
+		{"wal-remove", []errorfs.Op{errorfs.OpRemove}, "*.log"},
 	}
 	for _, style := range styles {
 		for _, seed := range []int64{1, 7, 42} {

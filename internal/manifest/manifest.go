@@ -238,8 +238,8 @@ type VersionEdit struct {
 	// Added and Deleted list the file changes.
 	Added   []NewFileEntry
 	Deleted []DeletedFileEntry
-	// LastSeqNum, NextFileNum and LogNum persist engine counters when
-	// non-zero.
+	// LastSeqNum, NextFileNum and LogNum (the WAL watermark) persist
+	// engine counters when non-zero.
 	LastSeqNum  base.SeqNum
 	NextFileNum base.FileNum
 	LogNum      base.FileNum

@@ -160,11 +160,8 @@ func (vs *VersionSet) LastSeqNum() base.SeqNum { return base.SeqNum(vs.lastSeqNu
 // write path calls it under the engine's commit mutex, so values only grow.
 func (vs *VersionSet) SetLastSeqNum(seq base.SeqNum) { vs.lastSeqNum.Store(uint64(seq)) }
 
-// LogNum returns the WAL segment number backing the mutable memtable.
+// LogNum returns the WAL watermark: recovery replays no segment below it.
 func (vs *VersionSet) LogNum() base.FileNum { return base.FileNum(vs.logNum.Load()) }
-
-// SetLogNum records the WAL segment backing the mutable memtable.
-func (vs *VersionSet) SetLogNum(n base.FileNum) { vs.logNum.Store(uint64(n)) }
 
 // casMax raises a monotone atomic to at least v.
 func casMax(a *atomic.Uint64, v uint64) {
@@ -383,10 +380,11 @@ func (vs *VersionSet) commitLocked(e *VersionEdit) (*Version, error) {
 	if vs.writer == nil {
 		return nil, errors.New("manifest: version set closed")
 	}
-	// Stamp counters into the edit so recovery replays them.
+	// Stamp counters into the edit so recovery replays them. A flush's
+	// edit raises the log number; the set adopts it once the edit is durable.
 	e.LastSeqNum = vs.LastSeqNum()
 	e.NextFileNum = vs.NextFileNum()
-	e.LogNum = vs.LogNum()
+	e.LogNum = max(e.LogNum, vs.LogNum())
 	e.NextRunID = vs.NextRunID()
 	// Apply first: an edit the version rejects never reaches the log.
 	nv, err := vs.current.Apply(e)

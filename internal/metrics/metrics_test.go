@@ -160,3 +160,34 @@ func TestPeakGaugeConcurrent(t *testing.T) {
 		t.Fatalf("peak = %d, want within [1, 8]", p)
 	}
 }
+
+// BenchmarkHistogramRecord prices one sample, spread over 20 buckets.
+func BenchmarkHistogramRecord(b *testing.B) {
+	var h Histogram
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h.Record(int64(i&(1<<20-1)) + 1)
+	}
+}
+
+// BenchmarkCounterAdd prices one increment.
+func BenchmarkCounterAdd(b *testing.B) {
+	var c Counter
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c.Add(1)
+	}
+}
+
+// TestRecordAllocs: recording a sample or adding to a counter allocates
+// nothing (the benchmarks' recorded allocs/op).
+func TestRecordAllocs(t *testing.T) {
+	var h Histogram
+	var c Counter
+	if a := testing.AllocsPerRun(1000, func() { h.Record(12345) }); a > 0 {
+		t.Fatalf("Histogram.Record makes %.1f allocations, want 0", a)
+	}
+	if a := testing.AllocsPerRun(1000, func() { c.Add(1) }); a > 0 {
+		t.Fatalf("Counter.Add makes %.1f allocations, want 0", a)
+	}
+}

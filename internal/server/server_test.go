@@ -324,17 +324,17 @@ func waitGoroutines(t *testing.T, baseline int) {
 // goroutine is left behind.
 func TestOpTimeoutBoundsParkedRequest(t *testing.T) {
 	const timeout = 50 * time.Millisecond
-	// open starts a one-shard store whose flushes pin on a gate, so the
-	// second memtable rotation stalls writes, and serves it.
+	// open starts a one-shard store whose flushes pin on a gate, so writes
+	// stall once the engine's limit of four sealed memtables is queued (the
+	// oldest pinned in its flush), and serves it.
 	open := func(t *testing.T) (*gateFS, *shard.Router, *Server, *client.Client) {
 		fs := &gateFS{FS: vfs.NewMemFS(), gate: make(chan struct{})}
 		fs.armed.Store(true)
 		r, err := shard.Open("db", core.Options{
-			FS:                    fs,
-			Shards:                1,
-			MemTableBytes:         4 << 10,
-			MaxImmutableMemTables: 1,
-			DeleteKeyFunc:         storetest.DeleteKey,
+			FS:            fs,
+			Shards:        1,
+			MemTableBytes: 4 << 10,
+			DeleteKeyFunc: storetest.DeleteKey,
 		})
 		if err != nil {
 			t.Fatal(err)

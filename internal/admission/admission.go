@@ -214,7 +214,9 @@ func (c *Controller) Admit(ctx context.Context, cl Class) error {
 		m.Admitted.Add(1)
 		return nil
 	}
-	start := c.cfg.now()
+	// start is the first failed attempt's clock reading: an admission that
+	// gets a token at once reads the clock only in take.
+	var start time.Time
 	deadline, hasDeadline := ctx.Deadline()
 	for waited := false; ; waited = true {
 		// The pressure gate is re-read every attempt so a backlog that
@@ -248,6 +250,9 @@ func (c *Controller) Admit(ctx context.Context, cl Class) error {
 			return fmt.Errorf("%w: admission bucket empty under pressure, write shed", ErrOverloaded)
 		}
 		now := c.cfg.now()
+		if !waited {
+			start = now
+		}
 		if hasDeadline && now.Add(wait).After(deadline) {
 			// Fail fast: the token provably cannot arrive in time. Wrap
 			// both sentinels so callers can match either the overload or

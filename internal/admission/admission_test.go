@@ -321,6 +321,25 @@ func BenchmarkAdmit(b *testing.B) {
 	}
 }
 
+// TestImmediateAdmitReadsClockOnce: a rate-limited admission that gets a
+// token at once reads the clock once, to refill the bucket; the queue-time
+// reference is taken only when an attempt fails.
+func TestImmediateAdmitReadsClockOnce(t *testing.T) {
+	var reads atomic.Int64
+	clk := newFakeClock()
+	c := NewController(Config{WriteRate: 100, WriteBurst: 5, now: func() time.Time {
+		reads.Add(1)
+		return clk.Now()
+	}})
+	reads.Store(0)
+	if err := c.Admit(context.Background(), ClassWrite); err != nil {
+		t.Fatal(err)
+	}
+	if n := reads.Load(); n != 1 {
+		t.Fatalf("immediate admission read the clock %d times, want 1", n)
+	}
+}
+
 // TestAdmitAllocs: an admission that succeeds at once allocates nothing,
 // limited or not (BenchmarkAdmit's recorded allocs/op).
 func TestAdmitAllocs(t *testing.T) {

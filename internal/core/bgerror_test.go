@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -463,24 +462,33 @@ func assertNoOrphanTables(t *testing.T, fs vfs.FS, d *DB) {
 // outputs already finished — must unlink everything it wrote, so the retry
 // does not leak one set of files per attempt, and the manifest must forget
 // the failed edit, so a reopen (after the retry, or with no retry at all)
-// finds every file its log names. The pool is paused while the tree is
-// staged, so the first job after resume is the one that meets the one-shot
-// fault; the executor's backoff-retry then completes it. Pool size 0 is no
-// pool: one synchronous MaintenanceStep fails and nothing retries.
+// finds every file its log names. The one-shot fault is armed just before
+// the step that makes the target job pickable — the range delete, or the
+// third flush, with its countdown moved past that flush's own matching ops
+// — so the first job after it is the one that meets it; the executor's
+// backoff-retry then completes it. Pool size 0 is no pool: one synchronous
+// MaintenanceStep fails and nothing retries.
 func TestTransientCompactionCommitLeavesNoOrphans(t *testing.T) {
 	const keys = 2000
 	manifestSync := func() *errorfs.Rule {
 		return &errorfs.Rule{Ops: []errorfs.Op{errorfs.OpSync}, PathGlob: "MANIFEST-*", Kind: errorfs.FaultTransient}
 	}
+	// What the third flush, which the merge cases arm before, does of each
+	// fault's ops: its manifest syncs and its table writes.
+	const flushManifestSyncs, flushTableWrites = 1, 27
 	cases := []struct {
 		name  string
 		eager bool
 		rule  func() *errorfs.Rule
 	}{
-		{"compaction/manifest-sync", false, manifestSync},
-		// The 40th table write lands in the merge's third output file.
+		{"compaction/manifest-sync", false, func() *errorfs.Rule {
+			r := manifestSync()
+			r.Countdown = flushManifestSyncs + 1
+			return r
+		}},
+		// The 40th table write of the merge lands in its third output file.
 		{"compaction/sst-write-mid-merge", false, func() *errorfs.Rule {
-			return &errorfs.Rule{Ops: []errorfs.Op{errorfs.OpWrite}, PathGlob: "*.sst", Countdown: 40, Kind: errorfs.FaultTransient}
+			return &errorfs.Rule{Ops: []errorfs.Op{errorfs.OpWrite}, PathGlob: "*.sst", Countdown: flushTableWrites + 40, Kind: errorfs.FaultTransient}
 		}},
 		{"eager-rewrite/manifest-sync", true, manifestSync},
 	}
@@ -493,12 +501,11 @@ func TestTransientCompactionCommitLeavesNoOrphans(t *testing.T) {
 				opts.MemTableBytes = 1 << 20 // the test flushes by hand
 				opts.PagesPerTile = 4
 				opts.EagerRangeDeletes = tc.eager
+				opts.Compaction.L0Threshold = 3 // no job until the third flush
 				d := mustOpen(t, opts)
-				if err := d.sched.pauseCtx(context.Background()); err != nil {
-					t.Fatal(err)
-				}
 				m := storetest.NewModel()
-				put := func(round int) {
+				var fault *errorfs.Rule
+				put := func(round int, arm bool) {
 					for i := 0; i < keys; i++ {
 						k, v := fmt.Sprintf("k%05d", i), storetest.Value(uint64(i), round)
 						if err := d.Put([]byte(k), v); err != nil {
@@ -506,24 +513,26 @@ func TestTransientCompactionCommitLeavesNoOrphans(t *testing.T) {
 						}
 						m.Put(k, v)
 					}
+					if arm {
+						fault = efs.Add(tc.rule())
+					}
 					if err := d.Flush(); err != nil {
 						t.Fatal(err)
 					}
 				}
-				put(0)
+				put(0, false)
 				if tc.eager {
 					// One L0 file, half covered: an eager rewrite, no compaction.
+					fault = efs.Add(tc.rule())
 					if err := d.DeleteSecondaryRange(0, keys/2); err != nil {
 						t.Fatal(err)
 					}
 					m.DeleteRange(0, keys/2)
 				} else {
 					// Three overlapping L0 files: a real merge, not a trivial move.
-					put(1)
-					put(2)
+					put(1, false)
+					put(2, true)
 				}
-				fault := efs.Add(tc.rule())
-				d.resumeMaintenance()
 
 				if conc == 0 {
 					if _, err := d.MaintenanceStep(); err == nil || fault.Fired() == 0 {
@@ -543,6 +552,19 @@ func TestTransientCompactionCommitLeavesNoOrphans(t *testing.T) {
 					if err := d.BackgroundError(); err != nil {
 						t.Fatalf("transient fault escalated: %v", err)
 					}
+				}
+				// The fault met the target job, not the flush armed before it.
+				failed := 0
+				for _, ji := range d.RecentMaintJobs() {
+					if ji.Err == nil {
+						continue
+					}
+					if failed++; ji.Kind != JobCompact {
+						t.Fatalf("the fault met a %s job, not the compaction: %+v", ji.Kind, ji)
+					}
+				}
+				if failed == 0 {
+					t.Fatal("no failed job recorded")
 				}
 				assertNoOrphanTables(t, efs, d)
 				if s := d.Stats(); s.FilesDeleted.Get() > s.FilesCreated.Get() {

@@ -10,18 +10,15 @@ import (
 	"repro/internal/manifest"
 )
 
-// Maintenance-side lock order, part of the documented lock DAG:
-// the maintenance gate is outermost, then the stage locks (flushMu for the
-// flush queue, pickMu for pick+claim), then the engine mutex. flushMu
-// precedes pickMu: a flush that merges its memtable straight into level 1
-// claims that merge while it holds the queue. pickMu also
-// precedes the claim-satellite locks, which encodes the claim-before-
-// version-read rule: a compaction's inputs are claimed under pickMu before
-// any d.mu-guarded version state is re-read.
+// Maintenance-side lock order, part of the documented lock DAG: the stage
+// locks (flushMu for the flush queue, pickMu for pick+claim) come before
+// the engine mutex. flushMu precedes pickMu: a flush that merges its
+// memtable straight into level 1 claims that merge while it holds the
+// queue. pickMu also precedes the claim-satellite locks, which encodes the
+// claim-before-version-read rule: a compaction's inputs are claimed under
+// pickMu before any d.mu-guarded version state is re-read.
 //
-// acheron:locks order core.DB.maintMu < core.DB.flushMu < core.DB.mu
-// acheron:locks order core.DB.maintMu < core.DB.pickMu < core.DB.mu
-// acheron:locks order core.DB.flushMu < core.DB.pickMu
+// acheron:locks order core.DB.flushMu < core.DB.pickMu < core.DB.mu
 // acheron:locks order core.DB.pickMu < core.DB.eagerMu
 
 // MaintenanceStep performs at most one unit of background work — a flush or
@@ -42,8 +39,6 @@ func (d *DB) MaintenanceStep() (bool, error) {
 }
 
 func (d *DB) maintenanceStep() (bool, error) {
-	d.maintMu.Lock()
-	defer d.maintMu.Unlock()
 	if did, err := d.runFlushStep(); did || err != nil {
 		return did, err
 	}
@@ -71,8 +66,9 @@ func (d *DB) WaitIdleCtx(ctx context.Context) error {
 		if did {
 			continue
 		}
-		// Nothing pickable, but an executor job may still be running (its
-		// claims hid work from the picker); wait and re-examine.
+		// Nothing pickable, but a job another goroutine runs — an
+		// executor's or a synchronous caller's — may still be in flight
+		// (its claims hid work from the picker); wait and re-examine.
 		if d.sched.anyRunning() {
 			if err := d.sched.waitQuietCtx(ctx); err != nil {
 				return fmt.Errorf("acheron: wait-idle interrupted: %w", err)
@@ -84,15 +80,19 @@ func (d *DB) WaitIdleCtx(ctx context.Context) error {
 }
 
 // CompactAll flushes everything and pushes every populated level to the
-// next one, leaving the tree fully compacted. Intended for tests and
-// benchmarks that want a settled tree.
+// next one, leaving what was written before the call fully compacted.
+// Intended for tests and benchmarks that want a settled tree. Each level's
+// merge is a claimed job like any other, so the executors keep running
+// disjoint work beside it; a write that races the call may land above the
+// merges, in a memtable or a level already pushed down.
 func (d *DB) CompactAll() error {
 	return d.CompactAllCtx(context.Background())
 }
 
-// CompactAllCtx is CompactAll honoring ctx: the executor quiesce and the
-// gaps between per-level merges observe the deadline/cancel. Levels already
-// merged stay merged; the tree is simply left partially compacted.
+// CompactAllCtx is CompactAll honoring ctx: the waits for running
+// maintenance and the gaps between per-level merges observe the
+// deadline/cancel. Levels already merged stay merged; the tree is simply
+// left partially compacted.
 func (d *DB) CompactAllCtx(ctx context.Context) error {
 	start := time.Now()
 	err := d.compactAll(ctx)
@@ -101,36 +101,49 @@ func (d *DB) CompactAllCtx(ctx context.Context) error {
 }
 
 func (d *DB) compactAll(ctx context.Context) error {
-	// Freeze the executor pool: the manually built whole-level candidates
-	// below are not claimed, so they must not race claimed jobs. maintMu,
-	// taken per level, keeps other synchronous callers out.
-	if err := d.sched.pauseCtx(ctx); err != nil {
+	// Wait out the running steps first: Flush below waits for a flush in
+	// flight without a context.
+	if err := d.sched.waitQuietCtx(ctx); err != nil {
 		return fmt.Errorf("acheron: compact-all interrupted waiting for maintenance to quiesce: %w", err)
 	}
-	defer d.resumeMaintenance()
 	if err := d.Flush(); err != nil {
 		return err
 	}
 	if err := d.WaitIdleCtx(ctx); err != nil {
 		return err
 	}
-	for l := 0; l < manifest.NumLevels-1; l++ {
+	for l := 0; l < manifest.NumLevels-1; {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("acheron: compact-all interrupted: %w", err)
 		}
-		d.maintMu.Lock()
-		v := d.vs.Ref()
-		var err error
-		if len(v.Levels[l]) > 0 {
-			cand := d.policy.WholeLevel(v, l)
+		// The mark is read before the pick: a conflicting job that ends
+		// after it, however soon, ends the wait below.
+		mark := d.sched.endMark()
+		conflict := false
+		j := d.claimJob(func(pv pickView) *compactJob {
+			if len(pv.rs.version.Levels[l]) == 0 {
+				return nil
+			}
+			cand := d.policy.WholeLevel(pv.rs.version, l)
+			if pv.claims.Conflicts(cand) {
+				conflict = true
+				return nil
+			}
 			cand.Trigger = compaction.TriggerSaturation
-			err = d.runCandidate(&compactJob{id: d.sched.newID(), v: v, cand: cand})
+			return &compactJob{cand: cand}
+		})
+		if conflict {
+			if err := d.sched.waitEndCtx(ctx, mark); err != nil {
+				return fmt.Errorf("acheron: compact-all interrupted: %w", err)
+			}
+			continue // pick level l again
 		}
-		d.maintMu.Unlock()
-		d.unref(v)
-		if err != nil {
-			return err
+		if j != nil {
+			if err := d.runCompactionJob(j); err != nil {
+				return err
+			}
 		}
+		l++
 	}
 	return nil
 }
@@ -175,8 +188,7 @@ func (d *DB) isBottommost(v *manifest.Version, c *compaction.Candidate, inCompac
 // runCandidate executes a claimed job end to end — trivial move, merge,
 // in-place rewrite or covered-file drop — through one manifest edit, one
 // install and one accounting tail. The candidate's input and output files
-// must be claimed in d.inflight (or all executors quiesced) so no concurrent
-// job touches them.
+// are claimed in d.inflight, so no concurrent job touches them.
 func (d *DB) runCandidate(j *compactJob) (err error) {
 	c := j.cand
 	files := c.InputFiles()
@@ -378,30 +390,21 @@ func (d *DB) installCompaction(c *compaction.Candidate, edit *manifest.VersionEd
 // and claims it as an in-place candidate: the one file in, its own level and
 // run out. What the tombstones may drop from it is compaction.Run's call,
 // like for any other job; a fully covered file skips the merge (covered).
-func (d *DB) pickEagerJob() *compactJob {
-	d.pickMu.Lock()
-	defer d.pickMu.Unlock()
-	// Claims must be copied before the version is read (see
-	// InFlightSet.Snapshot): a job committing in between is then either
-	// still claimed or already applied, never invisible to both checks.
-	claims := d.inflight.Snapshot()
-	d.mu.Lock()
-	v := d.vs.Ref()
-	snaps := append([]base.SeqNum(nil), d.snapshots...)
-	// Collect all live tombstones, including unflushed ones. WAL
-	// durability for them is ensured at issue time.
-	rs := readState{mem: d.mem, imms: append([]immEntry(nil), d.imm...), version: v, seq: d.visibleSeqNum()}
-	d.mu.Unlock()
-	rts := collectRangeTombstones(rs)
+func (d *DB) pickEagerJob() *compactJob { return d.claimJob(d.eagerJob) }
+
+// eagerJob is pickEagerJob's picker. It collects every live range
+// tombstone, unflushed ones included: WAL durability for them is ensured at
+// issue time.
+func (d *DB) eagerJob(pv pickView) *compactJob {
+	rts := collectRangeTombstones(pv.rs)
 	if len(rts) == 0 {
-		d.unref(v)
 		return nil
 	}
-
+	v := pv.rs.version
 	for l := 0; l < manifest.NumLevels; l++ {
 		for _, run := range v.Levels[l] {
 			for _, f := range run.Files {
-				applicable, covered := d.classifyEager(f, rts, snaps)
+				applicable, covered := d.classifyEager(f, rts, pv.snaps)
 				if applicable == 0 {
 					continue
 				}
@@ -412,17 +415,13 @@ func (d *DB) pickEagerJob() *compactJob {
 				}
 				// Erasing newest versions is only safe when nothing older
 				// sits below or in an older run beside.
-				if claims.Conflicts(cand) || !d.isBottommost(v, cand, map[base.FileNum]bool{f.FileNum: true}) {
+				if pv.claims.Conflicts(cand) || !d.isBottommost(v, cand, map[base.FileNum]bool{f.FileNum: true}) {
 					continue
 				}
-				j := &compactJob{id: d.sched.newID(), v: v, cand: cand, live: rts, applicable: applicable, covered: covered}
-				d.inflight.ClaimCandidate(j.id, cand)
-				d.traceJobClaim(j.id, "compact/"+cand.Trigger.String(), l, d.policy.Name())
-				return j
+				return &compactJob{cand: cand, live: rts, applicable: applicable, covered: covered}
 			}
 		}
 	}
-	d.unref(v)
 	return nil
 }
 

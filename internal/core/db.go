@@ -102,12 +102,10 @@ type DB struct {
 	// their limits, and flush pops / compaction commits broadcast.
 	stallCond *sync.Cond
 
-	// maintMu serializes the synchronous maintenance entry points
-	// (MaintenanceStep, CompactAll) among themselves. It does
-	// not freeze the executor pool — sched.pause does that. Concurrent
-	// executors do not take it: their mutual exclusion is per-resource,
-	// flushMu for the flush queue, pickMu+inflight claims for compactions.
-	maintMu sync.Mutex
+	// Maintenance callers — executors, MaintenanceStep, Flush, CompactAll —
+	// exclude each other per resource: flushMu for the flush queue,
+	// pickMu+inflight claims for compactions.
+	//
 	// flushMu serializes flushOne callers (manual Flush, the flush
 	// executor, MaintenanceStep) so two cannot pop the same immutable.
 	flushMu sync.Mutex
@@ -121,8 +119,8 @@ type DB struct {
 	// inflight tracks the file and level/key-span claims of running
 	// maintenance jobs; pickers exclude them.
 	inflight *compaction.InFlightSet
-	// sched coordinates executor lifecycle (pause/quiesce) and records
-	// per-job observability.
+	// sched counts the flush steps and claimed jobs in flight (what
+	// WaitIdle and CompactAll wait out) and records per-job observability.
 	sched *scheduler
 
 	// eagerMu guards eagerDone: per file, the highest range-tombstone

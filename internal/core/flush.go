@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/base"
-	"repro/internal/compaction"
 	"repro/internal/manifest"
 	"repro/internal/memtable"
 	"repro/internal/sstable"
@@ -192,8 +191,8 @@ func (d *DB) popImmLocked() {
 // is not in the shape for it, or a running job's claim overlaps the merge.
 func (d *DB) pickFlushJob(m *memtable.MemTable) *compactJob {
 	meta := memTableMeta(m)
-	return d.claimJob(func(v *manifest.Version, now base.Timestamp, haveSnaps bool, claims *compaction.InFlightSet) *compaction.Candidate {
-		return d.policy.PickFlush(v, m, meta, now, haveSnaps, claims)
+	return d.claimJob(func(pv pickView) *compactJob {
+		return candidateJob(d.policy.PickFlush(pv.rs.version, m, meta, pv.now, len(pv.snaps) > 0, pv.claims))
 	})
 }
 

@@ -55,16 +55,17 @@ type JobInfo struct {
 // maxRecentJobs bounds the completed-job ring buffer.
 const maxRecentJobs = 64
 
-// scheduler coordinates the maintenance executors: it counts running jobs,
-// supports pausing (CompactAll's quiesce), and keeps a ring of
+// scheduler counts the maintenance work in flight — every flush step and
+// every claimed compaction, from claim to release, whoever runs it: an
+// executor, MaintenanceStep, Flush or CompactAll — and keeps a ring of
 // recently completed jobs. Job priority lives in the picker, not here —
 // every executor asks the picker for the most urgent disjoint job, and the
 // picker orders TTL (DPT-critical) ahead of L0 ahead of saturation.
 type scheduler struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	paused  int // pause depth; executors idle while > 0
-	running int
+	running int    // flush steps and claimed jobs in flight
+	ended   uint64 // flush steps and claimed jobs ever finished
 
 	nextID atomic.Uint64
 
@@ -81,43 +82,20 @@ func newScheduler() *scheduler {
 // newID allocates a job id.
 func (s *scheduler) newID() uint64 { return s.nextID.Add(1) }
 
-// begin registers an executor job start. It is non-blocking: when the
-// scheduler is paused it returns false and the executor must back off. (A
-// blocking begin could deadlock against a pauser that holds a resource the
-// executor's caller owns.)
-func (s *scheduler) begin() bool {
+// begin counts a flush step or a claimed job in.
+func (s *scheduler) begin() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.paused > 0 {
-		return false
-	}
 	s.running++
-	return true
-}
-
-// end registers an executor job completion.
-func (s *scheduler) end() {
-	s.mu.Lock()
-	s.running--
-	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
-// pauseCtx blocks new executor jobs and waits for running ones to finish.
-// Pauses nest. If ctx fires while executor jobs are still draining, the
-// pause is rolled back and the (bare) context error returned — the
-// scheduler is left exactly as before the call. The context wake-up goes
-// through wake, a broadcast under s.mu, so the same lost-wakeup discipline
-// as end() applies.
-func (s *scheduler) pauseCtx(ctx context.Context) error {
+// end counts a flush step or a claimed job out and wakes the waiters.
+func (s *scheduler) end() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.paused++
-	if err := condWaitCtx(ctx, s.cond, s.wake, func() bool { return s.running == 0 }); err != nil {
-		s.paused--
-		return err
-	}
-	return nil
+	s.running--
+	s.ended++
+	s.cond.Broadcast()
+	s.mu.Unlock()
 }
 
 // wake re-broadcasts the scheduler condition under its mutex; the context
@@ -128,25 +106,31 @@ func (s *scheduler) wake() {
 	s.mu.Unlock()
 }
 
-// resume undoes one pause, reporting whether the pause depth returned to
-// zero (executors may pick up work again).
-func (s *scheduler) resume() bool {
-	s.mu.Lock()
-	s.paused--
-	resumed := s.paused == 0
-	s.mu.Unlock()
-	return resumed
-}
-
-// waitQuietCtx blocks until no executor job is running; returns the bare
-// context error if ctx fires first.
+// waitQuietCtx blocks until no flush step or claimed job is running;
+// returns the bare context error if ctx fires first.
 func (s *scheduler) waitQuietCtx(ctx context.Context) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return condWaitCtx(ctx, s.cond, s.wake, func() bool { return s.running == 0 })
 }
 
-// anyRunning reports whether an executor job is in flight.
+// endMark reads how many flush steps and claimed jobs have finished, for a
+// later waitEndCtx.
+func (s *scheduler) endMark() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.ended
+}
+
+// waitEndCtx blocks until a flush step or claimed job has finished since
+// endMark returned mark; returns the bare context error if ctx fires first.
+func (s *scheduler) waitEndCtx(ctx context.Context, mark uint64) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return condWaitCtx(ctx, s.cond, s.wake, func() bool { return s.ended != mark })
+}
+
+// anyRunning reports whether a flush step or claimed job is in flight.
 func (s *scheduler) anyRunning() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -214,18 +198,6 @@ func (s *scheduler) recentJobs() []JobInfo {
 	return out
 }
 
-// resumeMaintenance undoes one scheduler pause; when the pause depth
-// returns to zero it re-notifies the executors, whose begin() calls failed
-// (backed off to their select loops) while the pause was in force. Without
-// the nudge, maintenance left pending at resume time — and any writer
-// stalled on backpressure waiting for it — would sit idle until the next
-// MaintenanceTickInterval tick.
-func (d *DB) resumeMaintenance() {
-	if d.sched.resume() {
-		d.notifyWork()
-	}
-}
-
 // RecentMaintJobs returns the most recently completed maintenance jobs
 // (flushes and compactions of every trigger), oldest first. The window is
 // bounded; it is an observability aid, not a durable log.
@@ -254,8 +226,7 @@ func (d *DB) startExecutors(n int) {
 
 // executor is the maintenance loop every pool member runs: sleep until woken
 // (or the tick, which is what detects TTL expiry), then run step until it
-// reports no work. Each step is bracketed by sched.begin/end, so a pause
-// (CompactAll) freezes the whole pool, whatever its size.
+// reports no work.
 // Transient step errors retry with capped exponential backoff (a failed
 // flush leaves its immutable queued, so the retry re-runs the same work);
 // permanent or retry-exhausted errors set the sticky background error and
@@ -278,11 +249,7 @@ func (d *DB) executor(kind string, wake <-chan struct{}, step func() (bool, erro
 				return
 			default:
 			}
-			if !d.sched.begin() {
-				break // paused; the pauser drives any needed work
-			}
 			did, err := step()
-			d.sched.end()
 			if err != nil {
 				failures++
 				if !d.noteJobError(kind, failures, err) {
@@ -305,6 +272,8 @@ func (d *DB) executor(kind string, wake <-chan struct{}, step func() (bool, erro
 func (d *DB) runFlushStep() (bool, error) {
 	d.flushMu.Lock()
 	defer d.flushMu.Unlock()
+	d.sched.begin()
+	defer d.sched.end()
 	return d.flushOne()
 }
 
@@ -331,44 +300,69 @@ type compactJob struct {
 	v    *manifest.Version // the version the candidate was picked against, referenced until the job ends
 	cand *compaction.Candidate
 
-	// Set by pickEagerJob only: the range tombstones live at the pick (none
-	// is in the input file), the watermark eagerDone takes once the job has
-	// run, and whether the whole file is covered.
+	// Set by the eager picker only: the range tombstones live at the pick
+	// (none is in the input file), the watermark eagerDone takes once the
+	// job has run, and whether the whole file is covered.
 	live       []base.RangeTombstone
 	applicable base.SeqNum
 	covered    bool
 }
 
+// pickView is the engine state a picker reads, taken in claimJob's one d.mu
+// section: the version (rs.version, referenced), the clock, the snapshot
+// list and the memtables whose range tombstones the eager picker collects;
+// claims are the running jobs' claims, copied before it.
+type pickView struct {
+	rs     readState
+	now    base.Timestamp
+	snaps  []base.SeqNum
+	claims *compaction.InFlightSet
+}
+
 // pickCompactionJob atomically picks the most urgent compaction disjoint
 // from all in-flight jobs and claims its files and rectangle.
-func (d *DB) pickCompactionJob() *compactJob { return d.claimJob(d.policy.Pick) }
+func (d *DB) pickCompactionJob() *compactJob {
+	return d.claimJob(func(pv pickView) *compactJob {
+		return candidateJob(d.policy.Pick(pv.rs.version, pv.now, len(pv.snaps) > 0, pv.claims))
+	})
+}
 
-// claimJob runs pick against the current version and the running jobs'
-// claims, and claims the candidate it returns. pickMu makes pick+claim
-// atomic: without it two executors could pick overlapping work before
-// either claim landed.
-func (d *DB) claimJob(pick func(v *manifest.Version, now base.Timestamp, haveSnaps bool, claims *compaction.InFlightSet) *compaction.Candidate) *compactJob {
+// candidateJob wraps a layout's pick, nil for none, as a job to claim.
+func candidateJob(c *compaction.Candidate) *compactJob {
+	if c == nil {
+		return nil
+	}
+	return &compactJob{cand: c}
+}
+
+// claimJob is where every compaction is picked and claimed: it runs pick
+// against one view of the engine and the running jobs' claims, claims the
+// candidate of the job it returns and counts the job in until
+// runCompactionJob releases it. pickMu makes pick+claim atomic: without it
+// two executors could pick overlapping work before either claim landed.
+func (d *DB) claimJob(pick func(pv pickView) *compactJob) *compactJob {
 	d.pickMu.Lock()
 	defer d.pickMu.Unlock()
 	// Claims must be copied before the version is read (see
 	// InFlightSet.Snapshot): a job committing in between is then either
 	// still claimed or already applied, never invisible to both checks.
-	claims := d.inflight.Snapshot()
+	pv := pickView{claims: d.inflight.Snapshot()}
 	d.mu.Lock()
-	v := d.vs.Ref()
-	now := d.opts.Clock.Now()
-	haveSnaps := len(d.snapshots) > 0
+	pv.rs = readState{mem: d.mem, imms: append([]immEntry(nil), d.imm...), version: d.vs.Ref(), seq: d.visibleSeqNum()}
+	pv.now = d.opts.Clock.Now()
+	pv.snaps = append([]base.SeqNum(nil), d.snapshots...)
 	d.mu.Unlock()
 
-	cand := pick(v, now, haveSnaps, claims)
-	if cand == nil {
-		d.unref(v)
+	j := pick(pv)
+	if j == nil {
+		d.unref(pv.rs.version)
 		return nil
 	}
-	id := d.sched.newID()
-	d.inflight.ClaimCandidate(id, cand)
-	d.traceJobClaim(id, "compact/"+cand.Trigger.String(), cand.StartLevel, d.policy.Name())
-	return &compactJob{id: id, v: v, cand: cand}
+	j.id, j.v = d.sched.newID(), pv.rs.version
+	d.inflight.ClaimCandidate(j.id, j.cand)
+	d.sched.begin()
+	d.traceJobClaim(j.id, "compact/"+j.cand.Trigger.String(), j.cand.StartLevel, d.policy.Name())
+	return j
 }
 
 // runCompactionJob executes a claimed compaction and releases its claim and
@@ -379,5 +373,6 @@ func (d *DB) runCompactionJob(j *compactJob) error {
 	d.stats.CompactionsInFlight.Add(-1)
 	d.inflight.Release(j.id)
 	d.unref(j.v)
+	d.sched.end()
 	return err
 }

@@ -431,105 +431,255 @@ func TestSchedulerCloseReleasesStalledWriter(t *testing.T) {
 	}
 }
 
-// TestSchedulerResumeNotifiesExecutors: work that became pending while the
-// scheduler was paused must start promptly once the pause is released,
-// instead of waiting for the next maintenance tick (set to an hour so a
-// missed resume wakeup cannot be papered over).
-func TestSchedulerResumeNotifiesExecutors(t *testing.T) {
-	testPausedFlushWaitsForResume(t, 2)
-}
-
-// TestSerializedExecutorHonoursPause: a pool of one runs the same gated loop
-// as a larger pool, so a pause freezes it too — a queued immutable memtable
-// is not flushed until resumeMaintenance.
-func TestSerializedExecutorHonoursPause(t *testing.T) {
-	testPausedFlushWaitsForResume(t, 1)
-}
-
-func testPausedFlushWaitsForResume(t *testing.T, concurrency int) {
+// TestExecutorsRunBesideCompactAll: CompactAll's merges are claimed jobs
+// like any other, so while one of them is parked the executors still run
+// work disjoint from it. The level-5 merge is parked on the gate; a TTL
+// push of a fresh tombstone file out of level 0 must then run and finish
+// inside the merge's window. The level-0 threshold is out of reach, so the
+// push has no other trigger.
+func TestExecutorsRunBesideCompactAll(t *testing.T) {
+	fs := &gateFS{FS: vfs.NewMemFS(), gate: make(chan struct{})}
+	var openGate sync.Once
+	release := func() { openGate.Do(func() { close(fs.gate) }) }
 	opts := Options{
-		FS:                      vfs.NewMemFS(),
-		MemTableBytes:           4 << 10,
+		FS:                      fs,
+		MemTableBytes:           1 << 20, // the test flushes by hand
 		DeleteKeyFunc:           storetest.DeleteKey,
-		MaintenanceTickInterval: time.Hour,
+		MaintenanceTickInterval: time.Millisecond,
+		Compaction: compaction.Options{
+			SizeRatio:       4,
+			L0Threshold:     4,
+			BaseLevelBytes:  64 << 10,
+			TargetFileBytes: 16 << 10,
+			DPT:             base.Duration(200 * time.Millisecond),
+			Picker:          compaction.PickFADE,
+		},
 	}
-	tn := tune(&opts)
-	tn.executors = concurrency
-	tn.maxImm, tn.l0StallRuns = -1, -1 // writers must not stall while paused
+	tune(&opts).executors = 2
 	d, err := Open("db", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	queued := func() int {
-		d.mu.Lock()
-		defer d.mu.Unlock()
-		return len(d.imm)
-	}
+	defer release()
 
-	if err := d.sched.pauseCtx(context.Background()); err != nil {
+	// All data at the bottom, and one tombstone-free table over part of it
+	// in level 0, below the L0 threshold: CompactAll moves that table down
+	// trivially and first writes a file when it merges level 5 into 6.
+	putFlush(t, d, "k", 0, 2000, 0, identityDK)
+	if err := d.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; queued() == 0; i++ {
-		if err := d.Put([]byte(fmt.Sprintf("k%06d", i)), storetest.Value(uint64(i), i)); err != nil {
+	putFlush(t, d, "k", 0, 500, 1, identityDK)
+	if err := d.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+
+	fs.armed.Store(true)
+	compacted := make(chan error, 1)
+	go func() { compacted <- d.CompactAllCtx(context.Background()) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for fs.parked.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("CompactAll's merge never reached the gate")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	fs.armed.Store(false) // the parked merge stays parked; new tables pass
+
+	// A level-0 table of tombstones, expired against the wall-clock DPT
+	// while the merge is parked: only an executor can push it down. The
+	// table flushed first keeps level 0 non-empty, so the tombstones' own
+	// flush cannot merge them into level 1 itself.
+	putFlush(t, d, "j", 0, 100, 2, identityDK)
+	for i := 0; i < 200; i++ {
+		if err := d.Delete([]byte(fmt.Sprintf("k%05d", i))); err != nil {
 			t.Fatal(err)
 		}
-		if i > 100000 {
-			t.Fatal("memtable never rotated")
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ttlDone := func() (JobInfo, bool) {
+		for _, j := range d.RecentMaintJobs() {
+			if j.Kind == JobCompact && j.Trigger == compaction.TriggerTTL && j.Err == nil {
+				return j, true
+			}
 		}
+		return JobInfo{}, false
 	}
-	// Let the executors consume the write-path wakeups and back off
-	// against the paused scheduler, so only the resume can revive them.
-	time.Sleep(100 * time.Millisecond)
-	if queued() == 0 {
-		t.Fatal("immutable memtable flushed while maintenance was paused")
-	}
-	d.resumeMaintenance()
-
-	deadline := time.Now().Add(10 * time.Second)
-	for queued() > 0 {
+	for {
+		if _, ok := ttlDone(); ok {
+			break
+		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d immutable memtables still queued 10s after resume", queued())
+			t.Fatal("no TTL job finished while CompactAll's merge was parked")
 		}
 		time.Sleep(time.Millisecond)
 	}
+	release()
+	if err := <-compacted; err != nil {
+		t.Fatal(err)
+	}
+
+	tj, _ := ttlDone()
+	jobs := d.RecentMaintJobs()
+	for i := len(jobs) - 1; i >= 0; i-- { // the latest: the first CompactAll has one too
+		if cj := jobs[i]; cj.Kind == JobCompact && cj.Trigger == compaction.TriggerSaturation && cj.StartLevel == 5 {
+			if !(cj.Started.Before(tj.Started) && tj.Finished.Before(cj.Finished)) {
+				t.Fatalf("TTL job %+v did not run inside CompactAll's merge %+v", tj, cj)
+			}
+			return
+		}
+	}
+	t.Fatalf("no level-5 merge by CompactAll in %+v", jobs)
 }
 
-// TestSchedulerPauseQuiesces covers the scheduler primitive itself: begin
-// refuses work while paused, pause waits for running jobs, pauses nest.
-func TestSchedulerPauseQuiesces(t *testing.T) {
-	s := newScheduler()
-	if !s.begin() {
-		t.Fatal("begin failed on an idle scheduler")
+// TestCompactAllBesideWritersStress: writers, three executors and repeated
+// CompactAll calls race on one store, which must end equal to the model.
+// Each writer owns its key space, so the writers' own models add up to it.
+func TestCompactAllBesideWritersStress(t *testing.T) {
+	opts := Options{
+		FS:                      vfs.NewMemFS(),
+		MemTableBytes:           16 << 10,
+		DeleteKeyFunc:           storetest.DeleteKey,
+		MaintenanceTickInterval: time.Millisecond,
+		Compaction: compaction.Options{
+			SizeRatio:       4,
+			L0Threshold:     2,
+			BaseLevelBytes:  64 << 10,
+			TargetFileBytes: 8 << 10,
+			DPT:             base.Duration(20 * time.Millisecond),
+			Picker:          compaction.PickFADE,
+		},
 	}
-	// Set before end(), not after: a pause woken by end() may return before
-	// the goroutine's next statement runs.
-	var ending atomic.Bool
+	tune(&opts).executors = 3
+	d, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+
+	const writers, opsPerWriter = 3, 5000
+	models := make([]*storetest.Model, writers)
+	var wg sync.WaitGroup
+	for w := range models {
+		models[w] = storetest.NewModel()
+		wg.Add(1)
+		go func(w int, m *storetest.Model) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < opsPerWriter; i++ {
+				k := fmt.Sprintf("w%d-k%04d", w, rng.Intn(800))
+				if rng.Intn(4) == 0 {
+					if err := d.Delete([]byte(k)); err != nil {
+						t.Error(err)
+						return
+					}
+					m.Delete(k)
+					continue
+				}
+				v := storetest.Value(uint64(i), i)
+				if err := d.Put([]byte(k), v); err != nil {
+					t.Error(err)
+					return
+				}
+				m.Put(k, v)
+			}
+		}(w, models[w])
+	}
+	writing := make(chan struct{})
+	compactions := make(chan int)
 	go func() {
-		time.Sleep(10 * time.Millisecond)
-		ending.Store(true)
-		s.end()
+		n := 0
+		for {
+			select {
+			case <-writing:
+				compactions <- n
+				return
+			default:
+			}
+			if err := d.CompactAll(); err != nil {
+				t.Error(err)
+			}
+			n++
+		}
 	}()
-	bg := context.Background()
-	if err := s.pauseCtx(bg); err != nil { // must block until end()
+	wg.Wait()
+	close(writing)
+	if n := <-compactions; n == 0 {
+		t.Fatal("no CompactAll ran beside the writers")
+	}
+	if t.Failed() {
+		return
+	}
+
+	m := storetest.NewModel()
+	for _, wm := range models {
+		for k, v := range wm.Data {
+			m.Put(k, v)
+		}
+	}
+	if err := d.WaitIdle(); err != nil {
 		t.Fatal(err)
 	}
-	if !ending.Load() {
-		t.Fatal("pause returned while a job was still running")
-	}
-	if s.begin() {
-		t.Fatal("begin succeeded while paused")
-	}
-	if err := s.pauseCtx(bg); err != nil { // nested
+	storetest.Check(t, target(d), m, 0)
+	if err := d.CompactAll(); err != nil {
 		t.Fatal(err)
 	}
-	s.resume()
-	if s.begin() {
-		t.Fatal("begin succeeded with one pause still held")
+	storetest.Check(t, target(d), m, 1)
+	if err := d.VerifyChecksums(); err != nil {
+		t.Fatal(err)
 	}
-	s.resume()
-	if !s.begin() {
-		t.Fatal("begin failed after full resume")
+}
+
+// TestWaitIdleWaitsOutSynchronousStep: a job a synchronous MaintenanceStep
+// runs is counted like an executor's, so WaitIdle on another goroutine
+// waits for it instead of taking its claim for idleness.
+func TestWaitIdleWaitsOutSynchronousStep(t *testing.T) {
+	fs := &gateFS{FS: vfs.NewMemFS(), gate: make(chan struct{})}
+	var openGate sync.Once
+	release := func() { openGate.Do(func() { close(fs.gate) }) }
+	d, err := Open("db", testOptions(fs, &base.LogicalClock{}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	s.end()
+	defer d.Close()
+	defer release()
+	// Two overlapping level-0 tables: an L0 merge is due.
+	putFlush(t, d, "k", 0, 300, 0, identityDK)
+	putFlush(t, d, "k", 0, 300, 1, identityDK)
+
+	fs.armed.Store(true)
+	stepped := make(chan error, 1)
+	go func() {
+		_, err := d.MaintenanceStep()
+		stepped <- err
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for fs.parked.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the step's merge never reached the gate")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	idle := make(chan error, 1)
+	go func() { idle <- d.WaitIdle() }()
+	select {
+	case err := <-idle:
+		t.Fatalf("WaitIdle returned %v while another goroutine's merge was parked", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	fs.armed.Store(false)
+	release()
+	if err := <-stepped; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-idle; err != nil {
+		t.Fatal(err)
+	}
+	if n := len(d.vs.Current().Levels[0]); n != 0 {
+		t.Fatalf("%d level-0 runs left after WaitIdle", n)
+	}
 }

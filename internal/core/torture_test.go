@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/base"
+	"repro/internal/manifest"
 	"repro/internal/storetest"
 	"repro/internal/vfs"
 	"repro/internal/vfs/errorfs"
@@ -18,6 +19,9 @@ import (
 // snapshot keeps only synced bytes), reopens from the wreckage, and checks:
 //
 //   - every write acknowledged before the crash point survives recovery;
+//   - recovery replays nothing the crash image's tables already hold: no
+//     table it writes holds a sequence number at or below the largest one
+//     in a table the image's manifest lists;
 //   - no unacknowledged batch resurfaces (recovered state matches the model
 //     of fully-acked ops, optionally plus the single in-flight op);
 //   - VerifyChecksums passes over the recovered store;
@@ -128,11 +132,18 @@ func tortureRound(t *testing.T, ops []errorfs.Op, glob string, seed int64) {
 	// Abandon d without Close: that IS the crash. No background goroutines
 	// exist (DisableAutoMaintenance), so the handle just goes dark.
 
+	listed, top := listedTables(t, crash)
 	ropts := testOptions(crash, &base.LogicalClock{})
 	d2, err := Open("db", ropts)
 	if err != nil {
 		t.Fatalf("recovery open failed: %v", err)
 	}
+	d2.vs.Current().AllFiles(func(l int, f *manifest.FileMetadata) {
+		if !listed[f.FileNum] && f.SmallestSeqNum <= top {
+			t.Fatalf("recovery wrote table %d (L%d, seqnums %d..%d) replaying what the crash image's tables hold, up to seqnum %d",
+				f.FileNum, l, f.SmallestSeqNum, f.LargestSeqNum, top)
+		}
+	})
 	if msg, ok := matchesEither(d2, acked, alt); !ok {
 		t.Fatalf("recovered state matches neither model: %s", msg)
 	}
@@ -181,6 +192,25 @@ func matchesEither(d *DB, acked, alt *storetest.Model) (string, bool) {
 	}
 	vsAlt := storetest.Diff(target(d), alt)
 	return fmt.Sprintf("vs acked: %s; vs alt: %s", vsAcked, vsAlt), vsAlt == ""
+}
+
+// listedTables reads the manifest of the store in fs, on a copy so the
+// store stays as the crash left it: the tables it lists and the largest
+// sequence number any of them holds.
+func listedTables(t *testing.T, fs *vfs.MemFS) (map[base.FileNum]bool, base.SeqNum) {
+	t.Helper()
+	vs, err := manifest.Load(fs.CrashClone(), "db")
+	if err != nil {
+		t.Fatalf("reading the crash image's manifest: %v", err)
+	}
+	defer vs.Close()
+	listed := make(map[base.FileNum]bool)
+	var top base.SeqNum
+	vs.Current().AllFiles(func(_ int, f *manifest.FileMetadata) {
+		listed[f.FileNum] = true
+		top = max(top, f.LargestSeqNum)
+	})
+	return listed, top
 }
 
 func listTables(t *testing.T, fs vfs.FS) []string {

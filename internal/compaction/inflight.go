@@ -1,163 +1,88 @@
 package compaction
 
 import (
-	"sync"
-
 	"repro/internal/base"
 	"repro/internal/manifest"
 )
 
-// InFlightSet tracks the claims of running maintenance jobs so that
-// concurrent pickers stay disjoint. Each claim records the exact input and
-// output files of a job plus its "rectangle": the level range
-// [minLevel, maxLevel] crossed with the user-key span [lo, hi]. Two jobs may
-// run concurrently only when their rectangles are disjoint — either their
-// level ranges do not intersect, or their key spans do not overlap. The
-// rectangle (not just the file set) is what makes stale-version safety
-// arguments (isBottommost, tombstone disposability) hold: no concurrent job
-// can introduce or remove entries overlapping a running job's key span at or
-// below its output level while the claim is held.
-//
-// A nil lo/hi marks a full-keyspace claim (used for whole-level merges whose
-// inputs may be empty of files but whose output run id is reserved).
-type InFlightSet struct {
-	mu     sync.Mutex
-	claims map[uint64]*claim
+// Rect is a claim rectangle: the level range [MinLevel, MaxLevel] crossed
+// with the user-key span [Lo, Hi]. A nil Lo marks the whole keyspace (a
+// whole-level merge whose inputs hold no file still reserves its levels).
+type Rect struct {
+	MinLevel, MaxLevel int
+	Lo, Hi             []byte
 }
 
-type claim struct {
-	files    map[base.FileNum]struct{}
-	minLevel int
-	maxLevel int
-	lo, hi   []byte // nil lo means the whole keyspace
-}
-
-// NewInFlightSet returns an empty set.
-func NewInFlightSet() *InFlightSet {
-	return &InFlightSet{claims: make(map[uint64]*claim)}
-}
-
-// Claim registers job id as owning files and the rectangle
-// [minLevel, maxLevel] x [lo, hi]. Pass lo = hi = nil to claim the whole
-// keyspace for that level range. The caller must have verified disjointness
-// (via Conflicts) under the same critical section that publishes the claim.
-func (s *InFlightSet) Claim(id uint64, files []*manifest.FileMetadata, minLevel, maxLevel int, lo, hi []byte) {
-	c := &claim{
-		files:    make(map[base.FileNum]struct{}, len(files)),
-		minLevel: minLevel,
-		maxLevel: maxLevel,
-	}
-	for _, f := range files {
-		c.files[f.FileNum] = struct{}{}
-	}
-	if lo != nil {
-		c.lo = append([]byte(nil), lo...)
-		c.hi = append([]byte(nil), hi...)
-	}
-	s.mu.Lock()
-	s.claims[id] = c
-	s.mu.Unlock()
-}
-
-// Snapshot returns an independent copy of the current claims. Pickers must
-// copy the claim state BEFORE reading the current version: a job committing
-// between the two reads is then seen either as a claim (its files are
-// skipped) or as an applied edit (its deleted files are gone from the
-// version) — never as neither, which would let a picker build a candidate
-// over files that no longer exist. Claims are immutable once published, so
-// the copy shares them.
-func (s *InFlightSet) Snapshot() *InFlightSet {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := NewInFlightSet()
-	for id, c := range s.claims {
-		out.claims[id] = c
-	}
-	return out
-}
-
-// Release drops job id's claim.
-func (s *InFlightSet) Release(id uint64) {
-	s.mu.Lock()
-	delete(s.claims, id)
-	s.mu.Unlock()
-}
-
-// FileClaimed reports whether any running job owns file fn.
-func (s *InFlightSet) FileClaimed(fn base.FileNum) bool {
-	if s == nil {
+// Overlaps reports whether r and o intersect: their level ranges do and
+// their key spans do.
+func (r Rect) Overlaps(o Rect) bool {
+	if r.MaxLevel < o.MinLevel || r.MinLevel > o.MaxLevel {
 		return false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.claims {
-		if _, ok := c.files[fn]; ok {
-			return true
-		}
-	}
-	return false
-}
-
-// Overlaps reports whether the rectangle [minLevel, maxLevel] x [lo, hi]
-// intersects any running job's rectangle. nil lo means the whole keyspace.
-func (s *InFlightSet) Overlaps(minLevel, maxLevel int, lo, hi []byte) bool {
-	if s == nil {
-		return false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, c := range s.claims {
-		if maxLevel < c.minLevel || minLevel > c.maxLevel {
-			continue
-		}
-		if lo == nil || c.lo == nil {
-			return true
-		}
-		if base.Compare(hi, c.lo) < 0 || base.Compare(c.hi, lo) < 0 {
-			continue
-		}
+	if r.Lo == nil || o.Lo == nil {
 		return true
 	}
+	return base.Compare(r.Hi, o.Lo) >= 0 && base.Compare(o.Hi, r.Lo) >= 0
+}
+
+// InFlightSet maps each running maintenance job's id to its claim
+// rectangle. Two jobs may run concurrently only when their rectangles are
+// disjoint. The rectangle is what keeps the stale-version safety arguments
+// (isBottommost, tombstone disposability) sound: no concurrent job can
+// introduce or remove entries inside a running job's key span at or below
+// its output level while the claim is held — and a claimed file lies inside
+// its job's rectangle, so the rectangle alone also keeps two jobs off one
+// file.
+//
+// The set has no lock of its own: the engine guards pick, claim and release
+// with one mutex. A nil set holds no claim.
+type InFlightSet map[uint64]Rect
+
+// Claim registers job id as owning the candidate's rectangle. The caller
+// must have checked Conflicts in the same critical section.
+func (s InFlightSet) Claim(id uint64, c *Candidate) { s[id] = c.Rectangle() }
+
+// Release drops job id's claim.
+func (s InFlightSet) Release(id uint64) { delete(s, id) }
+
+// Overlaps reports whether r intersects any running job's rectangle.
+func (s InFlightSet) Overlaps(r Rect) bool {
+	for _, c := range s {
+		if c.Overlaps(r) {
+			return true
+		}
+	}
 	return false
 }
 
-// Len returns the number of active claims.
-func (s *InFlightSet) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.claims)
+// Conflicts reports whether the candidate's rectangle intersects any
+// running job's.
+func (s InFlightSet) Conflicts(c *Candidate) bool {
+	return len(s) > 0 && s.Overlaps(c.Rectangle())
 }
 
 // Rectangle returns the candidate's claim rectangle: its level range and the
-// user-key span of all its input and output-overlap files. lo = hi = nil
-// means the candidate must claim the whole keyspace (an input run with no
-// files, e.g. a whole-level merge of empty runs).
-func (c *Candidate) Rectangle() (minLevel, maxLevel int, lo, hi []byte) {
-	minLevel, maxLevel = c.StartLevel, c.OutputLevel
+// user-key span of all its input and output-overlap files. A nil Lo means
+// the candidate must claim the whole keyspace (an input run with no files,
+// e.g. a whole-level merge of empty runs).
+func (c *Candidate) Rectangle() Rect {
+	r := Rect{MinLevel: c.StartLevel, MaxLevel: c.OutputLevel}
 	for i := range c.Inputs {
-		if l := c.InputLevel(i); l < minLevel {
-			minLevel = l
-		}
+		r.MinLevel = min(r.MinLevel, c.InputLevel(i))
 	}
-	lo, hi = inputBounds(c)
-	if lo == nil {
-		return minLevel, maxLevel, nil, nil
+	r.Lo, r.Hi = inputBounds(c)
+	if r.Lo == nil {
+		return r
 	}
 	for _, f := range c.OutputRunFiles {
-		if base.Compare(f.Smallest.UserKey, lo) < 0 {
-			lo = f.Smallest.UserKey
+		if base.Compare(f.Smallest.UserKey, r.Lo) < 0 {
+			r.Lo = f.Smallest.UserKey
 		}
-		if base.Compare(f.Largest.UserKey, hi) > 0 {
-			hi = f.Largest.UserKey
+		if base.Compare(f.Largest.UserKey, r.Hi) > 0 {
+			r.Hi = f.Largest.UserKey
 		}
 	}
-	return minLevel, maxLevel, lo, hi
+	return r
 }
 
 // ClaimFiles returns every file the candidate touches: the start-level
@@ -165,25 +90,4 @@ func (c *Candidate) Rectangle() (minLevel, maxLevel int, lo, hi []byte) {
 func (c *Candidate) ClaimFiles() []*manifest.FileMetadata {
 	files := c.InputFiles()
 	return append(files, c.OutputRunFiles...)
-}
-
-// Conflicts reports whether the candidate's rectangle or files intersect any
-// running job. A nil receiver never conflicts.
-func (s *InFlightSet) Conflicts(c *Candidate) bool {
-	if s == nil {
-		return false
-	}
-	for _, f := range c.ClaimFiles() {
-		if s.FileClaimed(f.FileNum) {
-			return true
-		}
-	}
-	minL, maxL, lo, hi := c.Rectangle()
-	return s.Overlaps(minL, maxL, lo, hi)
-}
-
-// ClaimCandidate registers the candidate's files and rectangle under id.
-func (s *InFlightSet) ClaimCandidate(id uint64, c *Candidate) {
-	minL, maxL, lo, hi := c.Rectangle()
-	s.Claim(id, c.ClaimFiles(), minL, maxL, lo, hi)
 }

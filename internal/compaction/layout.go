@@ -92,12 +92,13 @@ func wholeLevel(v *manifest.Version, l, firstLeveled int) *Candidate {
 // first, then L0 run count, then the worst saturated level. now is the
 // engine clock reading used for TTL expiry; haveSnapshots suppresses
 // disposal-only compactions that an open snapshot would block anyway.
-// inflight, when non-nil, excludes files and level/key-span rectangles
-// claimed by running jobs so concurrent executors pick disjoint work; a
-// candidate that would conflict is simply not returned (the picker does not
-// search for a second-best disjoint candidate at the same priority — the
-// next tick retries).
-func (p *Layout) Pick(v *manifest.Version, now base.Timestamp, haveSnapshots bool, inflight *InFlightSet) *Candidate {
+// inflight holds the running jobs' claim rectangles, so concurrent
+// executors pick disjoint work: a file whose own level row a running
+// rectangle overlaps is passed over (any candidate holding it would
+// conflict), and a candidate that still conflicts is not returned (the
+// picker does not search for a second-best candidate at the same priority —
+// the next tick retries).
+func (p *Layout) Pick(v *manifest.Version, now base.Timestamp, haveSnapshots bool, inflight InFlightSet) *Candidate {
 	pc := p.newPickCtx(v, now, haveSnapshots, inflight)
 	if p.o.DPT != 0 {
 		if c := pc.pickTTL(); c != nil {
@@ -158,14 +159,14 @@ type pickCtx struct {
 	first         int // firstLeveled(v)
 	now           base.Timestamp
 	haveSnapshots bool
-	inflight      *InFlightSet
+	inflight      InFlightSet
 	// cum[l] is the budget of a tombstone residing at level l: a file
 	// there whose oldest tombstone was created at ts has expired when
 	// now > ts + cum[l]. All zero when FADE is disabled.
 	cum [manifest.NumLevels]base.Duration
 }
 
-func (p *Layout) newPickCtx(v *manifest.Version, now base.Timestamp, haveSnapshots bool, inflight *InFlightSet) pickCtx {
+func (p *Layout) newPickCtx(v *manifest.Version, now base.Timestamp, haveSnapshots bool, inflight InFlightSet) pickCtx {
 	pc := pickCtx{
 		o:             &p.o,
 		v:             v,
@@ -182,6 +183,12 @@ func (p *Layout) newPickCtx(v *manifest.Version, now base.Timestamp, haveSnapsho
 		}
 	}
 	return pc
+}
+
+// busy reports whether a running job's rectangle overlaps file f's own row
+// at level l: every candidate holding f would conflict with that job.
+func (pc *pickCtx) busy(f *manifest.FileMetadata, l int) bool {
+	return len(pc.inflight) > 0 && pc.inflight.Overlaps(Rect{MinLevel: l, MaxLevel: l, Lo: f.Smallest.UserKey, Hi: f.Largest.UserKey})
 }
 
 // singleRun reports whether level l is in the single-run region and is in
@@ -214,12 +221,12 @@ func (pc *pickCtx) expired(f *manifest.FileMetadata, l int) (base.Duration, bool
 	return 0, false
 }
 
-// pickTTL services the most overdue tombstone. Files claimed by running
-// jobs are skipped — their expiry is already being serviced (or will be
-// re-examined next tick once the claim clears). On a single-run level it
-// batches every expired, unclaimed file of the run: expired files tend to
-// cluster (deletes arrive together), and moving them one at a time would
-// rewrite the same next-level overlap repeatedly. Any other level (L0, a
+// pickTTL services the most overdue tombstone among the files that are not
+// busy — a busy file's expiry is already being serviced, or is re-examined
+// once the claim clears, and the next most overdue file need not wait for
+// it. On a single-run level it batches every expired, free file of the run:
+// expired files tend to cluster (deletes arrive together), and moving them
+// one at a time would rewrite the same next-level overlap repeatedly. Any other level (L0, a
 // tiered level, a level that should be one run and is not) is pushed down
 // whole — pulling the next level's runs in too when that level is also
 // tiered, so the tombstone is not stranded beside older runs for another
@@ -231,10 +238,7 @@ func (pc *pickCtx) pickTTL() *Candidate {
 	for sl := 0; sl < manifest.NumLevels-1; sl++ {
 		for _, r := range pc.v.Levels[sl] {
 			for _, f := range r.Files {
-				if pc.inflight.FileClaimed(f.FileNum) {
-					continue
-				}
-				if over, ok := pc.expired(f, sl); ok && (l < 0 || over > worstOverdue) {
+				if over, ok := pc.expired(f, sl); ok && (l < 0 || over > worstOverdue) && !pc.busy(f, sl) {
 					l, worstOverdue = sl, over
 				}
 			}
@@ -247,10 +251,7 @@ func (pc *pickCtx) pickTTL() *Candidate {
 	if pc.singleRun(l) {
 		var batch []*manifest.FileMetadata
 		for _, f := range pc.v.Levels[l][0].Files {
-			if pc.inflight.FileClaimed(f.FileNum) {
-				continue
-			}
-			if _, ok := pc.expired(f, l); ok {
+			if _, ok := pc.expired(f, l); ok && !pc.busy(f, l) {
 				batch = append(batch, f)
 			}
 		}
@@ -286,7 +287,7 @@ func (pc *pickCtx) pickTTL() *Candidate {
 // run at most, so the whole-level push of level 0 merges the memtable with
 // level 1's overlap and nothing else. Writing the table first would only
 // have it read back and rewritten by that job.
-func (p *Layout) PickFlush(v *manifest.Version, mem *memtable.MemTable, meta *manifest.FileMetadata, now base.Timestamp, haveSnapshots bool, inflight *InFlightSet) *Candidate {
+func (p *Layout) PickFlush(v *manifest.Version, mem *memtable.MemTable, meta *manifest.FileMetadata, now base.Timestamp, haveSnapshots bool, inflight InFlightSet) *Candidate {
 	if p.o.DPT == 0 || len(v.Levels[0]) > 0 || len(v.Levels[1]) > 1 {
 		return nil
 	}
@@ -311,18 +312,17 @@ func (p *Layout) PickFlush(v *manifest.Version, mem *memtable.MemTable, meta *ma
 }
 
 // evictOne moves one file — chosen by the configured Picker — out of
-// byte-saturated single-run level l. Files claimed by running jobs are not
-// considered.
+// byte-saturated single-run level l. Busy files are not considered.
 func (pc *pickCtx) evictOne(l int) *Candidate {
 	files := pc.v.Levels[l][0].Files
-	if pc.inflight != nil {
-		unclaimed := make([]*manifest.FileMetadata, 0, len(files))
+	if len(pc.inflight) > 0 {
+		free := make([]*manifest.FileMetadata, 0, len(files))
 		for _, f := range files {
-			if !pc.inflight.FileClaimed(f.FileNum) {
-				unclaimed = append(unclaimed, f)
+			if !pc.busy(f, l) {
+				free = append(free, f)
 			}
 		}
-		files = unclaimed
+		files = free
 	}
 	chosen := pc.chooseVictim(files, l)
 	if chosen == nil {

@@ -208,17 +208,15 @@ func TestSizeTieredPickSkipsClaimedLevel(t *testing.T) {
 		v = addFiles(t, v, 1, uint64(i+1), file(i+1, "a", "z", 100))
 	}
 	p := sizeTiered(Options{SizeRatio: 4, BaseLevelBytes: 1 << 30})
-	if c := p.Pick(v, 0, false, NewInFlightSet()); c == nil {
+	if c := p.Pick(v, 0, false, InFlightSet{}); c == nil {
 		t.Fatal("no pick with an empty in-flight set")
 	}
-	s := NewInFlightSet()
-	s.Claim(1, nil, 1, 2, nil, nil) // whole-keyspace claim over L1-L2
+	s := InFlightSet{1: {MinLevel: 1, MaxLevel: 2}} // whole-keyspace claim over L1-L2
 	if c := p.Pick(v, 0, false, s); c != nil {
 		t.Fatalf("pick overlapping an in-flight claim: %+v", c)
 	}
 	// A claim on disjoint levels does not block it.
-	s2 := NewInFlightSet()
-	s2.Claim(2, nil, 3, 4, nil, nil)
+	s2 := InFlightSet{2: {MinLevel: 3, MaxLevel: 4}}
 	if c := p.Pick(v, 0, false, s2); c == nil {
 		t.Fatal("disjoint claim blocked the pick")
 	}
@@ -419,13 +417,12 @@ func TestLazyLevelingPickSkipsClaimedFiles(t *testing.T) {
 		file(2, "g", "m", 3000))
 	p := lazyLeveling(Options{SizeRatio: 4, BaseLevelBytes: 1000, Picker: PickMinOverlap})
 
-	s := NewInFlightSet()
-	s.Claim(7, []*manifest.FileMetadata{file(1, "a", "f", 3000)}, 2, 3, []byte("a"), []byte("f"))
+	s := InFlightSet{7: rect(2, 3, "a", "f")}
 	c := p.Pick(v, 0, false, s)
 	if c == nil || c.InputFiles()[0].FileNum != 2 {
 		t.Fatalf("pick should fall back to the unclaimed file, got %+v", c)
 	}
-	s.Claim(8, []*manifest.FileMetadata{file(2, "g", "m", 3000)}, 2, 3, []byte("g"), []byte("m"))
+	s[8] = rect(2, 3, "g", "m")
 	if c := p.Pick(v, 0, false, s); c != nil {
 		t.Fatalf("pick with every file claimed returned %+v", c)
 	}

@@ -46,7 +46,7 @@ func addFiles(t *testing.T, v *manifest.Version, level int, runID uint64, files 
 }
 
 // pick asks o's configured layout for the most urgent compaction.
-func pick(v *manifest.Version, o Options, now base.Timestamp, haveSnapshots bool, inflight *InFlightSet) *Candidate {
+func pick(v *manifest.Version, o Options, now base.Timestamp, haveSnapshots bool, inflight InFlightSet) *Candidate {
 	return o.NewLayout().Pick(v, now, haveSnapshots, inflight)
 }
 
@@ -365,35 +365,87 @@ func TestPickMergesMultiRunLevelWhole(t *testing.T) {
 	}
 }
 
-// BenchmarkPick measures one Pick over an idle tree: about 440 files in
-// three single-run levels, every file carrying tombstones, FADE on with the
-// DPT far away, so the TTL scan visits every file and nothing is picked.
-func BenchmarkPick(b *testing.B) {
-	v := &manifest.Version{}
+// pickBenchTree is a populated four-level version: two level-0 runs and
+// single runs of 4, 40 and 396 files at levels 1-3, every file carrying a
+// tombstone as old as its file number, keys k000000.. repeating per level.
+// pickBenchClaims are two running jobs over it: a level 1 -> 2 merge over the
+// low keys and a level 2 -> 3 merge further right.
+func pickBenchTree(tb testing.TB) *manifest.Version {
 	e := &manifest.VersionEdit{}
 	num := 0
-	for l, n := range []int{0, 4, 40, 396} {
+	for l, n := range []int{2, 4, 40, 396} {
 		for i := 0; i < n; i++ {
 			num++
 			lo, hi := fmt.Sprintf("k%06d", 2*i), fmt.Sprintf("k%06d", 2*i+1)
-			f := tombFile(num, lo, hi, 1000, base.Timestamp(num), 1)
-			e.Added = append(e.Added, manifest.NewFileEntry{Level: l, RunID: uint64(l), Meta: f})
+			runID := uint64(l)
+			if l == 0 {
+				runID = uint64(10 + i) // one run per level-0 file
+			}
+			e.Added = append(e.Added, manifest.NewFileEntry{Level: l, RunID: runID, Meta: tombFile(num, lo, hi, 1000, base.Timestamp(num), 1)})
 		}
 	}
-	v, err := v.Apply(e)
+	v, err := (&manifest.Version{}).Apply(e)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return v
+}
+
+var pickBenchClaims = InFlightSet{
+	1: rect(1, 2, "k000000", "k000020"),
+	2: rect(2, 3, "k000100", "k000300"),
+}
+
+// BenchmarkPick measures one Pick over pickBenchTree under each policy:
+// idle — the DPT far away and no running job, so the TTL scan visits every
+// file and nothing is picked — and claimed — the DPT spent, levels 1-3 at
+// or over capacity, beside pickBenchClaims' two running jobs.
+func BenchmarkPick(b *testing.B) {
+	v := pickBenchTree(b)
 	for _, kind := range []PolicyKind{PolicyLeveled, PolicySizeTiered, PolicyLazyLeveling} {
-		p := Options{Policy: kind, Picker: PickFADE, DPT: 1 << 40, BaseLevelBytes: 1 << 20}.NewLayout()
-		b.Run(kind.String(), func(b *testing.B) {
+		idle := Options{Policy: kind, Picker: PickFADE, DPT: 1 << 40, BaseLevelBytes: 1 << 20}.NewLayout()
+		b.Run("idle/"+kind.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if c := p.Pick(v, 1000, false, nil); c != nil {
+				if c := idle.Pick(v, 1000, false, nil); c != nil {
 					b.Fatalf("idle tree picked %+v", c)
 				}
 			}
 		})
+		busy := Options{Policy: kind, Picker: PickFADE, DPT: 600, BaseLevelBytes: 4000}.NewLayout()
+		b.Run("claimed/"+kind.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				busy.Pick(v, 1000, false, pickBenchClaims)
+			}
+		})
+	}
+}
+
+// TestPickAllocCeiling: a pick beside running jobs allocates the candidate
+// it builds and nothing per file or per claim checked — the conflict test
+// reads the running rectangles in place.
+func TestPickAllocCeiling(t *testing.T) {
+	v := pickBenchTree(t)
+	for _, tc := range []struct {
+		kind    PolicyKind
+		pick    bool // whether any work is free of the running jobs
+		ceiling float64
+	}{
+		{PolicyLeveled, true, 8},
+		// The most overdue free file is in level 0, whose whole-level push
+		// pulls tiered level 1 in and so overlaps the level 1 -> 2 claim.
+		{PolicySizeTiered, false, 5},
+		{PolicyLazyLeveling, false, 5},
+	} {
+		p := Options{Policy: tc.kind, Picker: PickFADE, DPT: 600, BaseLevelBytes: 4000}.NewLayout()
+		if c := p.Pick(v, 1000, false, pickBenchClaims); (c != nil) != tc.pick || (c != nil && pickBenchClaims.Conflicts(c)) {
+			t.Fatalf("%s: pick beside the running jobs = %+v", tc.kind, c)
+		}
+		allocs := testing.AllocsPerRun(20, func() { p.Pick(v, 1000, false, pickBenchClaims) })
+		if allocs > tc.ceiling {
+			t.Errorf("%s: Pick allocated %.0f objects, ceiling %.0f", tc.kind, allocs, tc.ceiling)
+		}
 	}
 }
 
@@ -424,11 +476,10 @@ func TestPickFlush(t *testing.T) {
 	if c == nil || len(c.OutputRunFiles) != 0 {
 		t.Fatalf("expired memtable beside level 1: %+v", c)
 	}
-	if minL, maxL, lo, hi := c.Rectangle(); minL != 0 || maxL != 1 || string(lo) != "x" || string(hi) != "z" {
-		t.Fatalf("rectangle [%d,%d] x [%s,%s], want [0,1] x [x,z]", minL, maxL, lo, hi)
+	if r := c.Rectangle(); r.MinLevel != 0 || r.MaxLevel != 1 || string(r.Lo) != "x" || string(r.Hi) != "z" {
+		t.Fatalf("rectangle [%d,%d] x [%s,%s], want [0,1] x [x,z]", r.MinLevel, r.MaxLevel, r.Lo, r.Hi)
 	}
-	claims := NewInFlightSet()
-	claims.Claim(7, nil, 1, 2, []byte("y"), []byte("y"))
+	claims := InFlightSet{7: rect(1, 2, "y", "y")}
 	if c := layout.PickFlush(l1, nil, mem("x", "z", 0), 1001, false, claims); c != nil {
 		t.Fatalf("a claim inside the memtable's span must decline it: %+v", c)
 	}

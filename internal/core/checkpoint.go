@@ -102,7 +102,7 @@ func (d *DB) checkpoint(ctx context.Context, destDir string) error {
 	}
 
 	// A fresh manifest in the destination makes it independently
-	// openable. LogAndApply stamps the version set's own counters into
+	// openable. Commit stamps the version set's own counters into
 	// the edit, so seed them from the source first.
 	vs, err := manifest.Create(fs, destDir)
 	if err != nil {
@@ -111,7 +111,7 @@ func (d *DB) checkpoint(ctx context.Context, destDir string) error {
 	vs.SetLastSeqNum(lastSeq)
 	vs.EnsureFileNum(nextFile)
 	vs.EnsureRunID(nextRun)
-	if err := vs.LogAndApply(edit); err != nil {
+	if _, err := vs.Commit(edit, nil, nil); err != nil {
 		// The commit error is the one to report; the close error is dropped.
 		vfs.BestEffortClose(vs)
 		return err

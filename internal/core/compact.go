@@ -11,15 +11,14 @@ import (
 )
 
 // Maintenance-side lock order, part of the documented lock DAG: the stage
-// locks (flushMu for the flush queue, pickMu for pick+claim) come before
-// the engine mutex. flushMu precedes pickMu: a flush that merges its
-// memtable straight into level 1 claims that merge while it holds the
-// queue. pickMu also precedes the claim-satellite locks, which encodes the
-// claim-before-version-read rule: a compaction's inputs are claimed under
-// pickMu before any d.mu-guarded version state is re-read.
+// locks (flushMu for the flush queue, pickMu for the claim set: pick, claim
+// and release) come before the engine mutex. flushMu precedes pickMu: a
+// flush that merges its memtable straight into level 1 claims that merge
+// while it holds the queue. pickMu precedes d.mu, which encodes the
+// claim-before-version-read rule: a pick reads d.mu-guarded version state
+// while it holds the claim set.
 //
 // acheron:locks order core.DB.flushMu < core.DB.pickMu < core.DB.mu
-// acheron:locks order core.DB.pickMu < core.DB.eagerMu
 
 // MaintenanceStep performs at most one unit of background work — a flush or
 // a compaction (eager range-delete candidates first) — returning whether
@@ -161,7 +160,8 @@ func (d *DB) compactAll(ctx context.Context) error {
 // such job conflict with this one. Flushes add strictly newer data at L0,
 // which never threatens "no older versions below".
 func (d *DB) isBottommost(v *manifest.Version, c *compaction.Candidate, inCompaction map[base.FileNum]bool) bool {
-	_, _, lo, hi := c.Rectangle()
+	span := c.Rectangle()
+	lo, hi := span.Lo, span.Hi
 	if lo == nil {
 		return true
 	}
@@ -187,8 +187,8 @@ func (d *DB) isBottommost(v *manifest.Version, c *compaction.Candidate, inCompac
 
 // runCandidate executes a claimed job end to end — trivial move, merge,
 // in-place rewrite or covered-file drop — through one manifest edit, one
-// install and one accounting tail. The candidate's input and output files
-// are claimed in d.inflight, so no concurrent job touches them.
+// install and one accounting tail. The candidate's rectangle is claimed in
+// d.inflight, so no concurrent job touches its files.
 func (d *DB) runCandidate(j *compactJob) (err error) {
 	c := j.cand
 	files := c.InputFiles()
@@ -211,7 +211,6 @@ func (d *DB) runCandidate(j *compactJob) (err error) {
 
 	res := &compaction.Result{}
 	edit := &manifest.VersionEdit{}
-	var memo []base.FileNum // files whose eager watermark becomes j.applicable
 	switch {
 	case trivial:
 		edit.Added = []manifest.NewFileEntry{{Level: c.OutputLevel, Meta: files[0]}}
@@ -228,29 +227,23 @@ func (d *DB) runCandidate(j *compactJob) (err error) {
 		if inPlace && res.PagesDropped == 0 && res.RangeCoveredDropped == 0 {
 			// The file's delete-key span intersects a tombstone but no
 			// entry is covered: discard the identical rewrite, install
-			// nothing, and remember the watermark so the file is not
+			// nothing, and leave the watermark on the file so it is not
 			// scanned again. The bytes it cost are accounted below.
 			for _, of := range res.Outputs {
 				d.removeTable(of.FileNum, false)
 			}
-			edit, memo = nil, []base.FileNum{files[0].FileNum}
+			edit = nil
+			files[0].EagerDone.Store(uint64(j.applicable))
 		} else {
 			for _, of := range res.Outputs {
-				edit.Added = append(edit.Added, manifest.NewFileEntry{Level: c.OutputLevel, Meta: fileMetaFrom(of.FileNum, of.Meta)})
-				if inPlace {
-					memo = append(memo, of.FileNum)
-				}
+				m := fileMetaFrom(of.FileNum, of.Meta)
+				// An eager rewrite carries its watermark (zero for any
+				// other job); should the install fail, it dies with the
+				// metadata.
+				m.EagerDone.Store(uint64(j.applicable))
+				edit.Added = append(edit.Added, manifest.NewFileEntry{Level: c.OutputLevel, Meta: m})
 			}
 		}
-	}
-	if len(memo) > 0 {
-		// Before the install: should it fail, removeTable forgets the
-		// watermark together with the output.
-		d.eagerMu.Lock()
-		for _, fn := range memo {
-			d.eagerDone[fn] = j.applicable
-		}
-		d.eagerMu.Unlock()
 	}
 	if edit != nil {
 		for i, r := range c.Inputs {
@@ -427,10 +420,11 @@ func (d *DB) eagerJob(pv pickView) *compactJob {
 
 // classifyEager decides whether the live range tombstones rts give an eager
 // job something to do on file f. applicable is the highest tombstone
-// sequence that may act on f, zero for "leave f alone"; it is memoized after
-// the job so span-only intersections (where no entry is actually covered)
-// are not re-processed forever. covered reports that one tombstone covers
-// f's whole delete-key span: the file goes without being read.
+// sequence that may act on f, zero for "leave f alone"; after the job it is
+// f's (or its rewrite's) FileMetadata.EagerDone, so span-only intersections
+// (where no entry is actually covered) are not re-processed forever.
+// covered reports that one tombstone covers f's whole delete-key span: the
+// file goes without being read.
 func (d *DB) classifyEager(f *manifest.FileMetadata, rts []base.RangeTombstone, snaps []base.SeqNum) (applicable base.SeqNum, covered bool) {
 	if f.NumEntries == 0 || f.NumDeletes > 0 || f.NumRangeDeletes > 0 {
 		// Files carrying tombstones are left to regular compaction:
@@ -463,10 +457,7 @@ func (d *DB) classifyEager(f *manifest.FileMetadata, rts []base.RangeTombstone, 
 	if !covered && !partial {
 		return 0, false
 	}
-	d.eagerMu.Lock()
-	done, ok := d.eagerDone[f.FileNum]
-	d.eagerMu.Unlock()
-	if ok && applicable <= done {
+	if applicable <= base.SeqNum(f.EagerDone.Load()) {
 		return 0, false // nothing new since the last pass over f
 	}
 	return applicable, covered

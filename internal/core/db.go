@@ -109,27 +109,20 @@ type DB struct {
 	// flushMu serializes flushOne callers (manual Flush, the flush
 	// executor, MaintenanceStep) so two cannot pop the same immutable.
 	flushMu sync.Mutex
-	// pickMu makes pick+claim atomic across compaction executors.
+	// pickMu makes pick+claim atomic across compaction executors and guards
+	// inflight: pick, claim and release.
 	pickMu sync.Mutex
 	// policy is the compaction layout (leveled, size-tiered, or
 	// lazy-leveling), built once at Open from Options.Compaction. It is
 	// immutable after construction — Pick reads only its own Options copy
 	// and the version/claims passed in — so no lock guards this field.
 	policy *compaction.Layout
-	// inflight tracks the file and level/key-span claims of running
-	// maintenance jobs; pickers exclude them.
-	inflight *compaction.InFlightSet
+	// inflight holds the claim rectangles of running maintenance jobs;
+	// pickers exclude them.
+	inflight compaction.InFlightSet
 	// sched counts the flush steps and claimed jobs in flight (what
 	// WaitIdle and CompactAll wait out) and records per-job observability.
 	sched *scheduler
-
-	// eagerMu guards eagerDone: per file, the highest range-tombstone
-	// sequence number already applied eagerly, so a file whose delete-key
-	// span merely intersects a tombstone (with no entry actually covered)
-	// is not rewritten again and again. Entries die with their file, in
-	// removeTable.
-	eagerMu   sync.Mutex
-	eagerDone map[base.FileNum]base.SeqNum
 
 	flushCh chan struct{} // wakeup of the pool's first executor (the one that flushes)
 	compCh  chan struct{} // wakeup of the compaction executors
@@ -166,19 +159,18 @@ func Open(dirname string, opts Options) (*DB, error) {
 	}
 
 	d := &DB{
-		opts:      opts,
-		dirname:   dirname,
-		cache:     newTableCache(fs, dirname, opts.BlockCacheBytes),
-		trace:     event.NewTracer(event.DefaultRingSize, opts.EventListener),
-		vs:        vs,
-		mem:       memtable.New(),
-		eagerDone: make(map[base.FileNum]base.SeqNum),
-		inflight:  compaction.NewInFlightSet(),
-		policy:    opts.Compaction.NewLayout(),
-		sched:     newScheduler(),
-		flushCh:   make(chan struct{}, 1),
-		compCh:    make(chan struct{}, 1),
-		closeCh:   make(chan struct{}),
+		opts:     opts,
+		dirname:  dirname,
+		cache:    newTableCache(fs, dirname, opts.BlockCacheBytes),
+		trace:    event.NewTracer(event.DefaultRingSize, opts.EventListener),
+		vs:       vs,
+		mem:      memtable.New(),
+		inflight: compaction.InFlightSet{},
+		policy:   opts.Compaction.NewLayout(),
+		sched:    newScheduler(),
+		flushCh:  make(chan struct{}, 1),
+		compCh:   make(chan struct{}, 1),
+		closeCh:  make(chan struct{}),
 	}
 	d.stallCond = sync.NewCond(&d.mu)
 	if !opts.DisableReadViews {
@@ -908,14 +900,11 @@ func (d *DB) removeDead(dead []base.FileNum) {
 }
 
 // removeTable is the one place a table file dies: it closes the file's
-// cached reader, drops its blocks, forgets its eager watermark, and unlinks
-// it. Only an announced file — one a FileCreate was emitted for, because a
-// version held it — is accounted and reported deleted.
+// cached reader, drops its blocks and unlinks it. Only an announced file —
+// one a FileCreate was emitted for, because a version held it — is
+// accounted and reported deleted.
 func (d *DB) removeTable(fn base.FileNum, announced bool) {
 	d.cache.evict(fn)
-	d.eagerMu.Lock()
-	delete(d.eagerDone, fn)
-	d.eagerMu.Unlock()
 	_ = d.opts.FS.Remove(manifest.MakeFilename(d.dirname, manifest.FileTypeTable, fn))
 	if announced {
 		d.stats.FilesDeleted.Add(1)

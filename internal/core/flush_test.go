@@ -278,7 +278,9 @@ func TestFlushIntoL1Declined(t *testing.T) {
 		{"claimed", twinConfig{}, func(_ *testing.T, tw *flushTwin) {
 			tw.clk.Advance(2000)
 			// A running job holding part of level 1.
-			tw.d.inflight.Claim(1<<62, nil, 1, 2, []byte("key00100"), []byte("key00200"))
+			tw.d.pickMu.Lock()
+			tw.d.inflight[1<<62] = compaction.Rect{MinLevel: 1, MaxLevel: 2, Lo: []byte("key00100"), Hi: []byte("key00200")}
+			tw.d.pickMu.Unlock()
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -295,7 +297,9 @@ func TestFlushIntoL1Declined(t *testing.T) {
 			if got := tw.d.Levels()[0].Files; got != l0+1 || s.BytesFlushed.Get() == 0 {
 				t.Fatalf("level 0 went from %d to %d files, %d bytes flushed: want one more table", l0, got, s.BytesFlushed.Get())
 			}
+			tw.d.pickMu.Lock()
 			tw.d.inflight.Release(1 << 62)
+			tw.d.pickMu.Unlock()
 			if err := tw.d.WaitIdle(); err != nil {
 				t.Fatal(err)
 			}

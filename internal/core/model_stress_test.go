@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/base"
 	"repro/internal/compaction"
+	"repro/internal/manifest"
 	"repro/internal/storetest"
 	"repro/internal/vfs"
 )
@@ -385,5 +386,54 @@ func TestBloomAccountingGroundTruth(t *testing.T) {
 	}
 	if skips == 0 {
 		t.Fatal("bloom filter never skipped an absent-key probe")
+	}
+}
+
+// TestBloomDisabled: a negative BloomBitsPerKey writes no filters, so no
+// lookup is skipped and every table an absent key falls inside is probed;
+// the zero value means the default, 10 bits per key.
+func TestBloomDisabled(t *testing.T) {
+	if got := (Options{}).withDefaults().BloomBitsPerKey; got != 10 {
+		t.Fatalf("zero BloomBitsPerKey defaults to %d, want 10", got)
+	}
+	opts := testOptions(vfs.NewMemFS(), &base.LogicalClock{})
+	opts.BloomBitsPerKey = -1
+	d, err := Open("db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if got := d.opts.BloomBitsPerKey; got != -1 {
+		t.Fatalf("BloomBitsPerKey = %d after defaults, want -1", got)
+	}
+	const present = 500
+	for i := 0; i < present; i++ {
+		if err := d.Put([]byte(fmt.Sprintf("key%06d", i)), storetest.Value(uint64(i), i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.CompactAll(); err != nil {
+		t.Fatal(err)
+	}
+	v := d.vs.Current()
+	var want int64 // tables whose key range holds an absent probe
+	for i := 0; i < present; i++ {
+		k := []byte(fmt.Sprintf("key%06dx", i))
+		v.AllFiles(func(_ int, f *manifest.FileMetadata) {
+			if f.Overlaps(k, k) {
+				want++
+			}
+		})
+		if _, err := d.Get(k); err != ErrNotFound {
+			t.Fatalf("Get(absent %q) = %v", k, err)
+		}
+	}
+	st := d.Stats()
+	if st.BloomSkips.Get() != 0 || st.BloomTruePositives.Get() != 0 || st.BloomFalsePositives.Get() != 0 {
+		t.Fatalf("filters disabled, yet skips=%d true positives=%d false positives=%d",
+			st.BloomSkips.Get(), st.BloomTruePositives.Get(), st.BloomFalsePositives.Get())
+	}
+	if got := st.TablesProbed.Get(); got != want || want < present/2 {
+		t.Fatalf("tables probed = %d, want %d (one per table an absent key falls inside)", got, want)
 	}
 }

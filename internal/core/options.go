@@ -50,7 +50,8 @@ type Options struct {
 
 	// MemTableBytes rotates the memtable at this size. Default 4 MiB.
 	MemTableBytes int64
-	// BloomBitsPerKey sizes table Bloom filters; 0 disables. Default 10.
+	// BloomBitsPerKey sizes table Bloom filters; negative disables them.
+	// Default (0) 10.
 	BloomBitsPerKey int
 	// BlockCacheBytes bounds the shared block cache. Default 8 MiB;
 	// negative disables caching.

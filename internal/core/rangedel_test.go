@@ -769,10 +769,8 @@ func TestEagerJobsInLedger(t *testing.T) {
 	if got := scanAll(t, d); len(got) != 500+800 {
 		t.Fatalf("scan sees %d keys, want %d", len(got), 500+800)
 	}
-	d.eagerMu.Lock()
-	_, memoised := d.eagerDone[noop]
-	d.eagerMu.Unlock()
-	if !memoised || d.vs.Current().Levels[0][0].Files[0].FileNum != noop {
+	f := d.vs.Current().Levels[0][0].Files[0]
+	if f.FileNum != noop || f.EagerDone.Load() == 0 {
 		t.Fatalf("the straddling file %s should be untouched and memoised: %+v", noop, d.Levels())
 	}
 }

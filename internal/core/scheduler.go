@@ -301,8 +301,9 @@ type compactJob struct {
 	cand *compaction.Candidate
 
 	// Set by the eager picker only: the range tombstones live at the pick
-	// (none is in the input file), the watermark eagerDone takes once the
-	// job has run, and whether the whole file is covered.
+	// (none is in the input file), the watermark the file — or its
+	// rewrite — takes once the job has run, and whether the whole file is
+	// covered.
 	live       []base.RangeTombstone
 	applicable base.SeqNum
 	covered    bool
@@ -311,12 +312,12 @@ type compactJob struct {
 // pickView is the engine state a picker reads, taken in claimJob's one d.mu
 // section: the version (rs.version, referenced), the clock, the snapshot
 // list and the memtables whose range tombstones the eager picker collects;
-// claims are the running jobs' claims, copied before it.
+// claims are the running jobs' claims, live under pickMu for the pick.
 type pickView struct {
 	rs     readState
 	now    base.Timestamp
 	snaps  []base.SeqNum
-	claims *compaction.InFlightSet
+	claims compaction.InFlightSet
 }
 
 // pickCompactionJob atomically picks the most urgent compaction disjoint
@@ -339,14 +340,15 @@ func candidateJob(c *compaction.Candidate) *compactJob {
 // against one view of the engine and the running jobs' claims, claims the
 // candidate of the job it returns and counts the job in until
 // runCompactionJob releases it. pickMu makes pick+claim atomic: without it
-// two executors could pick overlapping work before either claim landed.
+// two executors could pick overlapping work before either claim landed. It
+// guards the claim set too, release included, so a job that commits while
+// the pick reads the version is either still claimed (it releases only
+// after this pick) or already installed (it released, after its install,
+// before this pick), never invisible to both checks.
 func (d *DB) claimJob(pick func(pv pickView) *compactJob) *compactJob {
 	d.pickMu.Lock()
 	defer d.pickMu.Unlock()
-	// Claims must be copied before the version is read (see
-	// InFlightSet.Snapshot): a job committing in between is then either
-	// still claimed or already applied, never invisible to both checks.
-	pv := pickView{claims: d.inflight.Snapshot()}
+	pv := pickView{claims: d.inflight}
 	d.mu.Lock()
 	pv.rs = readState{mem: d.mem, imms: append([]immEntry(nil), d.imm...), version: d.vs.Ref(), seq: d.visibleSeqNum()}
 	pv.now = d.opts.Clock.Now()
@@ -359,7 +361,7 @@ func (d *DB) claimJob(pick func(pv pickView) *compactJob) *compactJob {
 		return nil
 	}
 	j.id, j.v = d.sched.newID(), pv.rs.version
-	d.inflight.ClaimCandidate(j.id, j.cand)
+	d.inflight.Claim(j.id, j.cand)
 	d.sched.begin()
 	d.traceJobClaim(j.id, "compact/"+j.cand.Trigger.String(), j.cand.StartLevel, d.policy.Name())
 	return j
@@ -371,7 +373,9 @@ func (d *DB) runCompactionJob(j *compactJob) error {
 	d.stats.CompactionsInFlight.Add(1)
 	err := d.runCandidate(j)
 	d.stats.CompactionsInFlight.Add(-1)
+	d.pickMu.Lock()
 	d.inflight.Release(j.id)
+	d.pickMu.Unlock()
 	d.unref(j.v)
 	d.sched.end()
 	return err

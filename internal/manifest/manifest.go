@@ -20,8 +20,9 @@ import (
 // overlapping runs; deeper levels are shaped by the compaction policy.
 const NumLevels = 7
 
-// FileMetadata describes one sstable. Its exported fields are immutable once
-// a version holds it; only the count of versions holding it changes.
+// FileMetadata describes one sstable. Its fields are immutable once a
+// version holds it; besides the count of versions holding it, only the
+// eager-erase watermark EagerDone changes.
 type FileMetadata struct {
 	// FileNum names the file on disk.
 	FileNum base.FileNum
@@ -62,6 +63,13 @@ type FileMetadata struct {
 	// metadata — the table's writer, or VersionSet.LoadRangeTombstones for
 	// files recovered from the manifest — before any version holds the file.
 	RangeTombstones []base.RangeTombstone
+
+	// EagerDone is the highest range-tombstone sequence number an eager
+	// erase has already applied to the file (zero for none), so a file whose
+	// delete-key span merely intersects a tombstone is not rewritten again
+	// and again. It is runtime state, never encoded: it dies with the
+	// metadata.
+	EagerDone atomic.Uint64
 
 	// refs counts the live versions holding the file (see Version.Unref).
 	refs atomic.Int32

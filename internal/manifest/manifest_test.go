@@ -268,13 +268,13 @@ func TestVersionSetCreateLoad(t *testing.T) {
 	edit := &VersionEdit{Added: []NewFileEntry{
 		{Level: 0, RunID: vs.AllocRunID(), Meta: fileMeta(int(vs.AllocFileNum()), "a", "m")},
 	}}
-	if err := vs.LogAndApply(edit); err != nil {
+	if _, err := vs.Commit(edit, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	edit2 := &VersionEdit{Added: []NewFileEntry{
 		{Level: 1, RunID: vs.AllocRunID(), Meta: fileMeta(int(vs.AllocFileNum()), "n", "z")},
 	}}
-	if err := vs.LogAndApply(edit2); err != nil {
+	if _, err := vs.Commit(edit2, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	nextFile, nextRun := vs.NextFileNum(), vs.NextRunID()
@@ -311,12 +311,12 @@ func TestVersionSetLoadAfterManyEdits(t *testing.T) {
 		add := &VersionEdit{Added: []NewFileEntry{
 			{Level: 0, RunID: vs.AllocRunID(), Meta: fileMeta(int(fn), "a", "z")},
 		}}
-		if err := vs.LogAndApply(add); err != nil {
+		if _, err := vs.Commit(add, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 		if i < 49 {
 			del := &VersionEdit{Deleted: []DeletedFileEntry{{Level: 0, FileNum: fn}}}
-			if err := vs.LogAndApply(del); err != nil {
+			if _, err := vs.Commit(del, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -409,7 +409,7 @@ func TestSnapshotEditReconstructsState(t *testing.T) {
 		edit := &VersionEdit{Added: []NewFileEntry{
 			{Level: l, RunID: vs.AllocRunID(), Meta: fileMeta(int(vs.AllocFileNum()), fmt.Sprintf("k%d", l), fmt.Sprintf("m%d", l))},
 		}}
-		if err := vs.LogAndApply(edit); err != nil {
+		if _, err := vs.Commit(edit, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -425,10 +425,10 @@ func TestSnapshotEditReconstructsState(t *testing.T) {
 	vs.Close()
 }
 
-// TestConcurrentLogAndApply drives many goroutines through Commit at once.
+// TestConcurrentCommit drives many goroutines through Commit at once.
 // The commit point serializes them, so every edit must land exactly once and
 // the counters must be monotone.
-func TestConcurrentLogAndApply(t *testing.T) {
+func TestConcurrentCommit(t *testing.T) {
 	fs := vfs.NewMemFS()
 	vs, err := Create(fs, "db")
 	if err != nil {
@@ -485,7 +485,7 @@ func TestFailedCommitIsForgotten(t *testing.T) {
 				t.Fatal(err)
 			}
 			efs.Add(&errorfs.Rule{Ops: []errorfs.Op{errorfs.OpSync}, PathGlob: "MANIFEST-*", Sticky: sticky, Kind: errorfs.FaultTransient})
-			err = vs.LogAndApply(add(100))
+			_, err = vs.Commit(add(100), nil, nil)
 			if err == nil || errors.Is(err, ErrEditInDoubt) != sticky {
 				t.Fatalf("failed commit: %v; in doubt want %v", err, sticky)
 			}
@@ -493,7 +493,7 @@ func TestFailedCommitIsForgotten(t *testing.T) {
 				t.Fatalf("failed edit installed: %d files", n)
 			}
 			efs.Clear()
-			if err := vs.LogAndApply(add(101)); err != nil {
+			if _, err := vs.Commit(add(101), nil, nil); err != nil {
 				t.Fatal(err)
 			}
 			vs.Close()
@@ -537,7 +537,7 @@ func TestVersionRefsReportDeadFiles(t *testing.T) {
 		return NewFileEntry{Level: level, RunID: vs.AllocRunID(), Meta: f}
 	}
 	f1, f2 := fileMeta(int(vs.AllocFileNum()), "a", "f"), fileMeta(int(vs.AllocFileNum()), "g", "m")
-	if err := vs.LogAndApply(&VersionEdit{Added: []NewFileEntry{add(0, f1), add(0, f2)}}); err != nil {
+	if _, err := vs.Commit(&VersionEdit{Added: []NewFileEntry{add(0, f1), add(0, f2)}}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	commit := func(e *VersionEdit) []base.FileNum {

@@ -78,7 +78,7 @@ func ParseFilename(name string) (t FileType, fn base.FileNum, ok bool) {
 }
 
 // VersionSet owns the current Version and its durable edit log. It is safe
-// for concurrent use: counter allocation is atomic, and LogAndApply callers
+// for concurrent use: counter allocation is atomic, and Commit callers
 // are serialized only at the commit point (commitMu), so multiple
 // maintenance jobs may prepare edits concurrently.
 type VersionSet struct {
@@ -301,14 +301,6 @@ func (vs *VersionSet) noteEditCounters(e *VersionEdit) {
 	casMax(&vs.nextFileNum, uint64(e.NextFileNum))
 	casMax(&vs.logNum, uint64(e.LogNum))
 	casMax(&vs.nextRunID, e.NextRunID)
-}
-
-// LogAndApply durably records the edit, then installs the resulting
-// Version. Concurrent callers are serialized at the commit point. It is
-// Commit for a caller that unlinks no file.
-func (vs *VersionSet) LogAndApply(e *VersionEdit) error {
-	_, err := vs.Commit(e, nil, nil)
-	return err
 }
 
 // Commit is the version set's one commit point. Under the commit mutex —

@@ -55,7 +55,7 @@ var ioMethods = map[string]map[string]bool{
 		"Add": true, "AddRangeTombstone": true, "Finish": true, "Close": true,
 	},
 	"internal/manifest": {
-		"LogAndApply": true, "Commit": true,
+		"Commit": true,
 		"Create": true, "Load": true, "Close": true,
 	},
 }

@@ -102,6 +102,7 @@ func layout(r *sstable.Reader) {
 
 func dump(r *sstable.Reader, limit int) {
 	it := r.NewIter()
+	defer it.Close()
 	n := 0
 	for ok := it.First(); ok; ok = it.Next() {
 		k := it.Key()
@@ -121,6 +122,7 @@ func dump(r *sstable.Reader, limit int) {
 func verify(r *sstable.Reader) {
 	// A full iteration reads and checksums every data block.
 	it := r.NewIter()
+	defer it.Close()
 	n := 0
 	for ok := it.First(); ok; ok = it.Next() {
 		n++

@@ -17,9 +17,10 @@ func TestGetPut(t *testing.T) {
 	}
 	c.Put(1, 0, []byte("block-a"))
 	got, ok := c.Get(1, 0)
-	if !ok || string(got) != "block-a" {
-		t.Fatalf("Get = %q, %v", got, ok)
+	if !ok || string(got.Data()) != "block-a" {
+		t.Fatalf("Get = %q, %v", got.Data(), ok)
 	}
+	got.Release()
 	if c.Hits() != 1 || c.Misses() != 1 {
 		t.Fatalf("hits=%d misses=%d", c.Hits(), c.Misses())
 	}
@@ -35,9 +36,10 @@ func TestDistinctKeys(t *testing.T) {
 		want    string
 	}{{1, 0, "a"}, {1, 100, "b"}, {2, 0, "c"}} {
 		got, ok := c.Get(tc.id, tc.off)
-		if !ok || string(got) != tc.want {
-			t.Fatalf("Get(%d,%d) = %q, %v", tc.id, tc.off, got, ok)
+		if !ok || string(got.Data()) != tc.want {
+			t.Fatalf("Get(%d,%d) = %q, %v", tc.id, tc.off, got.Data(), ok)
 		}
+		got.Release()
 	}
 }
 
@@ -72,9 +74,10 @@ func TestUpdateExistingKey(t *testing.T) {
 	c.Put(1, 0, []byte("old"))
 	c.Put(1, 0, []byte("newer-data"))
 	got, _ := c.Get(1, 0)
-	if string(got) != "newer-data" {
-		t.Fatalf("got %q", got)
+	if string(got.Data()) != "newer-data" {
+		t.Fatalf("got %q", got.Data())
 	}
+	got.Release()
 	if c.Bytes() != int64(len("newer-data")) {
 		t.Fatalf("Bytes = %d after update", c.Bytes())
 	}
@@ -123,11 +126,12 @@ func TestConcurrent(t *testing.T) {
 			for i := 0; i < 2000; i++ {
 				id := uint64(g)
 				off := uint64(i % 50 * 4096)
-				if data, ok := c.Get(id, off); ok {
-					if string(data) != fmt.Sprintf("g%d-%d", g, i%50) {
+				if b, ok := c.Get(id, off); ok {
+					if string(b.Data()) != fmt.Sprintf("g%d-%d", g, i%50) {
 						t.Errorf("cross-goroutine corruption")
 						return
 					}
+					b.Release()
 				} else {
 					c.Put(id, off, []byte(fmt.Sprintf("g%d-%d", g, i%50)))
 				}
@@ -142,7 +146,8 @@ func BenchmarkCacheGetHit(b *testing.B) {
 	c.Put(1, 0, make([]byte, 4096))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Get(1, 0)
+		blk, _ := c.Get(1, 0)
+		blk.Release()
 	}
 }
 
@@ -209,8 +214,10 @@ func TestHotSetSurvivesColdPass(t *testing.T) {
 	}
 }
 
-// TestPutGetAllocs: in a full cache, a Put that evicts a block and a Get
-// that hits allocate nothing.
+// TestPutGetAllocs: in a full cache, a Put that evicts a block, a miss that
+// takes a recycled buffer, inserts it (evicting a block) and releases its
+// pin, a Get hit and its release, and the release of a pin on a block
+// evicted meanwhile, which recycles its buffer, allocate nothing.
 func TestPutGetAllocs(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -228,13 +235,147 @@ func TestPutGetAllocs(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("a Put that evicts allocates %.2f times", a)
 	}
+	miss := func() {
+		b := c.Alloc(1, off, 4096)
+		c.Insert(1, off, &b)
+		b.Release()
+		off += 4096
+	}
+	if a := testing.AllocsPerRun(1000, miss); a != 0 {
+		t.Errorf("a miss into a full cache allocates %.2f times", a)
+	}
 	last := off - 4096
 	if a := testing.AllocsPerRun(1000, func() {
-		if _, ok := c.Get(1, last); !ok {
+		b, ok := c.Get(1, last)
+		if !ok {
 			t.Fatal("the newest block is not resident")
 		}
+		b.Release()
 	}); a != 0 {
 		t.Errorf("a Get hit allocates %.2f times", a)
+	}
+	if a := testing.AllocsPerRun(1000, func() {
+		b, _ := c.Get(1, last)
+		c.EvictFile(1)
+		b.Release() // the last reference: the buffer is recycled
+		miss()
+		last = off - 4096
+	}); a != 0 {
+		t.Errorf("releasing an evicted block allocates %.2f times", a)
+	}
+}
+
+// TestPutKeepsCallersSlice: Put copies, so a slice put under two keys whose
+// blocks are then evicted reaches no Alloc, and is never written.
+func TestPutKeepsCallersSlice(t *testing.T) {
+	c := New(48 << 10) // one shard
+	page := make([]byte, 4096)
+	c.Put(1, 0, page)
+	c.Put(1, 4096, page)
+	c.EvictFile(1)
+	a, b := c.Alloc(2, 0, 4096), c.Alloc(2, 4096, 4096)
+	defer a.Release()
+	defer b.Release()
+	if &a.Data()[0] == &b.Data()[0] {
+		t.Fatal("two Allocs got the same buffer")
+	}
+	for _, blk := range []Block{a, b} {
+		if &blk.Data()[0] == &page[0] {
+			t.Fatal("an Alloc got the caller's slice")
+		}
+		for i := range blk.Data() {
+			blk.Data()[i] = 0xff
+		}
+	}
+	for _, v := range page {
+		if v != 0 {
+			t.Fatal("the slice passed to Put was written")
+		}
+	}
+}
+
+// TestPinOutlivesEviction: a block pinned when EvictFile and eviction by
+// capacity drop it keeps its bytes until the pin's Release, and only then does
+// its buffer go to the next Alloc of its shard.
+func TestPinOutlivesEviction(t *testing.T) {
+	c := New(48 << 10) // one shard
+	fill := func(b *Block, v byte) {
+		for i := range b.Data() {
+			b.Data()[i] = v
+		}
+	}
+	b := c.Alloc(1, 0, 4096)
+	fill(&b, 7)
+	c.Insert(1, 0, &b)
+	held, _ := c.Get(1, 0)
+	b.Release()
+	c.EvictFile(1)
+	for off := uint64(0); off < 40; off++ { // churn the shard by capacity too
+		nb := c.Alloc(2, off*4096, 4096)
+		fill(&nb, 9)
+		c.Insert(2, off*4096, &nb)
+		nb.Release()
+	}
+	for _, v := range held.Data() {
+		if v != 7 {
+			t.Fatal("a pinned block's bytes changed after its eviction")
+		}
+	}
+	if _, ok := c.Get(1, 0); ok {
+		t.Fatal("EvictFile left a pinned block resident")
+	}
+	var taken []Block // every spare buffer, so the list has room below
+	for len(c.shards[0].spare) > 0 {
+		taken = append(taken, c.Alloc(3, 0, 1))
+	}
+	buf := held.Data()[:1]
+	held.Release()
+	if poison && buf[0] == 7 {
+		t.Fatal("the race build did not poison a released buffer")
+	}
+	got := c.Alloc(3, 0, 4000)
+	defer got.Release()
+	for i := range taken {
+		taken[i].Release()
+	}
+	if &got.Data()[0] != &buf[0] {
+		t.Fatal("the next Alloc did not take the buffer the last release freed")
+	}
+}
+
+// TestSpareBoundedByCapacity: released buffers wait for an Alloc only while
+// they fit beside the resident blocks in the shard's capacity, but the free
+// list always keeps one; the rest go to the garbage collector. Resident
+// blocks push spare buffers out as they grow.
+func TestSpareBoundedByCapacity(t *testing.T) {
+	c := New(48 << 10) // one shard
+	s := &c.shards[0]
+	var pins []Block
+	for i := uint64(0); i < 40; i++ {
+		pins = append(pins, c.Alloc(1, i*4096, 4096))
+	}
+	for i := range pins {
+		pins[i].Release()
+	}
+	if s.spareBytes > s.capacity || s.spareBytes < s.capacity-4096 {
+		t.Fatalf("%d bytes spare in an empty %d-byte shard after 40 releases of 4 KiB", s.spareBytes, s.capacity)
+	}
+	// Fill the shard with fresh blocks: each one pushes a spare buffer out.
+	for i := uint64(0); i < 12; i++ {
+		c.Insert(2, i*4096, &Block{data: make([]byte, 4096), s: s})
+		if s.bytes+s.spareBytes > s.capacity && len(s.spare) > 1 {
+			t.Fatalf("%d bytes resident and %d spare in a %d-byte shard", s.bytes, s.spareBytes, s.capacity)
+		}
+	}
+	pins = pins[:0]
+	for i := uint64(0); i < 40; i++ {
+		pins = append(pins, c.Alloc(1, i*4096, 4096))
+	}
+	for i := range pins {
+		pins[i].Release()
+	}
+	if len(s.spare) != 1 {
+		t.Fatalf("%d spare buffers in a full shard after 40 releases, want 1", len(s.spare))
 	}
 }
 
@@ -279,19 +420,22 @@ func mixTrace(capacity int64, ops int) []int64 {
 }
 
 // BenchmarkCacheMix replays mixTrace through an 8 MiB cache, reading
-// through it as sstable.Reader does: a miss puts the block. An op is a
-// point read or a 4-block scan; hit_ratio counts blocks after a warm-up
-// pass over the whole trace.
+// through it as sstable.Reader does: a hit is pinned and released, a miss
+// takes a recycled buffer, inserts it and releases it. An op is a point read
+// or a 4-block scan; hit_ratio counts blocks after a warm-up pass over the
+// whole trace.
 func BenchmarkCacheMix(b *testing.B) {
 	const capacity = 8 << 20
 	trace := mixTrace(capacity, 1<<19)
-	blk := make([]byte, 4096)
 	c := New(capacity)
 	read := func(block int64) {
 		id, off := uint64(block/256+1), uint64(block%256*4096)
-		if _, ok := c.Get(id, off); !ok {
-			c.Put(id, off, blk)
+		blk, ok := c.Get(id, off)
+		if !ok {
+			blk = c.Alloc(id, off, 4096)
+			c.Insert(id, off, &blk)
 		}
+		blk.Release()
 	}
 	op := func(i int) {
 		if t := trace[i%len(trace)]; t >= 0 {
@@ -316,20 +460,25 @@ func BenchmarkCacheMix(b *testing.B) {
 	b.ReportMetric(float64(hits)/float64(hits+misses), "hit_ratio")
 }
 
-// BenchmarkCachePutEvict puts never-seen 4 KiB blocks into a full 8 MiB
-// cache, so every Put evicts one.
+// BenchmarkCachePutEvict inserts never-seen 4 KiB blocks into a full 8 MiB
+// cache as a read miss does, so every one takes the buffer of the block the
+// previous one evicted.
 func BenchmarkCachePutEvict(b *testing.B) {
 	const capacity = 8 << 20
 	c := New(capacity)
-	blk := make([]byte, 4096)
 	off := uint64(0)
-	for ; c.Evictions() == 0; off += 4096 {
-		c.Put(1, off, blk)
+	miss := func() {
+		blk := c.Alloc(1, off, 4096)
+		c.Insert(1, off, &blk)
+		blk.Release()
+		off += 4096
+	}
+	for c.Evictions() == 0 {
+		miss()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Put(1, off, blk)
-		off += 4096
+		miss()
 	}
 }

@@ -85,9 +85,11 @@ func TestRunBytesIndependentOfBlockCache(t *testing.T) {
 
 // TestRunBesideReaders runs merges over input files whose Readers are serving
 // Gets and scans from other goroutines through one small shared cache, so the
-// job meets hits, misses and blocks evicted under it. The readers hold on to
-// what they read while the job recycles its buffers; nothing they hold may
-// change, and (under -race) nothing they read may be written.
+// job meets hits, misses and blocks evicted under it, and its released
+// buffers go to the readers' misses and theirs to the job. What a reader
+// reads must be what the file holds while its pin lasts, a value Get returned
+// must not change afterwards, and (under -race) nothing a pin covers may be
+// written.
 func TestRunBesideReaders(t *testing.T) {
 	e, newer, older := goldenFixture(t, 4)
 	env := bottomEnv(t, e)
@@ -128,27 +130,33 @@ func TestRunBesideReaders(t *testing.T) {
 				i := (g + round) % len(readers)
 				r, want := readers[i], contents[i]
 				if round%2 == 0 {
-					held := make([][]byte, 0, len(want))
+					n := 0
 					it := r.NewIter()
 					for ok := it.First(); ok; ok = it.Next() {
-						held = append(held, it.Value())
-					}
-					if err := it.Error(); err != nil || len(held) != len(want) {
-						t.Errorf("scan of input %d: %d of %d entries, err %v", i, len(held), len(want), err)
-						return
-					}
-					for k, v := range held {
-						if !bytes.Equal(v, want[k].val) {
-							t.Errorf("input %d entry %d: a value read earlier in the scan changed", i, k)
-							return
+						if n >= len(want) || !bytes.Equal(it.Value(), want[n].val) {
+							break
 						}
+						n++
+					}
+					it.Close()
+					if err := it.Error(); err != nil || n != len(want) {
+						t.Errorf("scan of input %d: %d of %d entries read back, err %v", i, n, len(want), err)
+						return
 					}
 					continue
 				}
+				var held [][]byte
 				for k := g; k < len(want); k += 7 {
 					_, v, _, found, err := r.Get(want[k].key.UserKey, want[k].key.SeqNum())
 					if err != nil || !found || !bytes.Equal(v, want[k].val) {
 						t.Errorf("Get(%s) on input %d: found=%v err=%v", want[k].key, i, found, err)
+						return
+					}
+					held = append(held, v)
+				}
+				for n, v := range held {
+					if k := g + 7*n; !bytes.Equal(v, want[k].val) {
+						t.Errorf("input %d entry %d: a value Get returned changed", i, k)
 						return
 					}
 				}

@@ -256,6 +256,7 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 	}
 
 	merged := iterator.NewMerge(sources...)
+	defer merged.Close()
 	p := startPipe(newOutputWriter(env, surviving))
 	defer func() {
 		if err != nil {
@@ -264,10 +265,11 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 		}
 	}()
 
-	// ik and value alias the input iterators' page buffers, which those
-	// recycle: both are dead after merged.Next. The one thing kept across
-	// iterations is the previous user key, copied into lastUserKey when a new
-	// one arrives; a kept entry is copied into the pipe's batch.
+	// ik and value alias the input iterators' pinned pages, which they
+	// release on leaving a tile: both are dead after merged.Next. The one
+	// thing kept across iterations is the previous user key, copied into
+	// lastUserKey when a new one arrives; a kept entry is copied into the
+	// pipe's batch.
 	var (
 		lastUserKey  []byte
 		lastKeptSeq  base.SeqNum

@@ -10,6 +10,7 @@ import (
 	"repro/internal/base"
 	"repro/internal/event"
 	"repro/internal/manifest"
+	"repro/internal/sstable"
 	"repro/internal/vfs"
 )
 
@@ -184,22 +185,31 @@ func (d *DB) VerifyChecksums() error {
 		if err != nil {
 			return fmt.Errorf("acheron: scrub open %s: %w", f.FileNum, err)
 		}
-		it := r.NewIter()
-		var n uint64
-		var last base.InternalKey
-		for ok := it.First(); ok; ok = it.Next() {
-			if n > 0 && it.Key().Compare(last) <= 0 {
-				return fmt.Errorf("acheron: scrub %s: keys out of order at entry %d", f.FileNum, n)
-			}
-			last = it.Key().Clone()
-			n++
+		if err := scrubTable(r, f); err != nil {
+			return err
 		}
-		if err := it.Error(); err != nil {
-			return fmt.Errorf("acheron: scrub %s: %w", f.FileNum, err)
+	}
+	return nil
+}
+
+// scrubTable walks every entry of f's table, checking their order and count.
+func scrubTable(r *sstable.Reader, f *manifest.FileMetadata) error {
+	it := r.NewIter()
+	defer it.Close()
+	var n uint64
+	var last base.InternalKey
+	for ok := it.First(); ok; ok = it.Next() {
+		if n > 0 && it.Key().Compare(last) <= 0 {
+			return fmt.Errorf("acheron: scrub %s: keys out of order at entry %d", f.FileNum, n)
 		}
-		if n != f.NumEntries {
-			return fmt.Errorf("acheron: scrub %s: %d entries on disk, metadata says %d", f.FileNum, n, f.NumEntries)
-		}
+		last = it.Key().Clone()
+		n++
+	}
+	if err := it.Error(); err != nil {
+		return fmt.Errorf("acheron: scrub %s: %w", f.FileNum, err)
+	}
+	if n != f.NumEntries {
+		return fmt.Errorf("acheron: scrub %s: %d entries on disk, metadata says %d", f.FileNum, n, f.NumEntries)
 	}
 	return nil
 }

@@ -990,62 +990,66 @@ func (d *DB) getAt(key []byte, snap *Snapshot) ([]byte, error) {
 	defer d.unref(rs.version)
 	d.stats.Gets.Add(1)
 
-	kind, value, entrySeq, found, err := d.searchSources(rs, key)
+	res, err := d.searchSources(rs, key)
 	if err != nil {
 		return nil, err
 	}
-	if !found || kind == base.KindDelete {
+	defer res.Release()
+	if !res.Found || res.Kind == base.KindDelete {
 		return nil, ErrNotFound
 	}
 	// Secondary range tombstones may invalidate the found version.
-	if d.opts.DeleteKeyFunc != nil && rs.covered(d.opts.DeleteKeyFunc(value), entrySeq) {
+	if d.opts.DeleteKeyFunc != nil && rs.covered(d.opts.DeleteKeyFunc(res.Value), res.Seq) {
 		return nil, ErrNotFound
 	}
 	d.stats.GetHits.Add(1)
-	// value aliases a memtable node or an immutable table block (see
-	// getFromTable); this is the one copy a Get hit makes.
-	return append([]byte(nil), value...), nil
+	// res.Value aliases a memtable node or a table block res pins until the
+	// deferred Release (see getFromTable); this is the one copy a Get hit
+	// makes.
+	return append([]byte(nil), res.Value...), nil
 }
 
 // searchSources probes memtables then levels, newest to oldest, returning
-// the first (newest) version of key at or below rs.seq.
-func (d *DB) searchSources(rs readState, key []byte) (base.Kind, []byte, base.SeqNum, bool, error) {
+// the first (newest) version of key at or below rs.seq. A version found in a
+// table pins its block: the caller must Release the result.
+func (d *DB) searchSources(rs readState, key []byte) (sstable.LookupResult, error) {
 	if k, v, s, ok := rs.mem.Get(key, rs.seq); ok {
-		return k, v, s, true, nil
+		return sstable.LookupResult{Kind: k, Value: v, Seq: s, Found: true}, nil
 	}
 	for i := len(rs.imms) - 1; i >= 0; i-- {
 		if k, v, s, ok := rs.imms[i].mem.Get(key, rs.seq); ok {
-			return k, v, s, true, nil
+			return sstable.LookupResult{Kind: k, Value: v, Seq: s, Found: true}, nil
 		}
 	}
 	for l := 0; l < manifest.NumLevels; l++ {
 		for _, run := range rs.version.Levels[l] { // newest run first
 			for _, f := range run.Find(key, key) {
-				k, v, s, ok, err := d.getFromTable(f, key, rs.seq)
-				if err != nil {
-					return 0, nil, 0, false, err
-				}
-				if ok {
-					return k, v, s, true, nil
+				res, err := d.getFromTable(f, key, rs.seq)
+				if err != nil || res.Found {
+					return res, err
 				}
 			}
 		}
 	}
-	return 0, nil, 0, false, nil
+	return sstable.LookupResult{}, nil
 }
 
-func (d *DB) getFromTable(f *manifest.FileMetadata, key []byte, seq base.SeqNum) (base.Kind, []byte, base.SeqNum, bool, error) {
+// getFromTable looks key up in one table. A found version's value aliases
+// the table's block, pinned by the result until its Release, so it stays
+// intact while getAt copies it even if the block is evicted and its file
+// dies meanwhile.
+func (d *DB) getFromTable(f *manifest.FileMetadata, key []byte, seq base.SeqNum) (sstable.LookupResult, error) {
 	r, err := d.cache.get(f.FileNum)
 	if err != nil {
-		return 0, nil, 0, false, err
+		return sstable.LookupResult{}, err
 	}
 	res, err := r.Lookup(key, seq)
 	if err != nil {
-		return 0, nil, 0, false, err
+		return sstable.LookupResult{}, err
 	}
 	if res.Filtered {
 		d.stats.BloomSkips.Add(1)
-		return 0, nil, 0, false, nil
+		return res, nil
 	}
 	d.stats.TablesProbed.Add(1)
 	// Classify the filters' "maybe": with filters enabled, a probe that
@@ -1059,10 +1063,7 @@ func (d *DB) getFromTable(f *manifest.FileMetadata, key []byte, seq base.SeqNum)
 			d.stats.BloomFalsePositives.Add(1)
 		}
 	}
-	// res.Value aliases the table's block, which outlives the version
-	// reference: blocks are immutable and never recycled, cached or not.
-	// getAt makes the copy.
-	return res.Kind, res.Value, res.Seq, res.Found, nil
+	return res, nil
 }
 
 // ---------------------------------------------------------------------------

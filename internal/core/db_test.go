@@ -192,3 +192,47 @@ func TestReopenReplaysRangeTombstones(t *testing.T) {
 	defer d.Close()
 	storetest.Check(t, target(d), m, 0)
 }
+
+// TestGetMissAllocs: a Get whose block is not cached allocates once, for the
+// value it returns: the block is read into a buffer recycled from an evicted
+// one, and pinned, not copied, until the value is copied out.
+func TestGetMissAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	opts := testOptions(vfs.NewMemFS(), &base.LogicalClock{})
+	opts.MemTableBytes = 64 << 20
+	opts.BlockCacheBytes = 64 << 10
+	d := mustOpen(t, opts)
+	const n = 20000
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key%06d", i)) }
+	for i := 0; i < n; i++ {
+		if err := d.Put(key(i), storetest.Value(uint64(i), i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = key(i * 7919 % n)
+	}
+	i := 0
+	get := func() {
+		if _, err := d.Get(keys[i%n]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for range keys { // warm up: fill the cache and its free list
+		get()
+	}
+	_, misses := d.BlockCacheStats()
+	if a := testing.AllocsPerRun(1000, get); a > 1 {
+		t.Errorf("a Get that misses the block cache allocates %.2f times, want <= 1", a)
+	}
+	if _, got := d.BlockCacheStats(); got-misses < 500 {
+		t.Fatalf("only %d of 1001 Gets missed the block cache", got-misses)
+	}
+}

@@ -156,11 +156,12 @@ func prefixSuccessor(prefix []byte) []byte {
 	return nil
 }
 
-// Close releases the iterator's version, unlinking the files only it still
-// held. Closing twice is safe.
+// Close releases the table pages the iterator pins and its version,
+// unlinking the files only it still held. Closing twice is safe.
 func (i *Iter) Close() error {
 	if !i.closed {
 		i.closed = true
+		i.merge.Close()
 		if i.viewDeferred {
 			i.d.readViews.Credit(i.rs.version, uint64(i.stepped))
 		}

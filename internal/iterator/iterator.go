@@ -25,6 +25,10 @@ type Internal interface {
 	Value() []byte
 	// Error returns the first error encountered.
 	Error() error
+	// Close releases what the iterator holds (an sstable iterator's pinned
+	// pages); its keys and values are dead afterwards. Positioning it again
+	// is allowed.
+	Close()
 }
 
 // mergeItem is one live source in the merge heap. Items are stored by value
@@ -126,6 +130,14 @@ func (m *Merge) Source() int { return m.items[0].index }
 // Error returns the first error from any source.
 func (m *Merge) Error() error { return m.err }
 
+// Close closes every source and leaves the merge unpositioned.
+func (m *Merge) Close() {
+	for _, s := range m.sources {
+		s.Close()
+	}
+	m.items = m.items[:0]
+}
+
 // Next advances past the current entry.
 func (m *Merge) Next() bool {
 	if !m.Valid() {
@@ -167,8 +179,9 @@ func NewConcat(n int, bounds func(int) (base.InternalKey, base.InternalKey), ope
 	return &Concat{n: n, open: open, bounds: bounds, curIdx: -1, invalid: true}
 }
 
+// load closes the open child, if any, and opens child i.
 func (c *Concat) load(i int) bool {
-	c.cur = nil
+	c.Close()
 	c.curIdx = i
 	if i >= c.n {
 		c.invalid = true
@@ -314,3 +327,11 @@ func (c *Concat) Value() []byte { return c.cur.Value() }
 
 // Error returns the first error encountered.
 func (c *Concat) Error() error { return c.err }
+
+// Close closes the open child, if any, and leaves the iterator unpositioned.
+func (c *Concat) Close() {
+	if c.cur != nil {
+		c.cur.Close()
+		c.cur = nil
+	}
+}

@@ -11,9 +11,10 @@ import (
 
 // sliceIter is a reference Internal implementation over a sorted slice.
 type sliceIter struct {
-	keys []base.InternalKey
-	vals [][]byte
-	pos  int
+	keys   []base.InternalKey
+	vals   [][]byte
+	pos    int
+	closed int // Close calls
 }
 
 func newSliceIter(kvs map[string]string, seqStart int) *sliceIter {
@@ -54,6 +55,8 @@ func (s *sliceIter) Key() base.InternalKey { return s.keys[s.pos] }
 func (s *sliceIter) Value() []byte { return s.vals[s.pos] }
 
 func (s *sliceIter) Error() error { return nil }
+
+func (s *sliceIter) Close() { s.closed++ }
 
 // errIter fails on the nth positioning call.
 type errIter struct {
@@ -96,6 +99,7 @@ func (e *errIter) Valid() bool           { return e.err == nil && e.inner.Valid(
 func (e *errIter) Key() base.InternalKey { return e.inner.Key() }
 func (e *errIter) Value() []byte         { return e.inner.Value() }
 func (e *errIter) Error() error          { return e.err }
+func (e *errIter) Close()                { e.inner.Close() }
 
 func TestMergeInterleavesSources(t *testing.T) {
 	a := newSliceIter(map[string]string{"a": "1", "d": "2", "g": "3"}, 100)
@@ -249,12 +253,39 @@ func TestConcatChainsChildren(t *testing.T) {
 	var got []string
 	for ok := c.First(); ok; ok = c.Next() {
 		got = append(got, string(c.Key().UserKey))
+		// A child is closed as the concat moves past it, and not before.
+		for i, ch := range children {
+			if want := ch.keys[len(ch.keys)-1].Compare(c.Key()) < 0; (ch.closed == 1) != want || ch.closed > 1 {
+				t.Fatalf("at %s, child %d closed %d times", c.Key(), i, ch.closed)
+			}
+		}
 	}
 	if fmt.Sprint(got) != fmt.Sprint([]string{"a", "b", "c", "d", "e"}) {
 		t.Fatalf("concat = %v", got)
 	}
 	if c.Error() != nil {
 		t.Fatal(c.Error())
+	}
+	c.Close()
+	for i, ch := range children {
+		if ch.closed != 1 {
+			t.Fatalf("child %d closed %d times after Close", i, ch.closed)
+		}
+	}
+}
+
+// TestMergeCloseClosesSources: Close reaches every source, exhausted or not,
+// and leaves the merge unpositioned.
+func TestMergeCloseClosesSources(t *testing.T) {
+	a := newSliceIter(map[string]string{"a": "1"}, 100)
+	b := newSliceIter(map[string]string{"b": "2", "c": "3"}, 200)
+	m := NewMerge(a, b)
+	if !m.First() || !m.Next() || !m.Next() {
+		t.Fatal("merge did not reach its third entry")
+	}
+	m.Close()
+	if m.Valid() || a.closed != 1 || b.closed != 1 {
+		t.Fatalf("after Close: valid %v, sources closed %d and %d times", m.Valid(), a.closed, b.closed)
 	}
 }
 

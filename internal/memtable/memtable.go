@@ -145,6 +145,9 @@ func (i *Iter) Key() base.InternalKey { return i.ikey }
 // Value returns the current value.
 func (i *Iter) Value() []byte { return i.it.Value() }
 
+// Close does nothing: the memtable's arena outlives its iterators.
+func (i *Iter) Close() {}
+
 func (i *Iter) update(valid bool) bool {
 	if valid {
 		i.ikey = base.DecodeInternalKey(i.it.Key())

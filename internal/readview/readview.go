@@ -227,3 +227,11 @@ func (i *Iter) Value() []byte { return i.runs[i.view.selectors[i.pos]].Value() }
 
 // Error returns the first error encountered.
 func (i *Iter) Error() error { return i.err }
+
+// Close closes every run cursor and leaves the iterator unpositioned.
+func (i *Iter) Close() {
+	for _, r := range i.runs {
+		r.Close()
+	}
+	i.pos = i.view.NumEntries()
+}

@@ -50,6 +50,7 @@ func (s *sliceIter) Valid() bool           { return s.err == nil && s.pos >= 0 &
 func (s *sliceIter) Key() base.InternalKey { return s.keys[s.pos] }
 func (s *sliceIter) Value() []byte         { return s.vals[s.pos] }
 func (s *sliceIter) Error() error          { return s.err }
+func (s *sliceIter) Close()                {}
 
 // buildRuns materializes nRuns runs over a shared keyspace with unique
 // seqnums, returning fresh cursors plus the globally sorted reference.

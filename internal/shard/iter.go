@@ -38,6 +38,10 @@ func (a internalAdapter) Key() base.InternalKey {
 func (a internalAdapter) Value() []byte { return a.it.Value() }
 func (a internalAdapter) Error() error  { return a.it.Error() }
 
+// Close does nothing: Iter.Close closes the per-shard children itself, and
+// reports their errors.
+func (a internalAdapter) Close() {}
+
 // Iter merges the shards' live keys into one ascending stream. Each
 // per-shard child already resolves visibility, tombstones, and range
 // coverage, so the merge only interleaves disjoint key sets. An Iter pins

@@ -141,15 +141,19 @@ func TestGetShortDataKeyIsCorrupt(t *testing.T) {
 	}
 }
 
-// TestGetConcurrentWithEviction: Gets on one Reader run while another
-// goroutine keeps evicting the file's blocks from the cache. Each value Get
-// returned aliases a block, which must not change after its eviction: every
-// value is checked again once the readers are done and the file is evicted.
+// TestGetConcurrentWithEviction: lookups, scans and compaction iterators on
+// one Reader run while another goroutine keeps evicting the file's blocks from
+// a cache a few blocks big, so buffers are released, recycled and refilled all
+// the time. Each reader checks every value while its pin holds: a lookup's
+// until it releases the result, an iterator's until it leaves the tile. Under
+// the race detector a released buffer is poisoned at once, so a pin dropped
+// early reads garbage. The values Get returned must not change afterwards:
+// they are checked again once the readers are done and the file is evicted.
 func TestGetConcurrentWithEviction(t *testing.T) {
 	for _, h := range []int{1, 4} {
 		entries := sortedEntries(3000, true)
 		r, _ := buildTable(t, vfs.NewMemFS(), "t.sst", WriterOptions{BlockSize: 512, PagesPerTile: h, DeleteKeyFunc: dkExtract}, entries, nil)
-		c := cache.New(64 << 20)
+		c := cache.New(16 * 700)
 		r.SetCache(c, 7)
 
 		stop := make(chan struct{})
@@ -166,17 +170,59 @@ func TestGetConcurrentWithEviction(t *testing.T) {
 				}
 			}
 		}()
-		const readers = 4
-		got := make([][][]byte, readers)
+		// scan walks the table with it and checks every entry; a value is
+		// checked again at the next entry if that is in the same tile,
+		// which pins both.
+		scan := func(it *Iter) error {
+			defer it.Close()
+			n := 0
+			var prev []byte
+			prevTile := -1
+			for ok := it.First(); ok; ok = it.Next() {
+				if it.Key().Compare(entries[n].key) != 0 || !bytes.Equal(it.Value(), entries[n].value) {
+					return fmt.Errorf("entry %d reads %s, want %s", n, it.Key(), entries[n].key)
+				}
+				if it.gi == prevTile && !bytes.Equal(prev, entries[n-1].value) {
+					return fmt.Errorf("entry %d changed while its tile was pinned", n-1)
+				}
+				prev, prevTile = it.Value(), it.gi
+				n++
+			}
+			if err := it.Error(); err != nil || n != len(entries) {
+				return fmt.Errorf("read %d of %d entries, err %v", n, len(entries), err)
+			}
+			return nil
+		}
+		const getters = 3
+		got := make([][][]byte, getters)
 		var wg sync.WaitGroup
-		for g := 0; g < readers; g++ {
+		for g := 0; g < getters+2; g++ {
 			wg.Add(1)
 			go func(g int) {
 				defer wg.Done()
-				for i := g; i < len(entries); i += readers {
-					_, v, _, ok, err := r.Get(entries[i].key.UserKey, base.MaxSeqNum)
-					if err != nil || !ok || !bytes.Equal(v, entries[i].value) {
-						t.Errorf("h=%d: Get(%s) = %q, %v, %v", h, entries[i].key, v, ok, err)
+				switch g {
+				case getters:
+					if err := scan(r.NewIter()); err != nil {
+						t.Errorf("h=%d scan: %v", h, err)
+					}
+					return
+				case getters + 1:
+					if err := scan(r.NewCompactionIter(nil)); err != nil {
+						t.Errorf("h=%d compaction iterator: %v", h, err)
+					}
+					return
+				}
+				for i := g; i < len(entries); i += getters {
+					e := entries[i]
+					res, err := r.Lookup(e.key.UserKey, base.MaxSeqNum)
+					if err != nil || !res.Found || !bytes.Equal(res.Value, e.value) {
+						t.Errorf("h=%d: Lookup(%s) = %q, %v, %v", h, e.key, res.Value, res.Found, err)
+						return
+					}
+					res.Release()
+					_, v, _, ok, err := r.Get(e.key.UserKey, base.MaxSeqNum)
+					if err != nil || !ok || !bytes.Equal(v, e.value) {
+						t.Errorf("h=%d: Get(%s) = %q, %v, %v", h, e.key, v, ok, err)
 						return
 					}
 					got[g] = append(got[g], v)
@@ -189,8 +235,8 @@ func TestGetConcurrentWithEviction(t *testing.T) {
 		c.EvictFile(7)
 		for g := range got {
 			for n, v := range got[g] {
-				if i := g + n*readers; !bytes.Equal(v, entries[i].value) {
-					t.Fatalf("h=%d: the value Get returned for %s changed after its block was evicted", h, entries[i].key)
+				if i := g + n*getters; !bytes.Equal(v, entries[i].value) {
+					t.Fatalf("h=%d: the value Get returned for %s changed after it returned", h, entries[i].key)
 				}
 			}
 		}
@@ -223,5 +269,96 @@ func TestGetAllocCeiling(t *testing.T) {
 		if allocs > 1 {
 			t.Fatalf("h=%d: a cached Get allocates %.2f times, ceiling 1", h, allocs)
 		}
+	}
+}
+
+// missTable builds a table of 20 000 entries in layout h with 4 KiB pages and
+// attaches a block cache a tenth its size, so most lookups miss.
+func missTable(tb testing.TB, h int) (*Reader, []entry, *cache.Cache) {
+	entries := sortedEntries(20000, false)
+	fs := vfs.NewMemFS()
+	f, err := fs.Create("miss.sst")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	w := NewWriter(f, WriterOptions{BlockSize: 4096, PagesPerTile: h, BloomBitsPerKey: 10, DeleteKeyFunc: dkExtract})
+	for _, e := range entries {
+		if err := w.Add(e.key, e.value); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	meta, err := w.Finish()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rf, err := fs.Open("miss.sst")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	r, err := Open(rf)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	c := cache.New(int64(meta.Size) / 10)
+	r.SetCache(c, 1)
+	return r, entries, c
+}
+
+// TestLookupMissAllocs: once warm, a Lookup that misses the block cache
+// allocates nothing: its block comes from the free list the buffers of
+// evicted blocks go to, and its result pins the block instead of copying the
+// value out.
+func TestLookupMissAllocs(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	for _, h := range []int{1, 4} {
+		r, entries, c := missTable(t, h)
+		i := 0
+		lookup := func() {
+			e := entries[i*7919%len(entries)]
+			i++
+			res, err := r.Lookup(e.key.UserKey, base.MaxSeqNum)
+			if err != nil || !res.Found || !bytes.Equal(res.Value, e.value) {
+				t.Fatalf("h=%d: Lookup(%s) = %q, %v, %v", h, e.key, res.Value, res.Found, err)
+			}
+			res.Release()
+		}
+		for range entries { // warm up: fill the cache and its free list
+			lookup()
+		}
+		misses := c.Misses()
+		if a := testing.AllocsPerRun(1000, lookup); a != 0 {
+			t.Errorf("h=%d: a Lookup that misses allocates %.2f times", h, a)
+		}
+		if got := c.Misses() - misses; got < 500 {
+			t.Fatalf("h=%d: only %d of 1001 lookups missed the cache", h, got)
+		}
+	}
+}
+
+// BenchmarkLookupMiss prices a point lookup on a table ten times its block
+// cache, where most lookups read their page from the file (reported as
+// misses/op).
+func BenchmarkLookupMiss(b *testing.B) {
+	for _, h := range []int{1, 4} {
+		b.Run(fmt.Sprintf("h=%d", h), func(b *testing.B) {
+			r, entries, c := missTable(b, h)
+			for i := range entries {
+				res, _ := r.Lookup(entries[i*7919%len(entries)].key.UserKey, base.MaxSeqNum)
+				res.Release()
+			}
+			misses := c.Misses()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := r.Lookup(entries[i*7919%len(entries)].key.UserKey, base.MaxSeqNum)
+				if err != nil || !res.Found {
+					b.Fatal(res.Found, err)
+				}
+				res.Release()
+			}
+			b.ReportMetric(float64(c.Misses()-misses)/float64(b.N), "misses/op")
+		})
 	}
 }

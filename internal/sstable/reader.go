@@ -83,7 +83,7 @@ func Open(f vfs.File) (*Reader, error) {
 	}
 	r := &Reader{f: f, size: size}
 
-	pb, err := r.readBlock(ftr.props)
+	pb, err := r.readMeta(ftr.props)
 	if err != nil {
 		return nil, err
 	}
@@ -92,7 +92,7 @@ func Open(f vfs.File) (*Reader, error) {
 	}
 
 	if ftr.filter.Length > 0 {
-		filterRaw, err := r.readBlock(ftr.filter)
+		filterRaw, err := r.readMeta(ftr.filter)
 		if err != nil {
 			return nil, err
 		}
@@ -104,7 +104,7 @@ func Open(f vfs.File) (*Reader, error) {
 	}
 
 	if ftr.rangeDel.Length > 0 {
-		raw, err := r.readBlock(ftr.rangeDel)
+		raw, err := r.readMeta(ftr.rangeDel)
 		if err != nil {
 			return nil, err
 		}
@@ -118,7 +118,7 @@ func Open(f vfs.File) (*Reader, error) {
 		}
 	}
 
-	ib, err := r.readBlock(ftr.index)
+	ib, err := r.readMeta(ftr.index)
 	if err != nil {
 		return nil, err
 	}
@@ -130,7 +130,7 @@ func Open(f vfs.File) (*Reader, error) {
 		if len(it.Key()) < 8 {
 			return nil, fmt.Errorf("%w: index key too short (%d bytes)", ErrCorrupt, len(it.Key()))
 		}
-		// The entry's page filter aliases ib, which is immutable (readBlock).
+		// The entry's page filter aliases ib, which the Reader keeps (readMeta).
 		ent, ok := decodeIndexEntry(it.Value())
 		if !ok {
 			return nil, fmt.Errorf("%w: corrupt index entry", ErrCorrupt)
@@ -213,60 +213,73 @@ func (r *Reader) MayContain(userKey []byte) bool {
 	return false
 }
 
-// readBlock fetches a block for a read — from the block cache when attached,
-// else from the file, filling the cache. The returned buffer is immutable and
-// never recycled, whether it came from the cache or was freshly read: slices
-// into it (iterator keys and values) outlive the iterator, the table cache's
-// release of this reader, and the block's eviction. That holds for what this
-// function hands out and for what the cache holds, which is all the read path
-// (Get, core.Iter) ever sees; a compaction iterator reads its pages through
-// compactionReads.openPage instead, into buffers it owns and reuses. Read
-// blocks are not pooled: an eviction cannot know whether a value returned by
-// Get on another goroutine still aliases the block, so only the garbage
-// collector may reclaim it.
-func (r *Reader) readBlock(h BlockHandle) ([]byte, error) {
-	if r.blockCache != nil {
-		if data, ok := r.blockCache.Get(r.cacheID, h.Offset); ok {
-			return data, nil
-		}
-	}
-	buf, err := r.readVerified(h, nil)
-	if err != nil {
+// readMeta reads a metadata block (properties, filter, range tombstones,
+// index) at open into a buffer of its own, which the Reader keeps: it never
+// goes through the block cache.
+func (r *Reader) readMeta(h BlockHandle) ([]byte, error) {
+	if err := r.checkHandle(h); err != nil {
 		return nil, err
 	}
-	data := buf[:h.Length]
-	if r.blockCache != nil {
-		r.blockCache.Put(r.cacheID, h.Offset, data)
+	buf := make([]byte, h.Length+4)
+	if err := r.readVerified(h, buf); err != nil {
+		return nil, err
 	}
-	return data, nil
+	return buf[:h.Length], nil
 }
 
-// readVerified reads block h and its CRC trailer from the file into buf
-// (reallocated when too small) and verifies the checksum; the block is the
-// first h.Length bytes of the returned buffer.
-func (r *Reader) readVerified(h BlockHandle, buf []byte) ([]byte, error) {
-	// Validate the handle against the file size before allocating: a
-	// corrupt footer or index entry could otherwise demand an absurd
-	// allocation or a read past EOF. Checked in uint64 so a near-2^64
-	// offset+length cannot wrap.
+// readBlock returns data block h, pinned: the caller must Release it, and
+// nothing may use its bytes afterwards. A block-cache hit is pinned in place;
+// a miss is read into a buffer from the cache's free list and, when fill is
+// set, inserted into the cache. Point lookups and read iterators fill;
+// compaction iterators do not, since their one pass over files about to be
+// unlinked must not evict blocks that reads want. Without a cache every read
+// is a miss, into a buffer of cache.Alloc's process-wide free list.
+func (r *Reader) readBlock(h BlockHandle, fill bool) (cache.Block, error) {
+	c := r.blockCache
+	if c != nil {
+		if b, ok := c.Get(r.cacheID, h.Offset); ok {
+			return b, nil
+		}
+	}
+	if err := r.checkHandle(h); err != nil {
+		return cache.Block{}, err
+	}
+	b := c.Alloc(r.cacheID, h.Offset, int(h.Length)+4)
+	if err := r.readVerified(h, b.Data()); err != nil {
+		b.Release()
+		return cache.Block{}, err
+	}
+	b.Truncate(int(h.Length))
+	if fill && c != nil {
+		c.Insert(r.cacheID, h.Offset, &b)
+	}
+	return b, nil
+}
+
+// checkHandle validates a block handle against the file size before a
+// buffer is sized from it: a corrupt footer or index entry could otherwise
+// demand an absurd allocation or a read past EOF. Checked in uint64 so a
+// near-2^64 offset+length cannot wrap.
+func (r *Reader) checkHandle(h BlockHandle) error {
 	if h.Length > uint64(r.size) || h.Offset > uint64(r.size) ||
 		h.Length+4 > uint64(r.size)-h.Offset {
-		return nil, fmt.Errorf("%w: block handle (offset %d, length %d) exceeds file size %d",
+		return fmt.Errorf("%w: block handle (offset %d, length %d) exceeds file size %d",
 			ErrCorrupt, h.Offset, h.Length, r.size)
 	}
-	if n := int(h.Length + 4); cap(buf) < n {
-		buf = make([]byte, n)
-	} else {
-		buf = buf[:n]
-	}
+	return nil
+}
+
+// readVerified reads block h and its CRC trailer from the file into buf,
+// h.Length+4 bytes, and verifies the checksum.
+func (r *Reader) readVerified(h BlockHandle, buf []byte) error {
 	if _, err := r.f.ReadAt(buf, int64(h.Offset)); err != nil {
-		return nil, fmt.Errorf("sstable: reading block at %d: %w", h.Offset, err)
+		return fmt.Errorf("sstable: reading block at %d: %w", h.Offset, err)
 	}
 	data, crcStored := buf[:h.Length], binary.LittleEndian.Uint32(buf[h.Length:])
 	if got := crc32.Checksum(data, castagnoli); got != crcStored {
-		return nil, fmt.Errorf("%w: block at offset %d: checksum mismatch (stored %#x, computed %#x)", ErrCorrupt, h.Offset, crcStored, got)
+		return fmt.Errorf("%w: block at offset %d: checksum mismatch (stored %#x, computed %#x)", ErrCorrupt, h.Offset, crcStored, got)
 	}
-	return buf, nil
+	return nil
 }
 
 // PageFilter decides whether a page should be read (true) or elided (false)
@@ -274,43 +287,44 @@ func (r *Reader) readVerified(h BlockHandle, buf []byte) ([]byte, error) {
 type PageFilter func(PageInfo) bool
 
 // Iter iterates a table in internal-key order, transparently merging the
-// delete-key-ordered pages inside each tile. Not safe for concurrent use.
+// delete-key-ordered pages inside each tile. It pins the pages of the tile it
+// is in (readBlock) and releases them when it leaves the tile or closes, so a
+// key or value it returns is valid only until then. Not safe for concurrent
+// use.
 type Iter struct {
 	r *Reader
 	c *compactionReads // nil for a read-path iterator
 
-	gi    int // current tile (group) index; len(groups) == exhausted
-	pages []*block.Iter
-	cur   int // index into pages of the minimal entry, -1 if none
+	gi    int    // current tile (group) index; len(groups) == exhausted
+	pages []page // the current tile's loaded pages
+	cur   int    // index into pages of the minimal entry, -1 if none
 	ikey  base.InternalKey
 	err   error
 }
 
+// page is one loaded page of the current tile: its block, pinned, and a block
+// iterator over it. The iterator outlives the block: pages beyond len keep
+// theirs for the next tile, which Resets it.
+type page struct {
+	b  cache.Block
+	it *block.Iter
+}
+
 // compactionReads is what NewCompactionIter adds to an Iter: the page filter
-// with its counters, and page buffers and block iterators that belong to this
-// Iter alone — never to the Reader, which concurrent reads share — and are
-// recycled from tile to tile. Keys and values the Iter returns therefore die
-// when it leaves their tile. Pages are looked up in the block cache but never
-// inserted: the job is about to unlink these files, and its one pass must not
-// evict blocks that reads want.
+// and the counters of what it elided and read.
 type compactionReads struct {
 	filter      PageFilter
 	dropped     uint64
 	bytesLoaded uint64
-
-	// bufs[k] and iters[k] serve the k-th page loaded of the current tile.
-	bufs  [][]byte
-	iters []*block.Iter
 }
 
-// NewIter opens an iterator over the whole table.
+// NewIter opens an iterator over the whole table. Its misses fill the block
+// cache.
 func (r *Reader) NewIter() *Iter { return &Iter{r: r, gi: -1, cur: -1} }
 
 // NewCompactionIter opens an iterator for a merge that consumes each entry
 // before advancing: it elides pages rejected by filter (nil keeps all),
-// counting them (Dropped), and reads the rest into buffers it reuses, so a
-// key or value it returns is valid only until the iterator moves to another
-// tile. It leaves the block cache's contents alone.
+// counting them (Dropped). Its misses leave the block cache's contents alone.
 func (r *Reader) NewCompactionIter(filter PageFilter) *Iter {
 	return &Iter{r: r, c: &compactionReads{filter: filter}, gi: -1, cur: -1}
 }
@@ -342,91 +356,82 @@ func (i *Iter) Valid() bool { return i.cur >= 0 && i.err == nil }
 // call.
 func (i *Iter) Key() base.InternalKey { return i.ikey }
 
-// Value returns the current value, aliasing the page buffer.
-func (i *Iter) Value() []byte { return i.pages[i.cur].Value() }
+// Value returns the current value, aliasing the pinned page. Valid until the
+// iterator leaves the tile or closes.
+func (i *Iter) Value() []byte { return i.pages[i.cur].it.Value() }
 
-// openPage returns a block iterator over page pi for a read: the block is
-// immutable (readBlock), the iterator fresh.
-func (r *Reader) openPage(pi int) (*block.Iter, error) {
-	data, err := r.readBlock(r.entries[pi].handle)
+// Close releases the pages of the current tile and leaves the iterator
+// unpositioned.
+func (i *Iter) Close() {
+	i.releaseTile()
+	i.cur = -1
+}
+
+// releaseTile releases the pages of the current tile.
+func (i *Iter) releaseTile() {
+	for k := range i.pages {
+		i.pages[k].b.Release()
+	}
+	i.pages = i.pages[:0]
+}
+
+// loadPage pins page pi as the next page of the tile being loaded and points
+// that page's block iterator at it, Reset if the slot already has one.
+func (i *Iter) loadPage(pi int) (*block.Iter, error) {
+	h := i.r.entries[pi].handle
+	b, err := i.r.readBlock(h, i.c == nil)
 	if err != nil {
 		return nil, err
 	}
-	return block.NewIter(data, base.CompareEncoded)
+	if i.c != nil {
+		i.c.bytesLoaded += h.Length
+	}
+	n := len(i.pages)
+	if n < cap(i.pages) {
+		i.pages = i.pages[:n+1]
+	} else {
+		i.pages = append(i.pages, page{})
+	}
+	p := &i.pages[n]
+	p.b = b
+	if p.it == nil {
+		p.it, err = block.NewIter(b.Data(), base.CompareEncoded)
+	} else {
+		err = p.it.Reset(b.Data())
+	}
+	return p.it, err
 }
 
-// openPage returns a block iterator over page pi of r as the slot-th page of
-// the tile being loaded, or nil when the filter elides the page. A cache hit
-// is iterated in place — the block is shared, so it is neither copied into
-// nor adopted as an owned buffer; a miss is read, bounds- and CRC-checked,
-// into the slot's own buffer.
-func (c *compactionReads) openPage(r *Reader, pi, slot int) (*block.Iter, error) {
-	if c.filter != nil && !c.filter(r.Page(pi)) {
-		c.dropped++
-		return nil, nil
-	}
-	if slot == len(c.iters) {
-		c.bufs = append(c.bufs, nil)
-		c.iters = append(c.iters, nil)
-	}
-	h := r.entries[pi].handle
-	var data []byte
-	hit := false
-	if r.blockCache != nil {
-		data, hit = r.blockCache.Get(r.cacheID, h.Offset)
-	}
-	if !hit {
-		buf, err := r.readVerified(h, c.bufs[slot])
-		if err != nil {
-			return nil, err
-		}
-		c.bufs[slot], data = buf, buf[:h.Length]
-	}
-	c.bytesLoaded += h.Length
-	if c.iters[slot] == nil {
-		it, err := block.NewIter(data, base.CompareEncoded)
-		c.iters[slot] = it
-		return it, err
-	}
-	return c.iters[slot], c.iters[slot].Reset(data)
-}
-
-// loadTile opens the page iterators of tile gi. If seekTarget is non-nil
-// each page is positioned at the first entry >= target, else at its first
-// entry.
+// loadTile releases the current tile and pins the pages of tile gi that the
+// page filter keeps. If seekTarget is non-nil each page is positioned at the
+// first entry >= target, else at its first entry.
 func (i *Iter) loadTile(gi int, seekTarget []byte) bool {
+	i.releaseTile()
 	i.gi = gi
-	i.pages = i.pages[:0]
 	i.cur = -1
 	if gi >= len(i.r.groups) {
 		return false
 	}
 	g := i.r.groups[gi]
 	for pi := g[0]; pi < g[1]; pi++ {
-		var it *block.Iter
-		var err error
-		if i.c != nil {
-			it, err = i.c.openPage(i.r, pi, len(i.pages))
-		} else {
-			it, err = i.r.openPage(pi)
+		if i.c != nil && i.c.filter != nil && !i.c.filter(i.r.Page(pi)) {
+			i.c.dropped++
+			continue
+		}
+		it, err := i.loadPage(pi)
+		if err == nil {
+			if seekTarget != nil {
+				it.SeekGE(seekTarget)
+			} else {
+				it.First()
+			}
+			err = it.Error()
 		}
 		if err != nil {
 			i.err = err
+			i.releaseTile()
 			return false
 		}
-		if it == nil {
-			continue
-		}
-		if seekTarget != nil {
-			it.SeekGE(seekTarget)
-		} else {
-			it.First()
-		}
-		if err := it.Error(); err != nil {
-			i.err = err
-			return false
-		}
-		i.pages = append(i.pages, it)
 	}
 	return i.pickMin()
 }
@@ -434,7 +439,8 @@ func (i *Iter) loadTile(gi int, seekTarget []byte) bool {
 // pickMin selects the minimal current entry across the tile's pages.
 func (i *Iter) pickMin() bool {
 	i.cur = -1
-	for pi, it := range i.pages {
+	for pi := range i.pages {
+		it := i.pages[pi].it
 		if !it.Valid() {
 			continue
 		}
@@ -442,14 +448,14 @@ func (i *Iter) pickMin() bool {
 			i.err = fmt.Errorf("%w: data entry key too short (%d bytes)", ErrCorrupt, len(it.Key()))
 			return false
 		}
-		if i.cur < 0 || base.CompareEncoded(it.Key(), i.pages[i.cur].Key()) < 0 {
+		if i.cur < 0 || base.CompareEncoded(it.Key(), i.pages[i.cur].it.Key()) < 0 {
 			i.cur = pi
 		}
 	}
 	if i.cur < 0 {
 		return false
 	}
-	i.ikey = base.DecodeInternalKey(i.pages[i.cur].Key())
+	i.ikey = base.DecodeInternalKey(i.pages[i.cur].it.Key())
 	return true
 }
 
@@ -466,7 +472,7 @@ func (i *Iter) First() bool {
 		}
 		gi++
 	}
-	i.cur = -1
+	i.Close() // exhausted: pin nothing
 	return false
 }
 
@@ -502,7 +508,7 @@ func (i *Iter) SeekGE(target base.InternalKey) bool {
 		// tiles are entirely >= target, so position them at the start.
 		enc = nil
 	}
-	i.cur = -1
+	i.Close() // exhausted: pin nothing
 	return false
 }
 
@@ -511,8 +517,9 @@ func (i *Iter) Next() bool {
 	if i.cur < 0 || i.err != nil {
 		return false
 	}
-	i.pages[i.cur].Next()
-	if err := i.pages[i.cur].Error(); err != nil {
+	it := i.pages[i.cur].it
+	it.Next()
+	if err := it.Error(); err != nil {
 		i.err = err
 		return false
 	}
@@ -528,14 +535,14 @@ func (i *Iter) Next() bool {
 			return false
 		}
 	}
-	i.cur = -1
+	i.Close() // exhausted: pin nothing
 	return false
 }
 
 // getState is a point lookup's scratch: the encoded search key and the block
-// iterator positioned on each page. It is pooled, so nothing Get returns may
-// point into it: the value aliases an immutable block (readBlock), never the
-// iterator's key buffer. Blocks themselves are never pooled — see readBlock.
+// iterator positioned on each page. It is pooled, so nothing a lookup returns
+// may point into it: the value aliases the pinned block (LookupResult), never
+// the iterator's key buffer.
 type getState struct {
 	key []byte
 	it  *block.Iter
@@ -544,7 +551,8 @@ type getState struct {
 var getStates = sync.Pool{New: func() any { return new(getState) }}
 
 // LookupResult is a point lookup's answer: the newest visible entry's kind,
-// value (aliasing an immutable block) and sequence number, if Found.
+// value and sequence number, if Found. Value aliases a block the result pins
+// until Release.
 type LookupResult struct {
 	Kind  base.Kind
 	Value []byte
@@ -554,13 +562,20 @@ type LookupResult struct {
 	// page was read: the file filter, or the page filters of every page of
 	// the tile the lookup lands on.
 	Filtered bool
+
+	block cache.Block // the page Value aliases
 }
+
+// Release drops the result's pin on the block Value aliases; Value must not
+// be used afterwards. Releasing twice does nothing.
+func (res *LookupResult) Release() { res.block.Release() }
 
 // Lookup performs a point lookup — the newest visible entry for userKey at or
 // below seq — consulting every filter the table carries on the way, with one
 // hash of the key: a standard table's file filter first, then, in a KiWi
 // table, each page's filter before the page is read. The caller interprets
-// KindDelete as "definitively deleted".
+// KindDelete as "definitively deleted", and must Release the result once done
+// with its value.
 func (r *Reader) Lookup(userKey []byte, seq base.SeqNum) (LookupResult, error) {
 	return r.lookup(userKey, seq, r.hasFilter)
 }
@@ -568,16 +583,21 @@ func (r *Reader) Lookup(userKey []byte, seq base.SeqNum) (LookupResult, error) {
 // Get is Lookup without the file filter, for callers that consult it first
 // through MayContain; page filters are still used inside the tile. It returns
 // the entry kind, its value, the entry's sequence number, and whether it was
-// found.
+// found. The value is copied out of the block, so it stays valid after Get
+// returns.
 func (r *Reader) Get(userKey []byte, seq base.SeqNum) (base.Kind, []byte, base.SeqNum, bool, error) {
 	res, err := r.lookup(userKey, seq, false)
+	if res.Found {
+		res.Value = append([]byte(nil), res.Value...)
+	}
+	res.Release()
 	return res.Kind, res.Value, res.Seq, res.Found, err
 }
 
 // lookup serves Lookup and Get. Only the first tile whose separator (its
 // largest key) is >= the search key can hold the key. Each of its pages whose
 // filter admits the key is sought once; the candidate with the user key and
-// the largest trailer is the newest visible version.
+// the largest trailer is the newest visible version, whose page stays pinned.
 func (r *Reader) lookup(userKey []byte, seq base.SeqNum, fileFilter bool) (LookupResult, error) {
 	var h uint64
 	if fileFilter || r.pageFilters {
@@ -603,35 +623,51 @@ func (r *Reader) lookup(userKey []byte, seq base.SeqNum, fileFilter bool) (Looku
 			continue
 		}
 		res.Filtered = false
-		data, err := r.readBlock(r.entries[pi].handle)
+		b, err := r.readBlock(r.entries[pi].handle, true)
 		if err != nil {
+			res.Release()
 			return LookupResult{}, err
 		}
-		if g.it == nil {
-			g.it, err = block.NewIter(data, base.CompareEncoded)
-		} else {
-			err = g.it.Reset(data)
-		}
+		k, v, err := g.seek(b.Data())
 		if err != nil {
+			b.Release()
+			res.Release()
 			return LookupResult{}, err
 		}
-		if !g.it.SeekGE(g.key) {
-			if err := g.it.Error(); err != nil {
-				return LookupResult{}, err
+		if k != nil {
+			ik := base.DecodeInternalKey(k)
+			if base.Compare(ik.UserKey, userKey) == 0 && (!res.Found || ik.Trailer > best) {
+				res.Release()
+				best, res.Value, res.Found, res.block = ik.Trailer, v, true, b
+				continue
 			}
-			continue
 		}
-		k := g.it.Key()
-		if len(k) < 8 {
-			return LookupResult{}, fmt.Errorf("%w: data entry key too short (%d bytes)", ErrCorrupt, len(k))
-		}
-		ik := base.DecodeInternalKey(k)
-		if base.Compare(ik.UserKey, userKey) == 0 && (!res.Found || ik.Trailer > best) {
-			best, res.Value, res.Found = ik.Trailer, g.it.Value(), true
-		}
+		b.Release()
 	}
 	if res.Found {
 		res.Kind, res.Seq = best.Kind(), best.SeqNum()
 	}
 	return res, nil
+}
+
+// seek positions the state's block iterator on the first entry of block data
+// at or after the search key, returning that entry's key and value, or a nil
+// key if the block has none.
+func (g *getState) seek(data []byte) (key, value []byte, err error) {
+	if g.it == nil {
+		g.it, err = block.NewIter(data, base.CompareEncoded)
+	} else {
+		err = g.it.Reset(data)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	if !g.it.SeekGE(g.key) {
+		return nil, nil, g.it.Error()
+	}
+	k := g.it.Key()
+	if len(k) < 8 {
+		return nil, nil, fmt.Errorf("%w: data entry key too short (%d bytes)", ErrCorrupt, len(k))
+	}
+	return k, g.it.Value(), nil
 }

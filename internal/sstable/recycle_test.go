@@ -30,7 +30,7 @@ func fileBytes(t *testing.T, fs *vfs.MemFS, name string) []byte {
 
 // TestAddCopiesKeyAndValue is the writer's contract with its two callers: a
 // flush hands Add slices of the memtable arena, a compaction slices of a page
-// buffer its iterator recycles. The caller here scribbles over both buffers as
+// its iterator releases on leaving the tile. The caller here scribbles over both buffers as
 // soon as Add returns; the finished table must read back the original entries.
 func TestAddCopiesKeyAndValue(t *testing.T) {
 	for _, h := range []int{1, 4} {
@@ -146,8 +146,9 @@ func TestWriterResetMatchesFreshWriter(t *testing.T) {
 
 // TestCompactionIterRecyclesOnlyItsOwnBuffers: a compaction iterator returns
 // the same stream as a read iterator with no cache, a cache of a few blocks
-// and a cache already holding every block; it inserts nothing, evicts nothing, and
-// the cached blocks it iterated in place are bit-for-bit what they were.
+// and a cache already holding every block; it inserts nothing, evicts
+// nothing, pins nothing once it runs out, and the cached blocks it iterated
+// in place are bit-for-bit what they were.
 func TestCompactionIterRecyclesOnlyItsOwnBuffers(t *testing.T) {
 	for _, h := range []int{1, 4} {
 		entries := sortedEntries(4000, true)
@@ -167,8 +168,8 @@ func TestCompactionIterRecyclesOnlyItsOwnBuffers(t *testing.T) {
 			if err := it.Error(); err != nil || n != len(entries) {
 				t.Fatalf("h=%d %s: read %d of %d entries, err %v", h, name, n, len(entries), err)
 			}
-			if len(it.c.bufs) > h || it.BytesLoaded() == 0 {
-				t.Fatalf("h=%d %s: iterator holds %d page buffers after %d pages (%d bytes)", h, name, len(it.c.bufs), r.NumPages(), it.BytesLoaded())
+			if len(it.pages) != 0 || it.BytesLoaded() == 0 {
+				t.Fatalf("h=%d %s: iterator pins %d pages after reading %d (%d bytes)", h, name, len(it.pages), r.NumPages(), it.BytesLoaded())
 			}
 			if c != nil && c.Evictions() != 0 {
 				t.Fatalf("h=%d %s: compaction reads evicted %d blocks", h, name, c.Evictions())
@@ -191,11 +192,12 @@ func TestCompactionIterRecyclesOnlyItsOwnBuffers(t *testing.T) {
 		resident := full.Bytes()
 		snapshot := map[uint64][]byte{}
 		for _, e := range r.entries {
-			data, ok := full.Get(1, e.handle.Offset)
+			b, ok := full.Get(1, e.handle.Offset)
 			if !ok {
 				t.Fatalf("h=%d: read path left block %d uncached", h, e.handle.Offset)
 			}
-			snapshot[e.handle.Offset] = append([]byte(nil), data...)
+			snapshot[e.handle.Offset] = bytes.Clone(b.Data())
+			b.Release()
 		}
 		misses := full.Misses()
 		check("full cache", full)
@@ -204,9 +206,11 @@ func TestCompactionIterRecyclesOnlyItsOwnBuffers(t *testing.T) {
 			t.Fatalf("h=%d: cache moved under compaction reads: %d -> %d bytes, %d -> %d misses", h, resident, full.Bytes(), misses, full.Misses())
 		}
 		for off, want := range snapshot {
-			if got, _ := full.Get(1, off); !bytes.Equal(got, want) {
+			got, _ := full.Get(1, off)
+			if !bytes.Equal(got.Data(), want) {
 				t.Fatalf("h=%d: cached block at %d was written into", h, off)
 			}
+			got.Release()
 		}
 		r.SetCache(nil, 0)
 	}

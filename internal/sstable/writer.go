@@ -191,8 +191,8 @@ func (w *Writer) Reset(f vfs.File) {
 // Add appends an entry. Keys must arrive in strictly ascending internal-key
 // order; out-of-order keys are rejected. Add has copied ikey.UserKey and
 // value by the time it returns: the caller may overwrite both (a flush passes
-// slices of the memtable arena, a compaction slices of a page buffer its
-// iterator is about to reuse).
+// slices of the memtable arena, a compaction slices of a handoff batch that
+// goes back to its pool once written).
 func (w *Writer) Add(ikey base.InternalKey, value []byte) error {
 	if w.finished {
 		return errors.New("sstable: Add after Finish")

@@ -336,3 +336,75 @@ func TestOSFSRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// memFSFile returns a MemFS file of size bytes.
+func memFSFile(tb testing.TB, size int) File {
+	fs := NewMemFS()
+	f, err := fs.Create("f")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := f.Write(make([]byte, size)); err != nil {
+		tb.Fatal(err)
+	}
+	return f
+}
+
+// TestMemFSReadAtAllocs: a ReadAt, the I/O under every block-cache miss,
+// allocates nothing.
+func TestMemFSReadAtAllocs(t *testing.T) {
+	f := memFSFile(t, 1<<20)
+	page := make([]byte, 4096)
+	i := 0
+	if a := testing.AllocsPerRun(1000, func() {
+		if _, err := f.ReadAt(page, int64(i*7919%256)*4096); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); a != 0 {
+		t.Errorf("ReadAt allocates %.2f times", a)
+	}
+}
+
+// BenchmarkMemFS prices the two MemFS operations the engine's data paths
+// make: appending a 4 KiB page to a file (files roll at 16 MiB, so the
+// average includes the file's growth and creation) and reading a 4 KiB
+// block at a scattered offset of a 16 MiB file.
+func BenchmarkMemFS(b *testing.B) {
+	const page, fileBytes = 4096, 16 << 20
+	buf := make([]byte, page)
+	b.Run("append-4KiB", func(b *testing.B) {
+		fs := NewMemFS()
+		var f File
+		b.ReportAllocs()
+		b.SetBytes(page)
+		for i := 0; i < b.N; i++ {
+			if i%(fileBytes/page) == 0 {
+				if f != nil {
+					f.Close()
+					if err := fs.Remove("f"); err != nil {
+						b.Fatal(err)
+					}
+				}
+				var err error
+				if f, err = fs.Create("f"); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if _, err := f.Write(buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("readat-4KiB", func(b *testing.B) {
+		f := memFSFile(b, fileBytes)
+		b.ReportAllocs()
+		b.SetBytes(page)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := f.ReadAt(buf, int64(i*7919%(fileBytes/page))*page); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

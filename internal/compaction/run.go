@@ -15,14 +15,16 @@ import (
 
 // Env carries everything a compaction execution needs from the engine. Run
 // calls OpenReader and RangeTombstoneDisposable on its caller's goroutine,
-// FS and AllocFileNum on its writer goroutine, and WriterOpts.DeleteKeyFunc
+// FS and AllocFileNum on its writer goroutine, and the writers' DeleteKeyFunc
 // on both, concurrently.
 type Env struct {
 	// FS and Dirname locate output files.
 	FS      vfs.FS
 	Dirname string
-	// WriterOpts configure output tables (block size, bloom, KiWi tiles).
-	WriterOpts sstable.WriterOptions
+	// Writers lends the job its table writer, which goes back when Run
+	// returns; their options configure the output tables (block size,
+	// bloom, KiWi tiles).
+	Writers *sstable.WriterPool
 	// TargetFileBytes rolls output files at this size.
 	TargetFileBytes uint64
 	// OpenReader returns a (cached) reader for a live table.
@@ -210,16 +212,25 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 		own = append(own, c.Mem.RangeTombstones()...)
 		numDeletes += uint64(c.Mem.NumDeletes())
 	}
+	// An input that fails to open ends the job before the merge exists to
+	// close the sources: the memtable's iterator holds a reference.
+	closeSources := func() {
+		for _, s := range sources {
+			s.Close()
+		}
+	}
 	for i, r := range c.Inputs {
 		// Without an output run the last input run (inputs are newest
 		// first) is the compaction's oldest data.
 		oldest := len(c.OutputRunFiles) == 0 && i == len(c.Inputs)-1
 		if err := addRun(r.Files, oldest); err != nil {
+			closeSources()
 			return nil, err
 		}
 	}
 	if len(c.OutputRunFiles) > 0 {
 		if err := addRun(c.OutputRunFiles, true); err != nil {
+			closeSources()
 			return nil, err
 		}
 	}
@@ -239,7 +250,8 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 	// The entry-level drop asks whether any of them covers an entry: the
 	// skyline answers that with one binary search.
 	var skyline base.Skyline
-	if env.Bottommost && env.WriterOpts.DeleteKeyFunc != nil {
+	deleteKey := env.Writers.Options().DeleteKeyFunc
+	if env.Bottommost && deleteKey != nil {
 		skyline.Build(applicable)
 	}
 	if env.Bottommost {
@@ -263,6 +275,7 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 			p.close(true)
 			p.out.abort()
 		}
+		p.out.release()
 	}()
 
 	// ik and value alias the input iterators' pinned pages, which they
@@ -328,8 +341,8 @@ func Run(c *Candidate, env Env) (_ *Result, err error) {
 			// whose delete key a range tombstone covers vanishes at
 			// the bottommost level (no deeper versions exist to
 			// resurrect).
-			if newKey && env.Bottommost && env.WriterOpts.DeleteKeyFunc != nil {
-				if skyline.Covers(env.WriterOpts.DeleteKeyFunc(value), ik.SeqNum()) {
+			if newKey && env.Bottommost && deleteKey != nil {
+				if skyline.Covers(deleteKey(value), ik.SeqNum()) {
 					keyWipedByRT = true
 					keyWipedSeq = ik.SeqNum()
 					res.RangeCoveredDropped++
@@ -533,8 +546,9 @@ func (p *pipe) close(abandon bool) error {
 }
 
 // outputWriter rolls output tables at the target size and attaches
-// surviving range tombstones to the first output. One sstable.Writer serves
-// every output, re-targeted at each new file.
+// surviving range tombstones to the first output. One sstable.Writer,
+// borrowed from Env.Writers, serves every output, re-targeted at each new
+// file.
 type outputWriter struct {
 	env       Env
 	surviving []base.RangeTombstone
@@ -561,7 +575,7 @@ func (o *outputWriter) start() error {
 		return err
 	}
 	if o.w == nil {
-		o.w = sstable.NewWriter(f, o.env.WriterOpts)
+		o.w = o.env.Writers.Get(f)
 	} else {
 		o.w.Reset(f)
 	}
@@ -630,6 +644,15 @@ func (o *outputWriter) abort() {
 	}
 	for _, of := range o.outputs {
 		o.remove(of.FileNum)
+	}
+}
+
+// release gives the writer back to the job's pool. Called once the writer
+// goroutine has exited.
+func (o *outputWriter) release() {
+	if o.w != nil {
+		o.env.Writers.Put(o.w)
+		o.w = nil
 	}
 }
 

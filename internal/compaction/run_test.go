@@ -100,7 +100,7 @@ func (e *testEnv) env(t testing.TB) Env {
 	return Env{
 		FS:              e.fs,
 		Dirname:         "db",
-		WriterOpts:      e.wopts,
+		Writers:         sstable.NewWriterPool(e.wopts),
 		TargetFileBytes: 1 << 20,
 		OpenReader: func(fn base.FileNum) (*sstable.Reader, error) {
 			if r, ok := e.readers[fn]; ok {

@@ -150,7 +150,8 @@ func (d *DB) commitBatch(ctx context.Context, b *Batch) error {
 	// The pipeline stamps the batch's contiguous sequence block and keeps
 	// it atomic for readers: the whole block publishes in one step, so
 	// readers see all of the batch or none of it.
-	pc := &pendingCommit{ops: b.ops, asBatch: true, ctx: ctx}
+	pc := newPendingCommit(ctx)
+	pc.ops, pc.asBatch = b.ops, true
 	if err := d.commit.commit(pc); err != nil {
 		return err
 	}

@@ -489,7 +489,7 @@ func BenchmarkFlush(b *testing.B) {
 // mutable memtable of about 4 MiB — puts over level 1's keys and beside
 // them, one entry in ten a delete — whose tombstones are past the DPT, all
 // of it level 0's budget in a one-level tree. n is the memtable's entries.
-func expiredFlushDB(b *testing.B) (_ *DB, _ *vfs.MemFS, n int64) {
+func expiredFlushDB(b testing.TB) (_ *DB, _ *vfs.MemFS, n int64) {
 	b.Helper()
 	fs := vfs.NewMemFS()
 	clk := &base.LogicalClock{}

@@ -106,7 +106,9 @@ type pendingCommit struct {
 	opsBuf [1]batchOp
 
 	// notify is created by enqueue only for followers (buffered(1); at most
-	// one signal ever sent). A writer that leads immediately never parks.
+	// one signal sent per commit, and received before commit returns). A
+	// writer that leads immediately never parks. It outlives the commit:
+	// the record's next writer reuses it.
 	notify chan commitSignal
 
 	// next links the arrival queue and, once a leader drains it, the
@@ -122,6 +124,25 @@ type pendingCommit struct {
 	// the WAL stage's failure; a failed commit was not applied.
 	baseSeq base.SeqNum
 	err     error
+}
+
+// pendingCommits recycles commit records, so a commit allocates none. A
+// record goes back once its commit returns: by then no leader touches it,
+// as a leader reads a member's next before it signals the member, and the
+// stall gate unlinks a member before it releases it.
+var pendingCommits = sync.Pool{New: func() any { return new(pendingCommit) }}
+
+// newPendingCommit returns an empty commit record for a writer with ctx.
+func newPendingCommit(ctx context.Context) *pendingCommit {
+	pc := pendingCommits.Get().(*pendingCommit)
+	pc.ctx = ctx
+	return pc
+}
+
+// free clears the record, keeping only its channel, and recycles it.
+func (pc *pendingCommit) free() {
+	*pc = pendingCommit{notify: pc.notify}
+	pendingCommits.Put(pc)
 }
 
 // seqCount returns how many sequence numbers the commit consumes.
@@ -150,8 +171,14 @@ func (p *commitPipeline) visibleSeqNum() base.SeqNum {
 // the arrival queue, in which case it withdraws and fails without consuming
 // a sequence number. Cancellation is best-effort: once a leader has claimed
 // the commit it completes normally and the caller must treat the write as
-// applied.
+// applied. pc, from newPendingCommit, is recycled before commit returns.
 func (p *commitPipeline) commit(pc *pendingCommit) error {
+	err := p.run(pc)
+	pc.free()
+	return err
+}
+
+func (p *commitPipeline) run(pc *pendingCommit) error {
 	if p.enqueue(pc) {
 		p.leadRound(pc)
 		return pc.err
@@ -224,7 +251,9 @@ func (p *commitPipeline) enqueue(pc *pendingCommit) bool {
 		p.leaderActive = true
 		return true
 	}
-	pc.notify = make(chan commitSignal, 1)
+	if pc.notify == nil {
+		pc.notify = make(chan commitSignal, 1)
+	}
 	return false
 }
 
@@ -312,10 +341,11 @@ func (p *commitPipeline) processGroup(group, own *pendingCommit) (_ *pendingComm
 		// deletes, which previously bypassed the stall gate entirely and
 		// could grow the flush backlog without bound.
 		if err = d.backgroundErrLocked(); err == nil {
-			err = d.stallWritesLocked(group, own)
+			err = d.stallWritesLocked(&group, own)
 		}
 	}
-	// Unlink the members the stall gate failed: it signalled them already.
+	// Unlink the leader if the stall gate failed it; the followers it
+	// failed it unlinked and signalled already.
 	for link := &group; *link != nil; {
 		if (*link).err != nil {
 			*link = (*link).next

@@ -335,7 +335,7 @@ func (d *DB) merge(j *compactJob) (*compaction.Result, error) {
 	return compaction.Run(c, compaction.Env{
 		FS:                       d.opts.FS,
 		Dirname:                  d.dirname,
-		WriterOpts:               d.writerOptions(),
+		Writers:                  d.writers,
 		TargetFileBytes:          d.opts.Compaction.TargetFileBytes,
 		OpenReader:               d.cache.get,
 		AllocFileNum:             d.vs.AllocFileNum,

@@ -84,9 +84,15 @@ type DB struct {
 	// queued admissions fail fast.
 	admit *admission.Controller
 
+	// mems makes every memtable: one whose last reference goes hands its
+	// arena to the next (DESIGN "The write path's buffers"). writers lends
+	// the flushes and compactions their sstable writers.
+	mems    *memtable.Pool
+	writers *sstable.WriterPool
+
 	mu        sync.Mutex // guards everything below
 	vs        *manifest.VersionSet
-	mem       *memtable.MemTable
+	mem       *memtable.MemTable // holds the DB's reference, as do imm's
 	memLog    base.FileNum
 	walW      *wal.Writer
 	imm       []immEntry    // oldest first
@@ -158,13 +164,21 @@ func Open(dirname string, opts Options) (*DB, error) {
 		return nil, err
 	}
 
+	mems := memtable.NewPool(opts.MemTableBytes)
+	writers := sstable.NewWriterPool(sstable.WriterOptions{
+		BloomBitsPerKey: opts.BloomBitsPerKey,
+		PagesPerTile:    opts.PagesPerTile,
+		DeleteKeyFunc:   opts.DeleteKeyFunc,
+	})
 	d := &DB{
 		opts:     opts,
 		dirname:  dirname,
 		cache:    newTableCache(fs, dirname, opts.BlockCacheBytes),
 		trace:    event.NewTracer(event.DefaultRingSize, opts.EventListener),
+		mems:     mems,
+		writers:  writers,
 		vs:       vs,
-		mem:      memtable.New(),
+		mem:      mems.New(),
 		inflight: compaction.InFlightSet{},
 		policy:   opts.Compaction.NewLayout(),
 		sched:    newScheduler(),
@@ -256,7 +270,8 @@ func (d *DB) recoverAndClean() error {
 	sort.Slice(logNums, func(i, j int) bool { return logNums[i] < logNums[j] })
 
 	// Replay surviving logs into a recovery memtable.
-	rec := memtable.New()
+	rec := d.mems.New()
+	defer rec.Unref()
 	maxSeq := d.vs.LastSeqNum()
 	for _, fn := range logNums {
 		logPath := manifest.MakeFilename(d.dirname, manifest.FileTypeLog, fn)
@@ -492,7 +507,7 @@ func (d *DB) commitRecord(ctx context.Context, kind base.Kind, key, value []byte
 	if err := d.admitWrite(ctx); err != nil {
 		return err
 	}
-	pc := &pendingCommit{ctx: ctx}
+	pc := newPendingCommit(ctx)
 	pc.opsBuf[0] = batchOp{kind: kind, key: key, value: value}
 	pc.ops = pc.opsBuf[:1]
 	return d.commit.commit(pc)
@@ -526,7 +541,8 @@ func (d *DB) commitRangeDelete(ctx context.Context, lo, hi base.DeleteKey) error
 	// gate, which the old path skipped — they could previously grow the
 	// flush backlog without any backpressure.
 	rt := base.RangeTombstone{Lo: lo, Hi: hi, CreatedAt: d.opts.Clock.Now()}
-	pc := &pendingCommit{rt: &rt, ctx: ctx}
+	pc := newPendingCommit(ctx)
+	pc.rt = &rt
 	if err := d.commit.commit(pc); err != nil {
 		return err
 	}
@@ -569,16 +585,18 @@ var stallCauseNames = [numStallCauses]string{"imm-memtables", "l0-runs"}
 // wakeStalledWriters — broadcast under d.mu, so the lost-wakeup discipline
 // is untouched — and on every wake-up the gate fails members whose context
 // has fired with an error wrapping their context error. A failed follower
-// is signalled immediately (it must not wait out a stall it has timed out
-// of); the round then proceeds with the survivors. If the leader itself
+// is unlinked from the group and signalled immediately (it must not wait
+// out a stall it has timed out of, and it recycles its record once woken);
+// the round then proceeds with the survivors. If the leader itself
 // expires while live members remain it cannot abandon the round — their
 // state lives on its stack — so the gate releases the round past the stall
 // once (a bounded overshoot of one group) instead of pinning the expired
 // caller for the stall's full duration; the backpressure re-engages on the
 // next round.
 //
-// Called with d.mu held; may release and reacquire it.
-func (d *DB) stallWritesLocked(group, own *pendingCommit) error {
+// Called with d.mu held; may release and reacquire it. group points at the
+// head of the round's group.
+func (d *DB) stallWritesLocked(group **pendingCommit, own *pendingCommit) error {
 	if d.opts.DisableAutoMaintenance {
 		return nil
 	}
@@ -610,7 +628,7 @@ func (d *DB) stallWritesLocked(group, own *pendingCommit) error {
 			d.stats.WriteStalls.Add(1)
 			stallStart = time.Now()
 			d.trace.Emit(event.Event{Type: event.StallBegin, Time: stallStart})
-			for pc := group; pc != nil; pc = pc.next {
+			for pc := *group; pc != nil; pc = pc.next {
 				if stop := armCtxWake(pc.ctx, d.wakeStalledWriters); stop != nil {
 					stops = append(stops, stop)
 				}
@@ -626,13 +644,12 @@ func (d *DB) stallWritesLocked(group, own *pendingCommit) error {
 		// the stall then clears: its deadline elapsed while the engine held
 		// it, and the caller has likely moved on.
 		live := 0
-		for pc := group; pc != nil; pc = pc.next {
-			if pc.err != nil {
-				continue
-			}
+		for link := group; *link != nil; {
+			pc := *link
 			cerr := pc.ctx.Err()
 			if cerr == nil {
 				live++
+				link = &pc.next
 				continue
 			}
 			waited := time.Since(stallStart)
@@ -640,11 +657,15 @@ func (d *DB) stallWritesLocked(group, own *pendingCommit) error {
 				waited.Round(time.Millisecond), cerr)
 			d.stats.StallTimeouts.Add(1)
 			d.trace.Emit(event.Event{Type: event.StallTimeout, Dur: waited, Err: pc.err.Error()})
-			if pc != own {
-				// Release the follower now; processGroup drops it from
-				// the round.
-				pc.notify <- sigDone
+			if pc == own {
+				// processGroup drops the leader from the round.
+				link = &pc.next
+				continue
 			}
+			// Release the follower now, unlinked first: once woken it
+			// recycles its record.
+			*link = pc.next
+			pc.notify <- sigDone
 		}
 		if live == 0 {
 			// Every member expired; the round is empty and aborts.
@@ -709,7 +730,7 @@ func (d *DB) rotateLocked() error {
 		return err
 	}
 	d.imm = append(d.imm, immEntry{mem: d.mem, logNum: d.memLog})
-	d.mem = memtable.New()
+	d.mem = d.mems.New()
 	d.memLog = newLog
 	d.walW = newW
 	d.stats.FlushQueueDepth.Set(int64(len(d.imm)))
@@ -857,7 +878,8 @@ func (d *DB) invalidateReadViews() {
 }
 
 // readState is a consistent view captured under d.mu. It holds a reference
-// to its version, so every table it may open stays on disk until unref.
+// to its memtables, so their arenas stay intact, and to its version, so
+// every table it may open stays on disk, until release.
 type readState struct {
 	mem     *memtable.MemTable
 	imms    []immEntry // oldest first
@@ -865,14 +887,9 @@ type readState struct {
 	seq     base.SeqNum
 }
 
-// acquireReadState captures a read state holding a reference to its version;
-// the caller hands rs.version to unref when done.
-func (d *DB) acquireReadState(snap *Snapshot) (readState, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return readState{}, ErrClosed
-	}
+// readStateLocked captures the current read state, referencing its
+// memtables and its version. Caller holds d.mu.
+func (d *DB) readStateLocked() readState {
 	rs := readState{
 		mem:     d.mem,
 		imms:    append([]immEntry(nil), d.imm...),
@@ -881,10 +898,36 @@ func (d *DB) acquireReadState(snap *Snapshot) (readState, error) {
 		// above it may not have reached the memtable yet.
 		seq: d.visibleSeqNum(),
 	}
+	rs.mem.Ref()
+	for _, e := range rs.imms {
+		e.mem.Ref()
+	}
+	return rs
+}
+
+// acquireReadState captures a read state at the snapshot (nil = latest);
+// the caller hands it to release when done.
+func (d *DB) acquireReadState(snap *Snapshot) (readState, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed {
+		return readState{}, ErrClosed
+	}
+	rs := d.readStateLocked()
 	if snap != nil {
 		rs.seq = snap.seq
 	}
 	return rs, nil
+}
+
+// release drops every reference the read state holds: a memtable already
+// flushed recycles its arena with the last of its references.
+func (d *DB) release(rs readState) {
+	rs.mem.Unref()
+	for _, e := range rs.imms {
+		e.mem.Unref()
+	}
+	d.unref(rs.version)
 }
 
 // unref drops a reference taken with VersionSet.Ref and unlinks the files
@@ -987,7 +1030,7 @@ func (d *DB) getAt(key []byte, snap *Snapshot) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer d.unref(rs.version)
+	defer d.release(rs)
 	d.stats.Gets.Add(1)
 
 	res, err := d.searchSources(rs, key)
@@ -1003,9 +1046,9 @@ func (d *DB) getAt(key []byte, snap *Snapshot) ([]byte, error) {
 		return nil, ErrNotFound
 	}
 	d.stats.GetHits.Add(1)
-	// res.Value aliases a memtable node or a table block res pins until the
-	// deferred Release (see getFromTable); this is the one copy a Get hit
-	// makes.
+	// res.Value aliases a memtable node, whose arena rs references, or a
+	// table block res pins (see getFromTable), both until the deferred
+	// releases; this is the one copy a Get hit makes.
 	return append([]byte(nil), res.Value...), nil
 }
 

@@ -10,16 +10,6 @@ import (
 	"repro/internal/vfs"
 )
 
-// writerOptions builds the sstable writer configuration from the engine
-// options.
-func (d *DB) writerOptions() sstable.WriterOptions {
-	return sstable.WriterOptions{
-		BloomBitsPerKey: d.opts.BloomBitsPerKey,
-		PagesPerTile:    d.opts.PagesPerTile,
-		DeleteKeyFunc:   d.opts.DeleteKeyFunc,
-	}
-}
-
 // writeMemTable materializes a memtable as a new level-0 table file. On any
 // error after the file is created, the partial table is closed and unlinked,
 // so a failed flush leaves no orphan behind; a finished table is the caller's
@@ -37,8 +27,10 @@ func (d *DB) writeMemTable(m *memtable.MemTable) (_ base.FileNum, _ sstable.Writ
 			_ = d.opts.FS.Remove(path)
 		}
 	}()
-	w := sstable.NewWriter(f, d.writerOptions())
+	w := d.writers.Get(f)
+	defer d.writers.Put(w)
 	it := m.NewIter()
+	defer it.Close()
 	for valid := it.First(); valid; valid = it.Next() {
 		if err = w.Add(it.Key(), it.Value()); err != nil {
 			return 0, sstable.WriterMeta{}, err
@@ -127,6 +119,9 @@ func (d *DB) flushOne() (bool, error) {
 		if err := d.runCompactionJob(j); err != nil {
 			return false, err
 		}
+		// Popped at the install, and the job's claim, which holds the
+		// memtable's key span, is gone: drop the DB's reference.
+		e.mem.Unref()
 		_ = d.opts.FS.Remove(manifest.MakeFilename(d.dirname, manifest.FileTypeLog, e.logNum))
 		d.stats.Flushes.Add(1)
 		d.stats.FlushesToL1.Add(1)
@@ -154,6 +149,7 @@ func (d *DB) flushOne() (bool, error) {
 		d.recordJob(ji, err)
 		return false, err
 	}
+	e.mem.Unref()
 
 	_ = d.opts.FS.Remove(manifest.MakeFilename(d.dirname, manifest.FileTypeLog, e.logNum))
 	if len(edit.Added) > 0 {
@@ -199,11 +195,13 @@ func (d *DB) pickFlushJob(m *memtable.MemTable) *compactJob {
 // memTableMeta describes sealed memtable m as the level-0 table
 // writeMemTable would make of it — its user-key span and the tombstone
 // summary fileMetaFrom would read from the table's properties — so the
-// picker can judge the table before it exists.
+// picker can judge the table before it exists. The span's keys alias m's
+// arena: they live as long as the DB's reference to m.
 func memTableMeta(m *memtable.MemTable) *manifest.FileMetadata {
 	f := &manifest.FileMetadata{}
 	f.OldestTombstone, f.HasTombstones = m.OldestTombstone()
 	it := m.NewIter()
+	defer it.Close()
 	if !it.First() {
 		f.Smallest, f.Largest = wholeKeySpace()
 		return f

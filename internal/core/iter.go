@@ -156,8 +156,8 @@ func prefixSuccessor(prefix []byte) []byte {
 	return nil
 }
 
-// Close releases the table pages the iterator pins and its version,
-// unlinking the files only it still held. Closing twice is safe.
+// Close releases the table pages the iterator pins, its memtables and its
+// version, unlinking the files only it still held. Closing twice is safe.
 func (i *Iter) Close() error {
 	if !i.closed {
 		i.closed = true
@@ -165,7 +165,7 @@ func (i *Iter) Close() error {
 		if i.viewDeferred {
 			i.d.readViews.Credit(i.rs.version, uint64(i.stepped))
 		}
-		i.d.unref(i.rs.version)
+		i.d.release(i.rs)
 	}
 	i.valid = false
 	return i.err

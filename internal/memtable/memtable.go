@@ -17,8 +17,15 @@ import (
 // MemTable is an in-memory, ordered write buffer. Add and AddRangeTombstone
 // must not be called concurrently with each other; every read method may
 // run beside them, with no lock.
+//
+// A memtable is reference counted. New hands its creator the first
+// reference, Ref adds one and Unref drops one; the last Unref releases the
+// arena, which a memtable made by a Pool hands to the pool's next memtable.
+// Every key and value a read returned is dead from then on, so a reader
+// holds a reference for as long as it uses one.
 type MemTable struct {
 	list *skiplist.List
+	refs atomic.Int32
 
 	// rangeDels is published copy-on-write: AddRangeTombstone stores a new
 	// slice, never appending in place, so a loaded slice is immutable and
@@ -36,11 +43,50 @@ type MemTable struct {
 // than any creation time.
 const noTombstone = math.MaxInt64
 
-// New returns an empty memtable.
-func New() *MemTable {
-	m := &MemTable{list: skiplist.New(base.CompareEncoded)}
+// New returns an empty memtable whose arena is not recycled, holding the
+// caller's reference.
+func New() *MemTable { return (*Pool)(nil).New() }
+
+// Pool recycles memtable arenas: a memtable it made gives its arena chunks
+// back when its last reference goes, and the pool's next memtables build on
+// them before they allocate. It is safe for concurrent use.
+type Pool struct{ chunks *skiplist.Chunks }
+
+// NewPool returns a pool for memtables of about budget bytes: it keeps one
+// retired memtable's arena.
+func NewPool(budget int64) *Pool { return &Pool{chunks: skiplist.NewChunks(budget)} }
+
+// New returns an empty memtable built on the pool's chunks, holding the
+// caller's reference. A nil pool recycles nothing.
+func (p *Pool) New() *MemTable {
+	var c *skiplist.Chunks
+	if p != nil {
+		c = p.chunks
+	}
+	m := &MemTable{list: skiplist.NewRecycled(base.CompareEncoded, c)}
+	m.refs.Store(1)
 	m.oldestTombstone.Store(noTombstone)
 	return m
+}
+
+// Ref adds a reference. The caller must already hold one, directly or
+// through the owner it acts for: a memtable whose last reference went is
+// gone for good.
+func (m *MemTable) Ref() {
+	if m.refs.Add(1) <= 1 {
+		panic("memtable: Ref after the last Unref")
+	}
+}
+
+// Unref drops a reference. The last one releases the arena: what any read
+// of the memtable returned may be overwritten from then on.
+func (m *MemTable) Unref() {
+	switch n := m.refs.Add(-1); {
+	case n == 0:
+		m.list.Release()
+	case n < 0:
+		panic("memtable: Unref without a reference")
+	}
 }
 
 // Add inserts an entry. The key's sequence number must be unique within the
@@ -88,7 +134,8 @@ func (m *MemTable) RangeTombstones() []base.RangeTombstone {
 var searchKeys = sync.Pool{New: func() any { return new([]byte) }}
 
 // Get returns the newest entry for userKey visible at seq, along with the
-// entry's own sequence number.
+// entry's own sequence number. The value aliases the arena: it lives as
+// long as the caller's reference.
 func (m *MemTable) Get(userKey []byte, seq base.SeqNum) (base.Kind, []byte, base.SeqNum, bool) {
 	it := m.list.NewIter()
 	search := searchKeys.Get().(*[]byte)
@@ -126,15 +173,21 @@ func (m *MemTable) OldestTombstone() (base.Timestamp, bool) {
 	return base.Timestamp(ts), ts != noTombstone
 }
 
-// Iter iterates the memtable in internal-key order.
+// Iter iterates the memtable in internal-key order. It holds a reference
+// to the memtable from NewIter to Close.
 type Iter struct {
+	m    *MemTable // nil once closed
 	it   skiplist.Iter
 	ikey base.InternalKey
 	seek []byte // SeekGE's encoded target, reused from seek to seek
 }
 
-// NewIter returns an unpositioned iterator over the point entries.
-func (m *MemTable) NewIter() *Iter { return &Iter{it: *m.list.NewIter()} }
+// NewIter returns an unpositioned iterator over the point entries. The
+// caller must hold a reference, which the iterator adds to until Close.
+func (m *MemTable) NewIter() *Iter {
+	m.Ref()
+	return &Iter{m: m, it: *m.list.NewIter()}
+}
 
 // Valid reports whether the iterator is positioned on an entry.
 func (i *Iter) Valid() bool { return i.it.Valid() }
@@ -145,8 +198,15 @@ func (i *Iter) Key() base.InternalKey { return i.ikey }
 // Value returns the current value.
 func (i *Iter) Value() []byte { return i.it.Value() }
 
-// Close does nothing: the memtable's arena outlives its iterators.
-func (i *Iter) Close() {}
+// Close drops the iterator's reference to its memtable, which may be the
+// last one: a key or value the iterator returned is dead from then on.
+// Closing twice is safe.
+func (i *Iter) Close() {
+	if i.m != nil {
+		i.m.Unref()
+		i.m = nil
+	}
+}
 
 func (i *Iter) update(valid bool) bool {
 	if valid {

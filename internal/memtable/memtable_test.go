@@ -2,8 +2,10 @@ package memtable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"testing"
@@ -355,6 +357,66 @@ func TestAddAndSeekAllocs(t *testing.T) {
 	}
 }
 
+// TestPoolRecyclesArenas fills a memtable, retires it and makes the next
+// one from the same pool, in a loop: after the first round every arena is
+// built on the chunks the round before gave back, so a round allocates far
+// less than the smallest chunk (16 KiB), and a memtable still referenced
+// keeps its entries.
+func TestPoolRecyclesArenas(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	p := NewPool(512 << 10)
+	key, val := make([]byte, 24), make([]byte, 128)
+	var seq base.SeqNum
+	round := func() {
+		m := p.New()
+		for m.ApproximateBytes() < 512<<10 {
+			seq++
+			binary.BigEndian.PutUint64(key, uint64(seq))
+			m.Add(base.MakeInternalKey(key, seq, base.KindSet), val)
+		}
+		m.Unref()
+	}
+	round()
+	var before, after runtime.MemStats
+	const rounds = 20
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / rounds; b >= 16<<10 {
+		t.Errorf("a round allocates %d bytes after the first: an arena chunk was not recycled", b)
+	}
+
+	// A reference held across the retirement keeps the arena: its entry
+	// reads back intact while the next memtable fills.
+	m := p.New()
+	m.Add(base.MakeInternalKey([]byte("held"), 1, base.KindSet), []byte("value"))
+	it := m.NewIter()
+	m.Unref()
+	round()
+	if !it.First() || string(it.Key().UserKey) != "held" || string(it.Value()) != "value" {
+		t.Fatalf("iterator over a retired memtable reads %q=%q", it.Key().UserKey, it.Value())
+	}
+	it.Close()
+	it.Close() // the second Close drops nothing
+}
+
+// TestRefAfterLastUnrefPanics: a memtable whose last reference went is gone,
+// and a reference taken after that is a bug the memtable reports.
+func TestRefAfterLastUnrefPanics(t *testing.T) {
+	m := New()
+	m.Unref()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Ref after the last Unref did not panic")
+		}
+	}()
+	m.Ref()
+}
+
 // benchMemTable returns benchEntries keys of 24 bytes in a fixed random
 // order, a 128-byte value, and a memtable holding them: a 4 MiB memtable's
 // worth.
@@ -375,13 +437,16 @@ func benchMemTable(b *testing.B) ([]base.InternalKey, []byte, *MemTable) {
 }
 
 // BenchmarkAdd times an Add to a memtable of up to benchEntries entries; a
-// full one is replaced by a fresh one, so ns/op does not grow with b.N.
+// full one is retired and replaced by the next from a pool, as the engine
+// rotates them, so ns/op does not grow with b.N.
 func BenchmarkAdd(b *testing.B) {
 	keys, val, m := benchMemTable(b)
+	p := NewPool(4 << 20)
 	for i := 0; i < b.N; i++ {
 		j := i % len(keys)
 		if j == 0 {
-			m = New()
+			m.Unref()
+			m = p.New()
 		}
 		m.Add(keys[j], val)
 	}

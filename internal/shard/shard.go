@@ -293,6 +293,18 @@ func (r *Router) ApplyCtx(ctx context.Context, b *core.Batch) error {
 	if len(r.shards) == 1 {
 		return r.shards[0].ApplyCtx(ctx, b)
 	}
+	subs := r.routeBatch(b)
+	return r.fanOut(func(i int, db *core.DB) error {
+		if subs[i] == nil {
+			return nil
+		}
+		return db.ApplyCtx(ctx, subs[i])
+	})
+}
+
+// routeBatch splits b by routing hash: subs[i] holds shard i's operations,
+// in b's order, and is nil when it has none.
+func (r *Router) routeBatch(b *core.Batch) []*core.Batch {
 	subs := make([]*core.Batch, len(r.shards))
 	b.Ops(func(kind base.Kind, key, value []byte) {
 		i := r.ShardFor(key)
@@ -305,12 +317,7 @@ func (r *Router) ApplyCtx(ctx context.Context, b *core.Batch) error {
 			subs[i].Put(key, value)
 		}
 	})
-	return r.fanOut(func(i int, db *core.DB) error {
-		if subs[i] == nil {
-			return nil
-		}
-		return db.ApplyCtx(ctx, subs[i])
-	})
+	return subs
 }
 
 // Snapshot pins a point-in-time view of every shard. The per-shard

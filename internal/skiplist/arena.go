@@ -2,6 +2,8 @@ package skiplist
 
 import (
 	"math"
+	"math/bits"
+	"sync"
 	"sync/atomic"
 	"unsafe"
 )
@@ -43,6 +45,8 @@ const (
 	// its own, where it sits at offset 0.
 	firstChunk = 16 << 10
 	maxChunk   = 4 << offBits // 1 MiB
+	// numClasses counts the regular chunk sizes, firstChunk to maxChunk.
+	numClasses = 7
 )
 
 func (n *node) key() []byte {
@@ -62,16 +66,24 @@ func bytesAt(p unsafe.Pointer, n uint32) []byte {
 	return unsafe.Slice((*byte)(p), n)
 }
 
-// arena allocates nodes from chunks of zeroed, pointer-free memory, so an
-// insert allocates nothing of its own and the garbage collector never scans
-// the list's contents. Allocation bumps the current chunk's offset; only
-// the list's one writer allocates, so nothing here but the chunk table is
-// shared with readers.
+// arena allocates nodes from chunks of pointer-free memory, so an insert
+// allocates nothing of its own and the garbage collector never scans the
+// list's contents. A chunk is fresh (zeroed) or one a retired list gave
+// back to the arena's Chunks (not zeroed); newNode writes every header field
+// either way. Allocation bumps the current chunk's offset; only the list's
+// one writer allocates, so nothing here but the chunk table is shared with
+// readers.
 type arena struct {
 	// table holds every chunk's base address by index. It grows by append
 	// and is republished whole, so a loaded table never changes below its
 	// length. A chunk is published here before any node in it is linked.
 	table atomic.Pointer[[]unsafe.Pointer]
+	// sizes holds each chunk's allocation size, by index: the writer's
+	// alone, read again only by release.
+	sizes []uint64
+	// chunks, if not nil, is where addChunk looks first and release gives
+	// every regular chunk back.
+	chunks *Chunks
 
 	// The chunk nodes are bump-allocated from: its address and index, the
 	// next free byte, and its allocation size minus the nodeSize slack.
@@ -82,17 +94,20 @@ type arena struct {
 }
 
 // init makes the first chunk and returns the head node at its start, with
-// a full tower.
+// a full, nil tower.
 func (a *arena) init() *node {
 	a.base, a.idx = a.addChunk(firstChunk)
 	a.off, a.limit = nodeSize, firstChunk-nodeSize
 	head := (*node)(a.base)
-	head.height = maxHeight
+	head.keyLen, head.valLen, head.height = 0, 0, maxHeight
+	for i := range head.tower {
+		head.tower[i].Store(0)
+	}
 	return head
 }
 
-// addChunk allocates a zeroed chunk of size bytes (a multiple of 8) and
-// publishes it.
+// addChunk takes a chunk of size bytes (a multiple of 8) from the free list
+// or allocates a zeroed one, and publishes it.
 func (a *arena) addChunk(size uint64) (unsafe.Pointer, uint32) {
 	var t []unsafe.Pointer
 	if p := a.table.Load(); p != nil {
@@ -101,15 +116,33 @@ func (a *arena) addChunk(size uint64) (unsafe.Pointer, uint32) {
 	if len(t) == maxChunks {
 		panic("skiplist: arena exceeds 16 GiB")
 	}
-	// []uint64 rather than []byte: the base is 8-byte aligned at any size.
-	base := unsafe.Pointer(unsafe.SliceData(make([]uint64, size/8)))
+	base := a.chunks.get(size)
+	if base == nil {
+		// []uint64 rather than []byte: the base is 8-byte aligned at any size.
+		base = unsafe.Pointer(unsafe.SliceData(make([]uint64, size/8)))
+	}
 	t = append(t, base)
 	a.table.Store(&t)
+	a.sizes = append(a.sizes, size)
 	return base, uint32(len(t) - 1)
 }
 
+// release gives every regular chunk to the free list. No reader may hold a
+// ref or a key of the list any more: the next list writes over them.
+func (a *arena) release() {
+	if a.chunks == nil {
+		return
+	}
+	t := *a.table.Load()
+	for i, size := range a.sizes {
+		a.chunks.put(t[i], size)
+	}
+	a.sizes = nil
+}
+
 // newNode allocates a node of the given height holding copies of key and
-// value, and returns its ref and address. Its tower is all nil.
+// value, and returns its ref and address. Its tower is all nil: a recycled
+// chunk still holds the links of the list that used it before.
 func (a *arena) newNode(key, value []byte, height int) (uint32, *node) {
 	kv := uint64(len(key)) + uint64(len(value))
 	if kv > math.MaxUint32 {
@@ -119,6 +152,9 @@ func (a *arena) newNode(key, value []byte, height int) (uint32, *node) {
 	r, p := a.alloc((hdr + kv + 3) &^ 3)
 	n := (*node)(p)
 	n.keyLen, n.valLen, n.height = uint32(len(key)), uint32(len(value)), uint32(height)
+	for i := 0; i < height; i++ {
+		n.tower[i].Store(0)
+	}
 	dst := unsafe.Slice((*byte)(unsafe.Add(p, hdr)), kv)
 	copy(dst[copy(dst, key):], value)
 	return r, n
@@ -149,6 +185,82 @@ func (a *arena) roll(size uint64) {
 	}
 	a.base, a.idx = a.addChunk(next)
 	a.off, a.limit = 0, next-nodeSize
+}
+
+// Chunks is a free list of arena chunks: a list made with NewRecycled
+// builds its arena from chunks a released list gave back before it
+// allocates any. Only regular chunks (firstChunk to maxChunk, the sizes
+// every list rolls through) are kept, up to one list's arena; a chunk made
+// for one oversized entry, or one past that, is left to the garbage
+// collector. Chunks is safe for concurrent use: a list may be
+// released on any goroutine.
+type Chunks struct {
+	mu    sync.Mutex
+	free  [numClasses][]unsafe.Pointer
+	bytes uint64
+	limit uint64
+}
+
+// NewChunks returns an empty free list that keeps one whole arena of a list
+// that grows to about budget bytes of entries: those bytes plus the room its
+// chunks leave unused, up to as much again while the chunks still double
+// from firstChunk, and at most 2*maxChunk (the doubling series and the last
+// chunk) once they have reached maxChunk.
+func NewChunks(budget int64) *Chunks {
+	b := uint64(max(budget, 0))
+	return &Chunks{limit: b + min(b, 2*maxChunk)}
+}
+
+// class returns the free-list slot of a chunk of size bytes, or false for a
+// size no list rolls to.
+func class(size uint64) (int, bool) {
+	if size < firstChunk || size > maxChunk || size&(size-1) != 0 {
+		return 0, false
+	}
+	return bits.TrailingZeros64(size / firstChunk), true
+}
+
+// get returns a chunk of size bytes from the list, or nil. A nil *Chunks
+// holds none.
+func (c *Chunks) get(size uint64) unsafe.Pointer {
+	k, ok := class(size)
+	if c == nil || !ok {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := len(c.free[k])
+	if n == 0 {
+		return nil
+	}
+	p := c.free[k][n-1]
+	c.free[k][n-1] = nil
+	c.free[k] = c.free[k][:n-1]
+	c.bytes -= size
+	return p
+}
+
+// put keeps chunk p of size bytes for a later get, if it is a regular size
+// and fits in the limit. Under the race detector it is poisoned first, so a
+// reader still walking the released list reads garbage at once.
+func (c *Chunks) put(p unsafe.Pointer, size uint64) {
+	k, ok := class(size)
+	if !ok {
+		return
+	}
+	if poison {
+		b := unsafe.Slice((*byte)(p), size)
+		for i := range b {
+			b[i] = 0xdb
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.bytes+size > c.limit {
+		return
+	}
+	c.free[k] = append(c.free[k], p)
+	c.bytes += size
 }
 
 // resolver turns refs into nodes against a snapshot of the arena's chunk

@@ -35,10 +35,14 @@ func fuzzBytes(n int, seed, step byte) []byte {
 	return b
 }
 
-// FuzzSkiplist decodes a stream of inserts and seeks, with key and value
-// sizes from 0 to past the largest chunk, and checks Get, SeekGE and a full
-// iteration against a sorted slice. Each op is 5 bytes: op (even inserts,
-// odd seeks), key size, value size, and two key seed bytes; a size byte
+// FuzzSkiplist decodes a stream of inserts, seeks and retirements, with key
+// and value sizes from 0 to past the largest chunk, and checks Get, SeekGE
+// and a full iteration against a sorted slice. A retirement checks the list
+// whole, releases it and starts the next one on its chunks, which are not
+// zeroed: every list is checked against its own model, and its towers
+// walked, so a node in a reused chunk that links to a node of the list
+// before fails. Each op is 5 bytes: op (3 mod 4 retires, else even inserts
+// and odd seeks), key size, value size, and two key seed bytes; a size byte
 // below 240 is the length itself, one above picks from fuzzSizes.
 func FuzzSkiplist(f *testing.F) {
 	op := func(kind, ksize, vsize, seed, step byte) []byte { return []byte{kind, ksize, vsize, seed, step} }
@@ -56,6 +60,9 @@ func FuzzSkiplist(f *testing.F) {
 		many = append(many, op(0, 12, 200, byte(255-i), 7)...)
 	}
 	f.Add(append(many, op(1, 12, 0, 100, 7)...))
+	// Two lists of small entries, the second on the first's chunks, and a
+	// third after a large entry's own chunk.
+	f.Add(cat(many, op(3, 0, 0, 0, 0), many[:500], op(0, 8, 246, 'b', 1), op(3, 0, 0, 0, 0), many[500:700]))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		type entry struct{ k, v []byte }
@@ -63,9 +70,44 @@ func FuzzSkiplist(f *testing.F) {
 		find := func(k []byte) int {
 			return sort.Search(len(model), func(i int) bool { return bytes.Compare(model[i].k, k) >= 0 })
 		}
-		l := New(bytes.Compare)
+		chunks := NewChunks(8 << 20)
+		l := NewRecycled(bytes.Compare, chunks)
+		check := func() {
+			if l.Len() != len(model) {
+				t.Fatalf("Len = %d, want %d", l.Len(), len(model))
+			}
+			it := l.NewIter()
+			i := 0
+			for ok := it.First(); ok; ok = it.Next() {
+				if i >= len(model) || !bytes.Equal(it.Key(), model[i].k) || !bytes.Equal(it.Value(), model[i].v) {
+					t.Fatalf("entry %d of the iteration is %.16q, not the model's", i, it.Key())
+				}
+				if cap(it.Key()) != len(it.Key()) || cap(it.Value()) != len(it.Value()) {
+					t.Fatalf("entry %d: cap exceeds len", i)
+				}
+				i++
+			}
+			if i != len(model) {
+				t.Fatalf("iterated %d entries, want %d", i, len(model))
+			}
+			if ok := it.Last(); ok != (len(model) > 0) || ok && !bytes.Equal(it.Key(), model[len(model)-1].k) {
+				t.Fatalf("Last = %.16q, %v over %d entries", it.Key(), ok, len(model))
+			}
+			for _, e := range model {
+				if v, ok := l.Get(e.k); !ok || !bytes.Equal(v, e.v) {
+					t.Fatalf("Get(%.16q) = %d bytes, %v after the run", e.k, len(v), ok)
+				}
+			}
+			checkTowers(t, l, len(model))
+		}
 		budget := 4 << 20 // bytes of keys and values per input
 		for ; len(data) >= 5; data = data[5:] {
+			if data[0]%4 == 3 {
+				check()
+				l.Release()
+				l, model = NewRecycled(bytes.Compare, chunks), nil
+				continue
+			}
 			k := fuzzBytes(fuzzSize(data[1]), data[3], data[4])
 			if data[0]%2 == 0 {
 				v := fuzzBytes(fuzzSize(data[2]), data[4], data[3]+1)
@@ -96,30 +138,6 @@ func FuzzSkiplist(f *testing.F) {
 			}
 		}
 
-		if l.Len() != len(model) {
-			t.Fatalf("Len = %d, want %d", l.Len(), len(model))
-		}
-		it := l.NewIter()
-		i := 0
-		for ok := it.First(); ok; ok = it.Next() {
-			if i >= len(model) || !bytes.Equal(it.Key(), model[i].k) || !bytes.Equal(it.Value(), model[i].v) {
-				t.Fatalf("entry %d of the iteration is %.16q, not the model's", i, it.Key())
-			}
-			if cap(it.Key()) != len(it.Key()) || cap(it.Value()) != len(it.Value()) {
-				t.Fatalf("entry %d: cap exceeds len", i)
-			}
-			i++
-		}
-		if i != len(model) {
-			t.Fatalf("iterated %d entries, want %d", i, len(model))
-		}
-		if ok := it.Last(); ok != (len(model) > 0) || ok && !bytes.Equal(it.Key(), model[len(model)-1].k) {
-			t.Fatalf("Last = %.16q, %v over %d entries", it.Key(), ok, len(model))
-		}
-		for _, e := range model {
-			if v, ok := l.Get(e.k); !ok || !bytes.Equal(v, e.v) {
-				t.Fatalf("Get(%.16q) = %d bytes, %v after the run", e.k, len(v), ok)
-			}
-		}
+		check()
 	})
 }

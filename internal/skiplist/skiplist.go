@@ -46,13 +46,25 @@ func (s *splitmix) next() uint64 {
 }
 
 // New returns an empty list ordered by cmp.
-func New(cmp Compare) *List {
+func New(cmp Compare) *List { return NewRecycled(cmp, nil) }
+
+// NewRecycled returns an empty list ordered by cmp whose arena takes its
+// chunks from c before it allocates any, and gives them back to c on
+// Release. A nil c recycles nothing.
+func NewRecycled(cmp Compare, c *Chunks) *List {
 	l := &List{cmp: cmp}
+	l.arena.chunks = c
 	l.head = l.arena.init()
 	l.rng = 0x9E3779B97F4A7C15
 	l.height.Store(1)
 	return l
 }
+
+// Release gives the list's arena chunks back to the Chunks it was made
+// with. The list, its iterators and every key and value they returned are
+// dead from then on: the next list writes over them. It may be called only
+// once nothing else uses the list: no writer and no reader.
+func (l *List) Release() { l.arena.release() }
 
 // Len returns the number of entries.
 func (l *List) Len() int { return int(l.count.Load()) }

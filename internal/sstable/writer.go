@@ -173,7 +173,7 @@ func NewWriter(f vfs.File, opts WriterOptions) *Writer {
 
 // Reset re-targets the writer at a new, empty file, as if freshly made by
 // NewWriter with the same options, keeping its buffers. The table written
-// before, if any, must have been finished.
+// before, if any, is finished or abandoned.
 func (w *Writer) Reset(f vfs.File) {
 	w.dataBuf.Reset()
 	w.index.Reset()

@@ -68,8 +68,9 @@ acheronlint:
 # of the KiWi page Bloom filters, a range-tombstone skyline that answers
 # other than the tombstone walk it replaced, a memtable skiplist whose
 # arena loses or garbles an entry of any size up to past its largest chunk,
-# and a block cache that serves a block other than the last one put for its
-# key or loses count of its bytes, before they reach a release.
+# a block cache that serves a block other than the last one put for its
+# key or loses count of its bytes, and an in-memory filesystem whose recycled
+# pages lose, garble or share a file's bytes, before they reach a release.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzBlockIter -fuzztime $(FUZZTIME) ./internal/block/
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/wal/
@@ -79,6 +80,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzSkiplist -fuzztime $(FUZZTIME) ./internal/skiplist/
 	$(GO) test -run '^$$' -fuzz FuzzCache -fuzztime $(FUZZTIME) ./internal/cache/
+	$(GO) test -run '^$$' -fuzz FuzzMemFS -fuzztime $(FUZZTIME) ./internal/vfs/
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run '^$$' ./...

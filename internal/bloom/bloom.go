@@ -39,7 +39,11 @@ func Build(hashes []uint64, bitsPerKey int) Filter {
 // one reused buffer allocates nothing per filter. DecodeCompact reads it back.
 func AppendCompact(dst []byte, hashes []uint64, bitsPerKey int) []byte {
 	probes, nBytes := size(len(hashes), bitsPerKey)
-	dst = append(dst, byte(probes))
+	return appendBits(append(dst, byte(probes)), probes, nBytes, hashes)
+}
+
+// appendBits appends the nBytes bit array of a filter over hashes to dst.
+func appendBits(dst []byte, probes uint32, nBytes int, hashes []uint64) []byte {
 	start := len(dst)
 	dst = slices.Grow(dst, nBytes)[:start+nBytes]
 	clear(dst[start:])
@@ -90,13 +94,12 @@ func (f Filter) MayContain(h uint64) bool {
 // SizeBytes returns the in-memory size of the filter's bit array.
 func (f Filter) SizeBytes() int { return len(f.bits) }
 
-// Encode appends the filter's wire form to dst: 4-byte probe count followed
-// by the bit array.
-func (f Filter) Encode(dst []byte) []byte {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], f.probes)
-	dst = append(dst, hdr[:]...)
-	return append(dst, f.bits...)
+// Append builds the filter Build would and appends its wire form to dst:
+// 4-byte probe count followed by the bit array. Like AppendCompact it
+// allocates only when dst lacks the capacity. Decode reads it back.
+func Append(dst []byte, hashes []uint64, bitsPerKey int) []byte {
+	probes, nBytes := size(len(hashes), bitsPerKey)
+	return appendBits(binary.LittleEndian.AppendUint32(dst, probes), probes, nBytes, hashes)
 }
 
 // Decode parses a filter from its wire form. ok is false if the input is

@@ -77,9 +77,13 @@ func TestFewerBitsMoreFalsePositives(t *testing.T) {
 
 func TestEncodeDecodeRoundtrip(t *testing.T) {
 	keys := keysN(1000, "k")
-	f := Build(hashAll(keys), 10)
-	enc := f.Encode(nil)
-	dec, ok := Decode(enc)
+	hs := hashAll(keys)
+	f := Build(hs, 10)
+	enc := Append([]byte("head"), hs, 10)
+	if string(enc[:4]) != "head" {
+		t.Fatal("Append overwrote dst")
+	}
+	dec, ok := Decode(enc[4:])
 	if !ok {
 		t.Fatal("decode failed")
 	}
@@ -88,8 +92,12 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 			t.Fatalf("false negative after roundtrip for %q", k)
 		}
 	}
-	if dec.SizeBytes() != f.SizeBytes() {
-		t.Fatal("size changed in roundtrip")
+	if dec.probes != f.probes || string(dec.bits) != string(f.bits) {
+		t.Fatalf("wire form decodes to %d probes, %d bytes; Build made %d, %d", dec.probes, dec.SizeBytes(), f.probes, f.SizeBytes())
+	}
+	buf := make([]byte, 0, len(enc))
+	if allocs := testing.AllocsPerRun(10, func() { Append(buf, hs, 10) }); allocs != 0 {
+		t.Fatalf("Append into a large enough buffer allocated %.0f times", allocs)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/base"
 	"repro/internal/memtable"
@@ -15,6 +16,11 @@ import (
 // all of the batch or none of it).
 type Batch struct {
 	ops []batchOp
+	// data holds the ops' keys and put values back to back, in op order,
+	// and their key and value slices alias it. When it grows, the ops
+	// queued before keep aliasing the old array, which nothing writes to
+	// again. Reset keeps its capacity.
+	data []byte
 	// approximate payload size, for pre-sizing the WAL record.
 	size int
 }
@@ -30,22 +36,31 @@ func NewBatch() *Batch { return &Batch{} }
 
 // Put queues an insert/update. Key and value are copied.
 func (b *Batch) Put(key, value []byte) {
-	b.ops = append(b.ops, batchOp{
-		kind:  base.KindSet,
-		key:   append([]byte(nil), key...),
-		value: append([]byte(nil), value...),
-	})
+	b.add(base.KindSet, key, value)
 	b.size += len(key) + len(value) + 16
 }
 
 // Delete queues a point delete. The tombstone timestamp is assigned at
 // Apply time.
 func (b *Batch) Delete(key []byte) {
-	b.ops = append(b.ops, batchOp{
-		kind: base.KindDelete,
-		key:  append([]byte(nil), key...),
-	})
+	b.add(base.KindDelete, key, nil)
 	b.size += len(key) + 24
+}
+
+// Grow reserves room for ops more operations holding bytes more bytes of
+// keys and values, so that queuing them allocates nothing.
+func (b *Batch) Grow(ops, bytes int) {
+	b.ops = slices.Grow(b.ops, ops)
+	b.data = slices.Grow(b.data, bytes)
+}
+
+// add copies key and value to the end of data and queues the op.
+func (b *Batch) add(kind base.Kind, key, value []byte) {
+	b.Grow(1, len(key)+len(value))
+	start := len(b.data)
+	b.data = append(append(b.data, key...), value...)
+	k := start + len(key)
+	b.ops = append(b.ops, batchOp{kind: kind, key: b.data[start:k:k], value: b.data[k:len(b.data):len(b.data)]})
 }
 
 // Len returns the number of queued operations.
@@ -65,6 +80,7 @@ func (b *Batch) Ops(fn func(kind base.Kind, key, value []byte)) {
 // Reset clears the batch for reuse.
 func (b *Batch) Reset() {
 	b.ops = b.ops[:0]
+	b.data = b.data[:0]
 	b.size = 0
 }
 

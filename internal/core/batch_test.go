@@ -126,6 +126,49 @@ func TestBatchResetAndReuse(t *testing.T) {
 	}
 }
 
+// TestBatchKeepsOpsAcrossGrowth: the batch copies every key and value into
+// one buffer, whose moves as it grows leave the queued ops intact, and a
+// Reset batch filled again allocates nothing.
+func TestBatchKeepsOpsAcrossGrowth(t *testing.T) {
+	b := NewBatch()
+	key, value := make([]byte, 0, 64), make([]byte, 0, 512)
+	fill := func() {
+		for i := 0; i < 200; i++ {
+			key = fmt.Appendf(key[:0], "k%d", i)
+			if i%5 == 4 {
+				b.Delete(key)
+				continue
+			}
+			value = append(value[:0], storetest.Value(uint64(i), i)...)
+			value = value[:len(value)+i%300] // zero padding, so values vary in size
+			b.Put(key, value)
+			value[0]++ // the batch holds a copy
+		}
+	}
+	fill()
+	i := 0
+	b.Ops(func(kind base.Kind, k, v []byte) {
+		want := base.KindSet
+		wantV := append(storetest.Value(uint64(i), i), make([]byte, i%300)...)
+		if i%5 == 4 {
+			want, wantV = base.KindDelete, nil
+		}
+		if kind != want || string(k) != fmt.Sprintf("k%d", i) || string(v) != string(wantV) {
+			t.Fatalf("op %d: got %v %q (%d value bytes), want %v k%d (%d)", i, kind, k, len(v), want, i, len(wantV))
+		}
+		i++
+	})
+	if i != 200 {
+		t.Fatalf("Ops visited %d ops, want 200", i)
+	}
+	if raceEnabled() {
+		return // allocation counts are meaningless under the race detector
+	}
+	if a := testing.AllocsPerRun(10, func() { b.Reset(); fill() }); a != 0 {
+		t.Errorf("refilling a Reset batch allocates %.1f times", a)
+	}
+}
+
 func TestEmptyBatchNoop(t *testing.T) {
 	d := mustOpen(t, testOptions(vfs.NewMemFS(), &base.LogicalClock{}))
 	if err := d.Apply(NewBatch()); err != nil {

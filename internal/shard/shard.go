@@ -305,12 +305,22 @@ func (r *Router) ApplyCtx(ctx context.Context, b *core.Batch) error {
 // routeBatch splits b by routing hash: subs[i] holds shard i's operations,
 // in b's order, and is nil when it has none.
 func (r *Router) routeBatch(b *core.Batch) []*core.Batch {
+	// A first pass sizes each sub-batch, so that filling it allocates nothing.
+	sizes := make([]struct{ ops, bytes int }, len(r.shards))
+	b.Ops(func(_ base.Kind, key, value []byte) {
+		sz := &sizes[r.ShardFor(key)]
+		sz.ops++
+		sz.bytes += len(key) + len(value)
+	})
 	subs := make([]*core.Batch, len(r.shards))
+	for i, sz := range sizes {
+		if sz.ops > 0 {
+			subs[i] = core.NewBatch()
+			subs[i].Grow(sz.ops, sz.bytes)
+		}
+	}
 	b.Ops(func(kind base.Kind, key, value []byte) {
 		i := r.ShardFor(key)
-		if subs[i] == nil {
-			subs[i] = core.NewBatch()
-		}
 		if kind == base.KindDelete {
 			subs[i].Delete(key)
 		} else {

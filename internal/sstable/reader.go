@@ -126,6 +126,18 @@ func Open(f vfs.File) (*Reader, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A first pass sizes the index, so that every separator is copied into
+	// one allocation.
+	var pages, sepBytes int
+	for valid := it.First(); valid; valid = it.Next() {
+		pages++
+		sepBytes += len(it.Key())
+	}
+	if err := it.Error(); err != nil {
+		return nil, err
+	}
+	seps := make([]byte, 0, sepBytes)
+	r.seps, r.entries = make([][]byte, 0, pages), make([]indexEntry, 0, pages)
 	for valid := it.First(); valid; valid = it.Next() {
 		if len(it.Key()) < 8 {
 			return nil, fmt.Errorf("%w: index key too short (%d bytes)", ErrCorrupt, len(it.Key()))
@@ -135,7 +147,9 @@ func Open(f vfs.File) (*Reader, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: corrupt index entry", ErrCorrupt)
 		}
-		r.seps = append(r.seps, append([]byte(nil), it.Key()...))
+		start := len(seps)
+		seps = append(seps, it.Key()...)
+		r.seps = append(r.seps, seps[start:len(seps):len(seps)])
 		r.entries = append(r.entries, ent)
 		r.pageFilters = r.pageFilters || ent.filter.SizeBytes() > 0
 	}

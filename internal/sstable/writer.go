@@ -154,7 +154,7 @@ type Writer struct {
 	// same key encoded, which the next Add overwrites.
 	lastAdded   base.InternalKey
 	lastEnc     []byte
-	scratch     []byte // index values
+	scratch     []byte // index values, then the file filter
 	finishedErr error
 	finished    bool
 }
@@ -532,8 +532,9 @@ func (w *Writer) finish() error {
 	// Bloom filter block: standard layout only (hashes stays empty in KiWi's,
 	// whose filters went out with the pages' index entries).
 	if w.opts.BloomBitsPerKey > 0 && len(w.hashes) > 0 {
-		filter := bloom.Build(w.hashes, w.opts.BloomBitsPerKey)
-		h, err := w.writeBlock(filter.Encode(make([]byte, 0, filter.SizeBytes()+8))) // header + bits + CRC, one allocation
+		// Built in place in the writer's scratch buffer, with room for the CRC.
+		w.scratch = slices.Grow(bloom.Append(w.scratch[:0], w.hashes, w.opts.BloomBitsPerKey), 4)
+		h, err := w.writeBlock(w.scratch)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package vfs
 
 import (
+	"bytes"
 	"io"
 	"sync"
 	"testing"
@@ -366,10 +367,105 @@ func TestMemFSReadAtAllocs(t *testing.T) {
 	}
 }
 
+// TestMemFSRemovedFileStaysReadable: a handle open on a file keeps reading
+// the file's bytes after it is removed, replaced by Create or renamed over,
+// while other files take recycled pages; its pages recycle at its Close.
+func TestMemFSRemovedFileStaysReadable(t *testing.T) {
+	fs := NewMemFS()
+	want := fuzzPattern(3*pageSize+5, 1)
+	unlinks := map[string]func() error{
+		"remove": func() error { return fs.Remove("old") },
+		"create": func() error { _, err := fs.Create("old"); return err },
+		"rename": func() error {
+			f, err := fs.Create("other")
+			if err != nil {
+				return err
+			}
+			if err := f.Close(); err != nil {
+				return err
+			}
+			return fs.Rename("other", "old")
+		},
+	}
+	for name, unlink := range unlinks {
+		w, _ := fs.Create("old")
+		if _, err := w.Write(want); err != nil {
+			t.Fatal(err)
+		}
+		r, err := fs.Open("old")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := unlink(); err != nil {
+			t.Fatal(err)
+		}
+		// Take every spare page, and more, with another file's bytes.
+		g, _ := fs.Create("new")
+		if _, err := g.Write(fuzzPattern(8*pageSize, 2)); err != nil {
+			t.Fatal(err)
+		}
+		checkRead(t, r, want, 0, len(want))
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(fs.pages.free); n != 4 {
+			t.Fatalf("%s: %d spare pages after the last handle closed, want the file's 4", name, n)
+		}
+		if err := g.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fs.Remove("new")
+		fs.Remove("old")
+	}
+}
+
+// TestMemFSPoisonsFreedPages: under the race detector a page is overwritten
+// with 0xdb as it reaches the free list.
+func TestMemFSPoisonsFreedPages(t *testing.T) {
+	fs := NewMemFS()
+	f, _ := fs.Create("f")
+	f.Write(bytes.Repeat([]byte{7}, pageSize+1))
+	f.Close()
+	fs.Remove("f")
+	if len(fs.pages.free) != 2 {
+		t.Fatalf("%d spare pages, want 2", len(fs.pages.free))
+	}
+	for _, pg := range fs.pages.free {
+		if poison && bytes.Count(pg[:], []byte{0xdb}) != pageSize {
+			t.Fatal("the race build did not poison a freed page")
+		}
+		if !poison && pg[0] != 7 {
+			t.Fatal("a freed page was overwritten outside the race build")
+		}
+	}
+}
+
+// TestMemFSAppendAllocs: once the free list holds pages, appending to a
+// file allocates nothing but, rarely, a longer list of its pages.
+func TestMemFSAppendAllocs(t *testing.T) {
+	fs := NewMemFS()
+	f, _ := fs.Create("f")
+	f.Write(make([]byte, 1<<20))
+	f.Close()
+	fs.Remove("f")
+	f, _ = fs.Create("f")
+	rec := make([]byte, 4096)
+	if a := testing.AllocsPerRun(200, func() {
+		if _, err := f.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 0 {
+		t.Errorf("a warm 4 KiB append allocates %.2f times", a)
+	}
+}
+
 // BenchmarkMemFS prices the two MemFS operations the engine's data paths
-// make: appending a 4 KiB page to a file (files roll at 16 MiB, so the
-// average includes the file's growth and creation) and reading a 4 KiB
-// block at a scattered offset of a 16 MiB file.
+// make: appending 4 KiB to a file (files roll at 16 MiB, so the average
+// includes the file's creation and its removal, whose pages the next file
+// takes) and reading a 4 KiB block at a scattered offset of a 16 MiB file.
 func BenchmarkMemFS(b *testing.B) {
 	const page, fileBytes = 4096, 16 << 20
 	buf := make([]byte, page)
